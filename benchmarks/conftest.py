@@ -3,8 +3,9 @@
 The expensive work (running the microbenchmark over every engine and
 dataset) is done once per pytest session and shared by the per-figure
 benchmark modules.  Every module renders its figure as a text table, saves
-it under ``benchmarks/reports/``, and asserts the qualitative *shape* the
-paper reports (who wins, roughly by how much) rather than absolute numbers.
+it under ``benchmarks/reports/`` (``wallclock/`` when it carries timings),
+and asserts the qualitative *shape* the paper reports (who wins, roughly by
+how much) rather than absolute numbers.
 """
 
 from __future__ import annotations
@@ -35,11 +36,17 @@ _REPORT_DIR = Path(__file__).parent / "reports"
 
 @pytest.fixture(scope="session")
 def save_report():
-    """Persist a rendered figure/table under ``benchmarks/reports/``."""
+    """Persist a rendered figure/table under ``benchmarks/reports/``.
 
-    def _save(name: str, text: str) -> str:
-        _REPORT_DIR.mkdir(exist_ok=True)
-        path = _REPORT_DIR / f"{name}.txt"
+    Only charge-deterministic tables are ``tracked``; anything carrying
+    wall-clock numbers lands in the git-ignored ``reports/wallclock/`` so a
+    test run never dirties the tree.
+    """
+
+    def _save(name: str, text: str, tracked: bool = False) -> str:
+        directory = _REPORT_DIR if tracked else _REPORT_DIR / "wallclock"
+        directory.mkdir(exist_ok=True)
+        path = directory / f"{name}.txt"
         path.write_text(text + "\n", encoding="utf-8")
         print(f"\n{text}\n[saved to {path}]")
         return text

@@ -8,7 +8,7 @@ from repro.bench.report import space_table
 def test_fig1_space_occupancy(benchmark, space_measurements, save_report):
     """Regenerate the space-occupancy figure and check the paper's ordering."""
     table = benchmark.pedantic(lambda: space_table(space_measurements), rounds=1, iterations=1)
-    save_report("fig1_space", table)
+    save_report("fig1_space", table, tracked=True)
 
     def total(engine_substring: str, dataset: str) -> int:
         return sum(

@@ -8,7 +8,7 @@ from repro.bench.report import timeout_table
 def test_fig1_completion_rate(benchmark, micro_results, save_report):
     """Regenerate the time-out figure and check the completion-rate ordering."""
     table = benchmark.pedantic(lambda: timeout_table(micro_results), rounds=1, iterations=1)
-    save_report("fig1_timeouts", table)
+    save_report("fig1_timeouts", table, tracked=True)
 
     failures = {engine: micro_results.timeout_count(engine) for engine in micro_results.engines()}
     native_linked = [count for engine, count in failures.items() if engine.startswith("nativelinked")]

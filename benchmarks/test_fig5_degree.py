@@ -53,5 +53,6 @@ def test_fig5b_bitmap_memory_exhaustion(benchmark, save_report):
     save_report(
         "fig5b_bitmap_oom",
         f"Q30 on frb-l with a constrained memory budget: status={result.status.value}, detail={result.detail}",
+        tracked=True,
     )
     assert result.status is ExecutionStatus.OUT_OF_MEMORY

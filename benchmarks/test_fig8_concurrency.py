@@ -31,7 +31,7 @@ def test_fig8_concurrency_durability_gap(benchmark, save_report):
         )
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
-    save_report("fig8_concurrency_smoke", format_concurrency_report(report))
+    save_report("fig8_concurrency_smoke", format_concurrency_report(report), tracked=True)
 
     for engine_id in _ENGINES:
         sync_row = report["engines"][engine_id]["sync"]

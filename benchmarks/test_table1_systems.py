@@ -16,7 +16,7 @@ def test_table1_system_features(benchmark, save_report):
         return rows_table(_HEADERS, rows, title="Table 1: features of the simulated systems")
 
     table = benchmark.pedantic(build, rounds=1, iterations=1)
-    save_report("table1_systems", table)
+    save_report("table1_systems", table, tracked=True)
     # The paper's matrix: nine system/version rows, both native and hybrid types.
     assert len(available_engines()) == 9
     assert "Native" in table and "Hybrid" in table

@@ -37,6 +37,10 @@ def test_table2_query_catalogue(benchmark, save_report):
         {"#": query.id, "Query": query.gremlin, "Description": query.description, "Cat": query.category.value}
         for query in MICRO_QUERIES.values()
     ]
-    save_report("table2_queries", rows_table(["#", "Query", "Description", "Cat"], rows, title="Table 2: test queries"))
+    save_report(
+        "table2_queries",
+        rows_table(["#", "Query", "Description", "Cat"], rows, title="Table 2: test queries"),
+        tracked=True,
+    )
     assert len(MICRO_QUERIES) == 35
     assert all(status == "ok" for status in statuses)

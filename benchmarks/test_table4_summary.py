@@ -8,7 +8,7 @@ from repro.bench.summary import CHECK, WARNING, evaluation_summary, summary_tabl
 def test_table4_evaluation_summary(benchmark, micro_results, save_report):
     """Regenerate Table 4 and check the headline grades."""
     table = benchmark.pedantic(lambda: summary_table(micro_results), rounds=1, iterations=1)
-    save_report("table4_summary", table)
+    save_report("table4_summary", table, tracked=True)
 
     cells = {(cell.engine, cell.group): cell for cell in evaluation_summary(micro_results)}
 

@@ -14,16 +14,14 @@ bulking removes versus charge-bearing work in its storage substrate — the
 paper's claim that the engine-internal representation, not the query
 language, dominates graph-workload cost.
 
-Run it through ``python -m benchmarks.perf_smoke``; gate regressions with
-``python -m benchmarks.check_regression``.
+Run it through ``graphbench traversal``; gate regressions with
+``graphbench gate traversal``.
 """
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
-from pathlib import Path
 from typing import Any, Iterable
 
 from repro.bench.workload import ParameterPlan, load_dataset_into
@@ -39,8 +37,6 @@ TRAVERSAL_QUERY_IDS = tuple(f"Q{number}" for number in range(22, 36))
 #: (its large BFS frontiers are what the frontier batching is for), timed
 #: against every default engine.
 DEFAULT_DATASET = "mico"
-DEFAULT_ENGINE = "nativelinked-1.9"
-DEFAULT_OUTPUT = "BENCH_traversal.json"
 
 
 def _median_seconds(run, repeats: int) -> float:
@@ -127,48 +123,6 @@ def run_traversal_matrix(
     }
 
 
-def run_traversal_microbench(
-    engine_name: str = DEFAULT_ENGINE,
-    dataset_name: str = DEFAULT_DATASET,
-    scale: float = 1.0,
-    seed: int = 7,
-    param_seed: int = 42,
-    repeats: int = 5,
-    bfs_depth: int = 3,
-    query_ids: tuple[str, ...] = TRAVERSAL_QUERY_IDS,
-) -> dict[str, Any]:
-    """Single-engine A/B run (the matrix report restricted to one engine)."""
-    return run_traversal_matrix(
-        engine_names=(engine_name,),
-        dataset_name=dataset_name,
-        scale=scale,
-        seed=seed,
-        param_seed=param_seed,
-        repeats=repeats,
-        bfs_depth=bfs_depth,
-        query_ids=query_ids,
-    )
-
-
-def write_report(report: dict[str, Any], output_path: str | Path = DEFAULT_OUTPUT) -> Path:
-    """Serialise ``report`` to ``output_path`` and return the path."""
-    path = Path(output_path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def engine_queries(report: dict[str, Any]) -> dict[str, dict[str, dict[str, float]]]:
-    """Return ``{engine: {query: row}}`` from a matrix or legacy report.
-
-    Reports written before the matrix extension carried one engine at the
-    top level (``engine`` + ``queries`` keys); both shapes normalise to the
-    same mapping so the regression gate can diff any two reports.
-    """
-    if "engines" in report:
-        return {name: entry["queries"] for name, entry in report["engines"].items()}
-    return {report["engine"]: report["queries"]}
-
-
 def format_report(report: dict[str, Any]) -> str:
     """Render the report as aligned per-engine text tables."""
     dataset = report["dataset"]
@@ -177,11 +131,13 @@ def format_report(report: dict[str, Any]) -> str:
         f"(V={dataset['vertices']}, E={dataset['edges']}, "
         f"depth={report['bfs_depth']}, repeats={report['repeats']})"
     ]
-    for engine_name, queries in engine_queries(report).items():
+    for engine_name, entry in report["engines"].items():
         lines.append("")
         lines.append(f"[{engine_name}]")
         lines.append(f"{'query':<6} {'baseline':>12} {'optimized':>12} {'speedup':>8}")
-        for query_id, row in sorted(queries.items(), key=lambda item: int(item[0][1:])):
+        for query_id, row in sorted(
+            entry["queries"].items(), key=lambda item: int(item[0][1:])
+        ):
             lines.append(
                 f"{query_id:<6} {row['baseline_median_s'] * 1000:>10.2f}ms "
                 f"{row['optimized_median_s'] * 1000:>10.2f}ms {row['speedup']:>7.2f}x"

@@ -8,41 +8,32 @@ Sub-commands mirror the workflow of the paper's test suite:
   timing tables, the time-out table, the overall totals, and Table 4;
 * ``graphbench complex`` — run the 13 LDBC-style complex queries (Figure 2);
 * ``graphbench space`` — measure space occupancy (Figure 1a/1b);
-* ``graphbench concurrent`` — run the multi-client concurrency benchmark
-  (MVCC sessions, deterministic virtual-time scheduling, SYNC vs ASYNC
-  group commit) and print per-engine throughput / tail-latency tables;
-* ``graphbench saturate`` — open-loop saturation sweep: step each engine's
-  arrival rate until throughput collapses and report the knee (Figure 9);
-  ``--compare-loops`` re-drives the workload closed-loop for Figure 9b;
-* ``graphbench scaleout`` — partition each engine across K charged
-  executors and measure distributed traversal speedup, efficiency, and
-  cut ratio per partitioning strategy (Figure 10);
-* ``graphbench chaos`` — inject seeded faults (shard crashes, stalls,
-  message loss/dup/reorder, torn WAL tails, snapshot loss) into the
-  distributed executor and measure availability, staleness, and fault
-  overhead per fault rate and retry policy (Figure 11);
-* ``graphbench readscale`` — replicate each shard's primary behind R
-  lagging MVCC read replicas with charged hot-vertex / ghost-adjacency
-  caches and measure read throughput vs replica count × staleness bound
-  × cache size, including a cache-coherence storm (Figure 12);
-* ``graphbench txn`` — charged distributed transactions (per-shard WAL +
-  2PC) under SI and SSI (Figure 13);
-* ``graphbench reachability`` — benchmark the interval reachability index
-  against the charged BFS oracle per engine × structural shape
-  (Figure 14);
-* ``graphbench versions`` — graph versioning: commit chains under CUD
-  churn, as-of replay (byte-identical to the live run), structural diff,
-  and retained-bytes vs GC-reclaim per retention policy (Figure 15).
+* ``graphbench gate`` — regenerate committed ``BENCH_*.json`` baselines into
+  a temp dir and gate them (identity for the charge-deterministic ones);
+
+plus one generated sub-command per entry of
+:data:`repro.bench.registry.SPECS` (listed below from the registry itself).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import tempfile
+from pathlib import Path
 from typing import Sequence
 
+from repro.bench.gates import DEFAULT_MAX_REGRESSION
+from repro.bench.registry import (
+    SPECS,
+    BenchmarkSpec,
+    add_subcommand,
+    check,
+    execute,
+    write_report,
+)
 from repro.bench.report import (
-    dataset_sweep_table,
     overall_table,
     rows_table,
     space_table,
@@ -52,132 +43,16 @@ from repro.bench.report import (
 from repro.bench.spaces import measure_space_matrix
 from repro.bench.suite import BenchmarkSuite
 from repro.bench.summary import summary_table
-from repro.concurrency import (
-    MIXES,
-    format_concurrency_report,
-    format_loop_comparison,
-    format_saturation_report,
-    run_concurrent_benchmark,
-    run_loop_comparison,
-    run_saturation_sweep,
-)
-from repro.concurrency.driver import DEFAULT_BACKOFF, DEFAULT_RETRIES, RETRY_POLICIES
-from repro.concurrency.report import (
-    DEFAULT_LOOP_COMPARISON_REPORT,
-    DEFAULT_SATURATION_JSON,
-    DEFAULT_SATURATION_REPORT,
-    write_concurrency_report,
-    write_loop_comparison,
-    write_saturation_report,
-)
-from repro.concurrency.saturation import (
-    DEFAULT_MAX_STEPS,
-    DEFAULT_MIN_INTERVAL,
-    DEFAULT_START_INTERVAL,
-    DEFAULT_SWEEP_ENGINES,
-)
-from repro.concurrency.versioning import DEFAULT_SHARDS
 from repro.config import BenchConfig
 from repro.datasets import available_datasets, compute_statistics, get_dataset
-from repro.engines import DEFAULT_ENGINES, available_engines, engine_info, resolve_engine_id
+from repro.engines import DEFAULT_ENGINES, available_engines, engine_info
 from repro.exceptions import BenchmarkError, VersionError
-from repro.faults import (
-    CHAOS_MIXES,
-    DEFAULT_CHAOS_ENGINES,
-    DEFAULT_CHAOS_JSON,
-    DEFAULT_CHAOS_REPORT,
-    DEFAULT_CHAOS_SHARDS,
-    DEFAULT_FAULT_RATES,
-    format_chaos_report,
-    run_chaos_benchmark,
-    write_chaos_report,
-)
-from repro.faults.bench import DEFAULT_CHAOS_PARTITIONER
-from repro.faults.chaos import (
-    DEFAULT_CHECKPOINT_INTERVAL,
-    DEFAULT_MAX_RESTARTS,
-    DEFAULT_SUPERSTEP_TIMEOUT,
-)
-from repro.index.bench import (
-    DEFAULT_REACH_ENGINES,
-    DEFAULT_REACH_PAIRS,
-    DEFAULT_REACH_SHAPES,
-    DEFAULT_REACH_SOURCES,
-    DEFAULT_REACH_VERTICES,
-    run_reachability_benchmark,
-)
-from repro.index.generators import SHAPES
-from repro.index.report import (
-    DEFAULT_REACHABILITY_JSON,
-    DEFAULT_REACHABILITY_REPORT,
-    format_reachability_report,
-    write_reachability_report,
-)
-from repro.partition import (
-    DEFAULT_BENCH_ENGINES,
-    DEFAULT_PARTITIONERS,
-    DEFAULT_PARTITION_JSON,
-    DEFAULT_PARTITION_REPORT,
-    DEFAULT_SHARD_COUNTS,
-    PARTITIONERS,
-    format_scaleout_report,
-    run_scaleout_benchmark,
-    write_scaleout_report,
-)
-from repro.partition.bench import DEFAULT_BFS_SOURCES, DEFAULT_DEPTH
-from repro.partition.messages import DEFAULT_COST_PER_ITEM, DEFAULT_LATENCY_PER_MESSAGE
 from repro.queries.registry import query_ids
-from repro.replication import (
-    DEFAULT_CACHE_CAPACITIES,
-    DEFAULT_READSCALE_JSON,
-    DEFAULT_READSCALE_REPORT,
-    DEFAULT_REPLICA_COUNTS,
-    DEFAULT_STALENESS_BOUNDS,
-    format_readscale_report,
-    run_readscale_benchmark,
-    write_readscale_report,
-)
-from repro.replication.bench import (
-    DEFAULT_BENCH_ENGINES as DEFAULT_READSCALE_ENGINES,
-    DEFAULT_HOT_SET,
-    DEFAULT_PARTITIONER as DEFAULT_READSCALE_PARTITIONER,
-    DEFAULT_SHARDS as DEFAULT_READSCALE_SHARDS,
-    DEFAULT_STEADY_OPS,
-    DEFAULT_STORM_ROUNDS,
-)
-from repro.replication.replica import DEFAULT_APPLY_INTERVAL
-from repro.txn import (
-    DEFAULT_TXN_ENGINES,
-    DEFAULT_TXN_JSON,
-    DEFAULT_TXN_REPORT,
-    DEFAULT_TXN_SHARD_COUNTS,
-    DEFAULT_TXN_STRATEGIES,
-    format_txn_report,
-    run_txn_benchmark,
-    write_txn_report,
-)
-from repro.txn.bench import (
-    DEFAULT_ARRIVAL_GAP,
-    DEFAULT_BASE_DURATION,
-    DEFAULT_FOOTPRINT,
-    DEFAULT_TXN_COUNT,
-)
-from repro.versions.bench import (
-    DEFAULT_VERSION_BASE_VERTICES,
-    DEFAULT_VERSION_CHURN_OPS,
-    DEFAULT_VERSION_DEPTHS,
-    DEFAULT_VERSION_ENGINES,
-    DEFAULT_VERSION_MIXES,
-    DEFAULT_VERSION_RETENTIONS,
-    DEFAULT_VERSION_TAG_EVERY,
-    run_versions_benchmark,
-)
-from repro.versions.report import (
-    DEFAULT_VERSIONS_JSON,
-    DEFAULT_VERSIONS_REPORT,
-    format_versions_report,
-    write_versions_report,
-)
+
+if __doc__:  # absent under -OO
+    __doc__ += "\n" + "\n".join(
+        f"* ``graphbench {spec.name}`` — {spec.help};" for spec in SPECS.values()
+    )
 
 
 def _engine_argument(parser: argparse.ArgumentParser) -> None:
@@ -235,552 +110,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     space_parser.add_argument("--seed", type=int, default=20181204)
 
-    concurrent_parser = subparsers.add_parser(
-        "concurrent", help="run the multi-client concurrency benchmark (Figure 8)"
-    )
-    # Short aliases are accepted ("triple" -> "triplegraph-2.1"), so no
-    # argparse choices here; resolution happens in the command handler.
-    concurrent_parser.add_argument(
-        "--engines",
-        nargs="+",
-        default=list(DEFAULT_ENGINES),
-        help="engines to benchmark; identifiers or unambiguous prefixes",
-    )
-    concurrent_parser.add_argument("--clients", type=int, default=8, help="concurrent clients")
-    concurrent_parser.add_argument(
-        "--mix",
-        default="read-heavy",
-        choices=sorted(MIXES),
-        help="operation mix per client",
-    )
-    concurrent_parser.add_argument("--txns", type=int, default=24, help="transactions per client")
-    concurrent_parser.add_argument("--dataset", default="yeast", choices=list(available_datasets()))
-    concurrent_parser.add_argument("--scale", type=float, default=0.25)
-    concurrent_parser.add_argument("--seed", type=int, default=20181204)
-    concurrent_parser.add_argument(
-        "--group-commit", type=int, default=4, help="commits batched per ASYNC WAL flush"
-    )
-    concurrent_parser.add_argument(
-        "--loop", default="closed", choices=["closed", "open"], help="client loop model"
-    )
-    concurrent_parser.add_argument(
-        "--arrival-interval",
-        type=int,
-        default=0,
-        help="open-loop inter-arrival gap per client, in charge units",
-    )
-    concurrent_parser.add_argument(
-        "--retries",
-        type=int,
-        default=DEFAULT_RETRIES,
-        help="retry budget for conflict-aborted transactions (0 disables)",
-    )
-    concurrent_parser.add_argument(
-        "--backoff",
-        type=int,
-        default=DEFAULT_BACKOFF,
-        help="retry backoff base in charge units (doubles per attempt + seeded jitter)",
-    )
-    concurrent_parser.add_argument(
-        "--shards",
-        type=int,
-        default=DEFAULT_SHARDS,
-        help="version-store shards (conflict detection and GC scan per shard)",
-    )
-    concurrent_parser.add_argument(
-        "--retry-policy",
-        default="fixed",
-        choices=list(RETRY_POLICIES),
-        help="backoff policy for conflict retries: fixed constants or an "
-        "EWMA of each client's observed commit charge",
-    )
-    concurrent_parser.add_argument(
-        "--output", default=None, help="write the JSON payload here (e.g. BENCH_concurrency.json)"
-    )
-    concurrent_parser.add_argument(
-        "--report", default=None, help="write the rendered table here (e.g. benchmarks/reports/fig8_concurrency.txt)"
-    )
+    for spec in SPECS.values():
+        add_subcommand(subparsers, spec)
 
-    saturate_parser = subparsers.add_parser(
-        "saturate",
-        help="open-loop saturation sweep: step the arrival rate until throughput collapses (Figure 9)",
-    )
-    # Defaults deliberately mirror benchmarks/saturation_smoke.py: a plain
-    # `graphbench saturate` regenerates the committed BENCH_saturation.json
-    # byte-identically rather than clobbering the CI baseline with an
-    # incompatible-parameter payload.
-    saturate_parser.add_argument(
-        "--engines",
-        nargs="+",
-        default=list(DEFAULT_SWEEP_ENGINES),
-        help="engines to sweep; identifiers or unambiguous prefixes",
-    )
-    saturate_parser.add_argument("--clients", type=int, default=4, help="open-loop clients")
-    saturate_parser.add_argument(
-        "--mix", default="write-heavy", choices=sorted(MIXES), help="operation mix per client"
-    )
-    saturate_parser.add_argument("--txns", type=int, default=8, help="transactions per client")
-    saturate_parser.add_argument("--dataset", default="yeast", choices=list(available_datasets()))
-    saturate_parser.add_argument("--scale", type=float, default=0.25)
-    saturate_parser.add_argument("--seed", type=int, default=20181204)
-    saturate_parser.add_argument(
-        "--durability", default="sync", choices=["sync", "async"], help="WAL durability mode"
-    )
-    saturate_parser.add_argument(
-        "--group-commit", type=int, default=4, help="commits batched per ASYNC WAL flush"
-    )
-    saturate_parser.add_argument(
-        "--start-interval",
-        type=int,
-        default=DEFAULT_START_INTERVAL,
-        help="first (slowest) per-client arrival interval, in charge units",
-    )
-    saturate_parser.add_argument(
-        "--min-interval",
-        type=int,
-        default=DEFAULT_MIN_INTERVAL,
-        help="stop stepping below this interval even without a knee",
-    )
-    saturate_parser.add_argument(
-        "--max-steps", type=int, default=DEFAULT_MAX_STEPS, help="maximum sweep steps per engine"
-    )
-    saturate_parser.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
-    saturate_parser.add_argument("--backoff", type=int, default=DEFAULT_BACKOFF)
-    saturate_parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS)
-    saturate_parser.add_argument(
-        "--output",
-        default=DEFAULT_SATURATION_JSON,
-        help="write the JSON payload here ('' to skip)",
-    )
-    saturate_parser.add_argument(
-        "--report",
-        default=DEFAULT_SATURATION_REPORT,
-        help="write the rendered figure here ('' to skip)",
-    )
-    saturate_parser.add_argument(
-        "--compare-loops",
-        action="store_true",
-        help="after the sweep, re-drive the same workload closed-loop and "
-        "write the closed-vs-open comparison figure (Figure 9b)",
-    )
-    saturate_parser.add_argument(
-        "--loop-report",
-        default=DEFAULT_LOOP_COMPARISON_REPORT,
-        help="where --compare-loops writes the comparison figure",
-    )
-
-    scaleout_parser = subparsers.add_parser(
-        "scaleout",
-        help="partition each engine across K charged executors and measure "
-        "distributed traversal speedup (Figure 10)",
-    )
-    # Defaults deliberately mirror benchmarks/partition_smoke.py: a plain
-    # `graphbench scaleout` regenerates the committed BENCH_partition.json
-    # byte-identically rather than clobbering the CI baseline.
-    scaleout_parser.add_argument(
-        "--engines",
-        nargs="+",
-        default=list(DEFAULT_BENCH_ENGINES),
-        help="engines to shard; identifiers or unambiguous prefixes",
-    )
-    scaleout_parser.add_argument(
-        "--partitioners",
-        nargs="+",
-        default=list(DEFAULT_PARTITIONERS),
-        choices=sorted(PARTITIONERS),
-        help="partitioning strategies to compare",
-    )
-    scaleout_parser.add_argument(
-        "--shards",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_SHARD_COUNTS),
-        help="shard counts K to sweep (must include 1, the parity baseline)",
-    )
-    scaleout_parser.add_argument("--dataset", default="yeast", choices=list(available_datasets()))
-    scaleout_parser.add_argument("--scale", type=float, default=0.25)
-    scaleout_parser.add_argument("--seed", type=int, default=20181204)
-    scaleout_parser.add_argument(
-        "--depth", type=int, default=DEFAULT_DEPTH, help="BFS depth per seeded source"
-    )
-    scaleout_parser.add_argument(
-        "--bfs-sources", type=int, default=DEFAULT_BFS_SOURCES, help="seeded BFS sources"
-    )
-    scaleout_parser.add_argument(
-        "--latency",
-        type=int,
-        default=DEFAULT_LATENCY_PER_MESSAGE,
-        help="charge per cross-shard message batch (the RPC envelope)",
-    )
-    scaleout_parser.add_argument(
-        "--per-item",
-        type=int,
-        default=DEFAULT_COST_PER_ITEM,
-        help="charge per frontier item carried in a batch",
-    )
-    scaleout_parser.add_argument(
-        "--output",
-        default=DEFAULT_PARTITION_JSON,
-        help="write the JSON payload here ('' to skip)",
-    )
-    scaleout_parser.add_argument(
-        "--report",
-        default=DEFAULT_PARTITION_REPORT,
-        help="write the rendered figure here ('' to skip)",
-    )
-
-    chaos_parser = subparsers.add_parser(
-        "chaos",
-        help="inject seeded faults into the distributed executor and "
-        "measure availability, staleness, and overhead (Figure 11)",
-    )
-    # Defaults deliberately mirror benchmarks/chaos_smoke.py: a plain
-    # `graphbench chaos` regenerates the committed BENCH_chaos.json
-    # byte-identically rather than clobbering the CI baseline.
-    chaos_parser.add_argument(
-        "--engines",
-        nargs="+",
-        default=list(DEFAULT_CHAOS_ENGINES),
-        help="engines to shard; identifiers or unambiguous prefixes",
-    )
-    chaos_parser.add_argument(
-        "--mixes",
-        nargs="+",
-        default=list(CHAOS_MIXES),
-        choices=sorted(CHAOS_MIXES),
-        help="query mixes to replay under faults",
-    )
-    chaos_parser.add_argument(
-        "--shards",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_CHAOS_SHARDS),
-        help="shard counts K to sweep",
-    )
-    chaos_parser.add_argument(
-        "--rates",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_FAULT_RATES),
-        help="fault rates in percent (must include 0, the exactness oracle)",
-    )
-    chaos_parser.add_argument(
-        "--policies",
-        nargs="+",
-        default=list(RETRY_POLICIES),
-        choices=list(RETRY_POLICIES),
-        help="retry policies to A/B per cell",
-    )
-    chaos_parser.add_argument(
-        "--partitioner",
-        default=DEFAULT_CHAOS_PARTITIONER,
-        choices=sorted(PARTITIONERS),
-        help="partitioning strategy for every cell",
-    )
-    chaos_parser.add_argument("--dataset", default="yeast", choices=list(available_datasets()))
-    chaos_parser.add_argument("--scale", type=float, default=0.25)
-    chaos_parser.add_argument("--seed", type=int, default=20181204)
-    chaos_parser.add_argument(
-        "--max-restarts",
-        type=int,
-        default=DEFAULT_MAX_RESTARTS,
-        help="per-query fault budget per shard before it is abandoned",
-    )
-    chaos_parser.add_argument(
-        "--superstep-timeout",
-        type=int,
-        default=DEFAULT_SUPERSTEP_TIMEOUT,
-        help="fixed straggler timeout in charge units (adaptive policy "
-        "scales it with the observed EWMA instead)",
-    )
-    chaos_parser.add_argument(
-        "--checkpoint-interval",
-        type=int,
-        default=DEFAULT_CHECKPOINT_INTERVAL,
-        help="barriers between periodic charged snapshot checkpoints",
-    )
-    chaos_parser.add_argument(
-        "--output",
-        default=DEFAULT_CHAOS_JSON,
-        help="write the JSON payload here ('' to skip)",
-    )
-    chaos_parser.add_argument(
-        "--report",
-        default=DEFAULT_CHAOS_REPORT,
-        help="write the rendered figure here ('' to skip)",
-    )
-
-    readscale_parser = subparsers.add_parser(
-        "readscale",
-        help="scale reads over lagging MVCC replicas with charged caches "
-        "and measure throughput vs replicas × staleness × cache (Figure 12)",
-    )
-    # Defaults deliberately mirror benchmarks/readscale_smoke.py: a plain
-    # `graphbench readscale` regenerates the committed BENCH_readscale.json
-    # byte-identically rather than clobbering the CI baseline.
-    readscale_parser.add_argument(
-        "--engines",
-        nargs="+",
-        default=list(DEFAULT_READSCALE_ENGINES),
-        help="engines to replicate; identifiers or unambiguous prefixes",
-    )
-    readscale_parser.add_argument(
-        "--replicas",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_REPLICA_COUNTS),
-        help="replica counts R to sweep (0 is the unreplicated baseline)",
-    )
-    readscale_parser.add_argument(
-        "--bounds",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_STALENESS_BOUNDS),
-        help="staleness bounds in charge units; reads beyond the bound "
-        "fall back to the primary",
-    )
-    readscale_parser.add_argument(
-        "--caches",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_CACHE_CAPACITIES),
-        help="hot-vertex/ghost cache capacities to sweep (0 disables)",
-    )
-    readscale_parser.add_argument("--dataset", default="yeast", choices=list(available_datasets()))
-    readscale_parser.add_argument("--scale", type=float, default=0.25)
-    readscale_parser.add_argument("--seed", type=int, default=20181204)
-    readscale_parser.add_argument(
-        "--shards",
-        type=int,
-        default=DEFAULT_READSCALE_SHARDS,
-        help="partition shard count K (each shard gets its own replica set)",
-    )
-    readscale_parser.add_argument(
-        "--partitioner",
-        default=DEFAULT_READSCALE_PARTITIONER,
-        choices=sorted(PARTITIONERS),
-        help="partitioning strategy for every cell",
-    )
-    readscale_parser.add_argument(
-        "--apply-interval",
-        type=int,
-        default=DEFAULT_APPLY_INTERVAL,
-        help="virtual-time gap between replica log applies (scaled by "
-        "replica rank, so replicas lag by different amounts)",
-    )
-    readscale_parser.add_argument(
-        "--steady-ops",
-        type=int,
-        default=DEFAULT_STEADY_OPS,
-        help="operations on the steady mixed tape before the storm",
-    )
-    readscale_parser.add_argument(
-        "--storm-rounds",
-        type=int,
-        default=DEFAULT_STORM_ROUNDS,
-        help="cache-coherence storm rounds (every hot vertex rewritten "
-        "under read pressure)",
-    )
-    readscale_parser.add_argument(
-        "--hot-set",
-        type=int,
-        default=DEFAULT_HOT_SET,
-        help="hub-biased hot-set size shared by tape and storm",
-    )
-    readscale_parser.add_argument(
-        "--output",
-        default=DEFAULT_READSCALE_JSON,
-        help="write the JSON payload here ('' to skip)",
-    )
-    readscale_parser.add_argument(
-        "--report",
-        default=DEFAULT_READSCALE_REPORT,
-        help="write the rendered figure here ('' to skip)",
-    )
-
-    reach_parser = subparsers.add_parser(
-        "reachability",
-        help="benchmark the interval reachability index against the "
-        "charged BFS per engine × structural shape (Figure 14)",
-    )
-    # Defaults deliberately mirror benchmarks/reachability_smoke.py: a plain
-    # `graphbench reachability` regenerates the committed
-    # BENCH_reachability.json byte-identically rather than clobbering the
-    # CI baseline.
-    reach_parser.add_argument(
-        "--engines",
-        nargs="+",
-        default=list(DEFAULT_REACH_ENGINES),
-        help="engines to index; identifiers or unambiguous prefixes",
-    )
-    reach_parser.add_argument(
-        "--shapes",
-        nargs="+",
-        default=list(DEFAULT_REACH_SHAPES),
-        choices=list(SHAPES),
-        help="structural shapes to sweep",
-    )
-    reach_parser.add_argument(
-        "--vertices",
-        type=int,
-        default=DEFAULT_REACH_VERTICES,
-        help="vertices per generated shape",
-    )
-    reach_parser.add_argument(
-        "--pairs",
-        type=int,
-        default=DEFAULT_REACH_PAIRS,
-        help="seeded reachable(src, dst) pairs per cell",
-    )
-    reach_parser.add_argument(
-        "--sources",
-        type=int,
-        default=DEFAULT_REACH_SOURCES,
-        help="seeded descendants(src) sources per cell",
-    )
-    reach_parser.add_argument("--seed", type=int, default=20181204)
-    reach_parser.add_argument(
-        "--output",
-        default=DEFAULT_REACHABILITY_JSON,
-        help="write the JSON payload here ('' to skip)",
-    )
-    reach_parser.add_argument(
-        "--report",
-        default=DEFAULT_REACHABILITY_REPORT,
-        help="write the rendered figure here ('' to skip)",
-    )
-
-    txn_parser = subparsers.add_parser(
-        "txn",
-        help="run charged distributed transactions (per-shard WAL + 2PC) "
-        "and measure commit latency + abort rate vs cut ratio under SI "
-        "and SSI (Figure 13)",
-    )
-    # Defaults deliberately mirror benchmarks/txn_smoke.py: a plain
-    # `graphbench txn` regenerates the committed BENCH_txn.json
-    # byte-identically rather than clobbering the CI baseline.
-    txn_parser.add_argument(
-        "--engines",
-        nargs="+",
-        default=list(DEFAULT_TXN_ENGINES),
-        help="engines to shard; identifiers or unambiguous prefixes",
-    )
-    txn_parser.add_argument(
-        "--partitioners",
-        nargs="+",
-        default=list(DEFAULT_TXN_STRATEGIES),
-        choices=sorted(PARTITIONERS),
-        help="partitioning strategies to sweep (each changes the cut ratio)",
-    )
-    txn_parser.add_argument(
-        "--shards",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_TXN_SHARD_COUNTS),
-        help="shard counts K to sweep (K=1 is the one-phase parity baseline)",
-    )
-    txn_parser.add_argument("--dataset", default="yeast", choices=list(available_datasets()))
-    txn_parser.add_argument("--scale", type=float, default=0.25)
-    txn_parser.add_argument("--seed", type=int, default=20181204)
-    txn_parser.add_argument(
-        "--transactions",
-        type=int,
-        default=DEFAULT_TXN_COUNT,
-        help="transactions per wave (each cell replays the same wave)",
-    )
-    txn_parser.add_argument(
-        "--footprint",
-        type=int,
-        default=DEFAULT_FOOTPRINT,
-        help="hub-biased vertices each transaction reads (all but the "
-        "last are also written)",
-    )
-    txn_parser.add_argument(
-        "--arrival-gap",
-        type=int,
-        default=DEFAULT_ARRIVAL_GAP,
-        help="virtual-time gap between transaction arrivals",
-    )
-    txn_parser.add_argument(
-        "--base-duration",
-        type=int,
-        default=DEFAULT_BASE_DURATION,
-        help="baseline commit-window width before per-remote-shard "
-        "round-trip widening",
-    )
-    txn_parser.add_argument(
-        "--output",
-        default=DEFAULT_TXN_JSON,
-        help="write the JSON payload here ('' to skip)",
-    )
-    txn_parser.add_argument(
-        "--report",
-        default=DEFAULT_TXN_REPORT,
-        help="write the rendered figure here ('' to skip)",
-    )
-
-    versions_parser = subparsers.add_parser(
-        "versions",
-        help="benchmark graph versioning: as-of replay, structural diff, "
-        "and retained bytes vs GC reclaim per retention policy (Figure 15)",
-    )
-    # Defaults deliberately mirror benchmarks/versions_smoke.py: a plain
-    # `graphbench versions` regenerates the committed BENCH_versions.json
-    # byte-identically rather than clobbering the CI baseline.
-    versions_parser.add_argument(
-        "--engines",
-        nargs="+",
-        default=list(DEFAULT_VERSION_ENGINES),
-        help="engines to version; identifiers or unambiguous prefixes",
-    )
-    versions_parser.add_argument(
-        "--depths",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_VERSION_DEPTHS),
-        help="commit-chain depths to sweep (churn steps per chain)",
-    )
-    versions_parser.add_argument(
-        "--mixes",
-        nargs="+",
-        default=list(DEFAULT_VERSION_MIXES),
-        choices=["read", "traversal"],
-        help="query mixes replayed as-of every retained commit",
-    )
-    versions_parser.add_argument(
-        "--retentions",
-        nargs="+",
-        default=list(DEFAULT_VERSION_RETENTIONS),
-        help="retention policies to sweep: keep-all, keep-tagged, depth-N",
-    )
-    versions_parser.add_argument(
-        "--base-vertices",
-        type=int,
-        default=DEFAULT_VERSION_BASE_VERTICES,
-        help="vertices in the seeded base graph",
-    )
-    versions_parser.add_argument(
-        "--churn-ops",
-        type=int,
-        default=DEFAULT_VERSION_CHURN_OPS,
-        help="CUD operations between consecutive commits",
-    )
-    versions_parser.add_argument(
-        "--tag-every",
-        type=int,
-        default=DEFAULT_VERSION_TAG_EVERY,
-        help="tag every Nth commit (what keep-tagged retains)",
-    )
-    versions_parser.add_argument("--seed", type=int, default=20181204)
-    versions_parser.add_argument(
-        "--output",
-        default=DEFAULT_VERSIONS_JSON,
-        help="write the JSON payload here ('' to skip)",
-    )
-    versions_parser.add_argument(
-        "--report",
-        default=DEFAULT_VERSIONS_REPORT,
-        help="write the rendered figure here ('' to skip)",
+    gate_parser = subparsers.add_parser(
+        "gate",
+        help="regenerate committed BENCH_*.json baselines and gate them",
+    )
+    gate_parser.add_argument(
+        "names", nargs="*", metavar="NAME", help=f"benchmarks to gate: {', '.join(SPECS)}"
+    )
+    gate_parser.add_argument("--all", action="store_true", help="gate every benchmark")
+    gate_parser.add_argument(
+        "--max-regression",
+        type=float,
+        default=DEFAULT_MAX_REGRESSION,
+        help="allowed wall-clock slowdown fraction for the traversal gate "
+        "(default 0.25 == 25%%); charge-deterministic payloads must be identical",
     )
     return parser
 
@@ -843,320 +189,63 @@ def _command_complex(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_concurrency_knobs(args: argparse.Namespace) -> str | None:
-    """Shared sanity checks for the concurrent/saturate knobs."""
-    if args.shards < 1:
-        return f"--shards must be >= 1, not {args.shards}"
-    if args.retries < 0:
-        return f"--retries must be >= 0, not {args.retries}"
-    if args.backoff < 0:
-        return f"--backoff must be >= 0, not {args.backoff}"
-    return None
-
-
-def _command_concurrent(args: argparse.Namespace) -> int:
-    if args.loop == "open" and args.arrival_interval <= 0:
-        print(
-            "graphbench concurrent: --loop open requires a positive --arrival-interval",
-            file=sys.stderr,
-        )
-        return 2
-    problem = _validate_concurrency_knobs(args)
-    if problem is not None:
-        print(f"graphbench concurrent: {problem}", file=sys.stderr)
-        return 2
+def _run(spec: BenchmarkSpec, args: argparse.Namespace) -> int:
+    """Run one registry benchmark: print the figure, write what was asked."""
     try:
-        engine_ids = [resolve_engine_id(name) for name in args.engines]
-    except BenchmarkError as error:
-        print(f"graphbench concurrent: {error}", file=sys.stderr)
-        return 2
-    report = run_concurrent_benchmark(
-        engine_ids,
-        clients=args.clients,
-        mix_name=args.mix,
-        dataset_name=args.dataset,
-        scale=args.scale,
-        seed=args.seed,
-        txns=args.txns,
-        group_commit=args.group_commit,
-        loop=args.loop,
-        arrival_interval=args.arrival_interval,
-        retries=args.retries,
-        backoff=args.backoff,
-        shards=args.shards,
-        retry_policy=args.retry_policy,
-    )
-    print(format_concurrency_report(report))
-    written = write_concurrency_report(
-        report, json_path=args.output, text_path=args.report
-    )
-    for path in written:
-        print(f"wrote {path.resolve()}")
-    return 0
-
-
-def _command_saturate(args: argparse.Namespace) -> int:
-    problem = _validate_concurrency_knobs(args)
-    if problem is not None:
-        print(f"graphbench saturate: {problem}", file=sys.stderr)
-        return 2
-    try:
-        engine_ids = [resolve_engine_id(name) for name in args.engines]
-        report = run_saturation_sweep(
-            engine_ids,
-            clients=args.clients,
-            mix_name=args.mix,
-            dataset_name=args.dataset,
-            scale=args.scale,
-            seed=args.seed,
-            txns=args.txns,
-            durability=args.durability,
-            group_commit=args.group_commit,
-            start_interval=args.start_interval,
-            min_interval=args.min_interval,
-            max_steps=args.max_steps,
-            retries=args.retries,
-            backoff=args.backoff,
-            shards=args.shards,
-        )
-    except BenchmarkError as error:
-        print(f"graphbench saturate: {error}", file=sys.stderr)
-        return 2
-    print(format_saturation_report(report))
-    written = write_saturation_report(
-        report,
-        json_path=args.output or None,
-        text_path=args.report or None,
-    )
-    if args.compare_loops:
-        comparison = run_loop_comparison(report)
-        print()
-        print(format_loop_comparison(comparison))
-        written.extend(
-            write_loop_comparison(comparison, text_path=args.loop_report or None)
-        )
-    for path in written:
-        print(f"wrote {path.resolve()}")
-    return 0
-
-
-def _command_scaleout(args: argparse.Namespace) -> int:
-    if args.latency < 0 or args.per_item < 0:
-        print(
-            "graphbench scaleout: --latency and --per-item must be >= 0",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        engine_ids = [resolve_engine_id(name) for name in args.engines]
-        report = run_scaleout_benchmark(
-            engine_ids,
-            partitioner_names=args.partitioners,
-            shard_counts=args.shards,
-            dataset_name=args.dataset,
-            scale=args.scale,
-            seed=args.seed,
-            depth=args.depth,
-            bfs_sources=args.bfs_sources,
-            latency_per_message=args.latency,
-            cost_per_item=args.per_item,
-        )
-    except BenchmarkError as error:
-        print(f"graphbench scaleout: {error}", file=sys.stderr)
-        return 2
-    print(format_scaleout_report(report))
-    written = write_scaleout_report(
-        report,
-        json_path=args.output or None,
-        text_path=args.report or None,
-    )
-    for path in written:
-        print(f"wrote {path.resolve()}")
-    return 0
-
-
-def _command_chaos(args: argparse.Namespace) -> int:
-    if args.max_restarts < 0 or args.superstep_timeout < 1 or args.checkpoint_interval < 1:
-        print(
-            "graphbench chaos: --max-restarts must be >= 0; --superstep-timeout "
-            "and --checkpoint-interval must be >= 1",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        engine_ids = [resolve_engine_id(name) for name in args.engines]
-        report = run_chaos_benchmark(
-            engine_ids,
-            mixes=args.mixes,
-            shard_counts=args.shards,
-            fault_rates=args.rates,
-            retry_policies=args.policies,
-            partitioner=args.partitioner,
-            dataset_name=args.dataset,
-            scale=args.scale,
-            seed=args.seed,
-            max_restarts=args.max_restarts,
-            superstep_timeout=args.superstep_timeout,
-            checkpoint_interval=args.checkpoint_interval,
-        )
-    except BenchmarkError as error:
-        print(f"graphbench chaos: {error}", file=sys.stderr)
-        return 2
-    print(format_chaos_report(report))
-    written = write_chaos_report(
-        report,
-        json_path=args.output or None,
-        text_path=args.report or None,
-    )
-    for path in written:
-        print(f"wrote {path.resolve()}")
-    return 0
-
-
-def _command_readscale(args: argparse.Namespace) -> int:
-    if args.shards < 1 or args.apply_interval < 1:
-        print(
-            "graphbench readscale: --shards and --apply-interval must be >= 1",
-            file=sys.stderr,
-        )
-        return 2
-    if args.steady_ops < 1 or args.storm_rounds < 0 or args.hot_set < 1:
-        print(
-            "graphbench readscale: --steady-ops and --hot-set must be >= 1; "
-            "--storm-rounds must be >= 0",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        engine_ids = [resolve_engine_id(name) for name in args.engines]
-        report = run_readscale_benchmark(
-            engine_ids,
-            replica_counts=args.replicas,
-            staleness_bounds=args.bounds,
-            cache_capacities=args.caches,
-            dataset_name=args.dataset,
-            scale=args.scale,
-            seed=args.seed,
-            shards=args.shards,
-            partitioner=args.partitioner,
-            apply_interval=args.apply_interval,
-            steady_ops=args.steady_ops,
-            storm_rounds=args.storm_rounds,
-            hot_set_size=args.hot_set,
-        )
-    except BenchmarkError as error:
-        print(f"graphbench readscale: {error}", file=sys.stderr)
-        return 2
-    print(format_readscale_report(report))
-    written = write_readscale_report(
-        report,
-        json_path=args.output or None,
-        text_path=args.report or None,
-    )
-    for path in written:
-        print(f"wrote {path.resolve()}")
-    return 0
-
-
-def _command_reachability(args: argparse.Namespace) -> int:
-    if args.vertices < 4 or args.pairs < 1 or args.sources < 1:
-        print(
-            "graphbench reachability: --vertices must be >= 4; --pairs and "
-            "--sources must be >= 1",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        engine_ids = [resolve_engine_id(name) for name in args.engines]
-        report = run_reachability_benchmark(
-            engine_ids,
-            shapes=args.shapes,
-            vertices=args.vertices,
-            pairs=args.pairs,
-            sources=args.sources,
-            seed=args.seed,
-        )
-    except BenchmarkError as error:
-        print(f"graphbench reachability: {error}", file=sys.stderr)
-        return 2
-    print(format_reachability_report(report))
-    written = write_reachability_report(
-        report,
-        json_path=args.output or None,
-        text_path=args.report or None,
-    )
-    for path in written:
-        print(f"wrote {path.resolve()}")
-    return 0
-
-
-def _command_txn(args: argparse.Namespace) -> int:
-    if args.transactions < 1 or args.footprint < 1:
-        print(
-            "graphbench txn: --transactions and --footprint must be >= 1",
-            file=sys.stderr,
-        )
-        return 2
-    if args.arrival_gap < 1 or args.base_duration < 0:
-        print(
-            "graphbench txn: --arrival-gap must be >= 1; --base-duration "
-            "must be >= 0",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        engine_ids = [resolve_engine_id(name) for name in args.engines]
-        report = run_txn_benchmark(
-            engine_ids,
-            partitioner_names=args.partitioners,
-            shard_counts=args.shards,
-            dataset_name=args.dataset,
-            scale=args.scale,
-            seed=args.seed,
-            transactions=args.transactions,
-            footprint=args.footprint,
-            arrival_gap=args.arrival_gap,
-            base_duration=args.base_duration,
-        )
-    except BenchmarkError as error:
-        print(f"graphbench txn: {error}", file=sys.stderr)
-        return 2
-    print(format_txn_report(report))
-    written = write_txn_report(
-        report,
-        json_path=args.output or None,
-        text_path=args.report or None,
-    )
-    for path in written:
-        print(f"wrote {path.resolve()}")
-    return 0
-
-
-def _command_versions(args: argparse.Namespace) -> int:
-    try:
-        engine_ids = [resolve_engine_id(name) for name in args.engines]
-        report = run_versions_benchmark(
-            engine_ids,
-            depths=args.depths,
-            mixes=args.mixes,
-            retentions=args.retentions,
-            base_vertices=args.base_vertices,
-            churn_ops=args.churn_ops,
-            tag_every=args.tag_every,
-            seed=args.seed,
-        )
+        payload = execute(spec, args)
     except (BenchmarkError, VersionError) as error:
-        print(f"graphbench versions: {error}", file=sys.stderr)
+        print(f"graphbench {spec.name}: {error}", file=sys.stderr)
         return 2
-    print(format_versions_report(report))
-    written = write_versions_report(
-        report,
-        json_path=args.output or None,
-        text_path=args.report or None,
-    )
+    text = spec.format(payload)
+    print(text)
+    written = write_report(payload, text, args.output, args.report)
+    if spec.after is not None:
+        written.extend(spec.after(payload, args))
     for path in written:
         print(f"wrote {path.resolve()}")
     return 0
+
+
+def _command_gate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Regenerate each named baseline into a temp dir and gate it."""
+    unknown = [name for name in args.names if name not in SPECS]
+    if unknown or args.all == bool(args.names):
+        parser.error(f"gate takes benchmark names from {list(SPECS)}, or --all")
+    specs = [SPECS[name] for name in (SPECS if args.all else args.names)]
+    for spec in specs:
+        for path in filter(None, (spec.baseline, spec.report)):
+            if not Path(path).exists():
+                parser.error(f"{path} not found: gate runs from the repository root")
+    out_dir = Path(tempfile.mkdtemp(prefix="graphbench-gate-"))
+    exit_code = 0
+    for spec in specs:
+        json_path = out_dir / spec.baseline
+        text_path = out_dir / Path(spec.report).name if spec.report else ""
+        argv = [spec.name, *spec.baseline_args]
+        argv += ["--output", str(json_path), "--report", str(text_path)]
+        if _run(spec, parser.parse_args(argv)) != 0:
+            failures = ["the benchmark itself failed (see stderr)"]
+        else:
+            failures = check(
+                spec,
+                json.loads(Path(spec.baseline).read_text()),
+                json.loads(json_path.read_text()),
+                args.max_regression,
+            )
+            if spec.report and text_path.read_text() != Path(spec.report).read_text():
+                failures.append(
+                    f"rendered figure differs from the tracked {spec.report} "
+                    f"(re-render via `{spec.regenerate_command}`)"
+                )
+        if failures:
+            exit_code = 1
+            print(f"{spec.name} gate FAILED:")
+            for failure in failures:
+                print(f"  - {failure}")
+        else:
+            print(f"{spec.name} gate passed: {spec.gated_on}")
+    print(f"regenerated artifacts are in {out_dir}")
+    return exit_code
 
 
 def _command_space(args: argparse.Namespace) -> int:
@@ -1180,22 +269,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _command_complex(args)
     if args.command == "space":
         return _command_space(args)
-    if args.command == "concurrent":
-        return _command_concurrent(args)
-    if args.command == "saturate":
-        return _command_saturate(args)
-    if args.command == "scaleout":
-        return _command_scaleout(args)
-    if args.command == "chaos":
-        return _command_chaos(args)
-    if args.command == "readscale":
-        return _command_readscale(args)
-    if args.command == "reachability":
-        return _command_reachability(args)
-    if args.command == "txn":
-        return _command_txn(args)
-    if args.command == "versions":
-        return _command_versions(args)
+    if args.command == "gate":
+        return _command_gate(parser, args)
+    if args.command in SPECS:
+        return _run(SPECS[args.command], args)
     parser.error(f"unknown command {args.command!r}")
     return 2
 

@@ -24,9 +24,6 @@ from repro.concurrency.report import (
     format_concurrency_report,
     format_loop_comparison,
     format_saturation_report,
-    write_concurrency_report,
-    write_loop_comparison,
-    write_saturation_report,
 )
 from repro.concurrency.saturation import (
     run_loop_comparison,
@@ -96,7 +93,4 @@ __all__ = [
     "run_loop_comparison",
     "run_saturation_sweep",
     "sweep_engine",
-    "write_concurrency_report",
-    "write_loop_comparison",
-    "write_saturation_report",
 ]

@@ -473,6 +473,14 @@ def run_engine_mode(
     retry_policy: str = "fixed",
 ) -> dict[str, Any]:
     """Run one (engine, durability) cell of the benchmark matrix."""
+    if loop == "open" and arrival_interval <= 0:
+        raise BenchmarkError(
+            "an open loop requires a positive arrival interval (--arrival-interval)"
+        )
+    knobs = (("shards", shards, 1), ("retries", retries, 0), ("backoff", backoff, 0))
+    for knob, value, floor in knobs:
+        if value < floor:
+            raise BenchmarkError(f"{knob} must be >= {floor}, not {value}")
     engine = create_engine(engine_id, durability=durability)
     loaded = load_dataset_into(engine, dataset)
     engine.reset_metrics()

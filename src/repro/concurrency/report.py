@@ -1,24 +1,14 @@
-"""Rendering and persistence of the concurrency benchmark reports.
+"""Rendering of the concurrency benchmark reports (fig8, fig9, fig9b).
 
-The JSON payloads (``BENCH_concurrency.json``, ``BENCH_saturation.json``)
-are the machine-readable artifacts gated by
-``benchmarks/check_regression.py --kind concurrency`` / ``--kind
-saturation``; the text tables (``benchmarks/reports/fig8_concurrency.txt``,
-``benchmarks/reports/fig9_saturation.txt``) are the human-readable figures,
-following the repo's per-figure report convention.
+Paths, persistence and gating live in :mod:`repro.bench.registry` (the
+``concurrent`` and ``saturate`` entries); this module turns payloads into
+text figures and strips wall-clock fields for determinism checks.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Any
-
-DEFAULT_JSON = "BENCH_concurrency.json"
-DEFAULT_REPORT = "benchmarks/reports/fig8_concurrency.txt"
-DEFAULT_SATURATION_JSON = "BENCH_saturation.json"
-DEFAULT_SATURATION_REPORT = "benchmarks/reports/fig9_saturation.txt"
-DEFAULT_LOOP_COMPARISON_REPORT = "benchmarks/reports/fig9b_loop_comparison.txt"
 
 _COLUMNS = (
     ("throughput_ops_per_kcharge", "thrpt/kc", "{:.2f}"),
@@ -190,54 +180,6 @@ def format_loop_comparison(report: dict[str, Any]) -> str:
         "sweep that ran out of budget before observing the collapse)."
     )
     return "\n".join(lines)
-
-
-def write_loop_comparison(
-    report: dict[str, Any],
-    json_path: str | Path | None = None,
-    text_path: str | Path | None = DEFAULT_LOOP_COMPARISON_REPORT,
-) -> list[Path]:
-    """Persist the loop-comparison figure (text by default); return paths."""
-    return _write_report(report, format_loop_comparison, json_path, text_path)
-
-
-def write_saturation_report(
-    report: dict[str, Any],
-    json_path: str | Path | None = DEFAULT_SATURATION_JSON,
-    text_path: str | Path | None = DEFAULT_SATURATION_REPORT,
-) -> list[Path]:
-    """Persist the saturation payload and/or table; return the paths."""
-    return _write_report(report, format_saturation_report, json_path, text_path)
-
-
-def _write_report(
-    report: dict[str, Any],
-    formatter,
-    json_path: str | Path | None,
-    text_path: str | Path | None,
-) -> list[Path]:
-    """Persist a payload and/or its rendered table; return the paths written."""
-    written: list[Path] = []
-    if json_path is not None:
-        path = Path(json_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    if text_path is not None:
-        path = Path(text_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(formatter(report) + "\n")
-        written.append(path)
-    return written
-
-
-def write_concurrency_report(
-    report: dict[str, Any],
-    json_path: str | Path | None = DEFAULT_JSON,
-    text_path: str | Path | None = DEFAULT_REPORT,
-) -> list[Path]:
-    """Persist the JSON payload and/or the rendered table; return the paths."""
-    return _write_report(report, format_concurrency_report, json_path, text_path)
 
 
 def comparable_payload(report: dict[str, Any]) -> str:

@@ -12,8 +12,7 @@ where the curve stops improving is the **knee**.
 
 Everything derives from seeded choices and logical charges, so the full
 ``BENCH_saturation.json`` payload is byte-identical across machines and CI
-gates it with ``check_regression.py --kind saturation --require-identical``
-(plus a knee-throughput floor as the fallback signal), exactly like the
+gates it on identity with ``graphbench gate saturate``, exactly like the
 fig8 concurrency gate.
 """
 
@@ -35,15 +34,14 @@ from repro.exceptions import BenchmarkError
 #: Sweep defaults: the interval starts comfortably above every engine's
 #: mean service cost and halves until the knee (or this floor) is reached.
 #: These are also the committed-baseline parameters: ``graphbench
-#: saturate`` with no flags, ``benchmarks/saturation_smoke.py``, and the
-#: CI gate all agree, so a plain run regenerates ``BENCH_saturation.json``
+#: saturate`` with no flags regenerates ``BENCH_saturation.json``
 #: byte-identically instead of silently clobbering it with an
 #: incompatible-parameter payload.
 DEFAULT_START_INTERVAL = 1024
 DEFAULT_MIN_INTERVAL = 2
 DEFAULT_MAX_STEPS = 10
 
-#: The default sweep subset, matching the concurrency smoke: one native
+#: The default sweep subset, matching the concurrency baseline: one native
 #: engine, one remote/async-flavoured one.
 DEFAULT_SWEEP_ENGINES = ("nativelinked-1.9", "documentgraph-2.8")
 

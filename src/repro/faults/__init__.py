@@ -63,12 +63,7 @@ from repro.faults.bench import (
     CHAOS_MIXES,
     run_chaos_benchmark,
 )
-from repro.faults.report import (
-    DEFAULT_CHAOS_JSON,
-    DEFAULT_CHAOS_REPORT,
-    format_chaos_report,
-    write_chaos_report,
-)
+from repro.faults.report import format_chaos_report
 
 __all__ = [
     "CHAOS_MIXES",
@@ -77,8 +72,6 @@ __all__ = [
     "ChaosExecutor",
     "ChaosResult",
     "DEFAULT_CHAOS_ENGINES",
-    "DEFAULT_CHAOS_JSON",
-    "DEFAULT_CHAOS_REPORT",
     "DEFAULT_CHAOS_SHARDS",
     "DEFAULT_FAULT_RATES",
     "EXACT",
@@ -103,5 +96,4 @@ __all__ = [
     "canned_three_event_plan",
     "format_chaos_report",
     "run_chaos_benchmark",
-    "write_chaos_report",
 ]

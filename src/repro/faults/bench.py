@@ -18,10 +18,9 @@ rather than publish a payload that violates the chaos invariant.
 
 Every figure except ``wall_seconds`` derives from seeded choices and
 logical charges, so ``BENCH_chaos.json`` is byte-identical across machines;
-CI regenerates it on every push and gates it with
-``check_regression.py --kind chaos --require-identical``.  The defaults
-here, the ``graphbench chaos`` defaults, and the CI smoke
-(``benchmarks/chaos_smoke.py``) all agree.
+CI regenerates it on every push and gates it on identity with
+``graphbench gate chaos``.  The defaults here are the committed-baseline
+parameters, so a plain ``graphbench chaos`` regenerates the baseline.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from repro.partition.bench import plan_queries
 from repro.partition.messages import NetworkCostModel
 from repro.partition.partitioners import PartitionPlan, partition_dataset
 
-#: Benchmark defaults — shared by the CLI, the CI smoke, and the committed
+#: Benchmark defaults — shared by the CLI, the CI gate, and the committed
 #: baseline.  One engine keeps the matrix affordable; the interesting axes
 #: are the fault rate and the retry policy, not the engine zoo (fig10
 #: already sweeps engines × partitioners fault-free).

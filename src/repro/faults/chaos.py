@@ -186,6 +186,10 @@ class ChaosExecutor(DistributedExecutor):
             raise BenchmarkError(
                 f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
             )
+        if superstep_timeout < 1:
+            raise BenchmarkError(
+                f"superstep_timeout must be >= 1, got {superstep_timeout}"
+            )
         for shard in shards:
             if shard.payload is None:
                 raise BenchmarkError(

@@ -1,20 +1,12 @@
-"""Rendering and persistence of the chaos availability benchmark.
+"""Rendering of the chaos availability benchmark.
 
-``BENCH_chaos.json`` is the machine-readable artifact gated by
-``benchmarks/check_regression.py --kind chaos``;
-``benchmarks/reports/fig11_chaos.txt`` is the human-readable figure,
-following the repo's per-figure report convention.
+Paths, persistence and gating live in :mod:`repro.bench.registry` (the
+``chaos`` entry); this module only turns a payload into the text figure.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any
-
-from repro.concurrency.report import _write_report
-
-DEFAULT_CHAOS_JSON = "BENCH_chaos.json"
-DEFAULT_CHAOS_REPORT = "benchmarks/reports/fig11_chaos.txt"
 
 _COLUMNS = (
     ("rate", "fault%", "{:d}"),
@@ -86,12 +78,3 @@ def format_chaos_report(report: dict[str, Any]) -> str:
         "compare stalls' wasted wait in ovr% at equal rates."
     )
     return "\n".join(lines)
-
-
-def write_chaos_report(
-    report: dict[str, Any],
-    json_path: str | Path | None = DEFAULT_CHAOS_JSON,
-    text_path: str | Path | None = DEFAULT_CHAOS_REPORT,
-) -> list[Path]:
-    """Persist the payload and/or the rendered figure; return the paths."""
-    return _write_report(report, format_chaos_report, json_path, text_path)

@@ -63,7 +63,7 @@ untouched on a single-hop or BFS dedup shape) charge identically.
 
 For before/after measurements, :func:`baseline_execution` switches the
 machine back to the pre-bulking executor (paths always tracked, per-walker
-expansion, no count pushdown); ``benchmarks/perf_smoke.py`` uses it to emit
+expansion, no count pushdown); ``graphbench traversal`` uses it to emit
 ``BENCH_traversal.json``.
 """
 
@@ -79,7 +79,7 @@ from repro.gremlin.optimizer import optimize
 from repro.gremlin.traversal import Traverser
 from repro.model.graph import GraphDatabase
 
-#: Module-level switch used by the perf smoke harness to time the legacy
+#: Module-level switch used by the traversal A/B benchmark to time the legacy
 #: (pre-bulking) executor against the optimized one.
 _BASELINE_MODE = False
 

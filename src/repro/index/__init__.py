@@ -34,8 +34,6 @@ from repro.index.manager import StructuralIndexManager
 from repro.index.oracle import bfs_descendants, bfs_reachable
 
 __all__ = [
-    "DEFAULT_REACHABILITY_JSON",
-    "DEFAULT_REACHABILITY_REPORT",
     "DEFAULT_REACH_ENGINES",
     "DEFAULT_REACH_SHAPES",
     "IndexStats",
@@ -45,7 +43,6 @@ __all__ = [
     "bfs_reachable",
     "format_reachability_report",
     "run_reachability_benchmark",
-    "write_reachability_report",
 ]
 
 

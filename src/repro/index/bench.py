@@ -12,10 +12,9 @@ rather than publish a payload from a wrong index.
 
 Every figure except ``wall_seconds`` derives from seeded choices and
 logical charges, so ``BENCH_reachability.json`` is byte-identical across
-machines; CI regenerates it on every push and gates it with
-``check_regression.py --kind reachability --require-identical``.  The
-defaults here, the ``graphbench reachability`` defaults, and the CI smoke
-(``benchmarks/reachability_smoke.py``) all agree.
+machines; CI regenerates it on every push and gates it on identity with
+``graphbench gate reachability``.  The defaults here are the
+committed-baseline parameters.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro.index.generators import SHAPES, STRUCTURE_LABEL, generate_shape
 from repro.index.interval import IntervalReachabilityIndex
 from repro.index.oracle import bfs_descendants, bfs_reachable
 
-#: Benchmark defaults — shared by the CLI, the CI smoke, and the committed
+#: Benchmark defaults — shared by the CLI, the CI gate, and the committed
 #: baseline.  Three engines cover the three storage families with dedicated
 #: vectorized kernels plus the linked-list native store the paper centres on.
 DEFAULT_REACH_ENGINES = ("nativelinked-3.0", "bitmapgraph-5.1", "columnargraph-1.0")

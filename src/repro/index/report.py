@@ -1,20 +1,12 @@
-"""Rendering and persistence of the reachability-index benchmark.
+"""Rendering of the reachability-index benchmark.
 
-``BENCH_reachability.json`` is the machine-readable artifact gated by
-``benchmarks/check_regression.py --kind reachability``;
-``benchmarks/reports/fig14_reachability.txt`` is the human-readable
-figure, following the repo's per-figure report convention.
+Paths, persistence and gating live in :mod:`repro.bench.registry` (the
+``reachability`` entry); this module only turns a payload into the text figure.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any
-
-from repro.concurrency.report import _write_report
-
-DEFAULT_REACHABILITY_JSON = "BENCH_reachability.json"
-DEFAULT_REACHABILITY_REPORT = "benchmarks/reports/fig14_reachability.txt"
 
 _COLUMNS = (
     ("shape", "shape", "{:s}"),
@@ -67,12 +59,3 @@ def format_reachability_report(report: dict[str, Any]) -> str:
                 )
             )
     return "\n".join(lines)
-
-
-def write_reachability_report(
-    report: dict[str, Any],
-    json_path: str | Path | None = DEFAULT_REACHABILITY_JSON,
-    text_path: str | Path | None = DEFAULT_REACHABILITY_REPORT,
-) -> list[Path]:
-    """Persist the payload and/or rendered figure; return the paths written."""
-    return _write_report(report, format_reachability_report, json_path, text_path)

@@ -47,12 +47,7 @@ from repro.partition.partitioners import (
     resolve_partitioner,
     stable_hash,
 )
-from repro.partition.report import (
-    DEFAULT_PARTITION_JSON,
-    DEFAULT_PARTITION_REPORT,
-    format_scaleout_report,
-    write_scaleout_report,
-)
+from repro.partition.report import format_scaleout_report
 
 __all__ = [
     "BuildReport",
@@ -60,8 +55,6 @@ __all__ = [
     "DEFAULT_BENCH_ENGINES",
     "DEFAULT_DRIFT_THRESHOLD",
     "DEFAULT_PARTITIONERS",
-    "DEFAULT_PARTITION_JSON",
-    "DEFAULT_PARTITION_REPORT",
     "DEFAULT_SHARD_COUNTS",
     "DistributedExecutor",
     "DistributedResult",
@@ -88,5 +81,4 @@ __all__ = [
     "run_scaleout_benchmark",
     "run_scaleout_cell",
     "stable_hash",
-    "write_scaleout_report",
 ]

@@ -12,10 +12,9 @@ is genuine scale-out over the unpartitioned engine, not over a strawman.
 Every figure except ``wall_seconds`` derives from seeded choices, logical
 charges, and the network cost model, so ``BENCH_partition.json`` is
 byte-identical across machines; CI regenerates it on every push and gates
-it with ``check_regression.py --kind partition --require-identical``.
-The defaults here, the ``graphbench scaleout`` defaults, and the CI smoke
-(``benchmarks/partition_smoke.py``) all agree, so a plain run regenerates
-the committed baseline instead of clobbering it with an
+it on identity with ``graphbench gate scaleout``.  The defaults here are
+the committed-baseline parameters, so a plain ``graphbench scaleout``
+regenerates the baseline instead of clobbering it with an
 incompatible-parameter payload.
 """
 
@@ -39,8 +38,8 @@ from repro.partition.partitioners import (
     partition_dataset,
 )
 
-#: Benchmark defaults — shared by the CLI, the CI smoke, and the committed
-#: baseline (same convention as the concurrency and saturation smokes).
+#: Benchmark defaults — shared by the CLI, the CI gate, and the committed
+#: baseline (same convention as the saturation sweep).
 #: One native engine plus the B+Tree-heavy triple engine: their per-hop
 #: charges differ by ~5x, so the scale-out curves separate visibly
 #: (documentgraph's aggregate BFS charge coincidentally equals

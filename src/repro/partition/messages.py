@@ -49,7 +49,7 @@ class NetworkCostModel:
     retransmit_penalty: int = DEFAULT_RETRANSMIT_PENALTY
 
     def __post_init__(self) -> None:
-        # Guarded here so every entry point (CLI, smoke, library) rejects
+        # Guarded here so every entry point (CLI, gate, library) rejects
         # negative charges before they can poison a benchmark payload.
         if (
             self.latency_per_message < 0

@@ -1,20 +1,12 @@
-"""Rendering and persistence of the scale-out benchmark report.
+"""Rendering of the scale-out benchmark report.
 
-``BENCH_partition.json`` is the machine-readable artifact gated by
-``benchmarks/check_regression.py --kind partition``;
-``benchmarks/reports/fig10_scaleout.txt`` is the human-readable figure,
-following the repo's per-figure report convention.
+Paths, persistence and gating live in :mod:`repro.bench.registry` (the
+``scaleout`` entry); this module only turns a payload into the text figure.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any
-
-from repro.concurrency.report import _write_report
-
-DEFAULT_PARTITION_JSON = "BENCH_partition.json"
-DEFAULT_PARTITION_REPORT = "benchmarks/reports/fig10_scaleout.txt"
 
 _COLUMNS = (
     ("shards", "K", "{:d}"),
@@ -80,12 +72,3 @@ def format_scaleout_report(report: dict[str, Any]) -> str:
         "partition leaves each shard less charged adjacency to scan."
     )
     return "\n".join(lines)
-
-
-def write_scaleout_report(
-    report: dict[str, Any],
-    json_path: str | Path | None = DEFAULT_PARTITION_JSON,
-    text_path: str | Path | None = DEFAULT_PARTITION_REPORT,
-) -> list[Path]:
-    """Persist the payload and/or the rendered figure; return the paths."""
-    return _write_report(report, format_scaleout_report, json_path, text_path)

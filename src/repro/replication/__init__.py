@@ -52,12 +52,7 @@ from repro.replication.bench import (
     run_readscale_benchmark,
     run_readscale_cell,
 )
-from repro.replication.report import (
-    DEFAULT_READSCALE_JSON,
-    DEFAULT_READSCALE_REPORT,
-    format_readscale_report,
-    write_readscale_report,
-)
+from repro.replication.report import format_readscale_report
 
 __all__ = [
     "CacheEntry",
@@ -67,8 +62,6 @@ __all__ = [
     "DEFAULT_BENCH_ENGINES",
     "DEFAULT_CACHE_CAPACITIES",
     "DEFAULT_INVALIDATION_CHARGE",
-    "DEFAULT_READSCALE_JSON",
-    "DEFAULT_READSCALE_REPORT",
     "DEFAULT_REPLICA_COUNTS",
     "DEFAULT_STALENESS_BOUND",
     "DEFAULT_STALENESS_BOUNDS",
@@ -87,5 +80,4 @@ __all__ = [
     "plan_workload",
     "run_readscale_benchmark",
     "run_readscale_cell",
-    "write_readscale_report",
 ]

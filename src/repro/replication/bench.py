@@ -26,7 +26,7 @@ staleness bound allows, never older than the advertised snapshot).  A
 violation raises instead of publishing a bad payload.  Everything except
 ``wall_seconds`` is a pure function of the seed and the cost models, so
 ``BENCH_readscale.json`` is byte-identical across machines and CI gates it
-with ``check_regression.py --kind readscale --require-identical``.
+on identity with ``graphbench gate readscale``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.replication.log import ReplicationCostModel
 from repro.replication.replica import ReadOutcome
 from repro.replication.routing import ReadScaleDeployment, build_readscale
 
-#: Benchmark defaults — shared by the CLI, the CI smoke, and the committed
+#: Benchmark defaults — shared by the CLI, the CI gate, and the committed
 #: baseline (same convention as every other bench family).  Two engines
 #: whose per-read charges differ ~5x keep the curves visibly separate.
 DEFAULT_BENCH_ENGINES = ("nativelinked-1.9", "triplegraph-2.1")
@@ -350,6 +350,12 @@ def run_readscale_benchmark(
         raise BenchmarkError(f"replica counts must be >= 0, got {list(replica_counts)}")
     if any(bound < 0 for bound in staleness_bounds):
         raise BenchmarkError(f"staleness bounds must be >= 0, got {list(staleness_bounds)}")
+    if shards < 1 or apply_interval < 1:
+        raise BenchmarkError("shards and apply_interval must be >= 1")
+    if steady_ops < 1 or storm_rounds < 0 or hot_set_size < 1:
+        raise BenchmarkError(
+            "steady_ops and hot_set_size must be >= 1; storm_rounds must be >= 0"
+        )
     network = NetworkCostModel()
     cost_model = ReplicationCostModel()
     dataset = get_dataset(dataset_name, scale=scale, seed=dataset_seed)

@@ -1,20 +1,12 @@
-"""Rendering and persistence of the read-scale benchmark report.
+"""Rendering of the read-scale benchmark report.
 
-``BENCH_readscale.json`` is the machine-readable artifact gated by
-``benchmarks/check_regression.py --kind readscale``;
-``benchmarks/reports/fig12_readscale.txt`` is the human-readable figure,
-following the repo's per-figure report convention.
+Paths, persistence and gating live in :mod:`repro.bench.registry` (the
+``readscale`` entry); this module only turns a payload into the text figure.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any
-
-from repro.concurrency.report import _write_report
-
-DEFAULT_READSCALE_JSON = "BENCH_readscale.json"
-DEFAULT_READSCALE_REPORT = "benchmarks/reports/fig12_readscale.txt"
 
 _COLUMNS = (
     ("replicas", "R", "{:d}"),
@@ -102,12 +94,3 @@ def format_readscale_report(report: dict[str, Any]) -> str:
         "primary read at the same snapshot timestamp."
     )
     return "\n".join(lines)
-
-
-def write_readscale_report(
-    report: dict[str, Any],
-    json_path: str | Path | None = DEFAULT_READSCALE_JSON,
-    text_path: str | Path | None = DEFAULT_READSCALE_REPORT,
-) -> list[Path]:
-    """Persist the payload and/or the rendered figure; return the paths."""
-    return _write_report(report, format_readscale_report, json_path, text_path)

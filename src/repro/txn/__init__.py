@@ -36,17 +36,10 @@ from repro.txn.bench import (
     DEFAULT_TXN_STRATEGIES,
     run_txn_benchmark,
 )
-from repro.txn.report import (
-    DEFAULT_TXN_JSON,
-    DEFAULT_TXN_REPORT,
-    format_txn_report,
-    write_txn_report,
-)
+from repro.txn.report import format_txn_report
 
 __all__ = [
     "DEFAULT_TXN_ENGINES",
-    "DEFAULT_TXN_JSON",
-    "DEFAULT_TXN_REPORT",
     "DEFAULT_TXN_SHARD_COUNTS",
     "DEFAULT_TXN_STRATEGIES",
     "DistributedSession",
@@ -56,5 +49,4 @@ __all__ = [
     "TxnStats",
     "format_txn_report",
     "run_txn_benchmark",
-    "write_txn_report",
 ]

@@ -50,7 +50,7 @@ from repro.partition.messages import NetworkCostModel
 from repro.partition.partitioners import PartitionPlan, partition_dataset
 from repro.txn.distributed import DistributedSessionManager
 
-#: Benchmark defaults — shared by the CLI, the CI smoke, and the committed
+#: Benchmark defaults — shared by the CLI, the CI gate, and the committed
 #: baseline (the repo-wide convention).
 DEFAULT_TXN_ENGINES = ("nativelinked-1.9", "triplegraph-2.1")
 DEFAULT_TXN_STRATEGIES = ("hash", "greedy")
@@ -485,6 +485,10 @@ def run_txn_benchmark(
     """Run the engines × partitioners × K × isolation matrix (fig13)."""
     if any(count < 1 for count in shard_counts):
         raise BenchmarkError(f"shard counts must be >= 1, got {list(shard_counts)}")
+    if transactions < 1 or footprint < 1:
+        raise BenchmarkError("transactions and footprint must be >= 1")
+    if arrival_gap < 1 or base_duration < 0:
+        raise BenchmarkError("arrival_gap must be >= 1; base_duration must be >= 0")
     network = NetworkCostModel()
     dataset = get_dataset(dataset_name, scale=scale, seed=dataset_seed)
     txn_plans = plan_transactions(dataset, seed, transactions, footprint)

@@ -1,20 +1,12 @@
-"""Rendering and persistence of the distributed-transaction report.
+"""Rendering of the distributed-transaction report.
 
-``BENCH_txn.json`` is the machine-readable artifact gated by
-``benchmarks/check_regression.py --kind txn``;
-``benchmarks/reports/fig13_txn.txt`` is the human-readable figure,
-following the repo's per-figure report convention.
+Paths, persistence and gating live in :mod:`repro.bench.registry` (the
+``txn`` entry); this module only turns a payload into the text figure.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any
-
-from repro.concurrency.report import _write_report
-
-DEFAULT_TXN_JSON = "BENCH_txn.json"
-DEFAULT_TXN_REPORT = "benchmarks/reports/fig13_txn.txt"
 
 _COLUMNS = (
     ("shards", "K", "{:d}"),
@@ -94,12 +86,3 @@ def format_txn_report(report: dict[str, Any]) -> str:
         "(decision record + commit + ack) phases, slowest participant each."
     )
     return "\n".join(lines)
-
-
-def write_txn_report(
-    report: dict[str, Any],
-    json_path: str | Path | None = DEFAULT_TXN_JSON,
-    text_path: str | Path | None = DEFAULT_TXN_REPORT,
-) -> list[Path]:
-    """Persist the payload and/or the rendered figure; return the paths."""
-    return _write_report(report, format_txn_report, json_path, text_path)

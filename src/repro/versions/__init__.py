@@ -35,7 +35,6 @@ __all__ = [
     "structural_diff",
     "run_versions_benchmark",
     "format_versions_report",
-    "write_versions_report",
 ]
 
 
@@ -46,8 +45,8 @@ def __getattr__(name: str):
         from repro.versions.bench import run_versions_benchmark
 
         return run_versions_benchmark
-    if name in ("format_versions_report", "write_versions_report"):
-        from repro.versions import report
+    if name == "format_versions_report":
+        from repro.versions.report import format_versions_report
 
-        return getattr(report, name)
+        return format_versions_report
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,7 @@ every still-retained commit, and the cell reports:
 * **retention vs reclaim** — retained version-store bytes/entries and GC
   reclaim counters per policy (the workload seed deliberately excludes
   the retention policy, so all policies replay byte-identical churn and
-  the cross-policy gates in ``check_regression --kind versions`` hold);
+  the cross-policy gates of ``graphbench gate versions`` hold);
 * **diff cost** — a structural diff from the oldest retained commit to
   head, with its per-element charge and shard skip counts;
 * **as-of latency** — the logical charge of historical reads, reported
@@ -39,7 +39,7 @@ from repro.engines import create_engine
 from repro.exceptions import BenchmarkError, ElementNotFoundError
 from repro.versions.catalog import VersionCatalog
 
-#: Benchmark defaults — shared by the CLI, the CI smoke, and the committed
+#: Benchmark defaults — shared by the CLI, the CI gate, and the committed
 #: baseline.  Three engines cover the linked-list native store the paper
 #: centres on plus the columnar and relational families.
 DEFAULT_VERSION_ENGINES = ("nativelinked-1.9", "columnargraph-1.0", "relationalgraph-1.2")

@@ -1,20 +1,12 @@
-"""Rendering and persistence of the graph-versioning benchmark.
+"""Rendering of the graph-versioning benchmark.
 
-``BENCH_versions.json`` is the machine-readable artifact gated by
-``benchmarks/check_regression.py --kind versions``;
-``benchmarks/reports/fig15_versions.txt`` is the human-readable figure,
-following the repo's per-figure report convention.
+Paths, persistence and gating live in :mod:`repro.bench.registry` (the
+``versions`` entry); this module only turns a payload into the text figure.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any
-
-from repro.concurrency.report import _write_report
-
-DEFAULT_VERSIONS_JSON = "BENCH_versions.json"
-DEFAULT_VERSIONS_REPORT = "benchmarks/reports/fig15_versions.txt"
 
 _COLUMNS = (
     ("depth", "depth", "{:d}"),
@@ -84,12 +76,3 @@ def format_versions_report(report: dict[str, Any]) -> str:
                 )
             )
     return "\n".join(lines)
-
-
-def write_versions_report(
-    report: dict[str, Any],
-    json_path: str | Path | None = DEFAULT_VERSIONS_JSON,
-    text_path: str | Path | None = DEFAULT_VERSIONS_REPORT,
-) -> list[Path]:
-    """Persist the payload and/or rendered figure; return the paths written."""
-    return _write_report(report, format_versions_report, json_path, text_path)

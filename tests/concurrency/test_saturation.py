@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -15,8 +12,6 @@ from repro.concurrency import (
     run_loop_comparison,
     format_saturation_report,
     run_saturation_sweep,
-    write_loop_comparison,
-    write_saturation_report,
 )
 
 _ARGS = dict(
@@ -147,101 +142,21 @@ class TestLoopComparison:
         assert "open @ last step" in rendered
         assert "open @ collapse" not in rendered
 
-    def test_rendered_figure_names_both_loop_models(self, comparison, tmp_path):
+    def test_rendered_figure_names_both_loop_models(self, comparison):
         payload, _sweep_report = comparison
         rendered = format_loop_comparison(payload)
-        assert "Figure 9b" in rendered
+        assert rendered.startswith("Figure 9b")
         assert "closed loop" in rendered
         assert "open @ knee" in rendered
-        text_path = tmp_path / "fig9b.txt"
-        written = write_loop_comparison(payload, text_path=text_path)
-        assert written == [text_path]
-        assert text_path.read_text().startswith("Figure 9b")
 
 
 class TestSweepDeterminism:
-    def test_same_seed_same_payload(self, sweep_report):
-        again = run_saturation_sweep(seed=20181204, **_ARGS)
-        assert comparable_payload(sweep_report) == comparable_payload(again)
-
     def test_different_seed_changes_the_sweep(self, sweep_report):
         other = run_saturation_sweep(seed=42, **_ARGS)
         assert comparable_payload(sweep_report) != comparable_payload(other)
 
-    def test_written_report_round_trips(self, sweep_report, tmp_path):
-        json_path = tmp_path / "BENCH_saturation.json"
-        text_path = tmp_path / "fig9_saturation.txt"
-        write_saturation_report(sweep_report, json_path=json_path, text_path=text_path)
-        loaded = json.loads(json_path.read_text())
-        assert comparable_payload(loaded) == comparable_payload(sweep_report)
-        rendered = text_path.read_text()
+    def test_rendered_figure_marks_the_knee(self, sweep_report):
+        rendered = format_saturation_report(sweep_report)
         assert "Figure 9" in rendered
         assert "knee at interval" in rendered
         assert "*" in rendered
-
-
-def _load_check_regression():
-    path = Path(__file__).resolve().parents[2] / "benchmarks" / "check_regression.py"
-    spec = importlib.util.spec_from_file_location("check_regression_under_test", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestSaturationGate:
-    def _payload(self, knee_tp: float) -> dict:
-        return {
-            "engines": {
-                "nativelinked-1.9": {
-                    "steps": [],
-                    "knee": {"throughput_ops_per_kcharge": knee_tp},
-                    "saturated": True,
-                }
-            }
-        }
-
-    def test_knee_floor(self):
-        gate = _load_check_regression()
-        baseline = self._payload(100.0)
-        assert gate.check_saturation_regressions(baseline, self._payload(90.0)) == []
-        failures = gate.check_saturation_regressions(baseline, self._payload(50.0))
-        assert len(failures) == 1
-        assert "knee throughput" in failures[0]
-
-    def test_missing_engine_fails(self):
-        gate = _load_check_regression()
-        failures = gate.check_saturation_regressions(
-            self._payload(100.0), {"engines": {}}
-        )
-        assert failures == ["nativelinked-1.9: missing from the current report"]
-
-    def test_identity_gate_ignores_wall_clock(self, sweep_report):
-        gate = _load_check_regression()
-        other = dict(sweep_report)
-        other["wall_seconds"] = 1e9
-        assert gate.check_payload_identity(sweep_report, other, "regen") == []
-        mutated = json.loads(json.dumps(sweep_report))
-        mutated["seed"] = 1
-        failures = gate.check_payload_identity(sweep_report, mutated, "regen-hint")
-        assert len(failures) == 1
-        assert "regen-hint" in failures[0]
-
-    def test_cli_gate_end_to_end(self, sweep_report, tmp_path):
-        gate = _load_check_regression()
-        baseline_path = tmp_path / "baseline.json"
-        write_saturation_report(sweep_report, json_path=baseline_path, text_path=None)
-        assert (
-            gate.main(
-                [
-                    "--kind",
-                    "saturation",
-                    "--baseline",
-                    str(baseline_path),
-                    "--current",
-                    str(baseline_path),
-                    "--require-identical",
-                ]
-            )
-            == 0
-        )

@@ -1,13 +1,15 @@
-"""The chaos benchmark: validation, determinism, exactness gate, report."""
+"""The chaos benchmark: validation, payload shape, exactness gate, report."""
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
-from repro.concurrency.report import comparable_payload
 from repro.exceptions import BenchmarkError
 from repro.faults.bench import run_chaos_benchmark
-from repro.faults.report import format_chaos_report, write_chaos_report
+from repro.bench.gates import check_chaos_invariants
+from repro.faults.report import format_chaos_report
 
 ENGINE = "nativelinked-1.9"
 
@@ -72,15 +74,13 @@ class TestPayload:
                 100.0 * faulted["overhead_charge"] / baseline["base_charge"], 2
             )
 
-    def test_payload_is_deterministic(self, small_report):
-        again = run_chaos_benchmark(
-            [ENGINE],
-            mixes=("one-hop",),
-            shard_counts=(2,),
-            fault_rates=(0, 30),
-            retry_policies=("fixed", "adaptive"),
-        )
-        assert comparable_payload(again) == comparable_payload(small_report)
+    def test_gate_pins_fault_free_availability(self, small_report):
+        assert check_chaos_invariants(small_report) == []
+        broken = copy.deepcopy(small_report)
+        cell = next(cell for cell in broken["cells"] if cell["rate"] == 0)
+        cell["availability"] = 0.5
+        (failure,) = check_chaos_invariants(broken)
+        assert "fault-free availability" in failure
 
 
 class TestReport:
@@ -90,11 +90,3 @@ class TestReport:
         assert f"{ENGINE} × one-hop × K=2" in text
         assert "avail" in text
         assert "worst availability" in text
-
-    def test_write_report_persists_both_artifacts(self, small_report, tmp_path):
-        json_path = tmp_path / "chaos.json"
-        text_path = tmp_path / "fig11.txt"
-        written = write_chaos_report(small_report, json_path, text_path)
-        assert {path.name for path in written} == {"chaos.json", "fig11.txt"}
-        assert json_path.read_text().startswith("{")
-        assert "Figure 11" in text_path.read_text()

@@ -1,19 +1,15 @@
-"""The reachability benchmark: validation, determinism, invariants, gate, report."""
+"""The reachability benchmark: validation, invariants, gate, report."""
 
 from __future__ import annotations
 
 import copy
-import importlib.util
-import json
-import sys
-from pathlib import Path
 
 import pytest
 
-from repro.concurrency.report import comparable_payload
+from repro.bench.gates import check_reachability_invariants
 from repro.exceptions import BenchmarkError
 from repro.index.bench import run_reachability_benchmark
-from repro.index.report import format_reachability_report, write_reachability_report
+from repro.index.report import format_reachability_report
 
 ENGINE = "nativelinked-3.0"
 SMALL = dict(
@@ -49,10 +45,6 @@ class TestPayload:
         assert len(cells) == len(SMALL["shapes"])
         assert {cell["shape"] for cell in cells} == set(SMALL["shapes"])
         assert small_report["benchmark"] == "reachability-index"
-
-    def test_deterministic_across_runs(self, small_report):
-        again = run_reachability_benchmark(**SMALL)
-        assert comparable_payload(again) == comparable_payload(small_report)
 
     def test_tree_covered_shapes_beat_the_oracle(self, small_report):
         """The index's whole reason to exist, per cell."""
@@ -93,60 +85,22 @@ class TestReport:
         broken["cells"][0]["amortize_after_queries"] = None
         assert "never" in format_reachability_report(broken)
 
-    def test_write_report_round_trips(self, small_report, tmp_path):
-        json_path = tmp_path / "BENCH_reachability.json"
-        text_path = tmp_path / "fig14.txt"
-        written = write_reachability_report(small_report, json_path, text_path)
-        assert sorted(path.name for path in written) == [
-            "BENCH_reachability.json",
-            "fig14.txt",
-        ]
-        loaded = json.loads(json_path.read_text())
-        assert comparable_payload(loaded) == comparable_payload(small_report)
-
-
-def _load_check_regression():
-    path = Path(__file__).resolve().parents[2] / "benchmarks" / "check_regression.py"
-    spec = importlib.util.spec_from_file_location("check_regression_reachability", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
 
 class TestGate:
-    def test_identical_payload_passes(self, small_report):
-        gate = _load_check_regression()
-        assert gate.check_reachability_regressions(small_report, small_report) == []
-
-    def test_speedup_floor(self, small_report):
-        gate = _load_check_regression()
-        slower = copy.deepcopy(small_report)
-        tree = next(c for c in slower["cells"] if c["shape"] == "tree")
-        tree["charge_speedup"] *= 0.5
-        failures = gate.check_reachability_regressions(small_report, slower)
-        assert len(failures) == 1
-        assert "charge speedup" in failures[0]
+    def test_clean_payload_passes(self, small_report):
+        assert check_reachability_invariants(small_report) == []
 
     def test_tree_coverage_losing_to_bfs_is_a_failure(self, small_report):
-        gate = _load_check_regression()
         broken = copy.deepcopy(small_report)
         tree = next(c for c in broken["cells"] if c["shape"] == "tree")
         tree["indexed"]["total_charge"] = tree["bfs"]["total_charge"] + 1
-        failures = gate.check_reachability_regressions(small_report, broken)
+        failures = check_reachability_invariants(broken)
         assert any("exceeds the BFS oracle" in failure for failure in failures)
 
     def test_build_ceiling(self, small_report):
-        gate = _load_check_regression()
         bloated = copy.deepcopy(small_report)
         cell = bloated["cells"][0]
         elements = cell["dataset"]["vertices"] + cell["dataset"]["edges"]
         cell["index"]["build_charge"] = 1000 * elements
-        failures = gate.check_reachability_regressions(small_report, bloated)
+        failures = check_reachability_invariants(bloated)
         assert any("build charge" in failure for failure in failures)
-
-    def test_missing_cell_fails(self, small_report):
-        gate = _load_check_regression()
-        failures = gate.check_reachability_regressions(small_report, {"cells": []})
-        assert len(failures) == len(SMALL["shapes"])
-        assert all("missing from the current report" in f for f in failures)

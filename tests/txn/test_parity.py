@@ -6,7 +6,7 @@ journal traffic.  At K=1 *every* commit is single-shard, so an entire
 wave of transactions driven through :class:`DistributedSessionManager`
 must be indistinguishable — final state, engine charges, commit/abort
 counts — from the same wave driven through plain local sessions on an
-identically-built engine.  ``benchmarks/check_regression.py --kind txn``
+identically-built engine.  ``graphbench gate txn``
 gates the benchmark-level restatement; this test pins the contract per
 engine, including both versions of each system.
 """

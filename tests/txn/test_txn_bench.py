@@ -1,17 +1,15 @@
-"""The txn benchmark: payload shape, determinism, rendering, gating."""
+"""The txn benchmark: payload shape, seed sensitivity, rendering, gating."""
 
 from __future__ import annotations
 
-import importlib.util
-import json
-import sys
-from pathlib import Path
+import copy
 
 import pytest
 
+from repro.bench.gates import check_txn_invariants
 from repro.concurrency import comparable_payload
 from repro.exceptions import BenchmarkError
-from repro.txn import format_txn_report, run_txn_benchmark, write_txn_report
+from repro.txn import format_txn_report, run_txn_benchmark
 
 _ARGS = dict(
     engine_ids=["nativelinked-1.9"],
@@ -67,23 +65,9 @@ class TestPayloadShape:
 
 
 class TestDeterminism:
-    def test_same_seed_same_payload(self, txn_report):
-        again = run_txn_benchmark(seed=20181204, **_ARGS)
-        assert comparable_payload(again) == comparable_payload(txn_report)
-
     def test_different_seed_changes_the_wave(self, txn_report):
         other = run_txn_benchmark(seed=7, **_ARGS)
         assert comparable_payload(other) != comparable_payload(txn_report)
-
-    def test_written_report_round_trips(self, txn_report, tmp_path):
-        json_path = tmp_path / "BENCH_txn.json"
-        text_path = tmp_path / "fig13.txt"
-        written = write_txn_report(txn_report, json_path, text_path)
-        assert sorted(p.name for p in written) == ["BENCH_txn.json", "fig13.txt"]
-        persisted = json.loads(json_path.read_text())
-        assert comparable_payload(persisted) == comparable_payload(
-            json.loads(json.dumps(txn_report))
-        )
 
 
 class TestRendering:
@@ -108,68 +92,36 @@ class TestGuards:
 
 
 class TestRegressionGate:
-    @pytest.fixture(scope="class")
-    def gate(self):
-        spec = importlib.util.spec_from_file_location(
-            "check_regression",
-            Path(__file__).resolve().parents[2] / "benchmarks" / "check_regression.py",
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
-        return module
+    def test_clean_payload_passes(self, txn_report):
+        assert check_txn_invariants(txn_report) == []
 
-    def test_clean_payload_passes(self, gate, txn_report):
-        assert gate.check_txn_regressions(txn_report, txn_report) == []
-
-    def test_broken_parity_fails(self, gate, txn_report):
-        broken = json.loads(json.dumps(txn_report))
+    def test_broken_parity_fails(self, txn_report):
+        broken = copy.deepcopy(txn_report)
         broken["parity"]["nativelinked-1.9"]["identical"] = False
-        failures = gate.check_txn_regressions(txn_report, broken)
+        failures = check_txn_invariants(broken)
         assert any("parity" in failure for failure in failures)
 
-    def test_permitted_skew_under_ssi_fails(self, gate, txn_report):
-        broken = json.loads(json.dumps(txn_report))
+    def test_permitted_skew_under_ssi_fails(self, txn_report):
+        broken = copy.deepcopy(txn_report)
         broken["write_skew"]["nativelinked-1.9"]["ssi"]["anomalies"] = 3
-        failures = gate.check_txn_regressions(txn_report, broken)
+        failures = check_txn_invariants(broken)
         assert any("write-skew" in failure for failure in failures)
 
-    def test_abort_ceiling_fails(self, gate, txn_report):
-        broken = json.loads(json.dumps(txn_report))
+    def test_abort_ceiling_fails(self, txn_report):
+        broken = copy.deepcopy(txn_report)
         broken["engines"]["nativelinked-1.9"]["hash"]["runs"][2]["abort_rate"] = 0.9
-        failures = gate.check_txn_regressions(txn_report, broken)
+        failures = check_txn_invariants(broken)
         assert any("ceiling" in failure for failure in failures)
 
-    def test_lost_cut_pressure_fails(self, gate, txn_report):
-        broken = json.loads(json.dumps(txn_report))
+    def test_lost_cut_pressure_fails(self, txn_report):
+        broken = copy.deepcopy(txn_report)
         for run in broken["engines"]["nativelinked-1.9"]["hash"]["runs"]:
             run["abort_rate"] = 0.2 if run["shards"] == 1 else 0.05
-        failures = gate.check_txn_regressions(txn_report, broken)
+        failures = check_txn_invariants(broken)
         assert any("cut-ratio pressure" in failure for failure in failures)
 
-    def test_si_booking_ssi_aborts_fails(self, gate, txn_report):
-        broken = json.loads(json.dumps(txn_report))
+    def test_si_booking_ssi_aborts_fails(self, txn_report):
+        broken = copy.deepcopy(txn_report)
         broken["engines"]["nativelinked-1.9"]["hash"]["runs"][0]["ssi_aborts"] = 2
-        failures = gate.check_txn_regressions(txn_report, broken)
+        failures = check_txn_invariants(broken)
         assert any("SI cell booked" in failure for failure in failures)
-
-    def test_cli_gate_end_to_end(self, gate, txn_report, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        current = tmp_path / "current.json"
-        payload = json.dumps(txn_report, default=str)
-        baseline.write_text(payload)
-        current.write_text(payload)
-        assert (
-            gate.main(
-                [
-                    "--kind",
-                    "txn",
-                    "--baseline",
-                    str(baseline),
-                    "--current",
-                    str(current),
-                    "--require-identical",
-                ]
-            )
-            == 0
-        )

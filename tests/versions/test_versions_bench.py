@@ -1,4 +1,4 @@
-"""Determinism, payload shape, and cross-policy gates of the versions bench."""
+"""Payload shape and cross-policy gates of the versions bench."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import copy
 
 import pytest
 
+from repro.bench.gates import check_versions_invariants
 from repro.exceptions import BenchmarkError
 from repro.versions import format_versions_report, run_versions_benchmark
 
@@ -26,17 +27,7 @@ def payload():
     return run_versions_benchmark(**SMALL)
 
 
-def _strip_wall(payload):
-    clone = copy.deepcopy(payload)
-    clone.pop("wall_seconds")
-    return clone
-
-
 class TestDeterminism:
-    def test_identical_modulo_wall_seconds(self, payload):
-        rerun = run_versions_benchmark(**SMALL)
-        assert _strip_wall(payload) == _strip_wall(rerun)
-
     def test_retention_does_not_perturb_the_churn(self, payload):
         """Cell seeds exclude retention, so every policy replays the same
         churn: the final graph shape must agree across the policy axis."""
@@ -63,6 +54,17 @@ class TestPayload:
             assert pruned["retained_bytes"] <= keep_all["retained_bytes"]
             assert pruned["gc_reclaimed_undo"] >= keep_all["gc_reclaimed_undo"]
             assert pruned["released_commits"] > 0
+
+    def test_gate_requires_pruning_to_prune(self, payload):
+        assert check_versions_invariants(payload) == []
+        broken = copy.deepcopy(payload)
+        for cell in broken["cells"]:
+            if cell["retention"] == "keep-tagged":
+                cell["catalog"]["released_commits"] = 0
+                cell["asof"]["head_overhead"] = 3
+        failures = check_versions_invariants(broken)
+        assert any("released no commits" in failure for failure in failures)
+        assert any("head as-of charge overhead" in failure for failure in failures)
 
     def test_report_renders_every_cell(self, payload):
         report = format_versions_report(payload)
