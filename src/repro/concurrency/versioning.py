@@ -10,13 +10,14 @@ isolation on top of any :class:`~repro.model.graph.GraphDatabase`:
   as a direct call would), so the engine always holds the newest version;
 * **undo chains for older snapshots** — when a commit could be observed by a
   still-active older snapshot, the :class:`VersionStore` captures the
-  pre-commit state of every written object.  A reader with snapshot ``s``
-  reconstructs the state visible at ``s`` by walking the undo chain to the
-  first commit newer than ``s``;
+  pre-commit state of every written object.  What a snapshot then sees of
+  a key is decided by one pure rule, :mod:`repro.concurrency.visibility`;
+  the store only looks the key's marks up (:meth:`VersionStore.visible`);
 * **read-your-writes** — each session buffers its writes in a
-  :class:`WriteSet`; its own reads merge that overlay on top of the
-  snapshot view.  Buffered writes charge nothing until commit (the write
-  set is client RAM), which is also what makes group commit measurable.
+  :class:`WriteSet`; :meth:`VersionedGraph._resolve` consults it before
+  the snapshot rule.  Buffered writes charge nothing until commit (the
+  write set is client RAM), which is also what makes group commit
+  measurable.
 
 Charging rules
 --------------
@@ -46,18 +47,15 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
+from repro.concurrency.visibility import CURRENT, removed_as_of, visible_state
 from repro.exceptions import ElementNotFoundError, SessionStateError
 from repro.model.elements import Direction, Edge, Vertex
 from repro.model.graph import GraphDatabase
 
 #: Default number of version-store shards (``hash(key) % n_shards``).
 DEFAULT_SHARDS = 8
-
-#: Sentinel returned by :meth:`VersionStore.state_at` when the engine's
-#: current (in-place) state is the one visible at the snapshot.
-CURRENT = object()
 
 #: Sentinel marking a property key as deleted inside a write set.
 TOMBSTONE = object()
@@ -371,47 +369,23 @@ class VersionStore:
             shard.adj_changed_at[endpoint] = commit_ts
             shard.note(commit_ts)
 
-    # -- visibility ---------------------------------------------------------
+    # -- visibility (the rule itself lives in ``visibility.py``) -------------
 
-    def state_at(self, key: tuple[str, Any], snapshot: int) -> Any:
-        """Return what a reader at ``snapshot`` sees for ``key``.
+    def visible(self, key: tuple[str, Any], snapshot: int) -> Any:
+        """What a reader at ``snapshot`` sees for ``key``: one shard lookup,
+        then :func:`~repro.concurrency.visibility.visible_state` decides.
 
         ``CURRENT`` means the engine's in-place state is the visible one;
         ``None`` means the object did not exist at the snapshot; anything
         else is a reconstructed :class:`VertexState` / :class:`EdgeState`.
         """
         shard = self.shard_of(key)
-        if shard.committed_at.get(key, 0) <= snapshot:
-            return CURRENT
-        for commit_ts, state in shard.undo.get(key, ()):
-            if commit_ts > snapshot:
-                return state
-        # The key was overwritten after the snapshot but no before-image was
-        # captured.  That only happens when no session with an older
-        # snapshot was active at commit time, so no live reader can reach
-        # this branch; fall back to the current state to stay total.
-        return CURRENT
-
-    def hidden_from(self, key: tuple[str, Any], snapshot: int) -> bool:
-        """True if the object did not exist yet at ``snapshot``.
-
-        ``created_at`` only remembers a key's *latest* creation, and
-        engines reuse freed ids — so a key created after the snapshot may
-        still have had an older incarnation that WAS visible at it.  The
-        undo chain holds the lifetime boundaries: the first entry after
-        the snapshot is what a reader there would reconstruct (a real
-        state for an old incarnation, ``None`` for a creation boundary or
-        a pre-removal gap).  Uncaptured creations have no boundary entry,
-        but they only happen when no older reader existed — then nothing
-        can observe the difference and the key stays hidden.
-        """
-        shard = self.shard_of(key)
-        if shard.created_at.get(key, 0) <= snapshot:
-            return False
-        for commit_ts, state in shard.undo.get(key, ()):
-            if commit_ts > snapshot:
-                return state is None
-        return True
+        return visible_state(
+            shard.created_at.get(key, 0),
+            shard.committed_at.get(key, 0),
+            shard.undo.get(key, ()),
+            snapshot,
+        )
 
     def removed_as_of(self, key: tuple[str, Any], snapshot: int) -> bool:
         """True if ``key`` was overlay-removed at/before ``snapshot`` (and not re-created).
@@ -426,15 +400,9 @@ class VersionStore:
         that never existed, and the engine raises at apply time instead.
         """
         shard = self.shard_of(key)
-        removed_ts = shard.removed_at.get(key)
-        if removed_ts is None or removed_ts > snapshot:
-            return False
-        # Strict <: equal timestamps mean one commit removed the old object
-        # and created a new one that the engine assigned the same id — the
-        # id exists after that commit, so it is not removed.  (Creation
-        # followed by removal inside one session never leaves marks at
-        # all: the provisional object is dropped before apply.)
-        return shard.created_at.get(key, 0) < removed_ts
+        return removed_as_of(
+            shard.created_at.get(key, 0), shard.removed_at.get(key, 0), snapshot
+        )
 
     def resurrected_edges(self, vertex_id: Any, snapshot: int) -> Iterator[tuple[Any, EdgeState]]:
         """Edges incident to ``vertex_id`` removed after ``snapshot``.
@@ -447,12 +415,9 @@ class VersionStore:
             key = edge_key(eid)
             if self.removed_ts(key) <= snapshot:
                 continue
-            if self.hidden_from(key, snapshot):
-                continue
-            state = self.state_at(key, snapshot)
-            if state is None or state is CURRENT:
-                continue
-            yield eid, state
+            state = self.visible(key, snapshot)
+            if state is not None and state is not CURRENT:
+                yield eid, state
 
     def removed_object_ids(self, kind: str, snapshot: int) -> Iterator[Any]:
         """Ids of ``kind`` objects removed after ``snapshot`` but visible at it.
@@ -464,9 +429,8 @@ class VersionStore:
             for (obj_kind, obj_id), removed_ts in shard.removed_at.items():
                 if obj_kind != kind or removed_ts <= snapshot:
                     continue
-                if self.hidden_from((obj_kind, obj_id), snapshot):
-                    continue
-                yield obj_id
+                if self.visible((obj_kind, obj_id), snapshot) is not None:
+                    yield obj_id
 
     def overlaid_keys(self, kind: str, snapshot: int) -> list[Any]:
         """Ids of ``kind`` objects whose visible state differs from in-place."""
@@ -694,13 +658,55 @@ class WriteSet:
         )
 
 
+class _Kind(NamedTuple):
+    """The names one object kind goes by, bound once.
+
+    Every kind-generic :class:`VersionedGraph` body takes one of the two
+    instances below, so no call builds a method or field name.
+    """
+
+    kind: str
+    #: :class:`WriteSet` fields: drafts, session-removed ids, property overlays.
+    created: str
+    removed: str
+    props: str
+    #: Engine methods.
+    exists: str
+    ids: str
+    count: str
+    get_property: str
+    by_property: str
+
+
+_VERTEX = _Kind(
+    "vertex", "created_vertices", "removed_vertices", "vertex_props",
+    "vertex_exists", "vertex_ids", "vertex_count", "vertex_property", "vertices_by_property",
+)
+_EDGE = _Kind(
+    "edge", "created_edges", "removed_edges", "edge_props",
+    "edge_exists", "edge_ids", "edge_count", "edge_property", "edges_by_property",
+)
+
+
+def _incidences(state: EdgeState, vertex_id: Any, direction: Direction) -> int:
+    """How often an edge in ``state`` is incident to ``vertex_id``.
+
+    A self-loop counts twice under BOTH, mirroring the engines'
+    ``both_edges`` (out pass + in pass) semantics.
+    """
+    return (direction is not Direction.IN and state.source == vertex_id) + (
+        direction is not Direction.OUT and state.target == vertex_id
+    )
+
+
 class VersionedGraph(GraphDatabase):
     """A session's transactional view of an engine.
 
     Implements the full :class:`~repro.model.graph.GraphDatabase` surface so
     that every existing query — including the Gremlin traversal machine —
-    runs unchanged inside a transaction.  See the module docstring for the
-    visibility and charging rules.
+    runs unchanged inside a transaction.  :meth:`_resolve` is the only place
+    the session's view of an object is decided; see the module docstring
+    for the charging rules.
     """
 
     def __init__(self, engine: GraphDatabase, store: VersionStore, session: Any) -> None:
@@ -735,6 +741,65 @@ class VersionedGraph(GraphDatabase):
         """True when no overlay exists at all: delegate everything."""
         return self._store.clock == self._snapshot and not self._ws.ops
 
+    # -- the session's view of one object -----------------------------------
+
+    def _resolve(self, k: _Kind, obj_id: Any) -> Any:
+        """What this session sees for ``(kind, id)``: write set first, then
+        the store's rule for the snapshot.
+
+        Returns the draft of an object the session created, ``None`` for
+        one it removed or cannot see, ``CURRENT`` when the engine's
+        in-place object is the visible one, else the captured state.
+        Property overlays on existing objects are merged by the readers.
+        Charges nothing (write set and version store are RAM).  Filters
+        over ids the engine listed (never drafts) apply the same
+        removed-then-``store.visible`` test inline, once per item.
+        """
+        snapshot = self._snapshot
+        ws = self._ws
+        draft = getattr(ws, k.created).get(obj_id)
+        if draft is not None:
+            return draft
+        if obj_id in getattr(ws, k.removed):
+            return None
+        return self._store.visible((k.kind, obj_id), snapshot)
+
+    def _read(self, k: _Kind, obj_id: Any) -> Any:
+        """:meth:`_resolve` for a point read: tracked for SSI, never ``None``."""
+        state = self._resolve(k, obj_id)
+        self._ws.note_read((k.kind, obj_id))
+        if state is None:
+            raise ElementNotFoundError(k.kind, obj_id)
+        return state
+
+    def _check_writable(self, k: _Kind, obj_id: Any) -> None:
+        """Reject a buffered write on an object removed in this session or
+        by a commit its snapshot observed (a free RAM lookup).
+
+        An object a *newer* commit created or removed is not rejected here:
+        the write conflicts at commit (first committer wins), and the
+        retry's fresh snapshot sees the object as it then is.
+        """
+        snapshot = self._snapshot
+        if obj_id in getattr(self._ws, k.removed) or self._store.removed_as_of(
+            (k.kind, obj_id), snapshot
+        ):
+            raise ElementNotFoundError(k.kind, obj_id)
+
+    def _merged_properties(
+        self, k: _Kind, obj_id: Any, properties: dict[str, Any]
+    ) -> dict[str, Any]:
+        """A copy of ``properties`` under the session's buffered overlay."""
+        merged = dict(properties)
+        overlay = getattr(self._ws, k.props).get(obj_id)
+        if overlay:
+            for key, value in overlay.items():
+                if value is TOMBSTONE:
+                    merged.pop(key, None)
+                else:
+                    merged[key] = value
+        return merged
+
     def _vertex_clean(self, vertex_id: Any, snapshot: int) -> bool:
         """True when ``vertex_id``'s adjacency has no overlay at ``snapshot``.
 
@@ -745,9 +810,110 @@ class VersionedGraph(GraphDatabase):
         """
         return (
             self._store.adj_changed_ts(vertex_id) <= snapshot
-            and not self._store.hidden_from(vertex_key(vertex_id), snapshot)
             and not self._ws.touches_adjacency_of(vertex_id)
+            and self._store.visible(vertex_key(vertex_id), snapshot) is not None
         )
+
+    # -- kind-generic bodies of the vertex/edge twin methods -----------------
+
+    def _exists(self, k: _Kind, obj_id: Any) -> bool:
+        state = self._resolve(k, obj_id)
+        self._ws.note_read((k.kind, obj_id))
+        if state is CURRENT:
+            return getattr(self._engine, k.exists)(obj_id)
+        return state is not None
+
+    def _ids(self, k: _Kind) -> Iterator[Any]:
+        snapshot = self._snapshot
+        if self._fast():
+            yield from getattr(self._engine, k.ids)()
+            return
+        removed = getattr(self._ws, k.removed)
+        visible = self._store.visible
+        seen: set[Any] = set()
+        for obj_id in getattr(self._engine, k.ids)():
+            if obj_id not in removed and visible((k.kind, obj_id), snapshot) is not None:
+                seen.add(obj_id)
+                yield obj_id
+        # Engines reuse freed ids, so an id the scan above already yielded
+        # (its snapshot incarnation reconstructed from the undo chain) can
+        # also sit in the removed-object index for an *older* incarnation;
+        # one id names one visible object per snapshot, so dedup here.
+        for obj_id in self._store.removed_object_ids(k.kind, snapshot):
+            if obj_id not in removed and obj_id not in seen:
+                yield obj_id
+        yield from getattr(self._ws, k.created)
+
+    def _count(self, k: _Kind) -> int:
+        snapshot = self._snapshot
+        count = getattr(self._engine, k.count)()
+        if self._fast():
+            return count
+        for key, created_ts in self._store.iter_created(k.kind):
+            # Exists in place (not removed since; an equal stamp is a freed
+            # id re-created by the same commit) but invisible at the snapshot.
+            if created_ts > snapshot and self._store.removed_ts(key) <= created_ts:
+                count -= 1
+        count += sum(1 for _id in self._store.removed_object_ids(k.kind, snapshot))
+        # Drafts the session removed again were never in the engine's count.
+        count -= sum(
+            1 for obj_id in getattr(self._ws, k.removed) if not isinstance(obj_id, ProvisionalId)
+        )
+        return count + len(getattr(self._ws, k.created))
+
+    def _property(self, k: _Kind, obj_id: Any, key: str) -> Any:
+        state = self._read(k, obj_id)
+        overlay = getattr(self._ws, k.props).get(obj_id)
+        if overlay and key in overlay:
+            value = overlay[key]
+            return None if value is TOMBSTONE else value
+        if state is CURRENT:
+            return getattr(self._engine, k.get_property)(obj_id, key)
+        return state.properties.get(key)
+
+    def _buffer_property(self, k: _Kind, obj_id: Any, key: str, value: Any) -> None:
+        """Overlay ``key = value`` (``TOMBSTONE``: removed); the caller logs the op."""
+        self._check_writable(k, obj_id)
+        ws = self._ws
+        draft = getattr(ws, k.created).get(obj_id)
+        if draft is None:
+            getattr(ws, k.props).setdefault(obj_id, {})[key] = value
+            ws.write_keys.add((k.kind, obj_id))
+        elif value is TOMBSTONE:
+            draft.properties.pop(key, None)
+        else:
+            draft.properties[key] = value
+
+    def _by_property(self, k: _Kind, key: str, value: Any) -> Iterator[Any]:
+        snapshot = self._snapshot
+        ws = self._ws
+        ws.note_predicate(k.kind, key, value)
+        if self._fast():
+            for obj_id in getattr(self._engine, k.by_property)(key, value):
+                ws.note_read((k.kind, obj_id))
+                yield obj_id
+            return
+        # Objects whose visible value may differ from the engine's index:
+        # overwritten after the snapshot, or written/removed by this
+        # session (ordered, deduplicated).  They are re-read one by one.
+        suspects = dict.fromkeys(self._store.overlaid_keys(k.kind, snapshot))
+        suspects.update(dict.fromkeys(getattr(ws, k.props)))
+        suspects.update(dict.fromkeys(getattr(ws, k.removed)))
+        visible = self._store.visible
+        for obj_id in getattr(self._engine, k.by_property)(key, value):
+            if obj_id not in suspects and visible((k.kind, obj_id), snapshot) is not None:
+                ws.note_read((k.kind, obj_id))
+                yield obj_id
+        for obj_id in suspects:
+            try:
+                found = self._property(k, obj_id, key)
+            except ElementNotFoundError:
+                continue
+            if found == value:
+                yield obj_id
+        for pid, draft in getattr(ws, k.created).items():
+            if draft.properties.get(key) == value:
+                yield pid
 
     # ------------------------------------------------------------------
     # Vertex CRUD
@@ -762,69 +928,18 @@ class VersionedGraph(GraphDatabase):
         return pid
 
     def vertex(self, vertex_id: Any) -> Vertex:
-        snapshot = self._snapshot
-        ws = self._ws
-        ws.note_read(vertex_key(vertex_id))
-        if vertex_id in ws.created_vertices:
-            draft = ws.created_vertices[vertex_id]
-            return Vertex(vertex_id, draft.label, dict(draft.properties))
-        if vertex_id in ws.removed_vertices:
-            raise ElementNotFoundError("vertex", vertex_id)
-        state = self._store.state_at(vertex_key(vertex_id), snapshot)
-        if state is None or self._store.hidden_from(vertex_key(vertex_id), snapshot):
-            raise ElementNotFoundError("vertex", vertex_id)
+        state = self._read(_VERTEX, vertex_id)
         if state is CURRENT:
-            base = self._engine.vertex(vertex_id)
-            label, properties = base.label, dict(base.properties)
-        else:
-            label, properties = state.label, dict(state.properties)
-        overlay = ws.vertex_props.get(vertex_id)
-        if overlay:
-            for key, value in overlay.items():
-                if value is TOMBSTONE:
-                    properties.pop(key, None)
-                else:
-                    properties[key] = value
-        return Vertex(vertex_id, label, properties)
+            state = self._engine.vertex(vertex_id)
+        return Vertex(
+            vertex_id, state.label, self._merged_properties(_VERTEX, vertex_id, state.properties)
+        )
 
     def vertex_exists(self, vertex_id: Any) -> bool:
-        snapshot = self._snapshot
-        ws = self._ws
-        ws.note_read(vertex_key(vertex_id))
-        if vertex_id in ws.created_vertices:
-            return True
-        if vertex_id in ws.removed_vertices:
-            return False
-        key = vertex_key(vertex_id)
-        if self._store.hidden_from(key, snapshot):
-            return False
-        state = self._store.state_at(key, snapshot)
-        if state is CURRENT:
-            return self._engine.vertex_exists(vertex_id)
-        return state is not None
+        return self._exists(_VERTEX, vertex_id)
 
     def vertex_ids(self) -> Iterator[Any]:
-        snapshot = self._snapshot
-        if self._fast():
-            yield from self._engine.vertex_ids()
-            return
-        ws = self._ws
-        seen: set[Any] = set()
-        for vertex_id in self._engine.vertex_ids():
-            if self._store.hidden_from(vertex_key(vertex_id), snapshot):
-                continue
-            if vertex_id in ws.removed_vertices:
-                continue
-            seen.add(vertex_id)
-            yield vertex_id
-        # Engines reuse freed ids, so an id the scan above already yielded
-        # (its snapshot incarnation reconstructed from the undo chain) can
-        # also sit in the removed-object index for an *older* incarnation;
-        # one id names one visible object per snapshot, so dedup here.
-        for vertex_id in self._store.removed_object_ids("vertex", snapshot):
-            if vertex_id not in ws.removed_vertices and vertex_id not in seen:
-                yield vertex_id
-        yield from ws.created_vertices
+        yield from self._ids(_VERTEX)
 
     def remove_vertex(self, vertex_id: Any) -> None:
         self._snapshot
@@ -839,10 +954,7 @@ class VersionedGraph(GraphDatabase):
                     self._drop_created_edge(eid)
             ws.ops.append(("drop_provisional_vertex", vertex_id))
             return
-        if vertex_id in ws.removed_vertices or self._store.removed_as_of(
-            vertex_key(vertex_id), self._snapshot
-        ):
-            raise ElementNotFoundError("vertex", vertex_id)
+        self._check_writable(_VERTEX, vertex_id)
         # Read-your-writes for the cascade: the engine will delete the
         # incident edges at apply time, so this session must stop seeing
         # them now.  The visible-adjacency scan here charges like the scan
@@ -853,76 +965,27 @@ class VersionedGraph(GraphDatabase):
         for eid in list(self._incident_edges(vertex_id, Direction.BOTH, None)):
             if eid in ws.created_edges:
                 self._drop_created_edge(eid)
-                ws.removed_edges.add(eid)
             else:
-                ws.removed_edges.add(eid)
                 ws.write_keys.add(edge_key(eid))
+            ws.removed_edges.add(eid)
         ws.removed_vertices.add(vertex_id)
         ws.write_keys.add(vertex_key(vertex_id))
         ws.ops.append(("remove_vertex", vertex_id))
 
     def set_vertex_property(self, vertex_id: Any, key: str, value: Any) -> None:
-        snapshot = self._snapshot
-        ws = self._ws
-        if vertex_id in ws.removed_vertices or self._store.removed_as_of(
-            vertex_key(vertex_id), snapshot
-        ):
-            raise ElementNotFoundError("vertex", vertex_id)
-        if vertex_id in ws.created_vertices:
-            ws.created_vertices[vertex_id].properties[key] = value
-        else:
-            ws.vertex_props.setdefault(vertex_id, {})[key] = value
-            ws.write_keys.add(vertex_key(vertex_id))
-        ws.ops.append(("set_vertex_property", vertex_id, key, value))
+        self._buffer_property(_VERTEX, vertex_id, key, value)
+        self._ws.ops.append(("set_vertex_property", vertex_id, key, value))
 
     def remove_vertex_property(self, vertex_id: Any, key: str) -> None:
-        snapshot = self._snapshot
-        ws = self._ws
-        if vertex_id in ws.removed_vertices or self._store.removed_as_of(
-            vertex_key(vertex_id), snapshot
-        ):
-            raise ElementNotFoundError("vertex", vertex_id)
-        if vertex_id in ws.created_vertices:
-            ws.created_vertices[vertex_id].properties.pop(key, None)
-        else:
-            ws.vertex_props.setdefault(vertex_id, {})[key] = TOMBSTONE
-            ws.write_keys.add(vertex_key(vertex_id))
-        ws.ops.append(("remove_vertex_property", vertex_id, key))
+        self._buffer_property(_VERTEX, vertex_id, key, TOMBSTONE)
+        self._ws.ops.append(("remove_vertex_property", vertex_id, key))
 
     def vertex_property(self, vertex_id: Any, key: str) -> Any:
-        snapshot = self._snapshot
-        ws = self._ws
-        ws.note_read(vertex_key(vertex_id))
-        if vertex_id in ws.created_vertices:
-            return ws.created_vertices[vertex_id].properties.get(key)
-        if vertex_id in ws.removed_vertices:
-            raise ElementNotFoundError("vertex", vertex_id)
-        overlay = ws.vertex_props.get(vertex_id)
-        if overlay and key in overlay:
-            value = overlay[key]
-            return None if value is TOMBSTONE else value
-        state = self._store.state_at(vertex_key(vertex_id), snapshot)
-        if state is None or self._store.hidden_from(vertex_key(vertex_id), snapshot):
-            raise ElementNotFoundError("vertex", vertex_id)
-        if state is CURRENT:
-            return self._engine.vertex_property(vertex_id, key)
-        return state.properties.get(key)
+        return self._property(_VERTEX, vertex_id, key)
 
     def vertex_label(self, vertex_id: Any) -> str | None:
-        snapshot = self._snapshot
-        ws = self._ws
-        ws.note_read(vertex_key(vertex_id))
-        if vertex_id in ws.created_vertices:
-            return ws.created_vertices[vertex_id].label
-        if vertex_id in ws.removed_vertices:
-            raise ElementNotFoundError("vertex", vertex_id)
-        key = vertex_key(vertex_id)
-        state = self._store.state_at(key, snapshot)
-        if state is None or self._store.hidden_from(key, snapshot):
-            raise ElementNotFoundError("vertex", vertex_id)
-        if state is CURRENT:
-            return self._engine.vertex_label(vertex_id)
-        return state.label
+        state = self._read(_VERTEX, vertex_id)
+        return self._engine.vertex_label(vertex_id) if state is CURRENT else state.label
 
     # ------------------------------------------------------------------
     # Edge CRUD
@@ -935,15 +998,9 @@ class VersionedGraph(GraphDatabase):
         label: str,
         properties: dict[str, Any] | None = None,
     ) -> Any:
-        snapshot = self._snapshot
         ws = self._ws
         for endpoint in (source_id, target_id):
-            if endpoint in ws.removed_vertices or (
-                not isinstance(endpoint, ProvisionalId)
-                and endpoint not in ws.created_vertices
-                and self._store.removed_as_of(vertex_key(endpoint), snapshot)
-            ):
-                raise ElementNotFoundError("vertex", endpoint)
+            self._check_writable(_VERTEX, endpoint)
         pid = ws.next_id("edge")
         ws.created_edges[pid] = EdgeState(label, source_id, target_id, dict(properties or {}))
         ws.out_added.setdefault(source_id, []).append(pid)
@@ -966,81 +1023,23 @@ class VersionedGraph(GraphDatabase):
             if index and pid in index:
                 index.remove(pid)
 
-    def _edge_state(self, edge_id: Any, snapshot: int) -> EdgeState | None:
-        """The session-visible state of an edge, or None if not visible.
-
-        Returns a state without charging when the edge lives in the overlay;
-        charges one engine materialisation when the in-place edge is the
-        visible one.
-        """
-        ws = self._ws
-        if edge_id in ws.created_edges:
-            return ws.created_edges[edge_id]
-        if edge_id in ws.removed_edges:
-            return None
-        key = edge_key(edge_id)
-        if self._store.hidden_from(key, snapshot):
-            return None
-        state = self._store.state_at(key, snapshot)
-        if state is CURRENT:
-            base = self._engine.edge(edge_id)
-            state = EdgeState(base.label, base.source, base.target, dict(base.properties))
-        if state is None:
-            return None
-        return state
-
     def edge(self, edge_id: Any) -> Edge:
-        snapshot = self._snapshot
-        self._ws.note_read(edge_key(edge_id))
-        state = self._edge_state(edge_id, snapshot)
-        if state is None:
-            raise ElementNotFoundError("edge", edge_id)
-        properties = dict(state.properties)
-        overlay = self._ws.edge_props.get(edge_id)
-        if overlay:
-            for key, value in overlay.items():
-                if value is TOMBSTONE:
-                    properties.pop(key, None)
-                else:
-                    properties[key] = value
-        return Edge(edge_id, state.label, state.source, state.target, properties)
+        state = self._read(_EDGE, edge_id)
+        if state is CURRENT:
+            state = self._engine.edge(edge_id)
+        return Edge(
+            edge_id,
+            state.label,
+            state.source,
+            state.target,
+            self._merged_properties(_EDGE, edge_id, state.properties),
+        )
 
     def edge_exists(self, edge_id: Any) -> bool:
-        snapshot = self._snapshot
-        ws = self._ws
-        ws.note_read(edge_key(edge_id))
-        if edge_id in ws.created_edges:
-            return True
-        if edge_id in ws.removed_edges:
-            return False
-        key = edge_key(edge_id)
-        if self._store.hidden_from(key, snapshot):
-            return False
-        state = self._store.state_at(key, snapshot)
-        if state is CURRENT:
-            return self._engine.edge_exists(edge_id)
-        return state is not None
+        return self._exists(_EDGE, edge_id)
 
     def edge_ids(self) -> Iterator[Any]:
-        snapshot = self._snapshot
-        if self._fast():
-            yield from self._engine.edge_ids()
-            return
-        ws = self._ws
-        seen: set[Any] = set()
-        for edge_id in self._engine.edge_ids():
-            if self._store.hidden_from(edge_key(edge_id), snapshot):
-                continue
-            if edge_id in ws.removed_edges:
-                continue
-            seen.add(edge_id)
-            yield edge_id
-        # Same id-reuse dedup as ``vertex_ids``: a reused edge id can be
-        # both live in the engine and indexed as removed-after-snapshot.
-        for edge_id in self._store.removed_object_ids("edge", snapshot):
-            if edge_id not in ws.removed_edges and edge_id not in seen:
-                yield edge_id
-        yield from ws.created_edges
+        yield from self._ids(_EDGE)
 
     def remove_edge(self, edge_id: Any) -> None:
         self._snapshot
@@ -1050,146 +1049,57 @@ class VersionedGraph(GraphDatabase):
             ws.removed_edges.add(edge_id)
             ws.ops.append(("drop_provisional_edge", edge_id))
             return
-        if edge_id in ws.removed_edges or self._store.removed_as_of(
-            edge_key(edge_id), self._snapshot
-        ):
-            # Already removed inside this transaction or by a commit this
-            # snapshot observed: the visible view has no such edge, exactly
-            # like a direct double removal.
-            raise ElementNotFoundError("edge", edge_id)
+        # Already removed inside this transaction or by a commit this
+        # snapshot observed: the visible view has no such edge, exactly
+        # like a direct double removal.
+        self._check_writable(_EDGE, edge_id)
         ws.removed_edges.add(edge_id)
         ws.write_keys.add(edge_key(edge_id))
         ws.ops.append(("remove_edge", edge_id))
 
     def set_edge_property(self, edge_id: Any, key: str, value: Any) -> None:
-        snapshot = self._snapshot
-        ws = self._ws
-        if edge_id in ws.removed_edges or self._store.removed_as_of(
-            edge_key(edge_id), snapshot
-        ):
-            raise ElementNotFoundError("edge", edge_id)
-        if edge_id in ws.created_edges:
-            ws.created_edges[edge_id].properties[key] = value
-        else:
-            ws.edge_props.setdefault(edge_id, {})[key] = value
-            ws.write_keys.add(edge_key(edge_id))
-        ws.ops.append(("set_edge_property", edge_id, key, value))
+        self._buffer_property(_EDGE, edge_id, key, value)
+        self._ws.ops.append(("set_edge_property", edge_id, key, value))
 
     def remove_edge_property(self, edge_id: Any, key: str) -> None:
-        snapshot = self._snapshot
-        ws = self._ws
-        if edge_id in ws.removed_edges or self._store.removed_as_of(
-            edge_key(edge_id), snapshot
-        ):
-            raise ElementNotFoundError("edge", edge_id)
-        if edge_id in ws.created_edges:
-            ws.created_edges[edge_id].properties.pop(key, None)
-        else:
-            ws.edge_props.setdefault(edge_id, {})[key] = TOMBSTONE
-            ws.write_keys.add(edge_key(edge_id))
-        ws.ops.append(("remove_edge_property", edge_id, key))
+        self._buffer_property(_EDGE, edge_id, key, TOMBSTONE)
+        self._ws.ops.append(("remove_edge_property", edge_id, key))
 
     def edge_property(self, edge_id: Any, key: str) -> Any:
-        snapshot = self._snapshot
-        ws = self._ws
-        ws.note_read(edge_key(edge_id))
-        overlay = ws.edge_props.get(edge_id)
-        if edge_id in ws.created_edges:
-            return ws.created_edges[edge_id].properties.get(key)
-        if edge_id in ws.removed_edges:
-            raise ElementNotFoundError("edge", edge_id)
-        if overlay and key in overlay:
-            value = overlay[key]
-            return None if value is TOMBSTONE else value
-        state = self._store.state_at(edge_key(edge_id), snapshot)
-        if state is None or self._store.hidden_from(edge_key(edge_id), snapshot):
-            raise ElementNotFoundError("edge", edge_id)
-        if state is CURRENT:
-            return self._engine.edge_property(edge_id, key)
-        return state.properties.get(key)
+        return self._property(_EDGE, edge_id, key)
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
-        snapshot = self._snapshot
-        ws = self._ws
-        ws.note_read(edge_key(edge_id))
-        if edge_id in ws.created_edges:
-            state = ws.created_edges[edge_id]
-            return state.source, state.target
-        if edge_id in ws.removed_edges:
-            raise ElementNotFoundError("edge", edge_id)
-        key = edge_key(edge_id)
-        state = self._store.state_at(key, snapshot)
-        if state is None or self._store.hidden_from(key, snapshot):
-            raise ElementNotFoundError("edge", edge_id)
+        state = self._read(_EDGE, edge_id)
         if state is CURRENT:
             return self._engine.edge_endpoints(edge_id)
         return state.source, state.target
 
     def edge_label(self, edge_id: Any) -> str:
-        snapshot = self._snapshot
-        ws = self._ws
-        ws.note_read(edge_key(edge_id))
-        if edge_id in ws.created_edges:
-            return ws.created_edges[edge_id].label
-        if edge_id in ws.removed_edges:
-            raise ElementNotFoundError("edge", edge_id)
-        key = edge_key(edge_id)
-        state = self._store.state_at(key, snapshot)
-        if state is None or self._store.hidden_from(key, snapshot):
-            raise ElementNotFoundError("edge", edge_id)
-        if state is CURRENT:
-            return self._engine.edge_label(edge_id)
-        return state.label
+        state = self._read(_EDGE, edge_id)
+        return self._engine.edge_label(edge_id) if state is CURRENT else state.label
 
     # ------------------------------------------------------------------
     # Structural traversal primitives
     # ------------------------------------------------------------------
 
-    def _edge_visible(self, edge_id: Any, snapshot: int) -> bool:
-        """Visibility filter for edge ids coming out of the engine."""
-        if edge_id in self._ws.removed_edges:
-            return False
-        return not self._store.hidden_from(edge_key(edge_id), snapshot)
-
     def _overlay_incident(
         self, vertex_id: Any, direction: Direction, label: str | None, snapshot: int
     ) -> Iterator[Any]:
         """Resurrected + session-created edges incident to ``vertex_id``."""
-        for eid, state in self._store.resurrected_edges(vertex_id, snapshot):
-            if eid in self._ws.removed_edges:
-                continue
-            if label is not None and state.label != label:
-                continue
-            if direction is Direction.OUT:
-                if state.source == vertex_id:
-                    yield eid
-            elif direction is Direction.IN:
-                if state.target == vertex_id:
-                    yield eid
-            else:
-                # BOTH mirrors the engine's out-pass + in-pass semantics:
-                # a resurrected self-loop yields twice.
-                if state.source == vertex_id:
-                    yield eid
-                if state.target == vertex_id:
-                    yield eid
         ws = self._ws
-        if direction in (Direction.OUT, Direction.BOTH):
-            for pid in ws.out_added.get(vertex_id, ()):
-                if pid in ws.created_edges and (
-                    label is None or ws.created_edges[pid].label == label
-                ):
+        for eid, state in self._store.resurrected_edges(vertex_id, snapshot):
+            if eid not in ws.removed_edges and (label is None or state.label == label):
+                for _pass in range(_incidences(state, vertex_id, direction)):
+                    yield eid
+        # Out pass, then in pass: a session-created self-loop yields twice
+        # under BOTH, like a resurrected one.
+        for excluded, added in ((Direction.IN, ws.out_added), (Direction.OUT, ws.in_added)):
+            if direction is excluded:
+                continue
+            for pid in added.get(vertex_id, ()):
+                state = ws.created_edges.get(pid)
+                if state is not None and (label is None or state.label == label):
                     yield pid
-        if direction in (Direction.IN, Direction.BOTH):
-            for pid in ws.in_added.get(vertex_id, ()):
-                if pid not in ws.created_edges:
-                    continue
-                state = ws.created_edges[pid]
-                if label is not None and state.label != label:
-                    continue
-                # Self-loops yield twice under BOTH, matching the engine's
-                # ``both_edges`` (out pass + in pass) semantics.
-                yield pid
 
     def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
         yield from self._incident_edges(vertex_id, Direction.OUT, label)
@@ -1209,22 +1119,18 @@ class VersionedGraph(GraphDatabase):
         if vertex_id in ws.created_vertices:
             yield from self._overlay_incident(vertex_id, direction, label, snapshot)
             return
-        if vertex_id in ws.removed_vertices:
+        if self._resolve(_VERTEX, vertex_id) is None:
             raise ElementNotFoundError("vertex", vertex_id)
-        key = vertex_key(vertex_id)
-        if self._store.hidden_from(key, snapshot):
-            raise ElementNotFoundError("vertex", vertex_id)
-        if self._store.state_at(key, snapshot) is None:
-            raise ElementNotFoundError("vertex", vertex_id)
-        if self._store.removed_ts(key) > snapshot:
+        if self._store.removed_ts(vertex_key(vertex_id)) > snapshot:
             # The vertex was removed in place after our snapshot; its
             # adjacency survives only in the resurrection index.
             yield from self._overlay_incident(vertex_id, direction, label, snapshot)
             return
+        visible = self._store.visible
         for edge_id in self._engine.edges_for(vertex_id, direction, label):
-            if not self._edge_visible(edge_id, snapshot):
+            if edge_id in ws.removed_edges:
                 continue
-            state = self._store.state_at(edge_key(edge_id), snapshot)
+            state = visible(edge_key(edge_id), snapshot)
             if state is CURRENT:
                 yield edge_id
                 continue
@@ -1239,18 +1145,8 @@ class VersionedGraph(GraphDatabase):
             # the snapshot state decides incidence.
             if self._store.removed_ts(edge_key(edge_id)) > snapshot:
                 continue
-            if label is not None and state.label != label:
-                continue
-            if direction is Direction.OUT:
-                if state.source == vertex_id:
-                    yield edge_id
-            elif direction is Direction.IN:
-                if state.target == vertex_id:
-                    yield edge_id
-            else:
-                if state.source == vertex_id:
-                    yield edge_id
-                if state.target == vertex_id:
+            if label is None or state.label == label:
+                for _pass in range(_incidences(state, vertex_id, direction)):
                     yield edge_id
         yield from self._overlay_incident(vertex_id, direction, label, snapshot)
 
@@ -1360,80 +1256,11 @@ class VersionedGraph(GraphDatabase):
     # Search primitives
     # ------------------------------------------------------------------
 
-    def _visible_vertex_value(self, vertex_id: Any, key: str) -> tuple[bool, Any]:
-        """(exists, value) of ``key`` for a suspect vertex, overlay-aware."""
-        try:
-            value = self.vertex_property(vertex_id, key)
-        except ElementNotFoundError:
-            return False, None
-        return True, value
-
     def vertices_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        snapshot = self._snapshot
-        self._ws.note_predicate("vertex", key, value)
-        if self._fast():
-            for vertex_id in self._engine.vertices_by_property(key, value):
-                self._ws.note_read(vertex_key(vertex_id))
-                yield vertex_id
-            return
-        ws = self._ws
-        suspects: dict[Any, None] = {}  # ordered, deduplicated
-        for vid in self._store.overlaid_keys("vertex", snapshot):
-            suspects[vid] = None
-        for vid in ws.vertex_props:
-            suspects[vid] = None
-        for vid in ws.removed_vertices:
-            suspects[vid] = None
-        for vertex_id in self._engine.vertices_by_property(key, value):
-            if vertex_id in suspects:
-                continue
-            if self._store.hidden_from(vertex_key(vertex_id), snapshot):
-                continue
-            ws.note_read(vertex_key(vertex_id))
-            yield vertex_id
-        for vertex_id in suspects:
-            exists, visible = self._visible_vertex_value(vertex_id, key)
-            if exists and visible == value:
-                ws.note_read(vertex_key(vertex_id))
-                yield vertex_id
-        for pid, draft in ws.created_vertices.items():
-            if draft.properties.get(key) == value:
-                yield pid
+        yield from self._by_property(_VERTEX, key, value)
 
     def edges_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        snapshot = self._snapshot
-        self._ws.note_predicate("edge", key, value)
-        if self._fast():
-            for edge_id in self._engine.edges_by_property(key, value):
-                self._ws.note_read(edge_key(edge_id))
-                yield edge_id
-            return
-        ws = self._ws
-        suspects: dict[Any, None] = {}
-        for eid in self._store.overlaid_keys("edge", snapshot):
-            suspects[eid] = None
-        for eid in ws.edge_props:
-            suspects[eid] = None
-        for eid in ws.removed_edges:
-            suspects[eid] = None
-        for edge_id in self._engine.edges_by_property(key, value):
-            if edge_id in suspects:
-                continue
-            if self._store.hidden_from(edge_key(edge_id), snapshot):
-                continue
-            ws.note_read(edge_key(edge_id))
-            yield edge_id
-        for edge_id in suspects:
-            try:
-                visible = self.edge_property(edge_id, key)
-            except ElementNotFoundError:
-                continue
-            if visible == value:
-                ws.note_read(edge_key(edge_id))
-                yield edge_id
-        for pid, draft in ws.created_edges.items():
-            if draft.properties.get(key) == value:
-                yield pid
+        yield from self._by_property(_EDGE, key, value)
 
     def edges_by_label(self, label: str) -> Iterator[Any]:
         snapshot = self._snapshot
@@ -1445,12 +1272,12 @@ class VersionedGraph(GraphDatabase):
             return
         ws = self._ws
         for edge_id in self._engine.edges_by_label(label):
-            if self._edge_visible(edge_id, snapshot):
+            if edge_id not in ws.removed_edges and (
+                self._store.visible(edge_key(edge_id), snapshot) is not None
+            ):
                 yield edge_id
         for edge_id in self._store.removed_object_ids("edge", snapshot):
-            if edge_id in ws.removed_edges:
-                continue
-            state = self._store.state_at(edge_key(edge_id), snapshot)
+            state = self._resolve(_EDGE, edge_id)
             if state is not None and state is not CURRENT and state.label == label:
                 yield edge_id
         for pid, draft in ws.created_edges.items():
@@ -1462,32 +1289,10 @@ class VersionedGraph(GraphDatabase):
     # ------------------------------------------------------------------
 
     def vertex_count(self) -> int:
-        snapshot = self._snapshot
-        if self._fast():
-            return self._engine.vertex_count()
-        count = self._engine.vertex_count()
-        for key, created_ts in self._store.iter_created("vertex"):
-            if created_ts > snapshot and self._store.removed_ts(key) == 0:
-                count -= 1  # exists in place, invisible at the snapshot
-        count += sum(1 for _vid in self._store.removed_object_ids("vertex", snapshot))
-        count -= len(self._ws.removed_vertices)
-        count += len(self._ws.created_vertices)
-        return count
+        return self._count(_VERTEX)
 
     def edge_count(self) -> int:
-        snapshot = self._snapshot
-        if self._fast():
-            return self._engine.edge_count()
-        count = self._engine.edge_count()
-        for key, created_ts in self._store.iter_created("edge"):
-            if created_ts > snapshot and self._store.removed_ts(key) == 0:
-                count -= 1
-        count += sum(1 for _eid in self._store.removed_object_ids("edge", snapshot))
-        count -= sum(
-            1 for eid in self._ws.removed_edges if not isinstance(eid, ProvisionalId)
-        )
-        count += len(self._ws.created_edges)
-        return count
+        return self._count(_EDGE)
 
     def distinct_edge_labels(self) -> set[str]:
         if self._fast():

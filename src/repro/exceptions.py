@@ -46,18 +46,6 @@ class UnsupportedOperationError(GraphBenchError):
     """
 
 
-class QueryTimeoutError(GraphBenchError):
-    """A query exceeded the harness timeout (paper: 2-hour wall-clock limit)."""
-
-    def __init__(self, query: str, elapsed: float, limit: float) -> None:
-        super().__init__(
-            f"query {query!r} exceeded the timeout: {elapsed:.3f}s > {limit:.3f}s"
-        )
-        self.query = query
-        self.elapsed = elapsed
-        self.limit = limit
-
-
 class MemoryBudgetExceededError(GraphBenchError):
     """An engine exhausted its simulated memory budget.
 

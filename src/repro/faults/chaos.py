@@ -178,8 +178,9 @@ class ChaosExecutor(DistributedExecutor):
         max_restarts: int = DEFAULT_MAX_RESTARTS,
         superstep_timeout: int = DEFAULT_SUPERSTEP_TIMEOUT,
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
+        plan: PartitionPlan | None = None,
     ) -> None:
-        super().__init__(shards, owner, network)
+        super().__init__(shards, owner, network, plan)
         if max_restarts < 0:
             raise BenchmarkError(f"max_restarts must be >= 0, got {max_restarts}")
         if checkpoint_interval < 1:
@@ -197,7 +198,7 @@ class ChaosExecutor(DistributedExecutor):
                     "executor through build_chaos/build_distributed"
                 )
         self.engine_factory = engine_factory
-        self.plan = fault_plan if fault_plan is not None else FaultPlan()
+        self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.retry = retry if retry is not None else RetryPolicy()
         self.retry_policy = retry_policy
         self.max_restarts = max_restarts
@@ -223,7 +224,7 @@ class ChaosExecutor(DistributedExecutor):
 
     def _rng(self, query: int, hop: int, shard: int, attempt: int) -> random.Random:
         """Seeded jitter source: a pure function of the fault coordinates."""
-        key = f"{self.plan.seed}|backoff|{query}|{hop}|{shard}|{attempt}"
+        key = f"{self.fault_plan.seed}|backoff|{query}|{hop}|{shard}|{attempt}"
         return random.Random(zlib.crc32(key.encode("utf-8")))
 
     def _backoff(self, query: int, hop: int, shard: int, attempt: int) -> int:
@@ -364,7 +365,7 @@ class ChaosExecutor(DistributedExecutor):
             ledger.journal_charge += charge
             cost += charge  # the progress record's page write, on the clock
 
-            if self.plan.stall(query, hop, shard.index, attempt, site_faults):
+            if self.fault_plan.stall(query, hop, shard.index, attempt, site_faults):
                 site_faults += 1
                 ledger.stalls += 1
                 used = ledger.faults_by_shard.get(shard.index, 0) + 1
@@ -382,7 +383,7 @@ class ChaosExecutor(DistributedExecutor):
                 continue
 
             neighbors, compute = self._expand_local(shard, frontier)
-            crashed, torn = self.plan.crash(
+            crashed, torn = self.fault_plan.crash(
                 query, hop, shard.index, attempt, site_faults
             )
             if crashed:
@@ -453,7 +454,7 @@ class ChaosExecutor(DistributedExecutor):
     ) -> tuple[int, list[Any]]:
         """Serve a down shard's frontier from its journal's snapshot."""
         journal = self.journals[shard.index]
-        if self.plan.snapshot_lost(query, shard.index, hop):
+        if self.fault_plan.snapshot_lost(query, shard.index, hop):
             journal.drop_snapshot()
         if journal.snapshot is None:
             raise ShardUnavailableError(
@@ -484,7 +485,7 @@ class ChaosExecutor(DistributedExecutor):
         """
         extra = 0
         for batch in batches:
-            fault = self.plan.message_fault(
+            fault = self.fault_plan.message_fault(
                 query, hop, batch.source_shard, batch.sequence
             )
             if fault == "loss":
@@ -506,8 +507,8 @@ class ChaosExecutor(DistributedExecutor):
     ) -> None:
         """Barrier delivery: reorder-buffer by sequence, dedup, apply."""
         deliveries = list(outboxes) + list(duplicates)
-        if len(deliveries) >= 2 and self.plan.reorder(query, hop):
-            order = self.plan.permutation(query, hop, len(deliveries))
+        if len(deliveries) >= 2 and self.fault_plan.reorder(query, hop):
+            order = self.fault_plan.permutation(query, hop, len(deliveries))
             stats.record_reorder(sum(1 for i, j in enumerate(order) if i != j))
             deliveries = [deliveries[i] for i in order]
         applied: set[int] = set()
@@ -573,5 +574,6 @@ def build_chaos(
         max_restarts=max_restarts,
         superstep_timeout=superstep_timeout,
         checkpoint_interval=checkpoint_interval,
+        plan=base.plan,
     )
     return executor, report

@@ -51,11 +51,7 @@ from repro.exceptions import BenchmarkError
 from repro.model.elements import Direction
 from repro.model.graph import GraphDatabase
 from repro.partition.messages import MessageBatch, NetworkCostModel, NetworkStats
-from repro.partition.partitioners import (
-    DEFAULT_DRIFT_THRESHOLD,
-    PartitionPlan,
-    partition_dataset,
-)
+from repro.partition.partitioners import DEFAULT_DRIFT_THRESHOLD, PartitionPlan
 
 
 def direct_bfs(
@@ -277,23 +273,16 @@ class DistributedExecutor:
         (:func:`build_distributed`); the caller owns that rebuild and its
         one-off cost.
         """
-        if not 0.0 <= drift_threshold <= 1.0:
-            raise BenchmarkError(
-                f"drift threshold must be within [0, 1], not {drift_threshold}"
-            )
         current = self._current_plan()
+        plan = current.rebalance(dataset, drift_threshold, partitioner)
         drift = current.drift(dataset)
-        if drift < drift_threshold:
-            patched = current.patch(dataset)
-            # In-place: the txn manager holds a reference to this dict.
-            self.owner.clear()
-            self.owner.update(patched.assignment)
-            self.plan = patched
-            return RebalanceDecision(patched, drift, repartitioned=False, applied=True)
-        fresh = partition_dataset(
-            dataset, len(self.shards), partitioner or current.strategy
-        )
-        return RebalanceDecision(fresh, drift, repartitioned=True, applied=False)
+        if drift >= drift_threshold:
+            return RebalanceDecision(plan, drift, repartitioned=True, applied=False)
+        # In-place: the txn manager holds a reference to this dict.
+        self.owner.clear()
+        self.owner.update(plan.assignment)
+        self.plan = plan
+        return RebalanceDecision(plan, drift, repartitioned=False, applied=True)
 
     # ------------------------------------------------------------------
     # Queries

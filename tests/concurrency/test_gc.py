@@ -172,6 +172,7 @@ class TestShardedStore:
                 store.mark_committed(key, index + 1)
                 store.push_undo(key, index + 1, f"before-{index}")
             store.mark_removed(("edge", 3), 4)
+            store.mark_committed(("edge", 9), 9)  # a creation stamps both marks
             store.mark_created(("edge", 9), 9)
 
         one, many = VersionStore(1), VersionStore(16)
@@ -180,13 +181,11 @@ class TestShardedStore:
         for snapshot in (0, 4, 9):
             for index in range(10):
                 key = ("vertex", index)
-                assert one.state_at(key, snapshot) == many.state_at(key, snapshot)
+                assert one.visible(key, snapshot) == many.visible(key, snapshot)
             assert one.removed_as_of(("edge", 3), snapshot) == many.removed_as_of(
                 ("edge", 3), snapshot
             )
-            assert one.hidden_from(("edge", 9), snapshot) == many.hidden_from(
-                ("edge", 9), snapshot
-            )
+            assert one.visible(("edge", 9), snapshot) is many.visible(("edge", 9), snapshot)
             assert sorted(one.overlaid_keys("vertex", snapshot)) == sorted(
                 many.overlaid_keys("vertex", snapshot)
             )
