@@ -436,27 +436,38 @@ class RelationalEngine(BaseEngine):
                     yield sources[key], f"{table.name}:{row['id']}"
             return
 
+        # Resolved once, not per vertex x pass x table: (table, its name,
+        # whether the pass's endpoint column is indexed).
+        scans = [
+            (
+                endpoint_column,
+                opposite_column,
+                [(table, table.name, table.has_index(endpoint_column)) for table in tables],
+            )
+            for endpoint_column, opposite_column in passes
+        ]
         for vertex_id in vertex_ids:
             key = str(vertex_id)
-            for endpoint_column, opposite_column in passes:
+            keys = (key,)
+            for endpoint_column, opposite_column, resolved in scans:
                 if not self.vertex_exists(vertex_id):
                     raise ElementNotFoundError("vertex", vertex_id)
-                for table in tables:
-                    if table.has_index(endpoint_column):
-                        rows = (
-                            row
-                            for _key, row in table.index_scan_many(endpoint_column, (key,))
-                        )
+                for table, table_name, indexed in resolved:
+                    if indexed:
+                        rows = table.index_scan_many(endpoint_column, keys)
                     else:
-                        rows = table.seq_scan(
-                            lambda row, column=endpoint_column: row[column] == key
+                        rows = (
+                            (key, row)
+                            for row in table.seq_scan(
+                                lambda row, column=endpoint_column: row[column] == key
+                            )
                         )
-                    for row in rows:
+                    for _key, row in rows:
                         if want_endpoint:
                             table.recharge_get(row["id"])
                             yield vertex_id, row[opposite_column]
                         else:
-                            yield vertex_id, f"{table.name}:{row['id']}"
+                            yield vertex_id, f"{table_name}:{row['id']}"
 
     def degree_at_least(
         self, vertex_id: Any, k: int, direction: Direction = Direction.BOTH

@@ -7,17 +7,19 @@ also rely on tree-shaped indexes.  This module implements a textbook B+Tree:
 
 * internal nodes route by key, leaves hold (key, values) lists;
 * leaves are chained for ordered range scans;
-* every descent charges one index probe per level, every structural change
-  charges index updates — so tree height shows up in the benchmark numbers.
+* every descent charges one index probe per level, every key a scan visits
+  one more, every structural change charges index updates — so tree height
+  shows up in the benchmark numbers.
 
-Keys may be any totally ordered Python values of a consistent type.  Each key
-maps to a list of values (duplicates allowed), which matches the way the
-engines use indexes (e.g. property value -> element ids).
+Keys may be any totally ordered Python values of a consistent type (the
+prefix scans need tuples of strings).  Each key maps to a list of values
+(duplicates allowed), which matches the way the engines use indexes (e.g.
+property value -> element ids).
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterator
 
 from repro.exceptions import StorageError
@@ -26,42 +28,24 @@ from repro.storage.metrics import StorageMetrics
 _DEFAULT_ORDER = 64
 
 
-class _Node:
-    """Base class for B+Tree nodes."""
-
-    __slots__ = ("keys",)
+class _LeafNode:
+    __slots__ = ("keys", "values", "next_leaf")
 
     def __init__(self) -> None:
         self.keys: list[Any] = []
-
-    @property
-    def is_leaf(self) -> bool:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class _LeafNode(_Node):
-    __slots__ = ("values", "next_leaf")
-
-    def __init__(self) -> None:
-        super().__init__()
         self.values: list[list[Any]] = []
         self.next_leaf: _LeafNode | None = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return True
 
-
-class _InternalNode(_Node):
-    __slots__ = ("children",)
+class _InternalNode:
+    __slots__ = ("keys", "children")
 
     def __init__(self) -> None:
-        super().__init__()
+        self.keys: list[Any] = []
         self.children: list[_Node] = []
 
-    @property
-    def is_leaf(self) -> bool:
-        return False
+
+_Node = _LeafNode | _InternalNode
 
 
 class BPlusTree:
@@ -141,25 +125,23 @@ class BPlusTree:
             self._rebalance_count += 1
 
     def _insert(self, node: _Node, key: Any, value: Any):
-        if node.is_leaf:
-            return self._insert_into_leaf(node, key, value)  # type: ignore[arg-type]
-        internal = node  # type: ignore[assignment]
-        assert isinstance(internal, _InternalNode)
+        if type(node) is _LeafNode:
+            return self._insert_into_leaf(node, key, value)
         self.metrics.charge_index_probe()
-        index = bisect.bisect_right(internal.keys, key)
-        split = self._insert(internal.children[index], key, value)
+        index = bisect_right(node.keys, key)
+        split = self._insert(node.children[index], key, value)
         if split is None:
             return None
         middle_key, right = split
-        internal.keys.insert(index, middle_key)
-        internal.children.insert(index + 1, right)
-        if len(internal.keys) <= self.order:
+        node.keys.insert(index, middle_key)
+        node.children.insert(index + 1, right)
+        if len(node.keys) <= self.order:
             return None
-        return self._split_internal(internal)
+        return self._split_internal(node)
 
     def _insert_into_leaf(self, leaf: _LeafNode, key: Any, value: Any):
         self.metrics.charge_index_probe()
-        index = bisect.bisect_left(leaf.keys, key)
+        index = bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
             if self.unique:
                 removed = len(leaf.values[index])
@@ -217,17 +199,17 @@ class BPlusTree:
         return index < len(leaf.keys) and leaf.keys[index] == key
 
     def _find_leaf(self, key: Any) -> tuple[_LeafNode, int]:
+        """Descend to the leaf that holds (or would hold) ``key``.
+
+        Every leaf sits at depth ``height`` — splits grow the tree at the
+        root and deletes never merge — so the descent books its one probe
+        per level arithmetically instead of level by level.
+        """
         node = self._root
-        while not node.is_leaf:
-            self.metrics.charge_index_probe()
-            internal = node
-            assert isinstance(internal, _InternalNode)
-            index = bisect.bisect_right(internal.keys, key)
-            node = internal.children[index]
-        self.metrics.charge_index_probe()
-        leaf = node
-        assert isinstance(leaf, _LeafNode)
-        return leaf, bisect.bisect_left(leaf.keys, key)
+        while type(node) is _InternalNode:
+            node = node.children[bisect_right(node.keys, key)]
+        self.metrics.index_probes += self._height
+        return node, bisect_left(node.keys, key)
 
     # -- range scans -----------------------------------------------------------
 
@@ -255,18 +237,73 @@ class BPlusTree:
                         leaf = leaf.next_leaf
                         index = 0
                         break
+        metrics = self.metrics
         while leaf is not None:
             while index < len(leaf.keys):
                 key = leaf.keys[index]
                 if high is not None:
                     if key > high or (key == high and not include_high):
                         return
-                self.metrics.charge_index_probe()
+                metrics.index_probes += 1
                 for value in leaf.values[index]:
                     yield key, value
                 index += 1
             leaf = leaf.next_leaf
             index = 0
+
+    def scan_prefix(self, prefix: tuple[str, ...]) -> list[Any]:
+        """Return the values of every key that starts with ``prefix``, in key order.
+
+        Keys must be tuples of strings: the run is then the key interval
+        from ``prefix`` up to ``prefix`` with a NUL appended to its last
+        component, so one bisect per leaf finds where it stops.
+
+        The eager form, for consumers that always run to exhaustion: it
+        books at once what consuming ``range(low=prefix)`` up to the first
+        mismatching key books — the descent, one probe per matching key,
+        and one for the key that ends the run (none at the end of the tree).
+        """
+        leaf, start = self._find_leaf(prefix)
+        end = prefix[:-1] + (prefix[-1] + "\x00",)
+        values: list[Any] = []
+        probes = 0
+        while leaf is not None:
+            keys = leaf.keys
+            stop = bisect_left(keys, end, start)
+            for bucket in leaf.values[start:stop]:
+                values += bucket
+            probes += stop - start
+            if stop < len(keys):
+                probes += 1
+                break
+            leaf = leaf.next_leaf
+            start = 0
+        self.metrics.index_probes += probes
+        return values
+
+    def iter_prefix(self, prefix: tuple[str, ...]) -> Iterator[Any]:
+        """Yield what :meth:`scan_prefix` returns, booking probes as consumed.
+
+        The lazy form, for streams that may be abandoned: the descent is
+        booked at the first item requested and each key when its first
+        value is, so a consumer that stops early pays only for what it saw.
+        (Its own loop, not a generator shared with the eager form: that
+        costs the eager hot path a generator per scan.)
+        """
+        leaf, start = self._find_leaf(prefix)
+        end = prefix[:-1] + (prefix[-1] + "\x00",)
+        metrics = self.metrics
+        while leaf is not None:
+            keys = leaf.keys
+            stop = bisect_left(keys, end, start)
+            for bucket in leaf.values[start:stop]:
+                metrics.index_probes += 1
+                yield from bucket
+            if stop < len(keys):
+                metrics.index_probes += 1
+                return
+            leaf = leaf.next_leaf
+            start = 0
 
     def items(self) -> Iterator[tuple[Any, Any]]:
         """Yield every (key, value) pair in key order."""
@@ -283,13 +320,9 @@ class BPlusTree:
 
     def _leftmost_leaf(self) -> _LeafNode:
         node = self._root
-        while not node.is_leaf:
-            internal = node
-            assert isinstance(internal, _InternalNode)
-            node = internal.children[0]
-        leaf = node
-        assert isinstance(leaf, _LeafNode)
-        return leaf
+        while type(node) is _InternalNode:
+            node = node.children[0]
+        return node
 
     # -- deletion -----------------------------------------------------------------
 

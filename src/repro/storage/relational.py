@@ -223,7 +223,7 @@ class Table:
             for row_id in index.search(_index_key(value)):
                 row = rows.get(row_id)
                 if row is not None:
-                    metrics.charge_record_read(1)
+                    metrics.records_read += 1
                     yield value, row
 
     def recharge_get(self, row_id: Any) -> None:
@@ -232,11 +232,14 @@ class Table:
         Bulk traversal paths resolve edge endpoints from the row their
         index scan just produced; the per-id path would re-fetch the row
         through :meth:`get`, so the identical probe and record read are
-        charged here without copying the row again.
+        charged here without walking the hash bucket or copying the row
+        again.  A missing row still books the probe, then raises ``KeyError``.
         """
-        self._primary.lookup(row_id)
+        metrics = self.metrics
+        metrics.index_probes += 1
         row = self._rows[row_id]
-        self.metrics.charge_record_read(1, len(str(row)))
+        metrics.records_read += 1
+        metrics.bytes_read += len(str(row))
 
     def index_count(self, column: str, value: Any) -> int:
         """Count rows matching ``column = value`` without fetching them.

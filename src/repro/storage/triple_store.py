@@ -35,9 +35,15 @@ class Triple:
         return (self.subject, self.predicate, self.object)
 
 
-def _key(*parts: Any) -> tuple[str, ...]:
-    """Build a lexicographically comparable composite key."""
-    return tuple(repr(part) for part in parts)
+def _spo_key(triple: Triple) -> tuple[str, str, str]:
+    """The statement's SPO index key; keys are lexicographically ordered reprs."""
+    return (repr(triple.subject), repr(triple.predicate), repr(triple.object))
+
+
+def _index_keys(triple: Triple) -> tuple[tuple[str, str, str], ...]:
+    """The statement's keys in the SPO, POS and OSP indexes, in that order."""
+    s, p, o = _spo_key(triple)
+    return (s, p, o), (p, o, s), (o, s, p)
 
 
 class TripleStore:
@@ -51,6 +57,7 @@ class TripleStore:
         self._osp = BPlusTree(f"{name}-osp", metrics=self.metrics)
         self._count = 0
         self._bulk_mode = False
+        #: Statements awaiting indexing; non-empty only during a bulk load.
         self._bulk_buffer: list[Triple] = []
 
     def __len__(self) -> int:
@@ -71,10 +78,15 @@ class TripleStore:
         self._bulk_buffer = []
 
     def end_bulk_load(self) -> None:
-        """Flush buffered statements into the three indexes, sorted per index."""
+        """Flush buffered statements into the three indexes in SPO key order.
+
+        One sort serves all three trees: insertion order fixes each tree's
+        split history, and with it the height and leaf layout every later
+        probe is charged against.
+        """
         self._bulk_mode = False
         buffered, self._bulk_buffer = self._bulk_buffer, []
-        for triple in sorted(buffered, key=lambda t: _key(t.subject, t.predicate, t.object)):
+        for triple in sorted(buffered, key=_spo_key):
             self._index(triple)
 
     # -- updates ---------------------------------------------------------------------
@@ -92,17 +104,24 @@ class TripleStore:
     def remove(self, subject: Any, predicate: Any = None, object_: Any = None) -> int:
         """Remove every statement matching the (possibly partial) pattern."""
         matches = list(self.match(subject, predicate, object_))
+        self._bulk_buffer = [
+            triple
+            for triple in self._bulk_buffer
+            if not self._matches(triple, subject, predicate, object_)
+        ]
         for triple in matches:
-            self._spo.delete(_key(triple.subject, triple.predicate, triple.object), triple)
-            self._pos.delete(_key(triple.predicate, triple.object, triple.subject), triple)
-            self._osp.delete(_key(triple.object, triple.subject, triple.predicate), triple)
-            self._count -= 1
+            spo, pos, osp = _index_keys(triple)
+            self._spo.delete(spo, triple)
+            self._pos.delete(pos, triple)
+            self._osp.delete(osp, triple)
+        self._count -= len(matches)
         return len(matches)
 
     def _index(self, triple: Triple) -> None:
-        self._spo.insert(_key(triple.subject, triple.predicate, triple.object), triple)
-        self._pos.insert(_key(triple.predicate, triple.object, triple.subject), triple)
-        self._osp.insert(_key(triple.object, triple.subject, triple.predicate), triple)
+        spo, pos, osp = _index_keys(triple)
+        self._spo.insert(spo, triple)
+        self._pos.insert(pos, triple)
+        self._osp.insert(osp, triple)
 
     # -- pattern matching --------------------------------------------------------------
 
@@ -112,40 +131,30 @@ class TripleStore:
         """Yield statements matching the pattern (None is a wildcard).
 
         The most selective index permutation is chosen from the bound
-        components, exactly as a real SPO/POS/OSP layout allows.
+        components, exactly as a real SPO/POS/OSP layout allows, and its
+        prefix run is scanned lazily: probes are booked as the stream is
+        consumed, so abandoning it early costs only what was seen.
         """
-        if self._bulk_mode and self._bulk_buffer:
-            # Queries during a bulk load see buffered data too (rare path).
-            for triple in self._bulk_buffer:
-                if self._matches(triple, subject, predicate, object_):
-                    yield triple
-        tree, prefix = self._plan(subject, predicate, object_)
-        # Keys are ordered tuples, so a prefix scan starts at the first key
-        # >= the prefix and stops as soon as the prefix no longer matches.
-        scan = tree.items() if not prefix else tree.range(low=prefix)
-        for key, triple in scan:
-            if prefix and key[: len(prefix)] != prefix:
-                break
+        # Queries during a bulk load see buffered data too (rare path).
+        for triple in self._bulk_buffer:
             if self._matches(triple, subject, predicate, object_):
                 yield triple
-
-    def _plan(
-        self, subject: Any, predicate: Any, object_: Any
-    ) -> tuple[BPlusTree, tuple[str, ...]]:
-        """Pick the index permutation and scan prefix for one pattern."""
         if subject is not None:
-            prefix = _key(subject, predicate) if predicate is not None else _key(subject)
             tree = self._spo
+            prefix = (repr(subject),) if predicate is None else (repr(subject), repr(predicate))
         elif predicate is not None:
-            prefix = _key(predicate, object_) if object_ is not None else _key(predicate)
             tree = self._pos
+            prefix = (repr(predicate),) if object_ is None else (repr(predicate), repr(object_))
         elif object_ is not None:
-            prefix = _key(object_)
             tree = self._osp
+            prefix = (repr(object_),)
         else:
-            prefix = ()
-            tree = self._spo
-        return tree, prefix
+            for _key, triple in self._spo.items():
+                yield triple
+            return
+        for triple in tree.iter_prefix(prefix):
+            if self._matches(triple, subject, predicate, object_):
+                yield triple
 
     def match_grouped(
         self, patterns: Iterable[tuple[Any, Any, Any]]
@@ -154,23 +163,13 @@ class TripleStore:
 
         Yields ``(position, triple)`` pairs grouped by pattern in input
         order — the batch scan entry point for the triple engine's bulk
-        primitives.  Each pattern performs exactly the descent and leaf
-        probes that :meth:`match` performs for it (identical logical
-        charges); batching only removes the per-pattern generator chain.
+        primitives.  Each pattern is one :meth:`match` stream, consumed as
+        the caller consumes this one (identical logical charges, also when
+        the caller stops early).
         """
-        bulk_visible = self._bulk_mode and bool(self._bulk_buffer)
-        for position, (subject, predicate, object_) in enumerate(patterns):
-            if bulk_visible:
-                for triple in self._bulk_buffer:
-                    if self._matches(triple, subject, predicate, object_):
-                        yield position, triple
-            tree, prefix = self._plan(subject, predicate, object_)
-            scan = tree.items() if not prefix else tree.range(low=prefix)
-            for key, triple in scan:
-                if prefix and key[: len(prefix)] != prefix:
-                    break
-                if self._matches(triple, subject, predicate, object_):
-                    yield position, triple
+        for position, pattern in enumerate(patterns):
+            for triple in self.match(*pattern):
+                yield position, triple
 
     def endpoint_objects(self, subject: Any, predicates: Iterable[Any]) -> list[Any]:
         """Resolve the object of each ``(subject, predicate)`` pattern flatly.
@@ -178,22 +177,18 @@ class TripleStore:
         Engines that reify edges resolve both endpoint statements of an
         edge with two :meth:`match` consumptions run to exhaustion; this
         performs the identical scans (same descent and leaf probes, last
-        matching object wins) in one flat loop without building a
-        generator chain per pattern.
+        matching object wins) eagerly, one SPO prefix scan per predicate.
+        ``subject`` and every predicate must be bound (not None).
         """
         results: list[Any] = []
-        bulk_visible = self._bulk_mode and bool(self._bulk_buffer)
+        scan_prefix = self._spo.scan_prefix
+        subject_key = repr(subject)
         for predicate in predicates:
             value = None
-            if bulk_visible:
-                for triple in self._bulk_buffer:
-                    if triple.subject == subject and triple.predicate == predicate:
-                        value = triple.object
-            tree, prefix = self._plan(subject, predicate, None)
-            width = len(prefix)
-            for key, triple in tree.range(low=prefix):
-                if key[:width] != prefix:
-                    break
+            for triple in self._bulk_buffer:
+                if triple.subject == subject and triple.predicate == predicate:
+                    value = triple.object
+            for triple in scan_prefix((subject_key, repr(predicate))):
                 if triple.subject == subject and triple.predicate == predicate:
                     value = triple.object
             results.append(value)
@@ -202,21 +197,11 @@ class TripleStore:
     def first_object(self, subject: Any, predicate: Any) -> Any:
         """Return the first object matching ``(subject, predicate)``, or None.
 
-        Abandons the scan at the first hit, charging exactly what a
-        first-match consumption of :meth:`match` charges — the flat
-        equivalent of ``next(match(subject, predicate), None).object``.
+        Abandons the :meth:`match` stream at the first hit, so the scan is
+        charged up to that statement's key and no further.
         """
-        if self._bulk_mode and self._bulk_buffer:
-            for triple in self._bulk_buffer:
-                if triple.subject == subject and triple.predicate == predicate:
-                    return triple.object
-        tree, prefix = self._plan(subject, predicate, None)
-        width = len(prefix)
-        for key, triple in tree.range(low=prefix):
-            if key[:width] != prefix:
-                break
-            if triple.subject == subject and triple.predicate == predicate:
-                return triple.object
+        for triple in self.match(subject, predicate):
+            return triple.object
         return None
 
     @staticmethod

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+from itertools import islice
+
 from hypothesis import given, settings, strategies as st
 
 from repro.storage.bitmap import Bitmap
@@ -54,6 +58,137 @@ class TestBPlusTreeProperties:
         victim = data.draw(st.sampled_from(keys))
         tree.delete(victim)
         assert tree.search(victim) == []
+
+
+# Components that sort next to each other in every awkward way a prefix
+# bound can meet: empty, a proper prefix of another, a NUL suffix, a quote.
+_COMPONENTS = ["", "a", "a\x00", "ab", "b", "b'"]
+_UNIVERSE = [
+    key for width in (1, 2, 3) for key in itertools.product(_COMPONENTS, repeat=width)
+]
+_tuple_keys = st.sampled_from(_UNIVERSE)
+#: ``(key, value)`` inserts ``value`` under ``key``; ``(n, value)`` deletes
+#: ``value`` (every value when None) from the n-th key present, so deletes hit.
+_history = st.lists(
+    st.tuples(_tuple_keys | st.integers(0, 300), st.none() | st.integers(0, 2)),
+    max_size=60,
+)
+#: Present and absent prefixes; the short ones head runs of many keys.
+_prefixes = st.lists(
+    st.sampled_from([key for key in _UNIVERSE if len(key) < 3]) | _tuple_keys,
+    min_size=1,
+    max_size=6,
+)
+#: Keys loaded before the drawn history, so trees reach heights 1-4 at order 3.
+_preload = st.tuples(st.sampled_from([0, 12, 40, 90]), st.integers(0, 5))
+
+
+def _replay(order, preload, history, after_each=lambda tree: None):
+    """Build a tree from a seeded preload and a drawn insert/delete history."""
+    count, seed = preload
+    tree = BPlusTree(order=order)
+    present = set()
+    ops = [(key, 0) for key in random.Random(seed).sample(_UNIVERSE, count)] + history
+    for target, value in ops:
+        if isinstance(target, tuple):
+            tree.insert(target, 0 if value is None else value)
+            present.add(target)
+        elif present:
+            key = sorted(present)[target % len(present)]
+            tree.delete(key, value)
+            if not tree.contains(key):
+                present.discard(key)
+        after_each(tree)
+    return tree
+
+
+def _probes(tree, consume):
+    before = tree.metrics.index_probes
+    result = consume()
+    return result, tree.metrics.index_probes - before
+
+
+def _range_until_mismatch(tree, prefix, take=None):
+    """The hand-rolled loop the prefix scans replaced, abandoned after ``take``."""
+    values = []
+    for key, value in tree.range(low=prefix):
+        if key[: len(prefix)] != prefix:
+            break
+        values.append(value)
+        if len(values) == take:
+            break
+    return values
+
+
+def _leaf_depths(tree):
+    depths, stack = set(), [(tree._root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        children = getattr(node, "children", None)
+        if children is None:
+            depths.add(depth)
+        else:
+            stack.extend((child, depth + 1) for child in children)
+    return depths
+
+
+class TestBPlusTreePrefixScans:
+    """``scan_prefix`` / ``iter_prefix`` against ``range(low=prefix)`` + break."""
+
+    @given(st.sampled_from([3, 4, 8]), _preload, _history, _prefixes)
+    @settings(max_examples=150, deadline=None)
+    def test_same_values_and_probes_as_range_until_mismatch(
+        self, order, preload, history, prefixes
+    ):
+        tree = _replay(order, preload, history)
+        assert _leaf_depths(tree) == {tree.height}
+        for prefix in prefixes:
+            expected, booked = _probes(tree, lambda: _range_until_mismatch(tree, prefix))
+            assert _probes(tree, lambda: tree.scan_prefix(prefix)) == (expected, booked)
+            assert _probes(tree, lambda: list(tree.iter_prefix(prefix))) == (expected, booked)
+            # Abandoning after k items books what the range loop books for k;
+            # stopping at the last item never pays for the key that ends the run.
+            for take in range(1, len(expected) + 1):
+                want = _probes(tree, lambda: _range_until_mismatch(tree, prefix, take))
+                got = _probes(tree, lambda: list(islice(tree.iter_prefix(prefix), take)))
+                assert got == want
+
+    @given(st.sampled_from([3, 4, 8]), _preload, _history)
+    @settings(max_examples=60, deadline=None)
+    def test_every_leaf_sits_at_depth_height(self, order, preload, history):
+        """What lets a descent book ``height`` probes without counting levels."""
+
+        def check(tree):
+            assert _leaf_depths(tree) == {tree.height}
+
+        _replay(order, preload, history, after_each=check)
+
+    def test_runs_across_leaves_empty_leaves_and_the_end_of_the_tree(self):
+        tree = BPlusTree(order=3)
+        keys = [(group, f"{index:02d}") for group in ("a", "b", "c") for index in range(8)]
+        for key in keys:
+            tree.insert(key, key)
+        assert tree.height >= 3
+        height = tree.height
+        # 8 keys under one prefix span several order-3 leaves; a "c" key ends the run.
+        assert _probes(tree, lambda: tree.scan_prefix(("b",))) == (keys[8:16], height + 8 + 1)
+        # The last run of the tree ends at the end of the leaf chain: no trailing probe.
+        assert _probes(tree, lambda: tree.scan_prefix(("c",))) == (keys[16:], height + 8)
+        assert _probes(tree, lambda: list(tree.iter_prefix(("c",)))) == (keys[16:], height + 8)
+        # Lazy deletion empties whole leaves in the middle of the "b" run.
+        for key in keys[10:14]:
+            tree.delete(key)
+        survivors = keys[8:10] + keys[14:16]
+        leaf, leaves = tree._leftmost_leaf(), []
+        while leaf is not None:
+            leaves.append(leaf.keys)
+            leaf = leaf.next_leaf
+        assert [] in leaves
+        assert _range_until_mismatch(tree, ("b",)) == survivors
+        assert _probes(tree, lambda: tree.scan_prefix(("b",))) == (survivors, height + 4 + 1)
+        assert _probes(tree, lambda: list(tree.iter_prefix(("b",)))) == (survivors, height + 4 + 1)
+        # An absent prefix between two runs: the descent, then the key that ends it.
+        assert _probes(tree, lambda: tree.scan_prefix(("bb",))) == ([], height + 1)
 
 
 class TestHashIndexProperties:

@@ -141,6 +141,80 @@ class TestTripleStore:
         store.end_bulk_load()
         assert len(list(store.match(predicate="p"))) == 20
 
+    def test_remove_during_bulk_load_drops_buffered_statements(self):
+        store = TripleStore()
+        store.begin_bulk_load()
+        store.add("a", "p", "b")
+        store.add("a", "q", "c")
+        assert store.remove("a", "p") == 1
+        assert len(store) == 1
+        assert [t.as_tuple() for t in store.match("a")] == [("a", "q", "c")]
+        store.end_bulk_load()
+        assert len(store) == 1
+        assert [t.as_tuple() for t in store.match("a")] == [("a", "q", "c")]
+
+    @staticmethod
+    def _half_loaded_store() -> TripleStore:
+        """Indexed statements plus a non-empty bulk buffer over the same subjects."""
+        store = TripleStore()
+        for edge in range(40):
+            store.add(f"e{edge}", "src", f"v{edge % 5}")
+            store.add(f"e{edge}", "dst", f"v{edge % 7}")
+        store.begin_bulk_load()
+        for edge in (3, 4, 90):
+            store.add(f"e{edge}", "src", "v-late")
+            store.add(f"e{edge}", "dst", "v-later")
+        return store
+
+    # Each flat scan against the per-pattern ``match`` consumption it stands
+    # for, on twin stores whose bulk buffer is not empty: same answers, same
+    # counters.
+    _PATTERNS = [(None, "src", "v3"), ("e4", None, None), ("x", "y", "z")]
+    _EDGES = ("e3", "e7", "e90", "e99")
+
+    def _twins(self):
+        left, right = self._half_loaded_store(), self._half_loaded_store()
+        assert left._bulk_buffer
+        return left, right
+
+    @staticmethod
+    def _assert_same_charges(left: TripleStore, right: TripleStore) -> None:
+        assert left.metrics.index_probes > 0
+        assert left.metrics.snapshot() == right.metrics.snapshot()
+
+    def test_match_grouped_charges_like_match_per_pattern(self):
+        left, right = self._twins()
+        assert list(left.match_grouped(self._PATTERNS)) == [
+            (position, triple)
+            for position, pattern in enumerate(self._PATTERNS)
+            for triple in right.match(*pattern)
+        ]
+        self._assert_same_charges(left, right)
+
+    def test_abandoned_match_grouped_charges_like_abandoned_match(self):
+        left, right = self._twins()
+        first = next(right.match(*self._PATTERNS[0]))
+        assert next(left.match_grouped(self._PATTERNS)) == (0, first)
+        self._assert_same_charges(left, right)
+
+    def test_endpoint_objects_charges_like_two_exhausted_matches(self):
+        left, right = self._twins()
+        for edge in self._EDGES:
+            last = [None, None]
+            for slot, predicate in enumerate(("src", "dst")):
+                for triple in right.match(edge, predicate):
+                    last[slot] = triple.object
+            assert left.endpoint_objects(edge, ("src", "dst")) == last
+        self._assert_same_charges(left, right)
+
+    def test_first_object_charges_like_first_match(self):
+        left, right = self._twins()
+        for edge in self._EDGES:
+            first = next((t.object for t in right.match(edge, "dst")), None)
+            assert left.first_object(edge, "dst") == first
+        assert left.first_object("e3", "dst") == "v-later"  # a buffered hit probes nothing
+        self._assert_same_charges(left, right)
+
     def test_subjects_and_predicates(self):
         store = TripleStore()
         store.add("a", "p1", 1)
@@ -319,6 +393,36 @@ class TestRelationalDatabase:
         table.create_index("name")
         assert table.has_index("name")
         assert len(list(table.index_scan("name", "p0"))) == 7
+
+    @staticmethod
+    def _edge_table():
+        table = RelationalDatabase().create_table("edges", [Column("id"), Column("source")])
+        table.create_index("source")
+        for edge in range(30):
+            table.insert({"source": f"v{edge % 4}"})
+        return table
+
+    def test_index_scan_many_charges_like_index_scans(self):
+        left, right = self._edge_table(), self._edge_table()
+        values = ["v1", "v9", "v3"]
+        batched = [(value, dict(row)) for value, row in left.index_scan_many("source", values)]
+        assert batched == [
+            (value, row) for value in values for row in right.index_scan("source", value)
+        ]
+        assert left.metrics.snapshot() == right.metrics.snapshot()
+
+    def test_recharge_get_charges_like_get(self):
+        left, right = self._edge_table(), self._edge_table()
+        left.recharge_get(7)
+        right.get(7)
+        assert left.metrics.snapshot() == right.metrics.snapshot()
+
+    def test_recharge_get_on_a_missing_row_books_the_probe_then_raises(self):
+        table = self._edge_table()
+        before = table.metrics.snapshot()
+        with pytest.raises(KeyError):
+            table.recharge_get(999)
+        assert table.metrics.snapshot() == {**before, "index_probes": before["index_probes"] + 1}
 
     def test_select_uses_best_access_path(self):
         db = RelationalDatabase()
