@@ -13,10 +13,12 @@ makes failure a first-class, *deterministic* benchmark dimension:
   checkpoints (:class:`ShardJournal`), so a crashed shard replays to its
   pre-crash state and rejoins at the next barrier; the retained snapshot
   serves degraded reads when a shard is down past its retry budget.
-* :mod:`~repro.faults.chaos` — :class:`ChaosExecutor`, the fault-aware BSP
-  loop: per-superstep timeout + deterministic retry, straggler abandonment,
-  staleness labelling.  A query completes exactly, completes with a
-  labelled staleness bound, or fails fast with a typed error — never hangs.
+* :mod:`~repro.faults.chaos` — :class:`FaultPlane`, composed around the
+  one BSP loop (``DistributedExecutor(..., faults=plane)``;
+  :class:`ChaosExecutor` is that constructor): per-superstep timeout +
+  deterministic retry, straggler abandonment, staleness labelling.  A query
+  completes exactly, completes with a labelled staleness bound, or fails
+  fast with a typed error — never hangs.
 * :mod:`~repro.faults.bench` / :mod:`~repro.faults.report` — the fault rate
   × query mix × K availability sweep behind ``graphbench chaos``
   (``BENCH_chaos.json`` + fig11).
@@ -32,6 +34,7 @@ from repro.faults.chaos import (
     ChaosResult,
     EXACT,
     FAILED,
+    FaultPlane,
     STALE,
     build_chaos,
 )
@@ -78,6 +81,7 @@ __all__ = [
     "FAILED",
     "FaultEvent",
     "FaultPlan",
+    "FaultPlane",
     "MSG_DUP",
     "MSG_LOSS",
     "MSG_REORDER",

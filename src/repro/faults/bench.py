@@ -213,7 +213,7 @@ def run_chaos_cell(
         checkpoint_interval=checkpoint_interval,
     )
     totals, per_query = _run_cell_queries(executor, queries)
-    row: dict[str, Any] = {"build_charge": executor.build_charge}
+    row: dict[str, Any] = {"build_charge": executor.faults.build_charge}
     row.update(totals)
     row["per_query"] = per_query
     for shard in executor.shards:

@@ -1,44 +1,60 @@
-"""The fault-aware BSP executor: retries, rejoins, degrades — never hangs.
+"""The fault plane: what the one BSP loop asks when failures are possible.
 
-:class:`ChaosExecutor` subclasses the PR 5
-:class:`~repro.partition.executor.DistributedExecutor` and re-implements its
-superstep loop with the fault plan consulted at every decision point:
+There is exactly one superstep loop —
+:meth:`DistributedExecutor._run <repro.partition.executor.DistributedExecutor._run>`
+— and faults are *composed around* its boundaries, not forked from it.
+A :class:`FaultPlane` owns everything a faulted run needs (the
+:class:`~repro.faults.plan.FaultPlan`, per-shard journals, latency
+estimators, retry policy, the three validated knobs) and the loop asks it
+at four points:
 
-* **per-attempt**: a shard's expansion can stall (wait out the superstep
-  timeout) or crash (work lost, WAL tail optionally torn).  Both retry
-  deterministically under the configured policy — fixed exponential
-  backoff, or the adaptive EWMA policy whose waits track observed charge.
-* **per-shard**: a shard that faults past its retry budget is *abandoned*
-  for the rest of the query; its frontiers are served from the journal's
-  snapshot (degraded reads, staleness counted) and the query's label drops
-  from ``"exact"`` to ``"stale"``.  No snapshot either → the query fails
-  fast with :class:`~repro.exceptions.ShardUnavailableError`.
-* **per-batch**: first transmissions can be lost (detected + retransmitted
-  within the barrier window, at a charged premium) or duplicated; a whole
-  superstep's deliveries can arrive reordered.  The receiver restores
-  canonical order from per-query sequence numbers and drops duplicate
-  sequences idempotently.
-* **per-barrier**: crashed shards rejoin through
+* **the expansion attempt** (:meth:`FaultPlane.attempt`): a shard's
+  expansion can stall (wait out the superstep timeout) or crash (work
+  lost, WAL tail optionally torn).  Both retry deterministically under the
+  configured policy — fixed exponential backoff, or the adaptive EWMA
+  policy whose waits track observed charge; a crashed shard recovers from
+  its journal and rejoins through
   :meth:`~repro.concurrency.scheduler.BarrierClock.rejoin_at` (monotonic,
-  never a sealed barrier), and every ``checkpoint_interval`` barriers the
-  live shards take a charged checkpoint that refreshes their snapshots.
+  never a sealed barrier).  A shard that faults past its retry budget is
+  *abandoned* for the rest of the query; its frontiers are served from the
+  journal's snapshot (degraded reads, staleness counted) and the query's
+  label drops from ``"exact"`` to ``"stale"``.  No snapshot either → the
+  query fails fast with :class:`~repro.exceptions.ShardUnavailableError`.
+* **the send** (:meth:`FaultPlane.send`): every batch gets a per-query
+  sequence number; first transmissions can be lost (detected +
+  retransmitted within the barrier window, at a charged premium) or
+  duplicated.
+* **the checkpoint** (:meth:`FaultPlane.checkpoint`): every
+  ``checkpoint_interval`` barriers the live shards take a charged
+  checkpoint that refreshes their snapshots.
+* **the arrivals** (:meth:`FaultPlane.arrivals`): a whole superstep's
+  deliveries can arrive reordered; the receiver restores canonical order
+  from the sequence numbers and drops duplicate sequences idempotently.
+
+``faults=None`` and a plane with an empty :class:`FaultPlan` are different
+runs: a plane appends one SYNC progress record per attempt and puts its
+charge on the barrier clock, so even with zero faults its makespan and
+overhead ledger differ from the fault-free run (the rate-0 cells of
+``BENCH_chaos.json`` are that durability tax).
 
 Charge accounting is two-ledger.  *Base* charges — ``compute_charge`` for
 the successful attempt of every expansion, ``network_charge`` for every
 delivered batch — are byte-identical to the fault-free run by construction:
-recovery restores the exact pre-crash engine, retransmission happens within
-the same barrier, reordering is undone before delivery.  Everything faults
-cost extra — wasted attempts, backoff waits, retransmit premiums, recovery
-replays, checkpoints, journal appends — lands in separate *overhead*
-counters.  ``tests/faults/test_differential.py`` pins the invariant for
-every engine × partitioner.
+they are booked by the same loop, recovery restores the exact pre-crash
+engine, retransmission happens within the same barrier, reordering is
+undone before delivery.  Everything faults cost extra — wasted attempts,
+backoff waits, retransmit premiums, recovery replays, checkpoints, journal
+appends — lands in the *overhead* counters of the :class:`ChaosResult`
+being built, which is the query's ledger.
+``tests/faults/test_differential.py`` pins the invariant for every engine ×
+partitioner.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.concurrency.driver import AdaptiveRetryPolicy, RetryPolicy
@@ -53,8 +69,9 @@ from repro.partition.executor import (
     DistributedResult,
     ShardRuntime,
     build_distributed,
+    expand_local,
 )
-from repro.partition.messages import MessageBatch, NetworkCostModel, NetworkStats
+from repro.partition.messages import MessageBatch, NetworkCostModel
 from repro.partition.partitioners import PartitionPlan
 
 #: Query outcome labels (the chaos contract: always exactly one of these).
@@ -138,49 +155,25 @@ class ChaosResult(DistributedResult):
         return self.total_charge + self.overhead_charge + self.degraded_charge
 
 
-@dataclass
-class _QueryLedger:
-    """Mutable fault counters for one query (folded into the result)."""
+class FaultPlane:
+    """Everything a faulted run owns, asked by the one BSP loop at four points.
 
-    compute_charge: int = 0
-    staleness: int = 0
-    degraded_reads: int = 0
-    degraded_charge: int = 0
-    crashes: int = 0
-    restarts: int = 0
-    stalls: int = 0
-    rejoins: int = 0
-    torn_records: int = 0
-    repaired_records: int = 0
-    wasted_compute: int = 0
-    backoff_charge: int = 0
-    recovery_charge: int = 0
-    checkpoint_charge: int = 0
-    journal_charge: int = 0
-    down: set[int] = field(default_factory=set)
-    #: Faults each shard has consumed this query (the retry budget's meter).
-    faults_by_shard: dict[int, int] = field(default_factory=dict)
-    sequence: int = 0
-
-
-class ChaosExecutor(DistributedExecutor):
-    """A distributed executor that survives a :class:`FaultPlan`."""
+    :meth:`begin` opens a query and returns the :class:`ChaosResult` that
+    doubles as its ledger; the loop then calls :meth:`attempt`,
+    :meth:`send`, :meth:`checkpoint` and :meth:`arrivals` (module docstring).
+    """
 
     def __init__(
         self,
         shards: list[ShardRuntime],
-        owner: dict[Any, int],
         engine_factory: Callable[[], GraphDatabase],
         fault_plan: FaultPlan | None = None,
-        network: NetworkCostModel | None = None,
         retry: RetryPolicy | None = None,
         retry_policy: str = "fixed",
         max_restarts: int = DEFAULT_MAX_RESTARTS,
         superstep_timeout: int = DEFAULT_SUPERSTEP_TIMEOUT,
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-        plan: PartitionPlan | None = None,
     ) -> None:
-        super().__init__(shards, owner, network, plan)
         if max_restarts < 0:
             raise BenchmarkError(f"max_restarts must be >= 0, got {max_restarts}")
         if checkpoint_interval < 1:
@@ -200,7 +193,6 @@ class ChaosExecutor(DistributedExecutor):
         self.engine_factory = engine_factory
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.retry = retry if retry is not None else RetryPolicy()
-        self.retry_policy = retry_policy
         self.max_restarts = max_restarts
         self.superstep_timeout = superstep_timeout
         self.checkpoint_interval = checkpoint_interval
@@ -220,140 +212,53 @@ class ChaosExecutor(DistributedExecutor):
         )
         self.queries_run = 0
 
-    # -- deterministic helpers --------------------------------------------
+    # -- the query in flight ------------------------------------------------
 
-    def _rng(self, query: int, hop: int, shard: int, attempt: int) -> random.Random:
-        """Seeded jitter source: a pure function of the fault coordinates."""
-        key = f"{self.fault_plan.seed}|backoff|{query}|{hop}|{shard}|{attempt}"
-        return random.Random(zlib.crc32(key.encode("utf-8")))
-
-    def _backoff(self, query: int, hop: int, shard: int, attempt: int) -> int:
-        rng = self._rng(query, hop, shard, attempt)
-        policy = self.estimators.get(shard, self.retry)
-        return policy.backoff_for(attempt, rng)
-
-    def _timeout(self, shard: int) -> int:
-        estimator = self.estimators.get(shard)
-        if estimator is None:
-            return self.superstep_timeout
-        return estimator.timeout(self.superstep_timeout)
-
-    # -- the fault-aware superstep loop -----------------------------------
-
-    def _run(self, source: Any, depth: int, target: Any | None) -> ChaosResult:
-        try:
-            home = self.owner[source]
-        except KeyError:
-            raise BenchmarkError(f"source vertex {source!r} is not a known vertex") from None
-        query = self.queries_run
+    def begin(
+        self, distances: dict[Any, int], clock: BarrierClock, network: NetworkCostModel
+    ) -> ChaosResult:
+        """Open the next query; the returned result is its fault ledger."""
+        self._query = self.queries_run
         self.queries_run += 1
+        self._clock = clock
+        self._network = network
+        self._result = ChaosResult(distances)
+        #: Faults each shard has consumed this query (the retry budget's
+        #: meter); past ``max_restarts`` the shard is down for the query.
+        self._faults_used: dict[int, int] = {}
+        self._sequence = 0
+        #: Duplicate transmissions of the superstep being sent.
+        self._duplicates: list[MessageBatch] = []
+        return self._result
 
-        clock = BarrierClock()
-        stats = NetworkStats()
-        ledger = _QueryLedger()
-        distances: dict[Any, int] = {source: 0}
-        frontiers: dict[int, list[Any]] = {home: [source]}
-        sent: list[set[Any]] = [set() for _shard in self.shards]
+    def _down(self, shard: int) -> bool:
+        return self._faults_used.get(shard, 0) > self.max_restarts
 
-        if target is not None and target in distances:
-            frontiers = {}
-        hop = 0
-        while frontiers and hop < depth:
-            hop += 1
-            step_costs: dict[int, int] = {}
-            outboxes: list[MessageBatch] = []
-            duplicates: list[MessageBatch] = []
-            for shard in self.shards:
-                frontier = frontiers.get(shard.index)
-                if not frontier:
-                    continue
-                cost, discovered = self._expand_with_faults(
-                    shard, frontier, distances, query, hop, clock, ledger
-                )
-                frontiers[shard.index] = discovered
+    def _backoff(self, hop: int, shard: int, attempt: int) -> int:
+        """Seeded jitter: a pure function of the fault coordinates."""
+        key = f"{self.fault_plan.seed}|backoff|{self._query}|{hop}|{shard}|{attempt}"
+        rng = random.Random(zlib.crc32(key.encode("utf-8")))
+        wait = self.estimators.get(shard, self.retry).backoff_for(attempt, rng)
+        self._result.backoff_charge += wait
+        return wait
 
-                batches = self._collect_batches(shard, frontier, hop, sent[shard.index])
-                for batch in batches:
-                    batch.sequence = ledger.sequence
-                    ledger.sequence += 1
-                cost += sum(self.network.batch_cost(len(batch)) for batch in batches)
-                cost += self._fault_batches(batches, duplicates, stats, query, hop)
-                outboxes.extend(batches)
-                step_costs[shard.index] = cost
+    # -- boundary 1: the per-shard expansion attempt --------------------------
 
-            if hop % self.checkpoint_interval == 0:
-                for shard in self.shards:
-                    if shard.index in ledger.down:
-                        continue
-                    charge = self.journals[shard.index].checkpoint(version=clock.elapsed)
-                    ledger.checkpoint_charge += charge
-                    step_costs[shard.index] = step_costs.get(shard.index, 0) + charge
+    def attempt(
+        self, shard: ShardRuntime, frontier: list[Any], hop: int
+    ) -> tuple[list[Any], int]:
+        """Expand one shard's frontier under the fault plan, with retry.
 
-            stats.record_step(outboxes, self.network)
-            clock.advance(list(step_costs.values()))
-
-            self._deliver(outboxes, duplicates, frontiers, distances, stats, query, hop)
-            frontiers = {
-                index: frontier for index, frontier in frontiers.items() if frontier
-            }
-            if target is not None and target in distances:
-                break
-
-        label = STALE if ledger.degraded_reads else EXACT
-        return ChaosResult(
-            distances=distances,
-            makespan_charge=clock.elapsed,
-            busy_charge=clock.busy,
-            compute_charge=ledger.compute_charge,
-            network_charge=stats.charge,
-            supersteps=clock.steps,
-            messages=stats.messages,
-            message_items=stats.items,
-            label=label,
-            staleness=ledger.staleness,
-            degraded_reads=ledger.degraded_reads,
-            degraded_charge=ledger.degraded_charge,
-            crashes=ledger.crashes,
-            restarts=ledger.restarts,
-            stalls=ledger.stalls,
-            abandoned=len(ledger.down),
-            rejoins=ledger.rejoins,
-            torn_records=ledger.torn_records,
-            repaired_records=ledger.repaired_records,
-            messages_lost=stats.lost,
-            messages_duplicated=stats.duplicated,
-            messages_reordered=stats.reordered,
-            wasted_compute_charge=ledger.wasted_compute,
-            backoff_charge=ledger.backoff_charge,
-            retransmit_charge=stats.fault_charge,
-            recovery_charge=ledger.recovery_charge,
-            checkpoint_charge=ledger.checkpoint_charge,
-            journal_charge=ledger.journal_charge,
-        )
-
-    # -- per-shard expansion with retry ------------------------------------
-
-    def _expand_with_faults(
-        self,
-        shard: ShardRuntime,
-        frontier: list[Any],
-        distances: dict[Any, int],
-        query: int,
-        hop: int,
-        clock: BarrierClock,
-        ledger: _QueryLedger,
-    ) -> tuple[int, list[Any]]:
-        """Expand one shard's frontier under the fault plan.
-
-        Returns ``(this shard's step cost, newly discovered externals)``
-        and updates ``distances`` and the ledger.  Exhausting the retry
-        budget abandons the shard and serves the frontier degraded; raising
-        :class:`ShardUnavailableError` is the only other exit.
+        Returns ``(neighbour externals, this shard's step cost)``.
+        Exhausting the retry budget abandons the shard and serves the
+        frontier degraded; raising :class:`ShardUnavailableError` is the
+        only other exit.
         """
+        if self._down(shard.index):
+            return self._degrade(shard, frontier, hop)
+        plan, result, query = self.fault_plan, self._result, self._query
         journal = self.journals[shard.index]
-        if shard.index in ledger.down:
-            return self._degrade(shard, frontier, distances, query, hop, clock, ledger)
-
+        estimator = self.estimators.get(shard.index)
         cost = 0
         attempt = 0
         site_faults = 0
@@ -362,182 +267,157 @@ class ChaosExecutor(DistributedExecutor):
             charge = journal.record(
                 "superstep", {"query": query, "superstep": hop, "attempt": attempt}
             )
-            ledger.journal_charge += charge
+            result.journal_charge += charge
             cost += charge  # the progress record's page write, on the clock
 
-            if self.fault_plan.stall(query, hop, shard.index, attempt, site_faults):
-                site_faults += 1
-                ledger.stalls += 1
-                used = ledger.faults_by_shard.get(shard.index, 0) + 1
-                ledger.faults_by_shard[shard.index] = used
-                timeout = self._timeout(shard.index)
-                cost += timeout
-                ledger.wasted_compute += timeout
-                if used > self.max_restarts:
-                    return self._abandon(
-                        shard, frontier, distances, query, hop, clock, ledger, cost
-                    )
-                backoff = self._backoff(query, hop, shard.index, attempt)
-                cost += backoff
-                ledger.backoff_charge += backoff
-                continue
-
-            neighbors, compute = self._expand_local(shard, frontier)
-            crashed, torn = self.fault_plan.crash(
-                query, hop, shard.index, attempt, site_faults
-            )
-            if crashed:
-                site_faults += 1
-                ledger.crashes += 1
-                used = ledger.faults_by_shard.get(shard.index, 0) + 1
-                ledger.faults_by_shard[shard.index] = used
+            crashed = False
+            if plan.stall(query, hop, shard.index, attempt, site_faults):
+                result.stalls += 1
+                wasted = (
+                    self.superstep_timeout
+                    if estimator is None
+                    else estimator.timeout(self.superstep_timeout)
+                )
+            else:
+                neighbors, compute = expand_local(shard, frontier)
+                crashed, torn = plan.crash(query, hop, shard.index, attempt, site_faults)
+                if not crashed:
+                    # Success: this attempt's expansion is the base compute —
+                    # by construction what a never-faulted run charges.
+                    result.compute_charge += compute
+                    if estimator is not None:
+                        estimator.observe(compute)
+                    return neighbors, cost + compute
                 # The attempt's work was done, then lost: charged as waste.
-                cost += compute
-                ledger.wasted_compute += compute
+                result.crashes += 1
+                wasted = compute
                 journal.crash(torn)
-                if used > self.max_restarts:
-                    return self._abandon(
-                        shard, frontier, distances, query, hop, clock, ledger, cost
-                    )
+
+            site_faults += 1
+            cost += wasted
+            result.wasted_compute_charge += wasted
+            self._faults_used[shard.index] = self._faults_used.get(shard.index, 0) + 1
+            if self._down(shard.index):
+                # Retry budget exhausted: abandoned for the rest of the query.
+                result.abandoned += 1
+                neighbors, charge = self._degrade(shard, frontier, hop)
+                return neighbors, cost + charge
+            if crashed:
                 report = journal.recover(self.engine_factory)
                 shard.rebind(report.engine, report.id_map)
-                ledger.restarts += 1
-                ledger.recovery_charge += report.charge
-                ledger.torn_records += report.torn_records
-                ledger.repaired_records += report.repaired_records
+                result.restarts += 1
+                result.recovery_charge += report.charge
+                result.torn_records += report.torn_records
+                result.repaired_records += report.repaired_records
                 cost += report.charge
-                clock.rejoin_at(clock.steps)  # the barrier currently forming
-                ledger.rejoins += 1
-                backoff = self._backoff(query, hop, shard.index, attempt)
-                cost += backoff
-                ledger.backoff_charge += backoff
-                continue
-
-            # Success: this attempt's expansion is the base compute — by
-            # construction identical to what a never-faulted run charges.
-            cost += compute
-            ledger.compute_charge += compute
-            estimator = self.estimators.get(shard.index)
-            if estimator is not None:
-                estimator.observe(compute)
-            return cost, _discover(neighbors, distances, hop)
-
-    # -- degraded service --------------------------------------------------
-
-    def _abandon(
-        self,
-        shard: ShardRuntime,
-        frontier: list[Any],
-        distances: dict[Any, int],
-        query: int,
-        hop: int,
-        clock: BarrierClock,
-        ledger: _QueryLedger,
-        cost: int,
-    ) -> tuple[int, list[Any]]:
-        """Retry budget exhausted: the shard is down for the rest of the query."""
-        ledger.down.add(shard.index)
-        extra, discovered = self._degrade(
-            shard, frontier, distances, query, hop, clock, ledger
-        )
-        return cost + extra, discovered
+                # Rejoin at the barrier currently forming.
+                self._clock.rejoin_at(self._clock.steps)
+                result.rejoins += 1
+            cost += self._backoff(hop, shard.index, attempt)
 
     def _degrade(
-        self,
-        shard: ShardRuntime,
-        frontier: list[Any],
-        distances: dict[Any, int],
-        query: int,
-        hop: int,
-        clock: BarrierClock,
-        ledger: _QueryLedger,
-    ) -> tuple[int, list[Any]]:
+        self, shard: ShardRuntime, frontier: list[Any], hop: int
+    ) -> tuple[list[Any], int]:
         """Serve a down shard's frontier from its journal's snapshot."""
         journal = self.journals[shard.index]
-        if self.fault_plan.snapshot_lost(query, shard.index, hop):
+        if self.fault_plan.snapshot_lost(self._query, shard.index, hop):
             journal.drop_snapshot()
         if journal.snapshot is None:
             raise ShardUnavailableError(
                 shard.index, hop, "retry budget exhausted and no retained snapshot"
             )
         neighbors, charge = journal.degraded_neighbors(frontier)
-        ledger.degraded_reads += len(frontier)
-        ledger.degraded_charge += charge
-        ledger.staleness = max(ledger.staleness, journal.staleness(clock.elapsed))
-        return charge, _discover(neighbors, distances, hop)
+        result = self._result
+        result.label = STALE
+        result.degraded_reads += len(frontier)
+        result.degraded_charge += charge
+        result.staleness = max(result.staleness, journal.staleness(self._clock.elapsed))
+        return neighbors, charge
 
-    # -- the message fault plane -------------------------------------------
+    # -- boundary 2: the per-sender send ------------------------------------------
 
-    def _fault_batches(
-        self,
-        batches: list[MessageBatch],
-        duplicates: list[MessageBatch],
-        stats: NetworkStats,
-        query: int,
-        hop: int,
-    ) -> int:
-        """Apply loss/duplication to a sender's batches; return extra charge.
+    def send(self, batches: list[MessageBatch], hop: int) -> int:
+        """Number a sender's batches, apply loss/duplication; return extra charge.
 
         A lost batch costs its sender the wasted first transmission plus the
         detection premium — the retransmission lands within the same barrier
         window, so delivery content is unchanged.  A duplicated batch is
         transmitted twice; the receiver drops the second by sequence.
         """
+        result = self._result
         extra = 0
         for batch in batches:
+            batch.sequence = self._sequence
+            self._sequence += 1
             fault = self.fault_plan.message_fault(
-                query, hop, batch.source_shard, batch.sequence
+                self._query, hop, batch.source_shard, batch.sequence
             )
             if fault == "loss":
-                extra += stats.record_loss(batch, self.network)
+                result.messages_lost += 1
+                extra += self._network.retransmit_cost(len(batch))
             elif fault == "dup":
-                extra += stats.record_duplicate(batch, self.network)
-                duplicates.append(batch)
+                result.messages_duplicated += 1
+                extra += self._network.batch_cost(len(batch))
+                self._duplicates.append(batch)
+        result.retransmit_charge += extra
         return extra
 
-    def _deliver(
-        self,
-        outboxes: list[MessageBatch],
-        duplicates: list[MessageBatch],
-        frontiers: dict[int, list[Any]],
-        distances: dict[Any, int],
-        stats: NetworkStats,
-        query: int,
-        hop: int,
+    # -- boundary 3: the per-barrier checkpoint ---------------------------------
+
+    def checkpoint(
+        self, shards: list[ShardRuntime], hop: int, step_costs: dict[int, int]
     ) -> None:
-        """Barrier delivery: reorder-buffer by sequence, dedup, apply."""
-        deliveries = list(outboxes) + list(duplicates)
-        if len(deliveries) >= 2 and self.fault_plan.reorder(query, hop):
-            order = self.fault_plan.permutation(query, hop, len(deliveries))
-            stats.record_reorder(sum(1 for i, j in enumerate(order) if i != j))
+        """Every ``checkpoint_interval`` barriers, refresh live shards' snapshots."""
+        if hop % self.checkpoint_interval:
+            return
+        for shard in shards:
+            if self._down(shard.index):
+                continue
+            charge = self.journals[shard.index].checkpoint(version=self._clock.elapsed)
+            self._result.checkpoint_charge += charge
+            step_costs[shard.index] = step_costs.get(shard.index, 0) + charge
+
+    # -- boundary 4: the barrier arrivals ---------------------------------------
+
+    def arrivals(self, outboxes: list[MessageBatch], hop: int) -> list[MessageBatch]:
+        """What the receivers apply: reorder-buffered by sequence, deduplicated."""
+        deliveries = outboxes + self._duplicates
+        self._duplicates = []
+        if len(deliveries) >= 2 and self.fault_plan.reorder(self._query, hop):
+            order = self.fault_plan.permutation(self._query, hop, len(deliveries))
+            self._result.messages_reordered += sum(
+                1 for i, j in enumerate(order) if i != j
+            )
             deliveries = [deliveries[i] for i in order]
-        applied: set[int] = set()
         # The reorder buffer: apply in sequence order regardless of arrival
         # order, and drop re-deliveries of an already-applied sequence.
+        applied: dict[int, MessageBatch] = {}
         for batch in sorted(deliveries, key=lambda b: b.sequence):
-            if batch.sequence in applied:
-                continue
-            applied.add(batch.sequence)
-            receiver_frontier = frontiers.setdefault(batch.target_shard, [])
-            for external, distance in batch.items:
-                if external not in distances:
-                    distances[external] = distance
-                    receiver_frontier.append(external)
+            applied.setdefault(batch.sequence, batch)
+        return list(applied.values())
 
 
-def _discover(neighbors: list[Any], distances: dict[Any, int], hop: int) -> list[Any]:
-    """Fold an expansion into the distance map; return the new frontier."""
-    discovered: list[Any] = []
-    for external in neighbors:
-        if external not in distances:
-            distances[external] = hop
-            discovered.append(external)
-    return discovered
+class ChaosExecutor(DistributedExecutor):
+    """A :class:`DistributedExecutor` constructed with a :class:`FaultPlane`.
 
+    ``fault_plan`` and ``plane_options`` (``retry``, ``retry_policy``,
+    ``max_restarts``, ``superstep_timeout``, ``checkpoint_interval``) go to
+    the plane; every query runs the inherited superstep loop, and all fault
+    state lives on ``faults``.
+    """
 
-# ----------------------------------------------------------------------
-# Building a chaos executor
-# ----------------------------------------------------------------------
+    def __init__(
+        self,
+        shards: list[ShardRuntime],
+        owner: dict[Any, int],
+        engine_factory: Callable[[], GraphDatabase],
+        fault_plan: FaultPlan | None = None,
+        network: NetworkCostModel | None = None,
+        plan: PartitionPlan | None = None,
+        **plane_options: Any,
+    ) -> None:
+        faults = FaultPlane(shards, engine_factory, fault_plan, **plane_options)
+        super().__init__(shards, owner, network, plan, faults=faults)
 
 
 def build_chaos(
@@ -547,18 +427,15 @@ def build_chaos(
     engine_factory: Callable[[], GraphDatabase],
     fault_plan: FaultPlan | None = None,
     network: NetworkCostModel | None = None,
-    retry: RetryPolicy | None = None,
-    retry_policy: str = "fixed",
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
-    superstep_timeout: int = DEFAULT_SUPERSTEP_TIMEOUT,
-    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
+    **plane_options: Any,
 ) -> tuple[ChaosExecutor, BuildReport]:
-    """Shard an engine per ``plan`` and wrap the shards in a chaos executor.
+    """Shard an engine per ``plan`` and put the shards under a fault plane.
 
     Same contract as :func:`~repro.partition.executor.build_distributed`
     (whose shard construction this reuses), plus per-shard journals seeded
     with an initial checkpoint — that one-off durability cost is reported
-    on :attr:`ChaosExecutor.build_charge`, not charged to any query.
+    on :attr:`FaultPlane.build_charge`, not charged to any query.
+    ``plane_options`` are :class:`FaultPlane`'s keywords.
     """
     base, report = build_distributed(
         source_engine, vertex_map, plan, engine_factory, network=network
@@ -567,13 +444,9 @@ def build_chaos(
         base.shards,
         base.owner,
         engine_factory,
-        fault_plan=fault_plan,
+        fault_plan,
         network=base.network,
-        retry=retry,
-        retry_policy=retry_policy,
-        max_restarts=max_restarts,
-        superstep_timeout=superstep_timeout,
-        checkpoint_interval=checkpoint_interval,
         plan=base.plan,
+        **plane_options,
     )
     return executor, report

@@ -25,7 +25,6 @@ from repro.partition.executor import (
     BulkQueryResult,
     DistributedExecutor,
     DistributedResult,
-    RebalanceDecision,
     ShardRuntime,
     build_distributed,
     direct_bfs,
@@ -67,7 +66,6 @@ __all__ = [
     "PARTITIONERS",
     "PartitionPlan",
     "Partitioner",
-    "RebalanceDecision",
     "ShardRuntime",
     "build_distributed",
     "direct_bfs",

@@ -20,6 +20,12 @@ runs as BSP supersteps:
 4. delivered messages seed the receivers' next frontiers (receive is free:
    its cost is accounted at the sender, once per item crossing the wire).
 
+This is the only superstep loop.  Failures are composed around it: an
+executor built with ``faults=`` (a :class:`repro.faults.chaos.FaultPlane`)
+asks the plane at four boundaries — the expansion *attempt* (step 1), the
+*send* (step 2), the per-barrier *checkpoint* (before step 3) and the
+barrier *arrivals* (step 4) — and with ``faults=None`` takes none of them.
+
 Determinism contract
 --------------------
 
@@ -44,30 +50,35 @@ partitioner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.concurrency.scheduler import BarrierClock
 from repro.exceptions import BenchmarkError
 from repro.model.elements import Direction
 from repro.model.graph import GraphDatabase
 from repro.partition.messages import MessageBatch, NetworkCostModel, NetworkStats
-from repro.partition.partitioners import DEFAULT_DRIFT_THRESHOLD, PartitionPlan
+from repro.partition.partitioners import PartitionPlan
+
+if TYPE_CHECKING:  # repro.faults builds on this module, not the reverse
+    from repro.faults.chaos import FaultPlane
 
 
-def direct_bfs(
-    engine: GraphDatabase, source: Any, depth: int
+def _direct_search(
+    engine: GraphDatabase, source: Any, depth: int, target: Any | None
 ) -> dict[Any, int]:
-    """Reference BFS on an unpartitioned engine (internal ids → distance).
+    """The one reference search: BFS, optionally stopping at ``target``.
 
     Frontier-at-a-time over ``neighbors_many`` in BOTH directions with
     discovery-order dedup — exactly the expansion each shard runs locally,
     which is what makes the K=1 charge-parity contract hold by
-    construction (and testable by assertion).
+    construction (and testable by assertion).  A discovered ``target`` ends
+    the search after its hop (the whole frontier was already expanded),
+    mirroring the distributed barrier early-exit.
     """
     distances = {source: 0}
     frontier = [source]
     for hop in range(1, depth + 1):
-        if not frontier:
+        if not frontier or (target is not None and target in distances):
             break
         next_frontier: list[Any] = []
         for _origin, neighbor in engine.neighbors_many(frontier, Direction.BOTH):
@@ -76,6 +87,13 @@ def direct_bfs(
                 next_frontier.append(neighbor)
         frontier = next_frontier
     return distances
+
+
+def direct_bfs(
+    engine: GraphDatabase, source: Any, depth: int
+) -> dict[Any, int]:
+    """Reference BFS on an unpartitioned engine (internal ids → distance)."""
+    return _direct_search(engine, source, depth, None)
 
 
 def direct_values(
@@ -101,24 +119,7 @@ def direct_shortest_path(
     engine: GraphDatabase, source: Any, target: Any, max_depth: int = 32
 ) -> int:
     """Reference unweighted shortest-path distance (-1 when unreachable)."""
-    if source == target:
-        return 0
-    distances = {source: 0}
-    frontier = [source]
-    for hop in range(1, max_depth + 1):
-        if not frontier:
-            break
-        next_frontier: list[Any] = []
-        for _origin, neighbor in engine.neighbors_many(frontier, Direction.BOTH):
-            if neighbor not in distances:
-                distances[neighbor] = hop
-                next_frontier.append(neighbor)
-        if target in distances:
-            # Finish the hop (the whole frontier was already expanded),
-            # then stop — mirrors the distributed barrier early-exit.
-            return hop
-        frontier = next_frontier
-    return distances.get(target, -1)
+    return _direct_search(engine, source, max_depth, target).get(target, -1)
 
 
 @dataclass
@@ -158,16 +159,16 @@ class DistributedResult:
     #: the vertices discovered before the early exit).
     distances: dict[Any, int]
     #: Virtual time: sum over supersteps of the slowest shard (compute+send).
-    makespan_charge: int
+    makespan_charge: int = 0
     #: Serial-equivalent work: every shard's compute+send summed.
-    busy_charge: int
+    busy_charge: int = 0
     #: Local engine I/O across all shards.
-    compute_charge: int
+    compute_charge: int = 0
     #: Batched-message charge (latency + per-item).
-    network_charge: int
-    supersteps: int
-    messages: int
-    message_items: int
+    network_charge: int = 0
+    supersteps: int = 0
+    messages: int = 0
+    message_items: int = 0
 
     @property
     def total_charge(self) -> int:
@@ -208,20 +209,23 @@ class BulkQueryResult:
         return self.compute_charge + self.network_charge
 
 
-@dataclass
-class RebalanceDecision:
-    """What :meth:`DistributedExecutor.maybe_rebalance` decided and did."""
+def expand_local(shard: ShardRuntime, frontier: list[Any]) -> tuple[list[Any], int]:
+    """Expand one shard's frontier on its live engine.
 
-    #: The plan the decision produced: the in-place patch, or the fresh
-    #: re-partition the caller must rebuild shards from.
-    plan: PartitionPlan
-    #: Measured drift of the routing state against the dataset.
-    drift: float
-    #: True when drift crossed the threshold and a full re-partition was
-    #: computed.
-    repartitioned: bool
-    #: True when the executor's routing was updated in place (patch path).
-    applied: bool
+    Returns the neighbour external ids in discovery order (duplicates
+    included — the caller owns the dedup against ``distances``) and the
+    engine I/O the expansion charged.  It mutates no coordinator state, so
+    the fault plane can re-run an expansion after a crash-restart.
+    """
+    local_frontier = [shard.id_map[external] for external in frontier]
+    before = shard.engine.io_cost()
+    neighbors = [
+        shard.reverse[neighbor]
+        for _origin, neighbor in shard.engine.neighbors_many(
+            local_frontier, Direction.BOTH
+        )
+    ]
+    return neighbors, shard.engine.io_cost() - before
 
 
 class DistributedExecutor:
@@ -233,56 +237,19 @@ class DistributedExecutor:
         owner: dict[Any, int],
         network: NetworkCostModel | None = None,
         plan: PartitionPlan | None = None,
+        faults: FaultPlane | None = None,
     ) -> None:
         if not shards:
             raise BenchmarkError("a distributed executor needs at least one shard")
         self.shards = shards
         self.owner = owner
         self.network = network or NetworkCostModel()
-        #: The partition plan the routing was built from (drift baseline).
+        #: The partition plan the routing was built from.
         self.plan = plan
-
-    # ------------------------------------------------------------------
-    # Drift-triggered re-partitioning
-    # ------------------------------------------------------------------
-
-    def _current_plan(self) -> PartitionPlan:
-        if self.plan is not None:
-            return self.plan
-        # An executor assembled without a plan (tests, hand-built shards)
-        # still has routing truth in its owner table.
-        return PartitionPlan(
-            strategy="hash", shards=len(self.shards), assignment=dict(self.owner)
-        )
-
-    def maybe_rebalance(
-        self,
-        dataset: Any,
-        drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
-        partitioner: str | None = None,
-    ) -> RebalanceDecision:
-        """Check plan drift after a CUD batch and patch or re-partition.
-
-        Below ``drift_threshold`` the plan is :meth:`~PartitionPlan.patch`-ed
-        and the repair is applied *in place*: the owner table this executor
-        (and any :class:`~repro.txn.distributed.DistributedSessionManager`
-        sharing it) routes by is updated without moving any resident data.
-        At or above the threshold a full re-partition is computed and
-        returned with ``repartitioned=True`` — but **not** applied, because
-        honouring it means re-sharding the engines
-        (:func:`build_distributed`); the caller owns that rebuild and its
-        one-off cost.
-        """
-        current = self._current_plan()
-        plan = current.rebalance(dataset, drift_threshold, partitioner)
-        drift = current.drift(dataset)
-        if drift >= drift_threshold:
-            return RebalanceDecision(plan, drift, repartitioned=True, applied=False)
-        # In-place: the txn manager holds a reference to this dict.
-        self.owner.clear()
-        self.owner.update(plan.assignment)
-        self.plan = plan
-        return RebalanceDecision(plan, drift, repartitioned=False, applied=True)
+        #: The fault plane the superstep loop consults at its four
+        #: boundaries; ``None`` is the fault-free run — no journal record,
+        #: no sequence numbers.
+        self.faults = faults
 
     # ------------------------------------------------------------------
     # Queries
@@ -439,14 +406,20 @@ class DistributedExecutor:
     # ------------------------------------------------------------------
 
     def _run(self, source: Any, depth: int, target: Any | None) -> DistributedResult:
+        """The one BSP loop; ``self.faults`` is asked at four boundaries."""
         try:
             home = self.owner[source]
         except KeyError:
             raise BenchmarkError(f"source vertex {source!r} is not a known vertex") from None
+        faults = self.faults
         clock = BarrierClock()
         stats = NetworkStats()
-        compute_charge = 0
         distances: dict[Any, int] = {source: 0}
+        result = (
+            DistributedResult(distances)
+            if faults is None
+            else faults.begin(distances, clock, self.network)
+        )
         frontiers: dict[int, list[Any]] = {home: [source]}
         #: Remote external ids each shard has already messaged (sender dedup).
         sent: list[set[Any]] = [set() for _shard in self.shards]
@@ -458,31 +431,46 @@ class DistributedExecutor:
         hop = 0
         while frontiers and hop < depth:
             hop += 1
-            step_costs: list[int] = []
+            #: Keyed by shard index: a checkpoint also charges live shards
+            #: that had no frontier this superstep.
+            step_costs: dict[int, int] = {}
             outboxes: list[MessageBatch] = []
             for shard in self.shards:
                 frontier = frontiers.get(shard.index)
                 if not frontier:
                     continue
-                neighbors, compute = self._expand_local(shard, frontier)
+                # Boundary 1, the expansion attempt: may stall, crash and
+                # recover, or be served degraded from a snapshot.
+                if faults is None:
+                    neighbors, cost = expand_local(shard, frontier)
+                    result.compute_charge += cost
+                else:
+                    neighbors, cost = faults.attempt(shard, frontier, hop)
                 discovered: list[Any] = []
                 for external in neighbors:
                     if external not in distances:
                         distances[external] = hop
                         discovered.append(external)
-                compute_charge += compute
-
-                batches = self._collect_batches(shard, frontier, hop, sent[shard.index])
-                send = sum(self.network.batch_cost(len(batch)) for batch in batches)
-                outboxes.extend(batches)
-                step_costs.append(compute + send)
                 frontiers[shard.index] = discovered
 
-            stats.record_step(outboxes, self.network)
-            clock.advance(step_costs)
+                batches = self._collect_batches(shard, frontier, hop, sent[shard.index])
+                cost += sum(self.network.batch_cost(len(batch)) for batch in batches)
+                if faults is not None:
+                    # Boundary 2, the send: sequence numbers, loss, duplication.
+                    cost += faults.send(batches, hop)
+                outboxes.extend(batches)
+                step_costs[shard.index] = cost
 
-            # Barrier: deliver the batches into the receivers' frontiers.
-            for batch in outboxes:
+            if faults is not None:
+                # Boundary 3, the periodic checkpoint of every live shard.
+                faults.checkpoint(self.shards, hop, step_costs)
+            stats.record_step(outboxes, self.network)
+            clock.advance(list(step_costs.values()))
+
+            # Boundary 4, the barrier arrivals (reorder buffer + dedup),
+            # delivered into the receivers' frontiers.
+            arrivals = outboxes if faults is None else faults.arrivals(outboxes, hop)
+            for batch in arrivals:
                 receiver_frontier = frontiers.setdefault(batch.target_shard, [])
                 for external, distance in batch.items:
                     if external not in distances:
@@ -494,37 +482,13 @@ class DistributedExecutor:
             if target is not None and target in distances:
                 break
 
-        return DistributedResult(
-            distances=distances,
-            makespan_charge=clock.elapsed,
-            busy_charge=clock.busy,
-            compute_charge=compute_charge,
-            network_charge=stats.charge,
-            supersteps=clock.steps,
-            messages=stats.messages,
-            message_items=stats.items,
-        )
-
-    def _expand_local(
-        self, shard: ShardRuntime, frontier: list[Any]
-    ) -> tuple[list[Any], int]:
-        """Expand one shard's frontier on its live engine.
-
-        Returns the neighbour external ids in discovery order (duplicates
-        included — the caller owns the dedup against ``distances``) and the
-        engine I/O the expansion charged.  Separated from :meth:`_run` so
-        the chaos executor can re-run an expansion after a crash-restart
-        without mutating any coordinator state on the failed attempt.
-        """
-        local_frontier = [shard.id_map[external] for external in frontier]
-        before = shard.engine.io_cost()
-        neighbors = [
-            shard.reverse[neighbor]
-            for _origin, neighbor in shard.engine.neighbors_many(
-                local_frontier, Direction.BOTH
-            )
-        ]
-        return neighbors, shard.engine.io_cost() - before
+        result.makespan_charge = clock.elapsed
+        result.busy_charge = clock.busy
+        result.network_charge = stats.charge
+        result.supersteps = clock.steps
+        result.messages = stats.messages
+        result.message_items = stats.items
+        return result
 
     def _collect_batches(
         self,

@@ -12,13 +12,15 @@ page reads — network hops dominate tiny frontiers (why K=8 on a small graph
 can *lose* to K=1) while amortising away on bulk frontiers, which is the
 trade-off the scale-out figure exists to show.
 
-Fault plane (PR 6)
-------------------
+Fault plane
+-----------
 
-The chaos layer can lose, duplicate, or reorder batches.  The cost model
-therefore also prices the *recovery* of a lost batch: a retransmission pays
-the batch cost again plus a fixed :attr:`~NetworkCostModel.retransmit_penalty`
-(the NACK/timeout detection round).  Each batch carries a per-query
+The fault plane (:mod:`repro.faults.chaos`) can lose, duplicate, or reorder
+batches, and books what that costs in its own overhead ledger.  The cost
+model therefore also prices the *recovery* of a lost batch: a
+retransmission pays the batch cost again plus a fixed
+:attr:`~NetworkCostModel.retransmit_penalty` (the NACK/timeout detection
+round).  Each batch carries a per-query
 ``sequence`` number — the receiver's reorder buffer restores canonical
 delivery order from it and drops duplicate deliveries idempotently, which
 is what keeps faulted runs byte-identical to fault-free ones.
@@ -115,18 +117,6 @@ class NetworkStats:
     charge: int = 0
     #: Charge per superstep (stragglers and bursts show up here).
     per_step_charge: list[int] = field(default_factory=list)
-    # -- fault-plane counters (all zero on a fault-free run) -------------
-    #: Batches whose first transmission was dropped by the fault plan.
-    lost: int = 0
-    #: Extra deliveries of an already-delivered batch.
-    duplicated: int = 0
-    #: Batches delivered out of emission order (before the reorder buffer).
-    reordered: int = 0
-    #: Charge spent recovering faults: wasted first sends of lost batches,
-    #: retransmissions, and duplicate transmissions.  Kept separate from
-    #: :attr:`charge` so the useful-work charge stays identical to the
-    #: fault-free run (the chaos exactness invariant).
-    fault_charge: int = 0
 
     def record_step(self, batches: list[MessageBatch], model: NetworkCostModel) -> int:
         """Account one superstep's batches; return the step's network charge."""
@@ -138,47 +128,3 @@ class NetworkStats:
         self.charge += step_charge
         self.per_step_charge.append(step_charge)
         return step_charge
-
-    def record_loss(self, batch: MessageBatch, model: NetworkCostModel) -> int:
-        """Account a dropped first transmission plus its retransmission.
-
-        Returns the *extra* charge the fault cost (wasted first send plus
-        the detection penalty); the successful delivery itself is accounted
-        by :meth:`record_step` exactly as on a fault-free run.
-        """
-        # The delivery record_step already charged counts as the useful
-        # send; the loss adds the wasted transmission plus the detection
-        # penalty — exactly retransmit_cost.
-        extra = model.retransmit_cost(len(batch))
-        self.lost += 1
-        self.fault_charge += extra
-        return extra
-
-    def record_duplicate(self, batch: MessageBatch, model: NetworkCostModel) -> int:
-        """Account an extra (duplicate) transmission of a delivered batch."""
-        extra = model.batch_cost(len(batch))
-        self.duplicated += 1
-        self.fault_charge += extra
-        return extra
-
-    def record_reorder(self, count: int = 1) -> None:
-        """Count batches the fault plan delivered out of order (recovery —
-        the receiver's sequence-number reorder buffer — is charge-free)."""
-        self.reordered += count
-
-    def snapshot(self) -> dict[str, int]:
-        """JSON-stable counters for the benchmark payload."""
-        return {
-            "messages": self.messages,
-            "message_items": self.items,
-            "network_charge": self.charge,
-        }
-
-    def fault_snapshot(self) -> dict[str, int]:
-        """JSON-stable fault-plane counters for the chaos payload."""
-        return {
-            "messages_lost": self.lost,
-            "messages_duplicated": self.duplicated,
-            "messages_reordered": self.reordered,
-            "retransmit_charge": self.fault_charge,
-        }

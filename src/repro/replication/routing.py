@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.concurrency.scheduler import StalenessClock
-from repro.concurrency.sessions import SessionManager
 from repro.exceptions import BenchmarkError
 from repro.model.graph import GraphDatabase
 from repro.partition.executor import BuildReport, ShardRuntime, build_distributed
@@ -342,10 +341,11 @@ def build_readscale(
     if invalidation_charge is not None:
         cache_kwargs["invalidation_charge_per_entry"] = invalidation_charge
     for runtime in executor.shards:
-        manager = SessionManager(runtime.engine)
         cluster = ReplicatedCluster(
             name=f"shard{runtime.index}",
-            manager=manager,
+            # The engine's own singleton: a second manager would be a second
+            # version store, invisible to sessions opened on the engine.
+            manager=runtime.engine.transactions(),
             clock=clock,
             replicas=replicas,
             apply_interval=apply_interval,

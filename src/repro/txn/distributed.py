@@ -32,6 +32,12 @@ commit phase — so a transaction touching more shards has a longer
 snapshot-to-publish window, which is exactly why the benchmark's abort
 rate climbs with the partitioner's cut ratio.
 
+Every abort of either commit path — read-only validation, one-phase
+failure, crash before vote, vote NO — leaves through one exit,
+:meth:`DistributedSessionManager._unwind`; and what a writer journals at
+PREPARE and how recovery replays it is one table, ``_OPS`` (whose keys are
+:data:`LOGGED_OPS`).
+
 Recovery
 --------
 
@@ -42,8 +48,11 @@ deterministic: it reads the verified durable prefix of the decision log
 sessions of undecided transactions, and re-applies the journaled
 operations of committed transactions whose participant crashed after
 voting — dereferencing value-log pointers with charged reads, translating
-external ids through the shard's id map, and replaying through a fresh
-session so every version-store invariant is rebuilt rather than patched.
+external ids through the shard's id map, and replaying each record with
+its op-table callable through a fresh session so every version-store
+invariant is rebuilt rather than patched.  A crashed participant refuses
+new sessions (:class:`~repro.exceptions.ParticipantUnavailableError`)
+until recovery has restarted it.
 Running recovery twice is a no-op: resolutions are journaled as they are
 made.
 """
@@ -51,16 +60,18 @@ made.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from repro.concurrency.scheduler import BarrierClock
 from repro.concurrency.sessions import Session
 from repro.exceptions import (
     BenchmarkError,
     ParticipantUnavailableError,
+    SerializationFailureError,
     SessionStateError,
     TransactionError,
     TransactionInDoubtError,
+    WriteConflictError,
 )
 from repro.faults.txn_faults import (
     COORDINATOR_CRASH,
@@ -77,13 +88,85 @@ from repro.storage.wal import DurabilityMode, ValueLog, WriteAheadLog
 #: The coordinator's pseudo shard index in message accounting.
 COORDINATOR = -1
 
+class _LoggedOp(NamedTuple):
+    """How one write operation is journaled at PREPARE and replayed at recovery."""
+
+    #: Payload field names for the recorded op's arguments (after ``txn``).
+    fields: tuple[str, ...]
+    #: ``replay(graph, runtime, owner, payload)`` re-applies a resolved record.
+    replay: Callable[[Any, ShardRuntime, dict[Any, int], dict[str, Any]], None]
+
+
+_EDGE_FIELDS = ("source", "target", "label", "properties")
+
+#: The single definition of what a shard transaction WAL journals and how
+#: recovery re-applies it.  The distributed write surface is deliberately
+#: small — property updates and edge inserts, mirroring the paper's CUD
+#: microbenchmarks.  ``add_cut_edge`` is a cross-shard insert: both endpoint
+#: owners journal it, and applying it updates the shard's cut routing table
+#: rather than its engine.
+_OPS = {
+    "set_vertex_property": _LoggedOp(
+        ("vertex", "key", "value"),
+        lambda graph, runtime, _owner, payload: graph.set_vertex_property(
+            runtime.id_map[payload["vertex"]], payload["key"], payload["value"]
+        ),
+    ),
+    "remove_vertex_property": _LoggedOp(
+        ("vertex", "key"),
+        lambda graph, runtime, _owner, payload: graph.remove_vertex_property(
+            runtime.id_map[payload["vertex"]], payload["key"]
+        ),
+    ),
+    "add_edge": _LoggedOp(
+        _EDGE_FIELDS,
+        lambda graph, runtime, _owner, payload: graph.add_edge(
+            runtime.id_map[payload["source"]],
+            runtime.id_map[payload["target"]],
+            payload["label"],
+            properties=dict(payload["properties"]),
+        ),
+    ),
+    "add_cut_edge": _LoggedOp(
+        _EDGE_FIELDS,
+        lambda _graph, runtime, owner, payload: _install_cut_edge(
+            runtime, owner, payload["source"], payload["target"]
+        ),
+    ),
+}
+
 #: Operation kinds a shard transaction WAL can journal (and recovery can
-#: re-apply).  The distributed write surface is deliberately small —
-#: property updates and edge inserts, mirroring the paper's CUD
-#: microbenchmarks.  ``add_cut_edge`` is a cross-shard insert: both
-#: endpoint owners journal it, and applying it updates the shard's cut
-#: routing table rather than its engine.
-LOGGED_OPS = ("set_vertex_property", "remove_vertex_property", "add_edge", "add_cut_edge")
+#: re-apply).
+LOGGED_OPS = tuple(_OPS)
+
+
+def _install_cut_edge(
+    runtime: ShardRuntime, owner: dict[Any, int], source: Any, target: Any
+) -> None:
+    """Install ``runtime``'s halves of one cut-edge insert.
+
+    The cut table is coordinator-RAM routing state (uncharged, exactly like
+    the one built at partition time); each owner installs only the half it
+    routes for, and the install is idempotent so recovery can re-run it
+    after a crash-restart (or after a survivor's phase-2 install).
+    """
+    for local, remote in ((source, target), (target, source)):
+        if owner[local] != runtime.index:
+            continue
+        entry = (remote, owner[remote])
+        routes = runtime.remote.setdefault(local, [])
+        if entry not in routes:
+            routes.append(entry)
+
+
+def _message(phase: int, source: int, target: int, *items: Any) -> MessageBatch:
+    """One protocol message; only its item count is ever charged."""
+    return MessageBatch(
+        superstep=phase,
+        source_shard=source,
+        target_shard=target,
+        items=[(item, 0) for item in items],
+    )
 
 
 class TxnShard:
@@ -166,15 +249,6 @@ class TxnStats:
     network: NetworkStats = field(default_factory=NetworkStats)
 
     @property
-    def aborts(self) -> int:
-        return (
-            self.conflict_aborts
-            + self.ssi_aborts
-            + self.participant_aborts
-            + self.explicit_aborts
-        )
-
-    @property
     def abort_rate(self) -> float:
         attempts = self.committed + self.conflict_aborts + self.ssi_aborts
         failures = self.conflict_aborts + self.ssi_aborts
@@ -236,6 +310,8 @@ class DistributedSession:
             raise SessionStateError(f"transaction {self.id} is already {self.state}")
         session = self._sessions.get(shard.index)
         if session is None:
+            if shard.crashed:
+                raise ParticipantUnavailableError(self.id, shard.index, "begin")
             session = shard.manager.begin(isolation=self.manager.isolation)
             self._sessions[shard.index] = session
         return session
@@ -437,10 +513,7 @@ class DistributedSessionManager:
             for index in writers:
                 txn._sessions[index].commit()
         except TransactionError as exc:
-            self._abort_open_sessions(txn)
-            txn.state = "aborted"
-            self._count_abort(exc)
-            raise
+            raise self._unwind(txn, exc)
         txn.state = "committed"
         self.stats.committed += 1
         self.stats.one_phase += 1
@@ -466,10 +539,7 @@ class DistributedSessionManager:
                 if index not in writers:
                     txn._sessions[index].prepare()
         except TransactionError as exc:
-            self._abort_open_sessions(txn)
-            txn.state = "aborted"
-            self._count_abort(exc)
-            raise
+            raise self._unwind(txn, exc)
 
         # ---- Phase 1: PREPARE -------------------------------------------
         prepared: list[int] = []
@@ -488,27 +558,18 @@ class DistributedSessionManager:
                 probe = self.network.retransmit_cost(0)
                 net.charge += probe
                 net.per_step_charge.append(probe)
-                step_costs.append(probe)
-                clock.advance(step_costs)
-                self._decide(txn, "aborted")
-                self._abort_prepared(txn, prepared, net)
-                self._abort_open_sessions(txn)
-                txn.state = "aborted"
-                self.stats.participant_aborts += 1
-                raise ParticipantUnavailableError(txn.id, index, "prepare")
+                raise self._unwind(
+                    txn, ParticipantUnavailableError(txn.id, index, "prepare"), prepared
+                )
 
             # PREPARE message: the operation batch travels to the shard.
-            send = MessageBatch(
-                superstep=1,
-                source_shard=COORDINATOR,
-                target_shard=index,
-                items=[(op[0], position) for position, op in enumerate(ops)],
-            )
+            send = _message(1, COORDINATOR, index, *(op[0] for op in ops))
             # The shard journals every operation (values separated into its
             # value log) plus the prepare marker, all SYNC-charged.
             journal_before = shard.journal_charge()
-            for op in ops:
-                shard.journal.append(op[0], self._journal_payload(txn.id, op))
+            for name, *arguments in ops:
+                payload = {"txn": txn.id, **dict(zip(_OPS[name].fields, arguments))}
+                shard.journal.append(name, payload)
             shard.journal.append("prepare", {"txn": txn.id, "ops": len(ops)})
             journal_charge = shard.journal_charge() - journal_before
 
@@ -519,34 +580,10 @@ class DistributedSessionManager:
                 # roll back, and the abort reason propagates untranslated
                 # (WriteConflictError vs SerializationFailureError stay
                 # distinct all the way up).
-                vote = MessageBatch(
-                    superstep=1,
-                    source_shard=index,
-                    target_shard=COORDINATOR,
-                    items=[("vote-no", 0)],
-                )
-                batches.extend([send, vote])
-                step_costs.append(
-                    self.network.batch_cost(len(send))
-                    + journal_charge
-                    + self.network.batch_cost(1)
-                )
+                batches.extend([send, _message(1, index, COORDINATOR, "vote-no")])
                 net.record_step(batches, self.network)
-                clock.advance(step_costs)
-                self._decide(txn, "aborted")
-                self._abort_prepared(txn, prepared, net)
-                self._abort_open_sessions(txn)
-                txn.state = "aborted"
-                self._count_abort(exc)
-                raise
-
-            vote = MessageBatch(
-                superstep=1,
-                source_shard=index,
-                target_shard=COORDINATOR,
-                items=[("vote-yes", 0)],
-            )
-            batches.extend([send, vote])
+                raise self._unwind(txn, exc, prepared)
+            batches.extend([send, _message(1, index, COORDINATOR, "vote-yes")])
             step_costs.append(
                 self.network.batch_cost(len(send))
                 + journal_charge
@@ -575,7 +612,7 @@ class DistributedSessionManager:
             raise TransactionInDoubtError(txn.id, "after votes, before decision record")
 
         decision_before = self.decision_log.metrics.logical_io
-        self._decide(txn, "committed")
+        self._decide(txn.id, "committed")
         decision_charge = self.decision_log.metrics.logical_io - decision_before
 
         if plan.fires(TORN_DECISION, txn_index):
@@ -590,15 +627,9 @@ class DistributedSessionManager:
         # ---- Phase 2: COMMIT ---------------------------------------------
         step_costs = []
         batches = []
-        committed_shards: list[int] = []
         for index in prepared:
             shard = self.txn_shards[index]
-            decide = MessageBatch(
-                superstep=2,
-                source_shard=COORDINATOR,
-                target_shard=index,
-                items=[("commit", 0)],
-            )
+            decide = _message(2, COORDINATOR, index, "commit")
             if index in after_vote_crashes:
                 # Delivery will succeed only after the shard restarts; the
                 # send is still charged (the coordinator cannot know) and
@@ -611,17 +642,10 @@ class DistributedSessionManager:
             txn._sessions[index].commit_prepared()
             self._install_cut_edges(shard, txn._ops[index])
             apply_charge = shard.engine.io_cost() - engine_before
-            ack = MessageBatch(
-                superstep=2,
-                source_shard=index,
-                target_shard=COORDINATOR,
-                items=[("ack", 0)],
-            )
-            batches.extend([decide, ack])
+            batches.extend([decide, _message(2, index, COORDINATOR, "ack")])
             step_costs.append(
                 self.network.batch_cost(1) + apply_charge + self.network.batch_cost(1)
             )
-            committed_shards.append(index)
 
         net.record_step(batches, self.network)
         clock.advance(step_costs)
@@ -651,82 +675,53 @@ class DistributedSessionManager:
 
     # -- commit internals --------------------------------------------------
 
-    @staticmethod
-    def _journal_payload(txn_id: int, op: tuple[Any, ...]) -> dict[str, Any]:
-        name = op[0]
-        if name == "set_vertex_property":
-            return {"txn": txn_id, "vertex": op[1], "key": op[2], "value": op[3]}
-        if name == "remove_vertex_property":
-            return {"txn": txn_id, "vertex": op[1], "key": op[2]}
-        if name in ("add_edge", "add_cut_edge"):
-            return {
-                "txn": txn_id,
-                "source": op[1],
-                "target": op[2],
-                "label": op[3],
-                "properties": op[4],
-            }
-        raise TransactionError(f"unknown distributed operation {name!r}")
-
     def _install_cut_edges(self, shard: TxnShard, ops: list[tuple[Any, ...]]) -> None:
-        """Install ``shard``'s halves of a transaction's cut-edge inserts.
-
-        The cut table is coordinator-RAM routing state (uncharged, exactly
-        like the one built at partition time); each owner installs only
-        the half it routes for, and the install is idempotent so recovery
-        can re-run it after a crash-restart.
-        """
-        runtime = shard.runtime
+        """Install ``shard``'s halves of a transaction's cut-edge inserts."""
         for op in ops:
-            if op[0] != "add_cut_edge":
-                continue
-            _name, source, target, _label, _properties = op
-            for local, remote in ((source, target), (target, source)):
-                if self.owner[local] != shard.index:
-                    continue
-                entry = (remote, self.owner[remote])
-                routes = runtime.remote.setdefault(local, [])
-                if entry not in routes:
-                    routes.append(entry)
+            if op[0] == "add_cut_edge":
+                _install_cut_edge(shard.runtime, self.owner, op[1], op[2])
 
-    def _decide(self, txn: DistributedSession, outcome: str) -> None:
+    def _decide(self, txn_id: int, outcome: str) -> None:
         """Journal the coordinator's decision (SYNC, charged)."""
-        self.decision_log.append("decision", {"txn": txn.id, "outcome": outcome})
+        self.decision_log.append("decision", {"txn": txn_id, "outcome": outcome})
 
-    def _abort_prepared(
-        self, txn: DistributedSession, prepared: list[int], net: NetworkStats
-    ) -> None:
-        """Send ABORT to every already-prepared participant (charged)."""
-        batches = []
-        for index in prepared:
-            batches.append(
-                MessageBatch(
-                    superstep=1,
-                    source_shard=COORDINATOR,
-                    target_shard=index,
-                    items=[("abort", 0)],
+    def _unwind(
+        self,
+        txn: DistributedSession,
+        exc: TransactionError,
+        prepared: list[int] | None = None,
+    ) -> TransactionError:
+        """The one abort exit of both commit paths; returns ``exc`` to raise.
+
+        ``prepared`` is ``None`` before the 2PC protocol is entered
+        (read-only validation, the one-phase path): nothing was journaled
+        or sent, so only the sessions roll back.  Once PREPARE has begun it
+        lists the participants that already voted yes: the ABORT decision
+        is journaled, each of them is sent ABORT (charged) and journals it.
+        """
+        if prepared is not None:
+            self._decide(txn.id, "aborted")
+            for index in prepared:
+                self.txn_shards[index].journal.append("abort", {"txn": txn.id})
+            if prepared:
+                self.stats.network.record_step(
+                    [_message(1, COORDINATOR, index, "abort") for index in prepared],
+                    self.network,
                 )
-            )
-            shard = self.txn_shards[index]
-            shard.journal.append("abort", {"txn": txn.id})
-        if batches:
-            net.record_step(batches, self.network)
-
-    def _abort_open_sessions(self, txn: DistributedSession) -> None:
         for index in sorted(txn._sessions):
             session = txn._sessions[index]
             if session.is_open:
                 session.abort()
-
-    def _count_abort(self, exc: TransactionError) -> None:
-        from repro.exceptions import SerializationFailureError, WriteConflictError
-
+        txn.state = "aborted"
         if isinstance(exc, SerializationFailureError):
             self.stats.ssi_aborts += 1
         elif isinstance(exc, WriteConflictError):
             self.stats.conflict_aborts += 1
+        elif isinstance(exc, ParticipantUnavailableError):
+            self.stats.participant_aborts += 1
         else:
             self.stats.explicit_aborts += 1
+        return exc
 
     def _orphan(self, txn: DistributedSession, prepared: list[int]) -> None:
         """Park a transaction whose coordinator crashed mid-protocol."""
@@ -772,7 +767,7 @@ class DistributedSessionManager:
                     session.abort()
                     self.txn_shards[index].journal.append("abort", {"txn": txn_id})
             if outcome == "aborted" and txn_id not in decisions:
-                self._decide_recovered(txn_id)
+                self._decide(txn_id, "aborted")
             resolutions[txn_id] = outcome
             if outcome == "committed":
                 self.stats.recovered_commits += 1
@@ -801,9 +796,6 @@ class DistributedSessionManager:
             shard.crashed = False
         return resolutions
 
-    def _decide_recovered(self, txn_id: int) -> None:
-        self.decision_log.append("decision", {"txn": txn_id, "outcome": "aborted"})
-
     def _reapply(self, shard: TxnShard, txn_id: int) -> None:
         """Re-apply one committed transaction's journaled ops on ``shard``.
 
@@ -814,48 +806,14 @@ class DistributedSessionManager:
         have built it, instead of being patched behind the MVCC layer's
         back.
         """
-        ops: list[tuple[str, dict[str, Any]]] = []
-        for record in shard.journal.replay():
-            if record.payload.get("txn") != txn_id:
-                continue
-            if record.operation in LOGGED_OPS:
-                # Charged value-log dereference; raises StorageError on a
-                # torn value write instead of resurrecting half a blob.
-                ops.append(
-                    (record.operation, shard.journal.resolve_payload(record.payload))
-                )
+        # Charged value-log dereferences first; a torn value write raises
+        # StorageError here instead of resurrecting half a blob.
+        ops = [
+            (record.operation, shard.journal.resolve_payload(record.payload))
+            for record in shard.journal.replay()
+            if record.payload.get("txn") == txn_id and record.operation in _OPS
+        ]
         session = shard.manager.begin()
-        id_map = shard.runtime.id_map
-        graph = session.graph
         for name, payload in ops:
-            if name == "set_vertex_property":
-                graph.set_vertex_property(
-                    id_map[payload["vertex"]], payload["key"], payload["value"]
-                )
-            elif name == "remove_vertex_property":
-                graph.remove_vertex_property(id_map[payload["vertex"]], payload["key"])
-            elif name == "add_edge":
-                graph.add_edge(
-                    id_map[payload["source"]],
-                    id_map[payload["target"]],
-                    payload["label"],
-                    properties=dict(payload["properties"]),
-                )
-            elif name == "add_cut_edge":
-                # Routing state, not engine state: install this shard's
-                # half of the cut edge (idempotent, so a re-run of
-                # recovery or a survivor's phase-2 install cannot double
-                # it).
-                self._install_cut_edges(
-                    shard,
-                    [
-                        (
-                            "add_cut_edge",
-                            payload["source"],
-                            payload["target"],
-                            payload["label"],
-                            payload["properties"],
-                        )
-                    ],
-                )
+            _OPS[name].replay(session.graph, shard.runtime, self.owner, payload)
         session.commit()

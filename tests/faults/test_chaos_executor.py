@@ -18,9 +18,13 @@ from repro.faults.plan import (
     FaultEvent,
     FaultPlan,
 )
-from repro.partition import build_distributed, partition_dataset
+from repro.faults.chaos import DEFAULT_CHECKPOINT_INTERVAL
+from repro.partition import DistributedExecutor, build_distributed, partition_dataset
+from repro.partition.executor import DistributedResult
 
 ENGINE = "nativelinked-1.9"
+#: A source whose BFS over the 2-shard tiny graph takes four supersteps.
+FAR_SOURCE = "n3"
 
 
 def _chaos(dataset, shards, fault_plan=None, **kwargs):
@@ -74,12 +78,37 @@ class TestFaultFreeParity:
         assert chaos.distances[target] == plain.distances[target]
         assert chaos.compute_charge == plain.compute_charge
 
-    def test_build_charge_covers_every_initial_snapshot(self, small_dataset):
+    def test_an_empty_plan_is_not_the_fault_free_run(self, small_dataset):
+        """``faults=None`` and a plane with no faults agree on the answer and
+        the base charges; the plane still journals every attempt, on the
+        barrier clock (what ``BENCH_chaos.json``'s rate-0 cells measure)."""
+        chaos = _chaos(small_dataset, 2, FaultPlan())
+        bare = DistributedExecutor(chaos.shards, chaos.owner, chaos.network, faults=None)
+        plain = bare.bfs(FAR_SOURCE, 8)
+        planed = chaos.bfs(FAR_SOURCE, 8)
+        assert type(plain) is DistributedResult
+        base = ("distances", "compute_charge", "network_charge", "supersteps", "messages")
+        for field in base:
+            assert getattr(planed, field) == getattr(plain, field), field
+        assert planed.journal_charge > 0
+        assert planed.makespan_charge > plain.makespan_charge
+
+    def test_source_equal_to_target_returns_without_journaling(self, small_dataset):
         executor = _chaos(small_dataset, 2)
-        assert executor.build_charge == sum(
-            journal.build_charge for journal in executor.journals.values()
+        result = executor.shortest_path(FAR_SOURCE, FAR_SOURCE)
+        assert result.distances == {FAR_SOURCE: 0}
+        assert result.supersteps == 0
+        assert result.grand_total_charge == 0
+        journals = executor.faults.journals.values()
+        assert all(len(journal.wal) == 0 for journal in journals)
+        assert executor.faults.queries_run == 1
+
+    def test_build_charge_covers_every_initial_snapshot(self, small_dataset):
+        plane = _chaos(small_dataset, 2).faults
+        assert plane.build_charge == sum(
+            journal.build_charge for journal in plane.journals.values()
         )
-        assert executor.build_charge > 0
+        assert plane.build_charge > 0
 
 
 class TestCrashRecovery:
@@ -124,6 +153,53 @@ class TestCrashRecovery:
         assert result.stalls >= 1
         assert result.wasted_compute_charge >= 500
         assert result.crashes == 0
+
+
+    def test_stalls_alone_exhaust_the_retry_budget(self, small_dataset):
+        source = small_dataset.vertices[0]["id"]
+        home = _chaos(small_dataset, 2).owner[source]
+        fault_plan = FaultPlan.explicit(FaultEvent(STALL, query=0, shard=home))
+        baseline = _chaos(small_dataset, 2).bfs(source, 3)
+        result = _chaos(
+            small_dataset, 2, fault_plan, max_restarts=2, superstep_timeout=100
+        ).bfs(source, 3)
+        assert result.label == STALE
+        assert result.abandoned == 1
+        assert (result.stalls, result.crashes, result.restarts) == (3, 0, 0)
+        assert result.wasted_compute_charge == 3 * 100
+        assert result.distances == baseline.distances
+
+
+class TestPeriodicCheckpoint:
+    def test_a_long_query_checkpoints_every_live_shard(self, small_dataset):
+        executor = _chaos(small_dataset, 2)
+        result = executor.bfs(FAR_SOURCE, 8)
+        assert result.supersteps >= DEFAULT_CHECKPOINT_INTERVAL
+        journals = executor.faults.journals.values()
+        # The initial (build) checkpoint plus the periodic one.
+        assert [journal.checkpoints for journal in journals] == [2, 2]
+        assert result.checkpoint_charge == sum(j.build_charge for j in journals)
+        assert result.overhead_charge == result.journal_charge + result.checkpoint_charge
+
+    def test_an_abandoned_shard_is_not_checkpointed(self, small_dataset):
+        home = _chaos(small_dataset, 2).owner[FAR_SOURCE]
+        fault_plan = FaultPlan.explicit(FaultEvent(CRASH, query=0, shard=home))
+        executor = _chaos(small_dataset, 2, fault_plan)
+        result = executor.bfs(FAR_SOURCE, 8)
+        assert result.abandoned == 1
+        assert result.supersteps >= DEFAULT_CHECKPOINT_INTERVAL
+        journals = executor.faults.journals
+        assert journals[home].checkpoints == 1
+        assert journals[1 - home].checkpoints == 2
+        assert result.checkpoint_charge == journals[1 - home].build_charge
+
+    def test_the_next_checkpoint_recreates_a_dropped_snapshot(self, small_dataset):
+        executor = _chaos(small_dataset, 2)
+        journal = executor.faults.journals[0]
+        journal.drop_snapshot()
+        executor.bfs(FAR_SOURCE, 8)
+        assert journal.snapshot is not None
+        assert journal.snapshot.version > 0
 
 
 class TestDegradedService:
@@ -204,7 +280,7 @@ class TestAdaptivePolicy:
         executor = _chaos(small_dataset, 2, retry_policy="adaptive")
         executor.bfs(source, 3)
         assert any(
-            estimator.observations > 0 for estimator in executor.estimators.values()
+            estimator.observations > 0 for estimator in executor.faults.estimators.values()
         )
 
     def test_adaptive_timeout_tracks_observed_charge(self, small_dataset):
@@ -213,7 +289,7 @@ class TestAdaptivePolicy:
         executor.bfs(source, 3)
         learned = [
             estimator
-            for estimator in executor.estimators.values()
+            for estimator in executor.faults.estimators.values()
             if estimator.observations > 0
         ]
         assert learned
@@ -222,9 +298,22 @@ class TestAdaptivePolicy:
                 1, estimator.ewma * estimator.straggler_factor
             )
 
+    def test_a_stall_waits_out_the_learned_timeout(self, small_dataset):
+        source = small_dataset.vertices[0]["id"]
+        fault_plan = FaultPlan.explicit(
+            FaultEvent(STALL, query=1, superstep=1, attempt=1)
+        )
+        executor = _chaos(small_dataset, 2, fault_plan, retry_policy="adaptive")
+        executor.bfs(source, 3)  # query 0: fault-free, the estimators learn
+        learned = executor.faults.estimators[executor.owner[source]].timeout(2048)
+        assert learned < 2048
+        result = executor.bfs(source, 3)
+        assert result.stalls == 1
+        assert result.wasted_compute_charge == learned
+
     def test_fixed_policy_keeps_no_estimators(self, small_dataset):
         executor = _chaos(small_dataset, 2, retry_policy="fixed")
-        assert executor.estimators == {}
+        assert executor.faults.estimators == {}
 
 
 class TestValidation:

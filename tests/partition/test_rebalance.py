@@ -6,10 +6,8 @@ import pytest
 
 from repro.datasets import get_dataset
 from repro.datasets.base import Dataset
-from repro.engines import create_engine
 from repro.exceptions import BenchmarkError
-from repro.faults import build_chaos
-from repro.partition import build_distributed, partition_dataset
+from repro.partition import partition_dataset
 from repro.partition.partitioners import DEFAULT_DRIFT_THRESHOLD
 
 
@@ -118,68 +116,3 @@ class TestRebalance:
         switched = plan.rebalance(churned, partitioner="greedy")
         assert switched.strategy == "greedy"
         assert switched.drift(churned) == 0.0
-
-
-@pytest.mark.parametrize("build", [build_distributed, build_chaos])
-class TestExecutorHook:
-    """The executor-level hook CUD batches call after they land.
-
-    Both builders: the chaos executor inherits the hook, so it must keep
-    the partition plan the hook drifts against.
-    """
-
-    def _executor(self, build, sharded):
-        source, loaded, plan = sharded("nativelinked-1.9", 2, "hash")
-        executor, _build = build(
-            source, loaded.vertex_map, plan, lambda: create_engine("nativelinked-1.9")
-        )
-        source.close()
-        return executor
-
-    def test_below_threshold_patches_routing_in_place(self, build, sharded, small_dataset):
-        executor = self._executor(build, sharded)
-        owner = executor.owner  # the identity the txn manager shares
-        churned = _churn(small_dataset, add=0, remove=1)  # drift 1/7
-        decision = executor.maybe_rebalance(churned, drift_threshold=0.5)
-
-        assert not decision.repartitioned
-        assert decision.applied
-        assert decision.drift == pytest.approx(1 / 7, abs=1e-4)
-        # Applied in place: the same dict object now routes the patched plan.
-        assert executor.owner is owner
-        assert owner == decision.plan.assignment
-        assert executor.plan is decision.plan
-        assert decision.plan.drift(churned) == 0.0
-
-    def test_drift_past_default_threshold_triggers_repartition(
-        self, build, sharded, small_dataset
-    ):
-        executor = self._executor(build, sharded)
-        before = dict(executor.owner)
-        churned = _churn(small_dataset, add=4, remove=0)
-        assert executor.plan.drift(churned) >= DEFAULT_DRIFT_THRESHOLD
-        decision = executor.maybe_rebalance(churned)
-
-        assert decision.repartitioned
-        assert not decision.applied
-        assert decision.drift >= DEFAULT_DRIFT_THRESHOLD
-        # A full re-partition needs a shard rebuild, so the live routing
-        # state must NOT have been mutated out from under resident data.
-        assert executor.owner == before
-        # The returned plan is the fresh one the caller rebuilds from.
-        fresh = partition_dataset(churned, 2, "hash")
-        assert decision.plan.assignment == fresh.assignment
-
-    def test_no_drift_is_a_cheap_noop_patch(self, build, sharded, small_dataset):
-        executor = self._executor(build, sharded)
-        before = dict(executor.owner)
-        decision = executor.maybe_rebalance(small_dataset)
-        assert decision.drift == 0.0
-        assert not decision.repartitioned
-        assert decision.applied
-        assert executor.owner == before
-
-    def test_bad_threshold_rejected(self, build, sharded, small_dataset):
-        executor = self._executor(build, sharded)
-        with pytest.raises(BenchmarkError, match=r"\[0, 1\]"):
-            executor.maybe_rebalance(small_dataset, drift_threshold=2.0)

@@ -54,6 +54,11 @@ class TxnHarness:
             grouped.setdefault(self.manager.owner[external], []).append(external)
         return grouped
 
+    def one_per_shard(self) -> list:
+        """The first external id of every shard, in shard order."""
+        grouped = self.vertices_by_shard()
+        return [grouped[index][0] for index in sorted(grouped)]
+
     def two_shard_pair(self) -> tuple:
         """One external id from each of the two busiest shards."""
         grouped = sorted(

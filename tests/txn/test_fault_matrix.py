@@ -22,6 +22,7 @@ from repro.faults.txn_faults import (
     TxnFaultEvent,
     TxnFaultPlan,
 )
+from repro.txn.distributed import LOGGED_OPS
 
 
 def _start_skewed_write(harness):
@@ -142,6 +143,93 @@ class TestParticipantCrashAfterVote:
         assert harness.read_committed(b, "balance") == 222
         assert harness.manager.stats.recovered_commits >= 1
         assert harness.manager.recover() == {}
+
+
+    def test_crashed_participant_refuses_new_sessions_until_recovery(self, make_harness):
+        plan = TxnFaultPlan.explicit(
+            TxnFaultEvent(PARTICIPANT_CRASH_AFTER_VOTE, txn=0)
+        )
+        harness = make_harness(fault_plan=plan)
+        txn, a, b = _start_skewed_write(harness)
+        crashed = txn.commit().in_doubt_shards
+        victim = next(v for v in (a, b) if harness.manager.owner[v] in crashed)
+
+        later = harness.manager.begin()
+        with pytest.raises(ParticipantUnavailableError, match="during begin"):
+            later.vertex_property(victim, "balance")
+        later.abort()
+
+        harness.manager.recover()
+        with harness.manager.begin() as after:
+            assert after.vertex_property(victim, "balance") in (111, 222)
+
+
+def _replay_set(harness, txn, a, b):
+    txn.set_vertex_property(a, "balance", 7)
+    return lambda: harness.read_committed(a, "balance") == 7
+
+
+def _replay_remove(harness, txn, a, b):
+    with harness.manager.begin() as setup:  # one-phase: not a 2PC coordinate
+        setup.set_vertex_property(a, "doomed", 1)
+    txn.remove_vertex_property(a, "doomed")
+    return lambda: harness.read_committed(a, "doomed") is None
+
+
+def _replay_edge(harness, txn, a, b):
+    shard = harness.manager.txn_shards[harness.manager.owner[a]]
+    peer = next(v for v in harness.vertices_by_shard()[shard.index] if v != a)
+    txn.add_edge(a, peer, "replayed")
+    degree = shard.engine.degree(shard.runtime.id_map[a])
+    return lambda: shard.engine.degree(shard.runtime.id_map[a]) == degree + 1
+
+
+def _replay_cut_edge(harness, txn, a, b):
+    shard = harness.manager.txn_shards[harness.manager.owner[a]]
+    far = harness.manager.owner[b]
+    routed = shard.runtime.remote.get(a, ())
+    fresh = next(v for v in harness.vertices_by_shard()[far] if (v, far) not in routed)
+    txn.add_edge(a, fresh, "replayed")
+    return lambda: (fresh, far) in shard.runtime.remote.get(a, ())
+
+
+#: One scenario per journaled op: buffer it on ``a``'s shard (the one that
+#: will crash) and return the check that its effect is committed there.
+REPLAY_SCENARIOS = {
+    "set_vertex_property": _replay_set,
+    "remove_vertex_property": _replay_remove,
+    "add_edge": _replay_edge,
+    "add_cut_edge": _replay_cut_edge,
+}
+
+
+class TestReplayEveryLoggedOp:
+    def test_every_logged_op_has_a_scenario(self):
+        assert tuple(REPLAY_SCENARIOS) == LOGGED_OPS
+
+    @pytest.mark.parametrize("name", LOGGED_OPS)
+    def test_crash_after_vote_replays_the_op_from_the_journal(self, make_harness, name):
+        harness = make_harness()
+        a, b = harness.two_shard_pair()
+        victim = harness.manager.owner[a]
+        harness.manager.fault_plan = TxnFaultPlan.explicit(
+            TxnFaultEvent(PARTICIPANT_CRASH_AFTER_VOTE, txn=0, shard=victim)
+        )
+        txn = harness.manager.begin()
+        applied = REPLAY_SCENARIOS[name](harness, txn, a, b)
+        txn.set_vertex_property(b, "marker", 1)  # the surviving second writer
+        result = txn.commit()
+
+        assert result.in_doubt_shards == (victim,)
+        assert not applied()
+        journaled = [
+            record.operation
+            for record in harness.manager.txn_shards[victim].journal.replay()
+        ]
+        assert journaled[0] == name
+        assert harness.manager.recover() == {txn.id: "committed"}
+        assert applied()
+        assert harness.read_committed(b, "marker") == 1
 
 
 class TestDeterminism:

@@ -93,6 +93,52 @@ class TestCommitModes:
         assert harness.manager.stats.committed == 1
 
 
+class TestReadOnlyParticipant:
+    """Two writers plus a third shard the transaction only read from."""
+
+    def _footprint(self, harness):
+        return (
+            sum(shard.journal_charge() for shard in harness.manager.txn_shards),
+            len(harness.manager.decision_log),
+            harness.manager.stats.network.messages,
+        )
+
+    def _read_one_write_two(self, harness):
+        a, b, c = harness.one_per_shard()
+        txn = harness.manager.begin()
+        assert txn.vertex_property(c, "rank") is not None
+        txn.set_vertex_property(a, "x", 1)
+        txn.set_vertex_property(b, "x", 1)
+        return txn, c
+
+    def test_reader_drops_out_of_the_protocol_for_free(self, make_harness):
+        harness = make_harness(shards=3)
+        txn, c = self._read_one_write_two(harness)
+        result = txn.commit()
+
+        reader = harness.manager.owner[c]
+        assert result.mode == "2pc"
+        assert reader not in result.writers
+        # Two writers x (PREPARE, vote, COMMIT, ack); nothing for the reader.
+        assert result.messages == 8
+        assert len(harness.manager.txn_shards[reader].journal) == 0
+        assert not txn._sessions[reader].is_open
+
+    def test_stale_read_under_ssi_aborts_before_anything_is_journaled(self, make_harness):
+        harness = make_harness(shards=3, isolation="ssi")
+        txn, c = self._read_one_write_two(harness)
+        with harness.manager.begin() as other:
+            other.set_vertex_property(c, "rank", 99)  # one-phase: no footprint
+        before = self._footprint(harness)
+        with pytest.raises(SerializationFailureError):
+            txn.commit()
+
+        assert txn.state == "aborted"
+        assert harness.manager.stats.ssi_aborts == 1
+        assert self._footprint(harness) == before == (0, 0, 0)
+        assert not any(session.is_open for session in txn._sessions.values())
+
+
 class TestJournalSeparation:
     def test_oversized_values_split_into_the_shard_value_log(self, harness):
         a, b = harness.two_shard_pair()
