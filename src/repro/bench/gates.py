@@ -15,7 +15,8 @@ instead (:func:`check_traversal_regressions`).
 
 from __future__ import annotations
 
-from repro.concurrency.report import comparable_payload
+import json
+from typing import Any, Iterator
 
 #: Queries gated by default: the BFS and shortest-path workloads the bulked
 #: machine exists for.
@@ -67,18 +68,56 @@ def check_traversal_regressions(
     return failures
 
 
+#: How many differing JSON paths an identity failure names.
+MAX_DIFF_PATHS = 10
+
+
+def comparable_payload(report: dict[str, Any]) -> str:
+    """The report serialised without wall-clock fields (determinism checks)."""
+    stripped = {key: value for key, value in report.items() if key != "wall_seconds"}
+    return json.dumps(stripped, indent=2, sort_keys=True)
+
+
+def _payload_diff(baseline: Any, current: Any, path: str = "") -> Iterator[str]:
+    """``/json/path[i]: old → new`` for every leaf two JSON values differ in."""
+    if isinstance(baseline, dict) and isinstance(current, dict):
+        for key in sorted(baseline.keys() | current.keys()):
+            if key not in current:
+                yield f"{path}/{key}: {json.dumps(baseline[key])} → (absent)"
+            elif key not in baseline:
+                yield f"{path}/{key}: (absent) → {json.dumps(current[key])}"
+            else:
+                yield from _payload_diff(baseline[key], current[key], f"{path}/{key}")
+    elif isinstance(baseline, list) and isinstance(current, list):
+        for index, (old, new) in enumerate(zip(baseline, current)):
+            yield from _payload_diff(old, new, f"{path}[{index}]")
+        if len(baseline) != len(current):
+            yield f"{path}: {len(baseline)} → {len(current)} items"
+    elif baseline != current:
+        yield f"{path}: {json.dumps(baseline)} → {json.dumps(current)}"
+
+
 def check_payload_identity(baseline: dict, current: dict, regen_hint: str) -> list[str]:
     """Require the payloads to match exactly (modulo wall-clock fields).
 
     On an unchanged tree the comparison is byte-exact; a mismatch means
     either an intentional cost-model change (regenerate the committed
-    baseline) or lost determinism (a bug).
+    baseline) or lost determinism (a bug).  The failure names the first
+    :data:`MAX_DIFF_PATHS` JSON paths that differ, baseline → current.
     """
-    if comparable_payload(baseline) == comparable_payload(current):
+    old, new = comparable_payload(baseline), comparable_payload(current)
+    if old == new:
         return []
+    # Through JSON on both sides: a freshly built payload may still hold
+    # tuples or int keys the committed file spells as lists and strings.
+    paths = list(_payload_diff(json.loads(old), json.loads(new)))
+    shown = paths[:MAX_DIFF_PATHS]
+    if len(paths) > len(shown):
+        shown.append(f"… and {len(paths) - len(shown)} more")
     return [
         "payload differs from the committed baseline (determinism lost, or an "
-        f"intentional change that needs the baseline regenerated via `{regen_hint}`)"
+        f"intentional change that needs the baseline regenerated via `{regen_hint}`):"
+        + "".join(f"\n    {line}" for line in shown)
     ]
 
 

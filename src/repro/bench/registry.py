@@ -44,7 +44,6 @@ from repro.concurrency.saturation import (
     run_loop_comparison,
     run_saturation_sweep,
 )
-from repro.concurrency.versioning import DEFAULT_SHARDS
 from repro.datasets import available_datasets
 from repro.engines import DEFAULT_ENGINES, resolve_engine_id
 from repro.faults.bench import (
@@ -278,11 +277,6 @@ _SPECS = (
                 "retry backoff base in charge units (doubles per attempt + seeded jitter)",
             ),
             _arg(
-                "--shards",
-                DEFAULT_SHARDS,
-                "version-store shards (conflict detection and GC scan per shard)",
-            ),
-            _arg(
                 "--retry-policy",
                 "fixed",
                 "backoff policy for conflict retries: fixed constants or an "
@@ -331,7 +325,6 @@ _SPECS = (
             _arg("--max-steps", DEFAULT_MAX_STEPS, "maximum sweep steps per engine"),
             _arg("--retries", DEFAULT_RETRIES),
             _arg("--backoff", DEFAULT_BACKOFF),
-            _arg("--shards", DEFAULT_SHARDS),
             _arg(
                 "--compare-loops",
                 None,

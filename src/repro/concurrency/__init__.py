@@ -8,7 +8,8 @@ virtual-time interleaver of client streams (with deterministic retry
 backoff), and ``driver``/``report`` the mixed-workload benchmark behind
 ``graphbench concurrent``.  ``saturation`` steps open-loop arrival rates
 until throughput collapses (``graphbench saturate``).  The version store
-is sharded and garbage-collected at the active-session low-water mark.
+is one flat map set, garbage-collected at the active-session low-water
+mark.
 """
 
 from repro.concurrency.driver import (
@@ -20,7 +21,6 @@ from repro.concurrency.driver import (
     run_engine_mode,
 )
 from repro.concurrency.report import (
-    comparable_payload,
     format_concurrency_report,
     format_loop_comparison,
     format_saturation_report,
@@ -48,11 +48,9 @@ from repro.concurrency.sessions import (
     SnapshotPin,
 )
 from repro.concurrency.versioning import (
-    DEFAULT_SHARDS,
     GCStats,
     ProvisionalId,
     SnapshotView,
-    VersionShard,
     VersionStore,
     VersionedGraph,
     WriteSet,
@@ -63,7 +61,6 @@ __all__ = [
     "ClientOp",
     "CommitResult",
     "ConcurrencyStats",
-    "DEFAULT_SHARDS",
     "DURABILITY_MODES",
     "GCStats",
     "ISOLATION_LEVELS",
@@ -78,12 +75,10 @@ __all__ = [
     "SnapshotPin",
     "SnapshotView",
     "StalenessClock",
-    "VersionShard",
     "VersionStore",
     "VersionedGraph",
     "VirtualTimeScheduler",
     "WriteSet",
-    "comparable_payload",
     "format_concurrency_report",
     "format_loop_comparison",
     "format_saturation_report",

@@ -28,7 +28,6 @@ from typing import Any, Callable, Iterator, Sequence
 from repro.bench.workload import LoadedGraph, load_dataset_into
 from repro.concurrency.scheduler import ClientOp, ScheduleResult, VirtualTimeScheduler, percentile
 from repro.concurrency.sessions import Session, SessionManager
-from repro.concurrency.versioning import DEFAULT_SHARDS
 from repro.datasets import get_dataset
 from repro.engines import create_engine
 from repro.exceptions import BenchmarkError, TransactionError, WriteConflictError
@@ -469,7 +468,6 @@ def run_engine_mode(
     arrival_interval: int = 0,
     retries: int = DEFAULT_RETRIES,
     backoff: int = DEFAULT_BACKOFF,
-    shards: int = DEFAULT_SHARDS,
     retry_policy: str = "fixed",
 ) -> dict[str, Any]:
     """Run one (engine, durability) cell of the benchmark matrix."""
@@ -477,16 +475,15 @@ def run_engine_mode(
         raise BenchmarkError(
             "an open loop requires a positive arrival interval (--arrival-interval)"
         )
-    knobs = (("shards", shards, 1), ("retries", retries, 0), ("backoff", backoff, 0))
-    for knob, value, floor in knobs:
-        if value < floor:
-            raise BenchmarkError(f"{knob} must be >= {floor}, not {value}")
+    for knob, value in (("retries", retries), ("backoff", backoff)):
+        if value < 0:
+            raise BenchmarkError(f"{knob} must be >= 0, not {value}")
     engine = create_engine(engine_id, durability=durability)
     loaded = load_dataset_into(engine, dataset)
     engine.reset_metrics()
     # First transactions() call on the fresh engine: configuration applies
     # and engine.begin_session() stays on the same clock as the benchmark.
-    manager = engine.transactions(group_commit_size=group_commit, shards=shards)
+    manager = engine.transactions(group_commit_size=group_commit)
     base_retry = (
         RetryPolicy(max_retries=retries, backoff_base=backoff) if retries > 0 else None
     )
@@ -529,7 +526,6 @@ def run_concurrent_benchmark(
     dataset_seed: int = 11,
     retries: int = DEFAULT_RETRIES,
     backoff: int = DEFAULT_BACKOFF,
-    shards: int = DEFAULT_SHARDS,
     retry_policy: str = "fixed",
 ) -> dict[str, Any]:
     """Run the full engines × durability matrix and return the report.
@@ -565,7 +561,6 @@ def run_concurrent_benchmark(
                 arrival_interval=arrival_interval,
                 retries=retries,
                 backoff=backoff,
-                shards=shards,
                 retry_policy=retry_policy,
             )
             for durability in durabilities
@@ -588,7 +583,6 @@ def run_concurrent_benchmark(
         "arrival_interval": arrival_interval,
         "retries": retries,
         "backoff": backoff,
-        "shards": shards,
         "retry_policy": retry_policy,
         "engines": engines,
         "wall_seconds": round(time.perf_counter() - started, 3),

@@ -7,7 +7,6 @@ text figures and strips wall-clock fields for determinism checks.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 _COLUMNS = (
@@ -181,8 +180,3 @@ def format_loop_comparison(report: dict[str, Any]) -> str:
     )
     return "\n".join(lines)
 
-
-def comparable_payload(report: dict[str, Any]) -> str:
-    """The report serialised without wall-clock fields (determinism checks)."""
-    stripped = {key: value for key, value in report.items() if key != "wall_seconds"}
-    return json.dumps(stripped, indent=2, sort_keys=True)

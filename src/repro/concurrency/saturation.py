@@ -27,7 +27,6 @@ from repro.concurrency.driver import (
     MIXES,
     run_engine_mode,
 )
-from repro.concurrency.versioning import DEFAULT_SHARDS
 from repro.datasets import get_dataset
 from repro.exceptions import BenchmarkError
 
@@ -84,7 +83,6 @@ def sweep_engine(
     knee_gain: float = KNEE_GAIN,
     retries: int = DEFAULT_RETRIES,
     backoff: int = DEFAULT_BACKOFF,
-    shards: int = DEFAULT_SHARDS,
 ) -> dict[str, Any]:
     """Sweep one engine's arrival rate until its throughput collapses.
 
@@ -122,7 +120,6 @@ def sweep_engine(
             arrival_interval=interval,
             retries=retries,
             backoff=backoff,
-            shards=shards,
         )
         step: dict[str, Any] = {
             "arrival_interval": interval,
@@ -203,7 +200,6 @@ def run_loop_comparison(sweep_report: dict[str, Any]) -> dict[str, Any]:
             loop="closed",
             retries=sweep_report["retries"],
             backoff=sweep_report["backoff"],
-            shards=sweep_report["shards"],
         )
         knee_interval = sweep["knee"]["arrival_interval"]
         knee_step = next(
@@ -257,7 +253,6 @@ def run_saturation_sweep(
     knee_gain: float = KNEE_GAIN,
     retries: int = DEFAULT_RETRIES,
     backoff: int = DEFAULT_BACKOFF,
-    shards: int = DEFAULT_SHARDS,
     dataset_seed: int = 11,
 ) -> dict[str, Any]:
     """Sweep every engine and return the ``BENCH_saturation.json`` payload.
@@ -288,7 +283,6 @@ def run_saturation_sweep(
             knee_gain=knee_gain,
             retries=retries,
             backoff=backoff,
-            shards=shards,
         )
     return {
         "benchmark": "open-loop-saturation",
@@ -311,7 +305,6 @@ def run_saturation_sweep(
         "knee_gain": knee_gain,
         "retries": retries,
         "backoff": backoff,
-        "shards": shards,
         "engines": engines,
         "wall_seconds": round(time.perf_counter() - started, 3),
     }

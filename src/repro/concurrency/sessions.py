@@ -48,7 +48,6 @@ from repro.exceptions import (
 from repro.model.graph import GraphDatabase
 from repro.storage.wal import DurabilityMode
 from repro.concurrency.versioning import (
-    DEFAULT_SHARDS,
     EdgeState,
     ProvisionalId,
     SnapshotView,
@@ -59,6 +58,29 @@ from repro.concurrency.versioning import (
     edge_key,
     vertex_key,
 )
+
+
+#: How :meth:`SessionManager._apply` replays each buffered operation
+#: ``(name, id, *rest)``.  ``None``: verbatim, ``engine.<name>(resolved id,
+#: *rest)``.  The two creations resolve their endpoints, copy the buffered
+#: properties and return the engine id recorded under the provisional one.
+_REPLAY: dict[str, Any] = {
+    "add_vertex": lambda engine, _resolve, properties, label: engine.add_vertex(
+        dict(properties), label=label
+    ),
+    "add_edge": lambda engine, resolve, source, target, label, properties: engine.add_edge(
+        resolve(source), resolve(target), label, properties=dict(properties)
+    ),
+    "set_vertex_property": None,
+    "remove_vertex_property": None,
+    "set_edge_property": None,
+    "remove_edge_property": None,
+    "remove_vertex": None,
+    "remove_edge": None,
+}
+
+#: Op-log markers for a draft created and removed inside one transaction.
+_DROP_MARKERS = ("drop_provisional_vertex", "drop_provisional_edge")
 
 
 #: Isolation levels a session can be opened at.  ``"si"`` is snapshot
@@ -305,10 +327,9 @@ class SessionManager:
         self,
         engine: GraphDatabase,
         group_commit_size: int = 4,
-        shards: int = DEFAULT_SHARDS,
     ) -> None:
         self.engine = engine
-        self.store = VersionStore(shards)
+        self.store = VersionStore()
         #: ASYNC durability flushes the engine WAL once this many mutating
         #: commits are pending (across all sessions).
         self.group_commit_size = group_commit_size
@@ -469,9 +490,8 @@ class SessionManager:
             session.prepared = True
             return True
 
-        # 1. Validate: first committer wins.  Each key consults exactly one
-        # version-store shard (charge-free RAM bookkeeping: a stable hash
-        # plus one shard-local dict lookup).  Runs before SSI validation so
+        # 1. Validate: first committer wins (charge-free RAM bookkeeping:
+        # one dict lookup per written key).  Runs before SSI validation so
         # a write-write conflict always surfaces as WriteConflictError, not
         # as a serialization failure — the two abort reasons are counted
         # (and tested) separately.
@@ -801,59 +821,26 @@ class SessionManager:
     def _apply(self, session: Session, id_map: dict[ProvisionalId, Any]) -> int:
         """Replay the op log against the engine, mapping provisional ids."""
         engine = self.engine
-        ws = session.write_set
-        dropped = {
-            op[1]
-            for op in ws.ops
-            if op[0] in ("drop_provisional_vertex", "drop_provisional_edge")
-        }
+        ops = session.write_set.ops
+        # A draft dropped before commit never reaches the engine: neither
+        # its creation, nor the ops on it, nor the marker itself.
+        dropped = {op[1] for op in ops if op[0] in _DROP_MARKERS}
 
         def resolve(obj_id: Any) -> Any:
             return id_map.get(obj_id, obj_id)
 
         applied = 0
-        for op in ws.ops:
-            name = op[0]
-            if name == "add_vertex":
-                _name, pid, properties, label = op
-                if pid in dropped:
-                    continue
-                id_map[pid] = engine.add_vertex(dict(properties), label=label)
-            elif name == "add_edge":
-                _name, pid, source, target, label, properties = op
-                if pid in dropped:
-                    continue
-                id_map[pid] = engine.add_edge(
-                    resolve(source), resolve(target), label, properties=dict(properties)
-                )
-            elif name == "set_vertex_property":
-                _name, vid, key, value = op
-                if vid in dropped:
-                    continue
-                engine.set_vertex_property(resolve(vid), key, value)
-            elif name == "remove_vertex_property":
-                _name, vid, key = op
-                if vid in dropped:
-                    continue
-                engine.remove_vertex_property(resolve(vid), key)
-            elif name == "set_edge_property":
-                _name, eid, key, value = op
-                if eid in dropped:
-                    continue
-                engine.set_edge_property(resolve(eid), key, value)
-            elif name == "remove_edge_property":
-                _name, eid, key = op
-                if eid in dropped:
-                    continue
-                engine.remove_edge_property(resolve(eid), key)
-            elif name == "remove_vertex":
-                engine.remove_vertex(resolve(op[1]))
-            elif name == "remove_edge":
-                engine.remove_edge(resolve(op[1]))
-            elif name in ("drop_provisional_vertex", "drop_provisional_edge"):
+        for name, obj_id, *rest in ops:
+            if obj_id in dropped:
                 continue
-            else:  # pragma: no cover - op log is produced by VersionedGraph
-                raise TransactionError(f"unknown buffered operation {name!r}")
+            try:
+                create = _REPLAY[name]
+            except KeyError:
+                raise TransactionError(f"unknown buffered operation {name!r}") from None
+            if create is None:
+                getattr(engine, name)(resolve(obj_id), *rest)
+            else:
+                id_map[obj_id] = create(engine, resolve, *rest)
             applied += 1
         return applied
 

@@ -35,17 +35,16 @@ The overlay never invents or hides simulated I/O:
   exactly what direct execution charges (enforced by
   ``tests/concurrency/test_isolation.py::TestChargeParity``).
 
-Version state is *sharded* (:class:`VersionShard`, stable crc32 partition)
-so point lookups touch one shard and garbage collection scans only shards
-holding old-enough entries, and it is *bounded*: the session manager feeds
+Version state lives in one flat :class:`VersionStore` (a point lookup is
+a ``dict.get``) and is *bounded*: the session manager feeds
 :meth:`VersionStore.collect_garbage` the low-water-mark snapshot whenever
 a session closes, reclaiming every undo chain and tombstone no active or
-future snapshot can observe (``tests/concurrency/test_gc.py``).
+future snapshot can observe — once nothing observes the store it is empty
+(``tests/concurrency/test_gc.py``).
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, NamedTuple
 
@@ -53,9 +52,6 @@ from repro.concurrency.visibility import CURRENT, removed_as_of, visible_state
 from repro.exceptions import ElementNotFoundError, SessionStateError
 from repro.model.elements import Direction, Edge, Vertex
 from repro.model.graph import GraphDatabase
-
-#: Default number of version-store shards (``hash(key) % n_shards``).
-DEFAULT_SHARDS = 8
 
 #: Sentinel marking a property key as deleted inside a write set.
 TOMBSTONE = object()
@@ -105,141 +101,6 @@ def edge_key(edge_id: Any) -> tuple[str, Any]:
     return ("edge", edge_id)
 
 
-class VersionShard:
-    """One partition of the version state (see :class:`VersionStore`).
-
-    All structures are plain dicts keyed by ``("vertex"|"edge", id)`` (the
-    adjacency maps by vertex id) and are maintained in commit order, so
-    iteration within a shard is deterministic.  ``oldest_ts`` tracks the
-    smallest timestamp any entry in this shard carries; the garbage
-    collector skips shards whose oldest entry is newer than the low-water
-    mark, so a sweep touches only shards that can actually reclaim.
-    """
-
-    __slots__ = (
-        "index",
-        "committed_at",
-        "undo",
-        "created_at",
-        "removed_at",
-        "removed_edges_by_vertex",
-        "adj_changed_at",
-        "oldest_ts",
-        "newest_ts",
-    )
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        #: Last commit timestamp that wrote each key (conflict detection).
-        self.committed_at: dict[tuple[str, Any], int] = {}
-        #: Before-images: ``key -> [(commit_ts, state_before_commit)]`` in
-        #: ascending commit order; ``None`` means the object did not exist.
-        self.undo: dict[tuple[str, Any], list[tuple[int, Any]]] = {}
-        #: Commit timestamp at which overlay-created objects appeared.
-        self.created_at: dict[tuple[str, Any], int] = {}
-        #: Commit timestamp at which overlay-removed objects disappeared.
-        self.removed_at: dict[tuple[str, Any], int] = {}
-        #: Resurrection index: vertex id -> removed incident edge ids (in
-        #: commit order).  Populated only when before-images are captured.
-        self.removed_edges_by_vertex: dict[Any, list[Any]] = {}
-        #: Timestamp of the most recent structural change (edge added or
-        #: removed) touching each vertex; readers with an older snapshot
-        #: must take the overlay-aware adjacency path.
-        self.adj_changed_at: dict[Any, int] = {}
-        #: Smallest timestamp held by any entry, or None when empty.
-        self.oldest_ts: int | None = None
-        #: Largest timestamp held by any entry, or None when empty.  The
-        #: structural diff walk skips shards whose ``(oldest_ts,
-        #: newest_ts)`` interval misses the commit window entirely — an
-        #: untouched shard costs one comparison, not a scan.
-        self.newest_ts: int | None = None
-
-    def note(self, ts: int) -> None:
-        """Record that an entry with timestamp ``ts`` entered this shard."""
-        if self.oldest_ts is None or ts < self.oldest_ts:
-            self.oldest_ts = ts
-        if self.newest_ts is None or ts > self.newest_ts:
-            self.newest_ts = ts
-
-    # -- garbage collection -------------------------------------------------
-
-    def sweep_timestamps(self, low_water_mark: int, stats: "GCStats") -> None:
-        """Drop every timestamped entry no snapshot >= ``low_water_mark`` needs."""
-        for key in [k for k, ts in self.committed_at.items() if ts <= low_water_mark]:
-            del self.committed_at[key]
-            stats.reclaimed_keys += 1
-        for key, chain in list(self.undo.items()):
-            survivors = [(ts, state) for ts, state in chain if ts > low_water_mark]
-            stats.reclaimed_undo += len(chain) - len(survivors)
-            if survivors:
-                self.undo[key] = survivors
-            else:
-                del self.undo[key]
-        for key in [k for k, ts in self.created_at.items() if ts <= low_water_mark]:
-            del self.created_at[key]
-            stats.reclaimed_keys += 1
-        for key in [k for k, ts in self.removed_at.items() if ts <= low_water_mark]:
-            del self.removed_at[key]
-            stats.reclaimed_tombstones += 1
-        for vid in [v for v, ts in self.adj_changed_at.items() if ts <= low_water_mark]:
-            del self.adj_changed_at[vid]
-            stats.reclaimed_keys += 1
-
-    def prune_resurrections(self, removed_ts_of: Any, stats: "GCStats") -> None:
-        """Drop resurrection entries whose tombstone was reclaimed.
-
-        The edge's tombstone may live in a different shard (edges shard by
-        edge key, this index by endpoint vertex), so the store passes a
-        cross-shard ``removed_ts_of`` lookup.  Runs after every eligible
-        shard swept its timestamp maps.
-        """
-        for vid, edge_ids in list(self.removed_edges_by_vertex.items()):
-            survivors = [eid for eid in edge_ids if removed_ts_of(edge_key(eid)) > 0]
-            stats.reclaimed_resurrections += len(edge_ids) - len(survivors)
-            if survivors:
-                self.removed_edges_by_vertex[vid] = survivors
-            else:
-                del self.removed_edges_by_vertex[vid]
-
-    def recompute_oldest(self) -> None:
-        """Refresh the ``(oldest_ts, newest_ts)`` bounds after a sweep."""
-        timestamps: list[int] = []
-        for mapping in (self.committed_at, self.created_at, self.removed_at, self.adj_changed_at):
-            timestamps.extend(mapping.values())
-        for chain in self.undo.values():
-            timestamps.extend(ts for ts, _state in chain)
-        self.oldest_ts = min(timestamps) if timestamps else None
-        self.newest_ts = max(timestamps) if timestamps else None
-
-    def touched_keys_between(self, lo: int, hi: int) -> Iterator[tuple[str, Any]]:
-        """Object keys carrying any version mark in the window ``(lo, hi]``.
-
-        Scans the committed/created/removed maps *and* the undo chains:
-        ``committed_at`` only remembers a key's latest commit, so a key
-        rewritten again after ``hi`` is findable only through the undo
-        entry its in-window commit pushed (which exists whenever the
-        window's low end was pinned at commit time — the versioning
-        tier's invariant).  May yield a key more than once; callers dedup.
-        """
-        for mapping in (self.committed_at, self.created_at, self.removed_at):
-            for key, ts in mapping.items():
-                if lo < ts <= hi:
-                    yield key
-        for key, chain in self.undo.items():
-            if any(lo < ts <= hi for ts, _state in chain):
-                yield key
-
-    def entry_count(self) -> int:
-        return (
-            len(self.committed_at)
-            + len(self.created_at)
-            + len(self.removed_at)
-            + len(self.adj_changed_at)
-            + sum(len(chain) for chain in self.undo.values())
-            + sum(len(edges) for edges in self.removed_edges_by_vertex.values())
-        )
-
-
 @dataclass
 class GCStats:
     """Cumulative reclaim counters for one :class:`VersionStore`."""
@@ -261,18 +122,23 @@ class GCStats:
         )
 
 
+def _sweep(marks: dict[Any, int], low_water_mark: int) -> int:
+    """Drop every mark at or below ``low_water_mark``; return how many."""
+    dead = [key for key, ts in marks.items() if ts <= low_water_mark]
+    for key in dead:
+        del marks[key]
+    return len(dead)
+
+
 class VersionStore:
-    """Sharded commit-timestamp bookkeeping for one underlying engine.
+    """Commit-timestamp bookkeeping for one underlying engine.
 
     One store exists per :class:`~repro.concurrency.sessions.SessionManager`
-    and is consulted by every :class:`VersionedGraph` bound to it.  Version
-    state is partitioned into :class:`VersionShard` buckets by a *stable*
-    hash of the key (``crc32(repr(key)) % n_shards`` — Python's builtin
-    ``hash`` is salted per process and would break cross-run determinism),
-    so conflict-detection lookups touch exactly one shard and a garbage
-    sweep skips shards whose oldest entry is newer than the low-water mark.
-    Vertex-keyed adjacency state shards by the vertex key, keeping a
-    vertex's structural metadata co-located.
+    and is consulted by every :class:`VersionedGraph` bound to it.  All six
+    structures are plain dicts keyed by ``("vertex"|"edge", id)`` (the two
+    adjacency maps by vertex id) and maintained in commit order, so every
+    iteration is deterministic across processes and a point lookup is one
+    ``dict.get``.
 
     Garbage collection: :meth:`collect_garbage` takes the low-water mark —
     the oldest snapshot any active session holds (or the clock when no
@@ -284,106 +150,100 @@ class VersionStore:
     simulated I/O, keeping the uncontended charge-parity contract intact.
     """
 
-    def __init__(self, n_shards: int = DEFAULT_SHARDS) -> None:
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, not {n_shards}")
+    def __init__(self) -> None:
         #: Timestamp of the latest mutating commit (0 = the loaded baseline).
         self.clock: int = 0
-        self.n_shards = n_shards
-        self.shards = [VersionShard(index) for index in range(n_shards)]
+        #: Last commit timestamp that wrote each key (conflict detection).
+        self.committed_at: dict[tuple[str, Any], int] = {}
+        #: Before-images: ``key -> [(commit_ts, state_before_commit)]`` in
+        #: ascending commit order; ``None`` means the object did not exist.
+        self.undo: dict[tuple[str, Any], list[tuple[int, Any]]] = {}
+        #: Commit timestamp at which overlay-created objects appeared.
+        self.created_at: dict[tuple[str, Any], int] = {}
+        #: Commit timestamp at which overlay-removed objects disappeared.
+        self.removed_at: dict[tuple[str, Any], int] = {}
+        #: Resurrection index: vertex id -> removed incident edge ids (in
+        #: commit order).  Populated only when before-images are captured;
+        #: every id in it has a live ``removed_at`` tombstone.
+        self.removed_edges_by_vertex: dict[Any, list[Any]] = {}
+        #: Timestamp of the most recent structural change (edge added or
+        #: removed) touching each vertex; readers with an older snapshot
+        #: must take the overlay-aware adjacency path.
+        self.adj_changed_at: dict[Any, int] = {}
+        #: Smallest timestamp held by any entry, or None when empty: a GC
+        #: call whose low-water mark is below it is one comparison.
+        self.oldest_ts: int | None = None
         self.gc = GCStats()
 
-    # -- sharding -----------------------------------------------------------
+    def _note(self, ts: int) -> None:
+        """Record that an entry with timestamp ``ts`` entered the store."""
+        if self.oldest_ts is None or ts < self.oldest_ts:
+            self.oldest_ts = ts
 
-    def shard_of(self, key: tuple[str, Any]) -> VersionShard:
-        """The shard holding ``key`` (stable across processes and runs).
-
-        The crc32-of-repr costs more wall clock per point lookup than a
-        bare dict ``get`` would, but builtin ``hash`` is process-salted
-        (it would break the byte-identical payload contract) and the
-        partition is what lets conflict validation and GC touch one shard;
-        none of this charges simulated I/O, so the cost model is
-        unaffected.  A single-shard store skips the hash entirely.
-        """
-        if self.n_shards == 1:
-            return self.shards[0]
-        return self.shards[zlib.crc32(repr(key).encode("utf-8")) % self.n_shards]
-
-    def _vertex_shard(self, vertex_id: Any) -> VersionShard:
-        return self.shard_of(vertex_key(vertex_id))
-
-    # -- point lookups (one shard each) -------------------------------------
+    # -- point lookups ------------------------------------------------------
 
     def committed_ts(self, key: tuple[str, Any]) -> int:
-        return self.shard_of(key).committed_at.get(key, 0)
+        return self.committed_at.get(key, 0)
 
     def created_ts(self, key: tuple[str, Any]) -> int:
-        return self.shard_of(key).created_at.get(key, 0)
+        return self.created_at.get(key, 0)
 
     def removed_ts(self, key: tuple[str, Any]) -> int:
-        return self.shard_of(key).removed_at.get(key, 0)
+        return self.removed_at.get(key, 0)
 
     def adj_changed_ts(self, vertex_id: Any) -> int:
-        return self._vertex_shard(vertex_id).adj_changed_at.get(vertex_id, 0)
+        return self.adj_changed_at.get(vertex_id, 0)
 
     def undo_chain(self, key: tuple[str, Any]) -> tuple[tuple[int, Any], ...]:
-        return tuple(self.shard_of(key).undo.get(key, ()))
+        return tuple(self.undo.get(key, ()))
 
     def has_undo_at(self, key: tuple[str, Any], commit_ts: int) -> bool:
-        return any(ts == commit_ts for ts, _state in self.shard_of(key).undo.get(key, ()))
+        return any(ts == commit_ts for ts, _state in self.undo.get(key, ()))
 
     # -- writes (publish/capture time) --------------------------------------
 
     def mark_committed(self, key: tuple[str, Any], commit_ts: int) -> None:
-        shard = self.shard_of(key)
-        shard.committed_at[key] = commit_ts
-        shard.note(commit_ts)
+        self.committed_at[key] = commit_ts
+        self._note(commit_ts)
 
     def mark_created(self, key: tuple[str, Any], commit_ts: int) -> None:
-        shard = self.shard_of(key)
-        shard.created_at[key] = commit_ts
-        shard.note(commit_ts)
+        self.created_at[key] = commit_ts
+        self._note(commit_ts)
 
     def mark_removed(self, key: tuple[str, Any], commit_ts: int) -> None:
-        shard = self.shard_of(key)
-        shard.removed_at[key] = commit_ts
-        shard.note(commit_ts)
+        self.removed_at[key] = commit_ts
+        self._note(commit_ts)
 
     def mark_adj_changed(self, vertex_id: Any, commit_ts: int) -> None:
-        shard = self._vertex_shard(vertex_id)
-        shard.adj_changed_at[vertex_id] = commit_ts
-        shard.note(commit_ts)
+        self.adj_changed_at[vertex_id] = commit_ts
+        self._note(commit_ts)
 
     def push_undo(self, key: tuple[str, Any], commit_ts: int, state: Any) -> None:
-        shard = self.shard_of(key)
-        shard.undo.setdefault(key, []).append((commit_ts, state))
-        shard.note(commit_ts)
+        self.undo.setdefault(key, []).append((commit_ts, state))
+        self._note(commit_ts)
 
     def register_removed_edge(self, edge_id: Any, state: EdgeState, commit_ts: int) -> None:
         """Index a removed edge for resurrection by older snapshots."""
         for endpoint in dict.fromkeys((state.source, state.target)):
-            shard = self._vertex_shard(endpoint)
-            edges = shard.removed_edges_by_vertex.setdefault(endpoint, [])
+            edges = self.removed_edges_by_vertex.setdefault(endpoint, [])
             if edge_id not in edges:
                 edges.append(edge_id)
-            shard.adj_changed_at[endpoint] = commit_ts
-            shard.note(commit_ts)
+            self.mark_adj_changed(endpoint, commit_ts)
 
     # -- visibility (the rule itself lives in ``visibility.py``) -------------
 
     def visible(self, key: tuple[str, Any], snapshot: int) -> Any:
-        """What a reader at ``snapshot`` sees for ``key``: one shard lookup,
+        """What a reader at ``snapshot`` sees for ``key``: three dict lookups,
         then :func:`~repro.concurrency.visibility.visible_state` decides.
 
         ``CURRENT`` means the engine's in-place state is the visible one;
         ``None`` means the object did not exist at the snapshot; anything
         else is a reconstructed :class:`VertexState` / :class:`EdgeState`.
         """
-        shard = self.shard_of(key)
         return visible_state(
-            shard.created_at.get(key, 0),
-            shard.committed_at.get(key, 0),
-            shard.undo.get(key, ()),
+            self.created_at.get(key, 0),
+            self.committed_at.get(key, 0),
+            self.undo.get(key, ()),
             snapshot,
         )
 
@@ -399,9 +259,8 @@ class VersionStore:
         snapshot can observe a removal it is indistinguishable from an id
         that never existed, and the engine raises at apply time instead.
         """
-        shard = self.shard_of(key)
         return removed_as_of(
-            shard.created_at.get(key, 0), shard.removed_at.get(key, 0), snapshot
+            self.created_at.get(key, 0), self.removed_at.get(key, 0), snapshot
         )
 
     def resurrected_edges(self, vertex_id: Any, snapshot: int) -> Iterator[tuple[Any, EdgeState]]:
@@ -410,56 +269,42 @@ class VersionStore:
         Yields ``(edge_id, state)`` for edges that existed at the snapshot
         but were removed by a newer commit, in commit order.
         """
-        shard = self._vertex_shard(vertex_id)
-        for eid in shard.removed_edges_by_vertex.get(vertex_id, ()):
+        for eid in self.removed_edges_by_vertex.get(vertex_id, ()):
             key = edge_key(eid)
-            if self.removed_ts(key) <= snapshot:
+            if self.removed_at.get(key, 0) <= snapshot:
                 continue
             state = self.visible(key, snapshot)
             if state is not None and state is not CURRENT:
                 yield eid, state
 
     def removed_object_ids(self, kind: str, snapshot: int) -> Iterator[Any]:
-        """Ids of ``kind`` objects removed after ``snapshot`` but visible at it.
-
-        Iterates shards in index order (insertion order within a shard), so
-        the sequence is deterministic for a given shard count.
-        """
-        for shard in self.shards:
-            for (obj_kind, obj_id), removed_ts in shard.removed_at.items():
-                if obj_kind != kind or removed_ts <= snapshot:
-                    continue
-                if self.visible((obj_kind, obj_id), snapshot) is not None:
-                    yield obj_id
+        """Ids of ``kind`` objects removed after ``snapshot`` but visible at
+        it, in commit order."""
+        for (obj_kind, obj_id), removed_ts in self.removed_at.items():
+            if obj_kind != kind or removed_ts <= snapshot:
+                continue
+            if self.visible((obj_kind, obj_id), snapshot) is not None:
+                yield obj_id
 
     def overlaid_keys(self, kind: str, snapshot: int) -> list[Any]:
         """Ids of ``kind`` objects whose visible state differs from in-place."""
         return [
             obj_id
-            for shard in self.shards
-            for (obj_kind, obj_id), ts in shard.committed_at.items()
+            for (obj_kind, obj_id), ts in self.committed_at.items()
             if obj_kind == kind and ts > snapshot
         ]
 
     def iter_created(self, kind: str) -> Iterator[tuple[tuple[str, Any], int]]:
-        """Every ``(key, created_ts)`` of ``kind``, shard-by-shard."""
-        for shard in self.shards:
-            for key, ts in shard.created_at.items():
-                if key[0] == kind:
-                    yield key, ts
+        """Every ``(key, created_ts)`` of ``kind``, in commit order."""
+        return ((key, ts) for key, ts in self.created_at.items() if key[0] == kind)
 
     def iter_committed(self, kind: str) -> Iterator[tuple[tuple[str, Any], int]]:
-        """Every ``(key, committed_ts)`` of ``kind``, shard-by-shard.
+        """Every ``(key, committed_ts)`` of ``kind``, in commit order.
 
         SSI predicate validation scans this to find objects written after a
         session's snapshot that might newly match a scanned predicate.
-        Callers sort before charging any engine read, so shard order never
-        leaks into charge sequences.
         """
-        for shard in self.shards:
-            for key, ts in shard.committed_at.items():
-                if key[0] == kind:
-                    yield key, ts
+        return ((key, ts) for key, ts in self.committed_at.items() if key[0] == kind)
 
     # -- garbage collection -------------------------------------------------
 
@@ -471,101 +316,100 @@ class VersionStore:
         recorded at commit ``ts`` is only ever read by a snapshot older
         than ``ts``, so entries with ``ts <= low_water_mark`` are dead; the
         same argument covers tombstones, conflict keys, creation marks, and
-        adjacency marks.  Only shards whose ``oldest_ts`` is at or below
-        the mark are swept.  Returns the number of entries reclaimed.
+        adjacency marks, and a resurrection entry dies with its tombstone.
+        When the store's ``oldest_ts`` is above the mark nothing can be
+        reclaimed and the call is a no-op (``gc.runs`` does not move).
+        Returns the number of entries reclaimed.
         """
-        eligible = [
-            shard
-            for shard in self.shards
-            if shard.oldest_ts is not None and shard.oldest_ts <= low_water_mark
-        ]
-        self.gc.last_low_water_mark = low_water_mark
-        if not eligible:
+        gc = self.gc
+        gc.last_low_water_mark = low_water_mark
+        if self.oldest_ts is None or self.oldest_ts > low_water_mark:
             return 0
-        before = self.gc.reclaimed_total
-        for shard in eligible:
-            shard.sweep_timestamps(low_water_mark, self.gc)
-        # Resurrection entries live in the *endpoint vertex's* shard while
-        # their tombstone lives in the edge-key shard; prune after every
-        # eligible shard dropped its tombstones.
-        for shard in eligible:
-            shard.prune_resurrections(self.removed_ts, self.gc)
-        for shard in eligible:
-            shard.recompute_oldest()
-        self.gc.runs += 1
-        return self.gc.reclaimed_total - before
+        before = gc.reclaimed_total
+        gc.reclaimed_keys += _sweep(self.committed_at, low_water_mark)
+        for key, chain in list(self.undo.items()):
+            survivors = [(ts, state) for ts, state in chain if ts > low_water_mark]
+            gc.reclaimed_undo += len(chain) - len(survivors)
+            if survivors:
+                self.undo[key] = survivors
+            else:
+                del self.undo[key]
+        gc.reclaimed_keys += _sweep(self.created_at, low_water_mark)
+        gc.reclaimed_tombstones += _sweep(self.removed_at, low_water_mark)
+        gc.reclaimed_keys += _sweep(self.adj_changed_at, low_water_mark)
+        # Freed edge ids are reused, so an entry survives as long as *any*
+        # incarnation of its id still has a tombstone.
+        for vid, edge_ids in list(self.removed_edges_by_vertex.items()):
+            survivors = [eid for eid in edge_ids if edge_key(eid) in self.removed_at]
+            gc.reclaimed_resurrections += len(edge_ids) - len(survivors)
+            if survivors:
+                self.removed_edges_by_vertex[vid] = survivors
+            else:
+                del self.removed_edges_by_vertex[vid]
+        timestamps = [ts for chain in self.undo.values() for ts, _state in chain]
+        for marks in (self.committed_at, self.created_at, self.removed_at, self.adj_changed_at):
+            timestamps.extend(marks.values())
+        self.oldest_ts = min(timestamps, default=None)
+        gc.runs += 1
+        return gc.reclaimed_total - before
 
     # -- version windows (the structural diff's candidate scan) -------------
 
-    def keys_touched_between(
-        self, lo: int, hi: int
-    ) -> tuple[list[tuple[str, Any]], dict[str, int]]:
+    def keys_touched_between(self, lo: int, hi: int) -> list[tuple[str, Any]]:
         """Object keys that *may* differ between snapshots ``lo`` and ``hi``.
 
         A key's state at two snapshots can only differ if some commit with
         timestamp in ``(lo, hi]`` touched it, and every such commit leaves
-        a mark (committed/created/removed entry, or the undo entry a
-        pinned low end forces).  Shards whose ``(oldest_ts, newest_ts)``
-        interval misses the window are skipped without scanning — the
-        fast path that makes diffing two near-identical versions of a
-        heavily-versioned graph cheap.  Returns the candidate keys sorted
-        by ``repr`` (cross-process deterministic) plus scan statistics.
-        All of this is RAM bookkeeping and charges nothing; the diff walk
-        charges per candidate it actually visits.
+        a mark: a committed/created/removed entry, or — ``committed_at``
+        only remembers a key's latest commit, so for a key rewritten again
+        after ``hi`` — the undo entry its in-window commit pushed (which
+        exists whenever the window's low end was pinned at commit time, the
+        versioning tier's invariant).  An empty window scans nothing.
+        Returns the candidate keys sorted by ``repr`` (cross-process
+        deterministic).  All of this is RAM bookkeeping and charges
+        nothing; the diff walk charges per candidate it actually visits.
         """
         if hi < lo:
             lo, hi = hi, lo
         if hi == lo:
-            # Same snapshot on both sides: nothing can differ and no shard
-            # needs scanning at all.
-            return [], {"shards_scanned": 0, "shards_skipped": len(self.shards)}
-        stats = {"shards_scanned": 0, "shards_skipped": 0}
-        candidates: dict[tuple[str, Any], None] = {}
-        for shard in self.shards:
-            if (
-                shard.newest_ts is None
-                or shard.newest_ts <= lo
-                or (shard.oldest_ts is not None and shard.oldest_ts > hi)
-            ):
-                stats["shards_skipped"] += 1
-                continue
-            stats["shards_scanned"] += 1
-            for key in shard.touched_keys_between(lo, hi):
-                candidates[key] = None
-        return sorted(candidates, key=repr), stats
+            return []
+        candidates: set[tuple[str, Any]] = set()
+        for marks in (self.committed_at, self.created_at, self.removed_at):
+            candidates.update(key for key, ts in marks.items() if lo < ts <= hi)
+        candidates.update(
+            key
+            for key, chain in self.undo.items()
+            if any(lo < ts <= hi for ts, _state in chain)
+        )
+        return sorted(candidates, key=repr)
 
     # -- introspection ------------------------------------------------------
 
     def retained_bytes(self) -> int:
         """Deterministic estimate of the retained version state's footprint.
 
-        16 bytes per timestamp mark (key-pointer plus int, the dict-entry
-        shape) plus the ``repr`` length of every retained undo state —
-        stable across processes (dataclass reprs follow insertion order),
-        unlike ``sys.getsizeof``, so benchmark payloads can gate on it.
+        16 bytes per entry (key-pointer plus int, the dict-entry shape)
+        plus the ``repr`` length of every retained undo state — stable
+        across processes (dataclass reprs follow insertion order), unlike
+        ``sys.getsizeof``, so benchmark payloads can gate on it.
         """
-        total = 0
-        for shard in self.shards:
-            total += 16 * (
-                len(shard.committed_at)
-                + len(shard.created_at)
-                + len(shard.removed_at)
-                + len(shard.adj_changed_at)
-                + sum(len(edges) for edges in shard.removed_edges_by_vertex.values())
-            )
-            for chain in shard.undo.values():
-                for _ts, state in chain:
-                    total += 16 + len(repr(state))
-        return total
-
-    def retained_undo_entries(self) -> int:
-        return sum(
-            len(chain) for shard in self.shards for chain in shard.undo.values()
+        return 16 * self.retained_entries() + sum(
+            len(repr(state)) for chain in self.undo.values() for _ts, state in chain
         )
 
+    def retained_undo_entries(self) -> int:
+        return sum(len(chain) for chain in self.undo.values())
+
     def retained_entries(self) -> int:
-        """Every live entry across all shards (the store's RAM footprint)."""
-        return sum(shard.entry_count() for shard in self.shards)
+        """Every live entry in the store (its RAM footprint)."""
+        return (
+            len(self.committed_at)
+            + len(self.created_at)
+            + len(self.removed_at)
+            + len(self.adj_changed_at)
+            + self.retained_undo_entries()
+            + sum(len(edges) for edges in self.removed_edges_by_vertex.values())
+        )
 
     def gc_snapshot(self) -> dict[str, int]:
         """Reclaim/retention counters for benchmark rows (all deterministic)."""
@@ -946,12 +790,12 @@ class VersionedGraph(GraphDatabase):
         ws = self._ws
         if vertex_id in ws.created_vertices:
             # Creating and removing inside one transaction nets out; drop
-            # the draft and any session edges attached to it.
+            # the draft and any session edges attached to it (through
+            # ``remove_edge``, so their creations are not replayed either).
             del ws.created_vertices[vertex_id]
-            for eid in list(ws.created_edges):
-                state = ws.created_edges[eid]
+            for eid, state in list(ws.created_edges.items()):
                 if state.source == vertex_id or state.target == vertex_id:
-                    self._drop_created_edge(eid)
+                    self.remove_edge(eid)
             ws.ops.append(("drop_provisional_vertex", vertex_id))
             return
         self._check_writable(_VERTEX, vertex_id)

@@ -1,10 +1,10 @@
 """The MVCC visibility rule: what one snapshot sees of one key's history.
 
 Pure functions over the marks a single ``(kind, id)`` key carries in the
-version store — no engine, store, shard or session is imported here, so
+version store — no engine, store or session is imported here, so
 the rule can be enumerated exhaustively
 (``tests/concurrency/test_visibility.py``).  The store looks the marks up
-(one shard) and delegates; the session overlay layers its write set on top.
+and delegates; the session overlay layers its write set on top.
 
 How the marks are written (``SessionManager._publish`` /
 ``_capture_before_images``): every commit that writes, creates or removes

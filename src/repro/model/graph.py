@@ -555,40 +555,32 @@ class GraphDatabase(abc.ABC):
     # Transactional sessions (concurrency layer)
     # ------------------------------------------------------------------
 
-    def transactions(
-        self,
-        group_commit_size: int | None = None,
-        shards: int | None = None,
-    ) -> "SessionManager":
+    def transactions(self, group_commit_size: int | None = None) -> "SessionManager":
         """Return this database's session manager (created lazily, cached).
 
         All sessions over one database must share a manager — it owns the
         commit clock and the version store that make snapshot isolation
         work — so the manager is a singleton per engine instance.  The
-        optional configuration (ASYNC group-commit batch size, version
-        store shard count) only applies on first creation; passing it once
-        a manager exists raises, because reconfiguring a live clock or
-        re-partitioning live version state cannot be done safely.  See
+        optional ASYNC group-commit batch size only applies on first
+        creation; passing it once a manager exists raises, because
+        reconfiguring a live commit pipeline cannot be done safely.  See
         :mod:`repro.concurrency` for the full model.
         """
         manager = getattr(self, "_session_manager", None)
         if manager is None:
             from repro.concurrency.sessions import SessionManager
 
-            kwargs = {}
-            if group_commit_size is not None:
-                kwargs["group_commit_size"] = group_commit_size
-            if shards is not None:
-                kwargs["shards"] = shards
-            manager = SessionManager(self, **kwargs)
+            if group_commit_size is None:
+                manager = SessionManager(self)
+            else:
+                manager = SessionManager(self, group_commit_size=group_commit_size)
             self._session_manager = manager
-        elif group_commit_size is not None or shards is not None:
+        elif group_commit_size is not None:
             from repro.exceptions import TransactionError
 
             raise TransactionError(
                 f"engine {self.name!r} already has a session manager; "
-                "configure group_commit_size/shards on the first "
-                "transactions() call"
+                "configure group_commit_size on the first transactions() call"
             )
         return manager
 

@@ -19,7 +19,7 @@ every still-retained commit, and the cell reports:
   the retention policy, so all policies replay byte-identical churn and
   the cross-policy gates of ``graphbench gate versions`` hold);
 * **diff cost** — a structural diff from the oldest retained commit to
-  head, with its per-element charge and shard skip counts;
+  head, with its per-element charge;
 * **as-of latency** — the logical charge of historical reads, reported
   as overhead over the live run at the same commit.
 

@@ -4,13 +4,11 @@ The walk never scans either full graph.  A key's state at snapshot
 ``lo`` can only differ from its state at snapshot ``hi`` if some version
 mark — a commit/create/remove timestamp or an undo entry — landed in the
 window ``(lo, hi]``, so the candidate set is exactly
-``VersionStore.keys_touched_between(lo, hi)``.  That scan carries the
-fast path the version store already maintains for GC: any shard whose
-``[oldest_ts, newest_ts]`` interval misses the window is skipped without
-touching its maps, and the diff reports scanned/skipped shard counts so
-benchmarks can pin the skip rate.  Both endpoints stay pinned for the
-duration (``catalog.view`` refuses released commits), which is what
-guarantees the window's marks were captured and not yet reclaimed.
+``VersionStore.keys_touched_between(lo, hi)`` — one pass over the
+store's mark maps, and no pass at all when both commits share a snapshot.
+Both endpoints stay pinned for the duration (``catalog.view`` refuses
+released commits), which is what guarantees the window's marks were
+captured and not yet reclaimed.
 
 Charging: the walk charges one record read per candidate visited to its
 own ``version-diff`` metrics sink, and additionally reports the engine
@@ -57,8 +55,6 @@ class VersionDiff:
     entries: list[DiffEntry] = field(default_factory=list)
     candidates: int = 0
     visited: int = 0
-    shards_scanned: int = 0
-    shards_skipped: int = 0
     walk_charge: int = 0
     engine_charge: int = 0
 
@@ -78,8 +74,6 @@ class VersionDiff:
             "entries": len(self.entries),
             "candidates": self.candidates,
             "visited": self.visited,
-            "shards_scanned": self.shards_scanned,
-            "shards_skipped": self.shards_skipped,
             "walk_charge": self.walk_charge,
             "engine_charge": self.engine_charge,
             "charge": self.charge,
@@ -118,7 +112,7 @@ def structural_diff(catalog: VersionCatalog, base_ref: Any, target_ref: Any) -> 
     base_view = catalog.view(base)
     target_view = catalog.view(target)
     lo, hi = sorted((base.snapshot_ts, target.snapshot_ts))
-    candidates, scan_stats = catalog.manager.store.keys_touched_between(lo, hi)
+    candidates = catalog.manager.store.keys_touched_between(lo, hi)
     metrics = StorageMetrics(owner="version-diff")
     engine_before = catalog.engine.io_cost()
     diff = VersionDiff(
@@ -127,8 +121,6 @@ def structural_diff(catalog: VersionCatalog, base_ref: Any, target_ref: Any) -> 
         base_ts=base.snapshot_ts,
         target_ts=target.snapshot_ts,
         candidates=len(candidates),
-        shards_scanned=scan_stats["shards_scanned"],
-        shards_skipped=scan_stats["shards_skipped"],
     )
     for kind, obj_id in candidates:
         diff.visited += 1

@@ -18,7 +18,6 @@ _COLUMNS = (
     ("asof_overhead", "asof-ovh", "{:+d}"),
     ("diff_entries", "diff", "{:d}"),
     ("diff_cpe", "chg/elem", "{:.2f}"),
-    ("shards_skipped", "skip", "{:s}"),
 )
 
 
@@ -65,8 +64,6 @@ def format_versions_report(report: dict[str, Any]) -> str:
                 "asof_overhead": cell["asof"]["total_overhead"],
                 "diff_entries": diff["entries"],
                 "diff_cpe": diff["charge_per_element"],
-                "shards_skipped": f"{diff['shards_skipped']}/"
-                f"{diff['shards_skipped'] + diff['shards_scanned']}",
             }
             lines.append(
                 "  "

@@ -54,7 +54,7 @@ TINY = {
 #: One out-of-range knob per subcommand; each must be refused by ``run_*``.
 BAD_KNOB = {
     "traversal": ["--engine", "bogus"],
-    "concurrent": ["--shards", "0"],
+    "concurrent": ["--backoff", "-1"],
     "saturate": ["--retries", "-1"],
     "scaleout": ["--latency", "-1"],
     "chaos": ["--superstep-timeout", "0"],
@@ -127,6 +127,29 @@ class TestCommittedBaselines:
         other["seed"] = 1
         (failure,) = check_payload_identity(committed, other, "regen-hint")
         assert "regen-hint" in failure
+        assert f"/seed: {committed['seed']} → 1" in failure
+
+    def test_identity_failure_names_the_differing_paths(self):
+        committed = _committed("versions")
+        other = copy.deepcopy(committed)
+        other["cells"][5]["catalog"]["retained_entries"] += 1
+        del other["cells"][0]["mix"]
+        other["cells"][1]["extra"] = [1]
+        other["cells"].pop()
+        retained = committed["cells"][5]["catalog"]["retained_entries"]
+        (failure,) = check_payload_identity(committed, other, "regen")
+        assert failure.splitlines()[1:] == [
+            f"    /cells[0]/mix: {json.dumps(committed['cells'][0]['mix'])} → (absent)",
+            "    /cells[1]/extra: (absent) → [1]",
+            f"    /cells[5]/catalog/retained_entries: {retained} → {retained + 1}",
+            f"    /cells: {len(committed['cells'])} → {len(committed['cells']) - 1} items",
+        ]
+        # More than ten differences are counted, not listed.
+        for cell in other["cells"]:
+            cell["depth"] += 1
+        (failure,) = check_payload_identity(committed, other, "regen")
+        assert len(failure.splitlines()) == 1 + 10 + 1
+        assert failure.endswith(f"… and {len(other['cells']) + 4 - 10} more")
 
     def test_gate_command_exit_codes(self, monkeypatch, tmp_path, capsys):
         spec = SPECS["reachability"]

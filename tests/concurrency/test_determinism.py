@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.gates import comparable_payload
 from repro.concurrency import (
-    comparable_payload,
     format_concurrency_report,
     run_concurrent_benchmark,
 )

@@ -9,12 +9,14 @@ safety property — collecting garbage never changes any read result.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.bench.workload import load_dataset_into
 from repro.concurrency.driver import MIXES, run_engine_mode
-from repro.concurrency.sessions import SessionManager
-from repro.concurrency.versioning import VersionStore, vertex_key
+from repro.concurrency.versioning import VersionStore
+from repro.concurrency.visibility import CURRENT
 from repro.datasets import get_dataset
 from repro.engines import create_engine
 
@@ -140,63 +142,134 @@ class TestGCReadStability:
         assert manager.store.retained_entries() == 0
 
 
-class TestShardedStore:
-    def test_shard_assignment_is_stable_and_spreads(self):
-        store = VersionStore(8)
-        keys = [("vertex", index) for index in range(64)]
-        assignment = {key: store.shard_of(key).index for key in keys}
-        # Re-asking gives the same shard (pure function of the key).
-        assert assignment == {key: store.shard_of(key).index for key in keys}
-        assert len(set(assignment.values())) > 1
-
-    def test_single_shard_store_is_valid(self):
-        store = VersionStore(1)
+class TestFlatStore:
+    def test_marks_are_point_lookups(self):
+        store = VersionStore()
+        assert store.committed_ts(("vertex", 1)) == 0
         store.mark_committed(("vertex", 1), 3)
         assert store.committed_ts(("vertex", 1)) == 3
-        with pytest.raises(ValueError):
-            VersionStore(0)
+        assert store.oldest_ts == 3
 
-    def test_gc_skips_shards_with_no_old_entries(self):
-        store = VersionStore(4)
+    def test_gc_is_a_noop_below_the_oldest_entry(self):
+        store = VersionStore()
+        assert store.collect_garbage(7) == 0  # empty store
         store.mark_committed(("vertex", 1), 5)
         assert store.collect_garbage(4) == 0
-        assert store.gc.runs == 0  # no shard was eligible, no sweep ran
+        assert store.gc.runs == 0  # nothing at or below the mark: no sweep ran
+        assert store.gc.last_low_water_mark == 4
         assert store.collect_garbage(5) == 1
         assert store.gc.runs == 1
         assert store.retained_entries() == 0
+        assert store.oldest_ts is None
 
-    def test_visibility_semantics_identical_across_shard_counts(self):
-        def populate(store: VersionStore) -> None:
-            for index in range(10):
-                key = ("vertex", index)
-                store.mark_committed(key, index + 1)
-                store.push_undo(key, index + 1, f"before-{index}")
-            store.mark_removed(("edge", 3), 4)
-            store.mark_committed(("edge", 9), 9)  # a creation stamps both marks
-            store.mark_created(("edge", 9), 9)
+    def test_lookups_scans_and_reclaim_counts(self):
+        store = VersionStore()
+        for index in range(10):
+            key = ("vertex", index)
+            store.mark_committed(key, index + 1)
+            store.push_undo(key, index + 1, f"before-{index}")
+        store.mark_removed(("edge", 3), 4)
+        store.mark_committed(("edge", 9), 9)  # a creation stamps both marks
+        store.mark_created(("edge", 9), 9)
 
-        one, many = VersionStore(1), VersionStore(16)
-        populate(one)
-        populate(many)
         for snapshot in (0, 4, 9):
             for index in range(10):
-                key = ("vertex", index)
-                assert one.visible(key, snapshot) == many.visible(key, snapshot)
-            assert one.removed_as_of(("edge", 3), snapshot) == many.removed_as_of(
-                ("edge", 3), snapshot
+                expected = f"before-{index}" if index + 1 > snapshot else CURRENT
+                assert store.visible(("vertex", index), snapshot) == expected
+            assert store.removed_as_of(("edge", 3), snapshot) == (snapshot >= 4)
+            assert store.visible(("edge", 9), snapshot) is (CURRENT if snapshot == 9 else None)
+            # Scans come back in commit order.
+            assert store.overlaid_keys("vertex", snapshot) == list(range(snapshot, 10))
+            assert list(store.removed_object_ids("edge", snapshot)) == (
+                [3] if snapshot < 4 else []
             )
-            assert one.visible(("edge", 9), snapshot) is many.visible(("edge", 9), snapshot)
-            assert sorted(one.overlaid_keys("vertex", snapshot)) == sorted(
-                many.overlaid_keys("vertex", snapshot)
-            )
-            assert sorted(one.removed_object_ids("edge", snapshot)) == sorted(
-                many.removed_object_ids("edge", snapshot)
-            )
-        assert one.retained_entries() == many.retained_entries()
-        one.collect_garbage(5)
-        many.collect_garbage(5)
-        assert one.retained_entries() == many.retained_entries()
-        assert one.gc.reclaimed_total == many.gc.reclaimed_total
+        assert store.retained_entries() == 23
+        # Five conflict keys, five before-images and the tombstone die at 5.
+        assert store.collect_garbage(5) == 11
+        assert (store.gc.reclaimed_keys, store.gc.reclaimed_undo) == (5, 5)
+        assert store.gc.reclaimed_tombstones == 1
+        assert store.retained_entries() == 12
+        assert store.oldest_ts == 6
+
+
+def _commit(engine, mutate):
+    """Run ``mutate(graph)`` in its own session; return the engine id of
+    whatever it created."""
+    session = engine.begin_session()
+    created = mutate(session.graph)
+    return session.commit().id_map.get(created)
+
+
+def _assert_drained(store: VersionStore, history: str) -> None:
+    assert store.retained_entries() == 0, history
+    assert store.retained_bytes() == 0, history
+    assert store.removed_edges_by_vertex == {}, history
+    assert store.oldest_ts is None, history
+
+
+#: Engines that hand a freed edge id out again (LIFO free list), so one
+#: resurrection-index entry can outlive the incarnation it was made for.
+ID_REUSING_ENGINES = ("nativelinked-1.9", "nativelinked-3.0")
+
+
+class TestStoreDrains:
+    """Aim 3's invariant: nothing observes the store => the store is empty."""
+
+    @pytest.mark.parametrize("first, second", [((0, 1), (1, 2)), ((0, 1), (2, 3)), ((5, 2), (7, 5))])
+    def test_freed_edge_id_reused_under_two_pins(self, first, second):
+        """The resurrection entry of a removed edge must die with the *last*
+        tombstone its (reused) id carries, whoever's adjacency marks went
+        first.  The hash-partitioned store kept ``{endpoint: [e]}`` forever
+        in a partition that no longer held any timestamp."""
+        engine = create_engine("nativelinked-1.9")
+        vertices = [engine.add_vertex({"i": index}) for index in range(8)]
+        edge = engine.add_edge(vertices[first[0]], vertices[first[1]], "l")
+        manager = engine.transactions()
+        p1 = manager.pin()
+        _commit(engine, lambda graph: graph.remove_edge(edge))
+        p2 = manager.pin()
+        reused = _commit(
+            engine,
+            lambda graph: graph.add_edge(vertices[second[0]], vertices[second[1]], "l"),
+        )
+        assert reused == edge  # the engine handed the freed id back
+        _commit(engine, lambda graph: graph.remove_edge(reused))
+        assert manager.store.retained_entries() > 0
+        p1.release()
+        p2.release()
+        _assert_drained(manager.store, f"{first} then {second}")
+
+    @pytest.mark.parametrize("engine_id", ID_REUSING_ENGINES)
+    def test_random_pin_and_edge_histories_drain(self, engine_id):
+        """200 seeded histories of pin / release / add-edge / remove-edge
+        commits; closing every pin must leave nothing behind."""
+        for seed in range(200):
+            rng = random.Random(seed)
+            engine = create_engine(engine_id)
+            vertices = [engine.add_vertex({"i": index}) for index in range(5)]
+            edges = [
+                engine.add_edge(*rng.sample(vertices, 2), "l") for _index in range(3)
+            ]
+            manager = engine.transactions()
+            pins = [manager.pin()]
+            for _step in range(8):
+                action = rng.choice(("pin", "release", "add", "add", "remove", "remove"))
+                if action == "pin":
+                    pins.append(manager.pin())
+                elif action == "release" and pins:
+                    pins.pop(rng.randrange(len(pins))).release()
+                elif action == "add":
+                    source, target = rng.sample(vertices, 2)
+                    edges.append(
+                        _commit(engine, lambda graph: graph.add_edge(source, target, "l"))
+                    )
+                elif action == "remove" and edges:
+                    edge = edges.pop(rng.randrange(len(edges)))
+                    _commit(engine, lambda graph: graph.remove_edge(edge))
+            for pin in pins:
+                pin.release()
+            assert manager.active_pins == manager.active_sessions == 0
+            _assert_drained(manager.store, f"seed {seed}")
 
 
 class TestBoundedUnderContention:
@@ -236,12 +309,6 @@ class TestBoundedUnderContention:
         assert manager.low_water_mark() == second.snapshot_ts == 1
         second.commit()
         assert manager.low_water_mark() == manager.store.clock == 1
-
-    def test_explicit_shard_count_flows_through_manager(self, small_dataset):
-        loaded = load_dataset_into(create_engine("nativelinked-1.9"), small_dataset)
-        manager = SessionManager(loaded.engine, shards=3)
-        assert manager.store.n_shards == 3
-        assert len(manager.store.shards) == 3
 
 
 class TestPinnedTags:

@@ -339,6 +339,40 @@ class TestSessionLifecycle:
             session.commit()
         assert session.state == "aborted"
 
+    def test_unknown_buffered_operation_aborts_the_commit(self, any_loaded):
+        session = any_loaded.engine.begin_session()
+        session.write_set.ops.append(("truncate_graph", any_loaded.vertex_map["n0"]))
+        with pytest.raises(TransactionError, match="unknown buffered operation 'truncate_graph'"):
+            session.commit()
+        assert session.state == "aborted"
+
+    def test_removing_a_draft_vertex_drops_its_draft_edges(self, any_loaded):
+        """Created and removed inside one transaction nets out — including
+        the edges created on the draft, whose creations must not replay
+        against an endpoint that never reached the engine."""
+        engine = any_loaded.engine
+        anchor = any_loaded.vertex_map["n0"]
+        before = (engine.vertex_count(), engine.edge_count())
+        session = engine.begin_session()
+        draft = session.graph.add_vertex({"name": "draft"})
+        session.graph.add_edge(draft, anchor, "knows")
+        session.graph.add_edge(anchor, draft, "knows")
+        session.graph.set_vertex_property(draft, "rank", 1)
+        session.graph.remove_vertex(draft)
+        assert session.graph.edge_count() == before[1]
+        result = session.commit()
+        assert (result.applied_ops, result.id_map) == (0, {})
+        assert (engine.vertex_count(), engine.edge_count()) == before
+
+    def test_transactions_refuses_to_reconfigure_a_live_manager(self, any_loaded):
+        engine = any_loaded.engine
+        manager = engine.transactions(group_commit_size=2)
+        assert manager.group_commit_size == 2
+        assert engine.transactions() is manager
+        with pytest.raises(TransactionError, match="already has a session manager"):
+            engine.transactions(group_commit_size=8)
+        assert manager.group_commit_size == 2
+
     def test_session_removal_of_resurrected_objects_is_read_your_writes(self, any_loaded):
         """Removing an object another commit already removed stays consistent."""
         engine = any_loaded.engine

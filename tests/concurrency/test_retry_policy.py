@@ -13,7 +13,7 @@ from repro.concurrency.driver import (
     make_retry_policy,
     run_concurrent_benchmark,
 )
-from repro.concurrency.report import comparable_payload
+from repro.bench.gates import comparable_payload
 from repro.exceptions import BenchmarkError
 
 

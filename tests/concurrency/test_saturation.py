@@ -6,8 +6,8 @@ import json
 
 import pytest
 
+from repro.bench.gates import comparable_payload
 from repro.concurrency import (
-    comparable_payload,
     format_loop_comparison,
     run_loop_comparison,
     format_saturation_report,

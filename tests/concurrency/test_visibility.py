@@ -103,7 +103,7 @@ class Marks:
             self.removed_ts = ts
 
     def collected(self, low_water_mark: int) -> "Marks":
-        """These marks after ``VersionShard.sweep_timestamps(low_water_mark)``."""
+        """These marks after ``VersionStore.collect_garbage(low_water_mark)``."""
         swept = Marks()
         swept.created_ts, swept.committed_ts, swept.removed_ts = (
             ts if ts > low_water_mark else 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.concurrency import comparable_payload
+from repro.bench.gates import comparable_payload
 from repro.exceptions import BenchmarkError
 from repro.partition import (
     format_scaleout_report,

@@ -6,8 +6,7 @@ import copy
 
 import pytest
 
-from repro.bench.gates import check_txn_invariants
-from repro.concurrency import comparable_payload
+from repro.bench.gates import check_txn_invariants, comparable_payload
 from repro.exceptions import BenchmarkError
 from repro.txn import format_txn_report, run_txn_benchmark
 

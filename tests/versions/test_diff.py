@@ -96,19 +96,30 @@ class TestChargesAndSkipping:
         assert diff.walk_charge >= diff.visited  # one record read per visit
         assert diff.charge == diff.walk_charge + diff.engine_charge
 
-    def test_untouched_shards_are_skipped(self, engine):
+    def test_only_marks_inside_the_window_are_candidates(self, engine):
         vids, _eids = _seed(engine)
         catalog = engine.versions()
         base = catalog.commit()
-        session = engine.begin_session()
-        session.graph.set_vertex_property(vids[0], "rank", 1)
-        session.commit()
-        target = catalog.commit()
-        diff = catalog.diff(base, target)
+
+        def write_then_commit(vid):
+            session = engine.begin_session()
+            session.graph.set_vertex_property(vid, "rank", 9)
+            session.commit()
+            return catalog.commit()
+
+        middle = write_then_commit(vids[0])
+        middle_again = catalog.commit()  # same snapshot, new commit id
+        target = write_then_commit(vids[1])
         store = engine.transactions().store
-        assert diff.shards_scanned + diff.shards_skipped == store.n_shards
-        # One touched key cannot have dirtied every shard.
-        assert diff.shards_skipped > 0
+        assert store.retained_entries() > 0  # both writes left pinned marks
+        # Same snapshot on both sides: nothing is scanned, visited or charged.
+        same = catalog.diff(middle, middle_again)
+        assert (same.candidates, same.visited, same.charge) == (0, 0, 0)
+        # The first write lies outside (middle, target]; only the second counts.
+        later = catalog.diff(middle, target)
+        assert [entry.obj_id for entry in later.entries] == [vids[1]]
+        assert later.candidates == 1
+        assert catalog.diff(base, target).candidates == 2
 
     def test_diff_charge_lands_on_its_own_sink_not_the_walk(self, engine):
         vids, _eids = _seed(engine)
