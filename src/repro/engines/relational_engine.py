@@ -28,7 +28,7 @@ from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError, SchemaError
 from repro.model.elements import Direction, Edge, Vertex
-from repro.storage.relational import Column, RelationalDatabase
+from repro.storage.relational import Column, RelationalDatabase, Table, index_key
 
 _VERTEX_PREFIX = "V_"
 _EDGE_PREFIX = "E_"
@@ -38,6 +38,8 @@ _DEFAULT_VERTEX_LABEL = "vertex"
 _MAX_LABEL_LENGTH = 63
 #: Reserved column names of edge tables.
 _EDGE_SYSTEM_COLUMNS = ("id", "source", "target", "source_table", "target_table")
+#: The foreign-key columns of an edge table, both indexed.
+_ENDPOINT_COLUMNS = ("source", "target")
 
 
 class RelationalEngine(BaseEngine):
@@ -123,6 +125,35 @@ class RelationalEngine(BaseEngine):
         except ValueError:
             raise ElementNotFoundError("element", element_id) from None
 
+    def _locate(self, prefix: str, element_id: Any) -> tuple[Table, int] | None:
+        """The ``(table, row id)`` behind a live id of the ``prefix`` id space.
+
+        Vertex ids and edge ids share one ``"<table>:<row>"`` syntax, so the
+        table-name prefix is what tells them apart: an edge id handed to a
+        vertex method (or the reverse) names no element.  Books nothing.
+        """
+        table_name, _, row = str(element_id).rpartition(":")
+        if not table_name.startswith(prefix) or not self._db.has_table(table_name):
+            return None
+        try:
+            row_id = int(row)
+        except ValueError:
+            return None
+        table = self._db.table(table_name)
+        return (table, row_id) if table.exists(row_id) else None
+
+    def _vertex_row(self, vertex_id: Any) -> tuple[Table, int]:
+        located = self._locate(_VERTEX_PREFIX, vertex_id)
+        if located is None:
+            raise ElementNotFoundError("vertex", vertex_id)
+        return located
+
+    def _edge_row(self, edge_id: Any) -> tuple[Table, int]:
+        located = self._locate(_EDGE_PREFIX, edge_id)
+        if located is None:
+            raise ElementNotFoundError("edge", edge_id)
+        return located
+
     # ------------------------------------------------------------------
     # Vertex CRUD
     # ------------------------------------------------------------------
@@ -142,11 +173,9 @@ class RelationalEngine(BaseEngine):
         return f"{table_name}:{row_id}"
 
     def vertex(self, vertex_id: Any) -> Vertex:
-        table_name, row_id = self._split_id(vertex_id)
-        if not self._db.has_table(table_name) or not self._db.table(table_name).exists(row_id):
-            raise ElementNotFoundError("vertex", vertex_id)
-        row = self._db.table(table_name).get(row_id)
-        label = table_name[len(_VERTEX_PREFIX) :]
+        table, row_id = self._vertex_row(vertex_id)
+        row = table.get(row_id)
+        label = table.name[len(_VERTEX_PREFIX) :]
         properties = {
             key: value for key, value in row.items() if key != "id" and value is not None
         }
@@ -157,15 +186,7 @@ class RelationalEngine(BaseEngine):
         return Vertex(id=vertex_id, label=label_value, properties=properties)
 
     def vertex_exists(self, vertex_id: Any) -> bool:
-        try:
-            table_name, row_id = self._split_id(vertex_id)
-        except ElementNotFoundError:
-            return False
-        return (
-            table_name.startswith(_VERTEX_PREFIX)
-            and self._db.has_table(table_name)
-            and self._db.table(table_name).exists(row_id)
-        )
+        return self._locate(_VERTEX_PREFIX, vertex_id) is not None
 
     def vertex_ids(self) -> Iterator[Any]:
         for table_name in self._vertex_tables():
@@ -173,23 +194,18 @@ class RelationalEngine(BaseEngine):
                 yield f"{table_name}:{row['id']}"
 
     def remove_vertex(self, vertex_id: Any) -> None:
-        table_name, row_id = self._split_id(vertex_id)
-        if not self._db.has_table(table_name) or not self._db.table(table_name).exists(row_id):
-            raise ElementNotFoundError("vertex", vertex_id)
-        # Cascade: delete incident edges from every edge table.
-        for edge_table in self._edge_tables():
-            table = self._db.table(edge_table)
-            table.delete_where(
-                lambda row: row["source"] == str(vertex_id) or row["target"] == str(vertex_id)
-            )
-        self._db.table(table_name).delete(row_id)
+        table, row_id = self._vertex_row(vertex_id)
+        # Cascade: delete incident edges from every edge table, found through
+        # the endpoint foreign-key indexes.  Catalog order, not name order:
+        # each delete books the same wherever it falls in the cascade.
+        key = index_key(str(vertex_id))
+        for edge_table in self._db.tables(_EDGE_PREFIX):
+            edge_table.delete_referencing(_ENDPOINT_COLUMNS, key)
+        table.delete(row_id)
         self._log("remove_vertex", id=vertex_id)
 
     def set_vertex_property(self, vertex_id: Any, key: str, value: Any) -> None:
-        table_name, row_id = self._split_id(vertex_id)
-        if not self._db.has_table(table_name) or not self._db.table(table_name).exists(row_id):
-            raise ElementNotFoundError("vertex", vertex_id)
-        table = self._db.table(table_name)
+        table, row_id = self._vertex_row(vertex_id)
         if not table.schema.has_column(key):
             # Adding a property key not seen before changes the table
             # structure, the slow path the paper observed for this engine.
@@ -200,20 +216,14 @@ class RelationalEngine(BaseEngine):
         self._log("set_vertex_property", id=vertex_id, key=key)
 
     def remove_vertex_property(self, vertex_id: Any, key: str) -> None:
-        table_name, row_id = self._split_id(vertex_id)
-        if not self._db.has_table(table_name) or not self._db.table(table_name).exists(row_id):
-            raise ElementNotFoundError("vertex", vertex_id)
-        table = self._db.table(table_name)
+        table, row_id = self._vertex_row(vertex_id)
         if table.schema.has_column(key):
             table.update(row_id, {key: None})
         self._log("remove_vertex_property", id=vertex_id, key=key)
 
     def vertex_property(self, vertex_id: Any, key: str) -> Any:
-        table_name, row_id = self._split_id(vertex_id)
-        if not self._db.has_table(table_name) or not self._db.table(table_name).exists(row_id):
-            raise ElementNotFoundError("vertex", vertex_id)
-        row = self._db.table(table_name).get(row_id)
-        return row.get(key)
+        table, row_id = self._vertex_row(vertex_id)
+        return table.get(row_id).get(key)
 
     # ------------------------------------------------------------------
     # Edge CRUD
@@ -227,25 +237,21 @@ class RelationalEngine(BaseEngine):
         properties: dict[str, Any] | None = None,
     ) -> Any:
         properties = properties or {}
-        if not self.vertex_exists(source_id):
-            raise ElementNotFoundError("vertex", source_id)
-        if not self.vertex_exists(target_id):
-            raise ElementNotFoundError("vertex", target_id)
+        source_table, _ = self._vertex_row(source_id)
+        target_table, _ = self._vertex_row(target_id)
         self.schema.observe_edge(label, set(properties))
         table_name = self._edge_table(label)
         table = self._db.table(table_name)
         for key in properties:
             if not table.schema.has_column(key):
                 table.add_column(Column(key))
-        source_table, _ = self._split_id(source_id)
-        target_table, _ = self._split_id(target_id)
         row = dict(properties)
         row.update(
             {
                 "source": str(source_id),
                 "target": str(target_id),
-                "source_table": source_table,
-                "target_table": target_table,
+                "source_table": source_table.name,
+                "target_table": target_table.name,
             }
         )
         row_id = table.insert(row)
@@ -253,11 +259,9 @@ class RelationalEngine(BaseEngine):
         return f"{table_name}:{row_id}"
 
     def edge(self, edge_id: Any) -> Edge:
-        table_name, row_id = self._split_id(edge_id)
-        if not self._db.has_table(table_name) or not self._db.table(table_name).exists(row_id):
-            raise ElementNotFoundError("edge", edge_id)
-        row = self._db.table(table_name).get(row_id)
-        label = table_name[len(_EDGE_PREFIX) :]
+        table, row_id = self._edge_row(edge_id)
+        row = table.get(row_id)
+        label = table.name[len(_EDGE_PREFIX) :]
         properties = {
             key: value
             for key, value in row.items()
@@ -272,15 +276,7 @@ class RelationalEngine(BaseEngine):
         )
 
     def edge_exists(self, edge_id: Any) -> bool:
-        try:
-            table_name, row_id = self._split_id(edge_id)
-        except ElementNotFoundError:
-            return False
-        return (
-            table_name.startswith(_EDGE_PREFIX)
-            and self._db.has_table(table_name)
-            and self._db.table(table_name).exists(row_id)
-        )
+        return self._locate(_EDGE_PREFIX, edge_id) is not None
 
     def edge_ids(self) -> Iterator[Any]:
         for table_name in self._edge_tables():
@@ -288,42 +284,30 @@ class RelationalEngine(BaseEngine):
                 yield f"{table_name}:{row['id']}"
 
     def remove_edge(self, edge_id: Any) -> None:
-        table_name, row_id = self._split_id(edge_id)
-        if not self._db.has_table(table_name) or not self._db.table(table_name).exists(row_id):
-            raise ElementNotFoundError("edge", edge_id)
-        self._db.table(table_name).delete(row_id)
+        table, row_id = self._edge_row(edge_id)
+        table.delete(row_id)
         self._log("remove_edge", id=edge_id)
 
     def set_edge_property(self, edge_id: Any, key: str, value: Any) -> None:
-        table_name, row_id = self._split_id(edge_id)
-        if not self._db.has_table(table_name) or not self._db.table(table_name).exists(row_id):
-            raise ElementNotFoundError("edge", edge_id)
-        table = self._db.table(table_name)
+        table, row_id = self._edge_row(edge_id)
         if not table.schema.has_column(key):
             table.add_column(Column(key))
         table.update(row_id, {key: value})
         self._log("set_edge_property", id=edge_id, key=key)
 
     def remove_edge_property(self, edge_id: Any, key: str) -> None:
-        table_name, row_id = self._split_id(edge_id)
-        if not self._db.has_table(table_name) or not self._db.table(table_name).exists(row_id):
-            raise ElementNotFoundError("edge", edge_id)
-        table = self._db.table(table_name)
+        table, row_id = self._edge_row(edge_id)
         if table.schema.has_column(key):
             table.update(row_id, {key: None})
         self._log("remove_edge_property", id=edge_id, key=key)
 
     def edge_property(self, edge_id: Any, key: str) -> Any:
-        table_name, row_id = self._split_id(edge_id)
-        if not self._db.has_table(table_name) or not self._db.table(table_name).exists(row_id):
-            raise ElementNotFoundError("edge", edge_id)
-        return self._db.table(table_name).get(row_id).get(key)
+        table, row_id = self._edge_row(edge_id)
+        return table.get(row_id).get(key)
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
-        table_name, row_id = self._split_id(edge_id)
-        if not self._db.has_table(table_name) or not self._db.table(table_name).exists(row_id):
-            raise ElementNotFoundError("edge", edge_id)
-        row = self._db.table(table_name).get(row_id)
+        table, row_id = self._edge_row(edge_id)
+        row = table.get(row_id)
         return row["source"], row["target"]
 
     def edge_label(self, edge_id: Any) -> str:
@@ -367,10 +351,8 @@ class RelationalEngine(BaseEngine):
     def vertex_label(self, vertex_id: Any) -> str | None:
         # The label is the table name: a pure catalog read, no row fetch —
         # the relational layout's structural-label strength.
-        if not self.vertex_exists(vertex_id):
-            raise ElementNotFoundError("vertex", vertex_id)
-        table_name, _row_id = self._split_id(vertex_id)
-        label = table_name[len(_VERTEX_PREFIX) :]
+        table, _row_id = self._vertex_row(vertex_id)
+        label = table.name[len(_VERTEX_PREFIX) :]
         return None if label == _DEFAULT_VERTEX_LABEL else label
 
     def neighbors_many(

@@ -112,52 +112,53 @@ class BPlusTree:
     # -- insertion ---------------------------------------------------------
 
     def insert(self, key: Any, value: Any) -> None:
-        """Insert ``value`` under ``key``, splitting nodes as necessary."""
-        self.metrics.charge_index_update()
-        split = self._insert(self._root, key, value)
-        if split is not None:
-            middle_key, right = split
-            new_root = _InternalNode()
-            new_root.keys = [middle_key]
-            new_root.children = [self._root, right]
-            self._root = new_root
-            self._height += 1
-            self._rebalance_count += 1
+        """Insert ``value`` under ``key``, splitting nodes as necessary.
 
-    def _insert(self, node: _Node, key: Any, value: Any):
-        if type(node) is _LeafNode:
-            return self._insert_into_leaf(node, key, value)
-        self.metrics.charge_index_probe()
-        index = bisect_right(node.keys, key)
-        split = self._insert(node.children[index], key, value)
-        if split is None:
-            return None
-        middle_key, right = split
-        node.keys.insert(index, middle_key)
-        node.children.insert(index + 1, right)
-        if len(node.keys) <= self.order:
-            return None
-        return self._split_internal(node)
-
-    def _insert_into_leaf(self, leaf: _LeafNode, key: Any, value: Any):
-        self.metrics.charge_index_probe()
-        index = bisect_left(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
+        The write-side twin of :meth:`_find_leaf`: one iterative descent
+        that books its ``height`` probes at once and remembers the
+        ``(node, child index)`` path, so a split propagates up that stack
+        instead of unwinding a recursion.
+        """
+        metrics = self.metrics
+        metrics.index_updates += 1
+        metrics.index_probes += self._height
+        node = self._root
+        path: list[tuple[_InternalNode, int]] = []
+        while type(node) is _InternalNode:
+            index = bisect_right(node.keys, key)
+            path.append((node, index))
+            node = node.children[index]
+        keys = node.keys
+        index = bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
             if self.unique:
-                removed = len(leaf.values[index])
-                leaf.values[index] = [value]
-                self._size += 1 - removed
+                self._size += 1 - len(node.values[index])
+                node.values[index] = [value]
             else:
-                leaf.values[index].append(value)
+                node.values[index].append(value)
                 self._size += 1
-            return None
-        leaf.keys.insert(index, key)
-        leaf.values.insert(index, [value])
+            return
+        keys.insert(index, key)
+        node.values.insert(index, [value])
         self._size += 1
         self._key_count += 1
-        if len(leaf.keys) <= self.order:
-            return None
-        return self._split_leaf(leaf)
+        order = self.order
+        if len(keys) <= order:
+            return
+        middle_key, right = self._split_leaf(node)
+        while path:
+            parent, index = path.pop()
+            parent.keys.insert(index, middle_key)
+            parent.children.insert(index + 1, right)
+            if len(parent.keys) <= order:
+                return
+            middle_key, right = self._split_internal(parent)
+        new_root = _InternalNode()
+        new_root.keys = [middle_key]
+        new_root.children = [self._root, right]
+        self._root = new_root
+        self._height += 1
+        self._rebalance_count += 1
 
     def _split_leaf(self, leaf: _LeafNode):
         self._rebalance_count += 1
@@ -197,6 +198,22 @@ class BPlusTree:
         """True if ``key`` has at least one stored value."""
         leaf, index = self._find_leaf(key)
         return index < len(leaf.keys) and leaf.keys[index] == key
+
+    def peek(self, key: Any) -> list[Any]:
+        """What :meth:`search` returns, without booking anything.
+
+        For a caller whose discovery work the cost model deliberately
+        leaves unbooked (the relational foreign-key cascade): the same
+        descent as :meth:`_find_leaf`, no counter moves.
+        """
+        node = self._root
+        while type(node) is _InternalNode:
+            node = node.children[bisect_right(node.keys, key)]
+        keys = node.keys
+        index = bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
+            return list(node.values[index])
+        return []
 
     def _find_leaf(self, key: Any) -> tuple[_LeafNode, int]:
         """Descend to the leaf that holds (or would hold) ``key``.

@@ -22,6 +22,10 @@ from repro.exceptions import ElementNotFoundError, StorageError
 from repro.storage.metrics import StorageMetrics
 from repro.storage.pages import PageFile
 
+#: ``json.dumps(fields, default=str)`` builds an encoder per call; one
+#: prebuilt encoder produces the same bytes.
+_encode_fields = json.JSONEncoder(default=str).encode
+
 
 @dataclass
 class Record:
@@ -194,7 +198,7 @@ class RecordStore:
     def _write_slot(self, record_id: int) -> None:
         record = self._records[record_id]
         assert record is not None
-        encoded = json.dumps(record.fields, default=str).encode()
+        encoded = _encode_fields(record.fields).encode()
         # The payload is clamped to the fixed record size: this is a
         # simulation of the slot write, not a faithful binary encoding.
         self._file.write_at(record_id * self.record_size, encoded[: self.record_size])

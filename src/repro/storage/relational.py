@@ -51,12 +51,13 @@ class TableSchema:
             raise SchemaError(f"duplicate column names in table {self.name!r}")
         if "id" not in names:
             raise SchemaError(f"table {self.name!r} must declare an 'id' column")
+        self._names = frozenset(names)
 
     def column_names(self) -> tuple[str, ...]:
         return tuple(column.name for column in self.columns)
 
     def has_column(self, name: str) -> bool:
-        return any(column.name == name for column in self.columns)
+        return name in self._names
 
 
 Predicate = Callable[[dict[str, Any]], bool]
@@ -96,7 +97,7 @@ class Table:
             return
         index = BPlusTree(f"{self.name}-{column}-idx", metrics=self.metrics)
         for row_id, row in self._rows.items():
-            index.insert(_index_key(row.get(column)), row_id)
+            index.insert(index_key(row.get(column)), row_id)
         self._secondary[column] = index
 
     def has_index(self, column: str) -> bool:
@@ -137,7 +138,7 @@ class Table:
         self._primary.insert(row_id, row_id)
         self.metrics.charge_record_write(1, len(str(row)))
         for column, index in self._secondary.items():
-            index.insert(_index_key(row.get(column)), row_id)
+            index.insert(index_key(row.get(column)), row_id)
         return row_id
 
     def get(self, row_id: Any) -> dict[str, Any]:
@@ -162,8 +163,8 @@ class Table:
             if not self.schema.has_column(key):
                 raise SchemaError(f"unknown column {key!r} for table {self.name!r}")
             if key in self._secondary:
-                self._secondary[key].delete(_index_key(row.get(key)), row_id)
-                self._secondary[key].insert(_index_key(value), row_id)
+                self._secondary[key].delete(index_key(row.get(key)), row_id)
+                self._secondary[key].insert(index_key(value), row_id)
             row[key] = value
         self.metrics.charge_record_write(1, len(str(changes)))
 
@@ -174,12 +175,29 @@ class Table:
         row = self._rows.pop(row_id)
         self._primary.delete(row_id)
         for column, index in self._secondary.items():
-            index.delete(_index_key(row.get(column)), row_id)
+            index.delete(index_key(row.get(column)), row_id)
         self.metrics.charge_record_write(1)
 
-    def delete_where(self, predicate: Predicate) -> int:
-        """Delete every row satisfying ``predicate``; return the count."""
-        doomed = [row_id for row_id, row in self._rows.items() if predicate(row)]
+    def delete_referencing(self, columns: tuple[str, ...], key: tuple[str, str]) -> int:
+        """Foreign-key cascade: delete every row referencing ``key``; return the count.
+
+        ``key`` is :func:`index_key` of the referenced value (computed once
+        by a caller that cascades over many tables); each of ``columns``
+        must carry a secondary index.  Finding the doomed rows books
+        nothing — the cascade's cost is the deletes themselves — so the
+        indexes are only peeked.  A row referencing ``key`` from several
+        columns (a self-loop) is deleted once; rows go in ascending id,
+        each through the fully charged :meth:`delete`.
+        """
+        secondary = self._secondary
+        referencing: list[Any] = []
+        for column in columns:
+            if column not in secondary:
+                raise StorageError(f"no index on {self.name}.{column}")
+            referencing += secondary[column].peek(key)
+        if not referencing:
+            return 0
+        doomed = sorted(set(referencing))
         for row_id in doomed:
             self.delete(row_id)
         return len(doomed)
@@ -197,7 +215,7 @@ class Table:
         """Equality scan through a secondary index (raises if no index)."""
         if column not in self._secondary:
             raise StorageError(f"no index on {self.name}.{column}")
-        for row_id in self._secondary[column].search(_index_key(value)):
+        for row_id in self._secondary[column].search(index_key(value)):
             if row_id in self._rows:
                 self.metrics.charge_record_read(1)
                 yield dict(self._rows[row_id])
@@ -220,7 +238,7 @@ class Table:
         rows = self._rows
         metrics = self.metrics
         for value in values:
-            for row_id in index.search(_index_key(value)):
+            for row_id in index.search(index_key(value)):
                 row = rows.get(row_id)
                 if row is not None:
                     metrics.records_read += 1
@@ -253,7 +271,7 @@ class Table:
         rows = self._rows
         return sum(
             1
-            for row_id in self._secondary[column].search(_index_key(value))
+            for row_id in self._secondary[column].search(index_key(value))
             if row_id in rows
         )
 
@@ -273,7 +291,7 @@ class Table:
         return self.seq_scan()
 
 
-def _index_key(value: Any) -> tuple[str, str]:
+def index_key(value: Any) -> tuple[str, str]:
     """Normalise heterogeneous values into a totally ordered index key."""
     return (type(value).__name__, repr(value))
 
@@ -309,8 +327,9 @@ class RelationalDatabase:
     def has_table(self, name: str) -> bool:
         return name in self._tables
 
-    def tables(self) -> Iterator[Table]:
-        yield from self._tables.values()
+    def tables(self, prefix: str = "") -> list[Table]:
+        """Tables whose name starts with ``prefix``, in creation order."""
+        return [table for name, table in self._tables.items() if name.startswith(prefix)]
 
     def table_names(self) -> list[str]:
         return sorted(self._tables)

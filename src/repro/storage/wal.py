@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import enum
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 from repro.exceptions import StorageError
@@ -58,10 +59,23 @@ class DurabilityMode(enum.Enum):
     ASYNC = "async"
 
 
+_BY_KEY = itemgetter(0)
+
+
 def record_checksum(sequence: int, operation: str, payload: dict[str, Any]) -> int:
-    """CRC32 over a record's logical content (order-stable payload repr)."""
-    body = f"{sequence}:{operation}:{sorted(payload.items(), key=repr)!r}"
-    return zlib.crc32(body.encode())
+    """CRC32 over a record's logical content: sequence, operation, every item.
+
+    Items are ordered by key, so the checksum does not depend on insertion
+    order.  Payload keys are field names — strings everywhere in this
+    repository; keys that do not order among themselves (``1`` next to
+    ``"a"``) fall back to ordering the items by their ``repr``, which is
+    equally insertion-order-independent, so framing a record never raises.
+    """
+    try:
+        items = sorted(payload.items(), key=_BY_KEY)
+    except TypeError:
+        items = sorted(payload.items(), key=repr)
+    return zlib.crc32(f"{sequence}:{operation}:{items!r}".encode())
 
 
 def value_checksum(value: Any) -> int:
@@ -124,13 +138,15 @@ class ValueLog:
 
     def put(self, value: Any) -> ValuePointer:
         """Append ``value``; returns the pointer the WAL record keeps."""
-        size = len(repr(value))
+        text = repr(value)
+        size = len(text)
+        checksum = zlib.crc32(text.encode())
         self.metrics.charge_page_write(self._pages(size), size)
         slot = len(self._values)
         self._values.append(value)
-        self._checksums.append(value_checksum(value))
+        self._checksums.append(checksum)
         self.appended_bytes += size
-        return ValuePointer(slot=slot, size=size, checksum=value_checksum(value))
+        return ValuePointer(slot=slot, size=size, checksum=checksum)
 
     def get(self, pointer: ValuePointer) -> Any:
         """Dereference ``pointer`` (charged); raises on a torn value write."""
@@ -153,20 +169,17 @@ class ValueLog:
             self._checksums[slot] ^= 0xFFFFFFFF
 
 
-@dataclass
+@dataclass(slots=True)
 class LogRecord:
     """A single logical WAL entry."""
 
     sequence: int
     operation: str
     payload: dict[str, Any]
-    #: CRC32 of the logical content, set at append time.  A mismatch on
-    #: replay means the physical write was torn mid-record.
-    checksum: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        if self.checksum == 0:
-            self.checksum = record_checksum(self.sequence, self.operation, self.payload)
+    #: CRC32 of the logical content (:func:`record_checksum`), computed by
+    #: :meth:`WriteAheadLog.append`.  A mismatch on replay means the
+    #: physical write was torn mid-record.
+    checksum: int
 
     @property
     def intact(self) -> bool:
@@ -227,8 +240,6 @@ class WriteAheadLog:
 
     def _separate(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Swap oversized payload values for value-log pointers (KV split)."""
-        if self.value_log is None:
-            return payload
         separated: dict[str, Any] = {}
         for key, value in payload.items():
             if isinstance(value, ValuePointer):
@@ -259,12 +270,24 @@ class WriteAheadLog:
         return resolved
 
     def append(self, operation: str, payload: dict[str, Any] | None = None) -> LogRecord:
-        """Append a record; in SYNC mode the write is charged immediately."""
-        record = LogRecord(self._next_sequence, operation, self._separate(dict(payload or {})))
-        self._next_sequence += 1
+        """Append a record; in SYNC mode the write is charged immediately.
+
+        The record is framed in one pass: payload copied, large values
+        separated when a value log is attached, checksum computed once.
+        """
+        payload = dict(payload) if payload else {}
+        if self.value_log is not None:
+            payload = self._separate(payload)
+        sequence = self._next_sequence
+        record = LogRecord(
+            sequence, operation, payload, record_checksum(sequence, operation, payload)
+        )
+        self._next_sequence = sequence + 1
         self._records.append(record)
         if self.mode is DurabilityMode.SYNC:
-            self.metrics.charge_page_write(1, 64)
+            metrics = self.metrics
+            metrics.page_writes += 1
+            metrics.bytes_written += 64
             self._durable_upto = len(self._records)
         return record
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, bisect_right
 from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 
 from repro.storage.bitmap import Bitmap
-from repro.storage.btree import BPlusTree
+from repro.storage.btree import BPlusTree, _InternalNode
 from repro.storage.hash_index import HashIndex
 from repro.storage.triple_store import TripleStore
 
@@ -189,6 +190,116 @@ class TestBPlusTreePrefixScans:
         assert _probes(tree, lambda: list(tree.iter_prefix(("b",)))) == (survivors, height + 4 + 1)
         # An absent prefix between two runs: the descent, then the key that ends it.
         assert _probes(tree, lambda: tree.scan_prefix(("bb",))) == ([], height + 1)
+
+
+class _RecursiveInsertTree(BPlusTree):
+    """The textbook recursive insert, kept as the reference for the
+    iterative one: a probe booked per level on the way down, splits
+    returned up the call stack."""
+
+    def insert(self, key, value):
+        self.metrics.charge_index_update()
+        split = self._insert_below(self._root, key, value)
+        if split is not None:
+            middle_key, right = split
+            root = _InternalNode()
+            root.keys = [middle_key]
+            root.children = [self._root, right]
+            self._root = root
+            self._height += 1
+            self._rebalance_count += 1
+
+    def _insert_below(self, node, key, value):
+        self.metrics.charge_index_probe()
+        if not isinstance(node, _InternalNode):
+            index = bisect_left(node.keys, key)
+            if index < len(node.keys) and node.keys[index] == key:
+                if self.unique:
+                    self._size += 1 - len(node.values[index])
+                    node.values[index] = [value]
+                else:
+                    node.values[index].append(value)
+                    self._size += 1
+                return None
+            node.keys.insert(index, key)
+            node.values.insert(index, [value])
+            self._size += 1
+            self._key_count += 1
+            return self._split_leaf(node) if len(node.keys) > self.order else None
+        index = bisect_right(node.keys, key)
+        split = self._insert_below(node.children[index], key, value)
+        if split is None:
+            return None
+        middle_key, right = split
+        node.keys.insert(index, middle_key)
+        node.children.insert(index + 1, right)
+        return self._split_internal(node) if len(node.keys) > self.order else None
+
+
+def _leaf_chain(tree):
+    """``(key, values)`` along the leaf chain, left to right."""
+    leaf, pairs = tree._leftmost_leaf(), []
+    while leaf is not None:
+        pairs.extend(zip(leaf.keys, leaf.values))
+        leaf = leaf.next_leaf
+    return pairs
+
+
+#: ``(key, value)`` inserts; ``(None, n)`` deletes every value of the n-th
+#: key present.  A small key space, so duplicates and re-inserts are common.
+_write_mix = st.lists(
+    st.tuples(st.integers(0, 80) | st.none(), st.integers(0, 5)), max_size=150
+)
+
+
+class TestBPlusTreeIterativeInsert:
+    @given(st.sampled_from([3, 4, 7]), st.booleans(), _write_mix)
+    @settings(max_examples=120, deadline=None)
+    def test_books_and_builds_what_the_recursive_reference_does(self, order, unique, mix):
+        tree = BPlusTree(order=order, unique=unique)
+        reference = _RecursiveInsertTree(order=order, unique=unique)
+        model: dict[int, list[int]] = {}
+        for key, value in mix:
+            if key is None:
+                if model:
+                    victim = sorted(model)[value % len(model)]
+                    assert tree.delete(victim) == reference.delete(victim) == len(model.pop(victim))
+                continue
+            height, rebalances = tree.height, tree.rebalance_count
+            updates, probes = tree.metrics.index_updates, tree.metrics.index_probes
+            tree.insert(key, value)
+            reference.insert(key, value)
+            if unique:
+                model[key] = [value]
+            else:
+                model.setdefault(key, []).append(value)
+            # A new root is a rebalance but writes no existing node.
+            splits = (tree.rebalance_count - rebalances) - (tree.height - height)
+            assert tree.metrics.index_updates - updates == 1 + splits
+            assert tree.metrics.index_probes - probes == height
+        assert _leaf_chain(tree) == sorted(model.items()) == _leaf_chain(reference)
+        assert _leaf_depths(tree) == {tree.height}
+        for attribute in ("key_count", "height", "rebalance_count"):
+            assert getattr(tree, attribute) == getattr(reference, attribute)
+        assert len(tree) == len(reference) == sum(map(len, model.values()))
+        assert tree.metrics.snapshot() == reference.metrics.snapshot()
+
+    @given(st.sampled_from([3, 4, 7]), _write_mix, st.lists(st.integers(-5, 90), max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_peek_is_search_without_the_bill(self, order, mix, lookups):
+        tree = BPlusTree(order=order)
+        for key, value in mix:
+            if key is not None:
+                tree.insert(key, value)
+            elif len(tree):
+                tree.delete(next(tree.keys()))
+        for key in lookups:
+            before = tree.metrics.snapshot()
+            peeked = tree.peek(key)
+            assert tree.metrics.snapshot() == before
+            assert peeked == tree.search(key)
+            peeked.append("scribble")  # a copy, like search's
+            assert "scribble" not in tree.peek(key)
 
 
 class TestHashIndexProperties:

@@ -15,7 +15,7 @@ record *checksums*, not framing.  These tests pin the fault contract:
 
 from __future__ import annotations
 
-from repro.storage.wal import DurabilityMode, LogRecord, WriteAheadLog, record_checksum
+from repro.storage.wal import DurabilityMode, WriteAheadLog, record_checksum
 
 
 def _wal(mode: DurabilityMode = DurabilityMode.SYNC) -> WriteAheadLog:
@@ -30,7 +30,8 @@ class TestChecksums:
         assert record.checksum == record_checksum(1, "put", {"key": "a", "value": 1})
 
     def test_checksum_covers_payload_content(self):
-        record = LogRecord(7, "put", {"key": "a"})
+        record = _wal().append("put", {"key": "a"})
+        assert record.intact
         record.payload["key"] = "tampered"
         assert not record.intact
 
@@ -38,6 +39,35 @@ class TestChecksums:
         assert record_checksum(1, "op", {"a": 1, "b": 2}) == record_checksum(
             1, "op", {"b": 2, "a": 1}
         )
+        # ``"a" < "a b"`` but ``repr(("a b", 2)) < repr(("a", 1))``: ordering
+        # by key and ordering by repr disagree here, either must be stable.
+        assert sorted(["a", "a b"]) != sorted(["a", "a b"], key=lambda key: repr((key, 0)))
+        assert record_checksum(1, "op", {"a": 1, "a b": 2}) == record_checksum(
+            1, "op", {"a b": 2, "a": 1}
+        )
+
+    def test_checksum_covers_sequence_operation_every_key_and_value(self):
+        base = record_checksum(1, "op", {"a": 1, "b": 2})
+        changed = [
+            record_checksum(2, "op", {"a": 1, "b": 2}),
+            record_checksum(1, "po", {"a": 1, "b": 2}),
+            record_checksum(1, "op", {"a": 1, "c": 2}),
+            record_checksum(1, "op", {"a": 1, "b": 3}),
+            record_checksum(1, "op", {"a": 1, "b": "2"}),
+            record_checksum(1, "op", {"a": 1}),
+        ]
+        assert base not in changed and len(set(changed)) == len(changed)
+
+    def test_keys_that_do_not_order_fall_back_to_repr_order(self):
+        # Field names are strings; anything else still frames — never raises —
+        # and is still insertion-order independent.
+        mixed = record_checksum(1, "op", {1: "x", "a": 2, (3,): None})
+        assert mixed == record_checksum(1, "op", {(3,): None, "a": 2, 1: "x"})
+        assert record_checksum(1, "op", {2: "x", 10: "y"}) == record_checksum(
+            1, "op", {10: "y", 2: "x"}
+        )
+        wal = _wal()
+        assert wal.append("op", {1: "x", "a": 2}).intact
 
 
 class TestTornTailReplay:

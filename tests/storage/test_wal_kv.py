@@ -66,6 +66,35 @@ class TestSeparation:
         assert wal.separated_bytes == len(repr(BIG))
         assert len(wal.value_log) == 1
 
+    def test_put_renders_and_checksums_the_value_once(self, monkeypatch):
+        import zlib
+
+        from repro.storage import wal as wal_module
+
+        class Blob:
+            reprs = 0
+
+            def __repr__(self) -> str:
+                Blob.reprs += 1
+                return "B" * 5000
+
+        crcs = []
+
+        class CountingZlib:
+            @staticmethod
+            def crc32(data: bytes) -> int:
+                crcs.append(data)
+                return zlib.crc32(data)
+
+        monkeypatch.setattr(wal_module, "zlib", CountingZlib)
+        vlog = ValueLog(name="once")
+        pointer = vlog.put(Blob())
+        assert Blob.reprs == 1 and crcs == [b"B" * 5000]
+        # ... and the pointer, the charges and the byte count are what they were.
+        assert pointer == ValuePointer(slot=0, size=5000, checksum=zlib.crc32(b"B" * 5000))
+        assert (vlog.metrics.page_writes, vlog.metrics.bytes_written) == (2, 5000)
+        assert vlog.appended_bytes == 5000
+
     def test_threshold_is_configurable(self):
         wal = _kv_wal(threshold=2)
         record = wal.append("put", {"value": SMALL})
