@@ -192,8 +192,8 @@ class BaseEngine(GraphDatabase):
         return self.metrics_registry.combined()
 
     def io_cost(self) -> int:
-        """Logical I/O performed since the last reset."""
-        return self.combined_metrics().logical_io
+        """Logical I/O performed since the last reset (the simulated clock)."""
+        return self.metrics_registry.logical_io()
 
     def flush(self) -> None:
         """Force asynchronously buffered writes to stable storage."""

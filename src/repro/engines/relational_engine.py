@@ -40,6 +40,13 @@ _MAX_LABEL_LENGTH = 63
 _EDGE_SYSTEM_COLUMNS = ("id", "source", "target", "source_table", "target_table")
 #: The foreign-key columns of an edge table, both indexed.
 _ENDPOINT_COLUMNS = ("source", "target")
+#: Per direction, the ``(endpoint column probed, column holding the opposite
+#: endpoint)`` passes of an expansion, in per-id yield order.
+_PASSES = {
+    Direction.OUT: (("source", "target"),),
+    Direction.IN: (("target", "source"),),
+    Direction.BOTH: (("source", "target"), ("target", "source")),
+}
 
 
 class RelationalEngine(BaseEngine):
@@ -69,6 +76,11 @@ class RelationalEngine(BaseEngine):
         self._indexed_keys: set[str] = set(self.config.auto_index_properties)
         for key in self._indexed_keys:
             self._indexed_vertex_properties.add(key)
+        #: Prepared probe plans: per label (``None``: every label) the
+        #: ``(edge table, its name)`` rows an expansion probes, resolved from
+        #: the catalog at ``_plans_version`` and dropped when it moves.
+        self._plans: dict[str | None, list[tuple[Table, str]]] = {}
+        self._plans_version = -1
 
     # ------------------------------------------------------------------
     # Table management
@@ -111,11 +123,39 @@ class RelationalEngine(BaseEngine):
                 f"label {label!r} exceeds the {_MAX_LABEL_LENGTH}-character limit"
             )
 
-    def _vertex_tables(self) -> list[str]:
-        return [name for name in self._db.table_names() if name.startswith(_VERTEX_PREFIX)]
+    def _vertex_tables(self) -> tuple[str, ...]:
+        return self._db.table_names(_VERTEX_PREFIX)
 
-    def _edge_tables(self) -> list[str]:
-        return [name for name in self._db.table_names() if name.startswith(_EDGE_PREFIX)]
+    def _edge_tables(self) -> tuple[str, ...]:
+        return self._db.table_names(_EDGE_PREFIX)
+
+    def _probe_plan(self, label: str | None) -> list[tuple[Table, str]]:
+        """The edge tables a traversal over ``label`` must probe, prepared.
+
+        Resolving names to tables is catalog work the cost model never
+        booked, so it is done once per catalog version, not once per
+        expansion.  What the plan lists is still probed, table by table:
+        without a label that is *every* edge table, the union the paper
+        found to be this architecture's weak spot.
+        """
+        version = self._db.catalog_version
+        if version != self._plans_version:
+            self._plans.clear()
+            self._plans_version = version
+        plan = self._plans.get(label)
+        if plan is None:
+            if label is None:
+                names = self._edge_tables()
+            elif self._db.has_table(_EDGE_PREFIX + label):
+                names = (_EDGE_PREFIX + label,)
+            else:
+                names = ()
+            plan = [(self._db.table(name), name) for name in names]
+            if plan:
+                # A label without a table is not remembered: the plans stay
+                # O(edge tables) whatever labels callers ask for.
+                self._plans[label] = plan
+        return plan
 
     @staticmethod
     def _split_id(element_id: Any) -> tuple[str, int]:
@@ -196,10 +236,9 @@ class RelationalEngine(BaseEngine):
     def remove_vertex(self, vertex_id: Any) -> None:
         table, row_id = self._vertex_row(vertex_id)
         # Cascade: delete incident edges from every edge table, found through
-        # the endpoint foreign-key indexes.  Catalog order, not name order:
-        # each delete books the same wherever it falls in the cascade.
+        # the endpoint foreign-key indexes.
         key = index_key(str(vertex_id))
-        for edge_table in self._db.tables(_EDGE_PREFIX):
+        for edge_table, _name in self._probe_plan(None):
             edge_table.delete_referencing(_ENDPOINT_COLUMNS, key)
         table.delete(row_id)
         self._log("remove_vertex", id=vertex_id)
@@ -321,31 +360,15 @@ class RelationalEngine(BaseEngine):
     # ------------------------------------------------------------------
 
     def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._incident(vertex_id, "source", label)
+        for _vertex_id, edge_id in self._bulk_incident((vertex_id,), Direction.OUT, label, False):
+            yield edge_id
 
     def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._incident(vertex_id, "target", label)
-
-    def _incident(self, vertex_id: Any, endpoint_column: str, label: str | None) -> Iterator[Any]:
-        if not self.vertex_exists(vertex_id):
-            raise ElementNotFoundError("vertex", vertex_id)
-        if label is not None:
-            table_name = _EDGE_PREFIX + label
-            tables = [table_name] if self._db.has_table(table_name) else []
-        else:
-            # No label restriction: the query must union over every edge table.
-            tables = self._edge_tables()
-        for table_name in tables:
-            table = self._db.table(table_name)
-            if table.has_index(endpoint_column):
-                rows = table.index_scan(endpoint_column, str(vertex_id))
-            else:
-                rows = table.seq_scan(lambda row: row[endpoint_column] == str(vertex_id))
-            for row in rows:
-                yield f"{table_name}:{row['id']}"
+        for _vertex_id, edge_id in self._bulk_incident((vertex_id,), Direction.IN, label, False):
+            yield edge_id
 
     # ------------------------------------------------------------------
-    # Bulk structural primitives: sorted edge-table range batching
+    # Bulk structural primitives: one flat probe loop over the prepared plan
     # ------------------------------------------------------------------
 
     def vertex_label(self, vertex_id: Any) -> str | None:
@@ -361,16 +384,15 @@ class RelationalEngine(BaseEngine):
         direction: Direction,
         label: str | None = None,
     ) -> Iterator[tuple[Any, Any]]:
-        """Expand a frontier through batched sorted edge-table scans.
+        """Expand a frontier through the endpoint foreign-key indexes.
 
-        A label-restricted single-direction frontier becomes one
-        :meth:`~repro.storage.relational.Table.index_scan_many` pass over
-        the one edge table; otherwise the catalog lookups are hoisted and
-        each vertex probes the per-table endpoint indexes in a flat loop.
-        Endpoints are read off the scanned row itself, with the primary-key
-        probe and record read the per-id ``edge_endpoints`` call performs
-        charged via :meth:`~repro.storage.relational.Table.recharge_get` —
-        identical logical I/O, no second fetch.
+        The edge tables to probe come from the prepared plan; each vertex
+        renders its probe key once and descends every listed table's
+        endpoint index in a flat loop.  Endpoints are read off the probed
+        row itself, with the primary-key probe and record read the per-id
+        ``edge_endpoints`` call performs charged via
+        :meth:`~repro.storage.relational.Table.recharge_get` — identical
+        logical I/O, no second fetch.
         """
         yield from self._bulk_incident(vertex_ids, direction, label, want_endpoint=True)
 
@@ -389,62 +411,19 @@ class RelationalEngine(BaseEngine):
         label: str | None,
         want_endpoint: bool,
     ) -> Iterator[tuple[Any, Any]]:
-        passes = self._direction_columns(direction)
-        if label is not None:
-            table_name = _EDGE_PREFIX + label
-            tables = [self._db.table(table_name)] if self._db.has_table(table_name) else []
-        else:
-            tables = [self._db.table(name) for name in self._edge_tables()]
-
-        if len(passes) == 1 and len(tables) == 1 and tables[0].has_index(passes[0][0]):
-            # One sorted range-batched pass over the single edge table.
-            table = tables[0]
-            endpoint_column, opposite_column = passes[0]
-            sources: dict[str, Any] = {}
-
-            def checked_keys() -> Iterator[str]:
-                for vertex_id in vertex_ids:
-                    if not self.vertex_exists(vertex_id):
-                        raise ElementNotFoundError("vertex", vertex_id)
-                    key = str(vertex_id)
-                    sources[key] = vertex_id
-                    yield key
-
-            for key, row in table.index_scan_many(endpoint_column, checked_keys()):
-                if want_endpoint:
-                    table.recharge_get(row["id"])
-                    yield sources[key], row[opposite_column]
-                else:
-                    yield sources[key], f"{table.name}:{row['id']}"
-            return
-
-        # Resolved once, not per vertex x pass x table: (table, its name,
-        # whether the pass's endpoint column is indexed).
-        scans = [
-            (
-                endpoint_column,
-                opposite_column,
-                [(table, table.name, table.has_index(endpoint_column)) for table in tables],
-            )
-            for endpoint_column, opposite_column in passes
-        ]
+        plan = self._probe_plan(label)
+        passes = _PASSES[direction]
+        metrics = self.metrics
         for vertex_id in vertex_ids:
-            key = str(vertex_id)
-            keys = (key,)
-            for endpoint_column, opposite_column, resolved in scans:
+            key = index_key(str(vertex_id))
+            for endpoint_column, opposite_column in passes:
                 if not self.vertex_exists(vertex_id):
                     raise ElementNotFoundError("vertex", vertex_id)
-                for table, table_name, indexed in resolved:
-                    if indexed:
-                        rows = table.index_scan_many(endpoint_column, keys)
-                    else:
-                        rows = (
-                            (key, row)
-                            for row in table.seq_scan(
-                                lambda row, column=endpoint_column: row[column] == key
-                            )
-                        )
-                    for _key, row in rows:
+                for table, table_name in plan:
+                    for row in table.index_probe(endpoint_column, key):
+                        # The probe booked its descent; the row is booked
+                        # here, as it is handed on (lazily, like the stream).
+                        metrics.records_read += 1
                         if want_endpoint:
                             table.recharge_get(row["id"])
                             yield vertex_id, row[opposite_column]
@@ -464,35 +443,15 @@ class RelationalEngine(BaseEngine):
             return True
         if not self.vertex_exists(vertex_id):
             raise ElementNotFoundError("vertex", vertex_id)
-        key = str(vertex_id)
+        key = index_key(str(vertex_id))
+        plan = self._probe_plan(None)
         count = 0
-        for endpoint_column, _opposite in self._direction_columns(direction):
-            for table_name in self._edge_tables():
-                table = self._db.table(table_name)
-                if table.has_index(endpoint_column):
-                    count += table.index_count(endpoint_column, key)
-                else:
-                    # Unindexed endpoint column: early-exit charged scan,
-                    # like the per-id path it replaces.
-                    for _row in table.seq_scan(
-                        lambda row, column=endpoint_column: row[column] == key
-                    ):
-                        count += 1
-                        if count >= k:
-                            return True
+        for endpoint_column, _opposite_column in _PASSES[direction]:
+            for table, _table_name in plan:
+                count += len(table.index_probe(endpoint_column, key))
                 if count >= k:
                     return True
-        return count >= k
-
-    @staticmethod
-    def _direction_columns(direction: Direction) -> list[tuple[str, str]]:
-        """``(endpoint column, opposite column)`` pairs in per-id yield order."""
-        passes: list[tuple[str, str]] = []
-        if direction in (Direction.OUT, Direction.BOTH):
-            passes.append(("source", "target"))
-        if direction in (Direction.IN, Direction.BOTH):
-            passes.append(("target", "source"))
-        return passes
+        return False
 
     # ------------------------------------------------------------------
     # Search primitives: relational scans and index lookups

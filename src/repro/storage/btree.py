@@ -188,10 +188,20 @@ class BPlusTree:
     # -- lookup -------------------------------------------------------------
 
     def search(self, key: Any) -> list[Any]:
-        """Return the list of values stored under ``key`` (empty if absent)."""
-        leaf, index = self._find_leaf(key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
-            return list(leaf.values[index])
+        """Return the list of values stored under ``key`` (empty if absent).
+
+        :meth:`_find_leaf` inlined, as in :meth:`peek`: the point lookup is
+        the one descent hot enough (a relational expansion runs one per edge
+        table per direction) for the extra frame to show.
+        """
+        node = self._root
+        while type(node) is _InternalNode:
+            node = node.children[bisect_right(node.keys, key)]
+        self.metrics.index_probes += self._height
+        keys = node.keys
+        index = bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
+            return list(node.values[index])
         return []
 
     def contains(self, key: Any) -> bool:
@@ -204,7 +214,7 @@ class BPlusTree:
 
         For a caller whose discovery work the cost model deliberately
         leaves unbooked (the relational foreign-key cascade): the same
-        descent as :meth:`_find_leaf`, no counter moves.
+        descent, no counter moves.
         """
         node = self._root
         while type(node) is _InternalNode:

@@ -184,11 +184,16 @@ class ColumnFamilyStore:
         touching the other columns.
         """
         row = self._row(key)
-        live = row.live_columns()
         if prefix is None:
-            self.metrics.charge_record_read(max(1, len(live)))
-            return live
-        selected = {name: value for name, value in live.items() if name.startswith(prefix)}
+            selected = row.live_columns()
+        else:
+            # One pass: the cells outside the slice are never materialised.
+            tombstones = row.tombstones
+            selected = {
+                name: value
+                for name, value in row.columns.items()
+                if name.startswith(prefix) and name not in tombstones
+            }
         self.metrics.charge_record_read(max(1, len(selected)))
         return selected
 

@@ -161,6 +161,26 @@ class MetricsRegistry:
             total.network_round_trips += part.network_round_trips
         return total
 
+    def logical_io(self) -> int:
+        """``combined().logical_io`` without building the combined object.
+
+        This sum is the simulated clock — read around every scheduled
+        operation, session begin and shard superstep — so it adds the six
+        fields of :attr:`StorageMetrics.logical_io` per part and allocates
+        nothing.
+        """
+        total = 0
+        for part in self.metrics.values():
+            total += (
+                part.page_reads
+                + part.page_writes
+                + part.index_probes
+                + part.index_updates
+                + part.records_read
+                + part.records_written
+            )
+        return total
+
     def reset(self) -> None:
         for part in self.metrics.values():
             part.reset()

@@ -21,7 +21,7 @@ physical operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.exceptions import ElementNotFoundError, SchemaError, StorageError
 from repro.storage.btree import BPlusTree
@@ -66,9 +66,17 @@ Predicate = Callable[[dict[str, Any]], bool]
 class Table:
     """A heap table with a primary-key hash index and optional secondary indexes."""
 
-    def __init__(self, schema: TableSchema, metrics: StorageMetrics | None = None) -> None:
+    def __init__(
+        self,
+        schema: TableSchema,
+        metrics: StorageMetrics | None = None,
+        on_ddl: Callable[[], None] | None = None,
+    ) -> None:
         self.schema = schema
         self.metrics = metrics if metrics is not None else StorageMetrics(owner=schema.name)
+        #: Called after every schema change of this table: the owning
+        #: catalog's version bump (a free-standing table has none).
+        self._on_ddl = on_ddl
         self._rows: dict[Any, dict[str, Any]] = {}
         self._primary = HashIndex(f"{schema.name}-pk", metrics=self.metrics, unique=True)
         self._secondary: dict[str, BPlusTree] = {}
@@ -88,6 +96,8 @@ class Table:
         self.metrics.charge_page_write(1)
         for row in self._rows.values():
             row.setdefault(column.name, None)
+        if self._on_ddl is not None:
+            self._on_ddl()
 
     def create_index(self, column: str) -> None:
         """Create a secondary B+Tree index on ``column`` (backfills existing rows)."""
@@ -99,6 +109,8 @@ class Table:
         for row_id, row in self._rows.items():
             index.insert(index_key(row.get(column)), row_id)
         self._secondary[column] = index
+        if self._on_ddl is not None:
+            self._on_ddl()
 
     def has_index(self, column: str) -> bool:
         return column in self._secondary
@@ -211,38 +223,31 @@ class Table:
             if predicate is None or predicate(row):
                 yield dict(row)
 
+    def index_probe(self, column: str, key: tuple[str, str]) -> list[dict[str, Any]]:
+        """One booked descent of ``column``'s index: the rows stored under ``key``.
+
+        The primitive every equality access path is built on.  ``key`` is
+        :func:`index_key` of the value looked for, rendered by the caller —
+        once, however many tables it probes with it.  Only the descent is
+        booked here: a caller that streams the rows on books each record
+        read as it hands the row over, so an abandoned stream has paid for
+        what it consumed and no more.  The rows are the live heap rows;
+        callers must not mutate them.  Raises if ``column`` has no index.
+        """
+        index = self._secondary.get(column)
+        if index is None:
+            raise StorageError(f"no index on {self.name}.{column}")
+        row_ids = index.search(key)
+        if not row_ids:
+            return row_ids
+        rows = self._rows
+        return [rows[row_id] for row_id in row_ids if row_id in rows]
+
     def index_scan(self, column: str, value: Any) -> Iterator[dict[str, Any]]:
         """Equality scan through a secondary index (raises if no index)."""
-        if column not in self._secondary:
-            raise StorageError(f"no index on {self.name}.{column}")
-        for row_id in self._secondary[column].search(index_key(value)):
-            if row_id in self._rows:
-                self.metrics.charge_record_read(1)
-                yield dict(self._rows[row_id])
-
-    def index_scan_many(
-        self, column: str, values: Iterable[Any]
-    ) -> Iterator[tuple[Any, dict[str, Any]]]:
-        """Batched equality scans over a secondary index, grouped by value.
-
-        Yields ``(value, row)`` pairs grouped by value in input order — the
-        sorted edge-table range batching used by the relational engine's
-        bulk primitives.  Each value pays exactly the B+Tree descent and
-        per-row record read that :meth:`index_scan` pays; the returned row
-        dictionaries are the live heap rows, so callers must not mutate
-        them.
-        """
-        if column not in self._secondary:
-            raise StorageError(f"no index on {self.name}.{column}")
-        index = self._secondary[column]
-        rows = self._rows
-        metrics = self.metrics
-        for value in values:
-            for row_id in index.search(index_key(value)):
-                row = rows.get(row_id)
-                if row is not None:
-                    metrics.records_read += 1
-                    yield value, row
+        for row in self.index_probe(column, index_key(value)):
+            self.metrics.charge_record_read(1)
+            yield dict(row)
 
     def recharge_get(self, row_id: Any) -> None:
         """Charge a primary-key fetch of a row the caller already holds.
@@ -258,22 +263,6 @@ class Table:
         row = self._rows[row_id]
         metrics.records_read += 1
         metrics.bytes_read += len(str(row))
-
-    def index_count(self, column: str, value: Any) -> int:
-        """Count rows matching ``column = value`` without fetching them.
-
-        An index-only scan: descent probes, no record reads.  Raises like
-        :meth:`index_scan` when no index exists — callers that can tolerate
-        a full scan must choose one explicitly.
-        """
-        if column not in self._secondary:
-            raise StorageError(f"no index on {self.name}.{column}")
-        rows = self._rows
-        return sum(
-            1
-            for row_id in self._secondary[column].search(index_key(value))
-            if row_id in rows
-        )
 
     def select(self, column: str, value: Any) -> Iterator[dict[str, Any]]:
         """Equality selection using the best available access path."""
@@ -303,6 +292,9 @@ class RelationalDatabase:
         self.name = name
         self.metrics = metrics if metrics is not None else StorageMetrics(owner=name)
         self._tables: dict[str, Table] = {}
+        self._catalog_version = 0
+        #: Sorted table names per prefix, as of the current catalog version.
+        self._names: dict[str, tuple[str, ...]] = {}
 
     # -- catalog -------------------------------------------------------------------------
 
@@ -311,12 +303,26 @@ class RelationalDatabase:
         if name in self._tables:
             return self._tables[name]
         schema = TableSchema(name, tuple(columns))
-        table = Table(schema, metrics=self.metrics)
+        table = Table(schema, metrics=self.metrics, on_ddl=self._ddl)
         self._tables[name] = table
+        self._ddl()
         return table
 
     def drop_table(self, name: str) -> None:
-        self._tables.pop(name, None)
+        if self._tables.pop(name, None) is not None:
+            self._ddl()
+
+    @property
+    def catalog_version(self) -> int:
+        """Moves on every DDL: a table created or dropped, a column or an
+        index added.  Whatever a caller resolved from the catalog — a name
+        list, a table's access path — stands exactly as long as this does.
+        """
+        return self._catalog_version
+
+    def _ddl(self) -> None:
+        self._catalog_version += 1
+        self._names.clear()
 
     def table(self, name: str) -> Table:
         try:
@@ -327,12 +333,18 @@ class RelationalDatabase:
     def has_table(self, name: str) -> bool:
         return name in self._tables
 
-    def tables(self, prefix: str = "") -> list[Table]:
-        """Tables whose name starts with ``prefix``, in creation order."""
-        return [table for name, table in self._tables.items() if name.startswith(prefix)]
+    def table_names(self, prefix: str = "") -> tuple[str, ...]:
+        """Sorted names of the tables starting with ``prefix``.
 
-    def table_names(self) -> list[str]:
-        return sorted(self._tables)
+        Served from a snapshot taken once per catalog version, not sorted
+        and filtered per call.
+        """
+        names = self._names.get(prefix)
+        if names is None:
+            names = self._names[prefix] = tuple(
+                name for name in sorted(self._tables) if name.startswith(prefix)
+            )
+        return names
 
     @property
     def size_in_bytes(self) -> int:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.bench.workload import load_dataset_into
 from repro.config import EngineConfig
@@ -10,6 +13,16 @@ from repro.datasets import get_dataset
 from repro.datasets.base import Dataset
 from repro.engines import ALL_ENGINES, DEFAULT_ENGINES, create_engine
 from repro.partition import partition_dataset
+
+# Run length of the stateful model tests (tests that pass explicit settings
+# keep them).  ``tier1`` is what a plain run gets: a few seconds, the same
+# examples every time, so red means bug and never luck.  ``ci`` explores
+# fresh, longer histories: HYPOTHESIS_PROFILE=ci.
+settings.register_profile(
+    "tier1", max_examples=40, stateful_step_count=25, deadline=None, derandomize=True
+)
+settings.register_profile("ci", max_examples=300, stateful_step_count=50, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture(params=DEFAULT_ENGINES)

@@ -282,6 +282,21 @@ class TestBulkLoadAndSpace:
         any_engine.reset_metrics()
         assert any_engine.io_cost() == 0
 
+    def test_io_cost_is_the_logical_io_of_the_combined_metrics(self, any_engine, small_dataset):
+        # The clock read sums the registry in place; the report builds a
+        # combined object.  Both must tell the same time after reads and writes.
+        id_map = any_engine.load(small_dataset.vertices, small_dataset.edges)
+        assert any_engine.io_cost() == any_engine.combined_metrics().logical_io > 0
+        hub, other = id_map["n0"], id_map["n4"]
+        list(any_engine.neighbors_many([hub, other], Direction.BOTH))
+        any_engine.degree_at_least(hub, 2)
+        list(any_engine.vertices_by_property("rank", 3))
+        any_engine.set_vertex_property(other, "fresh_key", 1)
+        edge_id = any_engine.add_edge(other, hub, "visits", {"weight": 9})
+        any_engine.remove_edge(edge_id)
+        any_engine.remove_vertex(hub)
+        assert any_engine.io_cost() == any_engine.combined_metrics().logical_io
+
     def test_describe_matches_info(self, any_engine):
         row = any_engine.describe()
         assert row["System"].startswith(any_engine.info.system)

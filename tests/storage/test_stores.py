@@ -8,7 +8,7 @@ from repro.exceptions import DuplicateElementError, ElementNotFoundError, Schema
 from repro.storage.columnar import ColumnFamilyStore
 from repro.storage.document_store import DocumentCollection, DocumentStore
 from repro.storage.property_store import PropertyStore
-from repro.storage.relational import Column, RelationalDatabase, TableSchema
+from repro.storage.relational import Column, RelationalDatabase, TableSchema, index_key
 from repro.storage.triple_store import TripleStore
 from repro.storage.wal import DurabilityMode, WriteAheadLog
 
@@ -402,14 +402,47 @@ class TestRelationalDatabase:
             table.insert({"source": f"v{edge % 4}"})
         return table
 
-    def test_index_scan_many_charges_like_index_scans(self):
+    def test_index_probe_is_an_index_scan_minus_the_record_reads(self):
         left, right = self._edge_table(), self._edge_table()
-        values = ["v1", "v9", "v3"]
-        batched = [(value, dict(row)) for value, row in left.index_scan_many("source", values)]
-        assert batched == [
-            (value, row) for value in values for row in right.index_scan("source", value)
-        ]
+        for value in ["v1", "v9", "v3"]:
+            probed = left.index_probe("source", index_key(value))
+            assert probed == list(right.index_scan("source", value))
+            left.metrics.records_read += len(probed)
         assert left.metrics.snapshot() == right.metrics.snapshot()
+        with pytest.raises(StorageError):
+            left.index_probe("id", index_key(1))
+
+    def test_catalog_version_moves_on_ddl_only(self):
+        db = RelationalDatabase()
+        seen = [db.catalog_version]
+
+        def moved() -> bool:
+            seen.append(db.catalog_version)
+            return seen[-1] != seen[-2]
+
+        table = self._make_table(db)
+        assert moved()
+        assert db.table_names("p") == ("people",) and db.table_names("q") == ()
+        db.create_table("people", [Column("id")])  # exists: returned as is
+        assert not moved()
+        row_id = table.insert({"name": "alice"})
+        table.update(row_id, {"age": 3})
+        table.delete(row_id)
+        assert not moved()
+        table.add_column(Column("city"))
+        assert moved()
+        table.add_column(Column("city"))
+        assert not moved()
+        table.create_index("city")
+        assert moved()
+        table.create_index("city")
+        assert not moved()
+        db.create_table("pets", [Column("id")])
+        assert moved() and db.table_names() == ("people", "pets")
+        db.drop_table("nothing")
+        assert not moved()
+        db.drop_table("people")
+        assert moved() and db.table_names() == db.table_names("p") == ("pets",)
 
     def test_recharge_get_charges_like_get(self):
         left, right = self._edge_table(), self._edge_table()

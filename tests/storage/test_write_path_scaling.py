@@ -13,42 +13,12 @@ benchmark run) while booking nothing for it.
 
 from __future__ import annotations
 
-import os
 import random
-import sys
-from typing import Any, Callable
 
-import repro
+from callcount import python_calls
 from repro.engines import create_engine
 from repro.storage.btree import BPlusTree
 from repro.storage.wal import WriteAheadLog
-
-
-_PACKAGE = os.path.dirname(repro.__file__)
-
-
-def _python_calls(fn: Callable[[], Any]) -> int:
-    """Call events of the package's own Python functions while ``fn`` runs.
-
-    C calls are not counted (a ``bisect`` per tree level is booked as a
-    probe, not host overhead), nor are frames from outside the package (a
-    garbage-collection callback another library registered can fire
-    anywhere).
-    """
-    calls = 0
-
-    def hook(frame: Any, event: str, _arg: Any) -> None:
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(_PACKAGE):
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        fn()
-    finally:
-        sys.setprofile(previous)
-    return calls
 
 
 def _cascade_calls(unrelated_edges: int) -> int:
@@ -63,7 +33,7 @@ def _cascade_calls(unrelated_edges: int) -> int:
     engine.add_edge(victim, crowd[0], "knows")
     engine.add_edge(crowd[1], victim, "likes")
     engine.add_edge(victim, victim, "knows")
-    calls = _python_calls(lambda: engine.remove_vertex(victim))
+    calls = python_calls(lambda: engine.remove_vertex(victim))
     assert engine.edge_count() == unrelated_edges
     return calls
 
@@ -78,7 +48,7 @@ def test_wal_append_calls_do_not_grow_with_the_log():
     for index in range(3000):
         payload = {"id": f"V_person:{index}", "key": "name"}
         if index % 500 == 0:
-            counts.add(_python_calls(lambda: wal.append("set_vertex_property", payload)))
+            counts.add(python_calls(lambda: wal.append("set_vertex_property", payload)))
         else:
             wal.append("set_vertex_property", payload)
     assert len(counts) == 1
@@ -91,7 +61,7 @@ def test_btree_insert_calls_depend_only_on_height_and_splits():
     for _ in range(600):
         key = (rng.randrange(400),)
         height, splits = tree.height, tree.rebalance_count
-        calls = _python_calls(lambda: tree.insert(key, key))
+        calls = python_calls(lambda: tree.insert(key, key))
         shape = (height, tree.rebalance_count - splits)
         calls_by_shape.setdefault(shape, set()).add(calls)
     assert tree.height >= 4
