@@ -1,72 +1,22 @@
 """Gate checks for the committed ``BENCH_*.json`` payloads.
 
-Eight of the nine benchmarks derive every figure from seeded choices and
-logical charges, so their gate is *identity*: a regenerated payload must
-equal the committed one (:func:`check_payload_identity`, modulo
-``wall_seconds``).  Identity subsumes any baseline-relative threshold, so
-the only other checks kept are invariants that inspect one payload on its
-own — they name *what* broke when an intentional change regenerates a
-baseline.  The traversal A/B is wall-clock and keeps a slowdown threshold
-instead (:func:`check_traversal_regressions`).
+All nine benchmarks derive every figure from seeded choices and logical
+charges, so there is one gate and it is *identity*: a regenerated payload
+must equal the committed one (:func:`check_payload_identity`, modulo
+``wall_seconds``), and a red gate means a bug or an unregenerated
+baseline — never box load.  Identity subsumes any baseline-relative
+threshold, so the only other checks kept are invariants that inspect one
+payload on its own — they name *what* broke when an intentional change
+regenerates a baseline.
 
-:mod:`repro.bench.registry` binds each benchmark to its checks;
-``graphbench gate`` runs them.
+Each benchmark's :class:`~repro.bench.registry.BenchmarkSpec` binds it to
+its invariants; ``graphbench gate`` runs them.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Any, Iterator
-
-#: Queries gated by default: the BFS and shortest-path workloads the bulked
-#: machine exists for.
-GATED_QUERIES = ("Q32", "Q34")
-
-#: Allowed slowdown fraction before the gate fails (0.25 == 25%).
-DEFAULT_MAX_REGRESSION = 0.25
-
-
-def check_traversal_regressions(
-    baseline: dict,
-    current: dict,
-    queries: tuple[str, ...] = GATED_QUERIES,
-    max_regression: float = DEFAULT_MAX_REGRESSION,
-) -> list[str]:
-    """Return one failure message per gated (engine, query) regression.
-
-    Wall-clock medians carry machine variance; the 25% default absorbs
-    runner noise, and ``max_regression`` loosens the gate for hardware that
-    differs substantially from the machine that produced the baseline.
-    """
-    failures: list[str] = []
-    for engine_name, baseline_entry in sorted(baseline["engines"].items()):
-        current_entry = current["engines"].get(engine_name)
-        if current_entry is None:
-            failures.append(f"{engine_name}: missing from the current report")
-            continue
-        for query_id in queries:
-            base_row = baseline_entry["queries"].get(query_id)
-            current_row = current_entry["queries"].get(query_id)
-            if base_row is None:
-                continue
-            if current_row is None:
-                failures.append(f"{engine_name}/{query_id}: missing from the current report")
-                continue
-            # Medians are stored rounded to the microsecond, so a trivial
-            # query can record 0.0; floor the baseline to keep the limit
-            # (and the percentage below) meaningful.
-            base_time = max(base_row["optimized_median_s"], 1e-6)
-            current_time = current_row["optimized_median_s"]
-            limit = base_time * (1.0 + max_regression)
-            if current_time > limit:
-                failures.append(
-                    f"{engine_name}/{query_id}: {current_time * 1000:.2f}ms "
-                    f"vs baseline {base_time * 1000:.2f}ms "
-                    f"(+{(current_time / base_time - 1.0) * 100:.0f}%, "
-                    f"limit +{max_regression * 100:.0f}%)"
-                )
-    return failures
-
 
 #: How many differing JSON paths an identity failure names.
 MAX_DIFF_PATHS = 10
@@ -119,6 +69,31 @@ def check_payload_identity(baseline: dict, current: dict, regen_hint: str) -> li
         f"intentional change that needs the baseline regenerated via `{regen_hint}`):"
         + "".join(f"\n    {line}" for line in shown)
     ]
+
+
+def check_traversal_invariants(payload: dict) -> list[str]:
+    """Return one failure per query the machine rewrite made worse or wrong.
+
+    Against the legacy per-walker executor on the same loaded engine, the
+    optimized machine may save charges (merged duplicates expand once) but
+    must never add any, and must return the same answer.
+    """
+    failures: list[str] = []
+    for engine_name, entry in sorted(payload.get("engines", {}).items()):
+        for query_id, row in sorted(entry["queries"].items()):
+            if row["optimized_charge"] > row["baseline_charge"]:
+                failures.append(
+                    f"{engine_name}/{query_id}: optimized charge "
+                    f"{row['optimized_charge']} exceeds the legacy executor's "
+                    f"{row['baseline_charge']}"
+                )
+            if row["optimized_digest"] != row["baseline_digest"]:
+                failures.append(
+                    f"{engine_name}/{query_id}: result digest "
+                    f"{row['optimized_digest']} differs from the legacy "
+                    f"executor's {row['baseline_digest']}"
+                )
+    return failures
 
 
 def check_chaos_invariants(payload: dict) -> list[str]:

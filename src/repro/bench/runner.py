@@ -65,7 +65,6 @@ class QueryRunner:
         loaded: LoadedGraph,
         query: Query,
         params: Mapping[str, Any],
-        mode: str = "single",
     ) -> ExecutionResult:
         """Execute ``query`` once with externally-expressed ``params``."""
         engine = loaded.engine
@@ -92,12 +91,12 @@ class QueryRunner:
         if status is ExecutionStatus.OK and elapsed > self.config.timeout:
             status = ExecutionStatus.TIMEOUT
             detail = f"elapsed {elapsed:.3f}s > timeout {self.config.timeout:.3f}s"
-        logical_io = engine.io_cost() if self.config.collect_io else 0
+        logical_io = engine.io_cost()
         return ExecutionResult(
             engine=f"{engine.name}-{engine.version}",
             dataset=loaded.dataset.name,
             query_id=query.id,
-            mode=mode,
+            mode="single",
             status=status,
             elapsed=elapsed,
             logical_io=logical_io,
@@ -150,7 +149,7 @@ class QueryRunner:
                     status = ExecutionStatus.TIMEOUT
                     detail = f"batch exceeded timeout after {executed} executions"
                     break
-        logical_io = engine.io_cost() if self.config.collect_io else 0
+        logical_io = engine.io_cost()
         return ExecutionResult(
             engine=f"{engine.name}-{engine.version}",
             dataset=loaded.dataset.name,

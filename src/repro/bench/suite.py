@@ -152,7 +152,7 @@ class BenchmarkSuite:
             status=status,
             elapsed=loaded.load_seconds,
             # The engine is fresh, so its whole charge meter is the load.
-            logical_io=loaded.engine.io_cost() if self.bench_config.collect_io else 0,
+            logical_io=loaded.engine.io_cost(),
             result_size=loaded.dataset.vertex_count + loaded.dataset.edge_count,
         )
 
@@ -165,9 +165,6 @@ class BenchmarkSuite:
                 continue
             query = MICRO_QUERIES[query_id]
             bindings = plan.params_for(query_id)
-            if self.bench_config.warmup and not query.mutates:
-                for _ in range(self.bench_config.warmup):
-                    self.runner.run_single(loaded, query, bindings[0], mode="warmup")
             results.append(self.runner.run_single(loaded, query, bindings[0]))
             if self.include_batch:
                 batch_bindings = bindings[1:] if query.mutates else [bindings[0]] * (

@@ -54,6 +54,28 @@ def reachable_within(
     return [vertex for vertex in visited if vertex != source]
 
 
+class HubPicker:
+    """Degree-biased vertex picks: the best-connected of ``draws`` uniform draws.
+
+    Hub bias is what makes seeded BFS frontiers large and transaction
+    footprints overlap.  Ties go to the larger ``repr`` so a pick never
+    depends on draw order.  The external ids and the undirected adjacency
+    the picker is built on stay readable for the planner that owns it.
+    """
+
+    def __init__(self, dataset: Dataset, rng: random.Random, draws: int = 8) -> None:
+        self.vertex_ids = [vertex["id"] for vertex in dataset.vertices]
+        if not self.vertex_ids:
+            raise BenchmarkError("cannot plan a workload over an empty dataset")
+        self.adjacency = build_adjacency(dataset.edges)
+        self._rng = rng
+        self._draws = draws
+
+    def __call__(self) -> Any:
+        candidates = [self._rng.choice(self.vertex_ids) for _ in range(self._draws)]
+        return max(candidates, key=lambda vid: (len(self.adjacency.get(vid, ())), repr(vid)))
+
+
 @dataclass(frozen=True)
 class ExternalVertex:
     """A parameter referring to a dataset-level vertex id."""

@@ -9,7 +9,7 @@ Sub-commands mirror the workflow of the paper's test suite:
 * ``graphbench complex`` — run the 13 LDBC-style complex queries (Figure 2);
 * ``graphbench space`` — measure space occupancy (Figure 1a/1b);
 * ``graphbench gate`` — regenerate committed ``BENCH_*.json`` baselines into
-  a temp dir and gate them (identity for the charge-deterministic ones);
+  a temp dir and gate them on identity;
 
 plus one generated sub-command per entry of
 :data:`repro.bench.registry.SPECS` (listed below from the registry itself).
@@ -24,13 +24,13 @@ import tempfile
 from pathlib import Path
 from typing import Sequence
 
-from repro.bench.gates import DEFAULT_MAX_REGRESSION
 from repro.bench.registry import (
     SPECS,
     BenchmarkSpec,
     add_subcommand,
     check,
     execute,
+    output_paths,
     write_report,
 )
 from repro.bench.report import (
@@ -121,13 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         "names", nargs="*", metavar="NAME", help=f"benchmarks to gate: {', '.join(SPECS)}"
     )
     gate_parser.add_argument("--all", action="store_true", help="gate every benchmark")
-    gate_parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=DEFAULT_MAX_REGRESSION,
-        help="allowed wall-clock slowdown fraction for the traversal gate "
-        "(default 0.25 == 25%%); charge-deterministic payloads must be identical",
-    )
     return parser
 
 
@@ -189,7 +182,9 @@ def _command_complex(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run(spec: BenchmarkSpec, args: argparse.Namespace) -> int:
+def _run(
+    parser: argparse.ArgumentParser, spec: BenchmarkSpec, args: argparse.Namespace
+) -> int:
     """Run one registry benchmark: print the figure, write what was asked."""
     try:
         payload = execute(spec, args)
@@ -198,7 +193,8 @@ def _run(spec: BenchmarkSpec, args: argparse.Namespace) -> int:
         return 2
     text = spec.format(payload)
     print(text)
-    written = write_report(payload, text, args.output, args.report)
+    baseline = parser.parse_args([spec.name, *spec.baseline_args])
+    written = write_report(payload, text, *output_paths(spec, args, baseline))
     if spec.after is not None:
         written.extend(spec.after(payload, args))
     for path in written:
@@ -213,26 +209,25 @@ def _command_gate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         parser.error(f"gate takes benchmark names from {list(SPECS)}, or --all")
     specs = [SPECS[name] for name in (SPECS if args.all else args.names)]
     for spec in specs:
-        for path in filter(None, (spec.baseline, spec.report)):
+        for path in (spec.baseline, spec.report):
             if not Path(path).exists():
                 parser.error(f"{path} not found: gate runs from the repository root")
     out_dir = Path(tempfile.mkdtemp(prefix="graphbench-gate-"))
     exit_code = 0
     for spec in specs:
         json_path = out_dir / spec.baseline
-        text_path = out_dir / Path(spec.report).name if spec.report else ""
+        text_path = out_dir / Path(spec.report).name
         argv = [spec.name, *spec.baseline_args]
         argv += ["--output", str(json_path), "--report", str(text_path)]
-        if _run(spec, parser.parse_args(argv)) != 0:
+        if _run(parser, spec, parser.parse_args(argv)) != 0:
             failures = ["the benchmark itself failed (see stderr)"]
         else:
             failures = check(
                 spec,
                 json.loads(Path(spec.baseline).read_text()),
                 json.loads(json_path.read_text()),
-                args.max_regression,
             )
-            if spec.report and text_path.read_text() != Path(spec.report).read_text():
+            if text_path.read_text() != Path(spec.report).read_text():
                 failures.append(
                     f"rendered figure differs from the tracked {spec.report} "
                     f"(re-render via `{spec.regenerate_command}`)"
@@ -272,7 +267,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "gate":
         return _command_gate(parser, args)
     if args.command in SPECS:
-        return _run(SPECS[args.command], args)
+        return _run(parser, SPECS[args.command], args)
     parser.error(f"unknown command {args.command!r}")
     return 2
 

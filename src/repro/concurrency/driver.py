@@ -20,16 +20,16 @@ now under real multi-client contention instead of single-client runs.
 from __future__ import annotations
 
 import random
-import time
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
+from repro.bench import registry
 from repro.bench.workload import LoadedGraph, load_dataset_into
+from repro.concurrency.report import format_concurrency_report
 from repro.concurrency.scheduler import ClientOp, ScheduleResult, VirtualTimeScheduler, percentile
 from repro.concurrency.sessions import Session, SessionManager
-from repro.datasets import get_dataset
-from repro.engines import create_engine
+from repro.engines import DEFAULT_ENGINES, create_engine
 from repro.exceptions import BenchmarkError, TransactionError, WriteConflictError
 from repro.queries import query_by_id
 
@@ -475,9 +475,6 @@ def run_engine_mode(
         raise BenchmarkError(
             "an open loop requires a positive arrival interval (--arrival-interval)"
         )
-    for knob, value in (("retries", retries), ("backoff", backoff)):
-        if value < 0:
-            raise BenchmarkError(f"{knob} must be >= 0, not {value}")
     engine = create_engine(engine_id, durability=durability)
     loaded = load_dataset_into(engine, dataset)
     engine.reset_metrics()
@@ -512,7 +509,7 @@ def run_engine_mode(
 
 
 def run_concurrent_benchmark(
-    engine_ids: Sequence[str],
+    engine_ids: Sequence[str] = DEFAULT_ENGINES,
     clients: int = 8,
     mix_name: str = "read-heavy",
     dataset_name: str = "yeast",
@@ -530,60 +527,90 @@ def run_concurrent_benchmark(
 ) -> dict[str, Any]:
     """Run the full engines × durability matrix and return the report.
 
-    Every field except ``wall_seconds`` is derived from seeded choices and
-    logical charges, so the payload is byte-identical across runs with the
-    same arguments (the determinism regression test holds this).
+    Every field is derived from seeded choices and logical charges, so the
+    payload is byte-identical across runs with the same arguments (the
+    determinism regression test holds this).
     """
-    if mix_name not in MIXES:
-        known = ", ".join(sorted(MIXES))
-        raise BenchmarkError(f"unknown mix {mix_name!r}; known mixes: {known}")
-    if retry_policy not in RETRY_POLICIES:
-        known = ", ".join(RETRY_POLICIES)
-        raise BenchmarkError(
-            f"unknown retry policy {retry_policy!r}; known policies: {known}"
-        )
+    registry.check_args(SPEC.args, locals())
     mix = MIXES[mix_name]
-    dataset = get_dataset(dataset_name, scale=scale, seed=dataset_seed)
-    started = time.perf_counter()
-    engines: dict[str, dict[str, Any]] = {}
-    for engine_id in engine_ids:
-        engines[engine_id] = {
-            durability: run_engine_mode(
-                engine_id,
-                durability,
-                dataset,
-                mix,
-                clients,
-                txns,
-                seed,
-                group_commit,
-                loop=loop,
-                arrival_interval=arrival_interval,
-                retries=retries,
-                backoff=backoff,
-                retry_policy=retry_policy,
-            )
-            for durability in durabilities
-        }
-    return {
-        "benchmark": "concurrency-tail-latency",
-        "dataset": {
-            "name": dataset_name,
-            "scale": scale,
-            "seed": dataset_seed,
-            "vertices": dataset.vertex_count,
-            "edges": dataset.edge_count,
-        },
-        "clients": clients,
-        "mix": mix_name,
-        "txns_per_client": txns,
-        "seed": seed,
-        "group_commit": group_commit,
+    dataset, header = registry.seeded_dataset(dataset_name, scale, dataset_seed)
+    # Passed to every cell and echoed in the payload under the same names.
+    submission = {
         "loop": loop,
         "arrival_interval": arrival_interval,
         "retries": retries,
         "backoff": backoff,
         "retry_policy": retry_policy,
-        "engines": engines,
-        "wall_seconds": round(time.perf_counter() - started, 3),
     }
+    engines: dict[str, dict[str, Any]] = {}
+    for engine_id in engine_ids:
+        engines[engine_id] = {
+            durability: run_engine_mode(
+                engine_id, durability, dataset, mix, clients, txns, seed, group_commit, **submission
+            )
+            for durability in durabilities
+        }
+    return {
+        "benchmark": "concurrency-tail-latency",
+        "dataset": header,
+        "clients": clients,
+        "mix": mix_name,
+        "txns_per_client": txns,
+        "seed": seed,
+        "group_commit": group_commit,
+        **submission,
+        "engines": engines,
+    }
+
+
+#: Flags the closed-loop matrix and the open-loop sweep declare alike.
+MIX = registry.arg("--mix", "operation mix per client", kwarg="mix_name", choices=sorted(MIXES))
+GROUP_COMMIT = registry.arg("--group-commit", "commits batched per ASYNC WAL flush", minimum=1)
+
+SPEC = registry.BenchmarkSpec(
+    name="concurrent",
+    help="multi-client MVCC sessions under deterministic virtual-time "
+    "scheduling, SYNC vs ASYNC group commit (Figure 8)",
+    run=run_concurrent_benchmark,
+    format=format_concurrency_report,
+    args=(
+        registry.engines_arg("benchmark"),
+        registry.arg("--clients", "concurrent clients", minimum=1),
+        MIX,
+        registry.arg("--txns", "transactions per client", minimum=1),
+        registry.DATASET,
+        registry.SCALE,
+        registry.SEED,
+        GROUP_COMMIT,
+        registry.arg("--loop", "client loop model", choices=["closed", "open"]),
+        registry.arg(
+            "--arrival-interval",
+            "open-loop inter-arrival gap per client, in charge units",
+            minimum=0,
+        ),
+        registry.arg(
+            "--retries", "retry budget for conflict-aborted transactions (0 disables)", minimum=0
+        ),
+        registry.arg(
+            "--backoff",
+            "retry backoff base in charge units (doubles per attempt + seeded jitter)",
+            minimum=0,
+        ),
+        registry.arg(
+            "--retry-policy",
+            "backoff policy for conflict retries: fixed constants or an "
+            "EWMA of each client's observed commit charge",
+            choices=list(RETRY_POLICIES),
+        ),
+    ),
+    baseline="BENCH_concurrency.json",
+    report="benchmarks/reports/fig8_concurrency.txt",
+    gated_on="identity",
+    # The committed baseline is the CI-sized subset: one native engine,
+    # one remote/async-flavoured one (the architecture the Section 6.4
+    # durability effect is about).
+    baseline_args=(
+        *("--engines", "nativelinked-1.9", "documentgraph-2.8"),
+        *("--clients", "4", "--txns", "12", "--mix", "write-heavy"),
+    ),
+)

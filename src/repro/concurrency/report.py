@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.bench.registry import dataset_line, text_table
+
 _COLUMNS = (
     ("throughput_ops_per_kcharge", "thrpt/kc", "{:.2f}"),
     ("p50_charge", "p50", "{:d}"),
@@ -30,28 +32,23 @@ _COLUMNS = (
 
 def format_concurrency_report(report: dict[str, Any]) -> str:
     """Render the engines × durability matrix as an aligned text table."""
-    dataset = report["dataset"]
     lines = [
         "Figure 8: multi-client throughput and tail latency "
         "(charged units, deterministic virtual time)",
-        f"dataset={dataset['name']} scale={dataset['scale']} "
-        f"(V={dataset['vertices']}, E={dataset['edges']})  "
+        f"{dataset_line(report)}  "
         f"clients={report['clients']}  mix={report['mix']}  "
         f"txns/client={report['txns_per_client']}  seed={report['seed']}  "
         f"group-commit={report['group_commit']}  loop={report['loop']}",
         "",
     ]
-    header = f"{'engine':<22} {'durability':<10}" + "".join(
-        f" {title:>9}" for _key, title, _fmt in _COLUMNS
+    rows = (
+        (f"{engine_id:<22} {durability:<10}", row)
+        for engine_id, modes in report["engines"].items()
+        for durability, row in modes.items()
     )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for engine_id, modes in report["engines"].items():
-        for durability, row in modes.items():
-            cells = "".join(
-                f" {fmt.format(row[key]):>9}" for key, _title, fmt in _COLUMNS
-            )
-            lines.append(f"{engine_id:<22} {durability:<10}{cells}")
+    lines.extend(
+        text_table(_COLUMNS, rows, lead=f"{'engine':<22} {'durability':<10}", indent="")
+    )
     lines.append("")
     lines.append(
         "latency unit: logical charge (page reads/writes + index probes + "
@@ -83,19 +80,14 @@ _SATURATION_COLUMNS = (
 
 def format_saturation_report(report: dict[str, Any]) -> str:
     """Render the per-engine open-loop sweeps as aligned text tables."""
-    dataset = report["dataset"]
     lines = [
         "Figure 9: open-loop saturation sweep "
         "(offered arrival rate stepped until throughput collapses)",
-        f"dataset={dataset['name']} scale={dataset['scale']} "
-        f"(V={dataset['vertices']}, E={dataset['edges']})  "
+        f"{dataset_line(report)}  "
         f"clients={report['clients']}  mix={report['mix']}  "
         f"txns/client={report['txns_per_client']}  seed={report['seed']}  "
         f"durability={report['durability']}  retries={report['retries']}",
     ]
-    header = "  " + f"{'':<2}" + "".join(
-        f" {title:>11}" for _key, title, _fmt in _SATURATION_COLUMNS
-    )
     for engine_id, sweep in report["engines"].items():
         knee_interval = sweep["knee"]["arrival_interval"]
         lines.append("")
@@ -104,15 +96,11 @@ def format_saturation_report(report: dict[str, Any]) -> str:
             f"({sweep['knee']['throughput_ops_per_kcharge']:.2f} ops/kcharge"
             f"{', collapse observed' if sweep['saturated'] else ', budget exhausted'})"
         )
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
-        for step in sweep["steps"]:
-            marker = "*" if step["arrival_interval"] == knee_interval else " "
-            cells = "".join(
-                f" {fmt.format(step[key]):>11}"
-                for key, _title, fmt in _SATURATION_COLUMNS
-            )
-            lines.append(f"  {marker:<2}{cells}")
+        rows = (
+            ("  * " if step["arrival_interval"] == knee_interval else "    ", step)
+            for step in sweep["steps"]
+        )
+        lines.extend(text_table(_SATURATION_COLUMNS, rows, width=11, lead="    "))
     lines.append("")
     lines.append(
         "each step halves the arrival interval (doubles the offered load); "
@@ -122,30 +110,20 @@ def format_saturation_report(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-_LOOP_COLUMNS = (
-    ("arrival_interval", "interval", "{:d}"),
-    ("throughput_ops_per_kcharge", "thrpt/kc", "{:.2f}"),
-    ("p50_charge", "p50", "{:d}"),
-    ("p95_charge", "p95", "{:d}"),
-    ("p99_charge", "p99", "{:d}"),
-    ("abort_rate", "abort%", "{:.1%}"),
-    ("retries", "retries", "{:d}"),
+#: The sweep's columns minus the offered load a closed loop does not have.
+_LOOP_COLUMNS = tuple(
+    column for column in _SATURATION_COLUMNS if column[0] != "offered_ops_per_kcharge"
 )
 
 def format_loop_comparison(report: dict[str, Any]) -> str:
     """Render the closed-vs-open-loop comparison (Figure 9b)."""
-    dataset = report["dataset"]
     lines = [
         "Figure 9b: closed vs open loop on the identical seeded workload",
-        f"dataset={dataset['name']} scale={dataset['scale']} "
-        f"(V={dataset['vertices']}, E={dataset['edges']})  "
+        f"{dataset_line(report)}  "
         f"clients={report['clients']}  mix={report['mix']}  "
         f"txns/client={report['txns_per_client']}  seed={report['seed']}  "
         f"durability={report['durability']}",
     ]
-    header = f"  {'loop model':<16}" + "".join(
-        f" {title:>11}" for _key, title, _fmt in _LOOP_COLUMNS
-    )
     for engine_id, rows in report["engines"].items():
         # A sweep that exhausted its budget never saw a failed doubling,
         # so its last step is not evidence of collapse.
@@ -159,15 +137,10 @@ def format_loop_comparison(report: dict[str, Any]) -> str:
         )
         lines.append("")
         lines.append(engine_id)
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
-        for key, label in row_labels:
-            row = rows[key]
-            cells = "".join(
-                f" {fmt.format(row[field]):>11}"
-                for field, _title, fmt in _LOOP_COLUMNS
-            )
-            lines.append(f"  {label:<16}{cells}")
+        labelled = ((f"  {label:<16}", rows[key]) for key, label in row_labels)
+        lines.extend(
+            text_table(_LOOP_COLUMNS, labelled, width=11, lead=f"  {'loop model':<16}")
+        )
     lines.append("")
     lines.append(
         "closed-loop clients self-throttle (submission waits for "

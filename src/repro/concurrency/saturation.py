@@ -18,31 +18,21 @@ fig8 concurrency gate.
 
 from __future__ import annotations
 
-import time
+from pathlib import Path
 from typing import Any, Sequence
 
+from repro.bench import registry
 from repro.concurrency.driver import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
+    GROUP_COMMIT,
+    MIX,
     MIXES,
     run_engine_mode,
 )
+from repro.concurrency.report import format_loop_comparison, format_saturation_report
 from repro.datasets import get_dataset
 from repro.exceptions import BenchmarkError
-
-#: Sweep defaults: the interval starts comfortably above every engine's
-#: mean service cost and halves until the knee (or this floor) is reached.
-#: These are also the committed-baseline parameters: ``graphbench
-#: saturate`` with no flags regenerates ``BENCH_saturation.json``
-#: byte-identically instead of silently clobbering it with an
-#: incompatible-parameter payload.
-DEFAULT_START_INTERVAL = 1024
-DEFAULT_MIN_INTERVAL = 2
-DEFAULT_MAX_STEPS = 10
-
-#: The default sweep subset, matching the concurrency baseline: one native
-#: engine, one remote/async-flavoured one.
-DEFAULT_SWEEP_ENGINES = ("nativelinked-1.9", "documentgraph-2.8")
 
 #: A step must improve throughput by more than this fraction to count as
 #: "still scaling"; the first step that fails the test is the collapse
@@ -77,9 +67,9 @@ def sweep_engine(
     txns: int,
     seed: int,
     group_commit: int,
-    start_interval: int = DEFAULT_START_INTERVAL,
-    min_interval: int = DEFAULT_MIN_INTERVAL,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    start_interval: int,
+    min_interval: int,
+    max_steps: int,
     knee_gain: float = KNEE_GAIN,
     retries: int = DEFAULT_RETRIES,
     backoff: int = DEFAULT_BACKOFF,
@@ -90,17 +80,11 @@ def sweep_engine(
     ``saturated`` records whether the sweep actually observed the collapse
     (as opposed to exhausting its step or interval budget first).
     """
-    if start_interval < 1:
-        raise BenchmarkError(f"start interval must be >= 1, not {start_interval}")
-    if min_interval < 1:
-        raise BenchmarkError(f"minimum interval must be >= 1, not {min_interval}")
     if start_interval < min_interval:
         raise BenchmarkError(
             f"start interval {start_interval} is below the minimum interval "
             f"{min_interval}: the sweep would take no steps"
         )
-    if max_steps < 1:
-        raise BenchmarkError(f"max steps must be >= 1, not {max_steps}")
     mix = MIXES[mix_name]
     steps: list[dict[str, Any]] = []
     interval = start_interval
@@ -238,7 +222,9 @@ def run_loop_comparison(sweep_report: dict[str, Any]) -> dict[str, Any]:
 
 
 def run_saturation_sweep(
-    engine_ids: Sequence[str],
+    # The concurrency baseline's subset: one native engine, one
+    # remote/async-flavoured one.
+    engine_ids: Sequence[str] = ("nativelinked-1.9", "documentgraph-2.8"),
     clients: int = 4,
     mix_name: str = "write-heavy",
     dataset_name: str = "yeast",
@@ -247,9 +233,11 @@ def run_saturation_sweep(
     txns: int = 8,
     durability: str = "sync",
     group_commit: int = 4,
-    start_interval: int = DEFAULT_START_INTERVAL,
-    min_interval: int = DEFAULT_MIN_INTERVAL,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    # The interval starts comfortably above every engine's mean service
+    # cost and halves until the knee (or the floor) is reached.
+    start_interval: int = 1024,
+    min_interval: int = 2,
+    max_steps: int = 10,
     knee_gain: float = KNEE_GAIN,
     retries: int = DEFAULT_RETRIES,
     backoff: int = DEFAULT_BACKOFF,
@@ -257,54 +245,96 @@ def run_saturation_sweep(
 ) -> dict[str, Any]:
     """Sweep every engine and return the ``BENCH_saturation.json`` payload.
 
-    Every field except ``wall_seconds`` derives from seeded choices and
-    logical charges, so the payload is byte-identical across runs with the
-    same arguments (the saturation determinism test holds this).
+    Every field derives from seeded choices and logical charges, so the
+    payload is byte-identical across runs with the same arguments (the
+    saturation determinism test holds this).
     """
-    if mix_name not in MIXES:
-        known = ", ".join(sorted(MIXES))
-        raise BenchmarkError(f"unknown mix {mix_name!r}; known mixes: {known}")
-    dataset = get_dataset(dataset_name, scale=scale, seed=dataset_seed)
-    started = time.perf_counter()
-    engines: dict[str, dict[str, Any]] = {}
-    for engine_id in engine_ids:
-        engines[engine_id] = sweep_engine(
-            engine_id,
-            durability,
-            dataset,
-            mix_name,
-            clients,
-            txns,
-            seed,
-            group_commit,
-            start_interval=start_interval,
-            min_interval=min_interval,
-            max_steps=max_steps,
-            knee_gain=knee_gain,
-            retries=retries,
-            backoff=backoff,
-        )
-    return {
-        "benchmark": "open-loop-saturation",
-        "dataset": {
-            "name": dataset_name,
-            "scale": scale,
-            "seed": dataset_seed,
-            "vertices": dataset.vertex_count,
-            "edges": dataset.edge_count,
-        },
-        "clients": clients,
-        "mix": mix_name,
-        "txns_per_client": txns,
-        "seed": seed,
-        "durability": durability,
-        "group_commit": group_commit,
+    registry.check_args(SPEC.args, locals())
+    dataset, header = registry.seeded_dataset(dataset_name, scale, dataset_seed)
+    # Passed to every engine's sweep and echoed in the payload under the same names.
+    sweep = {
         "start_interval": start_interval,
         "min_interval": min_interval,
         "max_steps": max_steps,
         "knee_gain": knee_gain,
         "retries": retries,
         "backoff": backoff,
-        "engines": engines,
-        "wall_seconds": round(time.perf_counter() - started, 3),
     }
+    engines: dict[str, dict[str, Any]] = {
+        engine_id: sweep_engine(
+            engine_id, durability, dataset, mix_name, clients, txns, seed, group_commit, **sweep
+        )
+        for engine_id in engine_ids
+    }
+    return {
+        "benchmark": "open-loop-saturation",
+        "dataset": header,
+        "clients": clients,
+        "mix": mix_name,
+        "txns_per_client": txns,
+        "seed": seed,
+        "durability": durability,
+        "group_commit": group_commit,
+        **sweep,
+        "engines": engines,
+    }
+
+
+def _compare_loops(payload: dict[str, Any], args: Any) -> list[Path]:
+    """``saturate --compare-loops``: re-drive closed-loop, write Figure 9b."""
+    if not args.compare_loops:
+        return []
+    comparison = run_loop_comparison(payload)
+    text = format_loop_comparison(comparison)
+    print()
+    print(text)
+    return registry.write_report(comparison, text, None, args.loop_report)
+
+
+SPEC = registry.BenchmarkSpec(
+    name="saturate",
+    help="open-loop saturation sweep: step the arrival rate until "
+    "throughput collapses and report the knee (Figure 9); "
+    "--compare-loops adds the closed-vs-open Figure 9b",
+    run=run_saturation_sweep,
+    format=format_saturation_report,
+    args=(
+        registry.engines_arg("sweep"),
+        registry.arg("--clients", "open-loop clients", minimum=1),
+        MIX,
+        registry.arg("--txns", "transactions per client", minimum=1),
+        registry.DATASET,
+        registry.SCALE,
+        registry.SEED,
+        registry.arg("--durability", "WAL durability mode", choices=["sync", "async"]),
+        GROUP_COMMIT,
+        registry.arg(
+            "--start-interval",
+            "first (slowest) per-client arrival interval, in charge units",
+            minimum=1,
+        ),
+        registry.arg(
+            "--min-interval", "stop stepping below this interval even without a knee", minimum=1
+        ),
+        registry.arg("--max-steps", "maximum sweep steps per engine", minimum=1),
+        registry.arg("--retries", minimum=0),
+        registry.arg("--backoff", minimum=0),
+        registry.arg(
+            "--compare-loops",
+            "after the sweep, re-drive the same workload closed-loop and "
+            "write the closed-vs-open comparison figure (Figure 9b)",
+            kwarg=None,
+            action="store_true",
+        ),
+        registry.arg(
+            "--loop-report",
+            "where --compare-loops writes the comparison figure ('' to skip)",
+            kwarg=None,
+            default="benchmarks/reports/fig9b_loop_comparison.txt",
+        ),
+    ),
+    baseline="BENCH_saturation.json",
+    report="benchmarks/reports/fig9_saturation.txt",
+    gated_on="identity",
+    after=_compare_loops,
+)

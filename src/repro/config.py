@@ -10,7 +10,7 @@ harness executes queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 #: Default simulated memory budget, in bytes of tracked payload.  The real
@@ -33,8 +33,6 @@ class EngineConfig:
     memory_budget:
         Maximum bytes of materialised intermediate state the engine may hold
         before raising :class:`~repro.exceptions.MemoryBudgetExceededError`.
-    page_size:
-        Page size used by page-backed storage substrates.
     bulk_load:
         When true, engines skip per-item index maintenance during
         :meth:`~repro.model.graph.GraphDatabase.load` and rebuild indexes at
@@ -52,7 +50,6 @@ class EngineConfig:
     """
 
     memory_budget: int = DEFAULT_MEMORY_BUDGET
-    page_size: int = DEFAULT_PAGE_SIZE
     bulk_load: bool = True
     auto_index_properties: tuple[str, ...] = ()
     durability: str = "sync"
@@ -60,16 +57,7 @@ class EngineConfig:
 
     def with_overrides(self, **overrides: object) -> "EngineConfig":
         """Return a copy of this config with ``overrides`` applied."""
-        data = {
-            "memory_budget": self.memory_budget,
-            "page_size": self.page_size,
-            "bulk_load": self.bulk_load,
-            "auto_index_properties": self.auto_index_properties,
-            "durability": self.durability,
-            "extra": dict(self.extra),
-        }
-        data.update(overrides)
-        return EngineConfig(**data)  # type: ignore[arg-type]
+        return replace(self, **overrides)  # type: ignore[arg-type]
 
 
 @dataclass
@@ -87,14 +75,8 @@ class BenchConfig:
         Random seed used to pick query parameters.  The same seed is reused
         for every engine so that all systems answer exactly the same
         queries, as required by the paper's fairness principle.
-    warmup:
-        Number of unmeasured warm-up executions before the measured run.
-    collect_io:
-        Whether to collect logical I/O counters alongside wall-clock times.
     """
 
     timeout: float = 10.0
     batch_size: int = 10
     seed: int = 20181204
-    warmup: int = 0
-    collect_io: bool = True

@@ -59,13 +59,7 @@ from repro.faults.txn_faults import (
     TxnFaultEvent,
     TxnFaultPlan,
 )
-from repro.faults.bench import (
-    DEFAULT_CHAOS_ENGINES,
-    DEFAULT_FAULT_RATES,
-    DEFAULT_CHAOS_SHARDS,
-    CHAOS_MIXES,
-    run_chaos_benchmark,
-)
+from repro.faults.bench import CHAOS_MIXES, run_chaos_benchmark
 from repro.faults.report import format_chaos_report
 
 __all__ = [
@@ -74,9 +68,6 @@ __all__ = [
     "CRASH",
     "ChaosExecutor",
     "ChaosResult",
-    "DEFAULT_CHAOS_ENGINES",
-    "DEFAULT_CHAOS_SHARDS",
-    "DEFAULT_FAULT_RATES",
     "EXACT",
     "FAILED",
     "FaultEvent",

@@ -19,19 +19,20 @@ rather than publish a payload that violates the chaos invariant.
 Every figure except ``wall_seconds`` derives from seeded choices and
 logical charges, so ``BENCH_chaos.json`` is byte-identical across machines;
 CI regenerates it on every push and gates it on identity with
-``graphbench gate chaos``.  The defaults here are the committed-baseline
-parameters, so a plain ``graphbench chaos`` regenerates the baseline.
+``graphbench gate chaos``.  The signature defaults of
+:func:`run_chaos_benchmark` are the committed-baseline parameters (and,
+through :data:`SPEC`, the CLI's), so a plain ``graphbench chaos``
+regenerates the baseline.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Sequence
 
-from repro.bench.workload import load_dataset_into
+from repro.bench import registry
+from repro.bench.gates import check_chaos_invariants
 from repro.concurrency.driver import RETRY_POLICIES, RetryPolicy
 from repro.concurrency.scheduler import percentile
-from repro.datasets import get_dataset
 from repro.engines import create_engine
 from repro.exceptions import BenchmarkError, ShardUnavailableError
 from repro.faults.chaos import (
@@ -42,21 +43,10 @@ from repro.faults.chaos import (
     build_chaos,
 )
 from repro.faults.plan import FaultPlan
-from repro.partition.bench import plan_queries
+from repro.faults.report import format_chaos_report
+from repro.partition.bench import PARTITIONER, answer_of, plan_queries
 from repro.partition.messages import NetworkCostModel
-from repro.partition.partitioners import PartitionPlan, partition_dataset
-
-#: Benchmark defaults — shared by the CLI, the CI gate, and the committed
-#: baseline.  One engine keeps the matrix affordable; the interesting axes
-#: are the fault rate and the retry policy, not the engine zoo (fig10
-#: already sweeps engines × partitioners fault-free).
-DEFAULT_CHAOS_ENGINES = ("nativelinked-1.9",)
-DEFAULT_CHAOS_SHARDS = (2, 4)
-#: The sweep needs the tail: below ~30% the retry budget absorbs nearly
-#: everything, and only the high-rate cells show degraded service and
-#: fail-fast outcomes (the availability story fig11 exists to tell).
-DEFAULT_FAULT_RATES = (0, 10, 30, 60)
-DEFAULT_CHAOS_PARTITIONER = "hash"
+from repro.partition.partitioners import PartitionPlan, plan_matrix
 
 #: The two query mixes: deep hub BFS keeps shards exposed for many barriers
 #: (faults hit mid-flight); shallow 1-hop lookups are in-and-out (faults
@@ -67,52 +57,46 @@ CHAOS_MIXES: dict[str, dict[str, int]] = {
 }
 
 
+#: :class:`~repro.faults.chaos.ChaosResult` ledger fields summed per cell.
+_LEDGER = (
+    "compute_charge",
+    "network_charge",
+    "degraded_charge",
+    "degraded_reads",
+    "wasted_compute_charge",
+    "backoff_charge",
+    "retransmit_charge",
+    "recovery_charge",
+    "checkpoint_charge",
+    "journal_charge",
+    "overhead_charge",
+    "crashes",
+    "restarts",
+    "stalls",
+    "abandoned",
+    "rejoins",
+    "torn_records",
+    "repaired_records",
+    "messages_lost",
+    "messages_duplicated",
+    "messages_reordered",
+)
+
+
 def _run_cell_queries(
     executor: Any, queries: Sequence[dict[str, Any]]
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Replay the query set under faults; aggregate the outcome ledger."""
-    totals = {
-        "queries": len(queries),
-        "exact": 0,
-        "stale": 0,
-        "failed": 0,
-        "compute_charge": 0,
-        "network_charge": 0,
-        "degraded_charge": 0,
-        "degraded_reads": 0,
-        "wasted_compute_charge": 0,
-        "backoff_charge": 0,
-        "retransmit_charge": 0,
-        "recovery_charge": 0,
-        "checkpoint_charge": 0,
-        "journal_charge": 0,
-        "overhead_charge": 0,
-        "crashes": 0,
-        "restarts": 0,
-        "stalls": 0,
-        "abandoned": 0,
-        "rejoins": 0,
-        "torn_records": 0,
-        "repaired_records": 0,
-        "messages_lost": 0,
-        "messages_duplicated": 0,
-        "messages_reordered": 0,
-    }
+    totals = {"queries": len(queries), "exact": 0, "stale": 0, "failed": 0}
+    totals.update(dict.fromkeys(_LEDGER, 0))
     staleness: list[int] = []
     per_query: list[dict[str, Any]] = []
     for query in queries:
         try:
             if query["kind"] == "shortest-path":
                 outcome = executor.shortest_path(query["source"], query["target"])
-                answer: dict[str, Any] = {
-                    "distance": outcome.distances.get(query["target"], -1)
-                }
             else:
                 outcome = executor.bfs(query["source"], query["depth"])
-                answer = {
-                    "reached": len(outcome.distances),
-                    "distance_sum": sum(outcome.distances.values()),
-                }
         except ShardUnavailableError as error:
             totals["failed"] += 1
             per_query.append(
@@ -122,27 +106,7 @@ def _run_cell_queries(
         totals[outcome.label] += 1
         if outcome.label == "stale":
             staleness.append(outcome.staleness)
-        totals["compute_charge"] += outcome.compute_charge
-        totals["network_charge"] += outcome.network_charge
-        totals["degraded_charge"] += outcome.degraded_charge
-        totals["degraded_reads"] += outcome.degraded_reads
-        totals["wasted_compute_charge"] += outcome.wasted_compute_charge
-        totals["backoff_charge"] += outcome.backoff_charge
-        totals["retransmit_charge"] += outcome.retransmit_charge
-        totals["recovery_charge"] += outcome.recovery_charge
-        totals["checkpoint_charge"] += outcome.checkpoint_charge
-        totals["journal_charge"] += outcome.journal_charge
-        totals["overhead_charge"] += outcome.overhead_charge
-        totals["crashes"] += outcome.crashes
-        totals["restarts"] += outcome.restarts
-        totals["stalls"] += outcome.stalls
-        totals["abandoned"] += outcome.abandoned
-        totals["rejoins"] += outcome.rejoins
-        totals["torn_records"] += outcome.torn_records
-        totals["repaired_records"] += outcome.repaired_records
-        totals["messages_lost"] += outcome.messages_lost
-        totals["messages_duplicated"] += outcome.messages_duplicated
-        totals["messages_reordered"] += outcome.messages_reordered
+        registry.accumulate(totals, outcome, _LEDGER)
         entry = {
             "kind": query["kind"],
             "label": outcome.label,
@@ -150,7 +114,7 @@ def _run_cell_queries(
             "network_charge": outcome.network_charge,
             "staleness": outcome.staleness,
         }
-        entry.update(answer)
+        entry.update(answer_of(query, outcome))
         per_query.append(entry)
     completed = totals["queries"] - totals["failed"]
     totals["availability"] = round(completed / totals["queries"], 4)
@@ -193,11 +157,13 @@ def run_chaos_cell(
     fault_plan: FaultPlan,
     retry_policy: str,
     retry: RetryPolicy,
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
-    superstep_timeout: int = DEFAULT_SUPERSTEP_TIMEOUT,
-    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
+    **chaos: int,
 ) -> dict[str, Any]:
-    """One (engine, mix, K, policy, rate) cell of the availability matrix."""
+    """One (engine, mix, K, policy, rate) cell of the availability matrix.
+
+    ``chaos`` is the :class:`~repro.faults.chaos.FaultPlane` budget
+    (``max_restarts``, ``superstep_timeout``, ``checkpoint_interval``).
+    """
     source_engine.reset_metrics()
     executor, _build = build_chaos(
         source_engine,
@@ -208,9 +174,7 @@ def run_chaos_cell(
         network=network,
         retry=retry,
         retry_policy=retry_policy,
-        max_restarts=max_restarts,
-        superstep_timeout=superstep_timeout,
-        checkpoint_interval=checkpoint_interval,
+        **chaos,
     )
     totals, per_query = _run_cell_queries(executor, queries)
     row: dict[str, Any] = {"build_charge": executor.faults.build_charge}
@@ -222,12 +186,18 @@ def run_chaos_cell(
 
 
 def run_chaos_benchmark(
-    engine_ids: Sequence[str] = DEFAULT_CHAOS_ENGINES,
+    # One engine keeps the matrix affordable; the interesting axes are the
+    # fault rate and the retry policy, not the engine zoo (fig10 already
+    # sweeps engines × partitioners fault-free).
+    engine_ids: Sequence[str] = ("nativelinked-1.9",),
     mixes: Sequence[str] = tuple(CHAOS_MIXES),
-    shard_counts: Sequence[int] = DEFAULT_CHAOS_SHARDS,
-    fault_rates: Sequence[int] = DEFAULT_FAULT_RATES,
+    shard_counts: Sequence[int] = (2, 4),
+    # The sweep needs the tail: below ~30% the retry budget absorbs nearly
+    # everything, and only the high-rate cells show degraded service and
+    # fail-fast outcomes (the availability story fig11 exists to tell).
+    fault_rates: Sequence[int] = (0, 10, 30, 60),
     retry_policies: Sequence[str] = RETRY_POLICIES,
-    partitioner: str = DEFAULT_CHAOS_PARTITIONER,
+    partitioner: str = "hash",
     dataset_name: str = "yeast",
     scale: float = 0.25,
     seed: int = 20181204,
@@ -237,40 +207,28 @@ def run_chaos_benchmark(
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
 ) -> dict[str, Any]:
     """Run the availability matrix (``BENCH_chaos.json``)."""
+    registry.check_args(SPEC.args, locals())
     if 0 not in fault_rates:
         raise BenchmarkError(
             "fault rates must include 0: the fault-free run is the baseline "
             "that overhead and the exactness self-check are measured against"
         )
-    if any(rate < 0 or rate > 100 for rate in fault_rates):
-        raise BenchmarkError(f"fault rates must be 0..100, got {list(fault_rates)}")
-    unknown_mixes = [name for name in mixes if name not in CHAOS_MIXES]
-    if unknown_mixes:
-        raise BenchmarkError(
-            f"unknown chaos mixes {unknown_mixes}; expected {sorted(CHAOS_MIXES)}"
-        )
-    unknown_policies = [name for name in retry_policies if name not in RETRY_POLICIES]
-    if unknown_policies:
-        raise BenchmarkError(
-            f"unknown retry policies {unknown_policies}; expected {list(RETRY_POLICIES)}"
-        )
     network = NetworkCostModel()
     retry = RetryPolicy()
-    dataset = get_dataset(dataset_name, scale=scale, seed=dataset_seed)
-    plans = {
-        shards: partition_dataset(dataset, shards, partitioner)
-        for shards in shard_counts
+    chaos = {
+        "max_restarts": max_restarts,
+        "superstep_timeout": superstep_timeout,
+        "checkpoint_interval": checkpoint_interval,
     }
+    dataset, header = registry.seeded_dataset(dataset_name, scale, dataset_seed)
+    plans = plan_matrix(dataset, [partitioner], shard_counts)
     query_sets = {
         name: plan_queries(dataset, seed, **CHAOS_MIXES[name]) for name in mixes
     }
     # Rate 0 first so every faulted cell can be checked against its baseline.
     ordered_rates = sorted(set(fault_rates))
-    started = time.perf_counter()
     cells: list[dict[str, Any]] = []
-    for engine_id in engine_ids:
-        source_engine = create_engine(engine_id)
-        loaded = load_dataset_into(source_engine, dataset)
+    for engine_id, loaded in registry.loaded_sources(engine_ids, dataset):
         for mix in mixes:
             for shards in shard_counts:
                 for policy in retry_policies:
@@ -281,17 +239,15 @@ def run_chaos_benchmark(
                         )
                         row = run_chaos_cell(
                             engine_id,
-                            source_engine,
+                            loaded.engine,
                             loaded.vertex_map,
-                            plans[shards],
+                            plans[(partitioner, shards)],
                             query_sets[mix],
                             network,
                             fault_plan,
                             policy,
                             retry,
-                            max_restarts=max_restarts,
-                            superstep_timeout=superstep_timeout,
-                            checkpoint_interval=checkpoint_interval,
+                            **chaos,
                         )
                         cell = {
                             "engine": engine_id,
@@ -308,30 +264,16 @@ def run_chaos_benchmark(
                                     "fault-free chaos cell produced non-exact "
                                     f"outcomes: {cell['engine']}/{cell['mix']}"
                                 )
-                            cell["overhead_pct"] = round(
-                                100.0 * cell["overhead_charge"] / cell["base_charge"],
-                                2,
-                            )
                         else:
                             assert baseline is not None  # rate 0 runs first
                             _check_exactness(cell, cell["per_query"], baseline["per_query"])
-                            cell["overhead_pct"] = round(
-                                100.0
-                                * cell["overhead_charge"]
-                                / baseline["base_charge"],
-                                2,
-                            )
+                        cell["overhead_pct"] = round(
+                            100.0 * cell["overhead_charge"] / baseline["base_charge"], 2
+                        )
                         cells.append(cell)
-        source_engine.close()
     return {
         "benchmark": "chaos-availability",
-        "dataset": {
-            "name": dataset_name,
-            "scale": scale,
-            "seed": dataset_seed,
-            "vertices": dataset.vertex_count,
-            "edges": dataset.edge_count,
-        },
+        "dataset": header,
         "seed": seed,
         "partitioner": partitioner,
         "mixes": {name: dict(CHAOS_MIXES[name]) for name in mixes},
@@ -340,11 +282,58 @@ def run_chaos_benchmark(
         "retry_policies": list(retry_policies),
         "network": network.params(),
         "retry": {"max_retries": retry.max_retries, "backoff_base": retry.backoff_base},
-        "chaos": {
-            "max_restarts": max_restarts,
-            "superstep_timeout": superstep_timeout,
-            "checkpoint_interval": checkpoint_interval,
-        },
+        "chaos": chaos,
         "cells": cells,
-        "wall_seconds": round(time.perf_counter() - started, 3),
     }
+
+
+SPEC = registry.BenchmarkSpec(
+    name="chaos",
+    help="inject seeded faults (crashes, stalls, message loss/dup/reorder, "
+    "torn WAL tails, snapshot loss) into the distributed executor and "
+    "measure availability, staleness, and overhead (Figure 11)",
+    run=run_chaos_benchmark,
+    format=format_chaos_report,
+    args=(
+        registry.engines_arg("shard"),
+        registry.arg("--mixes", "query mixes to replay under faults", choices=sorted(CHAOS_MIXES)),
+        registry.arg("--shards", "shard counts K to sweep", kwarg="shard_counts", minimum=1),
+        registry.arg(
+            "--rates",
+            "fault rates in percent (must include 0, the exactness oracle)",
+            kwarg="fault_rates",
+            minimum=0,
+            maximum=100,
+        ),
+        registry.arg(
+            "--policies",
+            "retry policies to A/B per cell",
+            kwarg="retry_policies",
+            choices=list(RETRY_POLICIES),
+        ),
+        PARTITIONER,
+        registry.DATASET,
+        registry.SCALE,
+        registry.SEED,
+        registry.arg(
+            "--max-restarts",
+            "per-query fault budget per shard before it is abandoned",
+            minimum=0,
+        ),
+        registry.arg(
+            "--superstep-timeout",
+            "fixed straggler timeout in charge units (adaptive policy "
+            "scales it with the observed EWMA instead)",
+            minimum=1,
+        ),
+        registry.arg(
+            "--checkpoint-interval",
+            "barriers between periodic charged snapshot checkpoints",
+            minimum=1,
+        ),
+    ),
+    baseline="BENCH_chaos.json",
+    report="benchmarks/reports/fig11_chaos.txt",
+    gated_on="identity; rate-0 availability = 100 %",
+    invariants=check_chaos_invariants,
+)

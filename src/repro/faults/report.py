@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.bench.registry import dataset_line, text_table
+
 _COLUMNS = (
     ("rate", "fault%", "{:d}"),
     ("policy", "policy", "{:s}"),
@@ -28,19 +30,16 @@ _COLUMNS = (
 
 def format_chaos_report(report: dict[str, Any]) -> str:
     """Render the availability matrix as aligned per-(engine, mix, K) tables."""
-    dataset = report["dataset"]
     chaos = report["chaos"]
     lines = [
         "Figure 11: availability and overhead under seeded fault injection "
         "(crashes, stalls, message loss/dup/reorder, torn WALs, snapshot loss)",
-        f"dataset={dataset['name']} scale={dataset['scale']} "
-        f"(V={dataset['vertices']}, E={dataset['edges']})  "
+        f"{dataset_line(report)}  "
         f"partitioner={report['partitioner']}  seed={report['seed']}  "
         f"retry budget={chaos['max_restarts']} restarts, "
         f"checkpoint every {chaos['checkpoint_interval']} barriers, "
         f"fixed timeout={chaos['superstep_timeout']}",
     ]
-    header = "  " + "".join(f" {title:>9}" for _key, title, _fmt in _COLUMNS)
     groups: dict[tuple[str, str, int], list[dict[str, Any]]] = {}
     for cell in report["cells"]:
         groups.setdefault((cell["engine"], cell["mix"], cell["shards"]), []).append(cell)
@@ -52,13 +51,7 @@ def format_chaos_report(report: dict[str, Any]) -> str:
             f"{worst['availability']:.1%} at rate {worst['rate']}% "
             f"({worst['policy']})"
         )
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
-        for cell in cells:
-            row = "".join(
-                f" {fmt.format(cell[key]):>9}" for key, _title, fmt in _COLUMNS
-            )
-            lines.append(f"  {row}")
+        lines.extend(text_table(_COLUMNS, (("  ", cell) for cell in cells)))
     lines.append("")
     lines.append(
         "avail = completed/attempted; a query completes 'exact' (answer and "

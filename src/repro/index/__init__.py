@@ -34,8 +34,6 @@ from repro.index.manager import StructuralIndexManager
 from repro.index.oracle import bfs_descendants, bfs_reachable
 
 __all__ = [
-    "DEFAULT_REACH_ENGINES",
-    "DEFAULT_REACH_SHAPES",
     "IndexStats",
     "IntervalReachabilityIndex",
     "StructuralIndexManager",

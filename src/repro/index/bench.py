@@ -13,31 +13,24 @@ rather than publish a payload from a wrong index.
 Every figure except ``wall_seconds`` derives from seeded choices and
 logical charges, so ``BENCH_reachability.json`` is byte-identical across
 machines; CI regenerates it on every push and gates it on identity with
-``graphbench gate reachability``.  The defaults here are the
-committed-baseline parameters.
+``graphbench gate reachability``.  The signature defaults of
+:func:`run_reachability_benchmark` are the committed-baseline parameters.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from typing import Any, Sequence
 
+from repro.bench import registry
+from repro.bench.gates import check_reachability_invariants
 from repro.bench.workload import load_dataset_into
 from repro.engines import create_engine
 from repro.exceptions import BenchmarkError
 from repro.index.generators import SHAPES, STRUCTURE_LABEL, generate_shape
 from repro.index.interval import IntervalReachabilityIndex
 from repro.index.oracle import bfs_descendants, bfs_reachable
-
-#: Benchmark defaults — shared by the CLI, the CI gate, and the committed
-#: baseline.  Three engines cover the three storage families with dedicated
-#: vectorized kernels plus the linked-list native store the paper centres on.
-DEFAULT_REACH_ENGINES = ("nativelinked-3.0", "bitmapgraph-5.1", "columnargraph-1.0")
-DEFAULT_REACH_SHAPES = SHAPES
-DEFAULT_REACH_VERTICES = 96
-DEFAULT_REACH_PAIRS = 24
-DEFAULT_REACH_SOURCES = 8
+from repro.index.report import format_reachability_report
 
 
 def _plan_queries(
@@ -136,22 +129,18 @@ def run_reachability_cell(
 
 
 def run_reachability_benchmark(
-    engine_ids: Sequence[str] = DEFAULT_REACH_ENGINES,
-    shapes: Sequence[str] = DEFAULT_REACH_SHAPES,
-    vertices: int = DEFAULT_REACH_VERTICES,
-    pairs: int = DEFAULT_REACH_PAIRS,
-    sources: int = DEFAULT_REACH_SOURCES,
+    # Three engines cover the three storage families with dedicated
+    # vectorized kernels plus the linked-list native store the paper
+    # centres on.
+    engine_ids: Sequence[str] = ("nativelinked-3.0", "bitmapgraph-5.1", "columnargraph-1.0"),
+    shapes: Sequence[str] = SHAPES,
+    vertices: int = 96,
+    pairs: int = 24,
+    sources: int = 8,
     seed: int = 20181204,
 ) -> dict[str, Any]:
     """Run the engine × shape matrix (``BENCH_reachability.json``)."""
-    unknown = [shape for shape in shapes if shape not in SHAPES]
-    if unknown:
-        raise BenchmarkError(f"unknown reachability shapes {unknown}; expected {list(SHAPES)}")
-    if vertices < 4 or pairs < 1 or sources < 1:
-        raise BenchmarkError(
-            "reachability benchmark needs vertices >= 4, pairs >= 1, sources >= 1"
-        )
-    started = time.perf_counter()
+    registry.check_args(SPEC.args, locals())
     cells = [
         run_reachability_cell(engine_id, shape, vertices, pairs, sources, seed)
         for engine_id in engine_ids
@@ -167,5 +156,25 @@ def run_reachability_benchmark(
         "shapes": list(shapes),
         "engines": list(engine_ids),
         "cells": cells,
-        "wall_seconds": round(time.perf_counter() - started, 3),
     }
+
+
+SPEC = registry.BenchmarkSpec(
+    name="reachability",
+    help="benchmark the interval reachability index against the charged "
+    "BFS oracle per engine × structural shape (Figure 14)",
+    run=run_reachability_benchmark,
+    format=format_reachability_report,
+    args=(
+        registry.engines_arg("index"),
+        registry.arg("--shapes", "structural shapes to sweep", choices=list(SHAPES)),
+        registry.arg("--vertices", "vertices per generated shape", minimum=4),
+        registry.arg("--pairs", "seeded reachable(src, dst) pairs per cell", minimum=1),
+        registry.arg("--sources", "seeded descendants(src) sources per cell", minimum=1),
+        registry.SEED,
+    ),
+    baseline="BENCH_reachability.json",
+    report="benchmarks/reports/fig14_reachability.txt",
+    gated_on="identity; tree-covered cells ≤ BFS charge; build ≤ 8 charges/element",
+    invariants=check_reachability_invariants,
+)

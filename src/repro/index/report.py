@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.bench.registry import text_table
+
 _COLUMNS = (
     ("shape", "shape", "{:s}"),
     ("coverage", "tree-cov", "{:.0%}"),
@@ -29,7 +31,6 @@ def format_reachability_report(report: dict[str, Any]) -> str:
         f"{report['descendant_sources']} descendant sources per cell  "
         f"seed={report['seed']}",
     ]
-    header = "  " + "".join(f" {title:>9}" for _key, title, _fmt in _COLUMNS)
     groups: dict[str, list[dict[str, Any]]] = {}
     for cell in report["cells"]:
         groups.setdefault(cell["engine"], []).append(cell)
@@ -40,7 +41,7 @@ def format_reachability_report(report: dict[str, Any]) -> str:
             f"{engine_id} — best charge speedup {best['charge_speedup']:.1f}x "
             f"on {best['shape']}"
         )
-        lines.append(header)
+        rows = []
         for cell in cells:
             amortize = cell["amortize_after_queries"]
             values = {
@@ -52,10 +53,6 @@ def format_reachability_report(report: dict[str, Any]) -> str:
                 "speedup": cell["charge_speedup"],
                 "amortize": f"{amortize:g}q" if amortize is not None else "never",
             }
-            lines.append(
-                "  "
-                + "".join(
-                    f" {fmt.format(values[key]):>9}" for key, _title, fmt in _COLUMNS
-                )
-            )
+            rows.append(("  ", values))
+        lines.extend(text_table(_COLUMNS, rows, dashes=False))
     return "\n".join(lines)

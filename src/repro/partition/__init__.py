@@ -14,8 +14,6 @@ pinned by ``tests/partition/``).
 """
 
 from repro.partition.bench import (
-    DEFAULT_BENCH_ENGINES,
-    DEFAULT_SHARD_COUNTS,
     plan_queries,
     run_scaleout_benchmark,
     run_scaleout_cell,
@@ -51,10 +49,8 @@ from repro.partition.report import format_scaleout_report
 __all__ = [
     "BuildReport",
     "BulkQueryResult",
-    "DEFAULT_BENCH_ENGINES",
     "DEFAULT_DRIFT_THRESHOLD",
     "DEFAULT_PARTITIONERS",
-    "DEFAULT_SHARD_COUNTS",
     "DistributedExecutor",
     "DistributedResult",
     "GreedyEdgeCutPartitioner",

@@ -12,49 +12,40 @@ is genuine scale-out over the unpartitioned engine, not over a strawman.
 Every figure except ``wall_seconds`` derives from seeded choices, logical
 charges, and the network cost model, so ``BENCH_partition.json`` is
 byte-identical across machines; CI regenerates it on every push and gates
-it on identity with ``graphbench gate scaleout``.  The defaults here are
-the committed-baseline parameters, so a plain ``graphbench scaleout``
-regenerates the baseline instead of clobbering it with an
-incompatible-parameter payload.
+it on identity with ``graphbench gate scaleout``.  The signature defaults
+of :func:`run_scaleout_benchmark` are the committed-baseline parameters
+(and, through :data:`SPEC`, the CLI's), so a plain ``graphbench scaleout``
+regenerates the baseline.
 """
 
 from __future__ import annotations
 
 import random
-import time
 import zlib
 from typing import Any, Sequence
 
-from repro.bench.workload import build_adjacency, load_dataset_into, reachable_within
-from repro.datasets import get_dataset
+from repro.bench import registry
+from repro.bench.workload import HubPicker, reachable_within
 from repro.datasets.base import Dataset
 from repro.engines import create_engine
 from repro.exceptions import BenchmarkError
-from repro.partition.executor import DistributedExecutor, build_distributed
-from repro.partition.messages import NetworkCostModel
+from repro.partition.executor import BuildReport, DistributedExecutor, build_distributed
+from repro.partition.messages import (
+    DEFAULT_COST_PER_ITEM,
+    DEFAULT_LATENCY_PER_MESSAGE,
+    NetworkCostModel,
+)
 from repro.partition.partitioners import (
     DEFAULT_PARTITIONERS,
+    PARTITIONERS,
     PartitionPlan,
-    partition_dataset,
+    plan_matrix,
 )
-
-#: Benchmark defaults — shared by the CLI, the CI gate, and the committed
-#: baseline (same convention as the saturation sweep).
-#: One native engine plus the B+Tree-heavy triple engine: their per-hop
-#: charges differ by ~5x, so the scale-out curves separate visibly
-#: (documentgraph's aggregate BFS charge coincidentally equals
-#: nativelinked's on yeast, which would render as duplicate tables).
-DEFAULT_BENCH_ENGINES = ("nativelinked-1.9", "triplegraph-2.1")
-DEFAULT_SHARD_COUNTS = (1, 2, 4, 8)
-DEFAULT_DEPTH = 3
-DEFAULT_BFS_SOURCES = 3
+from repro.partition.report import format_scaleout_report
 
 
 def plan_queries(
-    dataset: Dataset,
-    seed: int,
-    depth: int = DEFAULT_DEPTH,
-    bfs_sources: int = DEFAULT_BFS_SOURCES,
+    dataset: Dataset, seed: int, depth: int, bfs_sources: int
 ) -> list[dict[str, Any]]:
     """Bind the query set once per (dataset, seed), in external-id terms.
 
@@ -65,15 +56,7 @@ def plan_queries(
     microbenchmark's Q34 parameter builder).
     """
     rng = random.Random(seed * 1_000_003 + zlib.crc32(b"scaleout"))
-    vertex_ids = [vertex["id"] for vertex in dataset.vertices]
-    if not vertex_ids:
-        raise BenchmarkError("cannot plan scale-out queries over an empty dataset")
-    adjacency = build_adjacency(dataset.edges)
-
-    def hub() -> Any:
-        candidates = [rng.choice(vertex_ids) for _ in range(8)]
-        return max(candidates, key=lambda vid: (len(adjacency.get(vid, ())), repr(vid)))
-
+    hub = HubPicker(dataset, rng)
     queries: list[dict[str, Any]] = []
     for _ in range(bfs_sources):
         queries.append({"kind": "bfs", "source": hub(), "depth": depth})
@@ -81,61 +64,64 @@ def plan_queries(
         queries.append({"kind": "neighbourhood", "source": hub(), "depth": 1})
 
     source = hub()
-    reachable = reachable_within(adjacency, source)
-    target = rng.choice(reachable) if reachable else rng.choice(vertex_ids)
+    reachable = reachable_within(hub.adjacency, source)
+    target = rng.choice(reachable) if reachable else rng.choice(hub.vertex_ids)
     queries.append({"kind": "shortest-path", "source": source, "target": target})
     return queries
+
+
+#: :class:`~repro.partition.executor.DistributedResult` fields summed per cell.
+_TOTALS = (
+    "makespan_charge",
+    "busy_charge",
+    "compute_charge",
+    "network_charge",
+    "supersteps",
+    "messages",
+    "message_items",
+)
+
+
+def answer_of(query: dict[str, Any], outcome: Any) -> dict[str, Any]:
+    """What a distributed result answers to ``query``, as the payloads spell it."""
+    if query["kind"] == "shortest-path":
+        return {"distance": outcome.distances.get(query["target"], -1)}
+    return {"reached": len(outcome.distances), "distance_sum": sum(outcome.distances.values())}
 
 
 def run_queries(
     executor: DistributedExecutor, queries: Sequence[dict[str, Any]]
 ) -> tuple[dict[str, int], list[dict[str, Any]]]:
     """Execute the query set; return summed charges and per-query results."""
-    totals = {
-        "makespan_charge": 0,
-        "busy_charge": 0,
-        "compute_charge": 0,
-        "network_charge": 0,
-        "supersteps": 0,
-        "messages": 0,
-        "message_items": 0,
-    }
+    totals = dict.fromkeys(_TOTALS, 0)
     results: list[dict[str, Any]] = []
     for query in queries:
         if query["kind"] == "shortest-path":
             outcome = executor.shortest_path(query["source"], query["target"])
-            results.append(
-                {
-                    "kind": "shortest-path",
-                    "distance": outcome.distances.get(query["target"], -1),
-                }
-            )
-        elif query["kind"] == "neighbourhood":
-            outcome = executor.neighbourhood(query["source"], query["depth"])
-            results.append(
-                {
-                    "kind": query["kind"],
-                    "reached": len(outcome.distances),
-                    "distance_sum": sum(outcome.distances.values()),
-                }
-            )
         else:
-            outcome = executor.bfs(query["source"], query["depth"])
-            results.append(
-                {
-                    "kind": query["kind"],
-                    "reached": len(outcome.distances),
-                    "distance_sum": sum(outcome.distances.values()),
-                }
-            )
-        totals["makespan_charge"] += outcome.makespan_charge
-        totals["busy_charge"] += outcome.busy_charge
-        totals["compute_charge"] += outcome.compute_charge
-        totals["network_charge"] += outcome.network_charge
-        totals["supersteps"] += outcome.supersteps
-        totals["messages"] += outcome.messages
-        totals["message_items"] += outcome.message_items
+            run = executor.neighbourhood if query["kind"] == "neighbourhood" else executor.bfs
+            outcome = run(query["source"], query["depth"])
+        results.append({"kind": query["kind"], **answer_of(query, outcome)})
+        registry.accumulate(totals, outcome, _TOTALS)
     return totals, results
+
+
+def carve_shards(
+    engine_id: str,
+    source_engine: Any,
+    vertex_map: dict[Any, Any],
+    plan: PartitionPlan,
+    network: NetworkCostModel,
+) -> tuple[DistributedExecutor, BuildReport]:
+    """Carve ``plan``'s shard engines out of the (read-only) source engine.
+
+    Metrics reset first, so the report's ``extract_charge`` is exactly the
+    export's own I/O however many cells the source has served.
+    """
+    source_engine.reset_metrics()
+    return build_distributed(
+        source_engine, vertex_map, plan, lambda: create_engine(engine_id), network=network
+    )
 
 
 def run_scaleout_cell(
@@ -150,17 +136,9 @@ def run_scaleout_cell(
 
     The source engine (loaded once per engine id — extraction is read-only)
     and the partition plan (engine-independent) are computed by the caller
-    and reused across cells; metrics reset here so ``extract_charge`` is
-    exactly the export's own I/O in every cell.
+    and reused across cells.
     """
-    source_engine.reset_metrics()
-    executor, build = build_distributed(
-        source_engine,
-        vertex_map,
-        plan,
-        lambda: create_engine(engine_id),
-        network=network,
-    )
+    executor, build = carve_shards(engine_id, source_engine, vertex_map, plan, network)
     totals, results = run_queries(executor, queries)
     row: dict[str, Any] = {
         "shards": plan.shards,
@@ -178,52 +156,41 @@ def run_scaleout_cell(
 
 
 def run_scaleout_benchmark(
-    engine_ids: Sequence[str] = DEFAULT_BENCH_ENGINES,
+    # One native engine plus the B+Tree-heavy triple engine: their per-hop
+    # charges differ by ~5x, so the scale-out curves separate visibly
+    # (documentgraph's aggregate BFS charge coincidentally equals
+    # nativelinked's on yeast, which would render as duplicate tables).
+    engine_ids: Sequence[str] = ("nativelinked-1.9", "triplegraph-2.1"),
     partitioner_names: Sequence[str] = DEFAULT_PARTITIONERS,
-    shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
+    shard_counts: Sequence[int] = (1, 2, 4, 8),
     dataset_name: str = "yeast",
     scale: float = 0.25,
     seed: int = 20181204,
-    depth: int = DEFAULT_DEPTH,
-    bfs_sources: int = DEFAULT_BFS_SOURCES,
-    latency_per_message: int | None = None,
-    cost_per_item: int | None = None,
+    depth: int = 3,
+    bfs_sources: int = 3,
+    latency_per_message: int = DEFAULT_LATENCY_PER_MESSAGE,
+    cost_per_item: int = DEFAULT_COST_PER_ITEM,
     dataset_seed: int = 11,
 ) -> dict[str, Any]:
     """Run the engines × partitioners × K matrix (``BENCH_partition.json``)."""
-    if any(count < 1 for count in shard_counts):
-        raise BenchmarkError(f"shard counts must be >= 1, got {list(shard_counts)}")
+    registry.check_args(SPEC.args, locals())
     if 1 not in shard_counts:
         raise BenchmarkError(
             "shard counts must include 1: the K=1 run is the charge-parity "
             "baseline that speedup and efficiency are measured against"
         )
-    network_kwargs = {}
-    if latency_per_message is not None:
-        network_kwargs["latency_per_message"] = latency_per_message
-    if cost_per_item is not None:
-        network_kwargs["cost_per_item"] = cost_per_item
-    network = NetworkCostModel(**network_kwargs)
-    dataset = get_dataset(dataset_name, scale=scale, seed=dataset_seed)
+    network = NetworkCostModel(latency_per_message, cost_per_item)
+    dataset, header = registry.seeded_dataset(dataset_name, scale, dataset_seed)
     queries = plan_queries(dataset, seed, depth=depth, bfs_sources=bfs_sources)
-    started = time.perf_counter()
-    # Plans are engine-independent; the source engine is loaded once per
-    # engine id (extraction is read-only, metrics reset per cell).
-    plans: dict[tuple[str, int], PartitionPlan] = {
-        (strategy, shards): partition_dataset(dataset, shards, strategy)
-        for strategy in partitioner_names
-        for shards in shard_counts
-    }
+    plans = plan_matrix(dataset, partitioner_names, shard_counts)
     engines: dict[str, dict[str, Any]] = {}
-    for engine_id in engine_ids:
-        source_engine = create_engine(engine_id)
-        loaded = load_dataset_into(source_engine, dataset)
+    for engine_id, loaded in registry.loaded_sources(engine_ids, dataset):
         strategies: dict[str, Any] = {}
         for strategy in partitioner_names:
             runs = [
                 run_scaleout_cell(
                     engine_id,
-                    source_engine,
+                    loaded.engine,
                     loaded.vertex_map,
                     plans[(strategy, shards)],
                     queries,
@@ -241,16 +208,9 @@ def run_scaleout_benchmark(
                 run["efficiency"] = round(speedup / run["shards"], 4)
             strategies[strategy] = {"runs": runs}
         engines[engine_id] = strategies
-        source_engine.close()
     return {
         "benchmark": "partition-scaleout",
-        "dataset": {
-            "name": dataset_name,
-            "scale": scale,
-            "seed": dataset_seed,
-            "vertices": dataset.vertex_count,
-            "edges": dataset.edge_count,
-        },
+        "dataset": header,
         "seed": seed,
         "depth": depth,
         "bfs_sources": bfs_sources,
@@ -259,5 +219,55 @@ def run_scaleout_benchmark(
         "network": network.params(),
         "queries": queries,
         "engines": engines,
-        "wall_seconds": round(time.perf_counter() - started, 3),
     }
+
+
+def partitioners_arg(help: str) -> registry.Arg:
+    """``--partitioners``: the strategies a matrix sweeps."""
+    return registry.arg(
+        "--partitioners", help, kwarg="partitioner_names", choices=sorted(PARTITIONERS)
+    )
+
+
+#: ``--partitioner``: the one strategy of a benchmark that does not sweep them.
+PARTITIONER = registry.arg(
+    "--partitioner", "partitioning strategy for every cell", choices=sorted(PARTITIONERS)
+)
+
+SPEC = registry.BenchmarkSpec(
+    name="scaleout",
+    help="partition each engine across K charged executors and measure "
+    "distributed traversal speedup per partitioner (Figure 10)",
+    run=run_scaleout_benchmark,
+    format=format_scaleout_report,
+    args=(
+        registry.engines_arg("shard"),
+        partitioners_arg("partitioning strategies to compare"),
+        registry.arg(
+            "--shards",
+            "shard counts K to sweep (must include 1, the parity baseline)",
+            kwarg="shard_counts",
+            minimum=1,
+        ),
+        registry.DATASET,
+        registry.SCALE,
+        registry.SEED,
+        registry.arg("--depth", "BFS depth per seeded source", minimum=0),
+        registry.arg("--bfs-sources", "seeded BFS sources", minimum=0),
+        registry.arg(
+            "--latency",
+            "charge per cross-shard message batch (the RPC envelope)",
+            kwarg="latency_per_message",
+            minimum=0,
+        ),
+        registry.arg(
+            "--per-item",
+            "charge per frontier item carried in a batch",
+            kwarg="cost_per_item",
+            minimum=0,
+        ),
+    ),
+    baseline="BENCH_partition.json",
+    report="benchmarks/reports/fig10_scaleout.txt",
+    gated_on="identity",
+)

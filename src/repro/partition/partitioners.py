@@ -33,7 +33,7 @@ from __future__ import annotations
 import abc
 import zlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from repro.datasets.base import Dataset
 from repro.exceptions import BenchmarkError
@@ -313,3 +313,18 @@ def partition_dataset(
         strategy if isinstance(strategy, Partitioner) else resolve_partitioner(strategy)
     )
     return partitioner.partition(dataset, shards)
+
+
+def plan_matrix(
+    dataset: Dataset, strategies: Sequence[str], shard_counts: Sequence[int]
+) -> dict[tuple[str, int], PartitionPlan]:
+    """Every ``(strategy, K)`` plan of a sweep, computed once.
+
+    Plans are engine-independent, so the matrix benchmarks build them up
+    front and reuse each across engines and cells.
+    """
+    return {
+        (strategy, shards): partition_dataset(dataset, shards, strategy)
+        for strategy in strategies
+        for shards in shard_counts
+    }

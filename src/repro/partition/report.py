@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.bench.registry import dataset_line, text_table
+
 _COLUMNS = (
     ("shards", "K", "{:d}"),
     ("balance", "balance", "{:.2f}"),
@@ -25,19 +27,16 @@ _COLUMNS = (
 
 def format_scaleout_report(report: dict[str, Any]) -> str:
     """Render the per-engine × partitioner sweeps as aligned text tables."""
-    dataset = report["dataset"]
     lines = [
         "Figure 10: scale-out over K charged executors "
         "(BSP supersteps, batched cut-edge messages, deterministic charges)",
-        f"dataset={dataset['name']} scale={dataset['scale']} "
-        f"(V={dataset['vertices']}, E={dataset['edges']})  "
+        f"{dataset_line(report)}  "
         f"queries={len(report['queries'])} (bfs depth {report['depth']} ×"
         f"{report['bfs_sources']}, 1-hop ×2, shortest path ×1)  "
         f"seed={report['seed']}  "
         f"network: {report['network']['latency_per_message']}/msg + "
         f"{report['network']['cost_per_item']}/item",
     ]
-    header = "  " + "".join(f" {title:>9}" for _key, title, _fmt in _COLUMNS)
     for engine_id, strategies in report["engines"].items():
         for strategy, sweep in strategies.items():
             best = max(sweep["runs"], key=lambda run: run["speedup"])
@@ -47,14 +46,11 @@ def format_scaleout_report(report: dict[str, Any]) -> str:
                 f"at K={best['shards']} "
                 f"(cut {best['cut_ratio']:.1%}, efficiency {best['efficiency']:.1%})"
             )
-            lines.append(header)
-            lines.append("  " + "-" * (len(header) - 2))
-            for run in sweep["runs"]:
-                marker = "*" if run["shards"] == best["shards"] else " "
-                cells = "".join(
-                    f" {fmt.format(run[key]):>9}" for key, _title, fmt in _COLUMNS
-                )
-                lines.append(f" {marker:<1}{cells}")
+            rows = (
+                (" *" if run["shards"] == best["shards"] else "  ", run)
+                for run in sweep["runs"]
+            )
+            lines.extend(text_table(_COLUMNS, rows))
     lines.append("")
     lines.append(
         "makespan = Σ per-superstep max over shards of (local bulk-frontier "

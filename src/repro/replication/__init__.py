@@ -44,10 +44,6 @@ from repro.replication.routing import (
     build_readscale,
 )
 from repro.replication.bench import (
-    DEFAULT_BENCH_ENGINES,
-    DEFAULT_CACHE_CAPACITIES,
-    DEFAULT_REPLICA_COUNTS,
-    DEFAULT_STALENESS_BOUNDS,
     plan_workload,
     run_readscale_benchmark,
     run_readscale_cell,
@@ -59,12 +55,8 @@ __all__ = [
     "CacheStats",
     "ChargedCache",
     "DEFAULT_APPLY_INTERVAL",
-    "DEFAULT_BENCH_ENGINES",
-    "DEFAULT_CACHE_CAPACITIES",
     "DEFAULT_INVALIDATION_CHARGE",
-    "DEFAULT_REPLICA_COUNTS",
     "DEFAULT_STALENESS_BOUND",
-    "DEFAULT_STALENESS_BOUNDS",
     "ReadOutcome",
     "ReadReplica",
     "ReadScaleDeployment",

@@ -32,35 +32,23 @@ on identity with ``graphbench gate readscale``.
 from __future__ import annotations
 
 import random
-import time
 import zlib
 from typing import Any, Sequence
 
-from repro.bench.workload import build_adjacency, load_dataset_into
+from repro.bench import registry
+from repro.bench.gates import check_readscale_invariants
+from repro.bench.workload import HubPicker
 from repro.concurrency.scheduler import percentile
-from repro.datasets import get_dataset
 from repro.datasets.base import Dataset
 from repro.engines import create_engine
 from repro.exceptions import BenchmarkError
+from repro.partition.bench import PARTITIONER
 from repro.partition.messages import NetworkCostModel
 from repro.partition.partitioners import PartitionPlan, partition_dataset
 from repro.replication.log import ReplicationCostModel
-from repro.replication.replica import ReadOutcome
+from repro.replication.replica import DEFAULT_APPLY_INTERVAL, ReadOutcome
+from repro.replication.report import format_readscale_report
 from repro.replication.routing import ReadScaleDeployment, build_readscale
-
-#: Benchmark defaults — shared by the CLI, the CI gate, and the committed
-#: baseline (same convention as every other bench family).  Two engines
-#: whose per-read charges differ ~5x keep the curves visibly separate.
-DEFAULT_BENCH_ENGINES = ("nativelinked-1.9", "triplegraph-2.1")
-DEFAULT_REPLICA_COUNTS = (0, 2, 4)
-DEFAULT_STALENESS_BOUNDS = (64, 16384)
-DEFAULT_CACHE_CAPACITIES = (0, 64)
-DEFAULT_SHARDS = 2
-DEFAULT_PARTITIONER = "hash"
-DEFAULT_APPLY_INTERVAL = 256
-DEFAULT_STEADY_OPS = 160
-DEFAULT_STORM_ROUNDS = 2
-DEFAULT_HOT_SET = 8
 
 
 class _CoherenceOracle:
@@ -104,8 +92,8 @@ def plan_workload(
     dataset: Dataset,
     plan: PartitionPlan,
     seed: int,
-    steady_ops: int = DEFAULT_STEADY_OPS,
-    hot_set_size: int = DEFAULT_HOT_SET,
+    steady_ops: int,
+    hot_set_size: int,
 ) -> dict[str, Any]:
     """Bind the workload once per (dataset, plan, seed), engine-independent.
 
@@ -113,14 +101,8 @@ def plan_workload(
     intra-shard edge pair per shard for the storm's structural churn.
     """
     rng = random.Random(seed * 1_000_003 + zlib.crc32(b"readscale"))
-    vertex_ids = [vertex["id"] for vertex in dataset.vertices]
-    if not vertex_ids:
-        raise BenchmarkError("cannot plan a read-scale workload over an empty dataset")
-    adjacency = build_adjacency(dataset.edges)
-
-    def hub() -> Any:
-        candidates = [rng.choice(vertex_ids) for _ in range(8)]
-        return max(candidates, key=lambda vid: (len(adjacency.get(vid, ())), repr(vid)))
+    hub = HubPicker(dataset, rng)
+    vertex_ids, adjacency = hub.vertex_ids, hub.adjacency
 
     # Hub bias makes the sampler revisit high-degree vertices, so cap the
     # draws and fill any shortfall in degree order: without the cap, asking
@@ -203,7 +185,7 @@ def _run_storm(
     oracle: _CoherenceOracle,
     staleness_bound: int,
     stamp_start: int,
-    rounds: int = DEFAULT_STORM_ROUNDS,
+    rounds: int,
 ) -> int:
     """The coherence storm: rewrite the whole hot set under read pressure."""
     hot_set = workload["hot_set"]
@@ -252,7 +234,7 @@ def run_readscale_cell(
     apply_interval: int,
     network: NetworkCostModel,
     cost_model: ReplicationCostModel,
-    storm_rounds: int = DEFAULT_STORM_ROUNDS,
+    storm_rounds: int,
 ) -> dict[str, Any]:
     """One (engine, R, bound, cache) cell: steady phase, then the storm."""
     source_engine.reset_metrics()
@@ -316,62 +298,45 @@ def run_readscale_cell(
         "staleness_max": max(samples) if samples else 0,
         "makespan_charge": makespan,
         "throughput_per_kcharge": round(reads * 1000 / makespan, 4) if makespan else 0.0,
-        "storm": {
-            "writes": after["writes"] - steady["writes"],
-            "invalidation_charge": after["invalidation_charge"]
-            - steady["invalidation_charge"],
-            "capture_charge": after["capture_charge"] - steady["capture_charge"],
-            "apply_charge": after["apply_charge"] - steady["apply_charge"],
-            "fallbacks": after["fallbacks"] - steady["fallbacks"],
-        },
+        "storm": {key: after[key] - steady[key] for key in after},
     }
     deployment.close()
     return row
 
 
 def run_readscale_benchmark(
-    engine_ids: Sequence[str] = DEFAULT_BENCH_ENGINES,
-    replica_counts: Sequence[int] = DEFAULT_REPLICA_COUNTS,
-    staleness_bounds: Sequence[int] = DEFAULT_STALENESS_BOUNDS,
-    cache_capacities: Sequence[int] = DEFAULT_CACHE_CAPACITIES,
+    # Two engines whose per-read charges differ ~5x keep the curves
+    # visibly separate.
+    engine_ids: Sequence[str] = ("nativelinked-1.9", "triplegraph-2.1"),
+    replica_counts: Sequence[int] = (0, 2, 4),
+    staleness_bounds: Sequence[int] = (64, 16384),
+    cache_capacities: Sequence[int] = (0, 64),
     dataset_name: str = "yeast",
     scale: float = 0.25,
     seed: int = 20181204,
-    shards: int = DEFAULT_SHARDS,
-    partitioner: str = DEFAULT_PARTITIONER,
+    shards: int = 2,
+    partitioner: str = "hash",
     apply_interval: int = DEFAULT_APPLY_INTERVAL,
-    steady_ops: int = DEFAULT_STEADY_OPS,
-    storm_rounds: int = DEFAULT_STORM_ROUNDS,
-    hot_set_size: int = DEFAULT_HOT_SET,
+    steady_ops: int = 160,
+    storm_rounds: int = 2,
+    hot_set_size: int = 8,
     dataset_seed: int = 11,
 ) -> dict[str, Any]:
     """Run the engines × replicas × bounds × caches matrix."""
-    if any(count < 0 for count in replica_counts):
-        raise BenchmarkError(f"replica counts must be >= 0, got {list(replica_counts)}")
-    if any(bound < 0 for bound in staleness_bounds):
-        raise BenchmarkError(f"staleness bounds must be >= 0, got {list(staleness_bounds)}")
-    if shards < 1 or apply_interval < 1:
-        raise BenchmarkError("shards and apply_interval must be >= 1")
-    if steady_ops < 1 or storm_rounds < 0 or hot_set_size < 1:
-        raise BenchmarkError(
-            "steady_ops and hot_set_size must be >= 1; storm_rounds must be >= 0"
-        )
+    registry.check_args(SPEC.args, locals())
     network = NetworkCostModel()
     cost_model = ReplicationCostModel()
-    dataset = get_dataset(dataset_name, scale=scale, seed=dataset_seed)
+    dataset, header = registry.seeded_dataset(dataset_name, scale, dataset_seed)
     plan = partition_dataset(dataset, shards, partitioner)
     workload = plan_workload(
         dataset, plan, seed, steady_ops=steady_ops, hot_set_size=hot_set_size
     )
-    started = time.perf_counter()
     engines: dict[str, Any] = {}
-    for engine_id in engine_ids:
-        source_engine = create_engine(engine_id)
-        loaded = load_dataset_into(source_engine, dataset)
+    for engine_id, loaded in registry.loaded_sources(engine_ids, dataset):
         cells = [
             run_readscale_cell(
                 engine_id,
-                source_engine,
+                loaded.engine,
                 loaded.vertex_map,
                 plan,
                 workload,
@@ -388,16 +353,9 @@ def run_readscale_benchmark(
             for capacity in cache_capacities
         ]
         engines[engine_id] = {"cells": cells}
-        source_engine.close()
     return {
         "benchmark": "replication-readscale",
-        "dataset": {
-            "name": dataset_name,
-            "scale": scale,
-            "seed": dataset_seed,
-            "vertices": dataset.vertex_count,
-            "edges": dataset.edge_count,
-        },
+        "dataset": header,
         "seed": seed,
         "shards": shards,
         "partitioner": partitioner,
@@ -412,5 +370,71 @@ def run_readscale_benchmark(
         "replication": cost_model.params(),
         "hot_set": workload["hot_set"],
         "engines": engines,
-        "wall_seconds": round(time.perf_counter() - started, 3),
     }
+
+
+SPEC = registry.BenchmarkSpec(
+    name="readscale",
+    help="scale reads over lagging MVCC replicas with charged caches and "
+    "measure throughput vs replicas × staleness × cache, including a "
+    "cache-coherence storm (Figure 12)",
+    run=run_readscale_benchmark,
+    format=format_readscale_report,
+    args=(
+        registry.engines_arg("replicate"),
+        registry.arg(
+            "--replicas",
+            "replica counts R to sweep (0 is the unreplicated baseline)",
+            kwarg="replica_counts",
+            minimum=0,
+        ),
+        registry.arg(
+            "--bounds",
+            "staleness bounds in charge units; reads beyond the bound "
+            "fall back to the primary",
+            kwarg="staleness_bounds",
+            minimum=0,
+        ),
+        registry.arg(
+            "--caches",
+            "hot-vertex/ghost cache capacities to sweep (0 disables)",
+            kwarg="cache_capacities",
+            minimum=0,
+        ),
+        registry.DATASET,
+        registry.SCALE,
+        registry.SEED,
+        registry.arg(
+            "--shards",
+            "partition shard count K (each shard gets its own replica set)",
+            minimum=1,
+        ),
+        PARTITIONER,
+        registry.arg(
+            "--apply-interval",
+            "virtual-time gap between replica log applies (scaled by "
+            "replica rank, so replicas lag by different amounts)",
+            minimum=1,
+        ),
+        registry.arg(
+            "--steady-ops", "operations on the steady mixed tape before the storm", minimum=1
+        ),
+        registry.arg(
+            "--storm-rounds",
+            "cache-coherence storm rounds (every hot vertex rewritten "
+            "under read pressure)",
+            minimum=0,
+        ),
+        registry.arg(
+            "--hot-set",
+            "hub-biased hot-set size shared by tape and storm",
+            kwarg="hot_set_size",
+            minimum=1,
+        ),
+    ),
+    baseline="BENCH_readscale.json",
+    report="benchmarks/reports/fig12_readscale.txt",
+    gated_on="identity; cache-off cells book no invalidation; storm "
+    "invalidation monotone in R",
+    invariants=check_readscale_invariants,
+)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.bench.registry import dataset_line, header_cells, row_cells
+
 _COLUMNS = (
     ("replicas", "R", "{:d}"),
     ("staleness_bound", "bound", "{:d}"),
@@ -31,13 +33,11 @@ _STORM_COLUMNS = (
 
 def format_readscale_report(report: dict[str, Any]) -> str:
     """Render the per-engine replica × bound × cache sweeps as text tables."""
-    dataset = report["dataset"]
     replication = report["replication"]
     lines = [
         "Figure 12: read scale-out over lagging MVCC replicas with charged "
         "hot-vertex / ghost-adjacency caches",
-        f"dataset={dataset['name']} scale={dataset['scale']} "
-        f"(V={dataset['vertices']}, E={dataset['edges']})  "
+        f"{dataset_line(report)}  "
         f"K={report['shards']} ({report['partitioner']})  seed={report['seed']}  "
         f"steady={report['steady_ops']} ops, storm={report['storm_rounds']}× "
         f"hot set of {report['hot_set_size']}",
@@ -47,10 +47,7 @@ def format_readscale_report(report: dict[str, Any]) -> str:
         f"{replication['apply_per_op']}/op applied; apply interval "
         f"{report['apply_interval']} × replica rank",
     ]
-    header = "  " + "".join(f" {title:>9}" for _key, title, _fmt in _COLUMNS)
-    header += "   hit% |" + "".join(
-        f" {title:>8}" for _key, title, _fmt in _STORM_COLUMNS
-    )
+    header = "  " + header_cells(_COLUMNS) + "   hit% |" + header_cells(_STORM_COLUMNS, 8)
     for engine_id, sweep in report["engines"].items():
         cells = sweep["cells"]
         best = max(cells, key=lambda cell: cell["throughput_per_kcharge"])
@@ -65,14 +62,9 @@ def format_readscale_report(report: dict[str, Any]) -> str:
         lines.append("  " + "-" * (len(header) - 2))
         for cell in cells:
             marker = "*" if cell is best else " "
-            row = "".join(
-                f" {fmt.format(cell[key]):>9}" for key, _title, fmt in _COLUMNS
-            )
+            row = row_cells(_COLUMNS, cell)
             row += f"  {cell['hot_cache']['hit_rate']:>5.1%} |"
-            row += "".join(
-                f" {fmt.format(cell['storm'][key]):>8}"
-                for key, _title, fmt in _STORM_COLUMNS
-            )
+            row += row_cells(_STORM_COLUMNS, cell["storm"], 8)
             lines.append(f" {marker:<1}{row}")
     lines.append("")
     lines.append(

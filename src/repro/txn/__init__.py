@@ -30,18 +30,10 @@ from repro.txn.distributed import (
     TxnShard,
     TxnStats,
 )
-from repro.txn.bench import (
-    DEFAULT_TXN_ENGINES,
-    DEFAULT_TXN_SHARD_COUNTS,
-    DEFAULT_TXN_STRATEGIES,
-    run_txn_benchmark,
-)
+from repro.txn.bench import run_txn_benchmark
 from repro.txn.report import format_txn_report
 
 __all__ = [
-    "DEFAULT_TXN_ENGINES",
-    "DEFAULT_TXN_SHARD_COUNTS",
-    "DEFAULT_TXN_STRATEGIES",
     "DistributedSession",
     "DistributedSessionManager",
     "TxnResult",

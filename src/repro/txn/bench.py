@@ -31,48 +31,27 @@ charges, so ``BENCH_txn.json`` is byte-identical across machines.
 from __future__ import annotations
 
 import random
-import time
 import zlib
 from typing import Any, Sequence
 
-from repro.bench.workload import build_adjacency, load_dataset_into
+from repro.bench import registry
+from repro.bench.gates import check_txn_invariants
+from repro.bench.workload import HubPicker, load_dataset_into
 from repro.concurrency.scheduler import percentile
-from repro.datasets import get_dataset
 from repro.datasets.base import Dataset
 from repro.engines import create_engine
-from repro.exceptions import (
-    BenchmarkError,
-    SerializationFailureError,
-    WriteConflictError,
-)
-from repro.partition.executor import build_distributed
+from repro.exceptions import SerializationFailureError, WriteConflictError
+from repro.partition.bench import carve_shards, partitioners_arg
 from repro.partition.messages import NetworkCostModel
-from repro.partition.partitioners import PartitionPlan, partition_dataset
+from repro.partition.partitioners import PartitionPlan, partition_dataset, plan_matrix
 from repro.txn.distributed import DistributedSessionManager
+from repro.txn.report import format_txn_report
 
-#: Benchmark defaults — shared by the CLI, the CI gate, and the committed
-#: baseline (the repo-wide convention).
-DEFAULT_TXN_ENGINES = ("nativelinked-1.9", "triplegraph-2.1")
-DEFAULT_TXN_STRATEGIES = ("hash", "greedy")
-DEFAULT_TXN_SHARD_COUNTS = (1, 2, 4)
 ISOLATION_SWEEP = ("si", "ssi")
-DEFAULT_TXN_COUNT = 48
-DEFAULT_FOOTPRINT = 3
-#: Virtual time between transaction arrivals.
-DEFAULT_ARRIVAL_GAP = 32
-#: Base snapshot-to-commit window of a purely local transaction.  Slightly
-#: above the gap, so neighbouring transactions overlap a little even at
-#: K=1; every remote shard in the footprint adds a charged request+response
-#: round trip, so high-cut partitions stretch the window across several
-#: more arrivals — the abort-rate-vs-cut mechanism.
-DEFAULT_BASE_DURATION = 60
 
 
 def plan_transactions(
-    dataset: Dataset,
-    seed: int,
-    count: int = DEFAULT_TXN_COUNT,
-    footprint: int = DEFAULT_FOOTPRINT,
+    dataset: Dataset, seed: int, count: int, footprint: int
 ) -> list[dict[str, Any]]:
     """Bind the transaction wave once per (dataset, seed), external-id terms.
 
@@ -82,19 +61,11 @@ def plan_transactions(
     on its first vertex so the txn WAL's value log sees traffic.
     """
     rng = random.Random(seed * 1_000_003 + zlib.crc32(b"txn-wave"))
-    vertex_ids = [vertex["id"] for vertex in dataset.vertices]
-    if not vertex_ids:
-        raise BenchmarkError("cannot plan transactions over an empty dataset")
-    adjacency = build_adjacency(dataset.edges)
-
-    def hub() -> Any:
-        candidates = [rng.choice(vertex_ids) for _ in range(6)]
-        return max(candidates, key=lambda vid: (len(adjacency.get(vid, ())), repr(vid)))
-
+    hub = HubPicker(dataset, rng, draws=6)
     plans: list[dict[str, Any]] = []
     for index in range(count):
         vertices: list[Any] = []
-        while len(vertices) < min(footprint, len(vertex_ids)):
+        while len(vertices) < min(footprint, len(hub.vertex_ids)):
             candidate = hub()
             if candidate not in vertices:
                 vertices.append(candidate)
@@ -160,6 +131,22 @@ def _wave_events(
     return events
 
 
+def _touch_footprint(graph: Any, vertices: Sequence[Any], index: int) -> None:
+    """One transaction's reads and buffered writes (distributed or local)."""
+    for position, vertex in enumerate(vertices):
+        balance = graph.vertex_property(vertex, "balance") or 0
+        # The last footprint vertex is read-only: its balance feeds the
+        # others' updates but is never written, so a concurrent write to it
+        # is invisible to SI (no write-write overlap) and an
+        # rw-antidependency under SSI — the wave measures both abort kinds,
+        # not just first-committer-wins.
+        if position == len(vertices) - 1 and len(vertices) > 1:
+            continue
+        graph.set_vertex_property(vertex, "balance", balance + 1)
+        if position == 0:
+            graph.set_vertex_property(vertex, "note", f"txn-{index}:" + "x" * 96)
+
+
 def _run_wave_distributed(
     manager: DistributedSessionManager,
     txn_plans: Sequence[dict[str, Any]],
@@ -172,21 +159,7 @@ def _run_wave_distributed(
         plan = txn_plans[index]
         if kind == "begin":
             txn = manager.begin()
-            vertices = plan["vertices"]
-            for position, vertex in enumerate(vertices):
-                balance = txn.vertex_property(vertex, "balance") or 0
-                # The last footprint vertex is read-only: its balance feeds
-                # the others' updates but is never written, so a concurrent
-                # write to it is invisible to SI (no write-write overlap)
-                # and an rw-antidependency under SSI — the wave measures
-                # both abort kinds, not just first-committer-wins.
-                if position == len(vertices) - 1 and len(vertices) > 1:
-                    continue
-                txn.set_vertex_property(vertex, "balance", balance + 1)
-                if position == 0:
-                    txn.set_vertex_property(
-                        vertex, "note", f"txn-{index}:" + "x" * 96
-                    )
+            _touch_footprint(txn, plan["vertices"], index)
             sessions[index] = txn
         else:
             txn = sessions.pop(index)
@@ -233,14 +206,7 @@ def run_txn_cell(
     base_duration: int,
 ) -> dict[str, Any]:
     """One (engine, partitioner, K, isolation) cell of the matrix."""
-    source_engine.reset_metrics()
-    executor, _build = build_distributed(
-        source_engine,
-        vertex_map,
-        plan,
-        lambda: create_engine(engine_id),
-        network=network,
-    )
+    executor, _build = carve_shards(engine_id, source_engine, vertex_map, plan, network)
     manager = DistributedSessionManager(
         executor.shards, executor.owner, network=network, isolation=isolation
     )
@@ -280,14 +246,7 @@ def run_skew_phase(
     and violates the constraint; SSI detects the rw-antidependency and
     aborts the second writer.
     """
-    source_engine.reset_metrics()
-    executor, _build = build_distributed(
-        source_engine,
-        vertex_map,
-        plan,
-        lambda: create_engine(engine_id),
-        network=network,
-    )
+    executor, _build = carve_shards(engine_id, source_engine, vertex_map, plan, network)
     manager = DistributedSessionManager(
         executor.shards, executor.owner, network=network, isolation=isolation
     )
@@ -332,9 +291,11 @@ def run_skew_phase(
 # ----------------------------------------------------------------------
 
 
-def _state_checksum(items: list[tuple[Any, str]]) -> int:
+def _state_checksum(engine: Any, id_map: dict[Any, Any]) -> int:
+    """Checksum of every vertex's properties, keyed by external id."""
     digest = 0
-    for external, blob in sorted(items, key=lambda item: repr(item[0])):
+    for external, internal in sorted(id_map.items(), key=lambda item: repr(item[0])):
+        blob = repr(sorted(engine.vertex(internal).properties.items()))
         digest = zlib.crc32(f"{external!r}={blob}".encode(), digest)
     return digest
 
@@ -359,13 +320,8 @@ def run_parity_phase(
     source_engine = create_engine(engine_id)
     loaded = load_dataset_into(source_engine, dataset)
     plan = partition_dataset(dataset, 1, "hash")
-    source_engine.reset_metrics()
-    executor, _build = build_distributed(
-        source_engine,
-        loaded.vertex_map,
-        plan,
-        lambda: create_engine(engine_id),
-        network=network,
+    executor, _build = carve_shards(
+        engine_id, source_engine, loaded.vertex_map, plan, network
     )
     manager = DistributedSessionManager(
         executor.shards, executor.owner, network=network, isolation="si"
@@ -373,16 +329,9 @@ def run_parity_phase(
     events = _wave_events(txn_plans, manager.owner, network, arrival_gap, base_duration)
     _run_wave_distributed(manager, txn_plans, events)
     shard = manager.txn_shards[0]
-    distributed_charge = shard.engine.io_cost()
-    distributed_state = _state_checksum(
-        [
-            (external, repr(sorted(shard.engine.vertex(internal).properties.items())))
-            for external, internal in shard.runtime.id_map.items()
-        ]
-    )
     distributed = {
-        "charge": distributed_charge,
-        "checksum": distributed_state,
+        "charge": shard.engine.io_cost(),
+        "checksum": _state_checksum(shard.engine, shard.runtime.id_map),
         "commits": manager.stats.committed,
         "aborts": manager.stats.conflict_aborts,
         "messages": manager.stats.network.messages,
@@ -398,13 +347,8 @@ def run_parity_phase(
     # different insertion orders, which is not what this contract pins.
     direct_source = create_engine(engine_id)
     direct_loaded = load_dataset_into(direct_source, dataset)
-    direct_source.reset_metrics()
-    direct_executor, _build = build_distributed(
-        direct_source,
-        direct_loaded.vertex_map,
-        plan,
-        lambda: create_engine(engine_id),
-        network=NetworkCostModel(),
+    direct_executor, _build = carve_shards(
+        engine_id, direct_source, direct_loaded.vertex_map, plan, NetworkCostModel()
     )
     direct_engine = direct_executor.shards[0].engine
     local = direct_engine.transactions()
@@ -416,17 +360,8 @@ def run_parity_phase(
         txn_plan = txn_plans[index]
         if kind == "begin":
             session = local.begin()
-            vertices = txn_plan["vertices"]
-            for position, vertex in enumerate(vertices):
-                internal = id_map[vertex]
-                balance = session.graph.vertex_property(internal, "balance") or 0
-                if position == len(vertices) - 1 and len(vertices) > 1:
-                    continue
-                session.graph.set_vertex_property(internal, "balance", balance + 1)
-                if position == 0:
-                    session.graph.set_vertex_property(
-                        internal, "note", f"txn-{index}:" + "x" * 96
-                    )
+            footprint = [id_map[vertex] for vertex in txn_plan["vertices"]]
+            _touch_footprint(session.graph, footprint, index)
             sessions[index] = session
         else:
             session = sessions.pop(index)
@@ -435,21 +370,14 @@ def run_parity_phase(
                 commits += 1
             except WriteConflictError:
                 aborts += 1
-    direct_charge = direct_engine.io_cost()
-    direct_state = _state_checksum(
-        [
-            (external, repr(sorted(direct_engine.vertex(internal).properties.items())))
-            for external, internal in id_map.items()
-        ]
-    )
-    direct_engine.close()
-    direct_source.close()
     direct = {
-        "charge": direct_charge,
-        "checksum": direct_state,
+        "charge": direct_engine.io_cost(),
+        "checksum": _state_checksum(direct_engine, id_map),
         "commits": commits,
         "aborts": aborts,
     }
+    direct_engine.close()
+    direct_source.close()
     return {
         "distributed": distributed,
         "direct": direct,
@@ -470,47 +398,40 @@ def run_parity_phase(
 
 
 def run_txn_benchmark(
-    engine_ids: Sequence[str] = DEFAULT_TXN_ENGINES,
-    partitioner_names: Sequence[str] = DEFAULT_TXN_STRATEGIES,
-    shard_counts: Sequence[int] = DEFAULT_TXN_SHARD_COUNTS,
+    engine_ids: Sequence[str] = ("nativelinked-1.9", "triplegraph-2.1"),
+    partitioner_names: Sequence[str] = ("hash", "greedy"),
+    shard_counts: Sequence[int] = (1, 2, 4),
     dataset_name: str = "yeast",
     scale: float = 0.25,
     seed: int = 20181204,
-    transactions: int = DEFAULT_TXN_COUNT,
-    footprint: int = DEFAULT_FOOTPRINT,
-    arrival_gap: int = DEFAULT_ARRIVAL_GAP,
-    base_duration: int = DEFAULT_BASE_DURATION,
+    transactions: int = 48,
+    footprint: int = 3,
+    arrival_gap: int = 32,
+    # Base snapshot-to-commit window of a purely local transaction.
+    # Slightly above the gap, so neighbouring transactions overlap a little
+    # even at K=1; every remote shard in the footprint adds a charged
+    # request+response round trip, so high-cut partitions stretch the
+    # window across several more arrivals — the abort-rate-vs-cut mechanism.
+    base_duration: int = 60,
     dataset_seed: int = 11,
 ) -> dict[str, Any]:
     """Run the engines × partitioners × K × isolation matrix (fig13)."""
-    if any(count < 1 for count in shard_counts):
-        raise BenchmarkError(f"shard counts must be >= 1, got {list(shard_counts)}")
-    if transactions < 1 or footprint < 1:
-        raise BenchmarkError("transactions and footprint must be >= 1")
-    if arrival_gap < 1 or base_duration < 0:
-        raise BenchmarkError("arrival_gap must be >= 1; base_duration must be >= 0")
+    registry.check_args(SPEC.args, locals())
     network = NetworkCostModel()
-    dataset = get_dataset(dataset_name, scale=scale, seed=dataset_seed)
+    dataset, header = registry.seeded_dataset(dataset_name, scale, dataset_seed)
     txn_plans = plan_transactions(dataset, seed, transactions, footprint)
     skew_pairs = plan_skew_pairs(dataset, seed)
-    started = time.perf_counter()
-    plans: dict[tuple[str, int], PartitionPlan] = {
-        (strategy, shards): partition_dataset(dataset, shards, strategy)
-        for strategy in partitioner_names
-        for shards in shard_counts
-    }
+    plans = plan_matrix(dataset, partitioner_names, shard_counts)
     engines: dict[str, Any] = {}
     write_skew: dict[str, Any] = {}
     parity: dict[str, Any] = {}
-    for engine_id in engine_ids:
-        source_engine = create_engine(engine_id)
-        loaded = load_dataset_into(source_engine, dataset)
+    for engine_id, loaded in registry.loaded_sources(engine_ids, dataset):
         strategies: dict[str, Any] = {}
         for strategy in partitioner_names:
             runs = [
                 run_txn_cell(
                     engine_id,
-                    source_engine,
+                    loaded.engine,
                     loaded.vertex_map,
                     plans[(strategy, shards)],
                     txn_plans,
@@ -524,13 +445,11 @@ def run_txn_benchmark(
             ]
             strategies[strategy] = {"runs": runs}
         engines[engine_id] = strategies
-        skew_plan = plans[
-            (partitioner_names[0], max(count for count in shard_counts))
-        ]
+        skew_plan = plans[(partitioner_names[0], max(shard_counts))]
         write_skew[engine_id] = {
             isolation: run_skew_phase(
                 engine_id,
-                source_engine,
+                loaded.engine,
                 loaded.vertex_map,
                 skew_plan,
                 skew_pairs,
@@ -539,19 +458,12 @@ def run_txn_benchmark(
             )
             for isolation in ISOLATION_SWEEP
         }
-        source_engine.close()
         parity[engine_id] = run_parity_phase(
             engine_id, dataset, txn_plans, network, arrival_gap, base_duration
         )
     return {
         "benchmark": "distributed-transactions",
-        "dataset": {
-            "name": dataset_name,
-            "scale": scale,
-            "seed": dataset_seed,
-            "vertices": dataset.vertex_count,
-            "edges": dataset.edge_count,
-        },
+        "dataset": header,
         "seed": seed,
         "transactions": transactions,
         "footprint": footprint,
@@ -564,5 +476,49 @@ def run_txn_benchmark(
         "engines": engines,
         "write_skew": write_skew,
         "parity": parity,
-        "wall_seconds": round(time.perf_counter() - started, 3),
     }
+
+
+SPEC = registry.BenchmarkSpec(
+    name="txn",
+    help="charged distributed transactions (per-shard WAL + 2PC): commit "
+    "latency and abort rate vs cut ratio under SI and SSI (Figure 13)",
+    run=run_txn_benchmark,
+    format=format_txn_report,
+    args=(
+        registry.engines_arg("shard"),
+        partitioners_arg("partitioning strategies to sweep (each changes the cut ratio)"),
+        registry.arg(
+            "--shards",
+            "shard counts K to sweep (K=1 is the one-phase parity baseline)",
+            kwarg="shard_counts",
+            minimum=1,
+        ),
+        registry.DATASET,
+        registry.SCALE,
+        registry.SEED,
+        registry.arg(
+            "--transactions",
+            "transactions per wave (each cell replays the same wave)",
+            minimum=1,
+        ),
+        registry.arg(
+            "--footprint",
+            "hub-biased vertices each transaction reads (all but the "
+            "last are also written)",
+            minimum=1,
+        ),
+        registry.arg("--arrival-gap", "virtual-time gap between transaction arrivals", minimum=1),
+        registry.arg(
+            "--base-duration",
+            "baseline commit-window width before per-remote-shard "
+            "round-trip widening",
+            minimum=0,
+        ),
+    ),
+    baseline="BENCH_txn.json",
+    report="benchmarks/reports/fig13_txn.txt",
+    gated_on="identity; K=1 parity identical; SSI prevents / SI permits "
+    "write skew; abort rate ≤ 0.25 and rising with cut",
+    invariants=check_txn_invariants,
+)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.bench.registry import dataset_line, text_table
+
 _COLUMNS = (
     ("shards", "K", "{:d}"),
     ("isolation", "iso", "{:s}"),
@@ -26,12 +28,10 @@ _COLUMNS = (
 
 def format_txn_report(report: dict[str, Any]) -> str:
     """Render the per-engine × partitioner sweeps plus the skew/parity ledgers."""
-    dataset = report["dataset"]
     lines = [
         "Figure 13: distributed commits — 2PC latency and abort rate vs cut "
         "ratio, SI vs SSI",
-        f"dataset={dataset['name']} scale={dataset['scale']} "
-        f"(V={dataset['vertices']}, E={dataset['edges']})  "
+        f"{dataset_line(report)}  "
         f"transactions={report['transactions']} × footprint "
         f"{report['footprint']}  seed={report['seed']}  "
         f"window={report['base_duration']}+routing, arrivals every "
@@ -39,18 +39,12 @@ def format_txn_report(report: dict[str, Any]) -> str:
         f"network: {report['network']['latency_per_message']}/msg + "
         f"{report['network']['cost_per_item']}/item",
     ]
-    header = "  " + "".join(f" {title:>8}" for _key, title, _fmt in _COLUMNS)
     for engine_id, strategies in report["engines"].items():
         for strategy, sweep in strategies.items():
             lines.append("")
             lines.append(f"{engine_id} × {strategy}")
-            lines.append(header)
-            lines.append("  " + "-" * (len(header) - 2))
-            for run in sweep["runs"]:
-                cells = "".join(
-                    f" {fmt.format(run[key]):>8}" for key, _title, fmt in _COLUMNS
-                )
-                lines.append(f"  {cells}")
+            rows = (("  ", run) for run in sweep["runs"])
+            lines.extend(text_table(_COLUMNS, rows, width=8))
     lines.append("")
     lines.append("write skew (pairs with constraint 'not both off'):")
     for engine_id, modes in report["write_skew"].items():

@@ -31,25 +31,15 @@ machines; CI regenerates and gates it with ``--require-identical``.
 from __future__ import annotations
 
 import random
-import time
 import zlib
 from typing import Any, Sequence
 
+from repro.bench import registry
+from repro.bench.gates import check_versions_invariants
 from repro.engines import create_engine
 from repro.exceptions import BenchmarkError, ElementNotFoundError
 from repro.versions.catalog import VersionCatalog
-
-#: Benchmark defaults — shared by the CLI, the CI gate, and the committed
-#: baseline.  Three engines cover the linked-list native store the paper
-#: centres on plus the columnar and relational families.
-DEFAULT_VERSION_ENGINES = ("nativelinked-1.9", "columnargraph-1.0", "relationalgraph-1.2")
-DEFAULT_VERSION_DEPTHS = (4, 8)
-DEFAULT_VERSION_MIXES = ("read", "traversal")
-DEFAULT_VERSION_RETENTIONS = ("keep-all", "keep-tagged", "depth-2")
-DEFAULT_VERSION_BASE_VERTICES = 24
-DEFAULT_VERSION_CHURN_OPS = 12
-DEFAULT_VERSION_TAG_EVERY = 2
-DEFAULT_VERSION_SEED = 20181204
+from repro.versions.report import format_versions_report
 
 
 def _cell_seed(seed: int, engine_id: str, depth: int, mix: str) -> int:
@@ -285,24 +275,19 @@ def run_versions_cell(
 
 
 def run_versions_benchmark(
-    engine_ids: Sequence[str] = DEFAULT_VERSION_ENGINES,
-    depths: Sequence[int] = DEFAULT_VERSION_DEPTHS,
-    mixes: Sequence[str] = DEFAULT_VERSION_MIXES,
-    retentions: Sequence[str] = DEFAULT_VERSION_RETENTIONS,
-    base_vertices: int = DEFAULT_VERSION_BASE_VERTICES,
-    churn_ops: int = DEFAULT_VERSION_CHURN_OPS,
-    tag_every: int = DEFAULT_VERSION_TAG_EVERY,
-    seed: int = DEFAULT_VERSION_SEED,
+    # The linked-list native store the paper centres on plus the columnar
+    # and relational families.
+    engine_ids: Sequence[str] = ("nativelinked-1.9", "columnargraph-1.0", "relationalgraph-1.2"),
+    depths: Sequence[int] = (4, 8),
+    mixes: Sequence[str] = ("read", "traversal"),
+    retentions: Sequence[str] = ("keep-all", "keep-tagged", "depth-2"),
+    base_vertices: int = 24,
+    churn_ops: int = 12,
+    tag_every: int = 2,
+    seed: int = 20181204,
 ) -> dict[str, Any]:
     """Run the engine × depth × mix × retention matrix (``BENCH_versions.json``)."""
-    if base_vertices < 8 or churn_ops < 1 or tag_every < 1:
-        raise BenchmarkError(
-            "versions benchmark needs base_vertices >= 8, churn_ops >= 1, tag_every >= 1"
-        )
-    bad_depths = [depth for depth in depths if depth < 1]
-    if bad_depths:
-        raise BenchmarkError(f"version-chain depths must be >= 1, got {bad_depths}")
-    started = time.perf_counter()
+    registry.check_args(SPEC.args, locals())
     cells = [
         run_versions_cell(
             engine_id, depth, mix, retention, base_vertices, churn_ops, tag_every, seed
@@ -323,5 +308,35 @@ def run_versions_benchmark(
         "mixes": list(mixes),
         "retentions": list(retentions),
         "cells": cells,
-        "wall_seconds": round(time.perf_counter() - started, 3),
     }
+
+
+SPEC = registry.BenchmarkSpec(
+    name="versions",
+    help="graph versioning: commit chains under CUD churn, as-of replay "
+    "(byte-identical to the live run), structural diff, and retained "
+    "bytes vs GC reclaim per retention policy (Figure 15)",
+    run=run_versions_benchmark,
+    format=format_versions_report,
+    args=(
+        registry.engines_arg("version"),
+        registry.arg("--depths", "commit-chain depths to sweep (churn steps per chain)", minimum=1),
+        registry.arg(
+            "--mixes",
+            "query mixes replayed as-of every retained commit",
+            choices=["read", "traversal"],
+        ),
+        registry.arg("--retentions", "retention policies to sweep: keep-all, keep-tagged, depth-N"),
+        # The base graph halves under churn (the deletion floor), and the
+        # query mixes sample four live vertices.
+        registry.arg("--base-vertices", "vertices in the seeded base graph", minimum=8),
+        registry.arg("--churn-ops", "CUD operations between consecutive commits", minimum=1),
+        registry.arg("--tag-every", "tag every Nth commit (what keep-tagged retains)", minimum=1),
+        registry.SEED,
+    ),
+    baseline="BENCH_versions.json",
+    report="benchmarks/reports/fig15_versions.txt",
+    gated_on="identity; as-of replay matches with head charge parity; "
+    "diff ≤ 8 charges/element; pruning reclaims ≥ keep-all",
+    invariants=check_versions_invariants,
+)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.bench.registry import text_table
+
 _COLUMNS = (
     ("depth", "depth", "{:d}"),
     ("mix", "mix", "{:s}"),
@@ -31,9 +33,6 @@ def format_versions_report(report: dict[str, Any]) -> str:
         "as-of parity held on every cell (head charge-identical; "
         "older commits report charge overhead)",
     ]
-    header = "  " + "".join(
-        f" {title:>{max(9, len(title))}}" for _key, title, _fmt in _COLUMNS
-    )
     groups: dict[str, list[dict[str, Any]]] = {}
     for cell in report["cells"]:
         groups.setdefault(cell["engine"], []).append(cell)
@@ -50,7 +49,7 @@ def format_versions_report(report: dict[str, Any]) -> str:
             )
         lines.append("")
         lines.append(f"{engine_id} — pruning retention reclaims up to {saved} bytes")
-        lines.append(header)
+        rows = []
         for cell in cells:
             catalog = cell["catalog"]
             diff = cell["diff"]
@@ -65,11 +64,6 @@ def format_versions_report(report: dict[str, Any]) -> str:
                 "diff_entries": diff["entries"],
                 "diff_cpe": diff["charge_per_element"],
             }
-            lines.append(
-                "  "
-                + "".join(
-                    f" {fmt.format(values[key]):>{max(9, len(title))}}"
-                    for key, title, fmt in _COLUMNS
-                )
-            )
+            rows.append(("  ", values))
+        lines.extend(text_table(_COLUMNS, rows, dashes=False))
     return "\n".join(lines)

@@ -2,9 +2,9 @@
 
 The cross-commit identity test here is what keeps the committed
 ``BENCH_*.json`` payloads and ``benchmarks/reports/fig*.txt`` figures
-honest: every charge-deterministic benchmark is regenerated with its
-registry baseline args and must reproduce both, so a cost-model change
-that forgets to regenerate a baseline fails tier-1, not just CI.
+honest: every benchmark is regenerated with its registry baseline args
+and must reproduce both, so a cost-model change that forgets to
+regenerate a baseline fails tier-1, not just CI.
 """
 
 from __future__ import annotations
@@ -23,17 +23,17 @@ import pytest
 
 import repro.cli
 from repro.bench.gates import check_payload_identity
-from repro.bench.registry import SPECS, check, markdown_table, write_report
+from repro.bench.registry import SPECS, check, markdown_table, output_paths, write_report
 from repro.cli import main
+from repro.queries.complex_ldbc import COMPLEX_QUERIES
 
 ROOT = Path(__file__).resolve().parents[2]
-DETERMINISTIC = [name for name, spec in SPECS.items() if not spec.wall_clock]
 
 #: A matrix small enough to run in well under a second per subcommand.
 TINY = {
     name: flags.split()
     for name, flags in {
-        "traversal": "--engine nativelinked-1.9 --dataset yeast --scale 0.1 --repeats 1",
+        "traversal": "--engine nativelinked-1.9 --dataset yeast --scale 0.1",
         "concurrent": "--engines nativelinked-1.9 --clients 2 --txns 2 --scale 0.1",
         "saturate": "--engines nativelinked-1.9 --clients 2 --txns 2 --scale 0.1 "
         "--start-interval 64 --min-interval 32",
@@ -51,25 +51,32 @@ TINY = {
     }.items()
 }
 
-#: One out-of-range knob per subcommand; each must be refused by ``run_*``.
+#: One out-of-range value per ranged flag (a test holds the table complete),
+#: plus two names only ``run_*`` can refuse; each must exit 2.
 BAD_KNOB = {
-    "traversal": ["--engine", "bogus"],
-    "concurrent": ["--backoff", "-1"],
-    "saturate": ["--retries", "-1"],
-    "scaleout": ["--latency", "-1"],
-    "chaos": ["--superstep-timeout", "0"],
-    "readscale": ["--steady-ops", "0"],
-    "txn": ["--arrival-gap", "0"],
-    "reachability": ["--vertices", "2"],
-    "versions": ["--retentions", "depth-x"],
+    "traversal": "--engine=bogus --scale=0 --depth=-1",
+    "concurrent": "--clients=0 --txns=0 --scale=0 --group-commit=0 --arrival-interval=-1 "
+    "--retries=-1 --backoff=-1",
+    "saturate": "--clients=0 --txns=0 --scale=0 --group-commit=0 --start-interval=0 "
+    "--min-interval=0 --max-steps=0 --retries=-1 --backoff=-1",
+    "scaleout": "--shards=0 --scale=0 --depth=-1 --bfs-sources=-2 --latency=-1 --per-item=-1",
+    "chaos": "--shards=0 --rates=101 --scale=0 --max-restarts=-1 --superstep-timeout=0 "
+    "--checkpoint-interval=0",
+    "readscale": "--replicas=-1 --bounds=-1 --caches=-5 --scale=0 --shards=0 "
+    "--apply-interval=0 --steady-ops=0 --storm-rounds=-1 --hot-set=0",
+    "txn": "--shards=0 --scale=0 --transactions=0 --footprint=0 --arrival-gap=0 "
+    "--base-duration=-1",
+    "reachability": "--vertices=2 --pairs=0 --sources=0",
+    "versions": "--retentions=depth-x --depths=0 --base-vertices=4 --churn-ops=0 --tag-every=0",
 }
+BAD_KNOBS = [(name, knob) for name, knobs in BAD_KNOB.items() for knob in knobs.split()]
 
 
 @pytest.fixture(scope="module")
 def gate_runs(tmp_path_factory):
-    """``graphbench gate NAME`` for every deterministic benchmark, once.
+    """``graphbench gate NAME`` for every benchmark, once.
 
-    The eight regenerations cost ~20 CPU-seconds, so they run as parallel
+    The nine regenerations cost ~25 CPU-seconds, so they run as parallel
     worker processes from the repo root (committed paths are root-relative).
     """
     env = dict(
@@ -85,7 +92,7 @@ def gate_runs(tmp_path_factory):
         )
 
     with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
-        return dict(zip(DETERMINISTIC, pool.map(gate, DETERMINISTIC)))
+        return dict(zip(SPECS, pool.map(gate, SPECS)))
 
 
 def _committed(name: str) -> dict:
@@ -93,14 +100,14 @@ def _committed(name: str) -> dict:
 
 
 class TestCommittedBaselines:
-    @pytest.mark.parametrize("name", DETERMINISTIC)
+    @pytest.mark.parametrize("name", list(SPECS))
     def test_baseline_and_figure_regenerate_identically(self, name, gate_runs):
         """Payload identity, payload invariants and the tracked figure, at once."""
         run = gate_runs[name]
         assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
         assert f"{name} gate passed" in run.stdout
 
-    @pytest.mark.parametrize("name", DETERMINISTIC)
+    @pytest.mark.parametrize("name", list(SPECS))
     def test_a_perturbed_baseline_fails_the_gate(self, name):
         spec, committed = SPECS[name], _committed(name)
         assert check(spec, committed, committed) == []
@@ -109,16 +116,20 @@ class TestCommittedBaselines:
         (failure,) = check(spec, perturbed, committed)
         assert spec.regenerate_command in failure
 
-    def test_a_slower_traversal_fails_the_gate(self):
+    @pytest.mark.parametrize(
+        "field, clause", [("optimized_charge", "exceeds"), ("optimized_digest", "differs")]
+    )
+    def test_a_worse_traversal_machine_fails_its_invariant(self, field, clause):
         spec, committed = SPECS["traversal"], _committed("traversal")
-        assert check(spec, committed, committed) == []
-        slower = copy.deepcopy(committed)
-        for entry in slower["engines"].values():
-            entry["queries"]["Q32"]["optimized_median_s"] *= 2
-        failures = check(spec, committed, slower)
+        assert spec.invariants(committed) == []
+        worse = copy.deepcopy(committed)
+        for entry in worse["engines"].values():
+            entry["queries"]["Q32"][field] += 1
+        failures = spec.invariants(worse)
         assert len(failures) == len(committed["engines"])
-        assert all("/Q32:" in failure for failure in failures)
-        assert check(spec, committed, slower, max_regression=1.5) == []
+        assert all("/Q32:" in failure and clause in failure for failure in failures)
+        # The gate reports the invariant on top of the identity mismatch.
+        assert check(spec, committed, worse)[1:] == failures
 
     def test_identity_ignores_only_wall_clock(self):
         committed = _committed("saturate")
@@ -187,11 +198,20 @@ class TestGeneratedSubcommands:
         assert "wrote" not in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("name", list(SPECS))
-    def test_bad_knob_exits_2(self, name, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("name, knob", BAD_KNOBS)
+    def test_bad_knob_exits_2(self, name, knob, monkeypatch, tmp_path, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main([name, *TINY[name], *BAD_KNOB[name], "--output", "", "--report", ""]) == 2
-        assert capsys.readouterr().err.startswith(f"graphbench {name}: ")
+        assert main([name, *TINY[name], knob, "--output", "", "--report", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"graphbench {name}: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_every_ranged_flag_has_a_bad_knob(self, name):
+        ranged = {
+            arg.flag for arg in SPECS[name].args if (arg.minimum, arg.maximum) != (None, None)
+        }
+        assert ranged <= {knob.split("=")[0] for knob in BAD_KNOB[name].split()}
 
     @pytest.mark.parametrize("name", [name for name in SPECS if name != "traversal"])
     def test_bad_engine_exits_2(self, name, capsys):
@@ -204,14 +224,28 @@ class TestGeneratedSubcommands:
         assert main(argv) == 0
         assert "triplegraph-2.1" in capsys.readouterr().out
 
-    def test_only_baseline_compatible_defaults_write_the_baseline(self):
-        parser = repro.cli.build_parser()
-        for name, spec in SPECS.items():
-            args = parser.parse_args([name])
-            if spec.baseline_args:
-                assert (args.output, args.report) == ("", "")
-            else:
-                assert (args.output, args.report) == (spec.baseline, spec.report)
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_only_the_baseline_invocation_defaults_to_the_committed_paths(self, name):
+        spec, parser = SPECS[name], repro.cli.build_parser()
+        baseline = parser.parse_args([name, *spec.baseline_args])
+        assert output_paths(spec, baseline, baseline) == (spec.baseline, spec.report)
+        # One differing run parameter is enough to stop clobbering them...
+        tiny = parser.parse_args([name, *TINY[name]])
+        assert output_paths(spec, tiny, baseline) == ("", "")
+        # ...and an explicit path always wins, '' included.
+        explicit = parser.parse_args([name, *spec.baseline_args, "--output", "", "--report", "f"])
+        assert output_paths(spec, explicit, baseline) == ("", "f")
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_a_plain_tiny_run_leaves_the_committed_files_alone(self, name, monkeypatch, capsys):
+        """From the repo root, without ``--output``: nothing tracked may change
+        (the root conftest also fails the session on a ``git status`` change)."""
+        tracked = [ROOT / path for spec in SPECS.values() for path in (spec.baseline, spec.report)]
+        before = [path.read_bytes() for path in tracked]
+        monkeypatch.chdir(ROOT)
+        assert main([name, *TINY[name]]) == 0
+        assert "wrote" not in capsys.readouterr().out
+        assert [path.read_bytes() for path in tracked] == before
 
     def test_saturate_compare_loops_writes_figure_9b(self, monkeypatch, tmp_path, capsys):
         monkeypatch.chdir(tmp_path)
@@ -219,6 +253,16 @@ class TestGeneratedSubcommands:
         assert main([*argv, "--compare-loops", "--loop-report", "fig9b.txt"]) == 0
         assert (tmp_path / "fig9b.txt").read_text().startswith("Figure 9b")
         assert "Figure 9b" in capsys.readouterr().out
+
+
+class TestComplexSubcommand:
+    def test_figure_2_lists_all_thirteen_queries(self, capsys):
+        assert main(["complex", "--engines", "nativelinked-1.9", "--scale", "0.05"]) == 0
+        table = capsys.readouterr().out
+        assert "Figure 2" in table
+        assert len(COMPLEX_QUERIES) == 13
+        for query_name in COMPLEX_QUERIES:
+            assert f"\n{query_name} " in table
 
 
 class TestWriteReport:

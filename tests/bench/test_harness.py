@@ -113,7 +113,7 @@ class TestRunner:
         assert result.result_size == 5
 
     def test_logical_io_collected(self, loaded):
-        runner = QueryRunner(BenchConfig(collect_io=True))
+        runner = QueryRunner(BenchConfig())
         result = runner.run_single(loaded, query_by_id("Q9"), {})
         assert result.logical_io > 0
 

@@ -94,7 +94,7 @@ class TestFactory:
 
 class TestDriverWiring:
     def test_unknown_policy_rejected_by_the_benchmark(self):
-        with pytest.raises(BenchmarkError, match="unknown retry policy"):
+        with pytest.raises(BenchmarkError, match="unknown --retry-policy"):
             run_concurrent_benchmark(["nativelinked-1.9"], retry_policy="psychic")
 
     @pytest.mark.parametrize("policy", RETRY_POLICIES)

@@ -36,11 +36,11 @@ class TestValidation:
             run_chaos_benchmark([ENGINE], fault_rates=(0, 250))
 
     def test_unknown_mix_rejected(self):
-        with pytest.raises(BenchmarkError, match="unknown chaos mixes"):
+        with pytest.raises(BenchmarkError, match="unknown --mixes"):
             run_chaos_benchmark([ENGINE], mixes=("quantum",))
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(BenchmarkError, match="unknown retry policies"):
+        with pytest.raises(BenchmarkError, match="unknown --policies"):
             run_chaos_benchmark([ENGINE], retry_policies=("psychic",))
 
 

@@ -29,7 +29,7 @@ def small_report():
 
 class TestValidation:
     def test_unknown_shape_rejected(self):
-        with pytest.raises(BenchmarkError, match="unknown reachability shapes"):
+        with pytest.raises(BenchmarkError, match="unknown --shapes"):
             run_reachability_benchmark(shapes=("tree", "torus"))
 
     def test_tiny_parameters_rejected(self):

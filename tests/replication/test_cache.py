@@ -111,7 +111,9 @@ def test_storm_ledgers_are_byte_reproducible(engine_id, small_dataset):
     from repro.partition import partition_dataset
 
     plan = partition_dataset(small_dataset, 2, "hash")
-    workload = plan_workload(small_dataset, plan, seed=20181204, steady_ops=30)
+    workload = plan_workload(
+        small_dataset, plan, seed=20181204, steady_ops=30, hot_set_size=8
+    )
 
     def run():
         engine = create_engine(engine_id)
