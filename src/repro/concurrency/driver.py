@@ -31,6 +31,7 @@ from repro.concurrency.scheduler import ClientOp, ScheduleResult, VirtualTimeSch
 from repro.concurrency.sessions import Session, SessionManager
 from repro.engines import DEFAULT_ENGINES, create_engine
 from repro.exceptions import BenchmarkError, TransactionError, WriteConflictError
+from repro.model.elements import Direction
 from repro.queries import query_by_id
 
 #: Engines × durability modes benchmarked by default.
@@ -243,13 +244,15 @@ def _plan_op(
         return PlannedOp(kind, lambda g: g.vertex(vid))
     if kind == "out-neighbors":
         vid = rng.choice(vertices)
-        return PlannedOp(kind, lambda g: list(g.out_neighbors(vid)))
+        return PlannedOp(kind, lambda g: list(g.neighbors(vid, Direction.OUT)))
     if kind == "in-neighbors":
         vid = rng.choice(vertices)
-        return PlannedOp(kind, lambda g: list(g.in_neighbors(vid)))
+        return PlannedOp(kind, lambda g: list(g.neighbors(vid, Direction.IN)))
     if kind == "edge-labels":
         vid = rng.choice(vertices)
-        return PlannedOp(kind, lambda g: {g.edge_label(e) for e in g.both_edges(vid)})
+        return PlannedOp(
+            kind, lambda g: {g.edge_label(e) for e in g.edges_for(vid, Direction.BOTH)}
+        )
     if kind == "bfs":
         vid = rng.choice(vertices)
         query = query_by_id("Q32")

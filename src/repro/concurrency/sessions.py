@@ -45,6 +45,7 @@ from repro.exceptions import (
     TransactionError,
     WriteConflictError,
 )
+from repro.model.elements import Direction
 from repro.model.graph import GraphDatabase
 from repro.storage.wal import DurabilityMode
 from repro.concurrency.versioning import (
@@ -769,7 +770,7 @@ class SessionManager:
         for key in sorted(ws.write_keys, key=repr):
             capture(key)
         for vertex_id in sorted(ws.removed_vertices, key=repr):
-            for eid in engine.both_edges(vertex_id):
+            for eid in engine.edges_for(vertex_id, Direction.BOTH):
                 key = edge_key(eid)
                 if key in ws.write_keys or key in cascade_keys:
                     continue

@@ -50,7 +50,7 @@ from typing import Any, Iterable, Iterator, NamedTuple
 
 from repro.concurrency.visibility import CURRENT, removed_as_of, visible_state
 from repro.exceptions import ElementNotFoundError, SessionStateError
-from repro.model.elements import Direction, Edge, Vertex
+from repro.model.elements import Direction, Edge, Vertex, pass_table
 from repro.model.graph import GraphDatabase
 
 #: Sentinel marking a property key as deleted inside a write set.
@@ -532,15 +532,17 @@ _EDGE = _Kind(
 )
 
 
-def _incidences(state: EdgeState, vertex_id: Any, direction: Direction) -> int:
-    """How often an edge in ``state`` is incident to ``vertex_id``.
+#: Per pass: (the :class:`EdgeState` endpoint that is the walked vertex, the
+#: :class:`WriteSet` index of session-created edges by that endpoint).
+_PASSES = pass_table(
+    {Direction.OUT: ("source", "out_added"), Direction.IN: ("target", "in_added")}
+)
 
-    A self-loop counts twice under BOTH, mirroring the engines'
-    ``both_edges`` (out pass + in pass) semantics.
-    """
-    return (direction is not Direction.IN and state.source == vertex_id) + (
-        direction is not Direction.OUT and state.target == vertex_id
-    )
+
+def _incidences(state: EdgeState, vertex_id: Any, direction: Direction) -> int:
+    """How often the passes of ``direction`` meet an edge in ``state`` at
+    ``vertex_id`` — a self-loop twice under BOTH, as in the engines."""
+    return sum(getattr(state, near) == vertex_id for near, _added in _PASSES[direction])
 
 
 class VersionedGraph(GraphDatabase):
@@ -935,12 +937,10 @@ class VersionedGraph(GraphDatabase):
             if eid not in ws.removed_edges and (label is None or state.label == label):
                 for _pass in range(_incidences(state, vertex_id, direction)):
                     yield eid
-        # Out pass, then in pass: a session-created self-loop yields twice
-        # under BOTH, like a resurrected one.
-        for excluded, added in ((Direction.IN, ws.out_added), (Direction.OUT, ws.in_added)):
-            if direction is excluded:
-                continue
-            for pid in added.get(vertex_id, ()):
+        # One pass each: a session-created self-loop yields twice under
+        # BOTH, out first, like a resurrected one.
+        for _near, added in _PASSES[direction]:
+            for pid in getattr(ws, added).get(vertex_id, ()):
                 state = ws.created_edges.get(pid)
                 if state is not None and (label is None or state.label == label):
                     yield pid
@@ -950,9 +950,6 @@ class VersionedGraph(GraphDatabase):
 
     def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
         yield from self._incident_edges(vertex_id, Direction.IN, label)
-
-    def both_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._incident_edges(vertex_id, Direction.BOTH, label)
 
     def _incident_edges(
         self, vertex_id: Any, direction: Direction, label: str | None
@@ -985,13 +982,12 @@ class VersionedGraph(GraphDatabase):
             # reuse that can be a different edge entirely.  If the old
             # incarnation was removed after the snapshot, the resurrection
             # index below owns it (skip here to avoid double-yield);
-            # otherwise this is the same edge with older properties, and
-            # the snapshot state decides incidence.
+            # otherwise this is the same edge with older properties — same
+            # endpoints, so the engine already listed it once per pass.
             if self._store.removed_ts(edge_key(edge_id)) > snapshot:
                 continue
             if label is None or state.label == label:
-                for _pass in range(_incidences(state, vertex_id, direction)):
-                    yield edge_id
+                yield edge_id
         yield from self._overlay_incident(vertex_id, direction, label, snapshot)
 
     def edges_for(
@@ -1018,15 +1014,6 @@ class VersionedGraph(GraphDatabase):
             else:
                 yield target if source == vertex_id else source
 
-    def out_neighbors(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        return self.neighbors(vertex_id, Direction.OUT, label)
-
-    def in_neighbors(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        return self.neighbors(vertex_id, Direction.IN, label)
-
-    def both_neighbors(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        return self.neighbors(vertex_id, Direction.BOTH, label)
-
     def degree(self, vertex_id: Any, direction: Direction = Direction.BOTH) -> int:
         """Incident-edge count, overlay-aware.
 
@@ -1040,7 +1027,7 @@ class VersionedGraph(GraphDatabase):
         self._ws.note_adjacency(vertex_id)
         if self._vertex_clean(vertex_id, snapshot):
             return self._engine.degree(vertex_id, direction)
-        return sum(1 for _edge in self._incident_edges(vertex_id, direction, None))
+        return GraphDatabase.degree(self, vertex_id, direction)
 
     def degree_at_least(
         self, vertex_id: Any, k: int, direction: Direction = Direction.BOTH
@@ -1049,52 +1036,29 @@ class VersionedGraph(GraphDatabase):
         self._ws.note_adjacency(vertex_id)
         if self._vertex_clean(vertex_id, snapshot):
             return self._engine.degree_at_least(vertex_id, k, direction)
-        if k <= 0:
-            return True
-        count = 0
-        for _edge in self._incident_edges(vertex_id, direction, None):
-            count += 1
-            if count >= k:
-                return True
-        return False
+        return GraphDatabase.degree_at_least(self, vertex_id, k, direction)
 
     # ------------------------------------------------------------------
     # Bulk structural primitives
     # ------------------------------------------------------------------
 
-    def neighbors_many(
+    def _bulk_incident(
         self,
         vertex_ids: Iterable[Any],
         direction: Direction,
-        label: str | None = None,
+        label: str | None,
+        endpoints: bool,
     ) -> Iterator[tuple[Any, Any]]:
-        if self._fast():
-            if self._ws.track_reads:
-                vertex_ids = list(vertex_ids)
-                for vertex_id in vertex_ids:
-                    self._ws.note_adjacency(vertex_id)
-            yield from self._engine.neighbors_many(vertex_ids, direction, label)
+        """Overlay-free: the engine's own bulk walk; else the per-id fallback."""
+        if not self._fast():
+            yield from GraphDatabase._bulk_incident(self, vertex_ids, direction, label, endpoints)
             return
-        for vertex_id in vertex_ids:
-            for neighbor in self.neighbors(vertex_id, direction, label):
-                yield vertex_id, neighbor
-
-    def edges_for_many(
-        self,
-        vertex_ids: Iterable[Any],
-        direction: Direction,
-        label: str | None = None,
-    ) -> Iterator[tuple[Any, Any]]:
-        if self._fast():
-            if self._ws.track_reads:
-                vertex_ids = list(vertex_ids)
-                for vertex_id in vertex_ids:
-                    self._ws.note_adjacency(vertex_id)
-            yield from self._engine.edges_for_many(vertex_ids, direction, label)
-            return
-        for vertex_id in vertex_ids:
-            for edge_id in self._incident_edges(vertex_id, direction, label):
-                yield vertex_id, edge_id
+        if self._ws.track_reads:
+            vertex_ids = list(vertex_ids)
+            for vertex_id in vertex_ids:
+                self._ws.note_adjacency(vertex_id)
+        bulk = self._engine.neighbors_many if endpoints else self._engine.edges_for_many
+        yield from bulk(vertex_ids, direction, label)
 
     # ------------------------------------------------------------------
     # Search primitives

@@ -11,9 +11,13 @@ Bulk semantics for engine implementers
 --------------------------------------
 
 Engines built on this class usually override the bulk structural
-primitives (``neighbors_many``, ``edges_for_many``, ``vertex_label``,
-``degree_at_least``) to exploit their substrate.  The rules, enforced by
-``tests/engines/test_bulk_primitives.py``:
+primitives to exploit their substrate.  ``neighbors_many`` and
+``edges_for_many`` are one walk: an engine writes ``_bulk_incident``
+once, its ``endpoints`` flag deciding whether a pair carries the far
+vertex (and books the per-id endpoint fetch) or the edge id, and maps
+each pass of a direction to its substrate through a ``pass_table`` —
+never restating that BOTH is the out pass, then the in pass.
+``vertex_label`` and ``degree_at_least`` are overridden directly.  The rules, enforced by ``tests/engines/test_bulk_primitives.py``:
 
 * **Charge parity** (``neighbors_many`` / ``edges_for_many``) — the
   metrics owned by this class (:meth:`BaseEngine.combined_metrics`) must

@@ -26,7 +26,7 @@ from repro import kernels
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
-from repro.model.elements import Direction, Edge, Vertex
+from repro.model.elements import Direction, Edge, Vertex, pass_table
 from repro.storage.bitmap import Bitmap, BitmapIndex
 
 #: Minimum population count before a numpy decode pays for itself: the
@@ -92,6 +92,10 @@ class BitmapEngine(BaseEngine):
         self._edge_endpoints: dict[int, tuple[int, int]] = {}
         self._out_incidence: dict[int, Bitmap] = {}
         self._in_incidence: dict[int, Bitmap] = {}
+        #: per pass: (incidence bitmaps, far endpoint's index in an endpoint pair)
+        self._incidence = pass_table(
+            {Direction.OUT: (self._out_incidence, 1), Direction.IN: (self._in_incidence, 0)}
+        )
         self._vertex_bitmap = Bitmap()
         self._edge_bitmap = Bitmap()
         #: attribute names that the user asked to index; all attributes are
@@ -154,7 +158,7 @@ class BitmapEngine(BaseEngine):
 
     def remove_vertex(self, vertex_id: Any) -> None:
         self._require_vertex(vertex_id)
-        for edge_id in list(self.both_edges(vertex_id)):
+        for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
             if self._edge_bitmap.get(edge_id):
                 self.remove_edge(edge_id)
         for index in self._attributes.values():
@@ -321,42 +325,39 @@ class BitmapEngine(BaseEngine):
             self._endpoint_arrays_stale = False
         return self._endpoint_arrays
 
-    def neighbors_many(
+    def _bulk_incident(
         self,
         vertex_ids: Iterable[Any],
         direction: Direction,
-        label: str | None = None,
+        label: str | None,
+        endpoints: bool,
     ) -> Iterator[tuple[Any, Any]]:
-        """Expand a frontier in one pass over each vertex's edge bitmaps.
+        """Walk a frontier in one pass over each vertex's edge bitmaps.
 
         Charges are identical to the per-id path: one incidence probe per
-        vertex per direction (plus the label-bitmap intersection and its
-        transient materialisation when filtered), and one endpoint probe
-        per emitted edge — charged lazily with the emission, so a consumer
-        that abandons the stream early (``limit``) observes the same
-        partial charges as the per-id path.
+        vertex per pass (plus the label-bitmap intersection and its
+        transient materialisation when filtered); edge ids stream straight
+        out of the bitmap, while each emitted neighbour books the endpoint
+        probe of ``edge_endpoints`` — lazily, with the emission, so a
+        consumer that abandons the stream early (``limit``) observes the
+        same partial charges as the per-id path.
 
-        When vectorized kernels are enabled, each incidence bitmap is
-        decoded in one ``unpackbits`` pass and the opposite endpoints are
-        gathered with one fancy index over the dense endpoint columns; the
-        per-edge work left in the interpreter loop is the probe counter and
-        the yield itself.  The scalar path walks the bitmap with big-integer
-        bit isolation and one endpoint-map lookup per edge.  Both paths
-        book byte-identical charges in the same order.
+        When vectorized kernels are enabled, a dense incidence bitmap is
+        decoded in one ``unpackbits`` pass and far endpoints are gathered
+        with one fancy index over the dense endpoint columns.  The scalar
+        path walks the bitmap with big-integer bit isolation and one
+        endpoint-map lookup per edge.  Both book byte-identical charges in
+        the same order.
         """
-        incidences = []
-        if direction in (Direction.OUT, Direction.BOTH):
-            incidences.append((self._out_incidence, 1))
-        if direction in (Direction.IN, Direction.BOTH):
-            incidences.append((self._in_incidence, 0))
-        endpoints = self._edge_endpoints
+        endpoint_map = self._edge_endpoints
         metrics = self.metrics
+        probe = 1 if endpoints else 0
         label_bitmap: Bitmap | None = None
         vectorized = kernels.vectorized_enabled()
         columns: tuple[Any, Any] | None = None
         for vertex_id in vertex_ids:
             self._require_vertex(vertex_id)
-            for incidence, endpoint_index in incidences:
+            for incidence, far in self._incidence[direction]:
                 bitmap = incidence.get(vertex_id, Bitmap())
                 metrics.charge_index_probe()
                 if label is not None:
@@ -371,78 +372,26 @@ class BitmapEngine(BaseEngine):
                     metrics.allocate(label_bitmap.size_in_bytes)
                     metrics.release(label_bitmap.size_in_bytes)
                 if vectorized and _vector_worthwhile(bitmap):
-                    if columns is None:
-                        columns = self._endpoint_columns()
-                    for neighbor in columns[endpoint_index][bitmap.to_array()].tolist():
-                        metrics.index_probes += 1
-                        yield vertex_id, neighbor
+                    results = bitmap.to_array()
+                    if endpoints:
+                        if columns is None:
+                            columns = self._endpoint_columns()
+                        results = columns[far][results]
+                    results = results.tolist()
+                elif endpoints:
+                    results = [endpoint_map[edge_id][far] for edge_id in bitmap]
                 else:
-                    for edge_id in bitmap:
-                        metrics.index_probes += 1
-                        yield vertex_id, endpoints[edge_id][endpoint_index]
-
-    def edges_for_many(
-        self,
-        vertex_ids: Iterable[Any],
-        direction: Direction,
-        label: str | None = None,
-    ) -> Iterator[tuple[Any, Any]]:
-        """Incident edges for a whole frontier, one bitmap pass per vertex.
-
-        The per-id path charges one incidence probe per vertex per
-        direction and nothing per edge (edge ids stream straight out of the
-        bitmap), and so does this override; the vectorized kernel only
-        swaps the bitmap decode for one ``unpackbits`` pass.
-        """
-        incidences = []
-        if direction in (Direction.OUT, Direction.BOTH):
-            incidences.append(self._out_incidence)
-        if direction in (Direction.IN, Direction.BOTH):
-            incidences.append(self._in_incidence)
-        metrics = self.metrics
-        label_bitmap: Bitmap | None = None
-        vectorized = kernels.vectorized_enabled()
-        for vertex_id in vertex_ids:
-            self._require_vertex(vertex_id)
-            for incidence in incidences:
-                bitmap = incidence.get(vertex_id, Bitmap())
-                metrics.charge_index_probe()
-                if label is not None:
-                    if label_bitmap is None:
-                        label_bitmap = self._labels.objects_with_value(label)
-                    else:
-                        metrics.charge_index_probe()
-                    bitmap = bitmap & label_bitmap
-                    metrics.allocate(label_bitmap.size_in_bytes)
-                    metrics.release(label_bitmap.size_in_bytes)
-                if vectorized and _vector_worthwhile(bitmap):
-                    for edge_id in bitmap.to_array().tolist():
-                        yield vertex_id, edge_id
-                else:
-                    for edge_id in bitmap:
-                        yield vertex_id, edge_id
+                    results = bitmap
+                for result in results:
+                    metrics.index_probes += probe
+                    yield vertex_id, result
 
     def degree_at_least(
         self, vertex_id: Any, k: int, direction: Direction = Direction.BOTH
     ) -> bool:
-        """Degree threshold via bitmap cardinality (Q28-Q30).
-
-        Exercises the incidence bitmaps for IN and OUT exactly like
-        :meth:`degree` does for BOTH, including the intermediate bitmap that
-        is charged but never released — the suboptimal memory management
-        behind the paper's out-of-memory failures on the degree filters.
-        """
-        self._require_vertex(vertex_id)
-        out_bitmap = self._out_incidence.get(vertex_id, Bitmap())
-        in_bitmap = self._in_incidence.get(vertex_id, Bitmap())
-        if direction is Direction.OUT:
-            selected = out_bitmap.copy()
-        elif direction is Direction.IN:
-            selected = in_bitmap.copy()
-        else:
-            selected = out_bitmap | in_bitmap
-        self.metrics.allocate(max(64, selected.size_in_bytes))
-        return selected.cardinality() >= k
+        """Degree threshold via bitmap cardinality (Q28-Q30), charged like
+        :meth:`degree` for every ``k``."""
+        return self._degree_bitmap(vertex_id, direction).cardinality() >= k
 
     def degree(self, vertex_id: Any, direction: Direction = Direction.BOTH) -> int:
         """Degree via bitmap cardinality.
@@ -452,20 +401,22 @@ class BitmapEngine(BaseEngine):
         budget and are what makes this engine run out of memory on the large
         Freebase-like samples, as in the paper.
         """
+        return self._degree_bitmap(vertex_id, direction).cardinality()
+
+    def _degree_bitmap(self, vertex_id: Any, direction: Direction) -> Bitmap:
+        """The incidence bitmap a degree count materialises.
+
+        The union of the passes' bitmaps, so a self-loop counts once under
+        BOTH.  This copy is an intermediate result the engine keeps until
+        the whole filter finishes (suboptimal memory management, per the
+        paper): it is charged but never released here.
+        """
         self._require_vertex(vertex_id)
-        out_bitmap = self._out_incidence.get(vertex_id, Bitmap())
-        in_bitmap = self._in_incidence.get(vertex_id, Bitmap())
-        if direction is Direction.OUT:
-            selected = out_bitmap.copy()
-        elif direction is Direction.IN:
-            selected = in_bitmap.copy()
-        else:
-            selected = out_bitmap | in_bitmap
-        # The copy made for counting is an intermediate result that the
-        # engine keeps until the whole filter finishes (suboptimal memory
-        # management, per the paper); it is charged but never released here.
+        selected = Bitmap()
+        for incidence, _far in self._incidence[direction]:
+            selected |= incidence.get(vertex_id, Bitmap())
         self.metrics.allocate(max(64, selected.size_in_bytes))
-        return selected.cardinality()
+        return selected
 
     # ------------------------------------------------------------------
     # Counting & search (bitmap strengths)
@@ -538,10 +489,6 @@ class BitmapEngine(BaseEngine):
             if value is not None:
                 properties[key] = value
         return properties
-
-    def _require_vertex(self, vertex_id: Any) -> None:
-        if not self.vertex_exists(vertex_id):
-            raise ElementNotFoundError("vertex", vertex_id)
 
     def _require_edge(self, edge_id: Any) -> None:
         if not self.edge_exists(edge_id):

@@ -31,13 +31,15 @@ from repro import kernels
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
-from repro.model.elements import Direction, Edge, Vertex
+from repro.model.elements import Direction, Edge, Vertex, pass_table
 from repro.storage.columnar import ColumnFamilyStore
 from repro.storage.hash_index import HashIndex
 
 _PROPERTY_PREFIX = "p:"
 _OUT_PREFIX = "eo:"
 _IN_PREFIX = "ei:"
+#: Per pass: the adjacency column prefix of the vertex row.
+_PREFIXES = pass_table({Direction.OUT: _OUT_PREFIX, Direction.IN: _IN_PREFIX})
 
 
 class ColumnarEngine(BaseEngine):
@@ -110,7 +112,7 @@ class ColumnarEngine(BaseEngine):
 
     def remove_vertex(self, vertex_id: Any) -> None:
         self._require_vertex(vertex_id)
-        for edge_id in list(self.both_edges(vertex_id)):
+        for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
             if edge_id in self._edge_directory:
                 self.remove_edge(edge_id)
         for key, index in self._vertex_indexes.items():
@@ -265,98 +267,61 @@ class ColumnarEngine(BaseEngine):
         self._require_vertex(vertex_id)
         return self._rows.get(vertex_id, _PROPERTY_PREFIX + "_label")
 
-    def neighbors_many(
+    def _bulk_incident(
         self,
         vertex_ids: Iterable[Any],
         direction: Direction,
-        label: str | None = None,
+        label: str | None,
+        endpoints: bool,
     ) -> Iterator[tuple[Any, Any]]:
-        """Expand a frontier by slicing each vertex row's adjacency columns.
+        """Walk a frontier by slicing each vertex row's adjacency columns.
 
-        The edge payload stores the opposite endpoint (``other``), so the
-        whole expansion happens inside the sliced row.  Charges match the
-        per-id path: one row slice per vertex per direction plus the row-key
-        index probe per edge that the naive ``edge_endpoints`` call pays.
+        The edge payload stores the edge id and the far endpoint
+        (``other``), so the whole expansion happens inside the sliced row.
+        Charges match the per-id path: one existence probe and one row
+        slice per vertex per pass, plus — for neighbours — the row-key
+        index probe per edge that the naive ``edge_endpoints`` call pays,
+        booked as an inline counter with each emission.
         """
-        prefixes = []
-        if direction in (Direction.OUT, Direction.BOTH):
-            prefixes.append(_OUT_PREFIX)
-        if direction in (Direction.IN, Direction.BOTH):
-            prefixes.append(_IN_PREFIX)
-        row_index = self._rows.row_index
+        prefixes = _PREFIXES[direction]
+        if label is not None:
+            prefixes = tuple(f"{prefix}{label}:" for prefix in prefixes)
         metrics = self.metrics
-        if kernels.vectorized_enabled():
-            # Parse-once kernel: the slice comes back as flat endpoint
-            # arrays cached per row version, and the per-edge row-key
-            # resolution charge is booked as an inline counter with each
-            # emission (same lazy accrual as the scalar loop below).
-            for vertex_id in vertex_ids:
-                for prefix in prefixes:
-                    self._require_vertex(vertex_id)
-                    slice_prefix = prefix if label is None else f"{prefix}{label}:"
-                    _ids, others = self._rows.adjacency_slice(vertex_id, slice_prefix)
-                    if not isinstance(others, tuple):
-                        others = others.tolist()
-                    for other in others:
-                        metrics.index_probes += 1
-                        yield vertex_id, other
-            return
+        probe = 1 if endpoints else 0
+        field = "other" if endpoints else "id"
+        vectorized = kernels.vectorized_enabled()
         for vertex_id in vertex_ids:
             for prefix in prefixes:
-                # The naive path re-checks row existence per direction pass.
+                # The naive path re-checks row existence per pass.
                 self._require_vertex(vertex_id)
-                slice_prefix = prefix if label is None else f"{prefix}{label}:"
-                columns = self._rows.row_columns(vertex_id, prefix=slice_prefix)
-                for payload in columns.values():
-                    # The naive path resolves the source row through the
-                    # row-key index for every edge endpoint lookup.
-                    row_index.lookup(vertex_id if prefix == _OUT_PREFIX else payload["other"])
-                    yield vertex_id, payload["other"]
-
-    def edges_for_many(
-        self,
-        vertex_ids: Iterable[Any],
-        direction: Direction,
-        label: str | None = None,
-    ) -> Iterator[tuple[Any, Any]]:
-        prefixes = []
-        if direction in (Direction.OUT, Direction.BOTH):
-            prefixes.append(_OUT_PREFIX)
-        if direction in (Direction.IN, Direction.BOTH):
-            prefixes.append(_IN_PREFIX)
-        if kernels.vectorized_enabled():
-            for vertex_id in vertex_ids:
-                for prefix in prefixes:
-                    self._require_vertex(vertex_id)
-                    slice_prefix = prefix if label is None else f"{prefix}{label}:"
-                    ids, _others = self._rows.adjacency_slice(vertex_id, slice_prefix)
-                    for edge_id in ids:
-                        yield vertex_id, edge_id
-            return
-        for vertex_id in vertex_ids:
-            for prefix in prefixes:
-                self._require_vertex(vertex_id)
-                slice_prefix = prefix if label is None else f"{prefix}{label}:"
-                columns = self._rows.row_columns(vertex_id, prefix=slice_prefix)
-                for payload in columns.values():
-                    yield vertex_id, payload["id"]
+                if vectorized:
+                    # Parse-once kernel: the slice comes back as flat
+                    # arrays cached per row version.
+                    ids, others = self._rows.adjacency_slice(vertex_id, prefix)
+                    results = others if endpoints else ids
+                    if not isinstance(results, tuple):
+                        results = results.tolist()
+                else:
+                    payloads = self._rows.row_columns(vertex_id, prefix=prefix).values()
+                    results = [payload[field] for payload in payloads]
+                for result in results:
+                    metrics.index_probes += probe
+                    yield vertex_id, result
 
     def degree_at_least(
         self, vertex_id: Any, k: int, direction: Direction = Direction.BOTH
     ) -> bool:
         # Adjacency columns are already materialised by the row slice, so
-        # the threshold check is a length comparison per direction.
+        # the threshold check is a length comparison per pass.
+        self._require_vertex(vertex_id)
         if k <= 0:
             return True
-        self._require_vertex(vertex_id)
         count = 0
-        if direction in (Direction.OUT, Direction.BOTH):
-            count += len(self._rows.row_columns(vertex_id, prefix=_OUT_PREFIX))
+        for prefix in _PREFIXES[direction]:
+            count += len(self._rows.row_columns(vertex_id, prefix=prefix))
             if count >= k:
                 return True
-        if direction in (Direction.IN, Direction.BOTH):
-            count += len(self._rows.row_columns(vertex_id, prefix=_IN_PREFIX))
-        return count >= k
+        return False
 
     # ------------------------------------------------------------------
     # Search primitives
@@ -417,10 +382,6 @@ class ColumnarEngine(BaseEngine):
             return self._edge_directory[edge_id]
         except KeyError:
             raise ElementNotFoundError("edge", edge_id) from None
-
-    def _require_vertex(self, vertex_id: Any) -> None:
-        if not self.vertex_exists(vertex_id):
-            raise ElementNotFoundError("vertex", vertex_id)
 
     def space_breakdown(self) -> dict[str, int]:
         # Adjacency lists are delta-encoded: within a row, consecutive edge

@@ -23,7 +23,7 @@ from typing import Any, Iterable, Iterator
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
-from repro.model.elements import Direction, Edge, Vertex
+from repro.model.elements import Direction, Edge, Vertex, pass_table
 from repro.storage.document_store import DocumentStore
 from repro.storage.hash_index import HashIndex
 
@@ -61,6 +61,13 @@ class DocumentEngine(BaseEngine):
         self._store = DocumentStore(metrics=self.metrics)
         self._vertices = self._store.collection(_VERTEX_COLLECTION)
         self._edges = self._store.collection(_EDGE_COLLECTION)
+        #: per pass: (endpoint hash index probed, far endpoint field)
+        self._passes = pass_table(
+            {
+                Direction.OUT: (self._store.edge_from_index, "_to"),
+                Direction.IN: (self._store.edge_to_index, "_from"),
+            }
+        )
         self._vertex_counter = itertools.count(1)
         self._edge_counter = itertools.count(1)
         self._vertex_indexes: dict[str, HashIndex] = {}
@@ -105,7 +112,7 @@ class DocumentEngine(BaseEngine):
     def remove_vertex(self, vertex_id: Any) -> None:
         self._round_trip()
         document = self._vertex_document(vertex_id)
-        for edge_id in list(self.both_edges(vertex_id)):
+        for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
             if self._edges.exists(edge_id):
                 self.remove_edge(edge_id)
         for key, index in self._vertex_indexes.items():
@@ -254,13 +261,14 @@ class DocumentEngine(BaseEngine):
         self._round_trip()
         return self._vertex_document(vertex_id).get("_label")
 
-    def neighbors_many(
+    def _bulk_incident(
         self,
         vertex_ids: Iterable[Any],
         direction: Direction,
-        label: str | None = None,
+        label: str | None,
+        endpoints: bool,
     ) -> Iterator[tuple[Any, Any]]:
-        """Expand a frontier by slicing each vertex's edge documents once.
+        """Walk a frontier by slicing each vertex's edge documents once.
 
         The per-id path materialises every edge document up to three times
         (label check, traversal fetch, endpoint resolution); the bulk path
@@ -269,29 +277,13 @@ class DocumentEngine(BaseEngine):
         and recharges the duplicate logical reads, so the simulated I/O is
         identical while the duplicate decompress/parse work — interpreter
         overhead, not disk work — disappears.  One round trip and one
-        endpoint-index probe are still paid per vertex per direction.
+        endpoint-index probe are still paid per vertex per pass.
         """
-        yield from self._bulk_incident(vertex_ids, direction, label, want_endpoint=True)
-
-    def edges_for_many(
-        self,
-        vertex_ids: Iterable[Any],
-        direction: Direction,
-        label: str | None = None,
-    ) -> Iterator[tuple[Any, Any]]:
-        yield from self._bulk_incident(vertex_ids, direction, label, want_endpoint=False)
-
-    def _bulk_incident(
-        self,
-        vertex_ids: Iterable[Any],
-        direction: Direction,
-        label: str | None,
-        want_endpoint: bool,
-    ) -> Iterator[tuple[Any, Any]]:
         edges = self._edges
         recharge = edges.recharge_read
+        passes = self._passes[direction]
         for vertex_id in vertex_ids:
-            for index, endpoint_field in self._direction_passes(direction):
+            for index, endpoint_field in passes:
                 self._round_trip()
                 self._require_vertex(vertex_id)
                 for edge_id, document in edges.get_many(index.lookup(vertex_id)):
@@ -301,7 +293,7 @@ class DocumentEngine(BaseEngine):
                         # The per-id path re-fetches the block after the
                         # label check; charge that read without re-parsing.
                         recharge(edge_id)
-                    if want_endpoint:
+                    if endpoints:
                         # ... and fetches it once more inside edge_endpoints.
                         recharge(edge_id)
                         yield vertex_id, document[endpoint_field]
@@ -358,7 +350,7 @@ class DocumentEngine(BaseEngine):
     def degree_at_least(
         self, vertex_id: Any, k: int, direction: Direction = Direction.BOTH
     ) -> bool:
-        """Degree threshold with early exit, one flat loop per direction.
+        """Degree threshold with early exit, one flat loop per pass.
 
         The engine always answers with full edge documents, so even the
         threshold check materialises each counted edge — the behaviour
@@ -367,9 +359,10 @@ class DocumentEngine(BaseEngine):
         per-id path.
         """
         if k <= 0:
+            self._require_vertex(vertex_id)
             return True
         count = 0
-        for index, _endpoint_field in self._direction_passes(direction):
+        for index, _endpoint_field in self._passes[direction]:
             self._round_trip()
             self._require_vertex(vertex_id)
             for _edge_id, _document in self._edges.get_many(index.lookup(vertex_id)):
@@ -377,15 +370,6 @@ class DocumentEngine(BaseEngine):
                 if count >= k:
                     return True
         return False
-
-    def _direction_passes(self, direction: Direction) -> list[tuple[HashIndex, str]]:
-        """``(endpoint index, opposite endpoint field)`` in per-id yield order."""
-        passes: list[tuple[HashIndex, str]] = []
-        if direction in (Direction.OUT, Direction.BOTH):
-            passes.append((self._store.edge_from_index, "_to"))
-        if direction in (Direction.IN, Direction.BOTH):
-            passes.append((self._store.edge_to_index, "_from"))
-        return passes
 
     # ------------------------------------------------------------------
     # Counting & search: documents must be materialised
@@ -465,10 +449,6 @@ class DocumentEngine(BaseEngine):
         if not self._edges.exists(edge_id):
             raise ElementNotFoundError("edge", edge_id)
         return self._edges.get(edge_id)
-
-    def _require_vertex(self, vertex_id: Any) -> None:
-        if not self._vertices.exists(vertex_id):
-            raise ElementNotFoundError("vertex", vertex_id)
 
     def space_breakdown(self) -> dict[str, int]:
         index_bytes = sum(index.size_in_bytes for index in self._vertex_indexes.values())

@@ -22,7 +22,7 @@ from typing import Any, Iterable, Iterator
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
-from repro.model.elements import Direction, Edge, Vertex
+from repro.model.elements import Direction, Edge, Vertex, pass_table
 from repro.storage.hash_index import HashIndex
 from repro.storage.indirection import IndirectionTable
 from repro.storage.property_store import PropertyStore
@@ -32,6 +32,9 @@ from repro.storage.record_store import RecordStore
 #: own cluster file, which is what makes this engine space-hungry on datasets
 #: with very many edge labels (paper, Section 6.2).
 _CLUSTER_OVERHEAD_BYTES = 4096
+#: Per pass: (edge-id list field of the vertex record, far endpoint field of
+#: the edge record).
+_ADJACENCY = pass_table({Direction.OUT: ("out", "target"), Direction.IN: ("in", "source")})
 
 
 class NativeIndirectEngine(BaseEngine):
@@ -270,52 +273,46 @@ class NativeIndirectEngine(BaseEngine):
         # One indirection hop plus the vertex record; attributes untouched.
         return self._vertex_record(vertex_id).fields.get("label")
 
-    def neighbors_many(
+    def _bulk_incident(
         self,
         vertex_ids: Iterable[Any],
         direction: Direction,
-        label: str | None = None,
+        label: str | None,
+        endpoints: bool,
     ) -> Iterator[tuple[Any, Any]]:
-        """Expand a frontier straight from the per-vertex edge-id lists.
+        """Walk a frontier straight from the per-vertex edge-id lists.
 
         Charges match the per-id path: one resolved vertex record per vertex
-        per direction, one edge record per emitted edge (plus the label
-        filter's extra edge read when a label is given).
+        per pass, one edge record per listed edge for the label filter when
+        a label is given, and — for neighbours — one more per emitted edge
+        (the ``edge_endpoints`` read).
         """
-        fields = []
-        if direction in (Direction.OUT, Direction.BOTH):
-            fields.append(("out", "target"))
-        if direction in (Direction.IN, Direction.BOTH):
-            fields.append(("in", "source"))
+        edge_record = self._edge_record
         for vertex_id in vertex_ids:
-            for field_name, endpoint_field in fields:
-                record = self._vertex_record(vertex_id)
-                for edge_id in record.fields.get(field_name, []):
-                    edge_record = self._edge_record(edge_id)
-                    if label is not None:
-                        if edge_record.fields["label"] != label:
-                            continue
-                        # The naive path reads the edge record a second time
-                        # through edge_endpoints after the label filter.
-                        edge_record = self._edge_record(edge_id)
-                    yield vertex_id, edge_record.fields[endpoint_field]
+            for list_field, endpoint_field in _ADJACENCY[direction]:
+                for edge_id in self._vertex_record(vertex_id).fields.get(list_field, []):
+                    if label is not None and edge_record(edge_id).fields["label"] != label:
+                        continue
+                    if endpoints:
+                        yield vertex_id, edge_record(edge_id).fields[endpoint_field]
+                    else:
+                        yield vertex_id, edge_id
 
     def degree_at_least(
         self, vertex_id: Any, k: int, direction: Direction = Direction.BOTH
     ) -> bool:
         # The edge-id lists live inside the vertex record, so degree checks
-        # are list lengths: one record resolution per direction, no edge
-        # touches, early exit between directions.
+        # are list lengths: one record resolution per pass, no edge
+        # touches, early exit between passes.
         if k <= 0:
+            self._require_vertex(vertex_id)
             return True
         count = 0
-        if direction in (Direction.OUT, Direction.BOTH):
-            count += len(self._vertex_record(vertex_id).fields.get("out", ()))
+        for list_field, _endpoint_field in _ADJACENCY[direction]:
+            count += len(self._vertex_record(vertex_id).fields.get(list_field, ()))
             if count >= k:
                 return True
-        if direction in (Direction.IN, Direction.BOTH):
-            count += len(self._vertex_record(vertex_id).fields.get("in", ()))
-        return count >= k
+        return False
 
     # ------------------------------------------------------------------
     # Search primitives

@@ -29,13 +29,20 @@ from typing import Any, Iterable, Iterator
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
-from repro.model.elements import Direction, Edge, Vertex
+from repro.model.elements import Direction, Edge, Vertex, pass_table
 from repro.model.graph import GraphDatabase
 from repro.storage.hash_index import HashIndex
 from repro.storage.property_store import PropertyStore
 from repro.storage.record_store import RecordStore
 
 _NO_POINTER = -1
+#: Per pass: (chain head field, next-pointer field, far endpoint field).
+_CHAINS = pass_table(
+    {
+        Direction.OUT: ("first_out", "next_out", "target"),
+        Direction.IN: ("first_in", "next_in", "source"),
+    }
+)
 
 
 class NativeLinkedEngine(BaseEngine):
@@ -116,7 +123,7 @@ class NativeLinkedEngine(BaseEngine):
 
     def remove_vertex(self, vertex_id: Any) -> None:
         # Removing a node implies removing its properties and incident edges.
-        for edge_id in list(self.both_edges(vertex_id)):
+        for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
             if self._rel_store.exists(edge_id):
                 self.remove_edge(edge_id)
         self._properties.remove_owner(("v", vertex_id))
@@ -284,29 +291,26 @@ class NativeLinkedEngine(BaseEngine):
         label_id = record.fields.get("label", _NO_POINTER)
         return self._label_names.get(label_id) if label_id != _NO_POINTER else None
 
-    def neighbors_many(
+    def _bulk_incident(
         self,
         vertex_ids: Iterable[Any],
         direction: Direction,
-        label: str | None = None,
+        label: str | None,
+        endpoints: bool,
     ) -> Iterator[tuple[Any, Any]]:
-        """Expand a whole frontier by walking the relationship chains once.
+        """Walk a whole frontier's relationship chains once.
 
         Charges are identical to the per-id path: one node-record read per
-        vertex per direction, one relationship-record read per chain element,
-        and one more per matching edge (the endpoint fetch the naive path
-        performs through ``edge_endpoints``).  Only the per-hop generator
-        chain is gone.
+        vertex per pass, one relationship-record read per chain element,
+        and — for neighbours — one more per matching edge (the endpoint
+        fetch the naive path performs through ``edge_endpoints``).  Only
+        the per-hop generator chain is gone.
         """
         node_read = self._node_store.read
         rel_slots = self._rel_store.bulk_read_view()
         rel_size = self._rel_store.record_size
         metrics = self.metrics
-        passes: list[tuple[str, str, str]] = []
-        if direction in (Direction.OUT, Direction.BOTH):
-            passes.append(("first_out", "next_out", "target"))
-        if direction in (Direction.IN, Direction.BOTH):
-            passes.append(("first_in", "next_in", "source"))
+        passes = _CHAINS[direction]
         label_id = self._labels.get(label) if label is not None else None
         if label is not None and label_id is None:
             # Unknown label: the per-id path still reads each node record
@@ -320,50 +324,17 @@ class NativeLinkedEngine(BaseEngine):
                 current = node_read(vertex_id).fields.get(head_field, _NO_POINTER)
                 while current != _NO_POINTER:
                     # Chain pointers are internally consistent: read the slot
-                    # directly, charging the identical record read.  Matches
-                    # charge twice — the naive path re-reads the record
-                    # through edge_endpoints.
+                    # directly, charging the identical record read.
                     fields = rel_slots[current].fields
                     metrics.records_read += 1
                     metrics.bytes_read += rel_size
                     if label_id is None or fields["label"] == label_id:
-                        metrics.records_read += 1
-                        metrics.bytes_read += rel_size
-                        yield vertex_id, fields[endpoint_field]
-                    current = fields.get(next_field, _NO_POINTER)
-
-    def edges_for_many(
-        self,
-        vertex_ids: Iterable[Any],
-        direction: Direction,
-        label: str | None = None,
-    ) -> Iterator[tuple[Any, Any]]:
-        node_read = self._node_store.read
-        rel_slots = self._rel_store.bulk_read_view()
-        rel_size = self._rel_store.record_size
-        metrics = self.metrics
-        passes: list[tuple[str, str]] = []
-        if direction in (Direction.OUT, Direction.BOTH):
-            passes.append(("first_out", "next_out"))
-        if direction in (Direction.IN, Direction.BOTH):
-            passes.append(("first_in", "next_in"))
-        label_id = self._labels.get(label) if label is not None else None
-        if label is not None and label_id is None:
-            # Match the per-id path: one node-record read per vertex per
-            # direction even when the label is unknown.
-            for vertex_id in vertex_ids:
-                for _pass in passes:
-                    node_read(vertex_id)
-            return
-        for vertex_id in vertex_ids:
-            for head_field, next_field in passes:
-                current = node_read(vertex_id).fields.get(head_field, _NO_POINTER)
-                while current != _NO_POINTER:
-                    fields = rel_slots[current].fields
-                    metrics.records_read += 1
-                    metrics.bytes_read += rel_size
-                    if label_id is None or fields["label"] == label_id:
-                        yield vertex_id, current
+                        if endpoints:
+                            metrics.records_read += 1
+                            metrics.bytes_read += rel_size
+                            yield vertex_id, fields[endpoint_field]
+                        else:
+                            yield vertex_id, current
                     current = fields.get(next_field, _NO_POINTER)
 
     def _unlink(self, vertex_id: Any, edge_id: Any, head_field: str, next_field: str) -> None:
@@ -561,24 +532,10 @@ class NativeLinkedV3Engine(NativeLinkedEngine):
         self._wrap(vertex_id)
         return super().vertex_label(vertex_id)
 
-    def neighbors_many(
-        self,
-        vertex_ids: Iterable[Any],
-        direction: Direction,
-        label: str | None = None,
-    ) -> Iterator[tuple[Any, Any]]:
-        # No flat-chain shortcut here: the wrapper layer sits between the
-        # API and the typed chains, so the bulk call degenerates to the
-        # per-id path — exactly the per-call overhead the paper measured.
-        return GraphDatabase.neighbors_many(self, vertex_ids, direction, label)
-
-    def edges_for_many(
-        self,
-        vertex_ids: Iterable[Any],
-        direction: Direction,
-        label: str | None = None,
-    ) -> Iterator[tuple[Any, Any]]:
-        return GraphDatabase.edges_for_many(self, vertex_ids, direction, label)
+    # No flat-chain shortcut here: the wrapper layer sits between the API
+    # and the typed chains, so the bulk walk degenerates to the per-id path
+    # — exactly the per-call overhead the paper measured.
+    _bulk_incident = GraphDatabase._bulk_incident
 
     def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
         yield from self._typed_edges(vertex_id, label, "out", "first_out", "next_out")
@@ -597,6 +554,10 @@ class NativeLinkedV3Engine(NativeLinkedEngine):
         self._wrap(vertex_id)
         vertex_chains = self._typed_chains.get(vertex_id, {})
         if label is not None:
+            # The typed chains would answer for a missing vertex; the
+            # unfiltered path below raises on its node-record read.
+            if not self._node_store.exists(vertex_id):
+                raise ElementNotFoundError("vertex", vertex_id)
             label_id = self._labels.get(label)
             if label_id is None:
                 return

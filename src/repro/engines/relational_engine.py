@@ -27,7 +27,7 @@ from typing import Any, Iterable, Iterator
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError, SchemaError
-from repro.model.elements import Direction, Edge, Vertex
+from repro.model.elements import Direction, Edge, Vertex, pass_table
 from repro.storage.relational import Column, RelationalDatabase, Table, index_key
 
 _VERTEX_PREFIX = "V_"
@@ -40,13 +40,8 @@ _MAX_LABEL_LENGTH = 63
 _EDGE_SYSTEM_COLUMNS = ("id", "source", "target", "source_table", "target_table")
 #: The foreign-key columns of an edge table, both indexed.
 _ENDPOINT_COLUMNS = ("source", "target")
-#: Per direction, the ``(endpoint column probed, column holding the opposite
-#: endpoint)`` passes of an expansion, in per-id yield order.
-_PASSES = {
-    Direction.OUT: (("source", "target"),),
-    Direction.IN: (("target", "source"),),
-    Direction.BOTH: (("source", "target"), ("target", "source")),
-}
+#: Per pass: (endpoint column probed, column holding the far endpoint).
+_PASSES = pass_table({Direction.OUT: ("source", "target"), Direction.IN: ("target", "source")})
 
 
 class RelationalEngine(BaseEngine):
@@ -378,53 +373,36 @@ class RelationalEngine(BaseEngine):
         label = table.name[len(_VERTEX_PREFIX) :]
         return None if label == _DEFAULT_VERTEX_LABEL else label
 
-    def neighbors_many(
-        self,
-        vertex_ids: Iterable[Any],
-        direction: Direction,
-        label: str | None = None,
-    ) -> Iterator[tuple[Any, Any]]:
-        """Expand a frontier through the endpoint foreign-key indexes.
-
-        The edge tables to probe come from the prepared plan; each vertex
-        renders its probe key once and descends every listed table's
-        endpoint index in a flat loop.  Endpoints are read off the probed
-        row itself, with the primary-key probe and record read the per-id
-        ``edge_endpoints`` call performs charged via
-        :meth:`~repro.storage.relational.Table.recharge_get` — identical
-        logical I/O, no second fetch.
-        """
-        yield from self._bulk_incident(vertex_ids, direction, label, want_endpoint=True)
-
-    def edges_for_many(
-        self,
-        vertex_ids: Iterable[Any],
-        direction: Direction,
-        label: str | None = None,
-    ) -> Iterator[tuple[Any, Any]]:
-        yield from self._bulk_incident(vertex_ids, direction, label, want_endpoint=False)
-
     def _bulk_incident(
         self,
         vertex_ids: Iterable[Any],
         direction: Direction,
         label: str | None,
-        want_endpoint: bool,
+        endpoints: bool,
     ) -> Iterator[tuple[Any, Any]]:
+        """Walk a frontier through the endpoint foreign-key indexes.
+
+        The edge tables to probe come from the prepared plan; each vertex
+        renders its probe key once and descends every listed table's
+        endpoint index in a flat loop.  Far endpoints are read off the
+        probed row itself, with the primary-key probe and record read the
+        per-id ``edge_endpoints`` call performs charged via
+        :meth:`~repro.storage.relational.Table.recharge_get` — identical
+        logical I/O, no second fetch.
+        """
         plan = self._probe_plan(label)
         passes = _PASSES[direction]
         metrics = self.metrics
         for vertex_id in vertex_ids:
             key = index_key(str(vertex_id))
             for endpoint_column, opposite_column in passes:
-                if not self.vertex_exists(vertex_id):
-                    raise ElementNotFoundError("vertex", vertex_id)
+                self._require_vertex(vertex_id)
                 for table, table_name in plan:
                     for row in table.index_probe(endpoint_column, key):
                         # The probe booked its descent; the row is booked
                         # here, as it is handed on (lazily, like the stream).
                         metrics.records_read += 1
-                        if want_endpoint:
+                        if endpoints:
                             table.recharge_get(row["id"])
                             yield vertex_id, row[opposite_column]
                         else:
@@ -439,10 +417,9 @@ class RelationalEngine(BaseEngine):
         fetches edge rows — strictly fewer charges than walking the per-id
         edge stream, as the contract allows for early exits.
         """
+        self._require_vertex(vertex_id)
         if k <= 0:
             return True
-        if not self.vertex_exists(vertex_id):
-            raise ElementNotFoundError("vertex", vertex_id)
         key = index_key(str(vertex_id))
         plan = self._probe_plan(None)
         count = 0

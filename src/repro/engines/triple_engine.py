@@ -27,7 +27,7 @@ from typing import Any, Iterable, Iterator
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
-from repro.model.elements import Direction, Edge, Vertex
+from repro.model.elements import Direction, Edge, Vertex, pass_table
 from repro.storage.triple_store import TripleStore
 
 _TYPE = "rdf:type"
@@ -40,6 +40,9 @@ _VERTEX_TYPE = "graph:Vertex"
 _EDGE_TYPE = "graph:Edge"
 #: Endpoint statement predicates in ``edge_endpoints`` resolution order.
 _ENDPOINT_PREDICATES = (_SUBJECT, _OBJECT)
+#: Per pass: (edge statement predicate naming the walked vertex, index of
+#: the far endpoint in ``_ENDPOINT_PREDICATES``).
+_PASSES = pass_table({Direction.OUT: (_SUBJECT, 1), Direction.IN: (_OBJECT, 0)})
 
 
 class TripleEngine(BaseEngine):
@@ -121,7 +124,7 @@ class TripleEngine(BaseEngine):
 
     def remove_vertex(self, vertex_id: Any) -> None:
         self._require_vertex(vertex_id)
-        for edge_id in list(self.both_edges(vertex_id)):
+        for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
             if edge_id in self._edge_ids:
                 self.remove_edge(edge_id)
         self._triples.remove(vertex_id)
@@ -263,41 +266,25 @@ class TripleEngine(BaseEngine):
             return triple.object
         return None
 
-    def neighbors_many(
-        self,
-        vertex_ids: Iterable[Any],
-        direction: Direction,
-        label: str | None = None,
-    ) -> Iterator[tuple[Any, Any]]:
-        """Expand a frontier with one grouped pass over the POS permutation.
-
-        The endpoint patterns of every frontier vertex are answered by
-        :meth:`~repro.storage.triple_store.TripleStore.match_grouped` in one
-        flat scan loop; each reified edge then pays exactly the per-id
-        probes — the label statement lookup when filtered and the two
-        endpoint statement scans of :meth:`edge_endpoints` — so charges are
-        identical to the per-id path while the nested generator chain
-        (``neighbors`` → ``out_neighbors`` → ``out_edges`` → ``match``) is
-        gone.
-        """
-        yield from self._bulk_incident(vertex_ids, direction, label, want_endpoint=True)
-
-    def edges_for_many(
-        self,
-        vertex_ids: Iterable[Any],
-        direction: Direction,
-        label: str | None = None,
-    ) -> Iterator[tuple[Any, Any]]:
-        yield from self._bulk_incident(vertex_ids, direction, label, want_endpoint=False)
-
     def _bulk_incident(
         self,
         vertex_ids: Iterable[Any],
         direction: Direction,
         label: str | None,
-        want_endpoint: bool,
+        endpoints: bool,
     ) -> Iterator[tuple[Any, Any]]:
-        passes = self._direction_passes(direction)
+        """Walk a frontier with one grouped pass over the POS permutation.
+
+        The endpoint patterns of every frontier vertex are answered by
+        :meth:`~repro.storage.triple_store.TripleStore.match_grouped` in one
+        flat scan loop; each reified edge then pays exactly the per-id
+        probes — the label statement lookup when filtered and, for
+        neighbours, the two endpoint statement scans of
+        :meth:`edge_endpoints` — so charges are identical to the per-id
+        path while the nested generator chain (``neighbors`` →
+        ``edges_for`` → ``out_edges`` → ``match``) is gone.
+        """
+        passes = _PASSES[direction]
         frontier = list(vertex_ids)
         triples = self._triples
         first_object = triples.first_object
@@ -315,13 +302,9 @@ class TripleEngine(BaseEngine):
             if label is not None and first_object(edge_id, _PREDICATE) != label:
                 continue
             source = frontier[position // npasses]
-            if want_endpoint:
-                yield (
-                    source,
-                    endpoint_objects(edge_id, _ENDPOINT_PREDICATES)[
-                        passes[position % npasses][1]
-                    ],
-                )
+            if endpoints:
+                far = passes[position % npasses][1]
+                yield source, endpoint_objects(edge_id, _ENDPOINT_PREDICATES)[far]
             else:
                 yield source, edge_id
 
@@ -335,25 +318,16 @@ class TripleEngine(BaseEngine):
         for their full reified adjacency.
         """
         if k <= 0:
+            self._require_vertex(vertex_id)
             return True
         count = 0
-        for predicate, _endpoint in self._direction_passes(direction):
+        for predicate, _endpoint in _PASSES[direction]:
             self._require_vertex(vertex_id)
             for _triple in self._triples.match(predicate=predicate, object_=vertex_id):
                 count += 1
                 if count >= k:
                     return True
         return False
-
-    @staticmethod
-    def _direction_passes(direction: Direction) -> list[tuple[str, int]]:
-        """``(edge predicate, endpoint index)`` pairs in per-id yield order."""
-        passes: list[tuple[str, int]] = []
-        if direction in (Direction.OUT, Direction.BOTH):
-            passes.append((_SUBJECT, 1))
-        if direction in (Direction.IN, Direction.BOTH):
-            passes.append((_OBJECT, 0))
-        return passes
 
     # ------------------------------------------------------------------
     # Search primitives
@@ -381,10 +355,6 @@ class TripleEngine(BaseEngine):
     # ------------------------------------------------------------------
     # Internals & space accounting
     # ------------------------------------------------------------------
-
-    def _require_vertex(self, vertex_id: Any) -> None:
-        if vertex_id not in self._vertex_ids:
-            raise ElementNotFoundError("vertex", vertex_id)
 
     def _require_edge(self, edge_id: Any) -> None:
         if edge_id not in self._edge_ids:

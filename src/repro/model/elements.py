@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, TypeVar
+
+_T = TypeVar("_T")
 
 
 class Direction(enum.Enum):
@@ -30,6 +32,22 @@ class Direction(enum.Enum):
         if self is Direction.IN:
             return Direction.OUT
         return Direction.BOTH
+
+    #: Members are singletons compared by identity, so the identity hash
+    #: (in C) is exact; ``Enum``'s hashes the name in Python, and the
+    #: per-id walk looks its pass table up once per vertex.
+    __hash__ = object.__hash__
+
+
+def pass_table(one_way: Mapping[Direction, _T]) -> dict[Direction, tuple[_T, ...]]:
+    """Extend a per-pass table ``{OUT: x, IN: y}`` to every direction.
+
+    This is the one place the pass order is written: BOTH is the out pass,
+    then the in pass, so a self-loop is met twice, out first.  Every
+    adjacency walk — per-id, bulk, overlay — iterates a table built here.
+    """
+    out, in_ = one_way[Direction.OUT], one_way[Direction.IN]
+    return {Direction.OUT: (out,), Direction.IN: (in_,), Direction.BOTH: (out, in_)}
 
 
 #: Sentinel meaning "no value constraint" in :meth:`Vertex.has`.

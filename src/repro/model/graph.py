@@ -4,8 +4,9 @@ The paper accesses every system through Gremlin, i.e. through a common set of
 primitive operations (Table 2): CRUD on vertices, edges, and properties, plus
 local traversal primitives.  :class:`GraphDatabase` is the Python equivalent
 of that common surface.  Engines implement the abstract primitives on top of
-their own storage substrates; everything else (neighbour expansion, degree,
-counts, bulk loading, the Gremlin traversal entry point) has a default
+their own storage substrates; everything else (incident edges and
+neighbours in any direction, degree, counts, bulk loading, the Gremlin
+traversal entry point) has a default
 implementation written purely in terms of those primitives, which concrete
 engines may override when their architecture provides a cheaper path (e.g.
 bitmap-based counting in the Sparksee-like engine).
@@ -16,10 +17,15 @@ Bulk-primitive contract
 The traversal machine executes frontier batches, so the interface also
 exposes *bulk* structural primitives: :meth:`neighbors_many`,
 :meth:`edges_for_many`, :meth:`vertex_label`, and :meth:`degree_at_least`.
-Their default implementations fall back to the per-id primitives, so every
-engine supports them.  Engines whose storage substrate can answer a whole
-frontier in one pass (linked record chains, adjacency rows, incidence
-bitmaps) override them with a single flat loop.  Two rules bind every
+The first two are one walk: both return :meth:`_bulk_incident`, whose
+``endpoints`` flag picks whether a pair carries the far vertex or the edge
+id.  Its default falls back to the per-id primitives, so every engine
+supports it; engines whose storage substrate can answer a whole frontier in
+one pass (linked record chains, adjacency rows, incidence bitmaps) override
+that one method with a single flat loop.  Every walk, per-id or bulk, maps
+each pass of a direction to its substrate through a
+:func:`~repro.model.elements.pass_table`, the one place the order is
+written: BOTH is the out pass, then the in pass.  Two rules bind every
 override:
 
 * **identical logical charges** — a bulk call must charge exactly the same
@@ -41,7 +47,12 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.model.elements import Direction, Edge, Vertex
+from repro.exceptions import ElementNotFoundError
+from repro.model.elements import Direction, Edge, Vertex, pass_table
+
+#: Per pass: (the per-id primitive listing the pass's edges, the index of
+#: the far endpoint in an :meth:`GraphDatabase.edge_endpoints` pair).
+_PER_ID_PASSES = pass_table({Direction.OUT: ("out_edges", 1), Direction.IN: ("in_edges", 0)})
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.concurrency.sessions import Session, SessionManager
@@ -221,55 +232,45 @@ class GraphDatabase(abc.ABC):
     # Derived operations (default implementations)
     # ------------------------------------------------------------------
 
-    def both_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        """Iterate over edges incident to ``vertex_id`` in either direction."""
-        yield from self.out_edges(vertex_id, label)
-        yield from self.in_edges(vertex_id, label)
-
     def edges_for(
         self, vertex_id: Any, direction: Direction, label: str | None = None
     ) -> Iterator[Any]:
-        """Dispatch to :meth:`out_edges` / :meth:`in_edges` / :meth:`both_edges`."""
+        """Incident edge ids (a self-loop twice under BOTH)."""
+        # One pass: hand back the primitive's own iterator, no frame per edge.
         if direction is Direction.OUT:
             return self.out_edges(vertex_id, label)
         if direction is Direction.IN:
             return self.in_edges(vertex_id, label)
-        return self.both_edges(vertex_id, label)
-
-    def out_neighbors(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        """Vertices reachable over outgoing edges (Q23)."""
-        for edge_id in self.out_edges(vertex_id, label):
-            _source, target = self.edge_endpoints(edge_id)
-            yield target
-
-    def in_neighbors(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        """Vertices reachable over incoming edges (Q22)."""
-        for edge_id in self.in_edges(vertex_id, label):
-            source, _target = self.edge_endpoints(edge_id)
-            yield source
-
-    def both_neighbors(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        """Vertices adjacent in either direction (Q24)."""
-        for edge_id in self.out_edges(vertex_id, label):
-            _source, target = self.edge_endpoints(edge_id)
-            yield target
-        for edge_id in self.in_edges(vertex_id, label):
-            source, _target = self.edge_endpoints(edge_id)
-            yield source
+        return self._incident_passes(vertex_id, direction, label, False)
 
     def neighbors(
         self, vertex_id: Any, direction: Direction, label: str | None = None
     ) -> Iterator[Any]:
-        """Adjacent vertex ids in the given direction."""
-        if direction is Direction.OUT:
-            return self.out_neighbors(vertex_id, label)
-        if direction is Direction.IN:
-            return self.in_neighbors(vertex_id, label)
-        return self.both_neighbors(vertex_id, label)
+        """Adjacent vertex ids (Q22-Q24), resolved through :meth:`edge_endpoints`."""
+        return self._incident_passes(vertex_id, direction, label, True)
+
+    def _incident_passes(
+        self, vertex_id: Any, direction: Direction, label: str | None, endpoints: bool
+    ) -> Iterator[Any]:
+        """The per-id walk: one :meth:`out_edges` / :meth:`in_edges` pass per
+        pass of ``direction``, yielding each edge's far endpoint when
+        ``endpoints`` is set, else the edge id."""
+        for list_edges, far in _PER_ID_PASSES[direction]:
+            edge_ids = getattr(self, list_edges)(vertex_id, label)
+            if endpoints:
+                for edge_id in edge_ids:
+                    yield self.edge_endpoints(edge_id)[far]
+            else:
+                yield from edge_ids
 
     def degree(self, vertex_id: Any, direction: Direction = Direction.BOTH) -> int:
         """Number of incident edges in ``direction`` (used by Q28-Q30)."""
         return sum(1 for _edge in self.edges_for(vertex_id, direction))
+
+    def _require_vertex(self, vertex_id: Any) -> None:
+        """Raise unless ``vertex_id`` is live; books what ``vertex_exists`` books."""
+        if not self.vertex_exists(vertex_id):
+            raise ElementNotFoundError("vertex", vertex_id)
 
     # ------------------------------------------------------------------
     # Bulk structural primitives (frontier-at-a-time; see module docstring)
@@ -281,14 +282,8 @@ class GraphDatabase(abc.ABC):
         direction: Direction,
         label: str | None = None,
     ) -> Iterator[tuple[Any, Any]]:
-        """Yield ``(source, neighbor)`` pairs for a whole frontier of vertices.
-
-        Default: per-id fallback over :meth:`neighbors`, preserving the exact
-        charge sequence and yield order of the naive path.
-        """
-        for vertex_id in vertex_ids:
-            for neighbor in self.neighbors(vertex_id, direction, label):
-                yield vertex_id, neighbor
+        """Yield ``(source, neighbor)`` pairs for a whole frontier of vertices."""
+        return self._bulk_incident(vertex_ids, direction, label, True)
 
     def edges_for_many(
         self,
@@ -297,9 +292,27 @@ class GraphDatabase(abc.ABC):
         label: str | None = None,
     ) -> Iterator[tuple[Any, Any]]:
         """Yield ``(source, edge_id)`` pairs for a whole frontier of vertices."""
+        return self._bulk_incident(vertex_ids, direction, label, False)
+
+    def _bulk_incident(
+        self,
+        vertex_ids: Iterable[Any],
+        direction: Direction,
+        label: str | None,
+        endpoints: bool,
+    ) -> Iterator[tuple[Any, Any]]:
+        """The frontier walk behind both bulk primitives.
+
+        Each pair carries the far vertex when ``endpoints`` is set
+        (:meth:`neighbors_many`), else the edge id (:meth:`edges_for_many`).
+        Default: per-id fallback over :meth:`neighbors` / :meth:`edges_for`,
+        preserving the exact charge sequence and yield order of the naive
+        path.  This is the one adjacency method an engine overrides.
+        """
+        per_id = self.neighbors if endpoints else self.edges_for
         for vertex_id in vertex_ids:
-            for edge_id in self.edges_for(vertex_id, direction, label):
-                yield vertex_id, edge_id
+            for result in per_id(vertex_id, direction, label):
+                yield vertex_id, result
 
     def degree_at_least(
         self, vertex_id: Any, k: int, direction: Direction = Direction.BOTH
@@ -308,9 +321,11 @@ class GraphDatabase(abc.ABC):
 
         Early-exits after the ``k``-th edge, so hub vertices do not pay for
         their full adjacency; engines with degree-capable structures (bitmap
-        cardinalities, adjacency-list lengths) override this.
+        cardinalities, adjacency-list lengths) override this.  A missing
+        vertex raises whatever ``k`` is.
         """
         if k <= 0:
+            self._require_vertex(vertex_id)
             return True
         count = 0
         for _edge_id in self.edges_for(vertex_id, direction):

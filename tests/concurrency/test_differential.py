@@ -37,6 +37,7 @@ import pytest
 
 from repro.bench.workload import load_dataset_into
 from repro.engines import ALL_ENGINES, create_engine
+from repro.model.elements import Direction
 from repro.queries import query_by_id
 
 #: Handle kinds: dataset vertices/edges exist before the workload starts;
@@ -200,9 +201,9 @@ class Runner:
             if kind == "vertex":
                 graph.vertex(self.ids[op[1]])
             elif kind == "out-neighbors":
-                list(graph.out_neighbors(self.ids[op[1]]))
+                list(graph.neighbors(self.ids[op[1]], Direction.OUT))
             elif kind == "both-edges":
-                list(graph.both_edges(self.ids[op[1]], op[2]))
+                list(graph.edges_for(self.ids[op[1]], Direction.BOTH, op[2]))
             elif kind == "degree":
                 graph.degree(self.ids[op[1]])
             elif kind == "bfs":

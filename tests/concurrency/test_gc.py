@@ -19,6 +19,7 @@ from repro.concurrency.versioning import VersionStore
 from repro.concurrency.visibility import CURRENT
 from repro.datasets import get_dataset
 from repro.engines import create_engine
+from repro.model.elements import Direction
 
 
 @pytest.fixture
@@ -123,7 +124,7 @@ class TestGCReadStability:
             return (
                 reader.graph.vertex_property(vmap["n1"], "rank"),
                 sorted(reader.graph.out_edges(vmap["n0"]), key=repr),
-                sorted(reader.graph.out_neighbors(vmap["n0"]), key=repr),
+                sorted(reader.graph.neighbors(vmap["n0"], Direction.OUT), key=repr),
                 reader.graph.edge_exists(emap[0]),
                 reader.graph.vertex_count(),
                 reader.graph.edge_count(),

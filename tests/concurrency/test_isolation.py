@@ -77,14 +77,14 @@ class TestSnapshotIsolation:
         engine = any_loaded.engine
         vmap = any_loaded.vertex_map
         reader = engine.begin_session()
-        before = list(reader.graph.out_neighbors(vmap["n0"]))
+        before = list(reader.graph.neighbors(vmap["n0"], Direction.OUT))
         writer = engine.begin_session()
         writer.graph.add_edge(vmap["n0"], vmap["n4"], "knows")
         writer.commit()
-        assert list(reader.graph.out_neighbors(vmap["n0"])) == before
+        assert list(reader.graph.neighbors(vmap["n0"], Direction.OUT)) == before
         reader.commit()
         late = engine.begin_session()
-        assert vmap["n4"] in list(late.graph.out_neighbors(vmap["n0"]))
+        assert vmap["n4"] in list(late.graph.neighbors(vmap["n0"], Direction.OUT))
         late.commit()
 
     def test_repeatable_structural_reads_edge_removal(self, any_loaded):
@@ -92,7 +92,7 @@ class TestSnapshotIsolation:
         vmap, emap = any_loaded.vertex_map, any_loaded.edge_map
         reader = engine.begin_session()
         before_edges = list(reader.graph.out_edges(vmap["n0"]))
-        before_neighbors = list(reader.graph.out_neighbors(vmap["n0"]))
+        before_neighbors = list(reader.graph.neighbors(vmap["n0"], Direction.OUT))
         writer = engine.begin_session()
         writer.graph.remove_edge(emap[0])  # n0 -> n1
         writer.commit()
@@ -103,7 +103,7 @@ class TestSnapshotIsolation:
         assert sorted(reader.graph.out_edges(vmap["n0"]), key=repr) == sorted(
             before_edges, key=repr
         )
-        assert sorted(reader.graph.out_neighbors(vmap["n0"]), key=repr) == sorted(
+        assert sorted(reader.graph.neighbors(vmap["n0"], Direction.OUT), key=repr) == sorted(
             before_neighbors, key=repr
         )
         resurrected = reader.graph.edge(emap[0])
@@ -124,7 +124,7 @@ class TestSnapshotIsolation:
         assert not session.graph.edge_exists(edge)
         assert edge not in list(session.graph.edge_ids())
         assert edge not in list(session.graph.out_edges(vmap["n0"]))
-        assert vmap["n1"] not in list(session.graph.out_neighbors(vmap["n0"]))
+        assert vmap["n1"] not in list(session.graph.neighbors(vmap["n0"], Direction.OUT))
         expected_edges = session.graph.edge_count()
         expected_vertices = session.graph.vertex_count()
         session.commit()
@@ -141,13 +141,13 @@ class TestSnapshotIsolation:
         loop_pid = setup.graph.add_edge(vid, vid, "knows")
         loop_id = setup.commit().id_map[loop_pid]
         reader = engine.begin_session()
-        before_both = list(reader.graph.both_edges(vid))
+        before_both = list(reader.graph.edges_for(vid, Direction.BOTH))
         before_degree = reader.graph.degree(vid)
         assert before_both.count(loop_id) == 2
         remover = engine.begin_session()
         remover.graph.remove_edge(loop_id)
         remover.commit()
-        assert list(reader.graph.both_edges(vid)).count(loop_id) == 2
+        assert list(reader.graph.edges_for(vid, Direction.BOTH)).count(loop_id) == 2
         if before_degree == len(before_both):
             # Engines whose degree equals the incidence count keep it
             # repeatable; the bitmap engine's cardinality-based override
@@ -435,8 +435,8 @@ class TestChargeParity:
     @staticmethod
     def _mixed_ops(graph, vmap):
         query_by_id("Q32")(graph, {"vertex": vmap["n0"], "depth": 2})
-        list(graph.out_neighbors(vmap["n0"]))
-        list(graph.both_edges(vmap["n5"], "knows"))
+        list(graph.neighbors(vmap["n0"], Direction.OUT))
+        list(graph.edges_for(vmap["n5"], Direction.BOTH, "knows"))
         graph.vertex(vmap["n2"])
         graph.vertex_label(vmap["n3"])
         graph.degree_at_least(vmap["n0"], 2)
@@ -444,7 +444,7 @@ class TestChargeParity:
         graph.add_edge(vmap["n3"], vmap["n4"], "knows")
         new_vertex = graph.add_vertex({"bench_name": "x"}, label="person")
         graph.set_vertex_property(new_vertex, "extra", 1)
-        list(graph.out_neighbors(vmap["n6"]))  # read after buffered writes
+        list(graph.neighbors(vmap["n6"], Direction.OUT))  # read after buffered writes
 
     @pytest.mark.parametrize("identifier", ALL_ENGINES)
     def test_uncontended_session_matches_direct_execution(self, identifier, small_dataset):

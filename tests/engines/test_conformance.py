@@ -204,22 +204,22 @@ class TestTraversalPrimitives:
     def test_out_edges_and_neighbors(self, star):
         engine, hub, spokes = star
         assert len(list(engine.out_edges(hub))) == 2
-        assert set(engine.out_neighbors(hub)) == {spokes[0], spokes[1]}
+        assert set(engine.neighbors(hub, Direction.OUT)) == {spokes[0], spokes[1]}
 
     def test_in_edges_and_neighbors(self, star):
         engine, hub, spokes = star
         assert len(list(engine.in_edges(hub))) == 2
-        assert set(engine.in_neighbors(hub)) == {spokes[2], spokes[3]}
+        assert set(engine.neighbors(hub, Direction.IN)) == {spokes[2], spokes[3]}
 
     def test_both_edges(self, star):
         engine, hub, _spokes = star
-        assert len(list(engine.both_edges(hub))) == 4
+        assert len(list(engine.edges_for(hub, Direction.BOTH))) == 4
 
     def test_label_filtered_traversal(self, star):
         engine, hub, spokes = star
-        assert set(engine.out_neighbors(hub, "red")) == {spokes[0]}
-        assert set(engine.in_neighbors(hub, "blue")) == {spokes[3]}
-        assert set(engine.both_neighbors(hub, "red")) == {spokes[0], spokes[2]}
+        assert set(engine.neighbors(hub, Direction.OUT, "red")) == {spokes[0]}
+        assert set(engine.neighbors(hub, Direction.IN, "blue")) == {spokes[3]}
+        assert set(engine.neighbors(hub, Direction.BOTH, "red")) == {spokes[0], spokes[2]}
 
     def test_unknown_label_yields_nothing(self, star):
         engine, hub, _spokes = star

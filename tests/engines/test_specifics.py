@@ -80,8 +80,8 @@ class TestNativeLinkedVersions:
         blue = engine.add_vertex()
         engine.add_edge(hub, red, "red")
         engine.add_edge(hub, blue, "blue")
-        assert set(engine.out_neighbors(hub, "red")) == {red}
-        assert set(engine.out_neighbors(hub)) == {red, blue}
+        assert set(engine.neighbors(hub, Direction.OUT, "red")) == {red}
+        assert set(engine.neighbors(hub, Direction.OUT)) == {red, blue}
 
     def test_v3_remove_edge_updates_typed_chains(self):
         engine = NativeLinkedV3Engine()
@@ -97,7 +97,7 @@ class TestNativeLinkedVersions:
         for other in others:
             engine.add_edge(hub, other, "knows")
         # Fixed-size records prepend to the chain, so the newest edge is first.
-        assert list(engine.out_neighbors(hub)) == list(reversed(others))
+        assert list(engine.neighbors(hub, Direction.OUT)) == list(reversed(others))
 
 
 class TestNativeIndirect:
@@ -228,7 +228,7 @@ class TestColumnarEngine:
         engine = ColumnarEngine()
         ids = _chain(engine, 4)
         engine.reset_metrics()
-        list(engine.out_neighbors(ids[0]))
+        list(engine.neighbors(ids[0], Direction.OUT))
         assert engine.metrics.index_probes >= 1
 
     def test_edge_id_survives_property_updates(self):
@@ -273,7 +273,7 @@ class TestRelationalEngine:
         a, b, c = (engine.add_vertex() for _ in range(3))
         engine.add_edge(a, b, "l1")
         engine.add_edge(a, c, "l2")
-        assert set(engine.out_neighbors(a)) == {b, c}
+        assert set(engine.neighbors(a, Direction.OUT)) == {b, c}
 
     def test_vertex_index_applies_to_label_tables(self):
         engine = RelationalEngine(EngineConfig(auto_index_properties=("name",)))

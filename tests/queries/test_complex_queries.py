@@ -7,6 +7,7 @@ import pytest
 from repro.bench.workload import load_dataset_into
 from repro.engines import create_engine
 from repro.exceptions import QueryError
+from repro.model.elements import Direction
 from repro.queries import COMPLEX_QUERIES, complex_query_by_id
 
 _FIGURE2_NAMES = [
@@ -99,7 +100,7 @@ class TestWriteQueries:
         complex_query_by_id("city")(engine, {"person": account, "place": place})
         complex_query_by_id("company")(engine, {"person": account, "organisation": organisation})
         complex_query_by_id("university")(engine, {"person": account, "organisation": university})
-        assert set(engine.out_neighbors(account)) == {place, organisation, university}
+        assert set(engine.neighbors(account, Direction.OUT)) == {place, organisation, university}
 
     def test_add_tags_creates_interest_edges(self, social):
         engine = social.engine
@@ -107,7 +108,7 @@ class TestWriteQueries:
         tags = [v for k, v in social.vertex_map.items() if str(k).startswith("tag:")][:3]
         created = complex_query_by_id("add-tags")(engine, {"person": account, "tags": tags})
         assert len(created) == 3
-        assert set(engine.out_neighbors(account, "hasInterest")) == set(tags)
+        assert set(engine.neighbors(account, Direction.OUT, "hasInterest")) == set(tags)
 
 
 class TestAcrossEngines:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import QueryError
+from repro.model.elements import Direction
 from repro.queries import MICRO_QUERIES, QueryCategory, queries_by_category, query_by_id
 from repro.queries.registry import query_ids
 
@@ -77,7 +78,7 @@ class TestCreateReadUpdateDelete:
         vertex_id = query_by_id("Q7")(
             loaded.engine, {"properties": {"name": "hub"}, "neighbors": neighbors, "label": "knows"}
         )
-        assert set(loaded.engine.out_neighbors(vertex_id)) == set(neighbors)
+        assert set(loaded.engine.neighbors(vertex_id, Direction.OUT)) == set(neighbors)
 
     def test_q8_q9_counts(self, loaded):
         assert query_by_id("Q8")(loaded.engine, {}) == loaded.dataset.vertex_count
