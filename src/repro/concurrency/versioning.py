@@ -50,8 +50,8 @@ from typing import Any, Iterable, Iterator, NamedTuple
 
 from repro.concurrency.visibility import CURRENT, removed_as_of, visible_state
 from repro.exceptions import ElementNotFoundError, SessionStateError
-from repro.model.elements import Direction, Edge, Vertex, pass_table
-from repro.model.graph import GraphDatabase
+from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
+from repro.model.graph import GraphDatabase, check_property_keys
 
 #: Sentinel marking a property key as deleted inside a write set.
 TOMBSTONE = object()
@@ -503,10 +503,11 @@ class WriteSet:
 
 
 class _Kind(NamedTuple):
-    """The names one object kind goes by, bound once.
+    """The overlay's names for one element kind, bound once.
 
-    Every kind-generic :class:`VersionedGraph` body takes one of the two
-    instances below, so no call builds a method or field name.
+    The kind-level primitives receive an :class:`ElementKind` and look its
+    instance up in ``_KINDS``; the helpers below them take the instance,
+    so no call builds a method or field name.
     """
 
     kind: str
@@ -530,6 +531,7 @@ _EDGE = _Kind(
     "edge", "created_edges", "removed_edges", "edge_props",
     "edge_exists", "edge_ids", "edge_count", "edge_property", "edges_by_property",
 )
+_KINDS = {VERTEX: _VERTEX, EDGE: _EDGE}
 
 
 #: Per pass: (the :class:`EdgeState` endpoint that is the walked vertex, the
@@ -660,16 +662,18 @@ class VersionedGraph(GraphDatabase):
             and self._store.visible(vertex_key(vertex_id), snapshot) is not None
         )
 
-    # -- kind-generic bodies of the vertex/edge twin methods -----------------
+    # -- kind-level primitives (the public vertex/edge names dispatch here) --
 
-    def _exists(self, k: _Kind, obj_id: Any) -> bool:
+    def _exists(self, kind: ElementKind, obj_id: Any) -> bool:
+        k = _KINDS[kind]
         state = self._resolve(k, obj_id)
         self._ws.note_read((k.kind, obj_id))
         if state is CURRENT:
             return getattr(self._engine, k.exists)(obj_id)
         return state is not None
 
-    def _ids(self, k: _Kind) -> Iterator[Any]:
+    def _ids(self, kind: ElementKind) -> Iterator[Any]:
+        k = _KINDS[kind]
         snapshot = self._snapshot
         if self._fast():
             yield from getattr(self._engine, k.ids)()
@@ -707,7 +711,8 @@ class VersionedGraph(GraphDatabase):
         )
         return count + len(getattr(self._ws, k.created))
 
-    def _property(self, k: _Kind, obj_id: Any, key: str) -> Any:
+    def _property(self, kind: ElementKind, obj_id: Any, key: str) -> Any:
+        k = _KINDS[kind]
         state = self._read(k, obj_id)
         overlay = getattr(self._ws, k.props).get(obj_id)
         if overlay and key in overlay:
@@ -716,6 +721,14 @@ class VersionedGraph(GraphDatabase):
         if state is CURRENT:
             return getattr(self._engine, k.get_property)(obj_id, key)
         return state.properties.get(key)
+
+    def _set_property(self, kind: ElementKind, obj_id: Any, key: str, value: Any) -> None:
+        self._buffer_property(_KINDS[kind], obj_id, key, value)
+        self._ws.ops.append((kind.set_op, obj_id, key, value))
+
+    def _remove_property(self, kind: ElementKind, obj_id: Any, key: str) -> None:
+        self._buffer_property(_KINDS[kind], obj_id, key, TOMBSTONE)
+        self._ws.ops.append((kind.remove_op, obj_id, key))
 
     def _buffer_property(self, k: _Kind, obj_id: Any, key: str, value: Any) -> None:
         """Overlay ``key = value`` (``TOMBSTONE``: removed); the caller logs the op."""
@@ -730,7 +743,8 @@ class VersionedGraph(GraphDatabase):
         else:
             draft.properties[key] = value
 
-    def _by_property(self, k: _Kind, key: str, value: Any) -> Iterator[Any]:
+    def _by_property(self, kind: ElementKind, key: str, value: Any) -> Iterator[Any]:
+        k = _KINDS[kind]
         snapshot = self._snapshot
         ws = self._ws
         ws.note_predicate(k.kind, key, value)
@@ -752,7 +766,7 @@ class VersionedGraph(GraphDatabase):
                 yield obj_id
         for obj_id in suspects:
             try:
-                found = self._property(k, obj_id, key)
+                found = self._property(kind, obj_id, key)
             except ElementNotFoundError:
                 continue
             if found == value:
@@ -766,6 +780,7 @@ class VersionedGraph(GraphDatabase):
     # ------------------------------------------------------------------
 
     def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
+        check_property_keys(properties)
         self._snapshot  # state guard
         ws = self._ws
         pid = ws.next_id("vertex")
@@ -780,12 +795,6 @@ class VersionedGraph(GraphDatabase):
         return Vertex(
             vertex_id, state.label, self._merged_properties(_VERTEX, vertex_id, state.properties)
         )
-
-    def vertex_exists(self, vertex_id: Any) -> bool:
-        return self._exists(_VERTEX, vertex_id)
-
-    def vertex_ids(self) -> Iterator[Any]:
-        yield from self._ids(_VERTEX)
 
     def remove_vertex(self, vertex_id: Any) -> None:
         self._snapshot
@@ -818,17 +827,6 @@ class VersionedGraph(GraphDatabase):
         ws.write_keys.add(vertex_key(vertex_id))
         ws.ops.append(("remove_vertex", vertex_id))
 
-    def set_vertex_property(self, vertex_id: Any, key: str, value: Any) -> None:
-        self._buffer_property(_VERTEX, vertex_id, key, value)
-        self._ws.ops.append(("set_vertex_property", vertex_id, key, value))
-
-    def remove_vertex_property(self, vertex_id: Any, key: str) -> None:
-        self._buffer_property(_VERTEX, vertex_id, key, TOMBSTONE)
-        self._ws.ops.append(("remove_vertex_property", vertex_id, key))
-
-    def vertex_property(self, vertex_id: Any, key: str) -> Any:
-        return self._property(_VERTEX, vertex_id, key)
-
     def vertex_label(self, vertex_id: Any) -> str | None:
         state = self._read(_VERTEX, vertex_id)
         return self._engine.vertex_label(vertex_id) if state is CURRENT else state.label
@@ -844,6 +842,7 @@ class VersionedGraph(GraphDatabase):
         label: str,
         properties: dict[str, Any] | None = None,
     ) -> Any:
+        check_property_keys(properties)
         ws = self._ws
         for endpoint in (source_id, target_id):
             self._check_writable(_VERTEX, endpoint)
@@ -881,12 +880,6 @@ class VersionedGraph(GraphDatabase):
             self._merged_properties(_EDGE, edge_id, state.properties),
         )
 
-    def edge_exists(self, edge_id: Any) -> bool:
-        return self._exists(_EDGE, edge_id)
-
-    def edge_ids(self) -> Iterator[Any]:
-        yield from self._ids(_EDGE)
-
     def remove_edge(self, edge_id: Any) -> None:
         self._snapshot
         ws = self._ws
@@ -902,17 +895,6 @@ class VersionedGraph(GraphDatabase):
         ws.removed_edges.add(edge_id)
         ws.write_keys.add(edge_key(edge_id))
         ws.ops.append(("remove_edge", edge_id))
-
-    def set_edge_property(self, edge_id: Any, key: str, value: Any) -> None:
-        self._buffer_property(_EDGE, edge_id, key, value)
-        self._ws.ops.append(("set_edge_property", edge_id, key, value))
-
-    def remove_edge_property(self, edge_id: Any, key: str) -> None:
-        self._buffer_property(_EDGE, edge_id, key, TOMBSTONE)
-        self._ws.ops.append(("remove_edge_property", edge_id, key))
-
-    def edge_property(self, edge_id: Any, key: str) -> Any:
-        return self._property(_EDGE, edge_id, key)
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
         state = self._read(_EDGE, edge_id)
@@ -1064,12 +1046,6 @@ class VersionedGraph(GraphDatabase):
     # Search primitives
     # ------------------------------------------------------------------
 
-    def vertices_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        yield from self._by_property(_VERTEX, key, value)
-
-    def edges_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        yield from self._by_property(_EDGE, key, value)
-
     def edges_by_label(self, label: str) -> Iterator[Any]:
         snapshot = self._snapshot
         self._ws.note_predicate("edge-label", "label", label)
@@ -1171,11 +1147,11 @@ class SnapshotView(VersionedGraph):
     def remove_vertex(self, vertex_id: Any) -> None:
         self._read_only("remove_vertex")
 
-    def set_vertex_property(self, vertex_id: Any, key: str, value: Any) -> None:
-        self._read_only("set_vertex_property")
+    def _set_property(self, kind: ElementKind, obj_id: Any, key: str, value: Any) -> None:
+        self._read_only(kind.set_op)
 
-    def remove_vertex_property(self, vertex_id: Any, key: str) -> None:
-        self._read_only("remove_vertex_property")
+    def _remove_property(self, kind: ElementKind, obj_id: Any, key: str) -> None:
+        self._read_only(kind.remove_op)
 
     def add_edge(
         self,
@@ -1188,12 +1164,6 @@ class SnapshotView(VersionedGraph):
 
     def remove_edge(self, edge_id: Any) -> None:
         self._read_only("remove_edge")
-
-    def set_edge_property(self, edge_id: Any, key: str, value: Any) -> None:
-        self._read_only("set_edge_property")
-
-    def remove_edge_property(self, edge_id: Any, key: str) -> None:
-        self._read_only("remove_edge_property")
 
     def create_vertex_index(self, key: str) -> None:
         self._read_only("create_vertex_index")

@@ -3,8 +3,8 @@
 :class:`BaseEngine` adds to the abstract :class:`~repro.model.graph.GraphDatabase`
 interface everything the benchmark harness needs from an engine regardless of
 its architecture: a configuration object, metrics collection, schema
-tracking, a write-ahead log with configurable durability, attribute-index
-bookkeeping, and the descriptive metadata that regenerates the paper's
+tracking, a write-ahead log with configurable durability, the attribute-index
+rule, and the descriptive metadata that regenerates the paper's
 Table 1.
 
 Bulk semantics for engine implementers
@@ -41,6 +41,18 @@ never restating that BOTH is the out pass, then the in pass.
   must not materialise property blocks where the architecture can avoid
   it.
 
+Attribute indexes
+-----------------
+
+One rule maintains the per-key attribute indexes (``HashIndex``) of every
+engine that uses them: insert on add, read-then-delete on remove-vertex,
+delete+insert on set, delete on remove-property, the lookup in
+``vertices_by_property``, the build by scan, and the bytes reported in
+``space_breakdown``.  An engine supplies only its build scan
+(``_index_scan``), its unindexed search (``_property_scan``) and its
+previous-value read.  Bitmap and relational engines keep their own index
+structures.
+
 Per-substrate charging rules (what counts as one logical read for a record
 chain vs a document blob vs a B+Tree scan) are catalogued per engine in
 ``docs/ENGINES.md``.
@@ -49,11 +61,13 @@ chain vs a document blob vs a B+Tree scan) are catalogued per engine in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from repro.config import EngineConfig
+from repro.model.elements import VERTEX, ElementKind
 from repro.model.graph import GraphDatabase
 from repro.model.schema import GraphSchema
+from repro.storage.hash_index import HashIndex
 from repro.storage.metrics import MetricsRegistry, StorageMetrics
 from repro.storage.wal import DurabilityMode, WriteAheadLog
 
@@ -109,6 +123,8 @@ class BaseEngine(GraphDatabase):
     #: Whether the engine answers each Gremlin step through a client/server
     #: round trip (ArangoDB's REST interface) rather than an embedded call.
     remote_access: bool = False
+    #: Name prefix of the engine's attribute indexes (``"<prefix>-<key>"``).
+    index_name: str = "vertex-index"
 
     def __init__(self, config: EngineConfig | None = None) -> None:
         self.config = config or EngineConfig()
@@ -121,7 +137,8 @@ class BaseEngine(GraphDatabase):
             DurabilityMode.ASYNC if self.config.durability == "async" else DurabilityMode.SYNC
         )
         self.wal = WriteAheadLog(f"{self.name}-wal", mode=durability, metrics=self.metrics)
-        self._indexed_vertex_properties: set[str] = set()
+        #: One attribute index per indexed vertex property key.
+        self._vertex_indexes: dict[str, HashIndex] = {}
         self._bulk_loading = False
         self._structure_version = 0
 
@@ -173,15 +190,68 @@ class BaseEngine(GraphDatabase):
         return self._structure_version
 
     # ------------------------------------------------------------------
-    # Attribute-index bookkeeping
+    # Attribute indexes: the one maintenance rule (see module docstring)
     # ------------------------------------------------------------------
 
-    def has_vertex_index(self, key: str) -> bool:
-        return key in self._indexed_vertex_properties
+    def create_vertex_index(self, key: str) -> None:
+        """Build the index on ``key`` by scan; a second call is a no-op."""
+        if key in self._vertex_indexes:
+            return
+        index = HashIndex(f"{self.index_name}-{key}", metrics=self.metrics)
+        for vertex_id, value in self._index_scan(key):
+            if value is not None:
+                index.insert(value, vertex_id)
+        self._vertex_indexes[key] = index
 
-    def indexed_vertex_properties(self) -> set[str]:
-        """Property keys currently covered by an attribute index."""
-        return set(self._indexed_vertex_properties)
+    def has_vertex_index(self, key: str) -> bool:
+        return key in self._vertex_indexes
+
+    def _index_scan(self, key: str) -> Iterator[tuple[Any, Any]]:
+        """``(vertex id, value of key or None)`` for every vertex, charged
+        as the engine's build scan."""
+        raise NotImplementedError
+
+    def _property_scan(self, kind: ElementKind, key: str, value: Any) -> Iterator[Any]:
+        """The unindexed search: ids of ``kind`` whose ``key`` equals ``value``."""
+        raise NotImplementedError
+
+    def _by_property(self, kind: ElementKind, key: str, value: Any) -> Iterator[Any]:
+        """One round trip, then the attribute index if ``key`` has one, else
+        :meth:`_property_scan`."""
+        self._round_trip()
+        index = self._vertex_indexes.get(key) if kind is VERTEX else None
+        if index is None:
+            yield from self._property_scan(kind, key, value)
+        else:
+            yield from index.lookup(value)
+
+    def _index_insert(self, vertex_id: Any, properties: dict[str, Any]) -> None:
+        """Insert on add: index a new vertex's values."""
+        for key in self._vertex_indexes:
+            self._reindex(VERTEX, vertex_id, key, None, properties.get(key))
+
+    def _index_delete(self, vertex_id: Any, read: Callable[[str], Any]) -> None:
+        """Read-then-delete on remove-vertex.  ``read(key)`` is the engine's
+        previous-value read: call this while the values are still stored."""
+        for key in self._vertex_indexes:
+            self._reindex(VERTEX, vertex_id, key, read(key))
+
+    def _reindex(
+        self, kind: ElementKind, element_id: Any, key: str, previous: Any, value: Any = None
+    ) -> None:
+        """Move an element from ``previous`` to ``value`` in ``key``'s index:
+        delete+insert on set, delete on remove-property (``value`` None).
+        Edges have no attribute index."""
+        index = self._vertex_indexes.get(key) if kind is VERTEX else None
+        if index is not None:
+            if previous is not None:
+                index.delete(previous, element_id)
+            if value is not None:
+                index.insert(value, element_id)
+
+    def _index_bytes(self) -> int:
+        """Simulated footprint of the attribute indexes."""
+        return sum(index.size_in_bytes for index in self._vertex_indexes.values())
 
     # ------------------------------------------------------------------
     # Metrics & reporting

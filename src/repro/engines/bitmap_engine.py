@@ -25,8 +25,8 @@ from typing import Any, Iterable, Iterator
 from repro import kernels
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
-from repro.exceptions import ElementNotFoundError
-from repro.model.elements import Direction, Edge, Vertex, pass_table
+from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
+from repro.model.graph import check_property_keys
 from repro.storage.bitmap import Bitmap, BitmapIndex
 
 #: Minimum population count before a numpy decode pays for itself: the
@@ -98,6 +98,8 @@ class BitmapEngine(BaseEngine):
         )
         self._vertex_bitmap = Bitmap()
         self._edge_bitmap = Bitmap()
+        #: per kind: the bitmap of its live objects
+        self._objects = {VERTEX: self._vertex_bitmap, EDGE: self._edge_bitmap}
         #: attribute names that the user asked to index; all attributes are
         #: bitmap-indexed internally, so this only tracks intent (the paper
         #: notes Sparksee cannot exploit extra attribute indexes).
@@ -129,6 +131,7 @@ class BitmapEngine(BaseEngine):
 
     def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
         properties = properties or {}
+        check_property_keys(properties)
         self.schema.observe_vertex(label, set(properties))
         vertex_id = self._new_oid("v")
         self._vertex_bitmap.set(vertex_id)
@@ -149,13 +152,6 @@ class BitmapEngine(BaseEngine):
             properties=self._collect_properties(vertex_id),
         )
 
-    def vertex_exists(self, vertex_id: Any) -> bool:
-        return isinstance(vertex_id, int) and self._vertex_bitmap.get(vertex_id)
-
-    def vertex_ids(self) -> Iterator[Any]:
-        self.metrics.charge_index_probe()
-        yield from self._vertex_bitmap
-
     def remove_vertex(self, vertex_id: Any) -> None:
         self._require_vertex(vertex_id)
         for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
@@ -170,22 +166,42 @@ class BitmapEngine(BaseEngine):
         self._in_incidence.pop(vertex_id, None)
         self._log("remove_vertex", id=vertex_id)
 
-    def set_vertex_property(self, vertex_id: Any, key: str, value: Any) -> None:
-        self._require_vertex(vertex_id)
-        self._attribute_index(key).set_value(vertex_id, value)
-        self._log("set_vertex_property", id=vertex_id, key=key)
+    # ------------------------------------------------------------------
+    # Properties: one body per primitive for both kinds (vertices and
+    # edges share the object id space and the attribute structures)
+    # ------------------------------------------------------------------
 
-    def remove_vertex_property(self, vertex_id: Any, key: str) -> None:
-        self._require_vertex(vertex_id)
+    def _exists(self, kind: ElementKind, element_id: Any) -> bool:
+        return isinstance(element_id, int) and self._objects[kind].get(element_id)
+
+    def _ids(self, kind: ElementKind) -> Iterator[Any]:
+        self.metrics.charge_index_probe()
+        yield from self._objects[kind]
+
+    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+        self._require(kind, element_id)
+        self._attribute_index(key).set_value(element_id, value)
+        self._log(kind.set_op, id=element_id, key=key)
+
+    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+        self._require(kind, element_id)
         if key in self._attributes:
-            self._attributes[key].remove_object(vertex_id)
-        self._log("remove_vertex_property", id=vertex_id, key=key)
+            self._attributes[key].remove_object(element_id)
+        self._log(kind.remove_op, id=element_id, key=key)
 
-    def vertex_property(self, vertex_id: Any, key: str) -> Any:
-        self._require_vertex(vertex_id)
+    def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
+        self._require(kind, element_id)
         if key not in self._attributes:
             return None
-        return self._attributes[key].value_of(vertex_id)
+        return self._attributes[key].value_of(element_id)
+
+    def _by_property(self, kind: ElementKind, key: str, value: Any) -> Iterator[Any]:
+        if key not in self._attributes:
+            return
+        matches = self._attributes[key].objects_with_value(value) & self._objects[kind]
+        self.metrics.allocate(matches.size_in_bytes)
+        self.metrics.release(matches.size_in_bytes)
+        yield from matches
 
     # ------------------------------------------------------------------
     # Edge CRUD
@@ -199,6 +215,7 @@ class BitmapEngine(BaseEngine):
         properties: dict[str, Any] | None = None,
     ) -> Any:
         properties = properties or {}
+        check_property_keys(properties)
         self._require_vertex(source_id)
         self._require_vertex(target_id)
         self.schema.observe_edge(label, set(properties))
@@ -215,7 +232,7 @@ class BitmapEngine(BaseEngine):
         return edge_id
 
     def edge(self, edge_id: Any) -> Edge:
-        self._require_edge(edge_id)
+        self._require(EDGE, edge_id)
         source, target = self._edge_endpoints[edge_id]
         return Edge(
             id=edge_id,
@@ -225,15 +242,8 @@ class BitmapEngine(BaseEngine):
             properties=self._collect_properties(edge_id),
         )
 
-    def edge_exists(self, edge_id: Any) -> bool:
-        return isinstance(edge_id, int) and self._edge_bitmap.get(edge_id)
-
-    def edge_ids(self) -> Iterator[Any]:
-        self.metrics.charge_index_probe()
-        yield from self._edge_bitmap
-
     def remove_edge(self, edge_id: Any) -> None:
-        self._require_edge(edge_id)
+        self._require(EDGE, edge_id)
         source, target = self._edge_endpoints.pop(edge_id)
         self._endpoint_arrays_stale = True
         if source in self._out_incidence:
@@ -247,30 +257,13 @@ class BitmapEngine(BaseEngine):
         self._edge_bitmap.clear(edge_id)
         self._log("remove_edge", id=edge_id)
 
-    def set_edge_property(self, edge_id: Any, key: str, value: Any) -> None:
-        self._require_edge(edge_id)
-        self._attribute_index(key).set_value(edge_id, value)
-        self._log("set_edge_property", id=edge_id, key=key)
-
-    def remove_edge_property(self, edge_id: Any, key: str) -> None:
-        self._require_edge(edge_id)
-        if key in self._attributes:
-            self._attributes[key].remove_object(edge_id)
-        self._log("remove_edge_property", id=edge_id, key=key)
-
-    def edge_property(self, edge_id: Any, key: str) -> Any:
-        self._require_edge(edge_id)
-        if key not in self._attributes:
-            return None
-        return self._attributes[key].value_of(edge_id)
-
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
-        self._require_edge(edge_id)
+        self._require(EDGE, edge_id)
         self.metrics.charge_index_probe()
         return self._edge_endpoints[edge_id]
 
     def edge_label(self, edge_id: Any) -> str:
-        self._require_edge(edge_id)
+        self._require(EDGE, edge_id)
         return self._labels.value_of(edge_id)
 
     # ------------------------------------------------------------------
@@ -445,22 +438,6 @@ class BitmapEngine(BaseEngine):
                 labels.add(value)
         return labels
 
-    def vertices_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        if key not in self._attributes:
-            return
-        matches = self._attributes[key].objects_with_value(value) & self._vertex_bitmap
-        self.metrics.allocate(matches.size_in_bytes)
-        self.metrics.release(matches.size_in_bytes)
-        yield from matches
-
-    def edges_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        if key not in self._attributes:
-            return
-        matches = self._attributes[key].objects_with_value(value) & self._edge_bitmap
-        self.metrics.allocate(matches.size_in_bytes)
-        self.metrics.release(matches.size_in_bytes)
-        yield from matches
-
     def edges_by_label(self, label: str) -> Iterator[Any]:
         matches = self._labels.objects_with_value(label) & self._edge_bitmap
         self.metrics.allocate(matches.size_in_bytes)
@@ -475,8 +452,10 @@ class BitmapEngine(BaseEngine):
         # Sparksee's internal structures are already value-indexed; the paper
         # found that explicit attribute indexes gave it no benefit.
         self._declared_indexes.add(key)
-        self._indexed_vertex_properties.add(key)
         self._attribute_index(key)
+
+    def has_vertex_index(self, key: str) -> bool:
+        return key in self._declared_indexes
 
     # ------------------------------------------------------------------
     # Internals & space accounting
@@ -489,10 +468,6 @@ class BitmapEngine(BaseEngine):
             if value is not None:
                 properties[key] = value
         return properties
-
-    def _require_edge(self, edge_id: Any) -> None:
-        if not self.edge_exists(edge_id):
-            raise ElementNotFoundError("edge", edge_id)
 
     def space_breakdown(self) -> dict[str, int]:
         attribute_bytes = sum(index.size_in_bytes for index in self._attributes.values())

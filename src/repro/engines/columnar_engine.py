@@ -31,9 +31,9 @@ from repro import kernels
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
-from repro.model.elements import Direction, Edge, Vertex, pass_table
+from repro.model.elements import VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
+from repro.model.graph import check_property_keys
 from repro.storage.columnar import ColumnFamilyStore
-from repro.storage.hash_index import HashIndex
 
 _PROPERTY_PREFIX = "p:"
 _OUT_PREFIX = "eo:"
@@ -49,6 +49,7 @@ class ColumnarEngine(BaseEngine):
     version = "0.5"
     kind = "hybrid"
     supports_vertex_index = True
+    index_name = "graphindex"
 
     #: Whether writes re-read the row for consistency checks (v0.5 behaviour).
     consistency_checks = True
@@ -74,7 +75,6 @@ class ColumnarEngine(BaseEngine):
         self._edge_counter = itertools.count(1)
         #: edge id -> (source, target, label, out column, in column)
         self._edge_directory: dict[str, tuple[int, int, str, str, str]] = {}
-        self._vertex_indexes: dict[str, HashIndex] = {}
         for key in self.config.auto_index_properties:
             self.create_vertex_index(key)
 
@@ -84,6 +84,7 @@ class ColumnarEngine(BaseEngine):
 
     def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
         properties = properties or {}
+        check_property_keys(properties)
         self.schema.observe_vertex(label, set(properties))
         vertex_id = next(self._vertex_counter)
         self._rows.create_row(vertex_id)
@@ -91,9 +92,7 @@ class ColumnarEngine(BaseEngine):
             self._rows.put(vertex_id, _PROPERTY_PREFIX + "_label", label)
         for key, value in properties.items():
             self._rows.put(vertex_id, _PROPERTY_PREFIX + key, value)
-        for key, index in self._vertex_indexes.items():
-            if key in properties:
-                index.insert(properties[key], vertex_id)
+        self._index_insert(vertex_id, properties)
         self._log("add_vertex", id=vertex_id)
         return vertex_id
 
@@ -104,45 +103,14 @@ class ColumnarEngine(BaseEngine):
         properties = {name[len(_PROPERTY_PREFIX) :]: value for name, value in cells.items()}
         return Vertex(id=vertex_id, label=label, properties=properties)
 
-    def vertex_exists(self, vertex_id: Any) -> bool:
-        return isinstance(vertex_id, int) and self._rows.has_row(vertex_id)
-
-    def vertex_ids(self) -> Iterator[Any]:
-        yield from self._rows.row_keys()
-
     def remove_vertex(self, vertex_id: Any) -> None:
         self._require_vertex(vertex_id)
         for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
             if edge_id in self._edge_directory:
                 self.remove_edge(edge_id)
-        for key, index in self._vertex_indexes.items():
-            value = self._rows.get(vertex_id, _PROPERTY_PREFIX + key)
-            if value is not None:
-                index.delete(value, vertex_id)
+        self._index_delete(vertex_id, lambda key: self._rows.get(vertex_id, _PROPERTY_PREFIX + key))
         self._rows.delete_row(vertex_id)
         self._log("remove_vertex", id=vertex_id)
-
-    def set_vertex_property(self, vertex_id: Any, key: str, value: Any) -> None:
-        self._require_vertex(vertex_id)
-        previous = self._rows.get(vertex_id, _PROPERTY_PREFIX + key)
-        self._rows.put(vertex_id, _PROPERTY_PREFIX + key, value)
-        if key in self._vertex_indexes:
-            if previous is not None:
-                self._vertex_indexes[key].delete(previous, vertex_id)
-            self._vertex_indexes[key].insert(value, vertex_id)
-        self._log("set_vertex_property", id=vertex_id, key=key)
-
-    def remove_vertex_property(self, vertex_id: Any, key: str) -> None:
-        self._require_vertex(vertex_id)
-        previous = self._rows.get(vertex_id, _PROPERTY_PREFIX + key)
-        self._rows.delete_cell(vertex_id, _PROPERTY_PREFIX + key)
-        if key in self._vertex_indexes and previous is not None:
-            self._vertex_indexes[key].delete(previous, vertex_id)
-        self._log("remove_vertex_property", id=vertex_id, key=key)
-
-    def vertex_property(self, vertex_id: Any, key: str) -> Any:
-        self._require_vertex(vertex_id)
-        return self._rows.get(vertex_id, _PROPERTY_PREFIX + key)
 
     # ------------------------------------------------------------------
     # Edge CRUD: edges are columns of their endpoint rows
@@ -156,6 +124,7 @@ class ColumnarEngine(BaseEngine):
         properties: dict[str, Any] | None = None,
     ) -> Any:
         properties = properties or {}
+        check_property_keys(properties)
         self._require_vertex(source_id)
         self._require_vertex(target_id)
         self.schema.observe_edge(label, set(properties))
@@ -182,17 +151,6 @@ class ColumnarEngine(BaseEngine):
             properties=dict(payload.get("props", {})),
         )
 
-    def edge_exists(self, edge_id: Any) -> bool:
-        return edge_id in self._edge_directory
-
-    def edge_ids(self) -> Iterator[Any]:
-        # A full edge scan walks every vertex row and slices its out-columns.
-        for vertex_id, columns in self._rows.scan_rows():
-            del vertex_id
-            for name, payload in columns.items():
-                if name.startswith(_OUT_PREFIX):
-                    yield payload["id"]
-
     def remove_edge(self, edge_id: Any) -> None:
         source, target, _label, out_column, in_column = self._edge_entry(edge_id)
         # Tombstone deletes: the cells are marked, not compacted away.
@@ -203,32 +161,70 @@ class ColumnarEngine(BaseEngine):
         del self._edge_directory[edge_id]
         self._log("remove_edge", id=edge_id)
 
-    def set_edge_property(self, edge_id: Any, key: str, value: Any) -> None:
-        source, target, _label, out_column, in_column = self._edge_entry(edge_id)
-        for row_key, column in ((source, out_column), (target, in_column)):
-            payload = self._rows.get(row_key, column)
-            if payload is not None:
-                payload = dict(payload)
-                payload["props"] = dict(payload.get("props", {}))
-                payload["props"][key] = value
-                self._rows.put(row_key, column, payload)
-        self._log("set_edge_property", id=edge_id, key=key)
+    # ------------------------------------------------------------------
+    # Properties: vertex properties are cells of the vertex row; edge
+    # properties live in both endpoint rows' adjacency payloads, so each
+    # primitive keeps one branch per kind.
+    # ------------------------------------------------------------------
 
-    def remove_edge_property(self, edge_id: Any, key: str) -> None:
-        source, target, _label, out_column, in_column = self._edge_entry(edge_id)
-        for row_key, column in ((source, out_column), (target, in_column)):
-            payload = self._rows.get(row_key, column)
-            if payload is not None and key in payload.get("props", {}):
-                payload = dict(payload)
-                payload["props"] = dict(payload["props"])
-                del payload["props"][key]
-                self._rows.put(row_key, column, payload)
-        self._log("remove_edge_property", id=edge_id, key=key)
+    def _exists(self, kind: ElementKind, element_id: Any) -> bool:
+        if kind is VERTEX:
+            return isinstance(element_id, int) and self._rows.has_row(element_id)
+        return element_id in self._edge_directory
 
-    def edge_property(self, edge_id: Any, key: str) -> Any:
-        source, _target, _label, out_column, _in_column = self._edge_entry(edge_id)
+    def _ids(self, kind: ElementKind) -> Iterator[Any]:
+        if kind is VERTEX:
+            yield from self._rows.row_keys()
+            return
+        # A full edge scan walks every vertex row and slices its out-columns.
+        for _vertex_id, columns in self._rows.scan_rows():
+            for name, payload in columns.items():
+                if name.startswith(_OUT_PREFIX):
+                    yield payload["id"]
+
+    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+        if kind is VERTEX:
+            self._require_vertex(element_id)
+            previous = self._rows.get(element_id, _PROPERTY_PREFIX + key)
+            self._rows.put(element_id, _PROPERTY_PREFIX + key, value)
+            self._reindex(kind, element_id, key, previous, value)
+        else:
+            for row_key, column in self._edge_cells(element_id):
+                payload = self._rows.get(row_key, column)
+                if payload is not None:
+                    payload = dict(payload)
+                    payload["props"] = {**payload.get("props", {}), key: value}
+                    self._rows.put(row_key, column, payload)
+        self._log(kind.set_op, id=element_id, key=key)
+
+    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+        if kind is VERTEX:
+            self._require_vertex(element_id)
+            previous = self._rows.get(element_id, _PROPERTY_PREFIX + key)
+            self._rows.delete_cell(element_id, _PROPERTY_PREFIX + key)
+            self._reindex(kind, element_id, key, previous)
+        else:
+            for row_key, column in self._edge_cells(element_id):
+                payload = self._rows.get(row_key, column)
+                if payload is not None and key in payload.get("props", {}):
+                    payload = dict(payload)
+                    payload["props"] = dict(payload["props"])
+                    del payload["props"][key]
+                    self._rows.put(row_key, column, payload)
+        self._log(kind.remove_op, id=element_id, key=key)
+
+    def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
+        if kind is VERTEX:
+            self._require_vertex(element_id)
+            return self._rows.get(element_id, _PROPERTY_PREFIX + key)
+        source, _target, _label, out_column, _in_column = self._edge_entry(element_id)
         payload = self._rows.get(source, out_column) or {}
         return payload.get("props", {}).get(key)
+
+    def _edge_cells(self, edge_id: Any) -> tuple[tuple[Any, str], tuple[Any, str]]:
+        """The two ``(row key, column)`` cells holding an edge's payload."""
+        source, target, _label, out_column, in_column = self._edge_entry(edge_id)
+        return (source, out_column), (target, in_column)
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
         source, target, _label, _out_column, _in_column = self._edge_entry(edge_id)
@@ -327,18 +323,13 @@ class ColumnarEngine(BaseEngine):
     # Search primitives
     # ------------------------------------------------------------------
 
-    def vertices_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        if key in self._vertex_indexes:
-            yield from self._vertex_indexes[key].lookup(value)
+    def _property_scan(self, kind: ElementKind, key: str, value: Any) -> Iterator[Any]:
+        if kind is VERTEX:
+            for vertex_id, found in self._index_scan(key):
+                if found == value:
+                    yield vertex_id
             return
-        column = _PROPERTY_PREFIX + key
-        for vertex_id, columns in self._rows.scan_rows():
-            if columns.get(column) == value:
-                yield vertex_id
-
-    def edges_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        for vertex_id, columns in self._rows.scan_rows():
-            del vertex_id
+        for _vertex_id, columns in self._rows.scan_rows():
             for name, payload in columns.items():
                 if name.startswith(_OUT_PREFIX) and payload.get("props", {}).get(key) == value:
                     yield payload["id"]
@@ -358,20 +349,10 @@ class ColumnarEngine(BaseEngine):
                     labels.add(payload["label"])
         return labels
 
-    # ------------------------------------------------------------------
-    # Attribute indexes (graph-centric index)
-    # ------------------------------------------------------------------
-
-    def create_vertex_index(self, key: str) -> None:
-        if key in self._vertex_indexes:
-            return
-        index = HashIndex(f"graphindex-{key}", metrics=self.metrics)
+    def _index_scan(self, key: str) -> Iterator[tuple[Any, Any]]:
         column = _PROPERTY_PREFIX + key
         for vertex_id, columns in self._rows.scan_rows():
-            if column in columns:
-                index.insert(columns[column], vertex_id)
-        self._vertex_indexes[key] = index
-        self._indexed_vertex_properties.add(key)
+            yield vertex_id, columns.get(column)
 
     # ------------------------------------------------------------------
     # Internals & space accounting
@@ -401,13 +382,12 @@ class ColumnarEngine(BaseEngine):
                     props = payload.get("props", {}) if isinstance(payload, dict) else {}
                     for key, value in props.items():
                         property_bytes += 4 + len(str(key)) + len(str(value))
-        index_bytes = sum(index.size_in_bytes for index in self._vertex_indexes.values())
         return {
             "adjacency-rows": adjacency_bytes,
             "properties": property_bytes,
             "row-key-index": self._rows.row_index.size_in_bytes,
             "edge-directory": len(self._edge_directory) * 24,
-            "graph-indexes": index_bytes,
+            "graph-indexes": self._index_bytes(),
             "wal": self.wal.size_in_bytes,
         }
 

@@ -23,14 +23,12 @@ from typing import Any, Iterable, Iterator
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
-from repro.model.elements import Direction, Edge, Vertex, pass_table
+from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
+from repro.model.graph import RESERVED_KEYS, check_property_keys
 from repro.storage.document_store import DocumentStore
-from repro.storage.hash_index import HashIndex
 
 _VERTEX_COLLECTION = "vertices"
 _EDGE_COLLECTION = "edges"
-#: Reserved document fields that are not user properties.
-_SYSTEM_FIELDS = {"_key", "_label", "_from", "_to"}
 
 
 class DocumentEngine(BaseEngine):
@@ -41,6 +39,7 @@ class DocumentEngine(BaseEngine):
     kind = "hybrid"
     supports_vertex_index = True
     remote_access = True
+    index_name = "skiplist"
 
     info = EngineInfo(
         system="DocumentGraph",
@@ -61,6 +60,7 @@ class DocumentEngine(BaseEngine):
         self._store = DocumentStore(metrics=self.metrics)
         self._vertices = self._store.collection(_VERTEX_COLLECTION)
         self._edges = self._store.collection(_EDGE_COLLECTION)
+        self._collections = {VERTEX: self._vertices, EDGE: self._edges}
         #: per pass: (endpoint hash index probed, far endpoint field)
         self._passes = pass_table(
             {
@@ -70,7 +70,6 @@ class DocumentEngine(BaseEngine):
         )
         self._vertex_counter = itertools.count(1)
         self._edge_counter = itertools.count(1)
-        self._vertex_indexes: dict[str, HashIndex] = {}
         for key in self.config.auto_index_properties:
             self.create_vertex_index(key)
 
@@ -80,6 +79,7 @@ class DocumentEngine(BaseEngine):
 
     def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
         properties = properties or {}
+        check_property_keys(properties)
         self._round_trip()
         self.schema.observe_vertex(label, set(properties))
         vertex_id = f"v/{next(self._vertex_counter)}"
@@ -87,64 +87,61 @@ class DocumentEngine(BaseEngine):
         if label is not None:
             document["_label"] = label
         self._vertices.insert(vertex_id, document)
-        for key, index in self._vertex_indexes.items():
-            if key in properties:
-                index.insert(properties[key], vertex_id)
+        self._index_insert(vertex_id, properties)
         self._log("add_vertex", id=vertex_id)
         return vertex_id
 
     def vertex(self, vertex_id: Any) -> Vertex:
         self._round_trip()
-        document = self._vertex_document(vertex_id)
+        document = self._document(VERTEX, vertex_id)
         return Vertex(
             id=vertex_id,
             label=document.get("_label"),
             properties=_user_properties(document),
         )
 
-    def vertex_exists(self, vertex_id: Any) -> bool:
-        return self._vertices.exists(vertex_id)
-
-    def vertex_ids(self) -> Iterator[Any]:
-        self._round_trip()
-        yield from self._vertices.keys()
-
     def remove_vertex(self, vertex_id: Any) -> None:
         self._round_trip()
-        document = self._vertex_document(vertex_id)
+        document = self._document(VERTEX, vertex_id)
         for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
             if self._edges.exists(edge_id):
                 self.remove_edge(edge_id)
-        for key, index in self._vertex_indexes.items():
-            if key in document:
-                index.delete(document[key], vertex_id)
+        self._index_delete(vertex_id, document.get)
         self._vertices.remove(vertex_id)
         self._log("remove_vertex", id=vertex_id)
 
-    def set_vertex_property(self, vertex_id: Any, key: str, value: Any) -> None:
-        self._round_trip()
-        document = self._vertex_document(vertex_id)
-        previous = document.get(key)
-        self._vertices.update(vertex_id, {key: value})
-        if key in self._vertex_indexes:
-            if previous is not None:
-                self._vertex_indexes[key].delete(previous, vertex_id)
-            self._vertex_indexes[key].insert(value, vertex_id)
-        self._log("set_vertex_property", id=vertex_id, key=key)
+    # ------------------------------------------------------------------
+    # Properties: one body per primitive for both kinds
+    # ------------------------------------------------------------------
 
-    def remove_vertex_property(self, vertex_id: Any, key: str) -> None:
+    def _exists(self, kind: ElementKind, element_id: Any) -> bool:
+        return self._collections[kind].exists(element_id)
+
+    def _ids(self, kind: ElementKind) -> Iterator[Any]:
         self._round_trip()
-        document = self._vertex_document(vertex_id)
+        yield from self._collections[kind].keys()
+
+    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+        self._round_trip()
+        previous = self._document(kind, element_id).get(key)
+        self._collections[kind].update(element_id, {key: value})
+        self._reindex(kind, element_id, key, previous, value)
+        self._log(kind.set_op, id=element_id, key=key)
+
+    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+        self._round_trip()
+        document = self._document(kind, element_id)
         if key in document:
             previous = document.pop(key)
-            self._vertices.replace(vertex_id, {k: v for k, v in document.items() if k != "_key"})
-            if key in self._vertex_indexes and previous is not None:
-                self._vertex_indexes[key].delete(previous, vertex_id)
-        self._log("remove_vertex_property", id=vertex_id, key=key)
+            self._collections[kind].replace(
+                element_id, {k: v for k, v in document.items() if k != "_key"}
+            )
+            self._reindex(kind, element_id, key, previous)
+        self._log(kind.remove_op, id=element_id, key=key)
 
-    def vertex_property(self, vertex_id: Any, key: str) -> Any:
+    def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
         self._round_trip()
-        return self._vertex_document(vertex_id).get(key)
+        return self._document(kind, element_id).get(key)
 
     # ------------------------------------------------------------------
     # Edge CRUD
@@ -158,6 +155,7 @@ class DocumentEngine(BaseEngine):
         properties: dict[str, Any] | None = None,
     ) -> Any:
         properties = properties or {}
+        check_property_keys(properties)
         self._round_trip()
         if not self._vertices.exists(source_id):
             raise ElementNotFoundError("vertex", source_id)
@@ -177,7 +175,7 @@ class DocumentEngine(BaseEngine):
 
     def edge(self, edge_id: Any) -> Edge:
         self._round_trip()
-        document = self._edge_document(edge_id)
+        document = self._document(EDGE, edge_id)
         return Edge(
             id=edge_id,
             label=document["_label"],
@@ -186,46 +184,21 @@ class DocumentEngine(BaseEngine):
             properties=_user_properties(document),
         )
 
-    def edge_exists(self, edge_id: Any) -> bool:
-        return self._edges.exists(edge_id)
-
-    def edge_ids(self) -> Iterator[Any]:
-        self._round_trip()
-        yield from self._edges.keys()
-
     def remove_edge(self, edge_id: Any) -> None:
         self._round_trip()
-        document = self._edge_document(edge_id)
+        document = self._document(EDGE, edge_id)
         self._store.edge_from_index.delete(document["_from"], edge_id)
         self._store.edge_to_index.delete(document["_to"], edge_id)
         self._edges.remove(edge_id)
         self._log("remove_edge", id=edge_id)
 
-    def set_edge_property(self, edge_id: Any, key: str, value: Any) -> None:
-        self._round_trip()
-        self._edge_document(edge_id)
-        self._edges.update(edge_id, {key: value})
-        self._log("set_edge_property", id=edge_id, key=key)
-
-    def remove_edge_property(self, edge_id: Any, key: str) -> None:
-        self._round_trip()
-        document = self._edge_document(edge_id)
-        if key in document:
-            document.pop(key)
-            self._edges.replace(edge_id, {k: v for k, v in document.items() if k != "_key"})
-        self._log("remove_edge_property", id=edge_id, key=key)
-
-    def edge_property(self, edge_id: Any, key: str) -> Any:
-        self._round_trip()
-        return self._edge_document(edge_id).get(key)
-
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
         # Even endpoint resolution materialises the edge document.
-        document = self._edge_document(edge_id)
+        document = self._document(EDGE, edge_id)
         return document["_from"], document["_to"]
 
     def edge_label(self, edge_id: Any) -> str:
-        return self._edge_document(edge_id)["_label"]
+        return self._document(EDGE, edge_id)["_label"]
 
     # ------------------------------------------------------------------
     # Traversal primitives (edge-endpoint hash index)
@@ -238,16 +211,16 @@ class DocumentEngine(BaseEngine):
             # The engine always answers with full edge documents, so every hop
             # materialises the document even when only the id is needed — the
             # behaviour that makes whole-graph filters so expensive for it.
-            if label is None or self._edge_document(edge_id)["_label"] == label:
-                self._edge_document(edge_id)
+            if label is None or self._document(EDGE, edge_id)["_label"] == label:
+                self._document(EDGE, edge_id)
                 yield edge_id
 
     def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
         self._round_trip()
         self._require_vertex(vertex_id)
         for edge_id in self._store.edge_to_index.lookup(vertex_id):
-            if label is None or self._edge_document(edge_id)["_label"] == label:
-                self._edge_document(edge_id)
+            if label is None or self._document(EDGE, edge_id)["_label"] == label:
+                self._document(EDGE, edge_id)
                 yield edge_id
 
     # ------------------------------------------------------------------
@@ -259,7 +232,7 @@ class DocumentEngine(BaseEngine):
         # still materialises the block (one round trip + one record read,
         # like ``vertex``); only the Vertex/property construction is skipped.
         self._round_trip()
-        return self._vertex_document(vertex_id).get("_label")
+        return self._document(VERTEX, vertex_id).get("_label")
 
     def _bulk_incident(
         self,
@@ -399,19 +372,11 @@ class DocumentEngine(BaseEngine):
             labels.add(document["_label"])
         return labels
 
-    def vertices_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        self._round_trip()
-        if key in self._vertex_indexes:
-            yield from self._vertex_indexes[key].lookup(value)
-            return
-        for document in self._vertices.scan():
-            if document.get(key) == value:
-                yield document["_key"]
-
-    def edges_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        self._round_trip()
-        for document in self._edges.scan():
-            self.metrics.allocate(len(str(document)))
+    def _property_scan(self, kind: ElementKind, key: str, value: Any) -> Iterator[Any]:
+        for document in self._collections[kind].scan():
+            if kind is EDGE:
+                # Edge scans materialise every document (see edge_count).
+                self.metrics.allocate(len(str(document)))
             if document.get(key) == value:
                 yield document["_key"]
 
@@ -422,46 +387,32 @@ class DocumentEngine(BaseEngine):
             if document.get("_label") == label:
                 yield document["_key"]
 
-    # ------------------------------------------------------------------
-    # Attribute indexes
-    # ------------------------------------------------------------------
-
-    def create_vertex_index(self, key: str) -> None:
-        if key in self._vertex_indexes:
-            return
-        index = HashIndex(f"skiplist-{key}", metrics=self.metrics)
+    def _index_scan(self, key: str) -> Iterator[tuple[Any, Any]]:
         for document in self._vertices.scan():
-            if key in document:
-                index.insert(document[key], document["_key"])
-        self._vertex_indexes[key] = index
-        self._indexed_vertex_properties.add(key)
+            yield document["_key"], document.get(key)
 
     # ------------------------------------------------------------------
     # Internals & space accounting
     # ------------------------------------------------------------------
 
-    def _vertex_document(self, vertex_id: Any) -> dict[str, Any]:
-        if not self._vertices.exists(vertex_id):
-            raise ElementNotFoundError("vertex", vertex_id)
-        return self._vertices.get(vertex_id)
-
-    def _edge_document(self, edge_id: Any) -> dict[str, Any]:
-        if not self._edges.exists(edge_id):
-            raise ElementNotFoundError("edge", edge_id)
-        return self._edges.get(edge_id)
+    def _document(self, kind: ElementKind, element_id: Any) -> dict[str, Any]:
+        """The document of a live element (one charged read); raises if absent."""
+        collection = self._collections[kind]
+        if not collection.exists(element_id):
+            raise ElementNotFoundError(kind.name, element_id)
+        return collection.get(element_id)
 
     def space_breakdown(self) -> dict[str, int]:
-        index_bytes = sum(index.size_in_bytes for index in self._vertex_indexes.values())
         return {
             "vertex-documents": self._vertices.size_in_bytes,
             "edge-documents": self._edges.size_in_bytes,
             "edge-indexes": self._store.edge_from_index.size_in_bytes
             + self._store.edge_to_index.size_in_bytes,
-            "attribute-indexes": index_bytes,
+            "attribute-indexes": self._index_bytes(),
             "wal": self.wal.size_in_bytes,
         }
 
 
 def _user_properties(document: dict[str, Any]) -> dict[str, Any]:
     """Strip system fields from a document, leaving the user properties."""
-    return {key: value for key, value in document.items() if key not in _SYSTEM_FIELDS}
+    return {key: value for key, value in document.items() if key not in RESERVED_KEYS}

@@ -22,8 +22,8 @@ from typing import Any, Iterable, Iterator
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
-from repro.model.elements import Direction, Edge, Vertex, pass_table
-from repro.storage.hash_index import HashIndex
+from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
+from repro.model.graph import check_property_keys
 from repro.storage.indirection import IndirectionTable
 from repro.storage.property_store import PropertyStore
 from repro.storage.record_store import RecordStore
@@ -44,6 +44,7 @@ class NativeIndirectEngine(BaseEngine):
     version = "2.2"
     kind = "native"
     supports_vertex_index = True
+    index_name = "sbtree"
 
     info = EngineInfo(
         system="NativeIndirect",
@@ -63,9 +64,13 @@ class NativeIndirectEngine(BaseEngine):
         self._edge_map = IndirectionTable("edge-rids", metrics=self.metrics)
         self._vertex_store = RecordStore("vertexcluster", record_size=48, metrics=self.metrics)
         self._edge_store = RecordStore("edgecluster", record_size=40, metrics=self.metrics)
-        self._properties = PropertyStore("attributes", metrics=self.metrics)
+        self._property_store = PropertyStore("attributes", metrics=self.metrics)
+        #: per kind: (logical id map, charged record read, property-chain owner tag)
+        self._kinds = {
+            VERTEX: (self._vertex_map, self._vertex_record, "v"),
+            EDGE: (self._edge_map, self._edge_record, "e"),
+        }
         self._edge_label_clusters: dict[str, int] = {}
-        self._vertex_indexes: dict[str, HashIndex] = {}
         max_labels = self.config.extra.get("max_edge_labels")
         if max_labels is not None:
             self.schema.max_edge_labels = int(max_labels)  # type: ignore[arg-type]
@@ -78,16 +83,15 @@ class NativeIndirectEngine(BaseEngine):
 
     def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
         properties = properties or {}
+        check_property_keys(properties)
         self.schema.observe_vertex(label, set(properties))
         physical = self._vertex_store.allocate(
             {"label": label, "out": [], "in": []}
         )
         vertex_id = self._vertex_map.allocate(physical)
         if properties:
-            self._properties.set_properties(("v", vertex_id), properties)
-        for key, index in self._vertex_indexes.items():
-            if key in properties:
-                index.insert(properties[key], vertex_id)
+            self._property_store.set_properties(("v", vertex_id), properties)
+        self._index_insert(vertex_id, properties)
         self._log("add_vertex", id=vertex_id)
         return vertex_id
 
@@ -96,14 +100,8 @@ class NativeIndirectEngine(BaseEngine):
         return Vertex(
             id=vertex_id,
             label=record.fields.get("label"),
-            properties=self._properties.properties(("v", vertex_id)),
+            properties=self._property_store.properties(("v", vertex_id)),
         )
-
-    def vertex_exists(self, vertex_id: Any) -> bool:
-        return isinstance(vertex_id, int) and self._vertex_map.exists(vertex_id)
-
-    def vertex_ids(self) -> Iterator[Any]:
-        yield from self._vertex_map.live_ids()
 
     def remove_vertex(self, vertex_id: Any) -> None:
         record = self._vertex_record(vertex_id)
@@ -111,41 +109,51 @@ class NativeIndirectEngine(BaseEngine):
         for edge_id in incident:
             if self._edge_map.exists(edge_id):
                 self.remove_edge(edge_id)
-        for key, index in self._vertex_indexes.items():
-            value = self._properties.get_property(("v", vertex_id), key)
-            if value is not None:
-                index.delete(value, vertex_id)
-        self._properties.remove_owner(("v", vertex_id))
+        owner = ("v", vertex_id)
+        self._index_delete(vertex_id, lambda key: self._property_store.get_property(owner, key))
+        self._property_store.remove_owner(owner)
         physical = self._vertex_map.resolve(vertex_id)
         self._vertex_store.free(physical)
         self._vertex_map.free(vertex_id)
         self._log("remove_vertex", id=vertex_id)
 
-    def set_vertex_property(self, vertex_id: Any, key: str, value: Any) -> None:
-        self._vertex_record(vertex_id)
-        previous = self._properties.get_property(("v", vertex_id), key)
-        self._properties.set_property(("v", vertex_id), key, value)
-        if key in self._vertex_indexes:
-            if previous is not None:
-                self._vertex_indexes[key].delete(previous, vertex_id)
-            self._vertex_indexes[key].insert(value, vertex_id)
-        self._log("set_vertex_property", id=vertex_id, key=key)
+    # ------------------------------------------------------------------
+    # Properties: one body per primitive for both kinds
+    # ------------------------------------------------------------------
 
-    def remove_vertex_property(self, vertex_id: Any, key: str) -> None:
-        self._vertex_record(vertex_id)
-        previous = self._properties.get_property(("v", vertex_id), key)
-        self._properties.remove_property(("v", vertex_id), key)
-        if key in self._vertex_indexes and previous is not None:
-            self._vertex_indexes[key].delete(previous, vertex_id)
-        self._log("remove_vertex_property", id=vertex_id, key=key)
+    def _owner(self, kind: ElementKind, element_id: Any) -> tuple[str, Any]:
+        """The property-chain owner of a live element, after the charged
+        record resolution every access pays; raises if absent."""
+        _ids, read_record, tag = self._kinds[kind]
+        read_record(element_id)
+        return tag, element_id
 
-    def vertex_property(self, vertex_id: Any, key: str) -> Any:
-        self._vertex_record(vertex_id)
-        return self._properties.get_property(("v", vertex_id), key)
+    def _exists(self, kind: ElementKind, element_id: Any) -> bool:
+        return isinstance(element_id, int) and self._kinds[kind][0].exists(element_id)
 
-    def vertex_properties(self, vertex_id: Any) -> dict[str, Any]:
-        self._vertex_record(vertex_id)
-        return self._properties.properties(("v", vertex_id))
+    def _ids(self, kind: ElementKind) -> Iterator[Any]:
+        yield from self._kinds[kind][0].live_ids()
+
+    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+        owner = self._owner(kind, element_id)
+        # A vertex write reads the old value whether or not ``key`` is indexed.
+        previous = self._property_store.get_property(owner, key) if kind is VERTEX else None
+        self._property_store.set_property(owner, key, value)
+        self._reindex(kind, element_id, key, previous, value)
+        self._log(kind.set_op, id=element_id, key=key)
+
+    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+        owner = self._owner(kind, element_id)
+        previous = self._property_store.get_property(owner, key) if kind is VERTEX else None
+        self._property_store.remove_property(owner, key)
+        self._reindex(kind, element_id, key, previous)
+        self._log(kind.remove_op, id=element_id, key=key)
+
+    def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
+        return self._property_store.get_property(self._owner(kind, element_id), key)
+
+    def _properties(self, kind: ElementKind, element_id: Any) -> dict[str, Any]:
+        return self._property_store.properties(self._owner(kind, element_id))
 
     # ------------------------------------------------------------------
     # Edge CRUD
@@ -159,6 +167,7 @@ class NativeIndirectEngine(BaseEngine):
         properties: dict[str, Any] | None = None,
     ) -> Any:
         properties = properties or {}
+        check_property_keys(properties)
         source_record = self._vertex_record(source_id)
         target_record = self._vertex_record(target_id)
         self.schema.observe_edge(label, set(properties))
@@ -180,7 +189,7 @@ class NativeIndirectEngine(BaseEngine):
         self._vertex_store.update(self._vertex_map.resolve(source_id), {"out": source_out})
         self._vertex_store.update(self._vertex_map.resolve(target_id), {"in": target_in})
         if properties:
-            self._properties.set_properties(("e", edge_id), properties)
+            self._property_store.set_properties(("e", edge_id), properties)
         self._log("add_edge", id=edge_id)
         return edge_id
 
@@ -191,14 +200,8 @@ class NativeIndirectEngine(BaseEngine):
             label=record.fields["label"],
             source=record.fields["source"],
             target=record.fields["target"],
-            properties=self._properties.properties(("e", edge_id)),
+            properties=self._property_store.properties(("e", edge_id)),
         )
-
-    def edge_exists(self, edge_id: Any) -> bool:
-        return isinstance(edge_id, int) and self._edge_map.exists(edge_id)
-
-    def edge_ids(self) -> Iterator[Any]:
-        yield from self._edge_map.live_ids()
 
     def remove_edge(self, edge_id: Any) -> None:
         record = self._edge_record(edge_id)
@@ -213,29 +216,11 @@ class NativeIndirectEngine(BaseEngine):
             target_record = self._vertex_record(target)
             incoming = [eid for eid in target_record.fields.get("in", []) if eid != edge_id]
             self._vertex_store.update(self._vertex_map.resolve(target), {"in": incoming})
-        self._properties.remove_owner(("e", edge_id))
+        self._property_store.remove_owner(("e", edge_id))
         self._edge_label_clusters[label] = max(0, self._edge_label_clusters.get(label, 1) - 1)
         self._edge_store.free(self._edge_map.resolve(edge_id))
         self._edge_map.free(edge_id)
         self._log("remove_edge", id=edge_id)
-
-    def set_edge_property(self, edge_id: Any, key: str, value: Any) -> None:
-        self._edge_record(edge_id)
-        self._properties.set_property(("e", edge_id), key, value)
-        self._log("set_edge_property", id=edge_id, key=key)
-
-    def remove_edge_property(self, edge_id: Any, key: str) -> None:
-        self._edge_record(edge_id)
-        self._properties.remove_property(("e", edge_id), key)
-        self._log("remove_edge_property", id=edge_id, key=key)
-
-    def edge_property(self, edge_id: Any, key: str) -> Any:
-        self._edge_record(edge_id)
-        return self._properties.get_property(("e", edge_id), key)
-
-    def edge_properties(self, edge_id: Any) -> dict[str, Any]:
-        self._edge_record(edge_id)
-        return self._properties.properties(("e", edge_id))
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
         record = self._edge_record(edge_id)
@@ -318,20 +303,12 @@ class NativeIndirectEngine(BaseEngine):
     # Search primitives
     # ------------------------------------------------------------------
 
-    def vertices_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        if key in self._vertex_indexes:
-            yield from self._vertex_indexes[key].lookup(value)
-            return
-        for vertex_id in self._vertex_map.live_ids():
-            self._vertex_record(vertex_id)
-            if self._properties.get_property(("v", vertex_id), key) == value:
-                yield vertex_id
-
-    def edges_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        for edge_id in self._edge_map.live_ids():
-            self._edge_record(edge_id)
-            if self._properties.get_property(("e", edge_id), key) == value:
-                yield edge_id
+    def _property_scan(self, kind: ElementKind, key: str, value: Any) -> Iterator[Any]:
+        ids, read_record, tag = self._kinds[kind]
+        for element_id in ids.live_ids():
+            read_record(element_id)
+            if self._property_store.get_property((tag, element_id), key) == value:
+                yield element_id
 
     def edges_by_label(self, label: str) -> Iterator[Any]:
         # Each label is a separate cluster, but edge ids are still resolved
@@ -345,20 +322,9 @@ class NativeIndirectEngine(BaseEngine):
     def distinct_edge_labels(self) -> set[str]:
         return {label for label, count in self._edge_label_clusters.items() if count > 0}
 
-    # ------------------------------------------------------------------
-    # Attribute indexes
-    # ------------------------------------------------------------------
-
-    def create_vertex_index(self, key: str) -> None:
-        if key in self._vertex_indexes:
-            return
-        index = HashIndex(f"sbtree-{key}", metrics=self.metrics)
+    def _index_scan(self, key: str) -> Iterator[tuple[Any, Any]]:
         for vertex_id in self._vertex_map.live_ids():
-            value = self._properties.get_property(("v", vertex_id), key)
-            if value is not None:
-                index.insert(value, vertex_id)
-        self._vertex_indexes[key] = index
-        self._indexed_vertex_properties.add(key)
+            yield vertex_id, self._property_store.get_property(("v", vertex_id), key)
 
     # ------------------------------------------------------------------
     # Internals & space accounting
@@ -378,18 +344,17 @@ class NativeIndirectEngine(BaseEngine):
         # Attribute values are de-duplicated across the attribute store,
         # which is why this engine is compact on text-heavy datasets.
         distinct_values: set[str] = set()
-        for owner in self._properties.owners():
-            for value in self._properties.properties(owner).values():
+        for owner in self._property_store.owners():
+            for value in self._property_store.properties(owner).values():
                 distinct_values.add(str(value))
         dedup_payload = sum(len(value) for value in distinct_values)
-        property_blocks = len(self._properties) * 24
-        index_bytes = sum(index.size_in_bytes for index in self._vertex_indexes.values())
+        property_blocks = len(self._property_store) * 24
         return {
             "vertexcluster": self._vertex_store.size_in_bytes,
             "edgeclusters": self._edge_store.size_in_bytes
             + len(self._edge_label_clusters) * _CLUSTER_OVERHEAD_BYTES,
             "rid-maps": self._vertex_map.size_in_bytes + self._edge_map.size_in_bytes,
             "attributes": property_blocks + dedup_payload,
-            "indexes": index_bytes,
+            "indexes": self._index_bytes(),
             "wal": self.wal.size_in_bytes,
         }

@@ -29,9 +29,8 @@ from typing import Any, Iterable, Iterator
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
-from repro.model.elements import Direction, Edge, Vertex, pass_table
-from repro.model.graph import GraphDatabase
-from repro.storage.hash_index import HashIndex
+from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
+from repro.model.graph import GraphDatabase, check_property_keys
 from repro.storage.property_store import PropertyStore
 from repro.storage.record_store import RecordStore
 
@@ -69,10 +68,11 @@ class NativeLinkedEngine(BaseEngine):
         super().__init__(config)
         self._node_store = RecordStore("nodestore", record_size=15, metrics=self.metrics)
         self._rel_store = RecordStore("relationshipstore", record_size=34, metrics=self.metrics)
-        self._properties = PropertyStore("propertystore", metrics=self.metrics)
+        self._property_store = PropertyStore("propertystore", metrics=self.metrics)
+        #: per kind: (record store, property-chain owner tag)
+        self._stores = {VERTEX: (self._node_store, "v"), EDGE: (self._rel_store, "e")}
         self._labels: dict[str, int] = {}
         self._label_names: dict[int, str] = {}
-        self._vertex_indexes: dict[str, HashIndex] = {}
         for key in self.config.auto_index_properties:
             self.create_vertex_index(key)
 
@@ -94,14 +94,15 @@ class NativeLinkedEngine(BaseEngine):
 
     def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
         properties = properties or {}
+        check_property_keys(properties)
         self.schema.observe_vertex(label, set(properties))
         label_id = self._label_id(label) if label is not None else _NO_POINTER
         vertex_id = self._node_store.allocate(
             {"first_out": _NO_POINTER, "first_in": _NO_POINTER, "label": label_id}
         )
         if properties:
-            self._properties.set_properties(("v", vertex_id), properties)
-        self._index_vertex_properties(vertex_id, properties)
+            self._property_store.set_properties(("v", vertex_id), properties)
+        self._index_insert(vertex_id, properties)
         self._log("add_vertex", id=vertex_id)
         return vertex_id
 
@@ -112,57 +113,59 @@ class NativeLinkedEngine(BaseEngine):
         return Vertex(
             id=vertex_id,
             label=label,
-            properties=self._properties.properties(("v", vertex_id)),
+            properties=self._property_store.properties(("v", vertex_id)),
         )
-
-    def vertex_exists(self, vertex_id: Any) -> bool:
-        return isinstance(vertex_id, int) and self._node_store.exists(vertex_id)
-
-    def vertex_ids(self) -> Iterator[Any]:
-        yield from self._node_store.ids()
 
     def remove_vertex(self, vertex_id: Any) -> None:
         # Removing a node implies removing its properties and incident edges.
         for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
             if self._rel_store.exists(edge_id):
                 self.remove_edge(edge_id)
-        self._properties.remove_owner(("v", vertex_id))
+        owner = ("v", vertex_id)
+        self._index_delete(vertex_id, lambda key: self._property_store.get_property(owner, key))
+        self._property_store.remove_owner(owner)
         record = self._node_store.read(vertex_id)
         del record  # the read charges the record access
-        self._unindex_vertex(vertex_id)
         self._node_store.free(vertex_id)
         self._log("remove_vertex", id=vertex_id)
 
-    def set_vertex_property(self, vertex_id: Any, key: str, value: Any) -> None:
-        if not self._node_store.exists(vertex_id):
-            raise ElementNotFoundError("vertex", vertex_id)
-        previous = self._properties.get_property(("v", vertex_id), key)
-        self._properties.set_property(("v", vertex_id), key, value)
-        if key in self._vertex_indexes:
-            index = self._vertex_indexes[key]
-            if previous is not None:
-                index.delete(previous, vertex_id)
-            index.insert(value, vertex_id)
-        self._log("set_vertex_property", id=vertex_id, key=key)
+    # ------------------------------------------------------------------
+    # Properties: one body per primitive for both kinds
+    # ------------------------------------------------------------------
 
-    def remove_vertex_property(self, vertex_id: Any, key: str) -> None:
-        if not self._node_store.exists(vertex_id):
-            raise ElementNotFoundError("vertex", vertex_id)
-        previous = self._properties.get_property(("v", vertex_id), key)
-        self._properties.remove_property(("v", vertex_id), key)
-        if key in self._vertex_indexes and previous is not None:
-            self._vertex_indexes[key].delete(previous, vertex_id)
-        self._log("remove_vertex_property", id=vertex_id, key=key)
+    def _owner(self, kind: ElementKind, element_id: Any) -> tuple[str, Any]:
+        """The property-chain owner of a live element; raises if absent."""
+        store, tag = self._stores[kind]
+        if not store.exists(element_id):
+            raise ElementNotFoundError(kind.name, element_id)
+        return tag, element_id
 
-    def vertex_property(self, vertex_id: Any, key: str) -> Any:
-        if not self._node_store.exists(vertex_id):
-            raise ElementNotFoundError("vertex", vertex_id)
-        return self._properties.get_property(("v", vertex_id), key)
+    def _exists(self, kind: ElementKind, element_id: Any) -> bool:
+        return isinstance(element_id, int) and self._stores[kind][0].exists(element_id)
 
-    def vertex_properties(self, vertex_id: Any) -> dict[str, Any]:
-        if not self._node_store.exists(vertex_id):
-            raise ElementNotFoundError("vertex", vertex_id)
-        return self._properties.properties(("v", vertex_id))
+    def _ids(self, kind: ElementKind) -> Iterator[Any]:
+        yield from self._stores[kind][0].ids()
+
+    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+        owner = self._owner(kind, element_id)
+        # A vertex write reads the old value whether or not ``key`` is indexed.
+        previous = self._property_store.get_property(owner, key) if kind is VERTEX else None
+        self._property_store.set_property(owner, key, value)
+        self._reindex(kind, element_id, key, previous, value)
+        self._log(kind.set_op, id=element_id, key=key)
+
+    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+        owner = self._owner(kind, element_id)
+        previous = self._property_store.get_property(owner, key) if kind is VERTEX else None
+        self._property_store.remove_property(owner, key)
+        self._reindex(kind, element_id, key, previous)
+        self._log(kind.remove_op, id=element_id, key=key)
+
+    def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
+        return self._property_store.get_property(self._owner(kind, element_id), key)
+
+    def _properties(self, kind: ElementKind, element_id: Any) -> dict[str, Any]:
+        return self._property_store.properties(self._owner(kind, element_id))
 
     # ------------------------------------------------------------------
     # Edge CRUD
@@ -176,6 +179,7 @@ class NativeLinkedEngine(BaseEngine):
         properties: dict[str, Any] | None = None,
     ) -> Any:
         properties = properties or {}
+        check_property_keys(properties)
         if not self._node_store.exists(source_id):
             raise ElementNotFoundError("vertex", source_id)
         if not self._node_store.exists(target_id):
@@ -197,7 +201,7 @@ class NativeLinkedEngine(BaseEngine):
         self._node_store.update(source_id, {"first_out": edge_id})
         self._node_store.update(target_id, {"first_in": edge_id})
         if properties:
-            self._properties.set_properties(("e", edge_id), properties)
+            self._property_store.set_properties(("e", edge_id), properties)
         self._log("add_edge", id=edge_id)
         return edge_id
 
@@ -208,14 +212,8 @@ class NativeLinkedEngine(BaseEngine):
             label=self._label_names[record.fields["label"]],
             source=record.fields["source"],
             target=record.fields["target"],
-            properties=self._properties.properties(("e", edge_id)),
+            properties=self._property_store.properties(("e", edge_id)),
         )
-
-    def edge_exists(self, edge_id: Any) -> bool:
-        return isinstance(edge_id, int) and self._rel_store.exists(edge_id)
-
-    def edge_ids(self) -> Iterator[Any]:
-        yield from self._rel_store.ids()
 
     def remove_edge(self, edge_id: Any) -> None:
         record = self._rel_store.read(edge_id)
@@ -223,31 +221,9 @@ class NativeLinkedEngine(BaseEngine):
         target = record.fields["target"]
         self._unlink(source, edge_id, "first_out", "next_out")
         self._unlink(target, edge_id, "first_in", "next_in")
-        self._properties.remove_owner(("e", edge_id))
+        self._property_store.remove_owner(("e", edge_id))
         self._rel_store.free(edge_id)
         self._log("remove_edge", id=edge_id)
-
-    def set_edge_property(self, edge_id: Any, key: str, value: Any) -> None:
-        if not self._rel_store.exists(edge_id):
-            raise ElementNotFoundError("edge", edge_id)
-        self._properties.set_property(("e", edge_id), key, value)
-        self._log("set_edge_property", id=edge_id, key=key)
-
-    def remove_edge_property(self, edge_id: Any, key: str) -> None:
-        if not self._rel_store.exists(edge_id):
-            raise ElementNotFoundError("edge", edge_id)
-        self._properties.remove_property(("e", edge_id), key)
-        self._log("remove_edge_property", id=edge_id, key=key)
-
-    def edge_property(self, edge_id: Any, key: str) -> Any:
-        if not self._rel_store.exists(edge_id):
-            raise ElementNotFoundError("edge", edge_id)
-        return self._properties.get_property(("e", edge_id), key)
-
-    def edge_properties(self, edge_id: Any) -> dict[str, Any]:
-        if not self._rel_store.exists(edge_id):
-            raise ElementNotFoundError("edge", edge_id)
-        return self._properties.properties(("e", edge_id))
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
         record = self._rel_store.read(edge_id)
@@ -358,18 +334,11 @@ class NativeLinkedEngine(BaseEngine):
     # Search primitives
     # ------------------------------------------------------------------
 
-    def vertices_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        if key in self._vertex_indexes:
-            yield from self._vertex_indexes[key].lookup(value)
-            return
-        # No index: scan the node store and probe the property chains.
-        for record in self._node_store.scan():
-            if self._properties.get_property(("v", record.record_id), key) == value:
-                yield record.record_id
-
-    def edges_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        for record in self._rel_store.scan():
-            if self._properties.get_property(("e", record.record_id), key) == value:
+    def _property_scan(self, kind: ElementKind, key: str, value: Any) -> Iterator[Any]:
+        # Scan the record store and probe each element's property chain.
+        store, tag = self._stores[kind]
+        for record in store.scan():
+            if self._property_store.get_property((tag, record.record_id), key) == value:
                 yield record.record_id
 
     def edges_by_label(self, label: str) -> Iterator[Any]:
@@ -386,44 +355,21 @@ class NativeLinkedEngine(BaseEngine):
             self._label_names[record.fields["label"]] for record in self._rel_store.scan()
         }
 
-    # ------------------------------------------------------------------
-    # Attribute indexes
-    # ------------------------------------------------------------------
-
-    def create_vertex_index(self, key: str) -> None:
-        if key in self._vertex_indexes:
-            return
-        index = HashIndex(f"vertex-index-{key}", metrics=self.metrics)
+    def _index_scan(self, key: str) -> Iterator[tuple[Any, Any]]:
         for record in self._node_store.scan():
-            value = self._properties.get_property(("v", record.record_id), key)
-            if value is not None:
-                index.insert(value, record.record_id)
-        self._vertex_indexes[key] = index
-        self._indexed_vertex_properties.add(key)
-
-    def _index_vertex_properties(self, vertex_id: Any, properties: dict[str, Any]) -> None:
-        for key, index in self._vertex_indexes.items():
-            if key in properties:
-                index.insert(properties[key], vertex_id)
-
-    def _unindex_vertex(self, vertex_id: Any) -> None:
-        for key, index in self._vertex_indexes.items():
-            value = self._properties.get_property(("v", vertex_id), key)
-            if value is not None:
-                index.delete(value, vertex_id)
+            yield record.record_id, self._property_store.get_property(("v", record.record_id), key)
 
     # ------------------------------------------------------------------
     # Space accounting
     # ------------------------------------------------------------------
 
     def space_breakdown(self) -> dict[str, int]:
-        index_bytes = sum(index.size_in_bytes for index in self._vertex_indexes.values())
         return {
             "nodestore": self._node_store.size_in_bytes,
             "relationshipstore": self._rel_store.size_in_bytes,
-            "propertystore": self._properties.size_in_bytes,
+            "propertystore": self._property_store.size_in_bytes,
             "labelstore": len(self._labels) * 32,
-            "indexes": index_bytes,
+            "indexes": self._index_bytes(),
             "wal": self.wal.size_in_bytes,
         }
 
@@ -499,13 +445,9 @@ class NativeLinkedV3Engine(NativeLinkedEngine):
         self._wrap(edge_id)
         return super().edge(edge_id)
 
-    def set_vertex_property(self, vertex_id: Any, key: str, value: Any) -> None:
-        self._wrap(vertex_id)
-        super().set_vertex_property(vertex_id, key, value)
-
-    def set_edge_property(self, edge_id: Any, key: str, value: Any) -> None:
-        self._wrap(edge_id)
-        super().set_edge_property(edge_id, key, value)
+    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+        self._wrap(element_id)
+        super()._set_property(kind, element_id, key, value)
 
     def remove_vertex(self, vertex_id: Any) -> None:
         self._wrap(vertex_id)

@@ -27,7 +27,8 @@ from typing import Any, Iterable, Iterator
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError, SchemaError
-from repro.model.elements import Direction, Edge, Vertex, pass_table
+from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
+from repro.model.graph import check_property_keys
 from repro.storage.relational import Column, RelationalDatabase, Table, index_key
 
 _VERTEX_PREFIX = "V_"
@@ -69,8 +70,11 @@ class RelationalEngine(BaseEngine):
         self._db = RelationalDatabase("graphdb", metrics=self.metrics)
         #: property keys that should be indexed in every vertex table.
         self._indexed_keys: set[str] = set(self.config.auto_index_properties)
-        for key in self._indexed_keys:
-            self._indexed_vertex_properties.add(key)
+        #: per kind: (table-name prefix, row locator that raises)
+        self._kinds = {
+            VERTEX: (_VERTEX_PREFIX, self._vertex_row),
+            EDGE: (_EDGE_PREFIX, self._edge_row),
+        }
         #: Prepared probe plans: per label (``None``: every label) the
         #: ``(edge table, its name)`` rows an expansion probes, resolved from
         #: the catalog at ``_plans_version`` and dropped when it moves.
@@ -118,12 +122,6 @@ class RelationalEngine(BaseEngine):
                 f"label {label!r} exceeds the {_MAX_LABEL_LENGTH}-character limit"
             )
 
-    def _vertex_tables(self) -> tuple[str, ...]:
-        return self._db.table_names(_VERTEX_PREFIX)
-
-    def _edge_tables(self) -> tuple[str, ...]:
-        return self._db.table_names(_EDGE_PREFIX)
-
     def _probe_plan(self, label: str | None) -> list[tuple[Table, str]]:
         """The edge tables a traversal over ``label`` must probe, prepared.
 
@@ -140,7 +138,7 @@ class RelationalEngine(BaseEngine):
         plan = self._plans.get(label)
         if plan is None:
             if label is None:
-                names = self._edge_tables()
+                names = self._db.table_names(_EDGE_PREFIX)
             elif self._db.has_table(_EDGE_PREFIX + label):
                 names = (_EDGE_PREFIX + label,)
             else:
@@ -195,6 +193,7 @@ class RelationalEngine(BaseEngine):
 
     def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
         properties = properties or {}
+        check_property_keys(properties)
         self.schema.observe_vertex(label, set(properties))
         table_name = self._vertex_table(label)
         table = self._db.table(table_name)
@@ -220,14 +219,6 @@ class RelationalEngine(BaseEngine):
             label_value = label
         return Vertex(id=vertex_id, label=label_value, properties=properties)
 
-    def vertex_exists(self, vertex_id: Any) -> bool:
-        return self._locate(_VERTEX_PREFIX, vertex_id) is not None
-
-    def vertex_ids(self) -> Iterator[Any]:
-        for table_name in self._vertex_tables():
-            for row in self._db.table(table_name).rows():
-                yield f"{table_name}:{row['id']}"
-
     def remove_vertex(self, vertex_id: Any) -> None:
         table, row_id = self._vertex_row(vertex_id)
         # Cascade: delete incident edges from every edge table, found through
@@ -238,26 +229,49 @@ class RelationalEngine(BaseEngine):
         table.delete(row_id)
         self._log("remove_vertex", id=vertex_id)
 
-    def set_vertex_property(self, vertex_id: Any, key: str, value: Any) -> None:
-        table, row_id = self._vertex_row(vertex_id)
+    # ------------------------------------------------------------------
+    # Properties: one body per primitive for both kinds (properties are
+    # columns of the element's vertex or edge table)
+    # ------------------------------------------------------------------
+
+    def _exists(self, kind: ElementKind, element_id: Any) -> bool:
+        return self._locate(self._kinds[kind][0], element_id) is not None
+
+    def _ids(self, kind: ElementKind) -> Iterator[Any]:
+        prefix = self._kinds[kind][0]
+        for table_name in self._db.table_names(prefix):
+            for row in self._db.table(table_name).rows():
+                yield f"{table_name}:{row['id']}"
+
+    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+        table, row_id = self._kinds[kind][1](element_id)
         if not table.schema.has_column(key):
             # Adding a property key not seen before changes the table
             # structure, the slow path the paper observed for this engine.
             table.add_column(Column(key))
-            if key in self._indexed_keys:
+            if kind is VERTEX and key in self._indexed_keys:
                 table.create_index(key)
         table.update(row_id, {key: value})
-        self._log("set_vertex_property", id=vertex_id, key=key)
+        self._log(kind.set_op, id=element_id, key=key)
 
-    def remove_vertex_property(self, vertex_id: Any, key: str) -> None:
-        table, row_id = self._vertex_row(vertex_id)
+    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+        table, row_id = self._kinds[kind][1](element_id)
         if table.schema.has_column(key):
             table.update(row_id, {key: None})
-        self._log("remove_vertex_property", id=vertex_id, key=key)
+        self._log(kind.remove_op, id=element_id, key=key)
 
-    def vertex_property(self, vertex_id: Any, key: str) -> Any:
-        table, row_id = self._vertex_row(vertex_id)
+    def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
+        table, row_id = self._kinds[kind][1](element_id)
         return table.get(row_id).get(key)
+
+    def _by_property(self, kind: ElementKind, key: str, value: Any) -> Iterator[Any]:
+        prefix = self._kinds[kind][0]
+        for table_name in self._db.table_names(prefix):
+            table = self._db.table(table_name)
+            if not table.schema.has_column(key):
+                continue
+            for row in table.select(key, value):
+                yield f"{table_name}:{row['id']}"
 
     # ------------------------------------------------------------------
     # Edge CRUD
@@ -271,6 +285,7 @@ class RelationalEngine(BaseEngine):
         properties: dict[str, Any] | None = None,
     ) -> Any:
         properties = properties or {}
+        check_property_keys(properties)
         source_table, _ = self._vertex_row(source_id)
         target_table, _ = self._vertex_row(target_id)
         self.schema.observe_edge(label, set(properties))
@@ -309,35 +324,10 @@ class RelationalEngine(BaseEngine):
             properties=properties,
         )
 
-    def edge_exists(self, edge_id: Any) -> bool:
-        return self._locate(_EDGE_PREFIX, edge_id) is not None
-
-    def edge_ids(self) -> Iterator[Any]:
-        for table_name in self._edge_tables():
-            for row in self._db.table(table_name).rows():
-                yield f"{table_name}:{row['id']}"
-
     def remove_edge(self, edge_id: Any) -> None:
         table, row_id = self._edge_row(edge_id)
         table.delete(row_id)
         self._log("remove_edge", id=edge_id)
-
-    def set_edge_property(self, edge_id: Any, key: str, value: Any) -> None:
-        table, row_id = self._edge_row(edge_id)
-        if not table.schema.has_column(key):
-            table.add_column(Column(key))
-        table.update(row_id, {key: value})
-        self._log("set_edge_property", id=edge_id, key=key)
-
-    def remove_edge_property(self, edge_id: Any, key: str) -> None:
-        table, row_id = self._edge_row(edge_id)
-        if table.schema.has_column(key):
-            table.update(row_id, {key: None})
-        self._log("remove_edge_property", id=edge_id, key=key)
-
-    def edge_property(self, edge_id: Any, key: str) -> Any:
-        table, row_id = self._edge_row(edge_id)
-        return table.get(row_id).get(key)
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
         table, row_id = self._edge_row(edge_id)
@@ -434,22 +424,6 @@ class RelationalEngine(BaseEngine):
     # Search primitives: relational scans and index lookups
     # ------------------------------------------------------------------
 
-    def vertices_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        for table_name in self._vertex_tables():
-            table = self._db.table(table_name)
-            if not table.schema.has_column(key):
-                continue
-            for row in table.select(key, value):
-                yield f"{table_name}:{row['id']}"
-
-    def edges_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        for table_name in self._edge_tables():
-            table = self._db.table(table_name)
-            if not table.schema.has_column(key):
-                continue
-            for row in table.select(key, value):
-                yield f"{table_name}:{row['id']}"
-
     def edges_by_label(self, label: str) -> Iterator[Any]:
         table_name = _EDGE_PREFIX + label
         if not self._db.has_table(table_name):
@@ -461,15 +435,15 @@ class RelationalEngine(BaseEngine):
         # The catalog knows the edge labels: one table per label.
         return {
             name[len(_EDGE_PREFIX) :]
-            for name in self._edge_tables()
+            for name in self._db.table_names(_EDGE_PREFIX)
             if len(self._db.table(name)) > 0
         }
 
     def vertex_count(self) -> int:
-        return sum(self._db.count(name) for name in self._vertex_tables())
+        return sum(self._db.count(name) for name in self._db.table_names(_VERTEX_PREFIX))
 
     def edge_count(self) -> int:
-        return sum(self._db.count(name) for name in self._edge_tables())
+        return sum(self._db.count(name) for name in self._db.table_names(_EDGE_PREFIX))
 
     # ------------------------------------------------------------------
     # Attribute indexes
@@ -477,11 +451,13 @@ class RelationalEngine(BaseEngine):
 
     def create_vertex_index(self, key: str) -> None:
         self._indexed_keys.add(key)
-        self._indexed_vertex_properties.add(key)
-        for table_name in self._vertex_tables():
+        for table_name in self._db.table_names(_VERTEX_PREFIX):
             table = self._db.table(table_name)
             if table.schema.has_column(key):
                 table.create_index(key)
+
+    def has_vertex_index(self, key: str) -> bool:
+        return key in self._indexed_keys
 
     # ------------------------------------------------------------------
     # Space accounting & access to the underlying database
@@ -493,13 +469,13 @@ class RelationalEngine(BaseEngine):
         return self._db
 
     def space_breakdown(self) -> dict[str, int]:
-        vertex_bytes = sum(
-            self._db.table(name).size_in_bytes for name in self._vertex_tables()
-        )
-        edge_bytes = sum(self._db.table(name).size_in_bytes for name in self._edge_tables())
+        table_bytes = {
+            prefix: sum(self._db.table(name).size_in_bytes for name in self._db.table_names(prefix))
+            for prefix in (_VERTEX_PREFIX, _EDGE_PREFIX)
+        }
         return {
-            "vertex-tables": vertex_bytes,
-            "edge-tables": edge_bytes,
+            "vertex-tables": table_bytes[_VERTEX_PREFIX],
+            "edge-tables": table_bytes[_EDGE_PREFIX],
             "catalog": len(self._db.table_names()) * 256,
             "wal": self.wal.size_in_bytes,
         }

@@ -26,8 +26,8 @@ from typing import Any, Iterable, Iterator
 
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
-from repro.exceptions import ElementNotFoundError
-from repro.model.elements import Direction, Edge, Vertex, pass_table
+from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
+from repro.model.graph import GraphDatabase, check_property_keys
 from repro.storage.triple_store import TripleStore
 
 _TYPE = "rdf:type"
@@ -72,6 +72,8 @@ class TripleEngine(BaseEngine):
         self._edge_counter = itertools.count(1)
         self._vertex_ids: set[str] = set()
         self._edge_ids: set[str] = set()
+        #: per kind: (live ids, rdf:type object)
+        self._kinds = {VERTEX: (self._vertex_ids, _VERTEX_TYPE), EDGE: (self._edge_ids, _EDGE_TYPE)}
 
     # ------------------------------------------------------------------
     # Bulk loading
@@ -93,6 +95,7 @@ class TripleEngine(BaseEngine):
 
     def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
         properties = properties or {}
+        check_property_keys(properties)
         self.schema.observe_vertex(label, set(properties))
         vertex_id = f"vertex:{next(self._vertex_counter)}"
         self._triples.add(vertex_id, _TYPE, _VERTEX_TYPE)
@@ -115,13 +118,6 @@ class TripleEngine(BaseEngine):
                 properties[str(triple.predicate)[len(_PROPERTY_PREFIX) :]] = triple.object
         return Vertex(id=vertex_id, label=label, properties=properties)
 
-    def vertex_exists(self, vertex_id: Any) -> bool:
-        return vertex_id in self._vertex_ids
-
-    def vertex_ids(self) -> Iterator[Any]:
-        for triple in self._triples.match(predicate=_TYPE, object_=_VERTEX_TYPE):
-            yield triple.subject
-
     def remove_vertex(self, vertex_id: Any) -> None:
         self._require_vertex(vertex_id)
         for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
@@ -131,22 +127,39 @@ class TripleEngine(BaseEngine):
         self._vertex_ids.discard(vertex_id)
         self._log("remove_vertex", id=vertex_id)
 
-    def set_vertex_property(self, vertex_id: Any, key: str, value: Any) -> None:
-        self._require_vertex(vertex_id)
-        self._triples.remove(vertex_id, _PROPERTY_PREFIX + key)
-        self._triples.add(vertex_id, _PROPERTY_PREFIX + key, value)
-        self._log("set_vertex_property", id=vertex_id, key=key)
+    # ------------------------------------------------------------------
+    # Properties: one body per primitive for both kinds
+    # ------------------------------------------------------------------
 
-    def remove_vertex_property(self, vertex_id: Any, key: str) -> None:
-        self._require_vertex(vertex_id)
-        self._triples.remove(vertex_id, _PROPERTY_PREFIX + key)
-        self._log("remove_vertex_property", id=vertex_id, key=key)
+    def _exists(self, kind: ElementKind, element_id: Any) -> bool:
+        return element_id in self._kinds[kind][0]
 
-    def vertex_property(self, vertex_id: Any, key: str) -> Any:
-        self._require_vertex(vertex_id)
-        for triple in self._triples.match(subject=vertex_id, predicate=_PROPERTY_PREFIX + key):
+    def _ids(self, kind: ElementKind) -> Iterator[Any]:
+        for triple in self._triples.match(predicate=_TYPE, object_=self._kinds[kind][1]):
+            yield triple.subject
+
+    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+        self._require(kind, element_id)
+        self._triples.remove(element_id, _PROPERTY_PREFIX + key)
+        self._triples.add(element_id, _PROPERTY_PREFIX + key, value)
+        self._log(kind.set_op, id=element_id, key=key)
+
+    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+        self._require(kind, element_id)
+        self._triples.remove(element_id, _PROPERTY_PREFIX + key)
+        self._log(kind.remove_op, id=element_id, key=key)
+
+    def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
+        self._require(kind, element_id)
+        for triple in self._triples.match(subject=element_id, predicate=_PROPERTY_PREFIX + key):
             return triple.object
         return None
+
+    def _by_property(self, kind: ElementKind, key: str, value: Any) -> Iterator[Any]:
+        live = self._kinds[kind][0]
+        for triple in self._triples.match(predicate=_PROPERTY_PREFIX + key, object_=value):
+            if triple.subject in live:
+                yield triple.subject
 
     # ------------------------------------------------------------------
     # Edge CRUD (reified statements)
@@ -160,6 +173,7 @@ class TripleEngine(BaseEngine):
         properties: dict[str, Any] | None = None,
     ) -> Any:
         properties = properties or {}
+        check_property_keys(properties)
         self._require_vertex(source_id)
         self._require_vertex(target_id)
         self.schema.observe_edge(label, set(properties))
@@ -175,7 +189,7 @@ class TripleEngine(BaseEngine):
         return edge_id
 
     def edge(self, edge_id: Any) -> Edge:
-        self._require_edge(edge_id)
+        self._require(EDGE, edge_id)
         source = target = None
         label = ""
         properties: dict[str, Any] = {}
@@ -190,38 +204,14 @@ class TripleEngine(BaseEngine):
                 properties[str(triple.predicate)[len(_PROPERTY_PREFIX) :]] = triple.object
         return Edge(id=edge_id, label=label, source=source, target=target, properties=properties)
 
-    def edge_exists(self, edge_id: Any) -> bool:
-        return edge_id in self._edge_ids
-
-    def edge_ids(self) -> Iterator[Any]:
-        for triple in self._triples.match(predicate=_TYPE, object_=_EDGE_TYPE):
-            yield triple.subject
-
     def remove_edge(self, edge_id: Any) -> None:
-        self._require_edge(edge_id)
+        self._require(EDGE, edge_id)
         self._triples.remove(edge_id)
         self._edge_ids.discard(edge_id)
         self._log("remove_edge", id=edge_id)
 
-    def set_edge_property(self, edge_id: Any, key: str, value: Any) -> None:
-        self._require_edge(edge_id)
-        self._triples.remove(edge_id, _PROPERTY_PREFIX + key)
-        self._triples.add(edge_id, _PROPERTY_PREFIX + key, value)
-        self._log("set_edge_property", id=edge_id, key=key)
-
-    def remove_edge_property(self, edge_id: Any, key: str) -> None:
-        self._require_edge(edge_id)
-        self._triples.remove(edge_id, _PROPERTY_PREFIX + key)
-        self._log("remove_edge_property", id=edge_id, key=key)
-
-    def edge_property(self, edge_id: Any, key: str) -> Any:
-        self._require_edge(edge_id)
-        for triple in self._triples.match(subject=edge_id, predicate=_PROPERTY_PREFIX + key):
-            return triple.object
-        return None
-
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
-        self._require_edge(edge_id)
+        self._require(EDGE, edge_id)
         source = target = None
         for triple in self._triples.match(subject=edge_id, predicate=_SUBJECT):
             source = triple.object
@@ -230,7 +220,7 @@ class TripleEngine(BaseEngine):
         return source, target
 
     def edge_label(self, edge_id: Any) -> str:
-        self._require_edge(edge_id)
+        self._require(EDGE, edge_id)
         for triple in self._triples.match(subject=edge_id, predicate=_PREDICATE):
             return triple.object
         return ""
@@ -333,16 +323,6 @@ class TripleEngine(BaseEngine):
     # Search primitives
     # ------------------------------------------------------------------
 
-    def vertices_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        for triple in self._triples.match(predicate=_PROPERTY_PREFIX + key, object_=value):
-            if triple.subject in self._vertex_ids:
-                yield triple.subject
-
-    def edges_by_property(self, key: str, value: Any) -> Iterator[Any]:
-        for triple in self._triples.match(predicate=_PROPERTY_PREFIX + key, object_=value):
-            if triple.subject in self._edge_ids:
-                yield triple.subject
-
     def edges_by_label(self, label: str) -> Iterator[Any]:
         for triple in self._triples.match(predicate=_PREDICATE, object_=label):
             yield triple.subject
@@ -356,9 +336,8 @@ class TripleEngine(BaseEngine):
     # Internals & space accounting
     # ------------------------------------------------------------------
 
-    def _require_edge(self, edge_id: Any) -> None:
-        if edge_id not in self._edge_ids:
-            raise ElementNotFoundError("edge", edge_id)
+    # No user-controlled attribute indexes (the original system has none).
+    create_vertex_index = GraphDatabase.create_vertex_index
 
     def space_breakdown(self) -> dict[str, int]:
         return {

@@ -50,6 +50,26 @@ def pass_table(one_way: Mapping[Direction, _T]) -> dict[Direction, tuple[_T, ...
     return {Direction.OUT: (out,), Direction.IN: (in_,), Direction.BOTH: (out, in_)}
 
 
+@dataclass(frozen=True, eq=False)
+class ElementKind:
+    """One of the two element kinds, with the names that differ between them.
+
+    Both kinds carry properties, so every property primitive is one body
+    taking a kind (:data:`VERTEX` or :data:`EDGE`); the names it needs are
+    read from here, never built.  Kinds compare and hash by identity.
+    """
+
+    #: The kind an :class:`~repro.exceptions.ElementNotFoundError` reports.
+    name: str
+    #: WAL operations of a property write and a property removal.
+    set_op: str
+    remove_op: str
+
+
+VERTEX = ElementKind("vertex", "set_vertex_property", "remove_vertex_property")
+EDGE = ElementKind("edge", "set_edge_property", "remove_edge_property")
+
+
 #: Sentinel meaning "no value constraint" in :meth:`Vertex.has`.
 _ANY_VALUE = object()
 

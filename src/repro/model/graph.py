@@ -37,7 +37,19 @@ override:
   downstream steps (``except``/``store`` interplay in BFS loops) observe the
   same sequence as the per-id path.
 
-``docs/ARCHITECTURE.md`` is the durable home of this contract;
+Element kinds
+-------------
+
+Vertices and edges both carry properties, so each property primitive is
+one operation over two element kinds.  The public vertex/edge twins
+(``set_vertex_property`` / ``set_edge_property`` and so on) are defined
+here once, as one-line entry points that pass
+:data:`~repro.model.elements.VERTEX` or :data:`~repro.model.elements.EDGE`
+to one kind-level method (``_set_property``, ``_exists``, ...), which every
+engine writes once.  Keys in :data:`RESERVED_KEYS` name engine metadata
+and are refused before anything is booked.
+
+``docs/ARCHITECTURE.md`` is the durable home of these contracts;
 ``docs/ENGINES.md`` records which engine overrides what and each
 substrate's charging rules.
 """
@@ -47,12 +59,27 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.exceptions import ElementNotFoundError
-from repro.model.elements import Direction, Edge, Vertex, pass_table
+from repro.exceptions import ElementNotFoundError, SchemaError
+from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
 
 #: Per pass: (the per-id primitive listing the pass's edges, the index of
 #: the far endpoint in an :meth:`GraphDatabase.edge_endpoints` pair).
 _PER_ID_PASSES = pass_table({Direction.OUT: ("out_edges", 1), Direction.IN: ("in_edges", 0)})
+
+#: Property keys that name engine metadata (document system fields, the
+#: columnar label cell, the relational row id).  No element may carry one
+#: as a user property: every engine and session rejects them, before any
+#: charge, at the property-write entry points and in ``add_vertex`` /
+#: ``add_edge`` (:func:`check_property_keys`).
+RESERVED_KEYS = frozenset({"_key", "_label", "_from", "_to", "id"})
+
+
+def check_property_keys(keys: Iterable[str] | None) -> None:
+    """Raise :class:`SchemaError` if any of ``keys`` is reserved."""
+    if keys and not RESERVED_KEYS.isdisjoint(keys):
+        key = min(RESERVED_KEYS.intersection(keys))
+        raise SchemaError(f"property key {key!r} is reserved for engine metadata")
+
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.concurrency.sessions import Session, SessionManager
@@ -92,29 +119,31 @@ class GraphDatabase(abc.ABC):
     def vertex(self, vertex_id: Any) -> Vertex:
         """Return the vertex with ``vertex_id`` (Q14); raise if absent."""
 
-    @abc.abstractmethod
     def vertex_exists(self, vertex_id: Any) -> bool:
         """True if ``vertex_id`` refers to a live vertex."""
+        return self._exists(VERTEX, vertex_id)
 
-    @abc.abstractmethod
     def vertex_ids(self) -> Iterator[Any]:
         """Iterate over every vertex id (a full node scan)."""
+        return self._ids(VERTEX)
 
     @abc.abstractmethod
     def remove_vertex(self, vertex_id: Any) -> None:
         """Delete a vertex, its properties, and its incident edges (Q18)."""
 
-    @abc.abstractmethod
     def set_vertex_property(self, vertex_id: Any, key: str, value: Any) -> None:
         """Create or update one vertex property (Q5 / Q16)."""
+        if key in RESERVED_KEYS:
+            check_property_keys((key,))
+        return self._set_property(VERTEX, vertex_id, key, value)
 
-    @abc.abstractmethod
     def remove_vertex_property(self, vertex_id: Any, key: str) -> None:
         """Remove one vertex property (Q20)."""
+        return self._remove_property(VERTEX, vertex_id, key)
 
-    @abc.abstractmethod
     def vertex_property(self, vertex_id: Any, key: str) -> Any:
         """Return the value of one vertex property (None if absent)."""
+        return self._property(VERTEX, vertex_id, key)
 
     # ------------------------------------------------------------------
     # Edge CRUD (abstract primitives)
@@ -134,29 +163,31 @@ class GraphDatabase(abc.ABC):
     def edge(self, edge_id: Any) -> Edge:
         """Return the edge with ``edge_id`` (Q15); raise if absent."""
 
-    @abc.abstractmethod
     def edge_exists(self, edge_id: Any) -> bool:
         """True if ``edge_id`` refers to a live edge."""
+        return self._exists(EDGE, edge_id)
 
-    @abc.abstractmethod
     def edge_ids(self) -> Iterator[Any]:
         """Iterate over every edge id (a full edge scan)."""
+        return self._ids(EDGE)
 
     @abc.abstractmethod
     def remove_edge(self, edge_id: Any) -> None:
         """Delete an edge and its properties (Q19)."""
 
-    @abc.abstractmethod
     def set_edge_property(self, edge_id: Any, key: str, value: Any) -> None:
         """Create or update one edge property (Q6 / Q17)."""
+        if key in RESERVED_KEYS:
+            check_property_keys((key,))
+        return self._set_property(EDGE, edge_id, key, value)
 
-    @abc.abstractmethod
     def remove_edge_property(self, edge_id: Any, key: str) -> None:
         """Remove one edge property (Q21)."""
+        return self._remove_property(EDGE, edge_id, key)
 
-    @abc.abstractmethod
     def edge_property(self, edge_id: Any, key: str) -> Any:
         """Return the value of one edge property (None if absent)."""
+        return self._property(EDGE, edge_id, key)
 
     @abc.abstractmethod
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
@@ -192,13 +223,13 @@ class GraphDatabase(abc.ABC):
     # Search primitives (abstract)
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
     def vertices_by_property(self, key: str, value: Any) -> Iterator[Any]:
         """Iterate over ids of vertices where property ``key`` equals ``value`` (Q11)."""
+        return self._by_property(VERTEX, key, value)
 
-    @abc.abstractmethod
     def edges_by_property(self, key: str, value: Any) -> Iterator[Any]:
         """Iterate over ids of edges where property ``key`` equals ``value`` (Q12)."""
+        return self._by_property(EDGE, key, value)
 
     @abc.abstractmethod
     def edges_by_label(self, label: str) -> Iterator[Any]:
@@ -269,8 +300,13 @@ class GraphDatabase(abc.ABC):
 
     def _require_vertex(self, vertex_id: Any) -> None:
         """Raise unless ``vertex_id`` is live; books what ``vertex_exists`` books."""
-        if not self.vertex_exists(vertex_id):
+        if not self._exists(VERTEX, vertex_id):
             raise ElementNotFoundError("vertex", vertex_id)
+
+    def _require(self, kind: ElementKind, element_id: Any) -> None:
+        """Raise unless ``element_id`` is a live element of ``kind``."""
+        if not self._exists(kind, element_id):
+            raise ElementNotFoundError(kind.name, element_id)
 
     # ------------------------------------------------------------------
     # Bulk structural primitives (frontier-at-a-time; see module docstring)
@@ -357,12 +393,45 @@ class GraphDatabase(abc.ABC):
             yield self.edge(edge_id)
 
     def vertex_properties(self, vertex_id: Any) -> dict[str, Any]:
-        """Return every property of a vertex (default: materialise the vertex)."""
-        return dict(self.vertex(vertex_id).properties)
+        """Return every property of a vertex."""
+        return self._properties(VERTEX, vertex_id)
 
     def edge_properties(self, edge_id: Any) -> dict[str, Any]:
-        """Return every property of an edge (default: materialise the edge)."""
-        return dict(self.edge(edge_id).properties)
+        """Return every property of an edge."""
+        return self._properties(EDGE, edge_id)
+
+    # ------------------------------------------------------------------
+    # Kind-level property primitives (see module docstring)
+    # ------------------------------------------------------------------
+
+    @abc.abstractmethod
+    def _exists(self, kind: ElementKind, element_id: Any) -> bool:
+        """True if ``element_id`` is a live element of ``kind``."""
+
+    @abc.abstractmethod
+    def _ids(self, kind: ElementKind) -> Iterator[Any]:
+        """Iterate over every id of ``kind`` (a full scan)."""
+
+    @abc.abstractmethod
+    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+        """Create or update one property of an element of ``kind``."""
+
+    @abc.abstractmethod
+    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+        """Remove one property of an element of ``kind``."""
+
+    @abc.abstractmethod
+    def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
+        """The value of one property of an element of ``kind`` (None if absent)."""
+
+    @abc.abstractmethod
+    def _by_property(self, kind: ElementKind, key: str, value: Any) -> Iterator[Any]:
+        """Iterate over ids of ``kind`` whose property ``key`` equals ``value``."""
+
+    def _properties(self, kind: ElementKind, element_id: Any) -> dict[str, Any]:
+        """Every property of an element of ``kind`` (default: materialise it)."""
+        element = self.vertex(element_id) if kind is VERTEX else self.edge(element_id)
+        return dict(element.properties)
 
     # ------------------------------------------------------------------
     # Bulk extraction (partitioning layer)

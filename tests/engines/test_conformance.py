@@ -7,10 +7,17 @@ of the paper's requirement that all systems answer exactly the same queries.
 
 from __future__ import annotations
 
+import inspect
+from pathlib import Path
+
 import pytest
 
-from repro.exceptions import ElementNotFoundError
+import repro.engines
+from repro.concurrency.versioning import SnapshotView, VersionedGraph
+from repro.engines import ALL_ENGINES, create_engine
+from repro.exceptions import ElementNotFoundError, SchemaError
 from repro.model.elements import Direction
+from repro.model.graph import RESERVED_KEYS, GraphDatabase
 
 
 class TestVertexCrud:
@@ -187,6 +194,83 @@ class TestIdSpaces:
         self._assert_rejected(any_engine, _EDGE_METHODS, vertices[-1])
         # The endpoints the rejected calls named are still there.
         assert any_engine.edge_endpoints(edge) == (vertices[0], vertices[1])
+
+
+#: The writes that name a property key, as (operation, kind) cases over a
+#: vertex ``a``, an edge ``e`` from ``a`` to ``b``, and a reserved ``key``.
+_KEYED_WRITES = {
+    ("add", "vertex"): lambda graph, a, b, e, key: graph.add_vertex({key: "x"}),
+    ("add", "edge"): lambda graph, a, b, e, key: graph.add_edge(a, b, "knows", {key: "x"}),
+    ("set", "vertex"): lambda graph, a, b, e, key: graph.set_vertex_property(a, key, "x"),
+    ("set", "edge"): lambda graph, a, b, e, key: graph.set_edge_property(e, key, b),
+}
+
+
+class TestReservedKeys:
+    """A property key naming engine metadata is refused everywhere, before
+    anything is booked: no engine's metadata can be overwritten by a user
+    property (document system fields, the columnar label cell, the
+    relational row id)."""
+
+    @staticmethod
+    def _graph(engine):
+        a = engine.add_vertex({"name": "a"}, label="person")
+        b = engine.add_vertex({"name": "b"}, label="person")
+        return a, b, engine.add_edge(a, b, "knows", {"weight": 1})
+
+    @pytest.mark.parametrize("key", sorted(RESERVED_KEYS))
+    @pytest.mark.parametrize("case", sorted(_KEYED_WRITES), ids="-".join)
+    def test_reserved_key_is_refused_before_any_charge(self, any_engine, case, key):
+        a, b, e = self._graph(any_engine)
+        before = (any_engine.combined_metrics().snapshot(), len(any_engine.wal))
+        with pytest.raises(SchemaError):
+            _KEYED_WRITES[case](any_engine, a, b, e, key)
+        assert (any_engine.combined_metrics().snapshot(), len(any_engine.wal)) == before
+        assert (any_engine.vertex_count(), any_engine.edge_count()) == (2, 1)
+        assert any_engine.vertex(a).label == "person"
+        assert any_engine.edge_endpoints(e) == (a, b)
+        assert list(any_engine.in_edges(b)) == [e]
+        assert sorted(map(repr, any_engine.vertices_by_property("name", "a"))) == [repr(a)]
+
+    @pytest.mark.parametrize("engine_id", ALL_ENGINES)
+    def test_sessions_refuse_reserved_keys_before_buffering(self, engine_id):
+        engine = create_engine(engine_id)
+        a, b, e = self._graph(engine)
+        session = engine.begin_session()
+        for case, write in _KEYED_WRITES.items():
+            for key in RESERVED_KEYS:
+                with pytest.raises(SchemaError):
+                    write(session.graph, a, b, e, key)
+        assert not session.write_set.ops
+        session.commit()
+        assert engine.vertex_properties(a) == {"name": "a"}
+
+
+#: The vertex/edge twins of the property primitives: public names defined
+#: once on GraphDatabase, each dispatching to one kind-level body.
+_TWINS = frozenset({
+    "set_vertex_property", "remove_vertex_property", "vertex_property", "vertex_exists",
+    "vertex_ids", "vertices_by_property", "vertex_properties",
+    "set_edge_property", "remove_edge_property", "edge_property", "edge_exists",
+    "edge_ids", "edges_by_property", "edge_properties",
+})
+
+
+class TestOneElementKind:
+    def test_no_engine_or_overlay_defines_a_public_twin(self):
+        classes = {type(create_engine(identifier)) for identifier in ALL_ENGINES}
+        for cls in classes | {VersionedGraph, SnapshotView}:
+            for klass in cls.__mro__[: cls.__mro__.index(GraphDatabase)]:
+                assert not _TWINS & set(vars(klass)), klass
+
+    def test_the_attribute_index_rule_lives_in_the_base_engine_only(self):
+        package = Path(inspect.getfile(repro.engines)).parent
+        for module in sorted(package.glob("*.py")):
+            if module.name != "base.py":
+                text = module.read_text()
+                assert "HashIndex(" not in text and "_vertex_indexes" not in text, module.name
+        for module in Path(inspect.getfile(repro)).parent.rglob("*.py"):
+            assert "indexed_vertex_properties" not in module.read_text(), module
 
 
 class TestTraversalPrimitives:

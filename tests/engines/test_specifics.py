@@ -303,3 +303,19 @@ class TestAttributeIndexes:
         engine.set_vertex_property(vertex_id, "name", "late")
         assert list(engine.vertices_by_property("name", "late")) == [vertex_id]
         assert list(engine.vertices_by_property("name", "early")) == []
+
+    @pytest.mark.parametrize(
+        "engine_id",
+        [e for e in available_engines() if e not in ("triplegraph-2.1", "custom-9")],
+    )
+    def test_removed_vertex_leaves_no_index_entry(self, engine_id):
+        # Native engines reuse the freed id: a stale entry would name the
+        # new vertex, whose name is not the one looked up.
+        engine = create_engine(engine_id)
+        engine.create_vertex_index("name")
+        gone = engine.add_vertex({"name": "a"})
+        engine.remove_vertex(gone)
+        kept = engine.add_vertex({"name": "c"})
+        for graph in (engine, engine.begin_session().graph):
+            assert list(graph.vertices_by_property("name", "a")) == []
+            assert list(graph.vertices_by_property("name", "c")) == [kept]
