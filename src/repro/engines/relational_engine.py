@@ -29,6 +29,7 @@ from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError, SchemaError
 from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
 from repro.model.graph import check_property_keys
+from repro.storage.btree import BPlusTree
 from repro.storage.relational import Column, RelationalDatabase, Table, index_key
 
 _VERTEX_PREFIX = "V_"
@@ -43,6 +44,9 @@ _EDGE_SYSTEM_COLUMNS = ("id", "source", "target", "source_table", "target_table"
 _ENDPOINT_COLUMNS = ("source", "target")
 #: Per pass: (endpoint column probed, column holding the far endpoint).
 _PASSES = pass_table({Direction.OUT: ("source", "target"), Direction.IN: ("target", "source")})
+#: A prepared probe plan: per endpoint column, the ``(endpoint index, edge
+#: table, table name)`` of every edge table an expansion probes.
+_ProbePlan = dict[str, list[tuple[BPlusTree, Table, str]]]
 
 
 class RelationalEngine(BaseEngine):
@@ -75,10 +79,9 @@ class RelationalEngine(BaseEngine):
             VERTEX: (_VERTEX_PREFIX, self._vertex_row),
             EDGE: (_EDGE_PREFIX, self._edge_row),
         }
-        #: Prepared probe plans: per label (``None``: every label) the
-        #: ``(edge table, its name)`` rows an expansion probes, resolved from
-        #: the catalog at ``_plans_version`` and dropped when it moves.
-        self._plans: dict[str | None, list[tuple[Table, str]]] = {}
+        #: Prepared probe plans per label (``None``: every label), resolved
+        #: from the catalog at ``_plans_version`` and dropped when it moves.
+        self._plans: dict[str | None, _ProbePlan] = {}
         self._plans_version = -1
 
     # ------------------------------------------------------------------
@@ -122,14 +125,14 @@ class RelationalEngine(BaseEngine):
                 f"label {label!r} exceeds the {_MAX_LABEL_LENGTH}-character limit"
             )
 
-    def _probe_plan(self, label: str | None) -> list[tuple[Table, str]]:
-        """The edge tables a traversal over ``label`` must probe, prepared.
+    def _probe_plan(self, label: str | None) -> _ProbePlan:
+        """The endpoint indexes a traversal over ``label`` must probe, prepared.
 
-        Resolving names to tables is catalog work the cost model never
-        booked, so it is done once per catalog version, not once per
-        expansion.  What the plan lists is still probed, table by table:
-        without a label that is *every* edge table, the union the paper
-        found to be this architecture's weak spot.
+        Resolving names to tables and tables to their endpoint indexes is
+        catalog work the cost model never booked, so it is done once per
+        catalog version, not once per expansion.  What the plan lists is
+        still probed, index by index: without a label that is *every* edge
+        table, the union the paper found to be this architecture's weak spot.
         """
         version = self._db.catalog_version
         if version != self._plans_version:
@@ -143,8 +146,12 @@ class RelationalEngine(BaseEngine):
                 names = (_EDGE_PREFIX + label,)
             else:
                 names = ()
-            plan = [(self._db.table(name), name) for name in names]
-            if plan:
+            tables = [(self._db.table(name), name) for name in names]
+            plan = {
+                column: [(table.secondary_index(column), table, name) for table, name in tables]
+                for column in _ENDPOINT_COLUMNS
+            }
+            if tables:
                 # A label without a table is not remembered: the plans stay
                 # O(edge tables) whatever labels callers ask for.
                 self._plans[label] = plan
@@ -224,7 +231,8 @@ class RelationalEngine(BaseEngine):
         # Cascade: delete incident edges from every edge table, found through
         # the endpoint foreign-key indexes.
         key = index_key(str(vertex_id))
-        for edge_table, _name in self._probe_plan(None):
+        # Each edge table once: every table is listed under each column.
+        for _index, edge_table, _name in self._probe_plan(None)[_ENDPOINT_COLUMNS[0]]:
             edge_table.delete_referencing(_ENDPOINT_COLUMNS, key)
         table.delete(row_id)
         self._log("remove_vertex", id=vertex_id)
@@ -372,31 +380,30 @@ class RelationalEngine(BaseEngine):
     ) -> Iterator[tuple[Any, Any]]:
         """Walk a frontier through the endpoint foreign-key indexes.
 
-        The edge tables to probe come from the prepared plan; each vertex
-        renders its probe key once and descends every listed table's
-        endpoint index in a flat loop.  Far endpoints are read off the
-        probed row itself, with the primary-key probe and record read the
-        per-id ``edge_endpoints`` call performs charged via
+        The endpoint indexes to probe come from the prepared plan; each
+        vertex renders its probe key once and descends every listed index
+        in a flat loop, one frame per booked descent.  Far endpoints are
+        read off the probed row, with the primary-key probe and record read
+        the per-id ``edge_endpoints`` call performs charged via
         :meth:`~repro.storage.relational.Table.recharge_get` — identical
         logical I/O, no second fetch.
         """
         plan = self._probe_plan(label)
-        passes = _PASSES[direction]
+        passes = [(plan[endpoint], opposite) for endpoint, opposite in _PASSES[direction]]
         metrics = self.metrics
         for vertex_id in vertex_ids:
             key = index_key(str(vertex_id))
-            for endpoint_column, opposite_column in passes:
+            for probes, opposite_column in passes:
                 self._require_vertex(vertex_id)
-                for table, table_name in plan:
-                    for row in table.index_probe(endpoint_column, key):
-                        # The probe booked its descent; the row is booked
+                for index, table, table_name in probes:
+                    for row_id in index.search(key):
+                        # The search booked its descent; the row is booked
                         # here, as it is handed on (lazily, like the stream).
                         metrics.records_read += 1
                         if endpoints:
-                            table.recharge_get(row["id"])
-                            yield vertex_id, row[opposite_column]
+                            yield vertex_id, table.recharge_get(row_id)[opposite_column]
                         else:
-                            yield vertex_id, f"{table_name}:{row['id']}"
+                            yield vertex_id, f"{table_name}:{row_id}"
 
     def degree_at_least(
         self, vertex_id: Any, k: int, direction: Direction = Direction.BOTH
@@ -414,8 +421,8 @@ class RelationalEngine(BaseEngine):
         plan = self._probe_plan(None)
         count = 0
         for endpoint_column, _opposite_column in _PASSES[direction]:
-            for table, _table_name in plan:
-                count += len(table.index_probe(endpoint_column, key))
+            for index, _table, _table_name in plan[endpoint_column]:
+                count += len(index.search(key))
                 if count >= k:
                     return True
         return False

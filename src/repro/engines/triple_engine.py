@@ -212,11 +212,7 @@ class TripleEngine(BaseEngine):
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
         self._require(EDGE, edge_id)
-        source = target = None
-        for triple in self._triples.match(subject=edge_id, predicate=_SUBJECT):
-            source = triple.object
-        for triple in self._triples.match(subject=edge_id, predicate=_OBJECT):
-            target = triple.object
+        source, target = self._triples.endpoint_objects(edge_id, _ENDPOINT_PREDICATES)
         return source, target
 
     def edge_label(self, edge_id: Any) -> str:

@@ -67,11 +67,13 @@ from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Ver
 _PER_ID_PASSES = pass_table({Direction.OUT: ("out_edges", 1), Direction.IN: ("in_edges", 0)})
 
 #: Property keys that name engine metadata (document system fields, the
-#: columnar label cell, the relational row id).  No element may carry one
-#: as a user property: every engine and session rejects them, before any
-#: charge, at the property-write entry points and in ``add_vertex`` /
-#: ``add_edge`` (:func:`check_property_keys`).
-RESERVED_KEYS = frozenset({"_key", "_label", "_from", "_to", "id"})
+#: columnar label cell, the relational row id and edge-table endpoint
+#: columns).  No element may carry one as a user property: every engine
+#: and session rejects them, before any charge, at the property-write entry
+#: points and in ``add_vertex`` / ``add_edge`` (:func:`check_property_keys`).
+RESERVED_KEYS = frozenset(
+    {"_key", "_label", "_from", "_to", "id", "source", "target", "source_table", "target_table"}
+)
 
 
 def check_property_keys(keys: Iterable[str] | None) -> None:

@@ -11,21 +11,50 @@ also rely on tree-shaped indexes.  This module implements a textbook B+Tree:
   one more, every structural change charges index updates — so tree height
   shows up in the benchmark numbers.
 
-Keys may be any totally ordered Python values of a consistent type (the
-prefix scans need tuples of strings).  Each key maps to a list of values
-(duplicates allowed), which matches the way the engines use indexes (e.g.
-property value -> element ids).
+Keys may be any totally ordered Python values of a consistent type.  Each
+key maps to a list of values (duplicates allowed), which matches the way the
+engines use indexes (e.g. property value -> element ids).
+
+Composite keys are *flat*: :func:`flat_key` joins their string components
+with a NUL into one ``str``, so a bisect step is one string compare instead
+of a tuple compare that dereferences each component.  No component may hold
+a NUL, which makes the flat order the tuple order: the first differing
+component decides, and a component that is a proper prefix of another sorts
+first because NUL is the smallest code point.  Every sort, split, height,
+leaf layout and bisect position — hence every booked probe and update — is
+the one the tuple keys gave.  A *prefix* is the key of its leading
+components followed by one empty component, so it ends in the separator;
+the prefix scans take nothing else.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.exceptions import StorageError
 from repro.storage.metrics import StorageMetrics
 
 _DEFAULT_ORDER = 64
+#: Joins the components of a flat key; no component may contain it.
+_SEPARATOR = "\x00"
+#: ``_SEPARATOR``'s successor: a prefix with its final separator raised to
+#: this bounds the run of keys that start with the prefix.
+_AFTER_SEPARATOR = "\x01"
+
+
+def flat_key(*components: str) -> str:
+    """The one key encoding: ``components`` joined by NUL.
+
+    ``flat_key(a, b, "")`` is the prefix of every key whose first two
+    components are ``a`` and ``b``.  A component holding the separator
+    (a custom ``__repr__``, say) would break the order isomorphism, so it
+    is refused with :class:`StorageError` before the key reaches a tree.
+    """
+    key = _SEPARATOR.join(components)
+    if key.count(_SEPARATOR) != len(components) - 1:
+        raise StorageError(f"a key component contains NUL: {components!r}")
+    return key
 
 
 class _LeafNode:
@@ -278,38 +307,52 @@ class BPlusTree:
             leaf = leaf.next_leaf
             index = 0
 
-    def scan_prefix(self, prefix: tuple[str, ...]) -> list[Any]:
-        """Return the values of every key that starts with ``prefix``, in key order.
+    def scan_prefixes(self, prefixes: Iterable[str]) -> list[list[Any]]:
+        """Per flat prefix, the values of every key that starts with it, in key order.
 
-        Keys must be tuples of strings: the run is then the key interval
-        from ``prefix`` up to ``prefix`` with a NUL appended to its last
-        component, so one bisect per leaf finds where it stops.
-
-        The eager form, for consumers that always run to exhaustion: it
-        books at once what consuming ``range(low=prefix)`` up to the first
-        mismatching key books — the descent, one probe per matching key,
-        and one for the key that ends the run (none at the end of the tree).
+        The eager form, for consumers that always run to exhaustion, and
+        one frame for several runs: each prefix (:func:`flat_key` ending in
+        an empty component) gets its own root-to-leaf descent and leaf
+        walk.  The run of a prefix is the key interval from it up to it
+        with its final separator raised to ``"\\x01"``, so one bisect per
+        leaf finds where it stops.  Books at once what consuming
+        ``range(low=prefix)`` up to the first mismatching key books, summed
+        over the prefixes — per prefix the descent, one probe per matching
+        key, and one for the key that ends the run (none at the end of the
+        tree).
         """
-        leaf, start = self._find_leaf(prefix)
-        end = prefix[:-1] + (prefix[-1] + "\x00",)
-        values: list[Any] = []
+        root, height = self._root, self._height
+        runs: list[list[Any]] = []
         probes = 0
-        while leaf is not None:
-            keys = leaf.keys
-            stop = bisect_left(keys, end, start)
-            for bucket in leaf.values[start:stop]:
-                values += bucket
-            probes += stop - start
-            if stop < len(keys):
-                probes += 1
-                break
-            leaf = leaf.next_leaf
-            start = 0
+        for prefix in prefixes:
+            if prefix[-1:] != _SEPARATOR:
+                raise StorageError(f"not a flat prefix: {prefix!r}")
+            end = prefix[:-1] + _AFTER_SEPARATOR
+            node = root
+            while type(node) is _InternalNode:
+                node = node.children[bisect_right(node.keys, prefix)]
+            leaf: _LeafNode | None = node
+            start = bisect_left(node.keys, prefix)
+            probes += height
+            values: list[Any] = []
+            while leaf is not None:
+                keys = leaf.keys
+                stop = bisect_left(keys, end, start)
+                for bucket in leaf.values[start:stop]:
+                    values += bucket
+                probes += stop - start
+                if stop < len(keys):
+                    probes += 1
+                    break
+                leaf = leaf.next_leaf
+                start = 0
+            runs.append(values)
         self.metrics.index_probes += probes
-        return values
+        return runs
 
-    def iter_prefix(self, prefix: tuple[str, ...]) -> Iterator[Any]:
-        """Yield what :meth:`scan_prefix` returns, booking probes as consumed.
+    def iter_prefix(self, prefix: str) -> Iterator[Any]:
+        """Yield the values :meth:`scan_prefixes` finds for ``prefix``, booking
+        probes as consumed.
 
         The lazy form, for streams that may be abandoned: the descent is
         booked at the first item requested and each key when its first
@@ -317,8 +360,10 @@ class BPlusTree:
         (Its own loop, not a generator shared with the eager form: that
         costs the eager hot path a generator per scan.)
         """
+        if prefix[-1:] != _SEPARATOR:
+            raise StorageError(f"not a flat prefix: {prefix!r}")
         leaf, start = self._find_leaf(prefix)
-        end = prefix[:-1] + (prefix[-1] + "\x00",)
+        end = prefix[:-1] + _AFTER_SEPARATOR
         metrics = self.metrics
         while leaf is not None:
             keys = leaf.keys

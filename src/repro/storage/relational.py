@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.exceptions import ElementNotFoundError, SchemaError, StorageError
-from repro.storage.btree import BPlusTree
+from repro.storage.btree import BPlusTree, flat_key
 from repro.storage.hash_index import HashIndex
 from repro.storage.metrics import StorageMetrics
 
@@ -144,13 +144,15 @@ class Table:
         else:
             self._next_id = max(self._next_id, int(row["id"]) + 1)
         row_id = row["id"]
+        # Rendered before anything is booked, so a refused key books nothing.
+        keys = [index_key(row.get(column)) for column in self._secondary]
         if self._primary.contains(row_id) and self._primary.lookup(row_id):
             raise StorageError(f"duplicate primary key {row_id!r} in table {self.name!r}")
         self._rows[row_id] = row
         self._primary.insert(row_id, row_id)
         self.metrics.charge_record_write(1, len(str(row)))
-        for column, index in self._secondary.items():
-            index.insert(index_key(row.get(column)), row_id)
+        for index, key in zip(self._secondary.values(), keys):
+            index.insert(key, row_id)
         return row_id
 
     def get(self, row_id: Any) -> dict[str, Any]:
@@ -175,8 +177,9 @@ class Table:
             if not self.schema.has_column(key):
                 raise SchemaError(f"unknown column {key!r} for table {self.name!r}")
             if key in self._secondary:
+                new_key = index_key(value)
                 self._secondary[key].delete(index_key(row.get(key)), row_id)
-                self._secondary[key].insert(index_key(value), row_id)
+                self._secondary[key].insert(new_key, row_id)
             row[key] = value
         self.metrics.charge_record_write(1, len(str(changes)))
 
@@ -190,7 +193,7 @@ class Table:
             index.delete(index_key(row.get(column)), row_id)
         self.metrics.charge_record_write(1)
 
-    def delete_referencing(self, columns: tuple[str, ...], key: tuple[str, str]) -> int:
+    def delete_referencing(self, columns: tuple[str, ...], key: str) -> int:
         """Foreign-key cascade: delete every row referencing ``key``; return the count.
 
         ``key`` is :func:`index_key` of the referenced value (computed once
@@ -223,7 +226,19 @@ class Table:
             if predicate is None or predicate(row):
                 yield dict(row)
 
-    def index_probe(self, column: str, key: tuple[str, str]) -> list[dict[str, Any]]:
+    def secondary_index(self, column: str) -> BPlusTree:
+        """``column``'s B+Tree index, for a caller that prepares its probes.
+
+        A catalog resolution: it stands as long as the owning catalog's
+        version does (:meth:`create_index` moves it).  Raises if ``column``
+        has no index.
+        """
+        index = self._secondary.get(column)
+        if index is None:
+            raise StorageError(f"no index on {self.name}.{column}")
+        return index
+
+    def index_probe(self, column: str, key: str) -> list[dict[str, Any]]:
         """One booked descent of ``column``'s index: the rows stored under ``key``.
 
         The primitive every equality access path is built on.  ``key`` is
@@ -234,10 +249,7 @@ class Table:
         what it consumed and no more.  The rows are the live heap rows;
         callers must not mutate them.  Raises if ``column`` has no index.
         """
-        index = self._secondary.get(column)
-        if index is None:
-            raise StorageError(f"no index on {self.name}.{column}")
-        row_ids = index.search(key)
+        row_ids = self.secondary_index(column).search(key)
         if not row_ids:
             return row_ids
         rows = self._rows
@@ -249,20 +261,22 @@ class Table:
             self.metrics.charge_record_read(1)
             yield dict(row)
 
-    def recharge_get(self, row_id: Any) -> None:
-        """Charge a primary-key fetch of a row the caller already holds.
+    def recharge_get(self, row_id: Any) -> dict[str, Any]:
+        """Charge a primary-key fetch of ``row_id``; return the live row.
 
-        Bulk traversal paths resolve edge endpoints from the row their
-        index scan just produced; the per-id path would re-fetch the row
+        Bulk traversal paths resolve edge endpoints from the rows their
+        index probe just found; the per-id path would re-fetch the row
         through :meth:`get`, so the identical probe and record read are
-        charged here without walking the hash bucket or copying the row
-        again.  A missing row still books the probe, then raises ``KeyError``.
+        charged here without walking the hash bucket or copying the row.
+        Callers must not mutate the row.  A missing row still books the
+        probe, then raises ``KeyError``.
         """
         metrics = self.metrics
         metrics.index_probes += 1
         row = self._rows[row_id]
         metrics.records_read += 1
         metrics.bytes_read += len(str(row))
+        return row
 
     def select(self, column: str, value: Any) -> Iterator[dict[str, Any]]:
         """Equality selection using the best available access path."""
@@ -280,9 +294,13 @@ class Table:
         return self.seq_scan()
 
 
-def index_key(value: Any) -> tuple[str, str]:
-    """Normalise heterogeneous values into a totally ordered index key."""
-    return (type(value).__name__, repr(value))
+def index_key(value: Any) -> str:
+    """Normalise heterogeneous values into a totally ordered index key.
+
+    The flat key of the value's type name and repr: values of one type
+    group together, ordered by repr.
+    """
+    return flat_key(type(value).__name__, repr(value))
 
 
 class RelationalDatabase:

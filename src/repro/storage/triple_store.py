@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from repro.storage.btree import BPlusTree
+from repro.storage.btree import BPlusTree, flat_key
 from repro.storage.metrics import StorageMetrics
 
 #: Pre-allocated journal size, mirroring BlazeGraph's fixed-size journal
@@ -35,15 +35,15 @@ class Triple:
         return (self.subject, self.predicate, self.object)
 
 
-def _spo_key(triple: Triple) -> tuple[str, str, str]:
-    """The statement's SPO index key; keys are lexicographically ordered reprs."""
-    return (repr(triple.subject), repr(triple.predicate), repr(triple.object))
+def _spo_key(triple: Triple) -> str:
+    """The statement's SPO index key: the flat key of its three reprs."""
+    return flat_key(repr(triple.subject), repr(triple.predicate), repr(triple.object))
 
 
-def _index_keys(triple: Triple) -> tuple[tuple[str, str, str], ...]:
+def _index_keys(triple: Triple) -> tuple[str, str, str]:
     """The statement's keys in the SPO, POS and OSP indexes, in that order."""
-    s, p, o = _spo_key(triple)
-    return (s, p, o), (p, o, s), (o, s, p)
+    s, p, o = repr(triple.subject), repr(triple.predicate), repr(triple.object)
+    return flat_key(s, p, o), flat_key(p, o, s), flat_key(o, s, p)
 
 
 class TripleStore:
@@ -59,6 +59,9 @@ class TripleStore:
         self._bulk_mode = False
         #: Statements awaiting indexing; non-empty only during a bulk load.
         self._bulk_buffer: list[Triple] = []
+        #: Rendered key components of the predicate tuples passed to
+        #: :meth:`endpoint_objects`: a pure function of the vocabulary.
+        self._predicate_keys: dict[tuple[Any, ...], tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         """Number of stored statements."""
@@ -94,11 +97,11 @@ class TripleStore:
     def add(self, subject: Any, predicate: Any, object_: Any) -> Triple:
         """Add a statement; outside bulk mode every add maintains three B+Trees."""
         triple = Triple(subject, predicate, object_)
-        self._count += 1
         if self._bulk_mode:
             self._bulk_buffer.append(triple)
         else:
             self._index(triple)
+        self._count += 1
         return triple
 
     def remove(self, subject: Any, predicate: Any = None, object_: Any = None) -> int:
@@ -141,13 +144,19 @@ class TripleStore:
                 yield triple
         if subject is not None:
             tree = self._spo
-            prefix = (repr(subject),) if predicate is None else (repr(subject), repr(predicate))
+            if predicate is None:
+                prefix = flat_key(repr(subject), "")
+            else:
+                prefix = flat_key(repr(subject), repr(predicate), "")
         elif predicate is not None:
             tree = self._pos
-            prefix = (repr(predicate),) if object_ is None else (repr(predicate), repr(object_))
+            if object_ is None:
+                prefix = flat_key(repr(predicate), "")
+            else:
+                prefix = flat_key(repr(predicate), repr(object_), "")
         elif object_ is not None:
             tree = self._osp
-            prefix = (repr(object_),)
+            prefix = flat_key(repr(object_), "")
         else:
             for _key, triple in self._spo.items():
                 yield triple
@@ -171,24 +180,33 @@ class TripleStore:
             for triple in self.match(*pattern):
                 yield position, triple
 
-    def endpoint_objects(self, subject: Any, predicates: Iterable[Any]) -> list[Any]:
+    def endpoint_objects(self, subject: Any, predicates: tuple[Any, ...]) -> list[Any]:
         """Resolve the object of each ``(subject, predicate)`` pattern flatly.
 
         Engines that reify edges resolve both endpoint statements of an
         edge with two :meth:`match` consumptions run to exhaustion; this
-        performs the identical scans (same descent and leaf probes, last
-        matching object wins) eagerly, one SPO prefix scan per predicate.
-        ``subject`` and every predicate must be bound (not None).
+        performs the identical scans (same descents and leaf probes, last
+        matching object wins) eagerly, one SPO prefix scan per predicate,
+        all through one :meth:`~repro.storage.btree.BPlusTree.scan_prefixes`
+        call.  ``subject`` and every predicate must be bound (not None);
+        the predicates are vocabulary terms, rendered once per tuple.
         """
-        results: list[Any] = []
-        scan_prefix = self._spo.scan_prefix
+        predicate_keys = self._predicate_keys.get(predicates)
+        if predicate_keys is None:
+            predicate_keys = tuple(map(repr, predicates))
+            if all(type(predicate) is str for predicate in predicates):
+                self._predicate_keys[predicates] = predicate_keys
         subject_key = repr(subject)
-        for predicate in predicates:
+        runs = self._spo.scan_prefixes(
+            [flat_key(subject_key, predicate_key, "") for predicate_key in predicate_keys]
+        )
+        results: list[Any] = []
+        for predicate, run in zip(predicates, runs):
             value = None
             for triple in self._bulk_buffer:
                 if triple.subject == subject and triple.predicate == predicate:
                     value = triple.object
-            for triple in scan_prefix((subject_key, repr(predicate))):
+            for triple in run:
                 if triple.subject == subject and triple.predicate == predicate:
                     value = triple.object
             results.append(value)

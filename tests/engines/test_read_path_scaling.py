@@ -3,10 +3,12 @@
 The read-side twin of ``tests/storage/test_write_path_scaling.py``.  An
 unlabelled relational expansion books one index descent per edge table per
 direction (the union over every edge table is the architecture's modelled
-weak spot), so that is what the interpreter may do per table: the probe and
-the descent, two frames.  Resolving the catalog — sorting and filtering
-table names, looking tables and indexes up — books nothing and is therefore
-done once per catalog version, not once per expansion.
+weak spot), so that is what the interpreter may do per table: the descent,
+one frame.  Resolving the catalog — sorting and filtering table names,
+looking tables and indexes up — books nothing and is therefore done once
+per catalog version, not once per expansion.  A triple-store expansion books
+several B+Tree probes per reified edge; its host work per edge is a fixed
+number of frames, with both endpoint descents in one.
 
 Counts are ``sys.setprofile`` call events of the package's own functions,
 compared between runs of the same code: red means per-table bookkeeping
@@ -68,9 +70,9 @@ def _slope(expansion: str, direction: Direction) -> int:
 
 
 @pytest.mark.parametrize("expansion", _EXPANSIONS)
-def test_a_warm_expansion_makes_two_calls_per_booked_descent(expansion):
+def test_a_warm_expansion_makes_one_call_per_booked_descent(expansion):
     out, both = _slope(expansion, Direction.OUT), _slope(expansion, Direction.BOTH)
-    assert 0 < out <= 2
+    assert out == 1
     assert both == 2 * out
 
 
@@ -119,3 +121,32 @@ def test_a_warm_expansion_resolves_no_catalog_and_resumes_no_generator_per_table
         return sum(n for code, n in profile.items() if code.co_flags & inspect.CO_GENERATOR)
 
     assert generator_resumes(profiles[10]) == generator_resumes(profiles[100])
+
+
+def _triple_hub(degree: int):
+    """A triple-store hub with ``degree`` out-edges to fresh vertices."""
+    engine = create_engine("triplegraph-2.1")
+    hub = engine.add_vertex(label="person")
+    for _ in range(degree):
+        engine.add_edge(hub, engine.add_vertex(label="person"), "knows")
+    return engine, hub
+
+
+def test_a_warm_triple_expansion_makes_a_fixed_number_of_calls_per_edge():
+    degrees = (10, 20, 40)
+    profiles = []
+    for degree in degrees:
+        engine, hub = _triple_hub(degree)
+        expand = lambda: list(engine.neighbors_many([hub], Direction.BOTH, None))
+        assert len(expand()) == degree
+        profiles.append(python_call_profile(expand))
+    low, mid, high = (sum(profile.values()) for profile in profiles)
+    per_edge, remainder = divmod(high - mid, degrees[2] - degrees[1])
+    assert remainder == 0 and mid - low == per_edge * (degrees[1] - degrees[0]), (low, mid, high)
+    # Both endpoint statements of an edge resolve in one scan_prefixes
+    # frame with its descents inlined: no _find_leaf frame per edge.
+    def calls(name: str) -> list[int]:
+        return [sum(n for code, n in p.items() if code.co_name == name) for p in profiles]
+
+    assert len(set(calls("_find_leaf"))) == 1
+    assert calls("scan_prefixes") == list(degrees)
