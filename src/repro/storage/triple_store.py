@@ -143,25 +143,16 @@ class TripleStore:
             if self._matches(triple, subject, predicate, object_):
                 yield triple
         if subject is not None:
-            tree = self._spo
-            if predicate is None:
-                prefix = flat_key(repr(subject), "")
-            else:
-                prefix = flat_key(repr(subject), repr(predicate), "")
+            tree, bound = self._spo, (subject,) if predicate is None else (subject, predicate)
         elif predicate is not None:
-            tree = self._pos
-            if object_ is None:
-                prefix = flat_key(repr(predicate), "")
-            else:
-                prefix = flat_key(repr(predicate), repr(object_), "")
+            tree, bound = self._pos, (predicate,) if object_ is None else (predicate, object_)
         elif object_ is not None:
-            tree = self._osp
-            prefix = flat_key(repr(object_), "")
+            tree, bound = self._osp, (object_,)
         else:
             for _key, triple in self._spo.items():
                 yield triple
             return
-        for triple in tree.iter_prefix(prefix):
+        for triple in tree.iter_prefix(flat_key(*map(repr, bound), "")):
             if self._matches(triple, subject, predicate, object_):
                 yield triple
 
