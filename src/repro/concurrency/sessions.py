@@ -18,9 +18,14 @@ Commit protocol (snapshot isolation, first-committer-wins):
    version-maintenance reads are charged to the engine like any other read;
    an uncontended commit skips them entirely, which is what makes a single
    session charge-identical to direct execution.
-3. **Apply** — replay the operation log against the engine in call order.
-   Every applied operation charges the engine's storage structures and
-   appends to the engine's write-ahead log exactly as a direct call would.
+3. **Apply** — check the whole operation log against the engine (every
+   id it names must be live or created earlier in the log; the check books
+   nothing), then replay it in call order through the op codec
+   (:data:`~repro.model.graph.OPS`).  The check runs before capture, so a
+   commit that fails leaves the engine, its WAL and the version store as
+   they were.  Every applied operation charges the engine's storage
+   structures and appends to the engine's write-ahead log exactly as a
+   direct call would.
 4. **Publish** — bump the commit clock and mark every written key.
 
 Group commit (the paper's Section 6.4 effect, made measurable): in SYNC
@@ -39,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.exceptions import (
+    ElementNotFoundError,
     GraphBenchError,
     SerializationFailureError,
     SessionStateError,
@@ -46,7 +52,7 @@ from repro.exceptions import (
     WriteConflictError,
 )
 from repro.model.elements import Direction
-from repro.model.graph import GraphDatabase
+from repro.model.graph import OPS, GraphDatabase, replay
 from repro.storage.wal import DurabilityMode
 from repro.concurrency.versioning import (
     EdgeState,
@@ -60,25 +66,6 @@ from repro.concurrency.versioning import (
     vertex_key,
 )
 
-
-#: How :meth:`SessionManager._apply` replays each buffered operation
-#: ``(name, id, *rest)``.  ``None``: verbatim, ``engine.<name>(resolved id,
-#: *rest)``.  The two creations resolve their endpoints, copy the buffered
-#: properties and return the engine id recorded under the provisional one.
-_REPLAY: dict[str, Any] = {
-    "add_vertex": lambda engine, _resolve, properties, label: engine.add_vertex(
-        dict(properties), label=label
-    ),
-    "add_edge": lambda engine, resolve, source, target, label, properties: engine.add_edge(
-        resolve(source), resolve(target), label, properties=dict(properties)
-    ),
-    "set_vertex_property": None,
-    "remove_vertex_property": None,
-    "set_edge_property": None,
-    "remove_edge_property": None,
-    "remove_vertex": None,
-    "remove_edge": None,
-}
 
 #: Op-log markers for a draft created and removed inside one transaction.
 _DROP_MARKERS = ("drop_provisional_vertex", "drop_provisional_edge")
@@ -535,24 +522,23 @@ class SessionManager:
         removed_edge_states: dict[Any, EdgeState] = {}
         cascade_keys: set[tuple[str, Any]] = set()
         capture_charge = 0
-        if capture:
-            capture_start = self.engine.io_cost()
-            cascade_keys = self._capture_before_images(
-                session, commit_ts, removed_edge_states
-            )
-            capture_charge = self.engine.io_cost() - capture_start
-
-        # 3. Apply the operation log in call order.  Buffering rejects
-        # writes on objects the session (or any overlay commit it can see)
-        # already removed, and the conflict check above covers objects
-        # removed after the snapshot — so a failure here means a blind
-        # write on an id that never went through the overlay (a caller
-        # bug, not a race).  The session is closed consistently either
-        # way, but an interrupted replay cannot be rolled back: the engine
-        # keeps the operations applied before the failure.
         id_map: dict[ProvisionalId, Any] = {}
+        # 3. Check, then apply the operation log in call order.  Buffering
+        # rejects writes on objects the session (or any overlay commit it
+        # can see) already removed, and the conflict check above covers
+        # objects removed after the snapshot — so what the check catches is
+        # a blind write on an id that never went through the overlay (a
+        # caller bug, not a race).  It raises before capture and before the
+        # first op, so the failed commit leaves nothing behind.
         try:
-            applied = self._apply(session, id_map)
+            ops = self._checked_ops(session)
+            if capture:
+                capture_start = self.engine.io_cost()
+                cascade_keys = self._capture_before_images(
+                    session, commit_ts, removed_edge_states
+                )
+                capture_charge = self.engine.io_cost() - capture_start
+            self._apply(ops, id_map)
         except GraphBenchError as exc:
             self._finish(session, "aborted")
             self.stats.explicit_aborts += 1
@@ -579,7 +565,7 @@ class SessionManager:
             self._unflushed_commits += 1
         return CommitResult(
             commit_ts,
-            applied,
+            len(ops),
             id_map=id_map,
             capture_charge=capture_charge,
             invalidation_keys=invalidation_keys,
@@ -819,31 +805,56 @@ class SessionManager:
             keys.add(vertex_key(state.target))
         return tuple(sorted(keys, key=repr))
 
-    def _apply(self, session: Session, id_map: dict[ProvisionalId, Any]) -> int:
-        """Replay the op log against the engine, mapping provisional ids."""
-        engine = self.engine
+    def _checked_ops(self, session: Session) -> list[tuple[str, Any, list[Any]]]:
+        """The op log as ``(name, id, codec arguments)``, checked against
+        the engine before anything is applied.
+
+        A draft dropped before commit never reaches the engine: neither its
+        creation, nor the ops on it, nor the marker itself.  Every id field
+        (:data:`~repro.model.graph.OPS`) must name an element an earlier op
+        created, or one the engine holds that no earlier op removed.  The
+        engine is asked through ``_live``, which books nothing.
+        """
         ops = session.write_set.ops
-        # A draft dropped before commit never reaches the engine: neither
-        # its creation, nor the ops on it, nor the marker itself.
         dropped = {op[1] for op in ops if op[0] in _DROP_MARKERS}
+        live = self.engine._live
+        created: set[Any] = set()
+        removed: set[tuple[Any, Any]] = set()
+        checked = []
+        for name, obj_id, *rest in ops:
+            if obj_id in dropped:
+                continue
+            op = OPS.get(name)
+            if op is None:
+                raise TransactionError(f"unknown buffered operation {name!r}")
+            # A creation's log entry leads with its provisional id.
+            arguments = rest if op.creates else [obj_id, *rest]
+            for position, kind in op.ids:
+                element = arguments[position]
+                if element not in created and (
+                    (kind, element) in removed or not live(kind, element)
+                ):
+                    raise ElementNotFoundError(kind.name, element)
+            if op.creates:
+                created.add(obj_id)
+            elif op.removes:
+                removed.add((op.removes, obj_id))
+            checked.append((name, obj_id, arguments))
+        return checked
+
+    def _apply(
+        self, ops: list[tuple[str, Any, list[Any]]], id_map: dict[ProvisionalId, Any]
+    ) -> None:
+        """Replay checked ops against the engine, mapping provisional ids."""
+        engine = self.engine
 
         def resolve(obj_id: Any) -> Any:
             return id_map.get(obj_id, obj_id)
 
-        applied = 0
-        for name, obj_id, *rest in ops:
-            if obj_id in dropped:
-                continue
-            try:
-                create = _REPLAY[name]
-            except KeyError:
-                raise TransactionError(f"unknown buffered operation {name!r}") from None
-            if create is None:
-                getattr(engine, name)(resolve(obj_id), *rest)
-            else:
-                id_map[obj_id] = create(engine, resolve, *rest)
-            applied += 1
-        return applied
+        for name, obj_id, arguments in ops:
+            result = replay(engine, name, arguments, resolve)
+            if OPS[name].creates:
+                id_map[obj_id] = result
 
     def _publish(
         self,

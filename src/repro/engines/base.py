@@ -50,8 +50,21 @@ delete+insert on set, delete on remove-property, the lookup in
 ``vertices_by_property``, the build by scan, and the bytes reported in
 ``space_breakdown``.  An engine supplies only its build scan
 (``_index_scan``), its unindexed search (``_property_scan``) and its
-previous-value read.  Bitmap and relational engines keep their own index
-structures.
+previous-value read (``_previous_values``).  Bitmap and relational
+engines keep their own index structures.
+
+One write protocol
+------------------
+
+Every write is defined here once: the four structural ones and the two
+kind-level property ones.  Each books the round trip, checks, calls the
+engine's substrate hook and writes the one WAL record naming the element;
+every check raises before the schema, the WAL or the substrate moves (the
+steps are listed in ``docs/ARCHITECTURE.md``).  Engines supply the hooks:
+``_insert_vertex`` / ``_insert_edge`` (returning the new id),
+``_delete_vertex`` / ``_delete_edge``, ``_put_property`` /
+``_drop_property``, the cascade ``_remove_incident`` and the
+previous-value read ``_previous_values``.
 
 Per-substrate charging rules (what counts as one logical read for a record
 chain vs a document blob vs a B+Tree scan) are catalogued per engine in
@@ -64,8 +77,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.config import EngineConfig
-from repro.model.elements import VERTEX, ElementKind
-from repro.model.graph import GraphDatabase
+from repro.model.elements import EDGE, VERTEX, Direction, ElementKind
+from repro.model.graph import OPS, GraphDatabase, check_property_keys
 from repro.model.schema import GraphSchema
 from repro.storage.hash_index import HashIndex
 from repro.storage.metrics import MetricsRegistry, StorageMetrics
@@ -102,7 +115,7 @@ class EngineInfo:
 
 #: WAL operations that change the graph's shape (and therefore invalidate
 #: any interval-labelled structural index built over it).
-_STRUCTURAL_OPS = frozenset({"add_vertex", "remove_vertex", "add_edge", "remove_edge"})
+_STRUCTURAL_OPS = frozenset(name for name, op in OPS.items() if op.creates or op.removes)
 
 
 class BaseEngine(GraphDatabase):
@@ -143,14 +156,83 @@ class BaseEngine(GraphDatabase):
         self._structure_version = 0
 
     # ------------------------------------------------------------------
+    # CUD: the one write protocol (see module docstring)
+    # ------------------------------------------------------------------
+
+    def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
+        properties = properties or {}
+        check_property_keys(properties)
+        self._round_trip()
+        self.schema.observe_vertex(label, set(properties))
+        vertex_id = self._insert_vertex(properties, label)
+        self._index_insert(vertex_id, properties)
+        self._log("add_vertex", id=vertex_id)
+        return vertex_id
+
+    def add_edge(
+        self, source_id: Any, target_id: Any, label: str, properties: dict[str, Any] | None = None
+    ) -> Any:
+        properties = properties or {}
+        check_property_keys(properties)
+        self._round_trip()
+        self._require(VERTEX, source_id)
+        self._require(VERTEX, target_id)
+        self.schema.observe_edge(label, set(properties))
+        edge_id = self._insert_edge(source_id, target_id, label, properties)
+        self._log("add_edge", id=edge_id)
+        return edge_id
+
+    def remove_vertex(self, vertex_id: Any) -> None:
+        self._round_trip()
+        self._require(VERTEX, vertex_id)
+        self._remove_incident(vertex_id)
+        self._index_delete(vertex_id, self._previous_values(vertex_id))
+        self._delete_vertex(vertex_id)
+        self._log("remove_vertex", id=vertex_id)
+
+    def remove_edge(self, edge_id: Any) -> None:
+        self._round_trip()
+        self._require(EDGE, edge_id)
+        self._delete_edge(edge_id)
+        self._log("remove_edge", id=edge_id)
+
+    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+        self._round_trip()
+        self._put_property(kind, element_id, key, value)
+        self._log(kind.set_op, id=element_id, key=key)
+
+    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+        self._round_trip()
+        self._drop_property(kind, element_id, key)
+        self._log(kind.remove_op, id=element_id, key=key)
+
+    # The substrate hooks each engine writes: ``_insert_vertex(properties,
+    # label)`` and ``_insert_edge(source, target, label, properties)`` store
+    # an element and return its id; ``_delete_vertex`` / ``_delete_edge``
+    # drop a live one (a vertex once its edges are gone); ``_put_property`` /
+    # ``_drop_property`` check an element and write or remove one property,
+    # attribute-index upkeep included.
+
+    def _remove_incident(self, vertex_id: Any) -> None:
+        """The cascade: each incident edge through the public ``remove_edge``."""
+        for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
+            if self._exists(EDGE, edge_id):
+                self.remove_edge(edge_id)
+
+    def _previous_values(self, vertex_id: Any) -> Callable[[str], Any]:
+        """The previous-value read ``_index_delete`` makes per indexed key
+        while the vertex is still stored."""
+        return lambda key: self._property(VERTEX, vertex_id, key)
+
+    # ------------------------------------------------------------------
     # Bookkeeping helpers used by subclasses
     # ------------------------------------------------------------------
 
     def _log(self, operation: str, **payload: Any) -> None:
         """Record a write operation in the WAL (durability cost model).
 
-        Every engine funnels its mutations through here, which makes it the
-        single invalidation hook for the structural indexes: operations
+        The write protocol funnels every mutation through here, which makes
+        it the single invalidation hook for the structural indexes: operations
         that change the graph's *shape* bump the structure version
         (property writes do not — interval labels only encode structure).
         """

@@ -26,7 +26,6 @@ from repro import kernels
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
-from repro.model.graph import check_property_keys
 from repro.storage.bitmap import Bitmap, BitmapIndex
 
 #: Minimum population count before a numpy decode pays for itself: the
@@ -129,10 +128,7 @@ class BitmapEngine(BaseEngine):
     # Vertex CRUD
     # ------------------------------------------------------------------
 
-    def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
-        properties = properties or {}
-        check_property_keys(properties)
-        self.schema.observe_vertex(label, set(properties))
+    def _insert_vertex(self, properties: dict[str, Any], label: str | None) -> Any:
         vertex_id = self._new_oid("v")
         self._vertex_bitmap.set(vertex_id)
         if label is not None:
@@ -141,22 +137,17 @@ class BitmapEngine(BaseEngine):
             self._attribute_index(key).set_value(vertex_id, value)
         self._out_incidence[vertex_id] = Bitmap()
         self._in_incidence[vertex_id] = Bitmap()
-        self._log("add_vertex", id=vertex_id)
         return vertex_id
 
     def vertex(self, vertex_id: Any) -> Vertex:
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         return Vertex(
             id=vertex_id,
             label=self._labels.value_of(vertex_id),
             properties=self._collect_properties(vertex_id),
         )
 
-    def remove_vertex(self, vertex_id: Any) -> None:
-        self._require_vertex(vertex_id)
-        for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
-            if self._edge_bitmap.get(edge_id):
-                self.remove_edge(edge_id)
+    def _delete_vertex(self, vertex_id: Any) -> None:
         for index in self._attributes.values():
             index.remove_object(vertex_id)
         self._labels.remove_object(vertex_id)
@@ -164,7 +155,6 @@ class BitmapEngine(BaseEngine):
         self._vertex_bitmap.clear(vertex_id)
         self._out_incidence.pop(vertex_id, None)
         self._in_incidence.pop(vertex_id, None)
-        self._log("remove_vertex", id=vertex_id)
 
     # ------------------------------------------------------------------
     # Properties: one body per primitive for both kinds (vertices and
@@ -178,16 +168,14 @@ class BitmapEngine(BaseEngine):
         self.metrics.charge_index_probe()
         yield from self._objects[kind]
 
-    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+    def _put_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
         self._require(kind, element_id)
         self._attribute_index(key).set_value(element_id, value)
-        self._log(kind.set_op, id=element_id, key=key)
 
-    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+    def _drop_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
         self._require(kind, element_id)
         if key in self._attributes:
             self._attributes[key].remove_object(element_id)
-        self._log(kind.remove_op, id=element_id, key=key)
 
     def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
         self._require(kind, element_id)
@@ -207,18 +195,9 @@ class BitmapEngine(BaseEngine):
     # Edge CRUD
     # ------------------------------------------------------------------
 
-    def add_edge(
-        self,
-        source_id: Any,
-        target_id: Any,
-        label: str,
-        properties: dict[str, Any] | None = None,
+    def _insert_edge(
+        self, source_id: Any, target_id: Any, label: str, properties: dict[str, Any]
     ) -> Any:
-        properties = properties or {}
-        check_property_keys(properties)
-        self._require_vertex(source_id)
-        self._require_vertex(target_id)
-        self.schema.observe_edge(label, set(properties))
         edge_id = self._new_oid("e")
         self._edge_bitmap.set(edge_id)
         self._labels.set_value(edge_id, label)
@@ -228,7 +207,6 @@ class BitmapEngine(BaseEngine):
         self._in_incidence[target_id].set(edge_id)
         for key, value in properties.items():
             self._attribute_index(key).set_value(edge_id, value)
-        self._log("add_edge", id=edge_id)
         return edge_id
 
     def edge(self, edge_id: Any) -> Edge:
@@ -242,8 +220,7 @@ class BitmapEngine(BaseEngine):
             properties=self._collect_properties(edge_id),
         )
 
-    def remove_edge(self, edge_id: Any) -> None:
-        self._require(EDGE, edge_id)
+    def _delete_edge(self, edge_id: Any) -> None:
         source, target = self._edge_endpoints.pop(edge_id)
         self._endpoint_arrays_stale = True
         if source in self._out_incidence:
@@ -255,7 +232,6 @@ class BitmapEngine(BaseEngine):
         self._labels.remove_object(edge_id)
         self._kinds.remove_object(edge_id)
         self._edge_bitmap.clear(edge_id)
-        self._log("remove_edge", id=edge_id)
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
         self._require(EDGE, edge_id)
@@ -279,7 +255,7 @@ class BitmapEngine(BaseEngine):
     def _incident(
         self, vertex_id: Any, incidence: dict[int, Bitmap], label: str | None
     ) -> Iterator[Any]:
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         bitmap = incidence.get(vertex_id, Bitmap())
         self.metrics.charge_index_probe()
         if label is not None:
@@ -297,7 +273,7 @@ class BitmapEngine(BaseEngine):
 
     def vertex_label(self, vertex_id: Any) -> str | None:
         # One probe of the label structure; the attribute maps stay cold.
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         return self._labels.value_of(vertex_id)
 
     def _endpoint_columns(self) -> tuple[Any, Any]:
@@ -349,7 +325,7 @@ class BitmapEngine(BaseEngine):
         vectorized = kernels.vectorized_enabled()
         columns: tuple[Any, Any] | None = None
         for vertex_id in vertex_ids:
-            self._require_vertex(vertex_id)
+            self._require(VERTEX, vertex_id)
             for incidence, far in self._incidence[direction]:
                 bitmap = incidence.get(vertex_id, Bitmap())
                 metrics.charge_index_probe()
@@ -404,7 +380,7 @@ class BitmapEngine(BaseEngine):
         the whole filter finishes (suboptimal memory management, per the
         paper): it is charged but never released here.
         """
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         selected = Bitmap()
         for incidence, _far in self._incidence[direction]:
             selected |= incidence.get(vertex_id, Bitmap())

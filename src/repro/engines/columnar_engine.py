@@ -25,14 +25,13 @@ column name, matching the vertex-centric layout of the original system.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro import kernels
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
 from repro.model.elements import VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
-from repro.model.graph import check_property_keys
 from repro.storage.columnar import ColumnFamilyStore
 
 _PROPERTY_PREFIX = "p:"
@@ -82,52 +81,35 @@ class ColumnarEngine(BaseEngine):
     # Vertex CRUD
     # ------------------------------------------------------------------
 
-    def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
-        properties = properties or {}
-        check_property_keys(properties)
-        self.schema.observe_vertex(label, set(properties))
+    def _insert_vertex(self, properties: dict[str, Any], label: str | None) -> Any:
         vertex_id = next(self._vertex_counter)
         self._rows.create_row(vertex_id)
         if label is not None:
             self._rows.put(vertex_id, _PROPERTY_PREFIX + "_label", label)
         for key, value in properties.items():
             self._rows.put(vertex_id, _PROPERTY_PREFIX + key, value)
-        self._index_insert(vertex_id, properties)
-        self._log("add_vertex", id=vertex_id)
         return vertex_id
 
     def vertex(self, vertex_id: Any) -> Vertex:
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         cells = self._rows.row_columns(vertex_id, prefix=_PROPERTY_PREFIX)
         label = cells.pop(_PROPERTY_PREFIX + "_label", None)
         properties = {name[len(_PROPERTY_PREFIX) :]: value for name, value in cells.items()}
         return Vertex(id=vertex_id, label=label, properties=properties)
 
-    def remove_vertex(self, vertex_id: Any) -> None:
-        self._require_vertex(vertex_id)
-        for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
-            if edge_id in self._edge_directory:
-                self.remove_edge(edge_id)
-        self._index_delete(vertex_id, lambda key: self._rows.get(vertex_id, _PROPERTY_PREFIX + key))
+    def _previous_values(self, vertex_id: Any) -> Callable[[str], Any]:
+        return lambda key: self._rows.get(vertex_id, _PROPERTY_PREFIX + key)
+
+    def _delete_vertex(self, vertex_id: Any) -> None:
         self._rows.delete_row(vertex_id)
-        self._log("remove_vertex", id=vertex_id)
 
     # ------------------------------------------------------------------
     # Edge CRUD: edges are columns of their endpoint rows
     # ------------------------------------------------------------------
 
-    def add_edge(
-        self,
-        source_id: Any,
-        target_id: Any,
-        label: str,
-        properties: dict[str, Any] | None = None,
+    def _insert_edge(
+        self, source_id: Any, target_id: Any, label: str, properties: dict[str, Any]
     ) -> Any:
-        properties = properties or {}
-        check_property_keys(properties)
-        self._require_vertex(source_id)
-        self._require_vertex(target_id)
-        self.schema.observe_edge(label, set(properties))
         sequence = next(self._edge_counter)
         edge_id = f"t:{sequence}"
         out_column = f"{_OUT_PREFIX}{label}:{sequence}"
@@ -137,7 +119,6 @@ class ColumnarEngine(BaseEngine):
         reverse = {"other": source_id, "label": label, "props": dict(properties), "id": edge_id}
         self._rows.put(target_id, in_column, reverse)
         self._edge_directory[edge_id] = (source_id, target_id, label, out_column, in_column)
-        self._log("add_edge", id=edge_id)
         return edge_id
 
     def edge(self, edge_id: Any) -> Edge:
@@ -151,7 +132,7 @@ class ColumnarEngine(BaseEngine):
             properties=dict(payload.get("props", {})),
         )
 
-    def remove_edge(self, edge_id: Any) -> None:
+    def _delete_edge(self, edge_id: Any) -> None:
         source, target, _label, out_column, in_column = self._edge_entry(edge_id)
         # Tombstone deletes: the cells are marked, not compacted away.
         if self._rows.has_row(source):
@@ -159,7 +140,6 @@ class ColumnarEngine(BaseEngine):
         if self._rows.has_row(target):
             self._rows.delete_cell(target, in_column)
         del self._edge_directory[edge_id]
-        self._log("remove_edge", id=edge_id)
 
     # ------------------------------------------------------------------
     # Properties: vertex properties are cells of the vertex row; edge
@@ -172,6 +152,12 @@ class ColumnarEngine(BaseEngine):
             return isinstance(element_id, int) and self._rows.has_row(element_id)
         return element_id in self._edge_directory
 
+    def _live(self, kind: ElementKind, element_id: Any) -> bool:
+        # ``has_row`` books a row-key probe; the index's own membership does not.
+        if kind is VERTEX:
+            return isinstance(element_id, int) and element_id in self._rows.row_index
+        return self._exists(kind, element_id)
+
     def _ids(self, kind: ElementKind) -> Iterator[Any]:
         if kind is VERTEX:
             yield from self._rows.row_keys()
@@ -182,9 +168,9 @@ class ColumnarEngine(BaseEngine):
                 if name.startswith(_OUT_PREFIX):
                     yield payload["id"]
 
-    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+    def _put_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
         if kind is VERTEX:
-            self._require_vertex(element_id)
+            self._require(VERTEX, element_id)
             previous = self._rows.get(element_id, _PROPERTY_PREFIX + key)
             self._rows.put(element_id, _PROPERTY_PREFIX + key, value)
             self._reindex(kind, element_id, key, previous, value)
@@ -195,11 +181,10 @@ class ColumnarEngine(BaseEngine):
                     payload = dict(payload)
                     payload["props"] = {**payload.get("props", {}), key: value}
                     self._rows.put(row_key, column, payload)
-        self._log(kind.set_op, id=element_id, key=key)
 
-    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+    def _drop_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
         if kind is VERTEX:
-            self._require_vertex(element_id)
+            self._require(VERTEX, element_id)
             previous = self._rows.get(element_id, _PROPERTY_PREFIX + key)
             self._rows.delete_cell(element_id, _PROPERTY_PREFIX + key)
             self._reindex(kind, element_id, key, previous)
@@ -211,11 +196,10 @@ class ColumnarEngine(BaseEngine):
                     payload["props"] = dict(payload["props"])
                     del payload["props"][key]
                     self._rows.put(row_key, column, payload)
-        self._log(kind.remove_op, id=element_id, key=key)
 
     def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
         if kind is VERTEX:
-            self._require_vertex(element_id)
+            self._require(VERTEX, element_id)
             return self._rows.get(element_id, _PROPERTY_PREFIX + key)
         source, _target, _label, out_column, _in_column = self._edge_entry(element_id)
         payload = self._rows.get(source, out_column) or {}
@@ -248,7 +232,7 @@ class ColumnarEngine(BaseEngine):
         yield from self._incident(vertex_id, _IN_PREFIX, label)
 
     def _incident(self, vertex_id: Any, prefix: str, label: str | None) -> Iterator[Any]:
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         slice_prefix = prefix if label is None else f"{prefix}{label}:"
         columns = self._rows.row_columns(vertex_id, prefix=slice_prefix)
         for payload in columns.values():
@@ -260,7 +244,7 @@ class ColumnarEngine(BaseEngine):
 
     def vertex_label(self, vertex_id: Any) -> str | None:
         # One cell read instead of slicing the whole property prefix.
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         return self._rows.get(vertex_id, _PROPERTY_PREFIX + "_label")
 
     def _bulk_incident(
@@ -289,7 +273,7 @@ class ColumnarEngine(BaseEngine):
         for vertex_id in vertex_ids:
             for prefix in prefixes:
                 # The naive path re-checks row existence per pass.
-                self._require_vertex(vertex_id)
+                self._require(VERTEX, vertex_id)
                 if vectorized:
                     # Parse-once kernel: the slice comes back as flat
                     # arrays cached per row version.
@@ -309,7 +293,7 @@ class ColumnarEngine(BaseEngine):
     ) -> bool:
         # Adjacency columns are already materialised by the row slice, so
         # the threshold check is a length comparison per pass.
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         if k <= 0:
             return True
         count = 0

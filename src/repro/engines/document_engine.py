@@ -18,13 +18,13 @@ Architecture reproduced from the paper (Sections 3.2 and 6):
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
 from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
-from repro.model.graph import RESERVED_KEYS, check_property_keys
+from repro.model.graph import RESERVED_KEYS
 from repro.storage.document_store import DocumentStore
 
 _VERTEX_COLLECTION = "vertices"
@@ -77,18 +77,12 @@ class DocumentEngine(BaseEngine):
     # Vertex CRUD
     # ------------------------------------------------------------------
 
-    def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
-        properties = properties or {}
-        check_property_keys(properties)
-        self._round_trip()
-        self.schema.observe_vertex(label, set(properties))
+    def _insert_vertex(self, properties: dict[str, Any], label: str | None) -> Any:
         vertex_id = f"v/{next(self._vertex_counter)}"
         document = dict(properties)
         if label is not None:
             document["_label"] = label
         self._vertices.insert(vertex_id, document)
-        self._index_insert(vertex_id, properties)
-        self._log("add_vertex", id=vertex_id)
         return vertex_id
 
     def vertex(self, vertex_id: Any) -> Vertex:
@@ -100,15 +94,12 @@ class DocumentEngine(BaseEngine):
             properties=_user_properties(document),
         )
 
-    def remove_vertex(self, vertex_id: Any) -> None:
-        self._round_trip()
-        document = self._document(VERTEX, vertex_id)
-        for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
-            if self._edges.exists(edge_id):
-                self.remove_edge(edge_id)
-        self._index_delete(vertex_id, document.get)
+    def _previous_values(self, vertex_id: Any) -> Callable[[str], Any]:
+        # Removal materialises the vertex document, indexed or not.
+        return self._document(VERTEX, vertex_id).get
+
+    def _delete_vertex(self, vertex_id: Any) -> None:
         self._vertices.remove(vertex_id)
-        self._log("remove_vertex", id=vertex_id)
 
     # ------------------------------------------------------------------
     # Properties: one body per primitive for both kinds
@@ -121,15 +112,12 @@ class DocumentEngine(BaseEngine):
         self._round_trip()
         yield from self._collections[kind].keys()
 
-    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
-        self._round_trip()
+    def _put_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
         previous = self._document(kind, element_id).get(key)
         self._collections[kind].update(element_id, {key: value})
         self._reindex(kind, element_id, key, previous, value)
-        self._log(kind.set_op, id=element_id, key=key)
 
-    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
-        self._round_trip()
+    def _drop_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
         document = self._document(kind, element_id)
         if key in document:
             previous = document.pop(key)
@@ -137,7 +125,6 @@ class DocumentEngine(BaseEngine):
                 element_id, {k: v for k, v in document.items() if k != "_key"}
             )
             self._reindex(kind, element_id, key, previous)
-        self._log(kind.remove_op, id=element_id, key=key)
 
     def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
         self._round_trip()
@@ -147,21 +134,9 @@ class DocumentEngine(BaseEngine):
     # Edge CRUD
     # ------------------------------------------------------------------
 
-    def add_edge(
-        self,
-        source_id: Any,
-        target_id: Any,
-        label: str,
-        properties: dict[str, Any] | None = None,
+    def _insert_edge(
+        self, source_id: Any, target_id: Any, label: str, properties: dict[str, Any]
     ) -> Any:
-        properties = properties or {}
-        check_property_keys(properties)
-        self._round_trip()
-        if not self._vertices.exists(source_id):
-            raise ElementNotFoundError("vertex", source_id)
-        if not self._vertices.exists(target_id):
-            raise ElementNotFoundError("vertex", target_id)
-        self.schema.observe_edge(label, set(properties))
         edge_id = f"e/{next(self._edge_counter)}"
         document = dict(properties)
         document["_label"] = label
@@ -170,7 +145,6 @@ class DocumentEngine(BaseEngine):
         self._edges.insert(edge_id, document)
         self._store.edge_from_index.insert(source_id, edge_id)
         self._store.edge_to_index.insert(target_id, edge_id)
-        self._log("add_edge", id=edge_id)
         return edge_id
 
     def edge(self, edge_id: Any) -> Edge:
@@ -184,13 +158,11 @@ class DocumentEngine(BaseEngine):
             properties=_user_properties(document),
         )
 
-    def remove_edge(self, edge_id: Any) -> None:
-        self._round_trip()
+    def _delete_edge(self, edge_id: Any) -> None:
         document = self._document(EDGE, edge_id)
         self._store.edge_from_index.delete(document["_from"], edge_id)
         self._store.edge_to_index.delete(document["_to"], edge_id)
         self._edges.remove(edge_id)
-        self._log("remove_edge", id=edge_id)
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
         # Even endpoint resolution materialises the edge document.
@@ -206,7 +178,7 @@ class DocumentEngine(BaseEngine):
 
     def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
         self._round_trip()
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         for edge_id in self._store.edge_from_index.lookup(vertex_id):
             # The engine always answers with full edge documents, so every hop
             # materialises the document even when only the id is needed — the
@@ -217,7 +189,7 @@ class DocumentEngine(BaseEngine):
 
     def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
         self._round_trip()
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         for edge_id in self._store.edge_to_index.lookup(vertex_id):
             if label is None or self._document(EDGE, edge_id)["_label"] == label:
                 self._document(EDGE, edge_id)
@@ -258,7 +230,7 @@ class DocumentEngine(BaseEngine):
         for vertex_id in vertex_ids:
             for index, endpoint_field in passes:
                 self._round_trip()
-                self._require_vertex(vertex_id)
+                self._require(VERTEX, vertex_id)
                 for edge_id, document in edges.get_many(index.lookup(vertex_id)):
                     if label is not None:
                         if document["_label"] != label:
@@ -292,7 +264,7 @@ class DocumentEngine(BaseEngine):
         edge_rows: list[dict[str, Any]] = []
         for vertex_id in vertex_ids:
             self._round_trip()
-            self._require_vertex(vertex_id)
+            self._require(VERTEX, vertex_id)
             document = vertices.get(vertex_id)
             vertex_rows.append(
                 {
@@ -332,12 +304,12 @@ class DocumentEngine(BaseEngine):
         per-id path.
         """
         if k <= 0:
-            self._require_vertex(vertex_id)
+            self._require(VERTEX, vertex_id)
             return True
         count = 0
         for index, _endpoint_field in self._passes[direction]:
             self._round_trip()
-            self._require_vertex(vertex_id)
+            self._require(VERTEX, vertex_id)
             for _edge_id, _document in self._edges.get_many(index.lookup(vertex_id)):
                 count += 1
                 if count >= k:

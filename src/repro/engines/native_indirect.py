@@ -17,13 +17,12 @@ Architecture reproduced from the paper (Section 3.2 and 6):
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
 from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
-from repro.model.graph import check_property_keys
 from repro.storage.indirection import IndirectionTable
 from repro.storage.property_store import PropertyStore
 from repro.storage.record_store import RecordStore
@@ -81,18 +80,13 @@ class NativeIndirectEngine(BaseEngine):
     # Vertex CRUD
     # ------------------------------------------------------------------
 
-    def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
-        properties = properties or {}
-        check_property_keys(properties)
-        self.schema.observe_vertex(label, set(properties))
+    def _insert_vertex(self, properties: dict[str, Any], label: str | None) -> Any:
         physical = self._vertex_store.allocate(
             {"label": label, "out": [], "in": []}
         )
         vertex_id = self._vertex_map.allocate(physical)
         if properties:
             self._property_store.set_properties(("v", vertex_id), properties)
-        self._index_insert(vertex_id, properties)
-        self._log("add_vertex", id=vertex_id)
         return vertex_id
 
     def vertex(self, vertex_id: Any) -> Vertex:
@@ -103,19 +97,21 @@ class NativeIndirectEngine(BaseEngine):
             properties=self._property_store.properties(("v", vertex_id)),
         )
 
-    def remove_vertex(self, vertex_id: Any) -> None:
+    def _remove_incident(self, vertex_id: Any) -> None:
+        # The cascade reads the vertex record's edge lists, not the chains.
         record = self._vertex_record(vertex_id)
-        incident = list(record.fields.get("out", [])) + list(record.fields.get("in", []))
-        for edge_id in incident:
+        for edge_id in list(record.fields.get("out", [])) + list(record.fields.get("in", [])):
             if self._edge_map.exists(edge_id):
                 self.remove_edge(edge_id)
+
+    def _previous_values(self, vertex_id: Any) -> Callable[[str], Any]:
         owner = ("v", vertex_id)
-        self._index_delete(vertex_id, lambda key: self._property_store.get_property(owner, key))
-        self._property_store.remove_owner(owner)
-        physical = self._vertex_map.resolve(vertex_id)
-        self._vertex_store.free(physical)
+        return lambda key: self._property_store.get_property(owner, key)
+
+    def _delete_vertex(self, vertex_id: Any) -> None:
+        self._property_store.remove_owner(("v", vertex_id))
+        self._vertex_store.free(self._vertex_map.resolve(vertex_id))
         self._vertex_map.free(vertex_id)
-        self._log("remove_vertex", id=vertex_id)
 
     # ------------------------------------------------------------------
     # Properties: one body per primitive for both kinds
@@ -134,20 +130,18 @@ class NativeIndirectEngine(BaseEngine):
     def _ids(self, kind: ElementKind) -> Iterator[Any]:
         yield from self._kinds[kind][0].live_ids()
 
-    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+    def _put_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
         owner = self._owner(kind, element_id)
         # A vertex write reads the old value whether or not ``key`` is indexed.
         previous = self._property_store.get_property(owner, key) if kind is VERTEX else None
         self._property_store.set_property(owner, key, value)
         self._reindex(kind, element_id, key, previous, value)
-        self._log(kind.set_op, id=element_id, key=key)
 
-    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+    def _drop_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
         owner = self._owner(kind, element_id)
         previous = self._property_store.get_property(owner, key) if kind is VERTEX else None
         self._property_store.remove_property(owner, key)
         self._reindex(kind, element_id, key, previous)
-        self._log(kind.remove_op, id=element_id, key=key)
 
     def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
         return self._property_store.get_property(self._owner(kind, element_id), key)
@@ -159,18 +153,11 @@ class NativeIndirectEngine(BaseEngine):
     # Edge CRUD
     # ------------------------------------------------------------------
 
-    def add_edge(
-        self,
-        source_id: Any,
-        target_id: Any,
-        label: str,
-        properties: dict[str, Any] | None = None,
+    def _insert_edge(
+        self, source_id: Any, target_id: Any, label: str, properties: dict[str, Any]
     ) -> Any:
-        properties = properties or {}
-        check_property_keys(properties)
         source_record = self._vertex_record(source_id)
         target_record = self._vertex_record(target_id)
-        self.schema.observe_edge(label, set(properties))
         if label not in self._edge_label_clusters:
             # Creating a cluster for a new edge label is deliberately
             # heavyweight: this is the per-label bookkeeping the paper blames
@@ -190,7 +177,6 @@ class NativeIndirectEngine(BaseEngine):
         self._vertex_store.update(self._vertex_map.resolve(target_id), {"in": target_in})
         if properties:
             self._property_store.set_properties(("e", edge_id), properties)
-        self._log("add_edge", id=edge_id)
         return edge_id
 
     def edge(self, edge_id: Any) -> Edge:
@@ -203,7 +189,7 @@ class NativeIndirectEngine(BaseEngine):
             properties=self._property_store.properties(("e", edge_id)),
         )
 
-    def remove_edge(self, edge_id: Any) -> None:
+    def _delete_edge(self, edge_id: Any) -> None:
         record = self._edge_record(edge_id)
         label = record.fields["label"]
         source = record.fields["source"]
@@ -220,7 +206,6 @@ class NativeIndirectEngine(BaseEngine):
         self._edge_label_clusters[label] = max(0, self._edge_label_clusters.get(label, 1) - 1)
         self._edge_store.free(self._edge_map.resolve(edge_id))
         self._edge_map.free(edge_id)
-        self._log("remove_edge", id=edge_id)
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
         record = self._edge_record(edge_id)
@@ -290,7 +275,7 @@ class NativeIndirectEngine(BaseEngine):
         # are list lengths: one record resolution per pass, no edge
         # touches, early exit between passes.
         if k <= 0:
-            self._require_vertex(vertex_id)
+            self._require(VERTEX, vertex_id)
             return True
         count = 0
         for list_field, _endpoint_field in _ADJACENCY[direction]:

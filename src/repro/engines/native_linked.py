@@ -30,7 +30,7 @@ from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
 from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
-from repro.model.graph import GraphDatabase, check_property_keys
+from repro.model.graph import GraphDatabase
 from repro.storage.property_store import PropertyStore
 from repro.storage.record_store import RecordStore
 
@@ -92,18 +92,13 @@ class NativeLinkedEngine(BaseEngine):
     # Vertex CRUD
     # ------------------------------------------------------------------
 
-    def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
-        properties = properties or {}
-        check_property_keys(properties)
-        self.schema.observe_vertex(label, set(properties))
+    def _insert_vertex(self, properties: dict[str, Any], label: str | None) -> Any:
         label_id = self._label_id(label) if label is not None else _NO_POINTER
         vertex_id = self._node_store.allocate(
             {"first_out": _NO_POINTER, "first_in": _NO_POINTER, "label": label_id}
         )
         if properties:
             self._property_store.set_properties(("v", vertex_id), properties)
-        self._index_insert(vertex_id, properties)
-        self._log("add_vertex", id=vertex_id)
         return vertex_id
 
     def vertex(self, vertex_id: Any) -> Vertex:
@@ -116,18 +111,10 @@ class NativeLinkedEngine(BaseEngine):
             properties=self._property_store.properties(("v", vertex_id)),
         )
 
-    def remove_vertex(self, vertex_id: Any) -> None:
-        # Removing a node implies removing its properties and incident edges.
-        for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
-            if self._rel_store.exists(edge_id):
-                self.remove_edge(edge_id)
-        owner = ("v", vertex_id)
-        self._index_delete(vertex_id, lambda key: self._property_store.get_property(owner, key))
-        self._property_store.remove_owner(owner)
-        record = self._node_store.read(vertex_id)
-        del record  # the read charges the record access
+    def _delete_vertex(self, vertex_id: Any) -> None:
+        self._property_store.remove_owner(("v", vertex_id))
+        self._node_store.read(vertex_id)  # the read charges the record access
         self._node_store.free(vertex_id)
-        self._log("remove_vertex", id=vertex_id)
 
     # ------------------------------------------------------------------
     # Properties: one body per primitive for both kinds
@@ -146,20 +133,18 @@ class NativeLinkedEngine(BaseEngine):
     def _ids(self, kind: ElementKind) -> Iterator[Any]:
         yield from self._stores[kind][0].ids()
 
-    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+    def _put_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
         owner = self._owner(kind, element_id)
         # A vertex write reads the old value whether or not ``key`` is indexed.
         previous = self._property_store.get_property(owner, key) if kind is VERTEX else None
         self._property_store.set_property(owner, key, value)
         self._reindex(kind, element_id, key, previous, value)
-        self._log(kind.set_op, id=element_id, key=key)
 
-    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+    def _drop_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
         owner = self._owner(kind, element_id)
         previous = self._property_store.get_property(owner, key) if kind is VERTEX else None
         self._property_store.remove_property(owner, key)
         self._reindex(kind, element_id, key, previous)
-        self._log(kind.remove_op, id=element_id, key=key)
 
     def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
         return self._property_store.get_property(self._owner(kind, element_id), key)
@@ -171,20 +156,9 @@ class NativeLinkedEngine(BaseEngine):
     # Edge CRUD
     # ------------------------------------------------------------------
 
-    def add_edge(
-        self,
-        source_id: Any,
-        target_id: Any,
-        label: str,
-        properties: dict[str, Any] | None = None,
+    def _insert_edge(
+        self, source_id: Any, target_id: Any, label: str, properties: dict[str, Any]
     ) -> Any:
-        properties = properties or {}
-        check_property_keys(properties)
-        if not self._node_store.exists(source_id):
-            raise ElementNotFoundError("vertex", source_id)
-        if not self._node_store.exists(target_id):
-            raise ElementNotFoundError("vertex", target_id)
-        self.schema.observe_edge(label, set(properties))
         label_id = self._label_id(label)
         source_record = self._node_store.read(source_id)
         target_record = self._node_store.read(target_id)
@@ -202,7 +176,6 @@ class NativeLinkedEngine(BaseEngine):
         self._node_store.update(target_id, {"first_in": edge_id})
         if properties:
             self._property_store.set_properties(("e", edge_id), properties)
-        self._log("add_edge", id=edge_id)
         return edge_id
 
     def edge(self, edge_id: Any) -> Edge:
@@ -215,15 +188,12 @@ class NativeLinkedEngine(BaseEngine):
             properties=self._property_store.properties(("e", edge_id)),
         )
 
-    def remove_edge(self, edge_id: Any) -> None:
+    def _delete_edge(self, edge_id: Any) -> None:
         record = self._rel_store.read(edge_id)
-        source = record.fields["source"]
-        target = record.fields["target"]
-        self._unlink(source, edge_id, "first_out", "next_out")
-        self._unlink(target, edge_id, "first_in", "next_in")
+        self._unlink(record.fields["source"], edge_id, "first_out", "next_out")
+        self._unlink(record.fields["target"], edge_id, "first_in", "next_in")
         self._property_store.remove_owner(("e", edge_id))
         self._rel_store.free(edge_id)
-        self._log("remove_edge", id=edge_id)
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
         record = self._rel_store.read(edge_id)
@@ -417,19 +387,15 @@ class NativeLinkedV3Engine(NativeLinkedEngine):
             wrapper["checks"].append((check, True))
         return wrapper["wrapped"]
 
-    # -- CRUD with wrapper cost -------------------------------------------
+    # -- CUD hooks with wrapper cost ----------------------------------------
 
-    def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
-        return self._wrap(super().add_vertex(properties, label))
+    def _insert_vertex(self, properties: dict[str, Any], label: str | None) -> Any:
+        return self._wrap(super()._insert_vertex(properties, label))
 
-    def add_edge(
-        self,
-        source_id: Any,
-        target_id: Any,
-        label: str,
-        properties: dict[str, Any] | None = None,
+    def _insert_edge(
+        self, source_id: Any, target_id: Any, label: str, properties: dict[str, Any]
     ) -> Any:
-        edge_id = super().add_edge(source_id, target_id, label, properties)
+        edge_id = super()._insert_edge(source_id, target_id, label, properties)
         label_id = self._labels[label]
         source_chains = self._typed_chains.setdefault(source_id, {})
         source_chains.setdefault((label_id, "out"), []).append(edge_id)
@@ -445,22 +411,22 @@ class NativeLinkedV3Engine(NativeLinkedEngine):
         self._wrap(edge_id)
         return super().edge(edge_id)
 
-    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+    def _put_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
         self._wrap(element_id)
-        super()._set_property(kind, element_id, key, value)
+        super()._put_property(kind, element_id, key, value)
 
-    def remove_vertex(self, vertex_id: Any) -> None:
+    def _delete_vertex(self, vertex_id: Any) -> None:
         self._wrap(vertex_id)
-        super().remove_vertex(vertex_id)
+        super()._delete_vertex(vertex_id)
         self._typed_chains.pop(vertex_id, None)
 
-    def remove_edge(self, edge_id: Any) -> None:
+    def _delete_edge(self, edge_id: Any) -> None:
         self._wrap(edge_id)
         record = self._rel_store.read(edge_id)
         label_id = record.fields["label"]
         source = record.fields["source"]
         target = record.fields["target"]
-        super().remove_edge(edge_id)
+        super()._delete_edge(edge_id)
         for vertex_id, direction in ((source, "out"), (target, "in")):
             chain = self._typed_chains.get(vertex_id, {}).get((label_id, direction))
             if chain and edge_id in chain:

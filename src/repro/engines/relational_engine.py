@@ -28,7 +28,6 @@ from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError, SchemaError
 from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
-from repro.model.graph import check_property_keys
 from repro.storage.btree import BPlusTree
 from repro.storage.relational import Column, RelationalDatabase, Table, index_key
 
@@ -74,11 +73,8 @@ class RelationalEngine(BaseEngine):
         self._db = RelationalDatabase("graphdb", metrics=self.metrics)
         #: property keys that should be indexed in every vertex table.
         self._indexed_keys: set[str] = set(self.config.auto_index_properties)
-        #: per kind: (table-name prefix, row locator that raises)
-        self._kinds = {
-            VERTEX: (_VERTEX_PREFIX, self._vertex_row),
-            EDGE: (_EDGE_PREFIX, self._edge_row),
-        }
+        #: per kind: the table-name prefix of its id space
+        self._prefixes = {VERTEX: _VERTEX_PREFIX, EDGE: _EDGE_PREFIX}
         #: Prepared probe plans per label (``None``: every label), resolved
         #: from the catalog at ``_plans_version`` and dropped when it moves.
         self._plans: dict[str | None, _ProbePlan] = {}
@@ -182,26 +178,18 @@ class RelationalEngine(BaseEngine):
         table = self._db.table(table_name)
         return (table, row_id) if table.exists(row_id) else None
 
-    def _vertex_row(self, vertex_id: Any) -> tuple[Table, int]:
-        located = self._locate(_VERTEX_PREFIX, vertex_id)
+    def _row(self, kind: ElementKind, element_id: Any) -> tuple[Table, int]:
+        """:meth:`_locate` for a live element of ``kind``; raises if absent."""
+        located = self._locate(self._prefixes[kind], element_id)
         if located is None:
-            raise ElementNotFoundError("vertex", vertex_id)
-        return located
-
-    def _edge_row(self, edge_id: Any) -> tuple[Table, int]:
-        located = self._locate(_EDGE_PREFIX, edge_id)
-        if located is None:
-            raise ElementNotFoundError("edge", edge_id)
+            raise ElementNotFoundError(kind.name, element_id)
         return located
 
     # ------------------------------------------------------------------
     # Vertex CRUD
     # ------------------------------------------------------------------
 
-    def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
-        properties = properties or {}
-        check_property_keys(properties)
-        self.schema.observe_vertex(label, set(properties))
+    def _insert_vertex(self, properties: dict[str, Any], label: str | None) -> Any:
         table_name = self._vertex_table(label)
         table = self._db.table(table_name)
         for key in properties:
@@ -209,12 +197,10 @@ class RelationalEngine(BaseEngine):
                 table.add_column(Column(key))
                 if key in self._indexed_keys:
                     table.create_index(key)
-        row_id = table.insert(dict(properties))
-        self._log("add_vertex", id=row_id)
-        return f"{table_name}:{row_id}"
+        return f"{table_name}:{table.insert(dict(properties))}"
 
     def vertex(self, vertex_id: Any) -> Vertex:
-        table, row_id = self._vertex_row(vertex_id)
+        table, row_id = self._row(VERTEX, vertex_id)
         row = table.get(row_id)
         label = table.name[len(_VERTEX_PREFIX) :]
         properties = {
@@ -226,16 +212,17 @@ class RelationalEngine(BaseEngine):
             label_value = label
         return Vertex(id=vertex_id, label=label_value, properties=properties)
 
-    def remove_vertex(self, vertex_id: Any) -> None:
-        table, row_id = self._vertex_row(vertex_id)
-        # Cascade: delete incident edges from every edge table, found through
-        # the endpoint foreign-key indexes.
+    def _remove_incident(self, vertex_id: Any) -> None:
+        # Delete incident edges from every edge table, found through the
+        # endpoint foreign-key indexes.
         key = index_key(str(vertex_id))
         # Each edge table once: every table is listed under each column.
         for _index, edge_table, _name in self._probe_plan(None)[_ENDPOINT_COLUMNS[0]]:
             edge_table.delete_referencing(_ENDPOINT_COLUMNS, key)
+
+    def _delete_vertex(self, vertex_id: Any) -> None:
+        table, row_id = self._row(VERTEX, vertex_id)
         table.delete(row_id)
-        self._log("remove_vertex", id=vertex_id)
 
     # ------------------------------------------------------------------
     # Properties: one body per primitive for both kinds (properties are
@@ -243,16 +230,16 @@ class RelationalEngine(BaseEngine):
     # ------------------------------------------------------------------
 
     def _exists(self, kind: ElementKind, element_id: Any) -> bool:
-        return self._locate(self._kinds[kind][0], element_id) is not None
+        return self._locate(self._prefixes[kind], element_id) is not None
 
     def _ids(self, kind: ElementKind) -> Iterator[Any]:
-        prefix = self._kinds[kind][0]
+        prefix = self._prefixes[kind]
         for table_name in self._db.table_names(prefix):
             for row in self._db.table(table_name).rows():
                 yield f"{table_name}:{row['id']}"
 
-    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
-        table, row_id = self._kinds[kind][1](element_id)
+    def _put_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+        table, row_id = self._row(kind, element_id)
         if not table.schema.has_column(key):
             # Adding a property key not seen before changes the table
             # structure, the slow path the paper observed for this engine.
@@ -260,20 +247,18 @@ class RelationalEngine(BaseEngine):
             if kind is VERTEX and key in self._indexed_keys:
                 table.create_index(key)
         table.update(row_id, {key: value})
-        self._log(kind.set_op, id=element_id, key=key)
 
-    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
-        table, row_id = self._kinds[kind][1](element_id)
+    def _drop_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+        table, row_id = self._row(kind, element_id)
         if table.schema.has_column(key):
             table.update(row_id, {key: None})
-        self._log(kind.remove_op, id=element_id, key=key)
 
     def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
-        table, row_id = self._kinds[kind][1](element_id)
+        table, row_id = self._row(kind, element_id)
         return table.get(row_id).get(key)
 
     def _by_property(self, kind: ElementKind, key: str, value: Any) -> Iterator[Any]:
-        prefix = self._kinds[kind][0]
+        prefix = self._prefixes[kind]
         for table_name in self._db.table_names(prefix):
             table = self._db.table(table_name)
             if not table.schema.has_column(key):
@@ -285,18 +270,11 @@ class RelationalEngine(BaseEngine):
     # Edge CRUD
     # ------------------------------------------------------------------
 
-    def add_edge(
-        self,
-        source_id: Any,
-        target_id: Any,
-        label: str,
-        properties: dict[str, Any] | None = None,
+    def _insert_edge(
+        self, source_id: Any, target_id: Any, label: str, properties: dict[str, Any]
     ) -> Any:
-        properties = properties or {}
-        check_property_keys(properties)
-        source_table, _ = self._vertex_row(source_id)
-        target_table, _ = self._vertex_row(target_id)
-        self.schema.observe_edge(label, set(properties))
+        source_table, _ = self._row(VERTEX, source_id)
+        target_table, _ = self._row(VERTEX, target_id)
         table_name = self._edge_table(label)
         table = self._db.table(table_name)
         for key in properties:
@@ -311,12 +289,10 @@ class RelationalEngine(BaseEngine):
                 "target_table": target_table.name,
             }
         )
-        row_id = table.insert(row)
-        self._log("add_edge", id=row_id)
-        return f"{table_name}:{row_id}"
+        return f"{table_name}:{table.insert(row)}"
 
     def edge(self, edge_id: Any) -> Edge:
-        table, row_id = self._edge_row(edge_id)
+        table, row_id = self._row(EDGE, edge_id)
         row = table.get(row_id)
         label = table.name[len(_EDGE_PREFIX) :]
         properties = {
@@ -332,13 +308,12 @@ class RelationalEngine(BaseEngine):
             properties=properties,
         )
 
-    def remove_edge(self, edge_id: Any) -> None:
-        table, row_id = self._edge_row(edge_id)
+    def _delete_edge(self, edge_id: Any) -> None:
+        table, row_id = self._row(EDGE, edge_id)
         table.delete(row_id)
-        self._log("remove_edge", id=edge_id)
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
-        table, row_id = self._edge_row(edge_id)
+        table, row_id = self._row(EDGE, edge_id)
         row = table.get(row_id)
         return row["source"], row["target"]
 
@@ -367,7 +342,7 @@ class RelationalEngine(BaseEngine):
     def vertex_label(self, vertex_id: Any) -> str | None:
         # The label is the table name: a pure catalog read, no row fetch —
         # the relational layout's structural-label strength.
-        table, _row_id = self._vertex_row(vertex_id)
+        table, _row_id = self._row(VERTEX, vertex_id)
         label = table.name[len(_VERTEX_PREFIX) :]
         return None if label == _DEFAULT_VERTEX_LABEL else label
 
@@ -394,7 +369,7 @@ class RelationalEngine(BaseEngine):
         for vertex_id in vertex_ids:
             key = index_key(str(vertex_id))
             for probes, opposite_column in passes:
-                self._require_vertex(vertex_id)
+                self._require(VERTEX, vertex_id)
                 for index, table, table_name in probes:
                     for row_id in index.search(key):
                         # The search booked its descent; the row is booked
@@ -414,7 +389,7 @@ class RelationalEngine(BaseEngine):
         fetches edge rows — strictly fewer charges than walking the per-id
         edge stream, as the contract allows for early exits.
         """
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         if k <= 0:
             return True
         key = index_key(str(vertex_id))

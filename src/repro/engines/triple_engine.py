@@ -27,7 +27,7 @@ from typing import Any, Iterable, Iterator
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
-from repro.model.graph import GraphDatabase, check_property_keys
+from repro.model.graph import GraphDatabase
 from repro.storage.triple_store import TripleStore
 
 _TYPE = "rdf:type"
@@ -93,10 +93,7 @@ class TripleEngine(BaseEngine):
     # Vertex CRUD
     # ------------------------------------------------------------------
 
-    def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
-        properties = properties or {}
-        check_property_keys(properties)
-        self.schema.observe_vertex(label, set(properties))
+    def _insert_vertex(self, properties: dict[str, Any], label: str | None) -> Any:
         vertex_id = f"vertex:{next(self._vertex_counter)}"
         self._triples.add(vertex_id, _TYPE, _VERTEX_TYPE)
         if label is not None:
@@ -104,11 +101,10 @@ class TripleEngine(BaseEngine):
         for key, value in properties.items():
             self._triples.add(vertex_id, _PROPERTY_PREFIX + key, value)
         self._vertex_ids.add(vertex_id)
-        self._log("add_vertex", id=vertex_id)
         return vertex_id
 
     def vertex(self, vertex_id: Any) -> Vertex:
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         label = None
         properties: dict[str, Any] = {}
         for triple in self._triples.match(subject=vertex_id):
@@ -118,14 +114,9 @@ class TripleEngine(BaseEngine):
                 properties[str(triple.predicate)[len(_PROPERTY_PREFIX) :]] = triple.object
         return Vertex(id=vertex_id, label=label, properties=properties)
 
-    def remove_vertex(self, vertex_id: Any) -> None:
-        self._require_vertex(vertex_id)
-        for edge_id in list(self.edges_for(vertex_id, Direction.BOTH)):
-            if edge_id in self._edge_ids:
-                self.remove_edge(edge_id)
+    def _delete_vertex(self, vertex_id: Any) -> None:
         self._triples.remove(vertex_id)
         self._vertex_ids.discard(vertex_id)
-        self._log("remove_vertex", id=vertex_id)
 
     # ------------------------------------------------------------------
     # Properties: one body per primitive for both kinds
@@ -138,16 +129,14 @@ class TripleEngine(BaseEngine):
         for triple in self._triples.match(predicate=_TYPE, object_=self._kinds[kind][1]):
             yield triple.subject
 
-    def _set_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
+    def _put_property(self, kind: ElementKind, element_id: Any, key: str, value: Any) -> None:
         self._require(kind, element_id)
         self._triples.remove(element_id, _PROPERTY_PREFIX + key)
         self._triples.add(element_id, _PROPERTY_PREFIX + key, value)
-        self._log(kind.set_op, id=element_id, key=key)
 
-    def _remove_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
+    def _drop_property(self, kind: ElementKind, element_id: Any, key: str) -> None:
         self._require(kind, element_id)
         self._triples.remove(element_id, _PROPERTY_PREFIX + key)
-        self._log(kind.remove_op, id=element_id, key=key)
 
     def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
         self._require(kind, element_id)
@@ -165,18 +154,9 @@ class TripleEngine(BaseEngine):
     # Edge CRUD (reified statements)
     # ------------------------------------------------------------------
 
-    def add_edge(
-        self,
-        source_id: Any,
-        target_id: Any,
-        label: str,
-        properties: dict[str, Any] | None = None,
+    def _insert_edge(
+        self, source_id: Any, target_id: Any, label: str, properties: dict[str, Any]
     ) -> Any:
-        properties = properties or {}
-        check_property_keys(properties)
-        self._require_vertex(source_id)
-        self._require_vertex(target_id)
-        self.schema.observe_edge(label, set(properties))
         edge_id = f"edge:{next(self._edge_counter)}"
         self._triples.add(edge_id, _TYPE, _EDGE_TYPE)
         self._triples.add(edge_id, _SUBJECT, source_id)
@@ -185,7 +165,6 @@ class TripleEngine(BaseEngine):
         for key, value in properties.items():
             self._triples.add(edge_id, _PROPERTY_PREFIX + key, value)
         self._edge_ids.add(edge_id)
-        self._log("add_edge", id=edge_id)
         return edge_id
 
     def edge(self, edge_id: Any) -> Edge:
@@ -204,11 +183,9 @@ class TripleEngine(BaseEngine):
                 properties[str(triple.predicate)[len(_PROPERTY_PREFIX) :]] = triple.object
         return Edge(id=edge_id, label=label, source=source, target=target, properties=properties)
 
-    def remove_edge(self, edge_id: Any) -> None:
-        self._require(EDGE, edge_id)
+    def _delete_edge(self, edge_id: Any) -> None:
         self._triples.remove(edge_id)
         self._edge_ids.discard(edge_id)
-        self._log("remove_edge", id=edge_id)
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
         self._require(EDGE, edge_id)
@@ -226,14 +203,14 @@ class TripleEngine(BaseEngine):
     # ------------------------------------------------------------------
 
     def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         for triple in self._triples.match(predicate=_SUBJECT, object_=vertex_id):
             edge_id = triple.subject
             if label is None or self.edge_label(edge_id) == label:
                 yield edge_id
 
     def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         for triple in self._triples.match(predicate=_OBJECT, object_=vertex_id):
             edge_id = triple.subject
             if label is None or self.edge_label(edge_id) == label:
@@ -247,7 +224,7 @@ class TripleEngine(BaseEngine):
         # Structural read: one (vertex, graph:label, ?) prefix probe instead
         # of materialising every statement of the vertex (the property
         # statements stay cold).
-        self._require_vertex(vertex_id)
+        self._require(VERTEX, vertex_id)
         for triple in self._triples.match(subject=vertex_id, predicate=_LABEL):
             return triple.object
         return None
@@ -279,7 +256,7 @@ class TripleEngine(BaseEngine):
         def patterns() -> Iterator[tuple[Any, Any, Any]]:
             for vertex_id in frontier:
                 for predicate, _endpoint in passes:
-                    self._require_vertex(vertex_id)
+                    self._require(VERTEX, vertex_id)
                     yield (None, predicate, vertex_id)
 
         npasses = len(passes)
@@ -304,11 +281,11 @@ class TripleEngine(BaseEngine):
         for their full reified adjacency.
         """
         if k <= 0:
-            self._require_vertex(vertex_id)
+            self._require(VERTEX, vertex_id)
             return True
         count = 0
         for predicate, _endpoint in _PASSES[direction]:
-            self._require_vertex(vertex_id)
+            self._require(VERTEX, vertex_id)
             for _triple in self._triples.match(predicate=predicate, object_=vertex_id):
                 count += 1
                 if count >= k:

@@ -12,18 +12,12 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.exceptions import ElementNotFoundError
-from repro.model.elements import Direction
+from repro.model.elements import VERTEX, Direction
 from repro.model.graph import GraphDatabase
 
 #: Frontier chunk handed to ``neighbors_many`` per expansion round; matches
 #: the traversal machine's batch so BFS charges mirror a Q32-style query.
 _FRONTIER_CHUNK = 256
-
-
-def _require_vertex(graph: GraphDatabase, vertex_id: Any) -> None:
-    if not graph.vertex_exists(vertex_id):
-        raise ElementNotFoundError("vertex", vertex_id)
 
 
 def bfs_reachable(
@@ -36,8 +30,8 @@ def bfs_reachable(
     only the partial expansion — the same lazy-charge behaviour as the
     per-id path.
     """
-    _require_vertex(graph, source)
-    _require_vertex(graph, target)
+    graph._require(VERTEX, source)
+    graph._require(VERTEX, target)
     if source == target:
         return True
     visited = {source}
@@ -65,7 +59,7 @@ def bfs_descendants(
 
     ``source`` itself is excluded, even when a cycle leads back to it.
     """
-    _require_vertex(graph, source)
+    graph._require(VERTEX, source)
     visited = {source}
     discovered: list[Any] = []
     frontier = [source]

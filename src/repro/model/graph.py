@@ -49,6 +49,14 @@ to one kind-level method (``_set_property``, ``_exists``, ...), which every
 engine writes once.  Keys in :data:`RESERVED_KEYS` name engine metadata
 and are refused before anything is booked.
 
+The op codec
+------------
+
+:data:`OPS` names the eight create/update/delete operations once, with
+their argument fields (:data:`ID_FIELDS` marks the ids).  A session's
+commit and a 2PC participant's recovery both replay through
+:func:`replay`, and the 2PC journal takes its payload keys from it.
+
 ``docs/ARCHITECTURE.md`` is the durable home of these contracts;
 ``docs/ENGINES.md`` records which engine overrides what and each
 substrate's charging rules.
@@ -57,7 +65,7 @@ substrate's charging rules.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.exceptions import ElementNotFoundError, SchemaError
 from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
@@ -81,6 +89,53 @@ def check_property_keys(keys: Iterable[str] | None) -> None:
     if keys and not RESERVED_KEYS.isdisjoint(keys):
         key = min(RESERVED_KEYS.intersection(keys))
         raise SchemaError(f"property key {key!r} is reserved for engine metadata")
+
+
+#: The id fields of the op codec and the element kind each one names.
+ID_FIELDS = {"vertex": VERTEX, "source": VERTEX, "target": VERTEX, "edge": EDGE}
+
+
+class Op(NamedTuple):
+    """One op of the codec: its argument fields in call order, the
+    ``(position, kind)`` of each id field among them, and the kind of
+    element it creates or removes if it changes the graph's shape."""
+
+    fields: tuple[str, ...]
+    ids: tuple[tuple[int, ElementKind], ...]
+    creates: ElementKind | None
+    removes: ElementKind | None
+
+
+def _op(*fields: str, creates: ElementKind | None = None, removes: ElementKind | None = None) -> Op:
+    ids = tuple((i, ID_FIELDS[field]) for i, field in enumerate(fields) if field in ID_FIELDS)
+    return Op(fields, ids, creates, removes)
+
+
+#: The op codec: the eight CUD operations, by method name.
+OPS = {
+    "add_vertex": _op("properties", "label", creates=VERTEX),
+    "add_edge": _op("source", "target", "label", "properties", creates=EDGE),
+    "remove_vertex": _op("vertex", removes=VERTEX),
+    "remove_edge": _op("edge", removes=EDGE),
+    VERTEX.set_op: _op("vertex", "key", "value"),
+    VERTEX.remove_op: _op("vertex", "key"),
+    EDGE.set_op: _op("edge", "key", "value"),
+    EDGE.remove_op: _op("edge", "key"),
+}
+
+
+def replay(
+    graph: "GraphDatabase", name: str, arguments: Sequence[Any], resolve: Callable[[Any], Any]
+) -> Any:
+    """Apply op ``name`` to ``graph`` and return its result (a created id).
+
+    ``arguments`` follow the op's fields; each id field is passed through
+    ``resolve``.
+    """
+    values = list(arguments)
+    for position, _kind in OPS[name].ids:
+        values[position] = resolve(values[position])
+    return getattr(graph, name)(*values)
 
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -300,13 +355,9 @@ class GraphDatabase(abc.ABC):
         """Number of incident edges in ``direction`` (used by Q28-Q30)."""
         return sum(1 for _edge in self.edges_for(vertex_id, direction))
 
-    def _require_vertex(self, vertex_id: Any) -> None:
-        """Raise unless ``vertex_id`` is live; books what ``vertex_exists`` books."""
-        if not self._exists(VERTEX, vertex_id):
-            raise ElementNotFoundError("vertex", vertex_id)
-
     def _require(self, kind: ElementKind, element_id: Any) -> None:
-        """Raise unless ``element_id`` is a live element of ``kind``."""
+        """Raise unless ``element_id`` is a live element of ``kind``; books
+        what :meth:`_exists` books."""
         if not self._exists(kind, element_id):
             raise ElementNotFoundError(kind.name, element_id)
 
@@ -363,7 +414,7 @@ class GraphDatabase(abc.ABC):
         vertex raises whatever ``k`` is.
         """
         if k <= 0:
-            self._require_vertex(vertex_id)
+            self._require(VERTEX, vertex_id)
             return True
         count = 0
         for _edge_id in self.edges_for(vertex_id, direction):
@@ -409,6 +460,10 @@ class GraphDatabase(abc.ABC):
     @abc.abstractmethod
     def _exists(self, kind: ElementKind, element_id: Any) -> bool:
         """True if ``element_id`` is a live element of ``kind``."""
+
+    def _live(self, kind: ElementKind, element_id: Any) -> bool:
+        """:meth:`_exists`, booking nothing: a commit checks its log with it."""
+        return self._exists(kind, element_id)
 
     @abc.abstractmethod
     def _ids(self, kind: ElementKind) -> Iterator[Any]:

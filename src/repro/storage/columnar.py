@@ -72,6 +72,10 @@ class RowKeyIndex:
         self.metrics.charge_index_probe()
         return key in self._positions
 
+    def __contains__(self, key: Any) -> bool:
+        """Membership without the probe :meth:`contains` books."""
+        return key in self._positions
+
     def remove(self, key: Any) -> None:
         self.metrics.charge_index_update()
         self._positions.pop(key, None)

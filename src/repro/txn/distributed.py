@@ -34,9 +34,10 @@ rate climbs with the partitioner's cut ratio.
 
 Every abort of either commit path — read-only validation, one-phase
 failure, crash before vote, vote NO — leaves through one exit,
-:meth:`DistributedSessionManager._unwind`; and what a writer journals at
-PREPARE and how recovery replays it is one table, ``_OPS`` (whose keys are
-:data:`LOGGED_OPS`).
+:meth:`DistributedSessionManager._unwind`.  What a writer journals at
+PREPARE and how recovery replays it come from the one op codec
+(:data:`~repro.model.graph.OPS`): payload fields are the codec's, and a
+live write and its replay both go through :meth:`TxnShard.apply`.
 
 Recovery
 --------
@@ -48,9 +49,9 @@ deterministic: it reads the verified durable prefix of the decision log
 sessions of undecided transactions, and re-applies the journaled
 operations of committed transactions whose participant crashed after
 voting — dereferencing value-log pointers with charged reads, translating
-external ids through the shard's id map, and replaying each record with
-its op-table callable through a fresh session so every version-store
-invariant is rebuilt rather than patched.  A crashed participant refuses
+external ids through the shard's id map, and replaying each record
+through a fresh session so every version-store invariant is rebuilt
+rather than patched.  A crashed participant refuses
 new sessions (:class:`~repro.exceptions.ParticipantUnavailableError`)
 until recovery has restarted it.
 Running recovery twice is a no-op: resolutions are journaled as they are
@@ -60,7 +61,7 @@ made.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from typing import Any, Sequence
 
 from repro.concurrency.scheduler import BarrierClock
 from repro.concurrency.sessions import Session
@@ -80,6 +81,7 @@ from repro.faults.txn_faults import (
     TORN_DECISION,
     TxnFaultPlan,
 )
+from repro.model.graph import OPS, replay
 from repro.partition.executor import ShardRuntime
 from repro.partition.messages import MessageBatch, NetworkCostModel, NetworkStats
 from repro.storage.metrics import StorageMetrics
@@ -88,56 +90,16 @@ from repro.storage.wal import DurabilityMode, ValueLog, WriteAheadLog
 #: The coordinator's pseudo shard index in message accounting.
 COORDINATOR = -1
 
-class _LoggedOp(NamedTuple):
-    """How one write operation is journaled at PREPARE and replayed at recovery."""
-
-    #: Payload field names for the recorded op's arguments (after ``txn``).
-    fields: tuple[str, ...]
-    #: ``replay(graph, runtime, owner, payload)`` re-applies a resolved record.
-    replay: Callable[[Any, ShardRuntime, dict[Any, int], dict[str, Any]], None]
-
-
-_EDGE_FIELDS = ("source", "target", "label", "properties")
-
-#: The single definition of what a shard transaction WAL journals and how
-#: recovery re-applies it.  The distributed write surface is deliberately
-#: small — property updates and edge inserts, mirroring the paper's CUD
-#: microbenchmarks.  ``add_cut_edge`` is a cross-shard insert: both endpoint
-#: owners journal it, and applying it updates the shard's cut routing table
-#: rather than its engine.
-_OPS = {
-    "set_vertex_property": _LoggedOp(
-        ("vertex", "key", "value"),
-        lambda graph, runtime, _owner, payload: graph.set_vertex_property(
-            runtime.id_map[payload["vertex"]], payload["key"], payload["value"]
-        ),
-    ),
-    "remove_vertex_property": _LoggedOp(
-        ("vertex", "key"),
-        lambda graph, runtime, _owner, payload: graph.remove_vertex_property(
-            runtime.id_map[payload["vertex"]], payload["key"]
-        ),
-    ),
-    "add_edge": _LoggedOp(
-        _EDGE_FIELDS,
-        lambda graph, runtime, _owner, payload: graph.add_edge(
-            runtime.id_map[payload["source"]],
-            runtime.id_map[payload["target"]],
-            payload["label"],
-            properties=dict(payload["properties"]),
-        ),
-    ),
-    "add_cut_edge": _LoggedOp(
-        _EDGE_FIELDS,
-        lambda _graph, runtime, owner, payload: _install_cut_edge(
-            runtime, owner, payload["source"], payload["target"]
-        ),
-    ),
-}
+#: A cross-shard edge insert: both endpoint owners journal it with the
+#: fields of ``add_edge``, and applying it updates the shard's cut routing
+#: table rather than its engine — the txn layer's one op beyond the codec.
+_CUT_EDGE = "add_cut_edge"
 
 #: Operation kinds a shard transaction WAL can journal (and recovery can
-#: re-apply).
-LOGGED_OPS = tuple(_OPS)
+#: re-apply).  The distributed write surface is deliberately small —
+#: property updates and edge inserts, mirroring the paper's CUD
+#: microbenchmarks.
+LOGGED_OPS = ("set_vertex_property", "remove_vertex_property", "add_edge", _CUT_EDGE)
 
 
 def _install_cut_edge(
@@ -201,6 +163,14 @@ class TxnShard:
     def journal_charge(self) -> int:
         """Total charged logical I/O on the journal and its value log."""
         return self.journal.metrics.logical_io + self.value_log.metrics.logical_io
+
+    def apply(self, session: Session, name: str, arguments: Sequence[Any]) -> None:
+        """Write one codec op, in external ids, through ``session``'s graph.
+
+        The one entry of both a live write and recovery's replay of its
+        journal record, so the two cannot drift apart.
+        """
+        replay(session.graph, name, arguments, self.runtime.id_map.__getitem__)
 
 
 @dataclass
@@ -319,6 +289,11 @@ class DistributedSession:
     def _record(self, shard: TxnShard, op: tuple[Any, ...]) -> None:
         self._ops.setdefault(shard.index, []).append(op)
 
+    def _write(self, shard: TxnShard, name: str, *arguments: Any) -> None:
+        """Apply a codec op on ``shard``'s session and record it for PREPARE."""
+        shard.apply(self._session(shard), name, arguments)
+        self._record(shard, (name, *arguments))
+
     @property
     def touched_shards(self) -> tuple[int, ...]:
         return tuple(sorted(self._sessions))
@@ -351,18 +326,10 @@ class DistributedSession:
     # -- writes -----------------------------------------------------------
 
     def set_vertex_property(self, vertex_id: Any, key: str, value: Any) -> None:
-        shard = self._shard_of(vertex_id)
-        self._session(shard).graph.set_vertex_property(
-            shard.runtime.id_map[vertex_id], key, value
-        )
-        self._record(shard, ("set_vertex_property", vertex_id, key, value))
+        self._write(self._shard_of(vertex_id), "set_vertex_property", vertex_id, key, value)
 
     def remove_vertex_property(self, vertex_id: Any, key: str) -> None:
-        shard = self._shard_of(vertex_id)
-        self._session(shard).graph.remove_vertex_property(
-            shard.runtime.id_map[vertex_id], key
-        )
-        self._record(shard, ("remove_vertex_property", vertex_id, key))
+        self._write(self._shard_of(vertex_id), "remove_vertex_property", vertex_id, key)
 
     def add_edge(
         self,
@@ -385,7 +352,7 @@ class DistributedSession:
         src_shard = self._shard_of(source)
         dst_shard = self._shard_of(target)
         if src_shard.index != dst_shard.index:
-            op = ("add_cut_edge", source, target, label, dict(properties or {}))
+            op = (_CUT_EDGE, source, target, label, dict(properties or {}))
             # Open both sessions so both shards participate in 2PC (the
             # recorded op is what makes each a writer).
             self._session(src_shard)
@@ -395,15 +362,7 @@ class DistributedSession:
             self._pending_cut[source] = self._pending_cut.get(source, 0) + 1
             self._pending_cut[target] = self._pending_cut.get(target, 0) + 1
             return
-        self._session(src_shard).graph.add_edge(
-            src_shard.runtime.id_map[source],
-            src_shard.runtime.id_map[target],
-            label,
-            properties=dict(properties or {}),
-        )
-        self._record(
-            src_shard, ("add_edge", source, target, label, dict(properties or {}))
-        )
+        self._write(src_shard, "add_edge", source, target, label, dict(properties or {}))
 
     # -- lifecycle --------------------------------------------------------
 
@@ -568,7 +527,8 @@ class DistributedSessionManager:
             # value log) plus the prepare marker, all SYNC-charged.
             journal_before = shard.journal_charge()
             for name, *arguments in ops:
-                payload = {"txn": txn.id, **dict(zip(_OPS[name].fields, arguments))}
+                fields = OPS["add_edge" if name == _CUT_EDGE else name].fields
+                payload = {"txn": txn.id, **dict(zip(fields, arguments))}
                 shard.journal.append(name, payload)
             shard.journal.append("prepare", {"txn": txn.id, "ops": len(ops)})
             journal_charge = shard.journal_charge() - journal_before
@@ -678,7 +638,7 @@ class DistributedSessionManager:
     def _install_cut_edges(self, shard: TxnShard, ops: list[tuple[Any, ...]]) -> None:
         """Install ``shard``'s halves of a transaction's cut-edge inserts."""
         for op in ops:
-            if op[0] == "add_cut_edge":
+            if op[0] == _CUT_EDGE:
                 _install_cut_edge(shard.runtime, self.owner, op[1], op[2])
 
     def _decide(self, txn_id: int, outcome: str) -> None:
@@ -811,9 +771,12 @@ class DistributedSessionManager:
         ops = [
             (record.operation, shard.journal.resolve_payload(record.payload))
             for record in shard.journal.replay()
-            if record.payload.get("txn") == txn_id and record.operation in _OPS
+            if record.payload.get("txn") == txn_id and record.operation in LOGGED_OPS
         ]
         session = shard.manager.begin()
         for name, payload in ops:
-            _OPS[name].replay(session.graph, shard.runtime, self.owner, payload)
+            if name == _CUT_EDGE:
+                _install_cut_edge(shard.runtime, self.owner, payload["source"], payload["target"])
+            else:
+                shard.apply(session, name, [payload[field] for field in OPS[name].fields])
         session.commit()

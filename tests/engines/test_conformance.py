@@ -7,7 +7,9 @@ of the paper's requirement that all systems answer exactly the same queries.
 
 from __future__ import annotations
 
+import copy
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -15,9 +17,11 @@ import pytest
 import repro.engines
 from repro.concurrency.versioning import SnapshotView, VersionedGraph
 from repro.engines import ALL_ENGINES, create_engine
+from repro.engines.base import BaseEngine
 from repro.exceptions import ElementNotFoundError, SchemaError
-from repro.model.elements import Direction
-from repro.model.graph import RESERVED_KEYS, GraphDatabase
+from repro.model.elements import EDGE, VERTEX, Direction
+from repro.model.graph import OPS, RESERVED_KEYS, GraphDatabase
+from repro.txn.distributed import LOGGED_OPS
 
 
 class TestVertexCrud:
@@ -138,21 +142,24 @@ class TestEdgeCrud:
         assert any_engine.distinct_edge_labels() == {"knows", "likes"}
 
 
-#: Every per-id method, by the id space it reads from.
+#: Every per-id method, by the id space it reads from; ``live`` is a live
+#: vertex (the other endpoint of an edge insert).
 _VERTEX_METHODS = (
-    lambda engine, element: engine.vertex(element),
-    lambda engine, element: engine.vertex_property(element, "name"),
-    lambda engine, element: engine.set_vertex_property(element, "name", "x"),
-    lambda engine, element: engine.remove_vertex_property(element, "name"),
-    lambda engine, element: engine.remove_vertex(element),
+    lambda engine, element, live: engine.vertex(element),
+    lambda engine, element, live: engine.vertex_property(element, "name"),
+    lambda engine, element, live: engine.set_vertex_property(element, "name", "x"),
+    lambda engine, element, live: engine.remove_vertex_property(element, "name"),
+    lambda engine, element, live: engine.remove_vertex(element),
+    lambda engine, element, live: engine.add_edge(element, live, "knows", {"name": "x"}),
+    lambda engine, element, live: engine.add_edge(live, element, "fresh"),
 )
 _EDGE_METHODS = (
-    lambda engine, element: engine.edge(element),
-    lambda engine, element: engine.edge_endpoints(element),
-    lambda engine, element: engine.edge_property(element, "name"),
-    lambda engine, element: engine.set_edge_property(element, "name", "x"),
-    lambda engine, element: engine.remove_edge_property(element, "name"),
-    lambda engine, element: engine.remove_edge(element),
+    lambda engine, element, live: engine.edge(element),
+    lambda engine, element, live: engine.edge_endpoints(element),
+    lambda engine, element, live: engine.edge_property(element, "name"),
+    lambda engine, element, live: engine.set_edge_property(element, "name", "x"),
+    lambda engine, element, live: engine.remove_edge_property(element, "name"),
+    lambda engine, element, live: engine.remove_edge(element),
 )
 
 
@@ -165,13 +172,18 @@ class TestIdSpaces:
     """
 
     @staticmethod
-    def _assert_rejected(engine, methods, foreign_id):
+    def _assert_rejected(engine, methods, foreign_id, live):
+        """Each method raises before the WAL, the structure version, the
+        schema (new labels and keys included) or the counts move."""
         counts = (engine.vertex_count(), engine.edge_count())
         for method in methods:
             wal_length, cost = len(engine.wal), engine.io_cost()
+            shape, schema = engine.structure_version(), copy.deepcopy(engine.schema)
             with pytest.raises(ElementNotFoundError):
-                method(engine, foreign_id)
+                method(engine, foreign_id, live)
             assert len(engine.wal) == wal_length
+            assert engine.structure_version() == shape
+            assert engine.schema == schema
             # Elsewhere a failed lookup may book its probe (the v3.0 wrapper
             # charges one per API call); here resolving an id is a catalog read.
             if engine.name == "relationalgraph":
@@ -184,16 +196,26 @@ class TestIdSpaces:
         edges = [any_engine.add_edge(a, b, "knows", {"name": "e"}) for _ in range(3)]
         assert edges[-1] not in (a, b)
         assert not any_engine.vertex_exists(edges[-1])
-        self._assert_rejected(any_engine, _VERTEX_METHODS, edges[-1])
+        self._assert_rejected(any_engine, _VERTEX_METHODS, edges[-1], a)
 
     def test_vertex_id_is_not_an_edge(self, any_engine):
         vertices = [any_engine.add_vertex({"name": "v"}, label="person") for _ in range(3)]
         edge = any_engine.add_edge(vertices[0], vertices[1], "knows", {"name": "e"})
         assert vertices[-1] != edge
         assert not any_engine.edge_exists(vertices[-1])
-        self._assert_rejected(any_engine, _EDGE_METHODS, vertices[-1])
+        self._assert_rejected(any_engine, _EDGE_METHODS, vertices[-1], vertices[0])
         # The endpoints the rejected calls named are still there.
         assert any_engine.edge_endpoints(edge) == (vertices[0], vertices[1])
+
+    def test_removed_ids_are_rejected(self, any_engine):
+        a, b, gone = (any_engine.add_vertex({"name": n}, label="person") for n in "abc")
+        kept = any_engine.add_edge(a, b, "knows")
+        dropped = any_engine.add_edge(b, a, "knows")
+        any_engine.remove_edge(dropped)
+        any_engine.remove_vertex(gone)
+        self._assert_rejected(any_engine, _VERTEX_METHODS, gone, a)
+        self._assert_rejected(any_engine, _EDGE_METHODS, dropped, a)
+        assert list(any_engine.out_edges(a)) == [kept]
 
 
 #: The writes that name a property key, as (operation, kind) cases over a
@@ -282,6 +304,64 @@ class TestOneElementKind:
                 assert "HashIndex(" not in text and "_vertex_indexes" not in text, module.name
         for module in Path(inspect.getfile(repro)).parent.rglob("*.py"):
             assert "indexed_vertex_properties" not in module.read_text(), module
+
+
+#: The writes defined once on BaseEngine: the public structural four and
+#: the kind-level property two.
+_PROTOCOL = frozenset(
+    {"add_vertex", "add_edge", "remove_vertex", "remove_edge", "_set_property", "_remove_property"}
+)
+
+
+class TestOneWriteProtocol:
+    def test_no_engine_defines_a_protocol_write_or_logs_one(self):
+        classes = {type(create_engine(identifier)) for identifier in ALL_ENGINES}
+        for cls in classes:
+            for klass in cls.__mro__[: cls.__mro__.index(BaseEngine)]:
+                assert not _PROTOCOL & set(vars(klass)), klass
+        assert _PROTOCOL <= set(vars(BaseEngine))
+        package = Path(inspect.getfile(repro.engines)).parent
+        for module in sorted(package.glob("*.py")):
+            if module.name != "base.py":
+                assert "._log(" not in module.read_text(), module.name
+
+    def test_the_overlay_logs_exactly_the_codec_ops(self):
+        source = inspect.getsource(VersionedGraph)
+        appended = set(re.findall(r"ops\.append\(\(\"(\w+)\"", source))
+        # Property writes append an op name of their kind.
+        for attribute in re.findall(r"ops\.append\(\(kind\.(\w+),", source):
+            appended |= {getattr(VERTEX, attribute), getattr(EDGE, attribute)}
+        assert appended - {"drop_provisional_vertex", "drop_provisional_edge"} == set(OPS)
+
+    def test_the_journal_logs_codec_ops_and_cut_edges(self):
+        assert set(LOGGED_OPS) <= set(OPS) | {"add_cut_edge"}
+
+    def test_every_cud_record_names_its_element(self, any_engine):
+        """The WAL record of each write carries the id the caller got back
+        or passed in (relational adds once logged a bare row number)."""
+        engine = any_engine
+
+        def last_record(operation, element):
+            engine.flush()
+            record = engine.wal.replay()[-1]
+            assert (record.operation, record.payload["id"]) == (operation, element)
+
+        a = engine.add_vertex({"name": "a"}, label="person")
+        last_record("add_vertex", a)
+        b = engine.add_vertex()
+        last_record("add_vertex", b)
+        e = engine.add_edge(a, b, "knows", {"name": "e"})
+        last_record("add_edge", e)
+        for kind, element in (("vertex", a), ("edge", e)):
+            getattr(engine, f"set_{kind}_property")(element, "rank", 1)
+            last_record(f"set_{kind}_property", element)
+            getattr(engine, f"remove_{kind}_property")(element, "rank")
+            last_record(f"remove_{kind}_property", element)
+        engine.remove_edge(e)
+        last_record("remove_edge", e)
+        engine.add_edge(b, a, "knows")
+        engine.remove_vertex(a)
+        last_record("remove_vertex", a)
 
 
 class TestTraversalPrimitives:
