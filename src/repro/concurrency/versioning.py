@@ -782,6 +782,7 @@ class VersionedGraph(GraphDatabase):
     def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
         check_property_keys(properties)
         self._snapshot  # state guard
+        self._engine._check_label(label)
         ws = self._ws
         pid = ws.next_id("vertex")
         ws.created_vertices[pid] = VertexState(label, dict(properties or {}))
@@ -843,6 +844,7 @@ class VersionedGraph(GraphDatabase):
         properties: dict[str, Any] | None = None,
     ) -> Any:
         check_property_keys(properties)
+        self._engine._check_label(label)
         ws = self._ws
         for endpoint in (source_id, target_id):
             self._check_writable(_VERTEX, endpoint)

@@ -57,10 +57,13 @@ One write protocol
 ------------------
 
 Every write is defined here once: the four structural ones and the two
-kind-level property ones.  Each books the round trip, checks, calls the
-engine's substrate hook and writes the one WAL record naming the element;
-every check raises before the schema, the WAL or the substrate moves (the
-steps are listed in ``docs/ARCHITECTURE.md``).  Engines supply the hooks:
+kind-level property ones.  A create first asks the engine's charge-free
+``_check_label`` whether its substrate takes the label (the relational
+engine's table-name limit), before anything is booked.  Each write then
+books the round trip, checks, calls the engine's substrate hook and
+writes the one WAL record naming the element; every check raises before
+the schema, the WAL or the substrate moves (the steps are listed in
+``docs/ARCHITECTURE.md``).  Engines supply the hooks:
 ``_insert_vertex`` / ``_insert_edge`` (returning the new id),
 ``_delete_vertex`` / ``_delete_edge``, ``_put_property`` /
 ``_drop_property``, the cascade ``_remove_incident`` and the
@@ -162,6 +165,7 @@ class BaseEngine(GraphDatabase):
     def add_vertex(self, properties: dict[str, Any] | None = None, label: str | None = None) -> Any:
         properties = properties or {}
         check_property_keys(properties)
+        self._check_label(label)
         self._round_trip()
         self.schema.observe_vertex(label, set(properties))
         vertex_id = self._insert_vertex(properties, label)
@@ -174,6 +178,7 @@ class BaseEngine(GraphDatabase):
     ) -> Any:
         properties = properties or {}
         check_property_keys(properties)
+        self._check_label(label)
         self._round_trip()
         self._require(VERTEX, source_id)
         self._require(VERTEX, target_id)
@@ -205,6 +210,10 @@ class BaseEngine(GraphDatabase):
         self._round_trip()
         self._drop_property(kind, element_id, key)
         self._log(kind.remove_op, id=element_id, key=key)
+
+    def _check_label(self, label: str | None) -> None:
+        """Raise :class:`SchemaError` if the substrate cannot store ``label``;
+        charges nothing.  Every label is storable unless an engine says not."""
 
     # The substrate hooks each engine writes: ``_insert_vertex(properties,
     # label)`` and ``_insert_edge(source, target, label, properties)`` store

@@ -86,7 +86,6 @@ class RelationalEngine(BaseEngine):
 
     def _vertex_table(self, label: str | None) -> str:
         label = label or _DEFAULT_VERTEX_LABEL
-        self._check_label(label)
         table_name = _VERTEX_PREFIX + label
         if not self._db.has_table(table_name):
             self._db.create_table(table_name, [Column("id", "bigint", nullable=False)])
@@ -97,7 +96,6 @@ class RelationalEngine(BaseEngine):
         return table_name
 
     def _edge_table(self, label: str) -> str:
-        self._check_label(label)
         table_name = _EDGE_PREFIX + label
         if not self._db.has_table(table_name):
             table = self._db.create_table(
@@ -115,8 +113,8 @@ class RelationalEngine(BaseEngine):
             table.create_index("target")
         return table_name
 
-    def _check_label(self, label: str) -> None:
-        if len(label) > _MAX_LABEL_LENGTH:
+    def _check_label(self, label: str | None) -> None:
+        if label is not None and len(label) > _MAX_LABEL_LENGTH:
             raise SchemaError(
                 f"label {label!r} exceeds the {_MAX_LABEL_LENGTH}-character limit"
             )

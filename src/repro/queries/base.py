@@ -1,8 +1,8 @@
-"""Query descriptors shared by the microbenchmark and complex query sets.
+"""The one query value shared by the microbenchmark and complex query sets.
 
 A :class:`Query` couples the metadata the reports need (identifier, category,
 the original Gremlin text from the paper's Table 2) with an executable
-``run(graph, params)`` body.  Parameters are bound by the workload generator
+``body(graph, params)``.  Parameters are bound by the workload generator
 (:mod:`repro.bench.workload`) from the *same* seeded random choices for every
 engine, satisfying the paper's fairness requirement that any random selection
 is kept identical across systems.
@@ -11,11 +11,14 @@ is kept identical across systems.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 from repro.exceptions import QueryError
 from repro.model.graph import GraphDatabase
+
+#: A query body: the bound graph and parameters in, the result out.
+Body = Callable[[GraphDatabase, Mapping[str, Any]], Any]
 
 
 class QueryCategory(enum.Enum):
@@ -29,51 +32,42 @@ class QueryCategory(enum.Enum):
     TRAVERSAL = "T"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Query:
-    """Base class for every benchmark operation.
-
-    Subclasses set the class attributes and implement :meth:`run`.
-    """
+    """One benchmark operation: a row of Table 2 or of the complex set."""
 
     #: Short identifier, e.g. ``"Q22"``.
-    id: str = ""
+    id: str
     #: Position in Table 2 (1-35); complex queries use 100+.
-    number: int = 0
+    number: int
     #: Category the query belongs to.
-    category: QueryCategory = QueryCategory.READ
+    category: QueryCategory
     #: One-line description (Table 2, column "Description").
-    description: str = ""
+    description: str
     #: The original Gremlin 2.6 text from the paper.
-    gremlin: str = ""
-    #: Names of the parameters :meth:`run` expects in ``params``.
-    parameters: tuple[str, ...] = ()
+    gremlin: str
+    #: Names of the parameters :attr:`body` expects in ``params``.
+    parameters: tuple[str, ...]
+    #: The operation itself, called with the graph and the bound parameters.
+    body: Body
     #: Whether the query modifies the graph (the harness reloads or undoes
     #: state between repetitions of mutating queries).
     mutates: bool = False
 
-    def run(self, graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
-        """Execute the operation against ``graph`` with bound ``params``."""
-        raise NotImplementedError
-
-    def bind_check(self, params: Mapping[str, Any]) -> None:
-        """Raise :class:`QueryError` if a required parameter is missing."""
-        missing = [name for name in self.parameters if name not in params]
-        if missing:
-            raise QueryError(f"{self.id}: missing parameters {missing!r}")
-
     def __call__(self, graph: GraphDatabase, params: Mapping[str, Any] | None = None) -> Any:
         params = params or {}
-        self.bind_check(params)
-        return self.run(graph, params)
+        # A loop, not a comprehension: the usual, complete call builds nothing.
+        for name in self.parameters:
+            if name not in params:
+                missing = [name for name in self.parameters if name not in params]
+                raise QueryError(f"{self.id}: missing parameters {missing!r}")
+        return self.body(graph, params)
 
 
-@dataclass
-class QueryDefinition(Query):
-    """A query whose metadata is provided at construction time.
-
-    Convenience base used by the concrete modules so that each query is a
-    small class with just a ``run`` method.
-    """
-
-    extra: dict[str, Any] = field(default_factory=dict)
+def lookup(queries: Mapping[str, Query], query_id: str, unknown: str, known: str) -> Query:
+    """Return ``queries[query_id]``, or raise :class:`QueryError` naming the
+    ``unknown`` kind of query and listing the ``known`` ones."""
+    try:
+        return queries[query_id]
+    except KeyError:
+        raise QueryError(f"unknown {unknown} {query_id!r}; {known}: {', '.join(queries)}") from None

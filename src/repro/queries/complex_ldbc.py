@@ -11,255 +11,102 @@ micro-benchmark insights.
 Each query here is expressed through the same traversal DSL as the
 microbenchmark operations, so step conflation (the relational engine's
 strength on label-restricted short joins) applies where the original systems
-could apply it.
+could apply it.  Like Table 2, the set is one table of rows over
+:class:`~repro.queries.base.Query`: numbered from 101, categorised R.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.exceptions import QueryError
 from repro.model.elements import Direction
 from repro.model.graph import GraphDatabase
-from repro.queries.base import Query, QueryCategory
+from repro.queries.base import Body, Query, QueryCategory, lookup
 
 
-class _ComplexQuery(Query):
-    """Base class: complex queries are numbered from 101 and categorised R."""
+def _max_degree(direction: Direction) -> Body:
+    """``max-iid`` / ``max-oid``: the node with the most edges in ``direction``."""
 
-    def __init__(self, identifier: str, number: int, description: str, parameters: tuple[str, ...], mutates: bool = False) -> None:
-        super().__init__(
-            id=identifier,
-            number=number,
-            category=QueryCategory.READ,
-            description=description,
-            gremlin="(LDBC-derived complex query)",
-            parameters=parameters,
-            mutates=mutates,
-        )
-
-
-class MaxInDegreeNode(_ComplexQuery):
-    """``max-iid``: the node with the largest number of incoming edges."""
-
-    def __init__(self) -> None:
-        super().__init__("max-iid", 101, "Node with maximum in-degree", ())
-
-    def run(self, graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
-        del params
+    def body(graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
         best_vertex, best_degree = None, -1
         for vertex_id in graph.vertex_ids():
-            degree = graph.degree(vertex_id, Direction.IN)
+            degree = graph.degree(vertex_id, direction)
             if degree > best_degree:
                 best_vertex, best_degree = vertex_id, degree
         return {"vertex": best_vertex, "degree": best_degree}
 
-
-class MaxOutDegreeNode(_ComplexQuery):
-    """``max-oid``: the node with the largest number of outgoing edges."""
-
-    def __init__(self) -> None:
-        super().__init__("max-oid", 102, "Node with maximum out-degree", ())
-
-    def run(self, graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
-        del params
-        best_vertex, best_degree = None, -1
-        for vertex_id in graph.vertex_ids():
-            degree = graph.degree(vertex_id, Direction.OUT)
-            if degree > best_degree:
-                best_vertex, best_degree = vertex_id, degree
-        return {"vertex": best_vertex, "degree": best_degree}
+    return body
 
 
-class CreateAccount(_ComplexQuery):
-    """``create``: create the new user's account node with profile attributes."""
-
-    def __init__(self) -> None:
-        super().__init__("create", 103, "Create a new user account node", ("properties",), mutates=True)
-
-    def run(self, graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
-        return graph.add_vertex(dict(params["properties"]), label="person")
+def _friends_of_friends(graph: GraphDatabase, person: Any) -> Any:
+    """Two hops over ``knows`` from ``person``, minus the person and direct friends."""
+    direct = set(graph.traversal().V(person).both("knows").to_list())
+    return graph.traversal().V(person).both("knows").both("knows").except_(direct | {person})
 
 
-class ConnectToCity(_ComplexQuery):
-    """``city``: connect the new user to their city of residence."""
-
-    def __init__(self) -> None:
-        super().__init__("city", 104, "Connect a person to a city node", ("person", "place"), mutates=True)
-
-    def run(self, graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
-        return graph.add_edge(params["person"], params["place"], "isLocatedIn")
+def _top_k(counts: dict[Any, int], k: int) -> list[tuple[Any, int]]:
+    return sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))[:k]
 
 
-class ConnectToCompany(_ComplexQuery):
-    """``company``: connect the new user to their workplace."""
-
-    def __init__(self) -> None:
-        super().__init__("company", 105, "Connect a person to a company node", ("person", "organisation"), mutates=True)
-
-    def run(self, graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
-        return graph.add_edge(params["person"], params["organisation"], "workAt", {"workFrom": 2018})
+def _add_tags(graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
+    return [graph.add_edge(params["person"], tag, "hasInterest") for tag in params["tags"]]
 
 
-class ConnectToUniversity(_ComplexQuery):
-    """``university``: connect the new user to their university."""
-
-    def __init__(self) -> None:
-        super().__init__("university", 106, "Connect a person to a university node", ("person", "organisation"), mutates=True)
-
-    def run(self, graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
-        return graph.add_edge(params["person"], params["organisation"], "studyAt", {"classYear": 2018})
-
-
-class DirectFriends(_ComplexQuery):
-    """``friend1``: the user's direct friends (1-hop over ``knows``)."""
-
-    def __init__(self) -> None:
-        super().__init__("friend1", 107, "Direct friends of a person", ("person",))
-
-    def run(self, graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
-        return graph.traversal().V(params["person"]).both("knows").dedup().to_list()
+def _triangles(graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
+    friends = set(graph.traversal().V(params["person"]).both("knows").to_list())
+    triangles = 0
+    for friend in friends:
+        for second in graph.traversal().V(friend).both("knows"):
+            if second in friends and str(second) > str(friend):
+                triangles += 1
+    return triangles
 
 
-class FriendsOfFriends(_ComplexQuery):
-    """``friend2``: friends of friends, excluding the user and direct friends."""
-
-    def __init__(self) -> None:
-        super().__init__("friend2", 108, "Friends of friends of a person", ("person",))
-
-    def run(self, graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
-        person = params["person"]
-        direct = set(graph.traversal().V(person).both("knows").to_list())
-        return (
-            graph.traversal()
-            .V(person)
-            .both("knows")
-            .both("knows")
-            .except_(direct | {person})
-            .dedup()
-            .to_list()
-        )
-
-
-class FriendTags(_ComplexQuery):
-    """``friend-tags``: the interest tags of the user's friends (deduplicated)."""
-
-    def __init__(self) -> None:
-        super().__init__("friend-tags", 109, "Interest tags of a person's friends", ("person",))
-
-    def run(self, graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
-        return (
-            graph.traversal()
-            .V(params["person"])
-            .both("knows")
-            .out("hasInterest")
-            .dedup()
-            .to_list()
-        )
-
-
-class AddInterestTags(_ComplexQuery):
-    """``add-tags``: register the new user's interests (one edge per tag)."""
-
-    def __init__(self) -> None:
-        super().__init__("add-tags", 110, "Add interest edges from a person to tags", ("person", "tags"), mutates=True)
-
-    def run(self, graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
-        created = []
-        for tag in params["tags"]:
-            created.append(graph.add_edge(params["person"], tag, "hasInterest"))
-        return created
-
-
-class FriendRecommendation(_ComplexQuery):
-    """``friend-of-friend``: top-k friend recommendations by common friends."""
-
-    def __init__(self) -> None:
-        super().__init__(
-            "friend-of-friend",
-            111,
-            "Top-k friends-of-friends ranked by the number of common friends",
-            ("person", "k"),
-        )
-
-    def run(self, graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
-        person = params["person"]
-        k = params["k"]
-        direct = set(graph.traversal().V(person).both("knows").to_list())
-        counts: dict[Any, int] = (
-            graph.traversal()
-            .V(person)
-            .both("knows")
-            .both("knows")
-            .except_(direct | {person})
-            .group_count()
-            .next()
-        )
-        ranked = sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))
-        return ranked[:k]
-
-
-class TriangleCount(_ComplexQuery):
-    """``triangle``: number of friendship triangles through the user."""
-
-    def __init__(self) -> None:
-        super().__init__("triangle", 112, "Friendship triangles through a person", ("person",))
-
-    def run(self, graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
-        person = params["person"]
-        friends = set(graph.traversal().V(person).both("knows").to_list())
-        triangles = 0
-        for friend in friends:
-            for second in graph.traversal().V(friend).both("knows"):
-                if second in friends and str(second) > str(friend):
-                    triangles += 1
-        return triangles
-
-
-class FriendPlaces(_ComplexQuery):
-    """``places``: the places of the user's friends, ranked by frequency."""
-
-    def __init__(self) -> None:
-        super().__init__("places", 113, "Places of a person's friends ranked by frequency", ("person", "k"))
-
-    def run(self, graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
-        counts: dict[Any, int] = (
-            graph.traversal()
-            .V(params["person"])
-            .both("knows")
-            .out("isLocatedIn")
-            .group_count()
-            .next()
-        )
-        ranked = sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))
-        return ranked[: params["k"]]
-
+#: The complex queries in Figure 2 order: ``(name, description, parameters,
+#: body, mutates)``.  Inline bodies take the graph ``g`` and params ``p``.
+COMPLEX_TABLE: tuple[tuple[Any, ...], ...] = (
+    ("max-iid", "Node with maximum in-degree", (), _max_degree(Direction.IN), False),
+    ("max-oid", "Node with maximum out-degree", (), _max_degree(Direction.OUT), False),
+    ("create", "Create a new user account node", ("properties",),
+     lambda g, p: g.add_vertex(dict(p["properties"]), label="person"), True),
+    ("city", "Connect a person to a city node", ("person", "place"),
+     lambda g, p: g.add_edge(p["person"], p["place"], "isLocatedIn"), True),
+    ("company", "Connect a person to a company node", ("person", "organisation"),
+     lambda g, p: g.add_edge(p["person"], p["organisation"], "workAt", {"workFrom": 2018}), True),
+    ("university", "Connect a person to a university node", ("person", "organisation"),
+     lambda g, p: g.add_edge(p["person"], p["organisation"], "studyAt", {"classYear": 2018}),
+     True),
+    ("friend1", "Direct friends of a person", ("person",),
+     lambda g, p: g.traversal().V(p["person"]).both("knows").dedup().to_list(), False),
+    ("friend2", "Friends of friends of a person", ("person",),
+     lambda g, p: _friends_of_friends(g, p["person"]).dedup().to_list(), False),
+    ("friend-tags", "Interest tags of a person's friends", ("person",),
+     lambda g, p: g.traversal().V(p["person"]).both("knows").out("hasInterest").dedup().to_list(),
+     False),
+    ("add-tags", "Add interest edges from a person to tags", ("person", "tags"), _add_tags, True),
+    ("friend-of-friend", "Top-k friends-of-friends ranked by the number of common friends",
+     ("person", "k"),
+     lambda g, p: _top_k(_friends_of_friends(g, p["person"]).group_count().next(), p["k"]),
+     False),
+    ("triangle", "Friendship triangles through a person", ("person",), _triangles, False),
+    ("places", "Places of a person's friends ranked by frequency", ("person", "k"),
+     lambda g, p: _top_k(
+         g.traversal().V(p["person"]).both("knows").out("isLocatedIn").group_count().next(),
+         p["k"],
+     ),
+     False),
+)
 
 #: The 13 complex queries, keyed by their Figure 2 names, in figure order.
 COMPLEX_QUERIES: dict[str, Query] = {
-    query.id: query
-    for query in (
-        MaxInDegreeNode(),
-        MaxOutDegreeNode(),
-        CreateAccount(),
-        ConnectToCity(),
-        ConnectToCompany(),
-        ConnectToUniversity(),
-        DirectFriends(),
-        FriendsOfFriends(),
-        FriendTags(),
-        AddInterestTags(),
-        FriendRecommendation(),
-        TriangleCount(),
-        FriendPlaces(),
+    name: Query(
+        name, number, QueryCategory.READ, description, "(LDBC-derived complex query)",
+        parameters, body, mutates,
     )
+    for number, (name, description, parameters, body, mutates) in enumerate(COMPLEX_TABLE, 101)
 }
 
 
 def complex_query_by_id(query_id: str) -> Query:
     """Return the complex query registered under ``query_id`` (e.g. ``"friend2"``)."""
-    try:
-        return COMPLEX_QUERIES[query_id]
-    except KeyError:
-        known = ", ".join(COMPLEX_QUERIES)
-        raise QueryError(f"unknown complex query {query_id!r}; known: {known}") from None
+    return lookup(COMPLEX_QUERIES, query_id, "complex query", "known")

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.engines import ALL_ENGINES, create_engine
-from repro.exceptions import TransactionError
+from repro.exceptions import SchemaError, TransactionError
 from repro.model.graph import OPS
 
 
@@ -63,6 +63,32 @@ def test_a_write_to_a_removed_id_fails_the_whole_commit(engine_id, concurrent):
     if other is not None:
         assert other.graph.vertex_property(a, "name") == "a"
         other.commit()
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge"])
+@pytest.mark.parametrize(
+    "engine_id", [engine_id for engine_id in ALL_ENGINES if engine_id.startswith("relational")]
+)
+def test_an_unstorable_label_is_refused_at_the_buffered_write(engine_id, kind):
+    """The relational engine's label limit is checked when the session
+    buffers the write, so a commit never applies half of a log."""
+    engine = create_engine(engine_id)
+    a = engine.add_vertex({"name": "a"}, label="person")
+    b = engine.add_vertex({"name": "b"}, label="person")
+    session = engine.begin_session()
+    session.graph.set_vertex_property(a, "name", "changed")
+    with pytest.raises(SchemaError):
+        if kind == "vertex":
+            session.graph.add_vertex({"name": "c"}, label="x" * 70)
+        else:
+            session.graph.add_edge(a, b, "y" * 70)
+    assert [op[0] for op in session.write_set.ops] == ["set_vertex_property"]
+    assert engine.vertex_property(a, "name") == "a"
+    assert (engine.vertex_count(), engine.edge_count()) == (2, 0)
+    session.commit()
+    assert engine.vertex_property(a, "name") == "changed"
+    assert (engine.vertex_count(), engine.edge_count()) == (2, 0)
+    assert len(engine.schema.vertex_labels) == 1 and not engine.schema.edge_labels
 
 
 #: Writes naming the doomed vertex ``d`` (removed directly on the engine

@@ -256,10 +256,37 @@ class TestRelationalEngine:
         engine.set_vertex_property(vertex_id, "brand_new_key", 1)
         assert engine.database.table("V_person").schema.has_column("brand_new_key")
 
-    def test_label_length_limit(self):
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    def test_label_length_limit(self, kind):
         engine = RelationalEngine()
+        a = engine.add_vertex({"name": "a"}, label="person")
+        b = engine.add_vertex({"name": "b"})
+        engine.add_edge(a, b, "knows", {"w": 1})
+
+        def counters():
+            return (
+                set(engine.schema.vertex_labels), set(engine.schema.edge_labels),
+                engine.io_cost(), engine.combined_metrics().snapshot(), len(engine.wal),
+            )
+
+        def digest():  # reads charge, so taken outside the counted window
+            vertices = [(repr(v.id), v.label, sorted(v.properties.items()))
+                        for v in engine.vertices()]
+            edges = [(repr(e.id), e.label, repr(e.source), repr(e.target)) for e in engine.edges()]
+            return sorted(vertices), sorted(edges)
+
+        contents = digest()
+        before = counters()
         with pytest.raises(SchemaError):
-            engine.add_vertex(label="x" * 100)
+            if kind == "vertex":
+                engine.add_vertex({"name": "c"}, label="x" * 100)
+            else:
+                engine.add_edge(a, b, "y" * 100)
+        assert counters() == before
+        assert digest() == contents
+        # A label at the limit is stored; None is the default vertex table.
+        engine.add_vertex(label="x" * 63)
+        engine.add_vertex(label=None)
 
     def test_endpoint_indexes_created(self):
         engine = RelationalEngine()

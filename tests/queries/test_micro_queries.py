@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from repro.bench.workload import ParameterPlan
 from repro.exceptions import QueryError
 from repro.model.elements import Direction
+from repro.model.graph import ID_FIELDS, OPS, GraphDatabase
 from repro.queries import MICRO_QUERIES, QueryCategory, queries_by_category, query_by_id
-from repro.queries.registry import query_ids
+from repro.queries.registry import TABLE_2, query_ids
+
+#: The create, update and delete rows of Table 2.
+_CUD_IDS = [
+    query.id for query in MICRO_QUERIES.values()
+    if query.category in (QueryCategory.CREATE, QueryCategory.UPDATE, QueryCategory.DELETE)
+]
+#: The CUD rows whose result is the id of the element they create.
+_CREATING_IDS = ("Q2", "Q3", "Q4", "Q7")
 
 
 class TestRegistry:
@@ -42,9 +54,80 @@ class TestRegistry:
         with pytest.raises(QueryError):
             query_by_id("Q99")
 
-    def test_missing_parameters_rejected(self, loaded):
-        with pytest.raises(QueryError):
-            query_by_id("Q14")(loaded.engine, {})
+    @pytest.mark.parametrize("query_id", query_ids())
+    def test_missing_parameters_rejected(self, loaded, query_id):
+        query = query_by_id(query_id)
+        params = loaded.bind_params(ParameterPlan(loaded.dataset).params_for(query_id, 1)[0])
+        for name in query.parameters:
+            before = loaded.engine.io_cost()
+            with pytest.raises(QueryError):
+                query(loaded.engine, {key: value for key, value in params.items() if key != name})
+            assert loaded.engine.io_cost() == before
+
+
+class _Recorder:
+    """Stands in for a graph: records each method call it is asked for."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        def record(*args):
+            self.calls.append((name, args))
+            return "created"
+
+        return record
+
+
+class TestCatalogue:
+    """Table 2 agrees with the generator that binds it and the codec it names."""
+
+    def test_generator_binds_exactly_the_declared_parameters(self, small_dataset):
+        plan = ParameterPlan(small_dataset)
+        for query_id, query in MICRO_QUERIES.items():
+            bound = plan.params_for(query_id, 1)[0]
+            assert sorted(bound) == sorted(query.parameters), query_id
+
+    def test_cud_rows_name_codec_ops_in_field_order(self):
+        rows = {row[0]: row for row in TABLE_2}
+        for query_id in _CUD_IDS:
+            *_, parameters, body = rows[query_id]
+            if query_id == "Q7":  # a vertex plus its edges: two ops, one body
+                assert callable(body)
+                continue
+            assert body in OPS, query_id
+            fields = OPS[body].fields
+            assert len(parameters) <= len(fields), query_id
+            for parameter, field in zip(parameters, fields):
+                if field in ID_FIELDS:  # an id field takes "vertex"/"vertex2" or "edge"
+                    assert parameter.rstrip("2") == ID_FIELDS[field].name, query_id
+                else:
+                    assert parameter == field, query_id
+
+    @pytest.mark.parametrize("query_id", [qid for qid in _CUD_IDS if qid != "Q7"])
+    def test_cud_rows_pass_every_field_of_their_op(self, small_dataset, query_id):
+        params = ParameterPlan(small_dataset).params_for(query_id, 1)[0]
+        graph = _Recorder()
+        query_by_id(query_id)(graph, params)
+        [(name, args)] = graph.calls
+        signature = inspect.signature(getattr(GraphDatabase, name))
+        bound = signature.bind(graph, *args)
+        bound.apply_defaults()
+        assert len(bound.arguments) - 1 == len(OPS[name].fields)
+        if "properties" in params:  # one tape feeds every engine: each gets a copy
+            assert args[-1] == params["properties"] and args[-1] is not params["properties"]
+
+    @pytest.mark.parametrize("query_id", _CUD_IDS)
+    def test_cud_rows_return_the_created_or_written_id(self, loaded, query_id):
+        query = query_by_id(query_id)
+        params = loaded.bind_params(ParameterPlan(loaded.dataset).params_for(query_id, 1)[0])
+        ids = loaded.engine.edge_ids if query_id in ("Q3", "Q4") else loaded.engine.vertex_ids
+        before = set(ids())
+        result = query(loaded.engine, params)
+        if query_id in _CREATING_IDS:
+            assert set(ids()) - before == {result}
+        else:
+            assert result == params[query.parameters[0]]
 
 
 class TestCreateReadUpdateDelete:
