@@ -449,21 +449,31 @@ class SessionManager:
         :meth:`commit_prepared`.  A plain local commit runs the same two
         steps back to back, so the charge sequence — and therefore the
         charge-parity contract — is exactly what it was before the split.
+        Nothing runs between the two steps here, so the log prepare checked
+        is applied without :meth:`commit_prepared`'s defensive re-check.
         """
-        self.prepare(session)
-        return self.commit_prepared(session)
+        return self._commit_prepared(session, self._prepare(session))
 
     def prepare(self, session: Session) -> bool:
         """2PC phase 1: validate the session; it stays open but *prepared*.
 
-        Runs first-committer-wins validation (free RAM bookkeeping) and,
-        for SSI sessions, read-set and predicate validation (the predicate
-        probes charge engine reads — SSI's measurable abort cost).  On
-        success the session is marked prepared and the manager promises
-        that :meth:`commit_prepared` will succeed as long as no other
-        commit intervenes — which the (single-threaded) 2PC coordinator
-        guarantees by serialising its decision phase.
+        Runs first-committer-wins validation (free RAM bookkeeping), for
+        SSI sessions read-set and predicate validation (the predicate
+        probes charge engine reads — SSI's measurable abort cost), and then
+        the whole-log check (:meth:`_checked_ops`: every id live; books
+        nothing), so a log that cannot apply is refused before the vote.
+        Labels need no check here: the overlay admitted each one when it
+        buffered the write.  On success the session is marked
+        prepared and the manager promises that :meth:`commit_prepared` will
+        succeed as long as nothing else changes the engine in between —
+        which the (single-threaded) 2PC coordinator guarantees by
+        serialising its decision phase.
         """
+        self._prepare(session)
+        return True
+
+    def _prepare(self, session: Session) -> list[tuple[str, Any, list[Any]]]:
+        """:meth:`prepare`, returning the checked op log."""
         if not session.is_open:
             raise SessionStateError(f"session {session.id} is already {session.state}")
         ws = session.write_set
@@ -476,7 +486,7 @@ class SessionManager:
             if session.isolation == "ssi":
                 self._validate_ssi(session)
             session.prepared = True
-            return True
+            return []
 
         # 1. Validate: first committer wins (charge-free RAM bookkeeping:
         # one dict lookup per written key).  Runs before SSI validation so
@@ -486,8 +496,18 @@ class SessionManager:
         self._validate_first_committer(session)
         if session.isolation == "ssi":
             self._validate_ssi(session)
+        # 2. Check the whole log against the engine (books nothing).
+        # Buffering rejects writes on objects the session (or any overlay
+        # commit it can see) already removed, and the conflict check covers
+        # objects removed after the snapshot, so what this catches is a
+        # write on an id removed directly on the engine.  Refused here, a
+        # 2PC participant votes NO before the coordinator can log COMMIT.
+        try:
+            ops = self._checked_ops(session)
+        except GraphBenchError as exc:
+            raise self._failed_log(session, exc) from exc
         session.prepared = True
-        return True
+        return ops
 
     def commit_prepared(self, session: Session) -> CommitResult:
         """2PC phase 2: apply and publish a session prepared by :meth:`prepare`."""
@@ -497,6 +517,13 @@ class SessionManager:
             raise SessionStateError(
                 f"session {session.id} has not been prepared; call prepare() first"
             )
+        return self._commit_prepared(session, None)
+
+    def _commit_prepared(
+        self, session: Session, ops: list[tuple[str, Any, list[Any]]] | None
+    ) -> CommitResult:
+        """Apply and publish a prepared session: ``ops`` is the log
+        :meth:`_prepare` checked, or None to check it again."""
         ws = session.write_set
         if not ws.ops:
             self._finish(session, "committed")
@@ -523,15 +550,15 @@ class SessionManager:
         cascade_keys: set[tuple[str, Any]] = set()
         capture_charge = 0
         id_map: dict[ProvisionalId, Any] = {}
-        # 3. Check, then apply the operation log in call order.  Buffering
-        # rejects writes on objects the session (or any overlay commit it
-        # can see) already removed, and the conflict check above covers
-        # objects removed after the snapshot — so what the check catches is
-        # a blind write on an id that never went through the overlay (a
-        # caller bug, not a race).  It raises before capture and before the
-        # first op, so the failed commit leaves nothing behind.
+        # 3. Check, then apply the operation log in call order.  The check
+        # is prepare's, re-run as defensively as the conflict check above
+        # when the phases were driven apart: only a caller that changes the
+        # engine between them can make it fail here.  It raises before
+        # capture and before the first op, so the failed commit leaves
+        # nothing behind.
         try:
-            ops = self._checked_ops(session)
+            if ops is None:
+                ops = self._checked_ops(session)
             if capture:
                 capture_start = self.engine.io_cost()
                 cascade_keys = self._capture_before_images(
@@ -540,12 +567,7 @@ class SessionManager:
                 capture_charge = self.engine.io_cost() - capture_start
             self._apply(ops, id_map)
         except GraphBenchError as exc:
-            self._finish(session, "aborted")
-            self.stats.explicit_aborts += 1
-            raise TransactionError(
-                f"session {session.id} commit failed while applying its "
-                f"operation log: {exc}"
-            ) from exc
+            raise self._failed_log(session, exc) from exc
 
         # 4. Publish timestamps and structural bookkeeping, then close the
         # session (which also garbage-collects versions that just became
@@ -805,6 +827,12 @@ class SessionManager:
             keys.add(vertex_key(state.target))
         return tuple(sorted(keys, key=repr))
 
+    def _failed_log(self, session: Session, exc: GraphBenchError) -> TransactionError:
+        """Abort ``session`` for a log that cannot apply; returns the error to raise."""
+        self._finish(session, "aborted")
+        self.stats.explicit_aborts += 1
+        return TransactionError(f"session {session.id} cannot apply its operation log: {exc}")
+
     def _checked_ops(self, session: Session) -> list[tuple[str, Any, list[Any]]]:
         """The op log as ``(name, id, codec arguments)``, checked against
         the engine before anything is applied.
@@ -813,7 +841,9 @@ class SessionManager:
         creation, nor the ops on it, nor the marker itself.  Every id field
         (:data:`~repro.model.graph.OPS`) must name an element an earlier op
         created, or one the engine holds that no earlier op removed.  The
-        engine is asked through ``_live``, which books nothing.
+        engine is asked through ``_live``, which books nothing.  Labels
+        were admitted through ``_check_label`` when the writes were
+        buffered.
         """
         ops = session.write_set.ops
         dropped = {op[1] for op in ops if op[0] in _DROP_MARKERS}

@@ -22,27 +22,27 @@ offers none either).
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, Iterable, Iterator
 
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
 from repro.model.graph import GraphDatabase
-from repro.storage.triple_store import TripleStore
+from repro.storage.triple_store import (
+    RDF_OBJECT,
+    RDF_PREDICATE,
+    RDF_SUBJECT,
+    TripleStore,
+)
 
 _TYPE = "rdf:type"
-_SUBJECT = "rdf:subject"
-_PREDICATE = "rdf:predicate"
-_OBJECT = "rdf:object"
 _LABEL = "graph:label"
 _PROPERTY_PREFIX = "prop:"
 _VERTEX_TYPE = "graph:Vertex"
 _EDGE_TYPE = "graph:Edge"
-#: Endpoint statement predicates in ``edge_endpoints`` resolution order.
-_ENDPOINT_PREDICATES = (_SUBJECT, _OBJECT)
-#: Per pass: (edge statement predicate naming the walked vertex, index of
-#: the far endpoint in ``_ENDPOINT_PREDICATES``).
-_PASSES = pass_table({Direction.OUT: (_SUBJECT, 1), Direction.IN: (_OBJECT, 0)})
+#: Per pass: the endpoint statement predicate naming the walked vertex.
+_WALKED = pass_table({Direction.OUT: RDF_SUBJECT, Direction.IN: RDF_OBJECT})
 
 
 class TripleEngine(BaseEngine):
@@ -159,9 +159,9 @@ class TripleEngine(BaseEngine):
     ) -> Any:
         edge_id = f"edge:{next(self._edge_counter)}"
         self._triples.add(edge_id, _TYPE, _EDGE_TYPE)
-        self._triples.add(edge_id, _SUBJECT, source_id)
-        self._triples.add(edge_id, _OBJECT, target_id)
-        self._triples.add(edge_id, _PREDICATE, label)
+        self._triples.add(edge_id, RDF_SUBJECT, source_id)
+        self._triples.add(edge_id, RDF_OBJECT, target_id)
+        self._triples.add(edge_id, RDF_PREDICATE, label)
         for key, value in properties.items():
             self._triples.add(edge_id, _PROPERTY_PREFIX + key, value)
         self._edge_ids.add(edge_id)
@@ -173,11 +173,11 @@ class TripleEngine(BaseEngine):
         label = ""
         properties: dict[str, Any] = {}
         for triple in self._triples.match(subject=edge_id):
-            if triple.predicate == _SUBJECT:
+            if triple.predicate == RDF_SUBJECT:
                 source = triple.object
-            elif triple.predicate == _OBJECT:
+            elif triple.predicate == RDF_OBJECT:
                 target = triple.object
-            elif triple.predicate == _PREDICATE:
+            elif triple.predicate == RDF_PREDICATE:
                 label = triple.object
             elif str(triple.predicate).startswith(_PROPERTY_PREFIX):
                 properties[str(triple.predicate)[len(_PROPERTY_PREFIX) :]] = triple.object
@@ -189,12 +189,12 @@ class TripleEngine(BaseEngine):
 
     def edge_endpoints(self, edge_id: Any) -> tuple[Any, Any]:
         self._require(EDGE, edge_id)
-        source, target = self._triples.endpoint_objects(edge_id, _ENDPOINT_PREDICATES)
+        target, source = self._triples.endpoint_objects(edge_id)
         return source, target
 
     def edge_label(self, edge_id: Any) -> str:
         self._require(EDGE, edge_id)
-        for triple in self._triples.match(subject=edge_id, predicate=_PREDICATE):
+        for triple in self._triples.match(subject=edge_id, predicate=RDF_PREDICATE):
             return triple.object
         return ""
 
@@ -204,14 +204,14 @@ class TripleEngine(BaseEngine):
 
     def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
         self._require(VERTEX, vertex_id)
-        for triple in self._triples.match(predicate=_SUBJECT, object_=vertex_id):
+        for triple in self._triples.match(predicate=RDF_SUBJECT, object_=vertex_id):
             edge_id = triple.subject
             if label is None or self.edge_label(edge_id) == label:
                 yield edge_id
 
     def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
         self._require(VERTEX, vertex_id)
-        for triple in self._triples.match(predicate=_OBJECT, object_=vertex_id):
+        for triple in self._triples.match(predicate=RDF_OBJECT, object_=vertex_id):
             edge_id = triple.subject
             if label is None or self.edge_label(edge_id) == label:
                 yield edge_id
@@ -236,40 +236,18 @@ class TripleEngine(BaseEngine):
         label: str | None,
         endpoints: bool,
     ) -> Iterator[tuple[Any, Any]]:
-        """Walk a frontier with one grouped pass over the POS permutation.
+        """Walk a frontier in one storage-layer pass over its reified edges.
 
-        The endpoint patterns of every frontier vertex are answered by
-        :meth:`~repro.storage.triple_store.TripleStore.match_grouped` in one
-        flat scan loop; each reified edge then pays exactly the per-id
-        probes — the label statement lookup when filtered and, for
+        :meth:`~repro.storage.triple_store.TripleStore.walk_edges` scans
+        each vertex's POS runs and pays, per reified edge, exactly the
+        per-id probes — the label statement lookup when filtered and, for
         neighbours, the two endpoint statement scans of
-        :meth:`edge_endpoints` — so charges are identical to the per-id
-        path while the nested generator chain (``neighbors`` →
-        ``edges_for`` → ``out_edges`` → ``match``) is gone.
+        :meth:`edge_endpoints` (one shared SPO descent) — so charges are
+        identical to the per-id path.
         """
-        passes = _PASSES[direction]
-        frontier = list(vertex_ids)
-        triples = self._triples
-        first_object = triples.first_object
-        endpoint_objects = triples.endpoint_objects
-
-        def patterns() -> Iterator[tuple[Any, Any, Any]]:
-            for vertex_id in frontier:
-                for predicate, _endpoint in passes:
-                    self._require(VERTEX, vertex_id)
-                    yield (None, predicate, vertex_id)
-
-        npasses = len(passes)
-        for position, triple in triples.match_grouped(patterns()):
-            edge_id = triple.subject
-            if label is not None and first_object(edge_id, _PREDICATE) != label:
-                continue
-            source = frontier[position // npasses]
-            if endpoints:
-                far = passes[position % npasses][1]
-                yield source, endpoint_objects(edge_id, _ENDPOINT_PREDICATES)[far]
-            else:
-                yield source, edge_id
+        return self._triples.walk_edges(
+            vertex_ids, _WALKED[direction], label, endpoints, partial(self._require, VERTEX)
+        )
 
     def degree_at_least(
         self, vertex_id: Any, k: int, direction: Direction = Direction.BOTH
@@ -284,7 +262,7 @@ class TripleEngine(BaseEngine):
             self._require(VERTEX, vertex_id)
             return True
         count = 0
-        for predicate, _endpoint in _PASSES[direction]:
+        for predicate in _WALKED[direction]:
             self._require(VERTEX, vertex_id)
             for _triple in self._triples.match(predicate=predicate, object_=vertex_id):
                 count += 1
@@ -297,12 +275,12 @@ class TripleEngine(BaseEngine):
     # ------------------------------------------------------------------
 
     def edges_by_label(self, label: str) -> Iterator[Any]:
-        for triple in self._triples.match(predicate=_PREDICATE, object_=label):
+        for triple in self._triples.match(predicate=RDF_PREDICATE, object_=label):
             yield triple.subject
 
     def distinct_edge_labels(self) -> set[str]:
         return {
-            triple.object for triple in self._triples.match(predicate=_PREDICATE)
+            triple.object for triple in self._triples.match(predicate=RDF_PREDICATE)
         }
 
     # ------------------------------------------------------------------

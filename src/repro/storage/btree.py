@@ -311,29 +311,42 @@ class BPlusTree:
         """Per flat prefix, the values of every key that starts with it, in key order.
 
         The eager form, for consumers that always run to exhaustion, and
-        one frame for several runs: each prefix (:func:`flat_key` ending in
-        an empty component) gets its own root-to-leaf descent and leaf
-        walk.  The run of a prefix is the key interval from it up to it
+        one frame for several runs.  The run of a prefix (:func:`flat_key`
+        ending in an empty component) is the key interval from it up to it
         with its final separator raised to ``"\\x01"``, so one bisect per
-        leaf finds where it stops.  Books at once what consuming
-        ``range(low=prefix)`` up to the first mismatching key books, summed
-        over the prefixes — per prefix the descent, one probe per matching
-        key, and one for the key that ends the run (none at the end of the
-        tree).
+        leaf finds where it stops.  Prefixes in ascending order share their
+        descent: a prefix at or past where the previous run stopped, whose
+        first key sits in the leaf that run stopped in, is found by one
+        bisect from there (finger search); any other prefix descends from
+        the root.  Booked per prefix all the same, at once: what consuming
+        ``range(low=prefix)`` up to the first mismatching key books — the
+        descent, one probe per matching key, and one for the key that ends
+        the run (none at the end of the tree).  Those are a function of the
+        keys alone, so the shared descent changes no count.
         """
         root, height = self._root, self._height
         runs: list[list[Any]] = []
         probes = 0
+        # The leaf the previous run stopped in, the index of the key that
+        # ended it, and the run's upper bound (no leaf once a run reached
+        # the end of the tree).
+        leaf: _LeafNode | None = None
+        index = 0
+        bound = ""
         for prefix in prefixes:
             if prefix[-1:] != _SEPARATOR:
                 raise StorageError(f"not a flat prefix: {prefix!r}")
             end = prefix[:-1] + _AFTER_SEPARATOR
-            node = root
-            while type(node) is _InternalNode:
-                node = node.children[bisect_right(node.keys, prefix)]
-            leaf: _LeafNode | None = node
-            start = bisect_left(node.keys, prefix)
             probes += height
+            if (
+                leaf is None
+                or prefix < bound
+                or (start := bisect_left(leaf.keys, prefix, index)) == len(leaf.keys)
+            ):
+                node = root
+                while type(node) is _InternalNode:
+                    node = node.children[bisect_right(node.keys, prefix)]
+                leaf, start = node, bisect_left(node.keys, prefix)
             values: list[Any] = []
             while leaf is not None:
                 keys = leaf.keys
@@ -343,9 +356,11 @@ class BPlusTree:
                 probes += stop - start
                 if stop < len(keys):
                     probes += 1
+                    index = stop
                     break
                 leaf = leaf.next_leaf
                 start = 0
+            bound = end
             runs.append(values)
         self.metrics.index_probes += probes
         return runs

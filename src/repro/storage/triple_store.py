@@ -13,7 +13,8 @@ traversal) all follow directly from this structure, and they follow here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.storage.btree import BPlusTree, flat_key
 from repro.storage.metrics import StorageMetrics
@@ -21,6 +22,28 @@ from repro.storage.metrics import StorageMetrics
 #: Pre-allocated journal size, mirroring BlazeGraph's fixed-size journal
 #: file that inflates its on-disk footprint (paper, Section 6.2).
 JOURNAL_PREALLOCATION_BYTES = 8 * 1024 * 1024
+
+#: RDF reification: an edge ``e`` from ``s`` to ``o`` labelled ``l`` is the
+#: statements ``(e, rdf:subject, s)``, ``(e, rdf:object, o)`` and
+#: ``(e, rdf:predicate, l)`` — the vocabulary :meth:`TripleStore.walk_edges`
+#: walks.
+RDF_SUBJECT = "rdf:subject"
+RDF_OBJECT = "rdf:object"
+RDF_PREDICATE = "rdf:predicate"
+#: The two endpoint predicates in SPO key order, so an edge's endpoint
+#: scans share one descent.
+ENDPOINTS = (RDF_OBJECT, RDF_SUBJECT)
+#: Each endpoint predicate's key component plus separator, in that order,
+#: and the label's: an edge's prefixes are its subject's head plus these.
+_ENDPOINT_KEYS = tuple(flat_key(repr(predicate), "") for predicate in ENDPOINTS)
+_LABEL_KEY = flat_key(repr(RDF_PREDICATE), "")
+#: Per walked endpoint predicate (the one naming the frontier vertex): its
+#: rendered key, the far endpoint's predicate, and the far run's position
+#: in ``ENDPOINTS``.
+_PASSES = {
+    near: (flat_key(repr(near), ""), far, ENDPOINTS.index(far))
+    for near, far in ((RDF_SUBJECT, RDF_OBJECT), (RDF_OBJECT, RDF_SUBJECT))
+}
 
 
 @dataclass(frozen=True)
@@ -59,9 +82,6 @@ class TripleStore:
         self._bulk_mode = False
         #: Statements awaiting indexing; non-empty only during a bulk load.
         self._bulk_buffer: list[Triple] = []
-        #: Rendered key components of the predicate tuples passed to
-        #: :meth:`endpoint_objects`: a pure function of the vocabulary.
-        self._predicate_keys: dict[tuple[Any, ...], tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         """Number of stored statements."""
@@ -156,62 +176,100 @@ class TripleStore:
             if self._matches(triple, subject, predicate, object_):
                 yield triple
 
-    def match_grouped(
-        self, patterns: Iterable[tuple[Any, Any, Any]]
-    ) -> Iterator[tuple[int, Triple]]:
-        """Answer a group of ``(subject, predicate, object)`` patterns in one pass.
+    def walk_edges(
+        self,
+        vertex_ids: Iterable[Any],
+        walked: tuple[Any, ...],
+        label: Any,
+        endpoints: bool,
+        require: Callable[[Any], object],
+    ) -> Iterator[tuple[Any, Any]]:
+        """Walk a frontier's reified edges: ``(vertex, far endpoint)`` pairs
+        when ``endpoints`` is set, else ``(vertex, edge id)``.
 
-        Yields ``(position, triple)`` pairs grouped by pattern in input
-        order — the batch scan entry point for the triple engine's bulk
-        primitives.  Each pattern is one :meth:`match` stream, consumed as
-        the caller consumes this one (identical logical charges, also when
-        the caller stops early).
+        Per frontier vertex and per predicate of ``walked`` (each of
+        ``RDF_SUBJECT`` / ``RDF_OBJECT``, naming the vertex's side of the
+        edge), in that order: ``require(vertex)``, then the statements
+        ``(?, predicate, vertex)`` — buffered ones first, then the POS run.
+        Per edge found, when ``label`` is set, the first ``rdf:predicate``
+        statement must carry it; for ``endpoints``, both endpoint scans run
+        to exhaustion and the far one's last object is the answer.  Both
+        endpoint scans are one :meth:`~repro.storage.btree.BPlusTree.scan_prefixes`
+        call in SPO key order, so they share one descent.
+
+        Charges are those of the same work done with :meth:`match`, at the
+        same consumption points: one :meth:`match` stream per pass (lazy POS
+        probes per key and run end), one abandoned at its first hit per
+        label check (nothing probed on a buffered hit), and two exhausted
+        ones per endpoint resolution.  A pass's buffered statements are
+        read when it starts, and a vertex or edge whose ``repr`` holds NUL
+        is refused by :func:`flat_key` when its keys are built, before its
+        scans book anything.  Vertex and edge ids are never ``None``.
         """
-        for position, pattern in enumerate(patterns):
-            for triple in self.match(*pattern):
-                yield position, triple
+        frontier = list(vertex_ids)
+        pos, spo = self._pos, self._spo
+        for vertex_id in frontier:
+            for near in walked:
+                near_key, far, far_slot = _PASSES[near]
+                require(vertex_id)
+                buffer = self._bulk_buffer
+                buffered = (
+                    [t for t in buffer if t.predicate == near and t.object == vertex_id]
+                    if buffer
+                    else ()
+                )
+                prefix = near_key + flat_key(repr(vertex_id), "")
+                for triple in chain(buffered, pos.iter_prefix(prefix)):
+                    if triple.predicate != near or triple.object != vertex_id:
+                        continue
+                    edge_id = triple.subject
+                    if label is not None or endpoints:
+                        head = flat_key(repr(edge_id), "")
+                    if label is not None:
+                        found = None
+                        # Buffered statements first; the SPO scan starts
+                        # only if none of them carries the label.
+                        for stmt in chain(self._bulk_buffer, spo.iter_prefix(head + _LABEL_KEY)):
+                            if stmt.subject == edge_id and stmt.predicate == RDF_PREDICATE:
+                                found = stmt.object
+                                break
+                        if found != label:
+                            continue
+                    if not endpoints:
+                        yield vertex_id, edge_id
+                        continue
+                    runs = spo.scan_prefixes(map(head.__add__, _ENDPOINT_KEYS))
+                    # Buffered statements, then the run: the last match wins.
+                    value = None
+                    for stmt in self._bulk_buffer:
+                        if stmt.subject == edge_id and stmt.predicate == far:
+                            value = stmt.object
+                    for stmt in runs[far_slot]:
+                        if stmt.subject == edge_id and stmt.predicate == far:
+                            value = stmt.object
+                    yield vertex_id, value
 
-    def endpoint_objects(self, subject: Any, predicates: tuple[Any, ...]) -> list[Any]:
-        """Resolve the object of each ``(subject, predicate)`` pattern flatly.
+    def endpoint_objects(self, edge_id: Any) -> list[Any]:
+        """Resolve one reified edge's endpoints: the object of each
+        ``(edge_id, predicate)`` pattern of ``ENDPOINTS``, in that order.
 
-        Engines that reify edges resolve both endpoint statements of an
-        edge with two :meth:`match` consumptions run to exhaustion; this
-        performs the identical scans (same descents and leaf probes, last
-        matching object wins) eagerly, one SPO prefix scan per predicate,
-        all through one :meth:`~repro.storage.btree.BPlusTree.scan_prefixes`
-        call.  ``subject`` and every predicate must be bound (not None);
-        the predicates are vocabulary terms, rendered once per tuple.
+        The per-edge endpoint resolution of :meth:`walk_edges`, for one id:
+        both SPO prefix scans run to exhaustion in one
+        :meth:`~repro.storage.btree.BPlusTree.scan_prefixes` call (the
+        charges of two exhausted :meth:`match` streams), buffered
+        statements first, the last matching object wins, None if there is
+        none.  ``edge_id`` is never ``None``.
         """
-        predicate_keys = self._predicate_keys.get(predicates)
-        if predicate_keys is None:
-            predicate_keys = tuple(map(repr, predicates))
-            if all(type(predicate) is str for predicate in predicates):
-                self._predicate_keys[predicates] = predicate_keys
-        subject_key = repr(subject)
-        runs = self._spo.scan_prefixes(
-            [flat_key(subject_key, predicate_key, "") for predicate_key in predicate_keys]
-        )
+        head = flat_key(repr(edge_id), "")
+        runs = self._spo.scan_prefixes(map(head.__add__, _ENDPOINT_KEYS))
         results: list[Any] = []
-        for predicate, run in zip(predicates, runs):
+        for predicate, run in zip(ENDPOINTS, runs):
             value = None
-            for triple in self._bulk_buffer:
-                if triple.subject == subject and triple.predicate == predicate:
-                    value = triple.object
-            for triple in run:
-                if triple.subject == subject and triple.predicate == predicate:
+            for triple in chain(self._bulk_buffer, run):
+                if triple.subject == edge_id and triple.predicate == predicate:
                     value = triple.object
             results.append(value)
         return results
-
-    def first_object(self, subject: Any, predicate: Any) -> Any:
-        """Return the first object matching ``(subject, predicate)``, or None.
-
-        Abandons the :meth:`match` stream at the first hit, so the scan is
-        charged up to that statement's key and no further.
-        """
-        for triple in self.match(subject, predicate):
-            return triple.object
-        return None
 
     @staticmethod
     def _matches(triple: Triple, subject: Any, predicate: Any, object_: Any) -> bool:

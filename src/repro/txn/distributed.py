@@ -19,7 +19,9 @@ coordinator counts the *writer* shards:
   plus a ``prepare`` marker in its shard transaction WAL — large values
   split into the shard's charged value log, BVLSM-style — validates its
   session (first-committer-wins, and rw-antidependency checks under SSI),
-  and votes (charged ``batch_cost(1)``).  Phase 2 (DECIDE+COMMIT): the
+  and checks that its whole operation log can apply (free), then votes
+  (charged ``batch_cost(1)``): every rejection runs before the vote, so a
+  YES is a promise phase 2 keeps.  Phase 2 (DECIDE+COMMIT): the
   coordinator journals its decision in a SYNC decision log **before**
   sending anything — a torn decision record therefore implies no COMMIT
   message was ever sent, which is what makes presumed abort globally
@@ -67,6 +69,7 @@ from repro.concurrency.scheduler import BarrierClock
 from repro.concurrency.sessions import Session
 from repro.exceptions import (
     BenchmarkError,
+    GraphBenchError,
     ParticipantUnavailableError,
     SerializationFailureError,
     SessionStateError,
@@ -599,7 +602,16 @@ class DistributedSessionManager:
                 self._pending.append((txn.id, index))
                 continue
             engine_before = shard.engine.io_cost()
-            txn._sessions[index].commit_prepared()
+            try:
+                txn._sessions[index].commit_prepared()
+            except GraphBenchError as exc:
+                # Unreachable by construction: prepare() ran every check
+                # that can refuse this log, and nothing has touched the
+                # shard since its vote.  A failure here is a broken
+                # promise after COMMIT was logged — never a silent tear.
+                raise AssertionError(
+                    f"shard {index} broke its YES vote on transaction {txn.id}"
+                ) from exc
             self._install_cut_edges(shard, txn._ops[index])
             apply_charge = shard.engine.io_cost() - engine_before
             batches.extend([decide, _message(2, index, COORDINATOR, "ack")])

@@ -1,8 +1,8 @@
 """A commit that fails leaves nothing behind.
 
-``SessionManager.commit_prepared`` checks the whole operation log against
-the engine before it captures a before-image or applies the first op, and
-the check books nothing.  A log that names an id the engine no longer holds
+``SessionManager.prepare`` checks the whole operation log against the
+engine (``commit_prepared`` re-checks it before it captures a before-image
+or applies the first op), and the check books nothing.  A log that names an id the engine no longer holds
 — here, one removed directly on the engine while the session was open —
 therefore raises ``TransactionError`` with the engine, its WAL, its charges
 and the version store exactly as they were, and a concurrent snapshot still

@@ -16,7 +16,7 @@ from repro.storage.hash_index import HashIndex
 from repro.exceptions import StorageError
 from repro.storage.metrics import StorageMetrics
 from repro.storage.relational import Column, RelationalDatabase, index_key
-from repro.storage.triple_store import Triple, TripleStore
+from repro.storage.triple_store import ENDPOINTS, Triple, TripleStore
 
 _keys = st.integers(min_value=-1000, max_value=1000)
 _small_positions = st.integers(min_value=0, max_value=512)
@@ -159,6 +159,13 @@ class TestBPlusTreePrefixScans:
         # One call scans every prefix and books the sum of their scans.
         assert _probes(tree, lambda: tree.scan_prefixes(flat_prefixes)) == (
             [values for values, _booked in runs],
+            sum(booked for _values, booked in runs),
+        )
+        # In ascending order later prefixes continue from the leaf the run
+        # before them stopped in: the same runs, the same sum.
+        ascending = sorted(zip(flat_prefixes, runs))
+        assert _probes(tree, lambda: tree.scan_prefixes([p for p, _run in ascending])) == (
+            [values for _p, (values, _booked) in ascending],
             sum(booked for _values, booked in runs),
         )
         for prefix, (expected, booked) in zip(flat_prefixes, runs):
@@ -522,12 +529,12 @@ class TestFlatKeysAreTupleKeys:
             }
         for subject in [subject for subject, _p, _o in statements[:4] if subject is not None]:
             before = store.metrics.index_probes
-            objects = store.endpoint_objects(subject, ("a", 1))
+            objects = store.endpoint_objects(subject)
             booked = store.metrics.index_probes - before
             before = reference.metrics.index_probes
             expected = [
                 (reference.match(subject, predicate, None) or [Triple(0, 0, None)])[-1].object
-                for predicate in ("a", 1)
+                for predicate in ENDPOINTS
             ]
             assert (objects, booked) == (expected, reference.metrics.index_probes - before)
 
@@ -573,7 +580,7 @@ class TestFlatKeysAreTupleKeys:
             lambda: store.add("s", "p", Sly()),
             lambda: list(store.match(subject=Sly())),
             lambda: list(store.match(predicate="p", object_=Sly())),
-            lambda: store.endpoint_objects(Sly(), ("p",)),
+            lambda: store.endpoint_objects(Sly()),
             lambda: table.insert({"v": Sly()}),
             lambda: list(table.index_scan("v", Sly())),
         ]

@@ -9,7 +9,13 @@ from repro.storage.columnar import ColumnFamilyStore
 from repro.storage.document_store import DocumentCollection, DocumentStore
 from repro.storage.property_store import PropertyStore
 from repro.storage.relational import Column, RelationalDatabase, TableSchema, index_key
-from repro.storage.triple_store import TripleStore
+from repro.storage.triple_store import (
+    ENDPOINTS,
+    RDF_OBJECT,
+    RDF_PREDICATE,
+    RDF_SUBJECT,
+    TripleStore,
+)
 from repro.storage.wal import DurabilityMode, WriteAheadLog
 
 
@@ -155,21 +161,23 @@ class TestTripleStore:
 
     @staticmethod
     def _half_loaded_store() -> TripleStore:
-        """Indexed statements plus a non-empty bulk buffer over the same subjects."""
+        """Indexed reified edges plus a non-empty bulk buffer over the same subjects."""
         store = TripleStore()
         for edge in range(40):
-            store.add(f"e{edge}", "src", f"v{edge % 5}")
-            store.add(f"e{edge}", "dst", f"v{edge % 7}")
+            store.add(f"e{edge}", RDF_SUBJECT, f"v{edge % 5}")
+            store.add(f"e{edge}", RDF_OBJECT, f"v{edge % 7}")
+            store.add(f"e{edge}", RDF_PREDICATE, "ab"[edge % 2])
         store.begin_bulk_load()
         for edge in (3, 4, 90):
-            store.add(f"e{edge}", "src", "v-late")
-            store.add(f"e{edge}", "dst", "v-later")
+            store.add(f"e{edge}", RDF_SUBJECT, "v3")
+            store.add(f"e{edge}", RDF_OBJECT, "v-later")
+        store.add("e3", RDF_PREDICATE, "late")
         return store
 
     # Each flat scan against the per-pattern ``match`` consumption it stands
     # for, on twin stores whose bulk buffer is not empty: same answers, same
     # counters.
-    _PATTERNS = [(None, "src", "v3"), ("e4", None, None), ("x", "y", "z")]
+    _FRONTIER = ["v3", "v4", "x"]
     _EDGES = ("e3", "e7", "e90", "e99")
 
     def _twins(self):
@@ -182,38 +190,66 @@ class TestTripleStore:
         assert left.metrics.index_probes > 0
         assert left.metrics.snapshot() == right.metrics.snapshot()
 
-    def test_match_grouped_charges_like_match_per_pattern(self):
+    @staticmethod
+    def _walk(store, label=None, endpoints=False):
+        return store.walk_edges(
+            TestTripleStore._FRONTIER, (RDF_SUBJECT,), label, endpoints, lambda _vertex: None
+        )
+
+    def test_walked_edge_ids_charge_like_match_per_pattern(self):
         left, right = self._twins()
-        assert list(left.match_grouped(self._PATTERNS)) == [
-            (position, triple)
-            for position, pattern in enumerate(self._PATTERNS)
-            for triple in right.match(*pattern)
+        assert list(self._walk(left)) == [
+            (vertex, triple.subject)
+            for vertex in self._FRONTIER
+            for triple in right.match(None, RDF_SUBJECT, vertex)
         ]
         self._assert_same_charges(left, right)
 
-    def test_abandoned_match_grouped_charges_like_abandoned_match(self):
+    def test_an_abandoned_walk_charges_like_an_abandoned_match(self):
         left, right = self._twins()
-        first = next(right.match(*self._PATTERNS[0]))
-        assert next(left.match_grouped(self._PATTERNS)) == (0, first)
+        first = next(right.match(None, RDF_SUBJECT, self._FRONTIER[0]))
+        assert next(self._walk(left)) == (self._FRONTIER[0], first.subject)
+        self._assert_same_charges(left, right)
+
+    def test_walked_neighbours_charge_like_two_exhausted_matches(self):
+        left, right = self._twins()
+        expected = []
+        for vertex in self._FRONTIER:
+            for triple in right.match(None, RDF_SUBJECT, vertex):
+                last = {}
+                for predicate in (RDF_SUBJECT, RDF_OBJECT):
+                    for statement in right.match(triple.subject, predicate):
+                        last[predicate] = statement.object
+                expected.append((vertex, last[RDF_OBJECT]))
+        assert ("v3", "v-later") in expected
+        assert list(self._walk(left, endpoints=True)) == expected
         self._assert_same_charges(left, right)
 
     def test_endpoint_objects_charges_like_two_exhausted_matches(self):
         left, right = self._twins()
+        # In SPO key order (ENDPOINTS) the two scans share one descent.
         for edge in self._EDGES:
             last = [None, None]
-            for slot, predicate in enumerate(("src", "dst")):
+            for slot, predicate in enumerate(ENDPOINTS):
                 for triple in right.match(edge, predicate):
                     last[slot] = triple.object
-            assert left.endpoint_objects(edge, ("src", "dst")) == last
+            assert left.endpoint_objects(edge) == last
         self._assert_same_charges(left, right)
 
-    def test_first_object_charges_like_first_match(self):
+    def test_the_label_check_charges_like_a_first_match(self):
         left, right = self._twins()
-        for edge in self._EDGES:
-            first = next((t.object for t in right.match(edge, "dst")), None)
-            assert left.first_object(edge, "dst") == first
-        assert left.first_object("e3", "dst") == "v-later"  # a buffered hit probes nothing
-        self._assert_same_charges(left, right)
+        for label in ("a", "late", "missing"):
+            expected = []
+            for vertex in self._FRONTIER:
+                for triple in right.match(None, RDF_SUBJECT, vertex):
+                    first = next((t.object for t in right.match(triple.subject, RDF_PREDICATE)), None)
+                    if first == label:
+                        expected.append((vertex, triple.subject))
+            assert list(self._walk(left, label=label)) == expected
+            self._assert_same_charges(left, right)
+        # e3's first label statement is the buffered one (e3 leaves v3 twice:
+        # its indexed and its buffered source statement).
+        assert [edge for _vertex, edge in self._walk(left, label="late")] == ["e3", "e3"]
 
     def test_subjects_and_predicates(self):
         store = TripleStore()
