@@ -106,7 +106,7 @@ def format_report(report: dict[str, Any]) -> str:
         f"{registry.dataset_line(report)}  "
         f"bfs depth={report['bfs_depth']}  seed={report['seed']}",
     ]
-    for engine_name, entry in report["engines"].items():
+    for engine_name, entry in registry.by_engine(report["engines"]):
         rows = []
         for query_id, row in entry["queries"].items():
             baseline = row["baseline_charge"]

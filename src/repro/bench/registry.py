@@ -44,6 +44,7 @@ from repro.bench.workload import LoadedGraph, load_dataset_into
 from repro.datasets import available_datasets, get_dataset
 from repro.datasets.base import Dataset
 from repro.engines import create_engine, resolve_engine_id
+from repro.engines import registry as engine_registry
 from repro.exceptions import BenchmarkError
 
 if TYPE_CHECKING:
@@ -219,6 +220,24 @@ def dataset_line(payload: Mapping[str, Any]) -> str:
         f"dataset={dataset['name']} scale={dataset['scale']} "
         f"(V={dataset['vertices']}, E={dataset['edges']})"
     )
+
+
+def in_order(mapping: Mapping[str, Any], order: Sequence[str]) -> list[tuple[str, Any]]:
+    """``mapping``'s items, the keys ``order`` names first and in that order.
+
+    Payloads are written with ``sort_keys``, so a figure that walked a
+    payload's dicts would render a reloaded payload alphabetically and
+    differ from the figure of the run.  Figures walk each axis in its
+    declared order instead; keys ``order`` does not name come last, in the
+    mapping's own order.
+    """
+    rank = {key: index for index, key in enumerate(order)}
+    return sorted(mapping.items(), key=lambda item: rank.get(item[0], len(rank)))
+
+
+def by_engine(mapping: Mapping[str, Any]) -> list[tuple[str, Any]]:
+    """``mapping``'s items in engine registry order (``ALL_ENGINES``)."""
+    return in_order(mapping, engine_registry.ALL_ENGINES)
 
 
 def loaded_sources(

@@ -148,17 +148,6 @@ class ResultSet:
             and (mode is None or result.mode == mode)
         )
 
-    def best_engine(self, dataset: str, query_id: str, mode: str = "single") -> str | None:
-        """The engine with the lowest mean elapsed time for one cell."""
-        candidates: list[tuple[float, str]] = []
-        for engine in self.engines():
-            value = self.elapsed(engine, dataset, query_id, mode)
-            if value is not None:
-                candidates.append((value, engine))
-        if not candidates:
-            return None
-        return min(candidates)[1]
-
     def ranking(self, dataset: str, query_id: str, mode: str = "single") -> list[tuple[str, float]]:
         """Engines ordered from fastest to slowest for one cell."""
         pairs = []

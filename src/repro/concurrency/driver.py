@@ -33,9 +33,10 @@ from repro.engines import DEFAULT_ENGINES, create_engine
 from repro.exceptions import BenchmarkError, TransactionError, WriteConflictError
 from repro.model.elements import Direction
 from repro.queries import query_by_id
+from repro.storage.wal import DurabilityMode
 
 #: Engines × durability modes benchmarked by default.
-DURABILITY_MODES = ("sync", "async")
+DURABILITY_MODES = tuple(mode.value for mode in DurabilityMode)
 
 #: Number of hot vertices that write operations are biased toward.
 HOT_SET_SIZE = 16

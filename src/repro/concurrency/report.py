@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.registry import dataset_line, text_table
+from repro.bench.registry import by_engine, dataset_line, in_order, text_table
+from repro.storage.wal import DurabilityMode
 
 _COLUMNS = (
     ("throughput_ops_per_kcharge", "thrpt/kc", "{:.2f}"),
@@ -43,8 +44,8 @@ def format_concurrency_report(report: dict[str, Any]) -> str:
     ]
     rows = (
         (f"{engine_id:<22} {durability:<10}", row)
-        for engine_id, modes in report["engines"].items()
-        for durability, row in modes.items()
+        for engine_id, modes in by_engine(report["engines"])
+        for durability, row in in_order(modes, [mode.value for mode in DurabilityMode])
     )
     lines.extend(
         text_table(_COLUMNS, rows, lead=f"{'engine':<22} {'durability':<10}", indent="")
@@ -88,7 +89,7 @@ def format_saturation_report(report: dict[str, Any]) -> str:
         f"txns/client={report['txns_per_client']}  seed={report['seed']}  "
         f"durability={report['durability']}  retries={report['retries']}",
     ]
-    for engine_id, sweep in report["engines"].items():
+    for engine_id, sweep in by_engine(report["engines"]):
         knee_interval = sweep["knee"]["arrival_interval"]
         lines.append("")
         lines.append(
@@ -124,7 +125,7 @@ def format_loop_comparison(report: dict[str, Any]) -> str:
         f"txns/client={report['txns_per_client']}  seed={report['seed']}  "
         f"durability={report['durability']}",
     ]
-    for engine_id, rows in report["engines"].items():
+    for engine_id, rows in by_engine(report["engines"]):
         # A sweep that exhausted its budget never saw a failed doubling,
         # so its last step is not evidence of collapse.
         collapse_label = (

@@ -10,7 +10,7 @@ harness executes queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 #: Default simulated memory budget, in bytes of tracked payload.  The real
@@ -19,9 +19,6 @@ from dataclasses import dataclass, field, replace
 #: budget is crossed, which is how the paper's out-of-memory failures
 #: (Sparksee on Q28-Q31) are reproduced at laptop scale.
 DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
-
-#: Default page size used by the page-file substrate (bytes).
-DEFAULT_PAGE_SIZE = 8192
 
 
 @dataclass
@@ -45,15 +42,12 @@ class EngineConfig:
     durability:
         ``"sync"`` flushes every write through the WAL immediately;
         ``"async"`` defers flushing (ArangoDB's client-visible behaviour).
-    extra:
-        Free-form engine-specific options.
     """
 
     memory_budget: int = DEFAULT_MEMORY_BUDGET
     bulk_load: bool = True
     auto_index_properties: tuple[str, ...] = ()
     durability: str = "sync"
-    extra: dict[str, object] = field(default_factory=dict)
 
     def with_overrides(self, **overrides: object) -> "EngineConfig":
         """Return a copy of this config with ``overrides`` applied."""

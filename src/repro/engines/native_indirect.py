@@ -70,9 +70,6 @@ class NativeIndirectEngine(BaseEngine):
             EDGE: (self._edge_map, self._edge_record, "e"),
         }
         self._edge_label_clusters: dict[str, int] = {}
-        max_labels = self.config.extra.get("max_edge_labels")
-        if max_labels is not None:
-            self.schema.max_edge_labels = int(max_labels)  # type: ignore[arg-type]
         for key in self.config.auto_index_properties:
             self.create_vertex_index(key)
 

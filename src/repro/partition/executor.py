@@ -96,25 +96,6 @@ def direct_bfs(
     return _direct_search(engine, source, depth, None)
 
 
-def direct_values(
-    engine: GraphDatabase, vertex_ids: list[Any], key: str
-) -> dict[Any, Any]:
-    """Reference bulk property read on an unpartitioned engine.
-
-    One charged ``vertex_property`` per id, in input order — exactly the
-    per-shard local work of :meth:`DistributedExecutor.values`, so the K=1
-    charge-parity contract extends to the bulk read path.
-    """
-    return {vertex_id: engine.vertex_property(vertex_id, key) for vertex_id in vertex_ids}
-
-
-def direct_degree_at_least(
-    engine: GraphDatabase, vertex_ids: list[Any], k: int
-) -> dict[Any, bool]:
-    """Reference bulk degree threshold (Q28-Q30 flavour), one probe per id."""
-    return {vertex_id: engine.degree_at_least(vertex_id, k) for vertex_id in vertex_ids}
-
-
 def direct_shortest_path(
     engine: GraphDatabase, source: Any, target: Any, max_depth: int = 32
 ) -> int:
@@ -173,39 +154,6 @@ class DistributedResult:
     @property
     def total_charge(self) -> int:
         """All charged work: local compute + network (== busy)."""
-        return self.compute_charge + self.network_charge
-
-
-@dataclass
-class BulkQueryResult:
-    """A distributed bulk read's answer plus its charge accounting.
-
-    Bulk reads (``values``, ``degree_at_least``) are single-superstep: the
-    home shard scatters id batches to the owning shards, every shard probes
-    its local engine, and the answers gather back home — request and
-    response both ride :class:`~repro.partition.messages.MessageBatch`
-    economics, so a read that spans shards pays for its crossings exactly
-    like a traversal hop does.
-    """
-
-    #: External vertex id → answer (property value, or bool for degree).
-    answers: dict[Any, Any]
-    #: Virtual time: the slowest shard's compute+send for the one superstep.
-    makespan_charge: int
-    #: Serial-equivalent work across all shards.
-    busy_charge: int
-    #: Local engine I/O across all shards.
-    compute_charge: int
-    #: Request + response batch charge.
-    network_charge: int
-    messages: int
-    message_items: int
-    #: The shard that issued the query (owner of the first id).
-    home_shard: int
-
-    @property
-    def total_charge(self) -> int:
-        """All charged work: local compute + network."""
         return self.compute_charge + self.network_charge
 
 
@@ -276,130 +224,6 @@ class DistributedExecutor:
         if target not in self.owner:
             raise BenchmarkError(f"shortest-path target {target!r} is not a known vertex")
         return self._run(source, max_depth, target=target)
-
-    # ------------------------------------------------------------------
-    # Bulk reads (scatter/probe/gather in one superstep)
-    # ------------------------------------------------------------------
-
-    def values(self, vertex_ids: list[Any], key: str) -> BulkQueryResult:
-        """Property ``key`` for every id, probed shard-locally (Q4 flavour)."""
-
-        def probe(shard: ShardRuntime, externals: list[Any]) -> dict[Any, Any]:
-            return {
-                external: shard.engine.vertex_property(shard.id_map[external], key)
-                for external in externals
-            }
-
-        return self._run_bulk(vertex_ids, probe)
-
-    def degree_at_least(self, vertex_ids: list[Any], k: int) -> BulkQueryResult:
-        """Degree threshold per id, combining local adjacency with cut edges.
-
-        A sharded vertex's degree is its local degree plus one per incident
-        cut edge.  The cut table lives in coordinator RAM, so the remote
-        count is free; the local engine is only probed for the *remainder*
-        (``k - remote``), and not at all when the cut edges alone already
-        clear the bar — the distributed probe can be strictly cheaper than
-        the direct one on high-cut vertices.
-        """
-
-        def probe(shard: ShardRuntime, externals: list[Any]) -> dict[Any, bool]:
-            answers: dict[Any, bool] = {}
-            for external in externals:
-                remote = len(shard.remote.get(external, ()))
-                if k - remote <= 0:
-                    answers[external] = True
-                else:
-                    answers[external] = shard.engine.degree_at_least(
-                        shard.id_map[external], k - remote
-                    )
-            return answers
-
-        return self._run_bulk(vertex_ids, probe)
-
-    def _run_bulk(
-        self,
-        vertex_ids: list[Any],
-        probe: Callable[[ShardRuntime, list[Any]], dict[Any, Any]],
-    ) -> BulkQueryResult:
-        """One scatter/probe/gather superstep over the owning shards.
-
-        The home shard (owner of the first id) sends one request batch per
-        non-home shard holding ids, every shard answers with one response
-        batch, and the barrier advances by the slowest shard's compute+send
-        — home pays its scatter, each remote shard pays its reply.  With
-        one shard (or ids all home-resident) no batches exist and the
-        charge equals the direct per-id probes exactly.
-        """
-        if not vertex_ids:
-            raise BenchmarkError("a bulk query needs at least one vertex id")
-        by_shard: dict[int, list[Any]] = {}
-        for external in vertex_ids:
-            try:
-                shard_index = self.owner[external]
-            except KeyError:
-                raise BenchmarkError(
-                    f"bulk-query vertex {external!r} is not a known vertex"
-                ) from None
-            by_shard.setdefault(shard_index, []).append(external)
-        home = self.owner[vertex_ids[0]]
-
-        clock = BarrierClock()
-        stats = NetworkStats()
-        compute_charge = 0
-        answers: dict[Any, Any] = {}
-        batches: list[MessageBatch] = []
-        step_costs: dict[int, int] = {}
-
-        # Scatter: the home shard ships each remote shard its id list.
-        scatter_send = 0
-        for shard_index in sorted(by_shard):
-            if shard_index == home:
-                continue
-            request = MessageBatch(
-                superstep=1,
-                source_shard=home,
-                target_shard=shard_index,
-                items=[(external, 0) for external in by_shard[shard_index]],
-            )
-            batches.append(request)
-            scatter_send += self.network.batch_cost(len(request))
-        step_costs[home] = scatter_send
-
-        # Probe + gather: every owning shard answers; remote shards pay the
-        # response batch back to home.
-        for shard in self.shards:
-            externals = by_shard.get(shard.index)
-            if not externals:
-                continue
-            before = shard.engine.io_cost()
-            answers.update(probe(shard, externals))
-            compute = shard.engine.io_cost() - before
-            compute_charge += compute
-            reply_send = 0
-            if shard.index != home:
-                response = MessageBatch(
-                    superstep=1,
-                    source_shard=shard.index,
-                    target_shard=home,
-                    items=[(external, answers[external]) for external in externals],
-                )
-                batches.append(response)
-                reply_send = self.network.batch_cost(len(response))
-            step_costs[shard.index] = step_costs.get(shard.index, 0) + compute + reply_send
-
-        stats.record_step(batches, self.network)
-        clock.advance(list(step_costs.values()))
-        return BulkQueryResult(
-            answers=answers,
-            makespan_charge=clock.elapsed,
-            busy_charge=clock.busy,
-            compute_charge=compute_charge,
-            network_charge=stats.charge,
-            messages=stats.messages,
-            message_items=stats.items,
-            home_shard=home,
-        )
 
     # ------------------------------------------------------------------
     # The superstep engine

@@ -44,11 +44,6 @@ def stable_hash(value: Any) -> int:
     return zlib.crc32(repr(value).encode())
 
 
-#: Drift fraction at which :meth:`PartitionPlan.rebalance` stops patching
-#: and re-partitions from scratch (10% of the graph churned).
-DEFAULT_DRIFT_THRESHOLD = 0.1
-
-
 @dataclass
 class PartitionPlan:
     """A vertex→shard assignment plus its quality metrics."""
@@ -77,93 +72,6 @@ class PartitionPlan:
         if not self.total_edges:
             return 0.0
         return round(self.cut_edges / self.total_edges, 4)
-
-    def stats(self) -> dict[str, Any]:
-        """JSON-stable summary for the benchmark payload."""
-        return {
-            "strategy": self.strategy,
-            "shards": self.shards,
-            "sizes": list(self.sizes),
-            "balance": self.balance,
-            "cut_edges": self.cut_edges,
-            "total_edges": self.total_edges,
-            "cut_ratio": self.cut_ratio,
-        }
-
-    # -- CUD drift and re-partitioning --------------------------------------
-
-    def drift(self, dataset: Dataset) -> float:
-        """Fraction of the dataset this plan no longer covers correctly.
-
-        CUD workloads move the graph out from under a plan computed at
-        load time: new vertices have no owner, removed vertices leave
-        stale assignments.  Both count — a stale entry is as misleading to
-        the router as a missing one.
-        """
-        current = {vertex["id"] for vertex in dataset.vertices}
-        assigned = set(self.assignment)
-        if not current:
-            return 1.0 if assigned else 0.0
-        missing = len(current - assigned)
-        stale = len(assigned - current)
-        return round((missing + stale) / len(current), 4)
-
-    def patch(self, dataset: Dataset) -> "PartitionPlan":
-        """Cheap drift repair: keep every surviving placement.
-
-        New vertices are hash-placed (structure-blind — this is what makes
-        a patched plan's cut ratio decay under churn), stale entries are
-        dropped, and sizes/cut are re-measured against the current
-        dataset.  The full re-partition that restores cut quality is
-        :meth:`rebalance`'s job once drift crosses the threshold.
-        """
-        current = {vertex["id"] for vertex in dataset.vertices}
-        assignment = {
-            vertex["id"]: self.assignment.get(
-                vertex["id"], stable_hash(vertex["id"]) % self.shards
-            )
-            for vertex in dataset.vertices
-        }
-        sizes = [0] * self.shards
-        for shard in assignment.values():
-            sizes[shard] += 1
-        cut = sum(
-            1
-            for edge in dataset.edges
-            if edge["source"] in current
-            and edge["target"] in current
-            and assignment[edge["source"]] != assignment[edge["target"]]
-        )
-        return PartitionPlan(
-            strategy=self.strategy,
-            shards=self.shards,
-            assignment=assignment,
-            sizes=sizes,
-            cut_edges=cut,
-            total_edges=len(dataset.edges),
-        )
-
-    def rebalance(
-        self,
-        dataset: Dataset,
-        drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
-        partitioner: "str | Partitioner | None" = None,
-    ) -> "PartitionPlan":
-        """Re-partition when drift crosses the threshold, else patch.
-
-        Below the threshold the surviving placements are kept (a
-        :meth:`patch` — no data movement beyond the drifted vertices);
-        at or above it the named strategy (this plan's own by default)
-        recomputes the assignment from scratch, restoring the cut ratio
-        to within tolerance of a fresh plan — it *is* a fresh plan.
-        """
-        if not 0.0 <= drift_threshold <= 1.0:
-            raise BenchmarkError(
-                f"drift threshold must be within [0, 1], not {drift_threshold}"
-            )
-        if self.drift(dataset) < drift_threshold:
-            return self.patch(dataset)
-        return partition_dataset(dataset, self.shards, partitioner or self.strategy)
 
 
 class Partitioner(abc.ABC):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.registry import dataset_line, text_table
+from repro.bench.registry import by_engine, dataset_line, in_order, text_table
 
 _COLUMNS = (
     ("shards", "K", "{:d}"),
@@ -37,8 +37,8 @@ def format_scaleout_report(report: dict[str, Any]) -> str:
         f"network: {report['network']['latency_per_message']}/msg + "
         f"{report['network']['cost_per_item']}/item",
     ]
-    for engine_id, strategies in report["engines"].items():
-        for strategy, sweep in strategies.items():
+    for engine_id, strategies in by_engine(report["engines"]):
+        for strategy, sweep in in_order(strategies, report["partitioners"]):
             best = max(sweep["runs"], key=lambda run: run["speedup"])
             lines.append("")
             lines.append(

@@ -8,7 +8,6 @@ are reflected in actual data-structure work rather than being mocked.
 """
 
 from repro.storage.metrics import StorageMetrics, MetricsRegistry
-from repro.storage.pages import PageFile
 from repro.storage.record_store import RecordStore, Record
 from repro.storage.indirection import IndirectionTable
 from repro.storage.btree import BPlusTree
@@ -35,7 +34,6 @@ from repro.storage.relational import (
 __all__ = [
     "StorageMetrics",
     "MetricsRegistry",
-    "PageFile",
     "RecordStore",
     "Record",
     "IndirectionTable",

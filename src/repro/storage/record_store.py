@@ -7,9 +7,10 @@ record holds only structural information — pointers to the first relationship
 in a doubly-linked chain and to the first property block — so traversals never
 touch attribute data.
 
-:class:`RecordStore` reproduces that layout on top of :class:`PageFile`.
-Records are dictionaries of small integers / short strings serialised into a
-fixed-size slot; the content of the slots is opaque to this module.
+:class:`RecordStore` reproduces that layout's cost: records are dictionaries
+of small integers / short strings, and every slot write charges the pages of
+the store file it touches and the bytes of its serialised payload.  The file
+itself is only a page count — no path ever reads slot bytes back.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from typing import Iterator
 
 from repro.exceptions import ElementNotFoundError, StorageError
 from repro.storage.metrics import StorageMetrics
-from repro.storage.pages import PageFile
 
 #: ``json.dumps(fields, default=str)`` builds an encoder per call; one
-#: prebuilt encoder produces the same bytes.
+#: prebuilt encoder produces the same text.  It is ASCII (``ensure_ascii``),
+#: so its length is its size in bytes.
 _encode_fields = json.JSONEncoder(default=str).encode
 
 
@@ -59,7 +60,7 @@ class RecordStore:
     metrics:
         Counter charged for record and page accesses.
     page_size:
-        Page size of the backing file.
+        Page size of the store file.
     """
 
     def __init__(
@@ -71,10 +72,14 @@ class RecordStore:
     ) -> None:
         if record_size <= 0:
             raise StorageError("record size must be positive")
+        if page_size <= 0:
+            raise StorageError(f"page size must be positive, got {page_size}")
         self.name = name
         self.record_size = record_size
+        self.page_size = page_size
         self.metrics = metrics if metrics is not None else StorageMetrics(owner=name)
-        self._file = PageFile(f"{name}.db", page_size=page_size, metrics=self.metrics)
+        #: Pages the store file has grown to.
+        self._page_count = 0
         self._records: list[Record | None] = []
         self._free_list: list[int] = []
         self._live_count = 0
@@ -93,7 +98,7 @@ class RecordStore:
     @property
     def size_in_bytes(self) -> int:
         """Simulated on-disk size of the store."""
-        return max(self._file.size_in_bytes, self.high_id * self.record_size)
+        return max(self._page_count * self.page_size, self.high_id * self.record_size)
 
     # -- CRUD -------------------------------------------------------------------
 
@@ -173,10 +178,10 @@ class RecordStore:
 
     def scan(self) -> Iterator[Record]:
         """Iterate over live records in id order, charging sequential page reads."""
-        records_per_page = max(1, self._file.page_size // self.record_size)
+        records_per_page = max(1, self.page_size // self.record_size)
         for index, record in enumerate(self._records):
             if index % records_per_page == 0:
-                self.metrics.charge_page_read(1, self._file.page_size)
+                self.metrics.charge_page_read(1, self.page_size)
             if record is not None:
                 self.metrics.charge_record_read(1, self.record_size)
                 yield record
@@ -196,10 +201,24 @@ class RecordStore:
         return record
 
     def _write_slot(self, record_id: int) -> None:
+        """Charge one slot write at offset ``record_id * record_size``.
+
+        The payload is the record's JSON clamped to the fixed record size:
+        this simulates the slot write, it is not a binary encoding.  A write
+        past the end of the file first grows it by whole pages (one page
+        write of ``page_size`` bytes each); the write itself is one page
+        write per page it touches, carrying the payload's bytes.
+        """
         record = self._records[record_id]
         assert record is not None
-        encoded = _encode_fields(record.fields).encode()
-        # The payload is clamped to the fixed record size: this is a
-        # simulation of the slot write, not a faithful binary encoding.
-        self._file.write_at(record_id * self.record_size, encoded[: self.record_size])
-        self.metrics.charge_record_write(1, self.record_size)
+        length = min(len(_encode_fields(record.fields)), self.record_size)
+        page_size = self.page_size
+        offset = record_id * self.record_size
+        end = offset + length
+        metrics = self.metrics
+        grown = (end + page_size - 1) // page_size - self._page_count
+        if grown > 0:
+            metrics.charge_page_write(grown, grown * page_size)
+            self._page_count += grown
+        metrics.charge_page_write((end - 1) // page_size - offset // page_size + 1, length)
+        metrics.charge_record_write(1, self.record_size)

@@ -10,7 +10,6 @@ enough of a relational engine from scratch:
 * heap tables with typed columns and an always-present ``id`` primary key;
 * secondary hash and B+Tree indexes;
 * sequential scans with predicate pushdown;
-* hash equi-joins;
 * a tiny cost-aware access-path chooser (index vs scan).
 
 The query *planning* that corresponds to Sqlg's step conflation lives in
@@ -369,60 +368,6 @@ class RelationalDatabase:
         return sum(table.size_in_bytes for table in self._tables.values())
 
     # -- relational operators ----------------------------------------------------------------
-
-    def hash_join(
-        self,
-        left_rows: Iterator[dict[str, Any]] | list[dict[str, Any]],
-        right_table: str,
-        left_key: str,
-        right_key: str,
-        right_predicate: Predicate | None = None,
-    ) -> Iterator[dict[str, Any]]:
-        """Hash join: build on the right table, probe with the left rows.
-
-        The joined row contains the left columns plus the right columns
-        prefixed by the right table's name (``table.column``).
-        """
-        right = self.table(right_table)
-        build: dict[Any, list[dict[str, Any]]] = {}
-        for row in right.seq_scan(right_predicate):
-            build.setdefault(row.get(right_key), []).append(row)
-        self.metrics.charge_index_update(len(build))
-        for left_row in left_rows:
-            self.metrics.charge_index_probe()
-            for right_row in build.get(left_row.get(left_key), []):
-                merged = dict(left_row)
-                for column, value in right_row.items():
-                    merged[f"{right_table}.{column}"] = value
-                yield merged
-
-    def index_nested_loop_join(
-        self,
-        left_rows: Iterator[dict[str, Any]] | list[dict[str, Any]],
-        right_table: str,
-        left_key: str,
-        right_key: str,
-    ) -> Iterator[dict[str, Any]]:
-        """Index nested-loop join; requires (or creates) an index on the right key."""
-        right = self.table(right_table)
-        if right_key != "id" and not right.has_index(right_key):
-            right.create_index(right_key)
-        for left_row in left_rows:
-            value = left_row.get(left_key)
-            if right_key == "id":
-                matches = [right.get(value)] if right.exists(value) else []
-            else:
-                matches = list(right.index_scan(right_key, value))
-            for right_row in matches:
-                merged = dict(left_row)
-                for column, cell in right_row.items():
-                    merged[f"{right_table}.{column}"] = cell
-                yield merged
-
-    def union_all(self, *row_iterables: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
-        """Concatenate row streams (UNION ALL)."""
-        for rows in row_iterables:
-            yield from rows
 
     def count(self, table_name: str, predicate: Predicate | None = None) -> int:
         """SELECT COUNT(*) over one table."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.registry import dataset_line, text_table
+from repro.bench.registry import by_engine, dataset_line, in_order, text_table
 
 _COLUMNS = (
     ("shards", "K", "{:d}"),
@@ -39,15 +39,15 @@ def format_txn_report(report: dict[str, Any]) -> str:
         f"network: {report['network']['latency_per_message']}/msg + "
         f"{report['network']['cost_per_item']}/item",
     ]
-    for engine_id, strategies in report["engines"].items():
-        for strategy, sweep in strategies.items():
+    for engine_id, strategies in by_engine(report["engines"]):
+        for strategy, sweep in in_order(strategies, report["partitioners"]):
             lines.append("")
             lines.append(f"{engine_id} × {strategy}")
             rows = (("  ", run) for run in sweep["runs"])
             lines.extend(text_table(_COLUMNS, rows, width=8))
     lines.append("")
     lines.append("write skew (pairs with constraint 'not both off'):")
-    for engine_id, modes in report["write_skew"].items():
+    for engine_id, modes in by_engine(report["write_skew"]):
         si = modes["si"]
         ssi = modes["ssi"]
         lines.append(
@@ -57,7 +57,7 @@ def format_txn_report(report: dict[str, Any]) -> str:
         )
     lines.append("")
     lines.append("K=1 parity (distributed vs plain local sessions):")
-    for engine_id, cell in report["parity"].items():
+    for engine_id, cell in by_engine(report["parity"]):
         verdict = "IDENTICAL" if cell["identical"] else "DIVERGED"
         lines.append(
             f"  {engine_id}: {verdict} — charge "

@@ -25,6 +25,7 @@ import repro.cli
 from repro.bench.gates import check_payload_identity
 from repro.bench.registry import SPECS, check, markdown_table, output_paths, write_report
 from repro.cli import main
+from repro.concurrency import format_loop_comparison, run_loop_comparison
 from repro.queries.complex_ldbc import COMPLEX_QUERIES
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -106,6 +107,18 @@ class TestCommittedBaselines:
         run = gate_runs[name]
         assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
         assert f"{name} gate passed" in run.stdout
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_the_tracked_figure_renders_from_the_committed_payload(self, name):
+        """Payloads are stored with sorted keys; figures keep the run's order."""
+        spec = SPECS[name]
+        rendered = spec.format(_committed(name)) + "\n"
+        assert rendered == (ROOT / spec.report).read_text()
+
+    def test_figure_9b_renders_from_the_committed_sweep(self):
+        comparison = run_loop_comparison(_committed("saturate"))
+        rendered = format_loop_comparison(comparison) + "\n"
+        assert rendered == (ROOT / "benchmarks/reports/fig9b_loop_comparison.txt").read_text()
 
     @pytest.mark.parametrize("name", list(SPECS))
     def test_a_perturbed_baseline_fails_the_gate(self, name):

@@ -145,7 +145,6 @@ class TestResultSet:
     def test_elapsed_and_ranking(self):
         results = self._sample()
         assert results.elapsed("fast", "d", "Q8") == pytest.approx(0.1)
-        assert results.best_engine("d", "Q8") == "fast"
         assert [engine for engine, _t in results.ranking("d", "Q8")] == ["fast", "slow"]
 
     def test_timeout_count_and_totals(self):

@@ -102,7 +102,8 @@ class TestNativeLinkedVersions:
 
 class TestNativeIndirect:
     def test_edge_label_cap(self):
-        engine = NativeIndirectEngine(EngineConfig(extra={"max_edge_labels": 2}))
+        engine = NativeIndirectEngine()
+        engine.schema.max_edge_labels = 2
         a, b = engine.add_vertex(), engine.add_vertex()
         engine.add_edge(a, b, "l1")
         engine.add_edge(a, b, "l2")

@@ -1,4 +1,4 @@
-"""Unit tests for metrics, page files, record stores, and indirection tables."""
+"""Unit tests for metrics, record stores, and indirection tables."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import ElementNotFoundError, MemoryBudgetExceededError, StorageError
 from repro.storage.indirection import IndirectionTable
 from repro.storage.metrics import MetricsRegistry, StorageMetrics
-from repro.storage.pages import PageFile
 from repro.storage.record_store import RecordStore
 
 
@@ -70,54 +69,6 @@ class TestStorageMetrics:
         assert registry.combined().index_probes == 0
 
 
-class TestPageFile:
-    def test_allocate_and_read_page(self):
-        pages = PageFile("test", page_size=64)
-        page_no = pages.allocate_page()
-        assert pages.read_page(page_no) == bytes(64)
-
-    def test_write_and_read_roundtrip(self):
-        pages = PageFile("test", page_size=64)
-        pages.allocate_page()
-        pages.write_page(0, b"hello")
-        assert pages.read_page(0)[:5] == b"hello"
-
-    def test_write_at_grows_file(self):
-        pages = PageFile("test", page_size=32)
-        pages.write_at(100, b"abc")
-        assert pages.page_count == 4
-        assert pages.read_at(100, 3) == b"abc"
-
-    def test_read_across_page_boundary(self):
-        pages = PageFile("test", page_size=16)
-        pages.write_at(12, b"boundary")
-        assert pages.read_at(12, 8) == b"boundary"
-
-    def test_read_past_end_raises(self):
-        pages = PageFile("test", page_size=16)
-        pages.allocate_page()
-        with pytest.raises(StorageError):
-            pages.read_at(10, 100)
-
-    def test_oversized_page_write_rejected(self):
-        pages = PageFile("test", page_size=8)
-        pages.allocate_page()
-        with pytest.raises(StorageError):
-            pages.write_page(0, b"far too long for the page")
-
-    def test_invalid_page_size_rejected(self):
-        with pytest.raises(StorageError):
-            PageFile("bad", page_size=0)
-
-    def test_metrics_charged_for_io(self):
-        metrics = StorageMetrics()
-        pages = PageFile("test", page_size=32, metrics=metrics)
-        pages.write_at(0, b"x" * 40)
-        pages.read_at(0, 40)
-        assert metrics.page_writes >= 2
-        assert metrics.page_reads >= 2
-
-
 class TestRecordStore:
     def test_allocate_assigns_sequential_ids(self):
         store = RecordStore("records", record_size=32)
@@ -174,6 +125,85 @@ class TestRecordStore:
     def test_invalid_record_size_rejected(self):
         with pytest.raises(StorageError):
             RecordStore("bad", record_size=0)
+
+    def test_invalid_page_size_rejected(self):
+        with pytest.raises(StorageError, match="page size"):
+            RecordStore("bad", page_size=0)
+
+    def test_slot_writes_charge_pages_touched_and_payload_bytes(self):
+        """(page_writes, bytes_written, records_written) after each write.
+
+        24-byte slots on 64-byte pages, so slot 2 straddles pages 0 and 1.
+        A write past the end grows the file by whole pages (one page write
+        of 64 bytes each), then charges one page write per page it touches
+        carrying the JSON payload clamped to the slot: ``{"a": 1}`` is 8
+        bytes, the long payloads are clamped to 24.  Every write and every
+        free is one 24-byte record write.
+        """
+        store = RecordStore("records", record_size=24, page_size=64)
+        metrics = store.metrics
+        long = {"name": "x" * 40}
+        steps = [
+            ("allocate short, grows page 0", lambda: store.allocate({"a": 1}), (2, 96, 1)),
+            ("allocate long", lambda: store.allocate(long), (3, 144, 2)),
+            ("allocate long, grows page 1, straddles", lambda: store.allocate(long), (6, 256, 3)),
+            ("update to long", lambda: store.update(0, {"b": "y" * 30}), (7, 304, 4)),
+            ("replace with short", lambda: store.replace(2, {"c": 3}), (8, 336, 5)),
+            ("update, still short", lambda: store.update(2, {"d": 4}), (9, 376, 6)),
+            ("free", lambda: store.free(1), (9, 400, 7)),
+            ("allocate short into the freed slot", lambda: store.allocate({"e": 5}), (10, 432, 8)),
+        ]
+        for name, step, expected in steps:
+            step()
+            charged = (metrics.page_writes, metrics.bytes_written, metrics.records_written)
+            assert charged == expected, name
+        assert store.size_in_bytes == 128
+
+    def test_default_store_charges_one_page_then_the_payload(self):
+        """64-byte slots on 8 KiB pages: the first write grows one page
+        (8192 bytes), then carries its 8 payload bytes; a 92-byte payload
+        is clamped to 64."""
+        store = RecordStore("records")
+        metrics = store.metrics
+        steps = [
+            ("allocate short", lambda: store.allocate({"a": 1}), (2, 8264, 1)),
+            ("replace with long", lambda: store.replace(0, {"name": "x" * 80}), (3, 8392, 2)),
+            ("free", lambda: store.free(0), (3, 8456, 3)),
+        ]
+        for name, step, expected in steps:
+            step()
+            charged = (metrics.page_writes, metrics.bytes_written, metrics.records_written)
+            assert charged == expected, name
+        assert store.size_in_bytes == 8192
+
+    #: (record_size, page_size, payloads allocated in order) ->
+    #: ((page_writes, bytes_written, records_written), size_in_bytes).
+    #: The payload is its ASCII JSON text clamped to the slot; values that
+    #: are not JSON are written as their ``str``.
+    LAYOUTS = {
+        "payload-exactly-fills-the-slot": ((8, 64, [{"a": 1}]), ((2, 80, 1), 64)),
+        "payload-one-byte-over-is-clamped": ((7, 64, [{"a": 1}]), ((2, 78, 1), 64)),
+        "empty-payload": ((32, 64, [{}]), ((2, 98, 1), 64)),
+        "slot-ends-on-the-page-boundary": (
+            (32, 64, [{"a": "x" * 40}, {"a": "x" * 40}]), ((3, 192, 2), 64)),
+        "slot-starts-a-new-page": ((32, 64, [{}, {}, {"a": 1}]), ((5, 236, 3), 128)),
+        "record-wider-than-a-page": (
+            (100, 32, [{"a": "x" * 120}, {"b": 2}]), ((9, 436, 2), 200)),
+        "record-as-wide-as-a-page": ((64, 64, [{"a": 1}, {"a": "x" * 90}]), ((4, 328, 2), 128)),
+        "non-ascii-text-is-escaped": ((64, 64, [{"name": "caf\u00e9"}]), ((2, 149, 1), 64)),
+        "non-json-value-is-stringified": (
+            (64, 64, [{"at": (1, 2), "tags": frozenset()}]), ((2, 165, 1), 64)),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_allocation_charges_per_layout(self, layout):
+        (record_size, page_size, payloads), (charged, size) = self.LAYOUTS[layout]
+        store = RecordStore("records", record_size=record_size, page_size=page_size)
+        for payload in payloads:
+            store.allocate(payload)
+        metrics = store.metrics
+        assert (metrics.page_writes, metrics.bytes_written, metrics.records_written) == charged
+        assert store.size_in_bytes == size
 
 
 class TestIndirectionTable:

@@ -507,37 +507,13 @@ class TestRelationalDatabase:
         table.add_column(Column("city"))
         assert table.get(row_id)["city"] is None
 
-    def test_hash_join(self):
-        db = RelationalDatabase()
-        people = self._make_table(db)
-        pets = db.create_table("pets", [Column("id"), Column("owner"), Column("kind")])
-        alice = people.insert({"name": "alice"})
-        bob = people.insert({"name": "bob"})
-        pets.insert({"owner": alice, "kind": "cat"})
-        pets.insert({"owner": alice, "kind": "dog"})
-        pets.insert({"owner": bob, "kind": "fish"})
-        joined = list(db.hash_join(people.rows(), "pets", left_key="id", right_key="owner"))
-        assert len(joined) == 3
-        assert {row["pets.kind"] for row in joined} == {"cat", "dog", "fish"}
-
-    def test_index_nested_loop_join(self):
-        db = RelationalDatabase()
-        people = self._make_table(db)
-        pets = db.create_table("pets", [Column("id"), Column("owner"), Column("kind")])
-        alice = people.insert({"name": "alice"})
-        pets.insert({"owner": alice, "kind": "cat"})
-        joined = list(db.index_nested_loop_join(people.rows(), "pets", "id", "owner"))
-        assert len(joined) == 1 and joined[0]["pets.kind"] == "cat"
-
-    def test_count_and_union(self):
+    def test_count(self):
         db = RelationalDatabase()
         table = self._make_table(db)
         for index in range(5):
             table.insert({"name": f"p{index}", "age": index})
         assert db.count("people") == 5
         assert db.count("people", lambda row: row["age"] < 2) == 2
-        doubled = list(db.union_all(table.rows(), table.rows()))
-        assert len(doubled) == 10
 
     def test_duplicate_primary_key_rejected(self):
         db = RelationalDatabase()
