@@ -22,7 +22,7 @@ Vertex ids are ``"<table>:<row id>"`` strings; edge ids likewise.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
@@ -43,9 +43,25 @@ _EDGE_SYSTEM_COLUMNS = ("id", "source", "target", "source_table", "target_table"
 _ENDPOINT_COLUMNS = ("source", "target")
 #: Per pass: (endpoint column probed, column holding the far endpoint).
 _PASSES = pass_table({Direction.OUT: ("source", "target"), Direction.IN: ("target", "source")})
-#: A prepared probe plan: per endpoint column, the ``(endpoint index, edge
-#: table, table name)`` of every edge table an expansion probes.
-_ProbePlan = dict[str, list[tuple[BPlusTree, Table, str]]]
+
+
+class _Probes(NamedTuple):
+    """One endpoint column of a prepared plan: the edge tables an expansion
+    unions over, in name order, and what skipping one of them books."""
+
+    #: The catalog's live holder map of the column (``RelationalDatabase.holders``).
+    held: dict[str, tuple[str, ...]]
+    #: Table name -> its position in :attr:`tables`.
+    position: dict[str, int]
+    #: ``(endpoint index, edge table, table name)`` per edge table.
+    tables: list[tuple[BPlusTree, Table, str]]
+    #: ``before[i]``: the summed heights of the first ``i`` indexes, so the
+    #: descents of tables ``i`` to ``j - 1`` book ``before[j] - before[i]``.
+    before: list[int]
+
+
+#: A prepared probe plan: per endpoint column, its :class:`_Probes`.
+_ProbePlan = dict[str, _Probes]
 
 
 class RelationalEngine(BaseEngine):
@@ -122,11 +138,12 @@ class RelationalEngine(BaseEngine):
     def _probe_plan(self, label: str | None) -> _ProbePlan:
         """The endpoint indexes a traversal over ``label`` must probe, prepared.
 
-        Resolving names to tables and tables to their endpoint indexes is
-        catalog work the cost model never booked, so it is done once per
-        catalog version, not once per expansion.  What the plan lists is
-        still probed, index by index: without a label that is *every* edge
-        table, the union the paper found to be this architecture's weak spot.
+        Resolving names to tables and tables to their endpoint indexes and
+        heights is catalog work the cost model never booked, so it is done
+        once per catalog version (which an index growing a level moves too),
+        not once per expansion.  What the plan lists is still booked, index
+        by index: without a label that is *every* edge table, the union the
+        paper found to be this architecture's weak spot.
         """
         version = self._db.catalog_version
         if version != self._plans_version:
@@ -141,10 +158,14 @@ class RelationalEngine(BaseEngine):
             else:
                 names = ()
             tables = [(self._db.table(name), name) for name in names]
-            plan = {
-                column: [(table.secondary_index(column), table, name) for table, name in tables]
-                for column in _ENDPOINT_COLUMNS
-            }
+            position = {name: at for at, name in enumerate(names)}
+            plan = {}
+            for column in _ENDPOINT_COLUMNS:
+                probes = [(table.secondary_index(column), table, name) for table, name in tables]
+                before = [0]
+                for index, _table, _name in probes:
+                    before.append(before[-1] + index.height)
+                plan[column] = _Probes(self._db.holders(column), position, probes, before)
             if tables:
                 # A label without a table is not remembered: the plans stay
                 # O(edge tables) whatever labels callers ask for.
@@ -211,12 +232,17 @@ class RelationalEngine(BaseEngine):
         return Vertex(id=vertex_id, label=label_value, properties=properties)
 
     def _remove_incident(self, vertex_id: Any) -> None:
-        # Delete incident edges from every edge table, found through the
-        # endpoint foreign-key indexes.
+        # Delete incident edges from the edge tables whose endpoint foreign-
+        # key indexes hold the vertex, in name order.  Finding them books
+        # nothing, so a table proven empty of the vertex is not visited.
         key = index_key(str(vertex_id))
-        # Each edge table once: every table is listed under each column.
-        for _index, edge_table, _name in self._probe_plan(None)[_ENDPOINT_COLUMNS[0]]:
-            edge_table.delete_referencing(_ENDPOINT_COLUMNS, key)
+        plan = self._probe_plan(None)
+        holding = set()
+        for column in _ENDPOINT_COLUMNS:
+            probes = plan[column]
+            holding.update(name for name in probes.held.get(key, ()) if name in probes.position)
+        for name in sorted(holding):
+            self._db.table(name).delete_referencing(_ENDPOINT_COLUMNS, key)
 
     def _delete_vertex(self, vertex_id: Any) -> None:
         table, row_id = self._row(VERTEX, vertex_id)
@@ -344,6 +370,30 @@ class RelationalEngine(BaseEngine):
         label = table.name[len(_VERTEX_PREFIX) :]
         return None if label == _DEFAULT_VERTEX_LABEL else label
 
+    def _holding(self, probes: _Probes, key: str) -> Iterator[tuple[BPlusTree, Table, str]]:
+        """The plan's edge tables whose endpoint index holds ``key``, in plan
+        order, with every other table's descent booked where the union
+        would have made it.
+
+        A table the holder map leaves out is proven not to hold ``key``: its
+        search would book its height and find nothing, so that height is
+        booked instead — the run of tables before each holder at once, the
+        run after the last holder when the caller asks for more.  A caller
+        that stops early (an abandoned stream, ``degree_at_least``'s exit)
+        books what the union would have booked up to that point, no more.
+        """
+        position, before = probes.position, probes.before
+        metrics = self.metrics
+        booked = 0
+        for name in probes.held.get(key, ()):
+            at = position.get(name)
+            if at is None:
+                continue  # a table outside this plan: another label, or not an edge table
+            metrics.index_probes += before[at] - before[booked]
+            booked = at + 1
+            yield probes.tables[at]
+        metrics.index_probes += before[-1] - before[booked]
+
     def _bulk_incident(
         self,
         vertex_ids: Iterable[Any],
@@ -353,22 +403,24 @@ class RelationalEngine(BaseEngine):
     ) -> Iterator[tuple[Any, Any]]:
         """Walk a frontier through the endpoint foreign-key indexes.
 
-        The endpoint indexes to probe come from the prepared plan; each
-        vertex renders its probe key once and descends every listed index
-        in a flat loop, one frame per booked descent.  Far endpoints are
-        read off the probed row, with the primary-key probe and record read
-        the per-id ``edge_endpoints`` call performs charged via
+        The union over the plan's edge tables: each vertex renders its
+        probe key once and descends, per pass, only the indexes that hold
+        it (:meth:`_holding` books the others' descents) — one frame per
+        table found, not per table listed.  Far endpoints are read off the
+        probed row, with the primary-key probe and record read the per-id
+        ``edge_endpoints`` call performs charged via
         :meth:`~repro.storage.relational.Table.recharge_get` — identical
         logical I/O, no second fetch.
         """
         plan = self._probe_plan(label)
         passes = [(plan[endpoint], opposite) for endpoint, opposite in _PASSES[direction]]
         metrics = self.metrics
+        holding = self._holding
         for vertex_id in vertex_ids:
             key = index_key(str(vertex_id))
             for probes, opposite_column in passes:
                 self._require(VERTEX, vertex_id)
-                for index, table, table_name in probes:
+                for index, table, table_name in holding(probes, key):
                     for row_id in index.search(key):
                         # The search booked its descent; the row is booked
                         # here, as it is handed on (lazily, like the stream).
@@ -394,7 +446,7 @@ class RelationalEngine(BaseEngine):
         plan = self._probe_plan(None)
         count = 0
         for endpoint_column, _opposite_column in _PASSES[direction]:
-            for index, _table, _table_name in plan[endpoint_column]:
+            for index, _table, _table_name in self._holding(plan[endpoint_column], key):
                 count += len(index.search(key))
                 if count >= k:
                     return True

@@ -140,9 +140,10 @@ class BPlusTree:
 
     # -- insertion ---------------------------------------------------------
 
-    def insert(self, key: Any, value: Any) -> None:
+    def insert(self, key: Any, value: Any) -> bool:
         """Insert ``value`` under ``key``, splitting nodes as necessary.
 
+        Returns whether ``key`` is new to the tree (``key_count`` moved).
         The write-side twin of :meth:`_find_leaf`: one iterative descent
         that books its ``height`` probes at once and remembers the
         ``(node, child index)`` path, so a split propagates up that stack
@@ -166,21 +167,21 @@ class BPlusTree:
             else:
                 node.values[index].append(value)
                 self._size += 1
-            return
+            return False
         keys.insert(index, key)
         node.values.insert(index, [value])
         self._size += 1
         self._key_count += 1
         order = self.order
         if len(keys) <= order:
-            return
+            return True
         middle_key, right = self._split_leaf(node)
         while path:
             parent, index = path.pop()
             parent.keys.insert(index, middle_key)
             parent.children.insert(index + 1, right)
             if len(parent.keys) <= order:
-                return
+                return True
             middle_key, right = self._split_internal(parent)
         new_root = _InternalNode()
         new_root.keys = [middle_key]
@@ -188,6 +189,7 @@ class BPlusTree:
         self._root = new_root
         self._height += 1
         self._rebalance_count += 1
+        return True
 
     def _split_leaf(self, leaf: _LeafNode):
         self._rebalance_count += 1

@@ -8,7 +8,8 @@ reproduce that behaviour without PostgreSQL, this module implements just
 enough of a relational engine from scratch:
 
 * heap tables with typed columns and an always-present ``id`` primary key;
-* secondary hash and B+Tree indexes;
+* secondary hash and B+Tree indexes, and a catalog-wide holder map that
+  names, per indexed column and key, the tables whose index holds the key;
 * sequential scans with predicate pushdown;
 * a tiny cost-aware access-path chooser (index vs scan).
 
@@ -62,6 +63,11 @@ class TableSchema:
 Predicate = Callable[[dict[str, Any]], bool]
 
 
+#: Per indexed column name, per index key: the sorted names of the tables
+#: whose secondary index on that column holds the key.
+Holders = dict[str, dict[str, tuple[str, ...]]]
+
+
 class Table:
     """A heap table with a primary-key hash index and optional secondary indexes."""
 
@@ -70,12 +76,19 @@ class Table:
         schema: TableSchema,
         metrics: StorageMetrics | None = None,
         on_ddl: Callable[[], None] | None = None,
+        holders: Holders | None = None,
     ) -> None:
         self.schema = schema
         self.metrics = metrics if metrics is not None else StorageMetrics(owner=schema.name)
-        #: Called after every schema change of this table: the owning
-        #: catalog's version bump (a free-standing table has none).
+        #: Called after every schema change of this table and whenever one
+        #: of its indexes grows a level: the owning catalog's version bump
+        #: (a free-standing table has none).
         self._on_ddl = on_ddl
+        #: The owning catalog's holder map (a free-standing table keeps its
+        #: own), kept exact by every write to a secondary index.
+        self._holders: Holders = holders if holders is not None else {}
+        #: This table as the sole holder of a key: one tuple shared by all.
+        self._alone = (schema.name,)
         self._rows: dict[Any, dict[str, Any]] = {}
         self._primary = HashIndex(f"{schema.name}-pk", metrics=self.metrics, unique=True)
         self._secondary: dict[str, BPlusTree] = {}
@@ -105,14 +118,55 @@ class Table:
         if column in self._secondary:
             return
         index = BPlusTree(f"{self.name}-{column}-idx", metrics=self.metrics)
+        held = self._holders.setdefault(column, {})
         for row_id, row in self._rows.items():
-            index.insert(index_key(row.get(column)), row_id)
+            key = index_key(row.get(column))
+            if index.insert(key, row_id):
+                self._hold(held, key)
         self._secondary[column] = index
         if self._on_ddl is not None:
             self._on_ddl()
 
     def has_index(self, column: str) -> bool:
         return column in self._secondary
+
+    # -- the holder map ------------------------------------------------------------------
+    #
+    # A key appears in an index exactly when ``BPlusTree.insert`` reports it
+    # new, and vanishes exactly when a delete moves ``key_count``: the map
+    # follows the indexes without a descent of its own.
+
+    def _hold(self, held: dict[str, tuple[str, ...]], key: str) -> None:
+        names = held.get(key)
+        held[key] = self._alone if names is None else tuple(sorted((*names, self._alone[0])))
+
+    def _release(self, held: dict[str, tuple[str, ...]], key: str) -> None:
+        names = held[key]
+        if len(names) == 1:
+            del held[key]
+        else:
+            held[key] = tuple(name for name in names if name != self._alone[0])
+
+    def _index_insert(self, column: str, index: BPlusTree, key: str, row_id: Any) -> None:
+        height = index.height
+        if index.insert(key, row_id):
+            self._hold(self._holders[column], key)
+            # A prepared plan may have resolved the old height.
+            if index.height != height and self._on_ddl is not None:
+                self._on_ddl()
+
+    def _index_delete(self, column: str, index: BPlusTree, key: str, row_id: Any) -> None:
+        count = index.key_count
+        index.delete(key, row_id)
+        if index.key_count != count:
+            self._release(self._holders[column], key)
+
+    def release_holders(self) -> None:
+        """Take this table out of the holder map (the table is being dropped)."""
+        for column in self._secondary:
+            held = self._holders[column]
+            for key in {index_key(row.get(column)) for row in self._rows.values()}:
+                self._release(held, key)
 
     # -- size ------------------------------------------------------------------------
 
@@ -150,8 +204,8 @@ class Table:
         self._rows[row_id] = row
         self._primary.insert(row_id, row_id)
         self.metrics.charge_record_write(1, len(str(row)))
-        for index, key in zip(self._secondary.values(), keys):
-            index.insert(key, row_id)
+        for (column, index), key in zip(self._secondary.items(), keys):
+            self._index_insert(column, index, key, row_id)
         return row_id
 
     def get(self, row_id: Any) -> dict[str, Any]:
@@ -177,8 +231,9 @@ class Table:
                 raise SchemaError(f"unknown column {key!r} for table {self.name!r}")
             if key in self._secondary:
                 new_key = index_key(value)
-                self._secondary[key].delete(index_key(row.get(key)), row_id)
-                self._secondary[key].insert(new_key, row_id)
+                index = self._secondary[key]
+                self._index_delete(key, index, index_key(row.get(key)), row_id)
+                self._index_insert(key, index, new_key, row_id)
             row[key] = value
         self.metrics.charge_record_write(1, len(str(changes)))
 
@@ -189,7 +244,7 @@ class Table:
         row = self._rows.pop(row_id)
         self._primary.delete(row_id)
         for column, index in self._secondary.items():
-            index.delete(index_key(row.get(column)), row_id)
+            self._index_delete(column, index, index_key(row.get(column)), row_id)
         self.metrics.charge_record_write(1)
 
     def delete_referencing(self, columns: tuple[str, ...], key: str) -> int:
@@ -309,6 +364,7 @@ class RelationalDatabase:
         self.name = name
         self.metrics = metrics if metrics is not None else StorageMetrics(owner=name)
         self._tables: dict[str, Table] = {}
+        self._holders: Holders = {}
         self._catalog_version = 0
         #: Sorted table names per prefix, as of the current catalog version.
         self._names: dict[str, tuple[str, ...]] = {}
@@ -320,22 +376,36 @@ class RelationalDatabase:
         if name in self._tables:
             return self._tables[name]
         schema = TableSchema(name, tuple(columns))
-        table = Table(schema, metrics=self.metrics, on_ddl=self._ddl)
+        table = Table(schema, metrics=self.metrics, on_ddl=self._ddl, holders=self._holders)
         self._tables[name] = table
         self._ddl()
         return table
 
     def drop_table(self, name: str) -> None:
-        if self._tables.pop(name, None) is not None:
+        table = self._tables.pop(name, None)
+        if table is not None:
+            table.release_holders()
             self._ddl()
 
     @property
     def catalog_version(self) -> int:
-        """Moves on every DDL: a table created or dropped, a column or an
-        index added.  Whatever a caller resolved from the catalog — a name
-        list, a table's access path — stands exactly as long as this does.
+        """Moves on every DDL — a table created or dropped, a column or an
+        index added — and whenever a secondary index grows a level.
+        Whatever a caller resolved from the catalog — a name list, a
+        table's access path, an index's height — stands exactly as long as
+        this does.
         """
         return self._catalog_version
+
+    def holders(self, column: str) -> dict[str, tuple[str, ...]]:
+        """Per index key, the sorted names of the tables whose secondary
+        index on ``column`` holds it.
+
+        The live map, exact after every write (callers must not mutate
+        it): a table absent from a key's entry is proven not to hold the
+        key, so its descent would find nothing.
+        """
+        return self._holders.setdefault(column, {})
 
     def _ddl(self) -> None:
         self._catalog_version += 1

@@ -1,19 +1,23 @@
-"""Host work on the read path is proportional to booked work — no wall clock.
+"""Host work on the read path is proportional to the work that finds rows — no wall clock.
 
 The read-side twin of ``tests/storage/test_write_path_scaling.py``.  An
 unlabelled relational expansion books one index descent per edge table per
 direction (the union over every edge table is the architecture's modelled
-weak spot), so that is what the interpreter may do per table: the descent,
-one frame.  Resolving the catalog — sorting and filtering table names,
-looking tables and indexes up — books nothing and is therefore done once
-per catalog version, not once per expansion.  A triple-store expansion books
+weak spot), but the interpreter descends only the tables whose endpoint
+index holds the vertex: the catalog's holder map, kept exact by every write,
+proves the others empty, and their descents are booked from their heights.
+So a warm expansion of an edgeless vertex costs the same beside 10 or 100
+edge tables, and a vertex held by ``h`` tables costs ``h`` ``search`` frames
+per pass.  Resolving the catalog — sorting and filtering table names,
+looking tables, indexes and heights up — books nothing and is done once per
+catalog version, not once per expansion.  A triple-store expansion books
 several B+Tree probes per reified edge; its host work per edge is a fixed
 number of frames under a budget, with both endpoint statements found from
 one shared descent.
 
 Counts are ``sys.setprofile`` call events of the package's own functions,
-compared between runs of the same code: red means per-table bookkeeping
-crept back into the probe loop.
+compared between runs of the same code: red means per-table work crept back
+into the probe loop.
 """
 
 from __future__ import annotations
@@ -62,19 +66,34 @@ def _warm_calls(expansion: str, tables: int, direction: Direction, **shape: int)
     return python_calls(lambda: expand(engine, loner, direction))
 
 
-def _slope(expansion: str, direction: Direction) -> int:
-    """Calls per edge table of a warm expansion; asserts they grow linearly."""
-    low, mid, high = (_warm_calls(expansion, tables, direction) for tables in _TABLES)
-    slope, remainder = divmod(high - mid, _TABLES[2] - _TABLES[1])
-    assert remainder == 0 and mid - low == slope * (_TABLES[1] - _TABLES[0]), (low, mid, high)
-    return slope
-
-
+@pytest.mark.parametrize("direction", [Direction.OUT, Direction.BOTH], ids=["out", "both"])
 @pytest.mark.parametrize("expansion", _EXPANSIONS)
-def test_a_warm_expansion_makes_one_call_per_booked_descent(expansion):
-    out, both = _slope(expansion, Direction.OUT), _slope(expansion, Direction.BOTH)
-    assert out == 1
-    assert both == 2 * out
+def test_a_warm_expansion_of_an_edgeless_vertex_costs_the_same_beside_any_number_of_tables(
+    expansion, direction
+):
+    assert len({_warm_calls(expansion, tables, direction) for tables in _TABLES}) == 1
+
+
+def _searches(engine, expand) -> int:
+    profile = python_call_profile(expand)
+    return sum(n for code, n in profile.items() if code.co_name == "search")
+
+
+@pytest.mark.parametrize("held", [1, 3, 7])
+def test_a_vertex_held_by_h_tables_makes_h_searches_per_pass(held):
+    engine, crowd, _loner = _engine(100)
+    hub = engine.add_vertex(label="person")
+    for table in range(held):
+        engine.add_edge(hub, crowd[0], f"label{table * 13:03d}")  # h source indexes
+    engine.add_edge(crowd[1], hub, "label099")  # and one target index
+    for expansion, expand in _EXPANSIONS.items():
+        for direction, searches in ((Direction.OUT, held), (Direction.BOTH, held + 1)):
+            run = lambda: expand(engine, hub, direction)
+            run()
+            if expansion == "degree_at_least":
+                # It stops at its third row: with h >= 3 out-tables, inside the out pass.
+                searches = min(searches, 3)
+            assert _searches(engine, run) == searches, (expansion, direction)
 
 
 def test_every_warm_expansion_costs_the_same():
@@ -92,16 +111,15 @@ def test_expansion_calls_do_not_grow_with_rows_in_the_probed_tables():
     assert sparse == crowded
 
 
-def test_a_new_edge_label_costs_exactly_one_more_table():
+def test_a_new_edge_label_prepares_the_plan_again_and_costs_a_stranger_nothing():
     engine, crowd, loner = _engine(10)
     expand = lambda: list(engine.neighbors_many([loner], Direction.OUT, None))
     expand()
     before = python_calls(expand)
     engine.add_edge(crowd[0], crowd[1], "brand-new")
-    one_table = _slope("neighbors_many", Direction.OUT)
-    assert python_calls(expand) > before + one_table  # the plan is prepared again
-    assert python_calls(expand) == before + one_table
-    # ...and the new table is probed, not only counted.
+    assert python_calls(expand) > before  # the plan is prepared again
+    assert python_calls(expand) == before
+    # ...and the new table is probed for a vertex it holds.
     assert len(list(engine.neighbors_many([crowd[0]], Direction.OUT, None))) == 11
 
 
@@ -115,7 +133,7 @@ def test_a_warm_expansion_resolves_no_catalog_and_resumes_no_generator_per_table
     by_name: Counter[str] = Counter()
     for code, calls in profiles[100].items():
         by_name[code.co_name] += calls
-    assert not {"table_names", "_edge_tables", "has_index", "_find_leaf"} & set(by_name)
+    assert not {"table_names", "_edge_tables", "has_index", "_find_leaf", "holders"} & set(by_name)
     assert by_name["index_key"] == 1  # the probe key: rendered per vertex, not per table
 
     def generator_resumes(profile) -> int:

@@ -480,6 +480,43 @@ class TestRelationalDatabase:
         db.drop_table("people")
         assert moved() and db.table_names() == db.table_names("p") == ("pets",)
 
+    def test_an_index_growing_a_level_moves_the_catalog_version(self):
+        db = RelationalDatabase()
+        table = self._make_table(db)
+        table.create_index("name")
+        index = table.secondary_index("name")
+        versions = set()
+        for row in range(200):
+            height, version = index.height, db.catalog_version
+            table.insert({"name": f"n{row:03d}"})
+            assert (db.catalog_version != version) == (index.height != height)
+            versions.add(db.catalog_version)
+        assert index.height == 2 and len(versions) == 2
+
+    def test_the_holder_map_follows_every_write_and_drop(self):
+        db = RelationalDatabase()
+        knows, likes = (
+            db.create_table(name, [Column("id"), Column("source")]) for name in ("knows", "likes")
+        )
+        likes.insert({"source": "a"})  # backfilled by the index build
+        for table in (likes, knows):
+            table.create_index("source")
+        held = db.holders("source")
+        key = index_key
+        assert held == {key("a"): ("likes",)}
+        first = knows.insert({"source": "a"})
+        second = knows.insert({"source": "a"})
+        assert held == {key("a"): ("knows", "likes")}
+        knows.update(first, {"source": "b"})
+        assert held == {key("a"): ("knows", "likes"), key("b"): ("knows",)}
+        knows.delete(second)
+        assert held == {key("a"): ("likes",), key("b"): ("knows",)}
+        assert knows.delete_referencing(("source",), key("b")) == 1
+        assert held == {key("a"): ("likes",)}
+        knows.insert({"source": "a"})
+        db.drop_table("likes")
+        assert held == {key("a"): ("knows",)}
+
     def test_recharge_get_charges_like_get(self):
         left, right = self._edge_table(), self._edge_table()
         left.recharge_get(7)
