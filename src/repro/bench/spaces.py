@@ -20,13 +20,6 @@ class SpaceMeasurement:
     breakdown: tuple[tuple[str, int], ...]
     raw_json_bytes: int
 
-    @property
-    def ratio_to_raw(self) -> float:
-        """Footprint relative to the raw GraphSON payload ("Raw Data" line)."""
-        if self.raw_json_bytes == 0:
-            return 0.0
-        return self.total_bytes / self.raw_json_bytes
-
 
 def measure_space(engine_id: str, dataset: Dataset) -> SpaceMeasurement:
     """Load ``dataset`` into a fresh instance of ``engine_id`` and measure it."""

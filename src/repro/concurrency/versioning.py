@@ -26,7 +26,8 @@ The overlay never invents or hides simulated I/O:
 
 * reads of *overlay-clean* objects delegate straight to the engine method a
   direct caller would hit, so they charge the engine's own per-architecture
-  pattern (including bulk primitives on the globally-clean fast path);
+  pattern (adjacency vertex by vertex through the engine's per-id methods,
+  one-vertex frontiers of its walk, on the globally-clean fast path);
 * reads answered from the version cache (undo states, the session write
   set) charge nothing — those versions live in RAM by construction;
 * version *maintenance* is charged honestly: capturing before-images at
@@ -929,12 +930,6 @@ class VersionedGraph(GraphDatabase):
                 if state is not None and (label is None or state.label == label):
                     yield pid
 
-    def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._incident_edges(vertex_id, Direction.OUT, label)
-
-    def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._incident_edges(vertex_id, Direction.IN, label)
-
     def _incident_edges(
         self, vertex_id: Any, direction: Direction, label: str | None
     ) -> Iterator[Any]:
@@ -974,14 +969,8 @@ class VersionedGraph(GraphDatabase):
                 yield edge_id
         yield from self._overlay_incident(vertex_id, direction, label, snapshot)
 
-    def edges_for(
-        self, vertex_id: Any, direction: Direction, label: str | None = None
-    ) -> Iterator[Any]:
-        return self._incident_edges(vertex_id, direction, label)
-
-    def neighbors(
-        self, vertex_id: Any, direction: Direction, label: str | None = None
-    ) -> Iterator[Any]:
+    def _neighbors(self, vertex_id: Any, direction: Direction, label: str | None) -> Iterator[Any]:
+        """Far endpoints of ``vertex_id``'s visible incident edges."""
         snapshot = self._snapshot
         self._ws.note_adjacency(vertex_id)
         if self._vertex_clean(vertex_id, snapshot):
@@ -1033,16 +1022,26 @@ class VersionedGraph(GraphDatabase):
         label: str | None,
         endpoints: bool,
     ) -> Iterator[tuple[Any, Any]]:
-        """Overlay-free: the engine's own bulk walk; else the per-id fallback."""
-        if not self._fast():
-            yield from GraphDatabase._bulk_incident(self, vertex_ids, direction, label, endpoints)
-            return
-        if self._ws.track_reads:
-            vertex_ids = list(vertex_ids)
-            for vertex_id in vertex_ids:
-                self._ws.note_adjacency(vertex_id)
-        bulk = self._engine.neighbors_many if endpoints else self._engine.edges_for_many
-        yield from bulk(vertex_ids, direction, label)
+        """Vertex by vertex: overlay-free, through the engine's per-id
+        methods; else through the overlay.
+
+        The engine's per-id methods are one-vertex frontiers of its walk, so
+        the charges are the walk's.  Asking per vertex keeps a session's
+        per-id reads reaching the engine as per-id calls, which is what a
+        trace counts, for one generator per vertex of host work on a
+        session frontier.
+        """
+        if self._fast():
+            if self._ws.track_reads:
+                vertex_ids = list(vertex_ids)
+                for vertex_id in vertex_ids:
+                    self._ws.note_adjacency(vertex_id)
+            expand = self._engine.neighbors if endpoints else self._engine.edges_for
+        else:
+            expand = self._neighbors if endpoints else self._incident_edges
+        for vertex_id in vertex_ids:
+            for result in expand(vertex_id, direction, label):
+                yield vertex_id, result
 
     # ------------------------------------------------------------------
     # Search primitives

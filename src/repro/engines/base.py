@@ -7,35 +7,34 @@ tracking, a write-ahead log with configurable durability, the attribute-index
 rule, and the descriptive metadata that regenerates the paper's
 Table 1.
 
-Bulk semantics for engine implementers
---------------------------------------
+The adjacency walk for engine implementers
+------------------------------------------
 
-Engines built on this class usually override the bulk structural
-primitives to exploit their substrate.  ``neighbors_many`` and
-``edges_for_many`` are one walk: an engine writes ``_bulk_incident``
-once, its ``endpoints`` flag deciding whether a pair carries the far
-vertex (and books the per-id endpoint fetch) or the edge id, and maps
-each pass of a direction to its substrate through a ``pass_table`` —
-never restating that BOTH is the out pass, then the in pass.
-``vertex_label`` and ``degree_at_least`` are overridden directly.  The rules, enforced by ``tests/engines/test_bulk_primitives.py``:
+Every engine writes one adjacency walk, ``_bulk_incident``: its
+``endpoints`` flag decides whether a pair carries the far vertex (and
+books the endpoint fetch of ``edge_endpoints``) or the edge id, and it
+maps each pass of a direction to its substrate through a ``pass_table``
+— never restating that BOTH is the out pass, then the in pass.  The
+per-id adjacency methods and the frontier methods all ask that walk.
+``vertex_label`` and ``degree_at_least`` are overridden directly.  The
+rules, enforced by ``tests/engines/test_bulk_primitives.py`` against the
+per-id reference walks of ``tests/engines/per_id_walks.py``:
 
-* **Charge parity** (``neighbors_many`` / ``edges_for_many``) — the
-  metrics owned by this class (:meth:`BaseEngine.combined_metrics`) must
-  end up *identical* to the equivalent sequence of per-id calls: same
-  probes, same record touches, same bytes, same round trips
-  (``_round_trip`` is still one charge per simulated request).  Bulking
+* **Charge parity** — the metrics owned by this class
+  (:meth:`BaseEngine.combined_metrics`) end up *identical* to the
+  reference's, and a frontier books what its vertices asked one at a time
+  book: same probes, same record touches, same bytes, same round trips
+  (``_round_trip`` is still one charge per simulated request).  The walk
   may skip duplicate interpreter work — a generator chain, a re-parse of
-  a block already in hand — but never a logical charge; the storage
-  layer's ``recharge_*`` helpers exist to charge a read without
-  repeating the parse.
-* **Grouped ordering** — ``neighbors_many`` / ``edges_for_many`` yield
-  ``(source, result)`` pairs grouped by source in input order, matching
-  the per-id iteration exactly.  The traversal machine's lazy
-  ``except``/``store`` dedup consumes these generators while mutating its
-  collections, so the pair order *is* the BFS semantics, not a cosmetic
-  detail.
+  a block already in hand, a structure fetched once per frontier — but
+  never a logical charge; the storage layer's ``recharge_*`` helpers
+  exist to charge a read without repeating the parse.
+* **Grouped ordering** — pairs come grouped by source in input order.
+  The traversal machine's lazy ``except``/``store`` dedup consumes these
+  generators while mutating its collections, so the pair order *is* the
+  BFS semantics, not a cosmetic detail.
 * **Cheaper, never dearer** (``vertex_label`` / ``degree_at_least``) —
-  these may legitimately charge *less* than their per-id equivalents when
+  these may legitimately charge *less* than walking the adjacency when
   the substrate answers structurally (a catalog-derived label, an
   index-only count, an early exit), but never more, and ``vertex_label``
   must not materialise property blocks where the architecture can avoid
@@ -155,7 +154,6 @@ class BaseEngine(GraphDatabase):
         self.wal = WriteAheadLog(f"{self.name}-wal", mode=durability, metrics=self.metrics)
         #: One attribute index per indexed vertex property key.
         self._vertex_indexes: dict[str, HashIndex] = {}
-        self._bulk_loading = False
         self._structure_version = 0
 
     # ------------------------------------------------------------------
@@ -254,16 +252,7 @@ class BaseEngine(GraphDatabase):
         if self.remote_access:
             self.metrics.charge_round_trip()
 
-    @property
-    def bulk_loading(self) -> bool:
-        """True while a bulk load is in progress."""
-        return self._bulk_loading
-
-    def begin_bulk_load(self) -> None:
-        self._bulk_loading = True
-
     def end_bulk_load(self) -> None:
-        self._bulk_loading = False
         # Deferred durability is flushed outside the timed region by the
         # harness; flushing here keeps standalone use safe as well.
         self.wal.flush()

@@ -243,32 +243,7 @@ class BitmapEngine(BaseEngine):
         return self._labels.value_of(edge_id)
 
     # ------------------------------------------------------------------
-    # Traversal primitives (bitmap scans, no constant-time guarantee)
-    # ------------------------------------------------------------------
-
-    def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._incident(vertex_id, self._out_incidence, label)
-
-    def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._incident(vertex_id, self._in_incidence, label)
-
-    def _incident(
-        self, vertex_id: Any, incidence: dict[int, Bitmap], label: str | None
-    ) -> Iterator[Any]:
-        self._require(VERTEX, vertex_id)
-        bitmap = incidence.get(vertex_id, Bitmap())
-        self.metrics.charge_index_probe()
-        if label is not None:
-            label_bitmap = self._labels.objects_with_value(label)
-            bitmap = bitmap & label_bitmap
-            # Intersecting with the global label bitmap materialises an
-            # intermediate structure proportional to the label population.
-            self.metrics.allocate(label_bitmap.size_in_bytes)
-            self.metrics.release(label_bitmap.size_in_bytes)
-        yield from bitmap
-
-    # ------------------------------------------------------------------
-    # Bulk structural primitives: frontier-wide bitmap passes
+    # Traversal: frontier-wide bitmap passes (no constant-time guarantee)
     # ------------------------------------------------------------------
 
     def vertex_label(self, vertex_id: Any) -> str | None:
@@ -303,13 +278,12 @@ class BitmapEngine(BaseEngine):
     ) -> Iterator[tuple[Any, Any]]:
         """Walk a frontier in one pass over each vertex's edge bitmaps.
 
-        Charges are identical to the per-id path: one incidence probe per
-        vertex per pass (plus the label-bitmap intersection and its
-        transient materialisation when filtered); edge ids stream straight
-        out of the bitmap, while each emitted neighbour books the endpoint
-        probe of ``edge_endpoints`` — lazily, with the emission, so a
-        consumer that abandons the stream early (``limit``) observes the
-        same partial charges as the per-id path.
+        One incidence probe per vertex per pass (plus the label-bitmap
+        probe, intersection and transient materialisation when filtered);
+        edge ids stream straight out of the bitmap, while each emitted
+        neighbour books the endpoint probe of ``edge_endpoints`` — lazily,
+        with the emission, so a consumer that abandons the stream early
+        (``limit``) pays only for what it took.
 
         When vectorized kernels are enabled, a dense incidence bitmap is
         decoded in one ``unpackbits`` pass and far endpoints are gathered
@@ -333,9 +307,9 @@ class BitmapEngine(BaseEngine):
                     if label_bitmap is None:
                         label_bitmap = self._labels.objects_with_value(label)
                     else:
-                        # The per-id path re-fetches the label bitmap for
-                        # every vertex; charge the identical probe without
-                        # copying the structure again.
+                        # Every vertex pass probes the label bitmap; the
+                        # frontier books that probe without copying the
+                        # structure again.
                         metrics.charge_index_probe()
                     bitmap = bitmap & label_bitmap
                     metrics.allocate(label_bitmap.size_in_bytes)

@@ -222,24 +222,7 @@ class ColumnarEngine(BaseEngine):
         return label
 
     # ------------------------------------------------------------------
-    # Traversal primitives: row-key index lookup + column slice per hop
-    # ------------------------------------------------------------------
-
-    def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._incident(vertex_id, _OUT_PREFIX, label)
-
-    def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._incident(vertex_id, _IN_PREFIX, label)
-
-    def _incident(self, vertex_id: Any, prefix: str, label: str | None) -> Iterator[Any]:
-        self._require(VERTEX, vertex_id)
-        slice_prefix = prefix if label is None else f"{prefix}{label}:"
-        columns = self._rows.row_columns(vertex_id, prefix=slice_prefix)
-        for payload in columns.values():
-            yield payload["id"]
-
-    # ------------------------------------------------------------------
-    # Bulk structural primitives: one row slice per frontier vertex
+    # Traversal: row-key index lookup + one adjacency-column slice per pass
     # ------------------------------------------------------------------
 
     def vertex_label(self, vertex_id: Any) -> str | None:
@@ -258,10 +241,10 @@ class ColumnarEngine(BaseEngine):
 
         The edge payload stores the edge id and the far endpoint
         (``other``), so the whole expansion happens inside the sliced row.
-        Charges match the per-id path: one existence probe and one row
-        slice per vertex per pass, plus — for neighbours — the row-key
-        index probe per edge that the naive ``edge_endpoints`` call pays,
-        booked as an inline counter with each emission.
+        One existence probe and one row slice per vertex per pass, plus —
+        for neighbours — the row-key index probe per edge that
+        ``edge_endpoints`` pays, booked as an inline counter with each
+        emission.
         """
         prefixes = _PREFIXES[direction]
         if label is not None:
@@ -272,7 +255,7 @@ class ColumnarEngine(BaseEngine):
         vectorized = kernels.vectorized_enabled()
         for vertex_id in vertex_ids:
             for prefix in prefixes:
-                # The naive path re-checks row existence per pass.
+                # The modelled system re-checks row existence per pass.
                 self._require(VERTEX, vertex_id)
                 if vectorized:
                     # Parse-once kernel: the slice comes back as flat

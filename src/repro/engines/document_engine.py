@@ -173,30 +173,7 @@ class DocumentEngine(BaseEngine):
         return self._document(EDGE, edge_id)["_label"]
 
     # ------------------------------------------------------------------
-    # Traversal primitives (edge-endpoint hash index)
-    # ------------------------------------------------------------------
-
-    def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        self._round_trip()
-        self._require(VERTEX, vertex_id)
-        for edge_id in self._store.edge_from_index.lookup(vertex_id):
-            # The engine always answers with full edge documents, so every hop
-            # materialises the document even when only the id is needed — the
-            # behaviour that makes whole-graph filters so expensive for it.
-            if label is None or self._document(EDGE, edge_id)["_label"] == label:
-                self._document(EDGE, edge_id)
-                yield edge_id
-
-    def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        self._round_trip()
-        self._require(VERTEX, vertex_id)
-        for edge_id in self._store.edge_to_index.lookup(vertex_id):
-            if label is None or self._document(EDGE, edge_id)["_label"] == label:
-                self._document(EDGE, edge_id)
-                yield edge_id
-
-    # ------------------------------------------------------------------
-    # Bulk structural primitives: adjacency slicing inside document blocks
+    # Traversal: edge-endpoint hash index + one parse per edge document
     # ------------------------------------------------------------------
 
     def vertex_label(self, vertex_id: Any) -> str | None:
@@ -215,8 +192,8 @@ class DocumentEngine(BaseEngine):
     ) -> Iterator[tuple[Any, Any]]:
         """Walk a frontier by slicing each vertex's edge documents once.
 
-        The per-id path materialises every edge document up to three times
-        (label check, traversal fetch, endpoint resolution); the bulk path
+        The modelled system materialises every edge document up to three
+        times (label check, traversal fetch, endpoint resolution); the walk
         parses each block once through
         :meth:`~repro.storage.document_store.DocumentCollection.get_many`
         and recharges the duplicate logical reads, so the simulated I/O is
@@ -235,8 +212,8 @@ class DocumentEngine(BaseEngine):
                     if label is not None:
                         if document["_label"] != label:
                             continue
-                        # The per-id path re-fetches the block after the
-                        # label check; charge that read without re-parsing.
+                        # The system re-fetches the block after the label
+                        # check; charge that read without re-parsing.
                         recharge(edge_id)
                     if endpoints:
                         # ... and fetches it once more inside edge_endpoints.
@@ -277,7 +254,7 @@ class DocumentEngine(BaseEngine):
             for edge_id, edge_doc in edges.get_many(
                 self._store.edge_from_index.lookup(vertex_id)
             ):
-                # The per-id path fetches the block again inside ``edge``
+                # The default path fetches the block again inside ``edge``
                 # (with its own round trip); charge both without re-parsing.
                 self._round_trip()
                 edges.recharge_read(edge_id)
@@ -300,8 +277,7 @@ class DocumentEngine(BaseEngine):
         The engine always answers with full edge documents, so even the
         threshold check materialises each counted edge — the behaviour
         behind the paper's degree-filter timeouts for this system stays
-        intact; the early exit only trims the tail, exactly like the
-        per-id path.
+        intact; the early exit only trims the tail of the walk.
         """
         if k <= 0:
             self._require(VERTEX, vertex_id)

@@ -213,27 +213,7 @@ class NativeIndirectEngine(BaseEngine):
         return record.fields["label"]
 
     # ------------------------------------------------------------------
-    # Traversal primitives
-    # ------------------------------------------------------------------
-
-    def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._adjacency(vertex_id, "out", label)
-
-    def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._adjacency(vertex_id, "in", label)
-
-    def _adjacency(self, vertex_id: Any, field: str, label: str | None) -> Iterator[Any]:
-        record = self._vertex_record(vertex_id)
-        for edge_id in record.fields.get(field, []):
-            if label is None:
-                yield edge_id
-                continue
-            edge_record = self._edge_record(edge_id)
-            if edge_record.fields["label"] == label:
-                yield edge_id
-
-    # ------------------------------------------------------------------
-    # Bulk structural primitives: one pass over the in-record edge lists
+    # Traversal: one pass over the in-record edge lists
     # ------------------------------------------------------------------
 
     def vertex_label(self, vertex_id: Any) -> str | None:
@@ -249,10 +229,9 @@ class NativeIndirectEngine(BaseEngine):
     ) -> Iterator[tuple[Any, Any]]:
         """Walk a frontier straight from the per-vertex edge-id lists.
 
-        Charges match the per-id path: one resolved vertex record per vertex
-        per pass, one edge record per listed edge for the label filter when
-        a label is given, and — for neighbours — one more per emitted edge
-        (the ``edge_endpoints`` read).
+        Per vertex per pass: one resolved vertex record; per listed edge,
+        one edge record for the label filter when a label is given; for
+        neighbours, one more per emitted edge (the ``edge_endpoints`` read).
         """
         edge_record = self._edge_record
         for vertex_id in vertex_ids:

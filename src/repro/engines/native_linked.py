@@ -30,7 +30,6 @@ from repro.config import EngineConfig
 from repro.engines.base import BaseEngine, EngineInfo
 from repro.exceptions import ElementNotFoundError
 from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
-from repro.model.graph import GraphDatabase
 from repro.storage.property_store import PropertyStore
 from repro.storage.record_store import RecordStore
 
@@ -42,6 +41,9 @@ _CHAINS = pass_table(
         Direction.IN: ("first_in", "next_in", "source"),
     }
 )
+#: Per pass of the v3.0 walk: (the pass as a one-way direction, the far
+#: endpoint's index in an ``edge_endpoints`` pair).
+_TYPED_PASSES = pass_table({Direction.OUT: (Direction.OUT, 1), Direction.IN: (Direction.IN, 0)})
 
 
 class NativeLinkedEngine(BaseEngine):
@@ -204,31 +206,7 @@ class NativeLinkedEngine(BaseEngine):
         return self._label_names[record.fields["label"]]
 
     # ------------------------------------------------------------------
-    # Traversal primitives: follow the per-node relationship chains
-    # ------------------------------------------------------------------
-
-    def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._chain(vertex_id, "first_out", "next_out", label)
-
-    def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._chain(vertex_id, "first_in", "next_in", label)
-
-    def _chain(
-        self, vertex_id: Any, head_field: str, next_field: str, label: str | None
-    ) -> Iterator[Any]:
-        node = self._node_store.read(vertex_id)
-        label_id = self._labels.get(label) if label is not None else None
-        if label is not None and label_id is None:
-            return
-        current = node.fields.get(head_field, _NO_POINTER)
-        while current != _NO_POINTER:
-            record = self._rel_store.read(current)
-            if label_id is None or record.fields["label"] == label_id:
-                yield current
-            current = record.fields.get(next_field, _NO_POINTER)
-
-    # ------------------------------------------------------------------
-    # Bulk structural primitives: one flat pass over the record chains
+    # Traversal: one flat pass over the per-node relationship chains
     # ------------------------------------------------------------------
 
     def vertex_label(self, vertex_id: Any) -> str | None:
@@ -246,11 +224,10 @@ class NativeLinkedEngine(BaseEngine):
     ) -> Iterator[tuple[Any, Any]]:
         """Walk a whole frontier's relationship chains once.
 
-        Charges are identical to the per-id path: one node-record read per
-        vertex per pass, one relationship-record read per chain element,
-        and — for neighbours — one more per matching edge (the endpoint
-        fetch the naive path performs through ``edge_endpoints``).  Only
-        the per-hop generator chain is gone.
+        Per vertex per pass: one node-record read; per chain element: one
+        relationship-record read; for neighbours, one more per matching
+        edge (the endpoint fetch of ``edge_endpoints``).  An unknown label
+        still reads each node record.
         """
         node_read = self._node_store.read
         rel_slots = self._rel_store.bulk_read_view()
@@ -259,8 +236,6 @@ class NativeLinkedEngine(BaseEngine):
         passes = _CHAINS[direction]
         label_id = self._labels.get(label) if label is not None else None
         if label is not None and label_id is None:
-            # Unknown label: the per-id path still reads each node record
-            # before bailing out (_chain), so charge the same.
             for vertex_id in vertex_ids:
                 for _pass in passes:
                     node_read(vertex_id)
@@ -440,25 +415,29 @@ class NativeLinkedV3Engine(NativeLinkedEngine):
         self._wrap(vertex_id)
         return super().vertex_label(vertex_id)
 
-    # No flat-chain shortcut here: the wrapper layer sits between the API
-    # and the typed chains, so the bulk walk degenerates to the per-id path
-    # — exactly the per-call overhead the paper measured.
-    _bulk_incident = GraphDatabase._bulk_incident
-
-    def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._typed_edges(vertex_id, label, "out", "first_out", "next_out")
-
-    def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        yield from self._typed_edges(vertex_id, label, "in", "first_in", "next_in")
-
-    def _typed_edges(
+    def _bulk_incident(
         self,
-        vertex_id: Any,
+        vertex_ids: Iterable[Any],
+        direction: Direction,
         label: str | None,
-        direction: str,
-        head_field: str,
-        next_field: str,
-    ) -> Iterator[Any]:
+        endpoints: bool,
+    ) -> Iterator[tuple[Any, Any]]:
+        """Walk a frontier through the typed chains, vertex by vertex.
+
+        No flat-chain shortcut: the wrapper layer sits between the API and
+        the chains, so every vertex pass pays the adapter and every far
+        endpoint is read through ``edge_endpoints`` — the per-call overhead
+        the paper measured.
+        """
+        for vertex_id in vertex_ids:
+            for one_way, far in _TYPED_PASSES[direction]:
+                for edge_id in self._typed_edges(vertex_id, label, one_way):
+                    yield vertex_id, self.edge_endpoints(edge_id)[far] if endpoints else edge_id
+
+    def _typed_edges(self, vertex_id: Any, label: str | None, one_way: Direction) -> Iterator[Any]:
+        """One pass of the walk: edge ids of the typed chains keyed by
+        ``one_way``'s value (``"out"`` / ``"in"``)."""
+        direction = one_way.value
         self._wrap(vertex_id)
         vertex_chains = self._typed_chains.get(vertex_id, {})
         if label is not None:
@@ -490,7 +469,8 @@ class NativeLinkedV3Engine(NativeLinkedEngine):
             return
         # Fall back to the base chains for graphs loaded before any typed
         # chain existed (e.g. vertices with no edges added through this class).
-        yield from self._chain(vertex_id, head_field, next_field, label)
+        for _vertex_id, edge_id in super()._bulk_incident((vertex_id,), one_way, None, False):
+            yield edge_id
 
     def space_breakdown(self) -> dict[str, int]:
         breakdown = super().space_breakdown()

@@ -348,19 +348,7 @@ class RelationalEngine(BaseEngine):
         return table_name[len(_EDGE_PREFIX) :]
 
     # ------------------------------------------------------------------
-    # Traversal primitives: joins over edge tables
-    # ------------------------------------------------------------------
-
-    def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        for _vertex_id, edge_id in self._bulk_incident((vertex_id,), Direction.OUT, label, False):
-            yield edge_id
-
-    def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        for _vertex_id, edge_id in self._bulk_incident((vertex_id,), Direction.IN, label, False):
-            yield edge_id
-
-    # ------------------------------------------------------------------
-    # Bulk structural primitives: one flat probe loop over the prepared plan
+    # Traversal: one flat probe loop over the prepared plan
     # ------------------------------------------------------------------
 
     def vertex_label(self, vertex_id: Any) -> str | None:
@@ -407,7 +395,7 @@ class RelationalEngine(BaseEngine):
         probe key once and descends, per pass, only the indexes that hold
         it (:meth:`_holding` books the others' descents) — one frame per
         table found, not per table listed.  Far endpoints are read off the
-        probed row, with the primary-key probe and record read the per-id
+        probed row, with the primary-key probe and record read an
         ``edge_endpoints`` call performs charged via
         :meth:`~repro.storage.relational.Table.recharge_get` — identical
         logical I/O, no second fetch.
@@ -436,8 +424,8 @@ class RelationalEngine(BaseEngine):
         """Degree threshold via index-only counts over the edge tables.
 
         ``SELECT COUNT(*)`` against the endpoint foreign-key indexes never
-        fetches edge rows — strictly fewer charges than walking the per-id
-        edge stream, as the contract allows for early exits.
+        fetches edge rows — strictly fewer charges than walking the edge
+        stream, as the contract allows for early exits.
         """
         self._require(VERTEX, vertex_id)
         if k <= 0:

@@ -199,25 +199,7 @@ class TripleEngine(BaseEngine):
         return ""
 
     # ------------------------------------------------------------------
-    # Traversal primitives: several B+Tree probes per hop
-    # ------------------------------------------------------------------
-
-    def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        self._require(VERTEX, vertex_id)
-        for triple in self._triples.match(predicate=RDF_SUBJECT, object_=vertex_id):
-            edge_id = triple.subject
-            if label is None or self.edge_label(edge_id) == label:
-                yield edge_id
-
-    def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
-        self._require(VERTEX, vertex_id)
-        for triple in self._triples.match(predicate=RDF_OBJECT, object_=vertex_id):
-            edge_id = triple.subject
-            if label is None or self.edge_label(edge_id) == label:
-                yield edge_id
-
-    # ------------------------------------------------------------------
-    # Bulk structural primitives: grouped scans over the SPO permutations
+    # Traversal: grouped scans over the SPO permutations
     # ------------------------------------------------------------------
 
     def vertex_label(self, vertex_id: Any) -> str | None:
@@ -239,11 +221,10 @@ class TripleEngine(BaseEngine):
         """Walk a frontier in one storage-layer pass over its reified edges.
 
         :meth:`~repro.storage.triple_store.TripleStore.walk_edges` scans
-        each vertex's POS runs and pays, per reified edge, exactly the
-        per-id probes — the label statement lookup when filtered and, for
-        neighbours, the two endpoint statement scans of
-        :meth:`edge_endpoints` (one shared SPO descent) — so charges are
-        identical to the per-id path.
+        each vertex's POS runs and pays, per reified edge, the probes of
+        the statements it reads — the label statement lookup when filtered
+        and, for neighbours, the two endpoint statement scans of
+        :meth:`edge_endpoints` (one shared SPO descent, booked as two).
         """
         return self._triples.walk_edges(
             vertex_ids, _WALKED[direction], label, endpoints, partial(self._require, VERTEX)
@@ -254,7 +235,7 @@ class TripleEngine(BaseEngine):
     ) -> bool:
         """Degree threshold via flat statement scans with early exit.
 
-        Scans the same POS prefixes as the per-id ``edges_for`` path and
+        Scans the same POS prefixes as the walk behind ``edges_for`` and
         stops at the ``k``-th incident statement, so hub vertices never pay
         for their full reified adjacency.
         """

@@ -43,11 +43,11 @@ depend on that ordering:
   :class:`~repro.gremlin.steps.FusedExpandExceptStoreStep`) applies its
   except/store pair *while the engine generator is live* — which source
   gets credited with discovering a node, and therefore the whole BFS
-  tree, is determined by the pair order.  The per-id fallback defines the
-  reference sequence; every override must reproduce it.
+  tree, is determined by the pair order: the vertices' one-at-a-time
+  sequence, which every engine's walk reproduces.
 
 Cost-model contract: the bulk *primitives* charge exactly the logical I/O
-of the equivalent per-id calls — charge parity, enforced counter-for-
+of the same vertices asked one at a time — charge parity, enforced counter-for-
 counter by ``tests/engines/test_bulk_primitives.py`` (frontier batching
 removes interpreter overhead, never simulated disk work) — and memory
 materialisations are charged per *represented* walker (``count=bulk``),

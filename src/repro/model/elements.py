@@ -34,8 +34,8 @@ class Direction(enum.Enum):
         return Direction.BOTH
 
     #: Members are singletons compared by identity, so the identity hash
-    #: (in C) is exact; ``Enum``'s hashes the name in Python, and the
-    #: per-id walk looks its pass table up once per vertex.
+    #: (in C) is exact; ``Enum``'s hashes the name in Python, and a
+    #: walk may look its pass table up once per vertex.
     __hash__ = object.__hash__
 
 
@@ -44,7 +44,8 @@ def pass_table(one_way: Mapping[Direction, _T]) -> dict[Direction, tuple[_T, ...
 
     This is the one place the pass order is written: BOTH is the out pass,
     then the in pass, so a self-loop is met twice, out first.  Every
-    adjacency walk — per-id, bulk, overlay — iterates a table built here.
+    adjacency walk — each engine's and the overlay's — iterates a table
+    built here.
     """
     out, in_ = one_way[Direction.OUT], one_way[Direction.IN]
     return {Direction.OUT: (out,), Direction.IN: (in_,), Direction.BOTH: (out, in_)}

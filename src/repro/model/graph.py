@@ -4,38 +4,42 @@ The paper accesses every system through Gremlin, i.e. through a common set of
 primitive operations (Table 2): CRUD on vertices, edges, and properties, plus
 local traversal primitives.  :class:`GraphDatabase` is the Python equivalent
 of that common surface.  Engines implement the abstract primitives on top of
-their own storage substrates; everything else (incident edges and
-neighbours in any direction, degree, counts, bulk loading, the Gremlin
-traversal entry point) has a default
+their own storage substrates; everything else (degree, counts, bulk
+loading, the Gremlin traversal entry point) has a default
 implementation written purely in terms of those primitives, which concrete
 engines may override when their architecture provides a cheaper path (e.g.
 bitmap-based counting in the Sparksee-like engine).
 
-Bulk-primitive contract
------------------------
+One adjacency walk
+------------------
 
-The traversal machine executes frontier batches, so the interface also
-exposes *bulk* structural primitives: :meth:`neighbors_many`,
-:meth:`edges_for_many`, :meth:`vertex_label`, and :meth:`degree_at_least`.
-The first two are one walk: both return :meth:`_bulk_incident`, whose
-``endpoints`` flag picks whether a pair carries the far vertex or the edge
-id.  Its default falls back to the per-id primitives, so every engine
-supports it; engines whose storage substrate can answer a whole frontier in
-one pass (linked record chains, adjacency rows, incidence bitmaps) override
-that one method with a single flat loop.  Every walk, per-id or bulk, maps
-each pass of a direction to its substrate through a
+Each engine reaches adjacency through one access path — linked record
+chains, in-record edge lists, incidence bitmaps, adjacency columns, edge
+documents, reified statements, a union of foreign-key indexes — and
+writes it once, as :meth:`_bulk_incident`: ``(vertex, result)`` pairs for
+a whole frontier, the ``endpoints`` flag picking whether a pair carries
+the far vertex or the edge id.  Every adjacency question is asked of that
+walk: :meth:`neighbors_many` and :meth:`edges_for_many` hand it the
+frontier, and :meth:`out_edges`, :meth:`in_edges`, :meth:`edges_for` and
+:meth:`neighbors` are written here once, as one-vertex frontiers of it.
+Each walk maps the passes of a direction to its substrate through a
 :func:`~repro.model.elements.pass_table`, the one place the order is
-written: BOTH is the out pass, then the in pass.  Two rules bind every
-override:
+written: BOTH is the out pass, then the in pass.  Three rules bind it:
 
-* **identical logical charges** — a bulk call must charge exactly the same
-  logical I/O and memory as the equivalent sequence of per-id calls.  The
-  cost model simulates the hardware; bulking removes *interpreter* overhead
-  (generator chains, per-hop dispatch), never simulated disk work;
-* **identical yield order** — ``neighbors_many``/``edges_for_many`` yield
-  ``(source, result)`` pairs grouped by source in input order, so lazy
-  downstream steps (``except``/``store`` interplay in BFS loops) observe the
-  same sequence as the per-id path.
+* **one-vertex charges** — a frontier call books exactly what the same
+  vertices asked one at a time would book.  The cost model simulates the
+  hardware; a frontier removes *interpreter* overhead (generator chains,
+  per-hop dispatch, a structure fetched once for all vertices), never
+  simulated disk work;
+* **grouped order** — pairs come grouped by vertex in input order, so
+  lazy downstream steps (``except``/``store`` interplay in BFS loops)
+  observe the same sequence whatever the frontier;
+* **lazy booking** — charges accrue with each pair handed on, so a
+  consumer that stops early (``limit``) pays for what it took.
+
+``tests/engines/per_id_walks.py`` keeps an independent per-id walk of each
+substrate, and the tests hold every engine's walk to it, counter for
+counter.
 
 Element kinds
 -------------
@@ -58,8 +62,7 @@ commit and a 2PC participant's recovery both replay through
 :func:`replay`, and the 2PC journal takes its payload keys from it.
 
 ``docs/ARCHITECTURE.md`` is the durable home of these contracts;
-``docs/ENGINES.md`` records which engine overrides what and each
-substrate's charging rules.
+``docs/ENGINES.md`` records each engine's walk and its charging rules.
 """
 
 from __future__ import annotations
@@ -68,11 +71,7 @@ import abc
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.exceptions import ElementNotFoundError, SchemaError
-from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex, pass_table
-
-#: Per pass: (the per-id primitive listing the pass's edges, the index of
-#: the far endpoint in an :meth:`GraphDatabase.edge_endpoints` pair).
-_PER_ID_PASSES = pass_table({Direction.OUT: ("out_edges", 1), Direction.IN: ("in_edges", 0)})
+from repro.model.elements import EDGE, VERTEX, Direction, Edge, ElementKind, Vertex
 
 #: Property keys that name engine metadata (document system fields, the
 #: columnar label cell, the relational row id and edge-table endpoint
@@ -265,16 +264,35 @@ class GraphDatabase(abc.ABC):
         return self.vertex(vertex_id).label
 
     # ------------------------------------------------------------------
-    # Structural traversal primitives (abstract)
+    # Structural traversal primitives: one-vertex frontiers of the walk
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
+    # Each is a generator function, not the walk's own iterator behind a
+    # ``map``: a traced call is timed while its generator runs.
+
     def out_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
         """Iterate over ids of edges leaving ``vertex_id`` (optionally by label)."""
+        for _vertex_id, edge_id in self._bulk_incident((vertex_id,), Direction.OUT, label, False):
+            yield edge_id
 
-    @abc.abstractmethod
     def in_edges(self, vertex_id: Any, label: str | None = None) -> Iterator[Any]:
         """Iterate over ids of edges entering ``vertex_id`` (optionally by label)."""
+        for _vertex_id, edge_id in self._bulk_incident((vertex_id,), Direction.IN, label, False):
+            yield edge_id
+
+    def edges_for(
+        self, vertex_id: Any, direction: Direction, label: str | None = None
+    ) -> Iterator[Any]:
+        """Incident edge ids (a self-loop twice under BOTH)."""
+        for _vertex_id, edge_id in self._bulk_incident((vertex_id,), direction, label, False):
+            yield edge_id
+
+    def neighbors(
+        self, vertex_id: Any, direction: Direction, label: str | None = None
+    ) -> Iterator[Any]:
+        """Adjacent vertex ids (Q22-Q24): the far endpoint of each incident edge."""
+        for _vertex_id, neighbor in self._bulk_incident((vertex_id,), direction, label, True):
+            yield neighbor
 
     # ------------------------------------------------------------------
     # Search primitives (abstract)
@@ -320,37 +338,6 @@ class GraphDatabase(abc.ABC):
     # Derived operations (default implementations)
     # ------------------------------------------------------------------
 
-    def edges_for(
-        self, vertex_id: Any, direction: Direction, label: str | None = None
-    ) -> Iterator[Any]:
-        """Incident edge ids (a self-loop twice under BOTH)."""
-        # One pass: hand back the primitive's own iterator, no frame per edge.
-        if direction is Direction.OUT:
-            return self.out_edges(vertex_id, label)
-        if direction is Direction.IN:
-            return self.in_edges(vertex_id, label)
-        return self._incident_passes(vertex_id, direction, label, False)
-
-    def neighbors(
-        self, vertex_id: Any, direction: Direction, label: str | None = None
-    ) -> Iterator[Any]:
-        """Adjacent vertex ids (Q22-Q24), resolved through :meth:`edge_endpoints`."""
-        return self._incident_passes(vertex_id, direction, label, True)
-
-    def _incident_passes(
-        self, vertex_id: Any, direction: Direction, label: str | None, endpoints: bool
-    ) -> Iterator[Any]:
-        """The per-id walk: one :meth:`out_edges` / :meth:`in_edges` pass per
-        pass of ``direction``, yielding each edge's far endpoint when
-        ``endpoints`` is set, else the edge id."""
-        for list_edges, far in _PER_ID_PASSES[direction]:
-            edge_ids = getattr(self, list_edges)(vertex_id, label)
-            if endpoints:
-                for edge_id in edge_ids:
-                    yield self.edge_endpoints(edge_id)[far]
-            else:
-                yield from edge_ids
-
     def degree(self, vertex_id: Any, direction: Direction = Direction.BOTH) -> int:
         """Number of incident edges in ``direction`` (used by Q28-Q30)."""
         return sum(1 for _edge in self.edges_for(vertex_id, direction))
@@ -362,7 +349,7 @@ class GraphDatabase(abc.ABC):
             raise ElementNotFoundError(kind.name, element_id)
 
     # ------------------------------------------------------------------
-    # Bulk structural primitives (frontier-at-a-time; see module docstring)
+    # Frontier primitives and the walk (see module docstring)
     # ------------------------------------------------------------------
 
     def neighbors_many(
@@ -383,6 +370,7 @@ class GraphDatabase(abc.ABC):
         """Yield ``(source, edge_id)`` pairs for a whole frontier of vertices."""
         return self._bulk_incident(vertex_ids, direction, label, False)
 
+    @abc.abstractmethod
     def _bulk_incident(
         self,
         vertex_ids: Iterable[Any],
@@ -390,18 +378,16 @@ class GraphDatabase(abc.ABC):
         label: str | None,
         endpoints: bool,
     ) -> Iterator[tuple[Any, Any]]:
-        """The frontier walk behind both bulk primitives.
+        """The one adjacency walk: ``(vertex, result)`` pairs for a frontier.
 
         Each pair carries the far vertex when ``endpoints`` is set
-        (:meth:`neighbors_many`), else the edge id (:meth:`edges_for_many`).
-        Default: per-id fallback over :meth:`neighbors` / :meth:`edges_for`,
-        preserving the exact charge sequence and yield order of the naive
-        path.  This is the one adjacency method an engine overrides.
+        (:meth:`neighbors_many`, :meth:`neighbors`), else the edge id
+        (:meth:`edges_for_many`, :meth:`edges_for`, :meth:`out_edges`,
+        :meth:`in_edges`).  Pairs come grouped by vertex in input order,
+        each vertex's passes in :func:`~repro.model.elements.pass_table`
+        order, charges booked as the pairs are handed on; a missing vertex
+        raises.
         """
-        per_id = self.neighbors if endpoints else self.edges_for
-        for vertex_id in vertex_ids:
-            for result in per_id(vertex_id, direction, label):
-                yield vertex_id, result
 
     def degree_at_least(
         self, vertex_id: Any, k: int, direction: Direction = Direction.BOTH

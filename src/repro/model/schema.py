@@ -68,16 +68,6 @@ class GraphSchema:
         if property_keys:
             self.edge_property_keys.update(property_keys)
 
-    # -- queries ---------------------------------------------------------------
-
-    @property
-    def edge_label_count(self) -> int:
-        return len(self.edge_labels)
-
-    @property
-    def vertex_label_count(self) -> int:
-        return len(self.vertex_labels)
-
     def _check_edge_label_capacity(self, label: str) -> None:
         if (
             self.max_edge_labels is not None

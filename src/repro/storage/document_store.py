@@ -106,8 +106,8 @@ class DocumentCollection:
     def recharge_read(self, key: Any) -> None:
         """Charge one more logical read of ``key`` without re-materialising it.
 
-        Bulk paths that already hold a parsed document but whose per-id
-        equivalent would fetch the block again call this to keep the
+        Walks that already hold a parsed document but whose modelled
+        system would fetch the block again call this to keep the
         logical charges identical while skipping the duplicate
         decompress/parse (interpreter overhead, not simulated disk work).
         """

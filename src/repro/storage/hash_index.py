@@ -47,10 +47,6 @@ class HashIndex:
         return self._key_count
 
     @property
-    def bucket_count(self) -> int:
-        return len(self._buckets)
-
-    @property
     def rehash_count(self) -> int:
         return self._rehash_count
 

@@ -96,9 +96,6 @@ class PropertyStore:
                 return value
         return None
 
-    def has_property(self, owner: Any, key: str) -> bool:
-        return any(existing_key == key for existing_key, _ in self._chains.get(owner, []))
-
     def properties(self, owner: Any) -> dict[str, Any]:
         """Return every property of ``owner`` as a dictionary."""
         chain = self._chains.get(owner, [])

@@ -318,8 +318,8 @@ class Table:
     def recharge_get(self, row_id: Any) -> dict[str, Any]:
         """Charge a primary-key fetch of ``row_id``; return the live row.
 
-        Bulk traversal paths resolve edge endpoints from the rows their
-        index probe just found; the per-id path would re-fetch the row
+        Traversal walks resolve edge endpoints from the rows their index
+        probe just found; an ``edge_endpoints`` call would re-fetch the row
         through :meth:`get`, so the identical probe and record read are
         charged here without walking the hash bucket or copying the row.
         Callers must not mutate the row.  A missing row still books the

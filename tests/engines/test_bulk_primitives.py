@@ -1,22 +1,93 @@
-"""Bulk structural primitives: result conformance and charge parity.
+"""The adjacency walk against the per-id reference: results and charges.
 
-Every engine must answer ``neighbors_many`` / ``edges_for_many`` /
-``vertex_label`` / ``degree_at_least`` with exactly the results of the
-per-id primitives, and — the bulk-primitive contract — with exactly the
-same logical charges (bulking removes interpreter overhead, never
-simulated I/O).
+Every engine answers ``out_edges`` / ``in_edges`` / ``edges_for`` /
+``neighbors`` and the frontier forms ``neighbors_many`` /
+``edges_for_many`` from one walk, ``_bulk_incident``.  Each way of asking
+must answer exactly like the per-id walks kept in :mod:`per_id_walks` —
+same pairs in the same order, and the same logical charges in every
+counter, booked as lazily (a frontier call books what the one-vertex
+calls would, which is what the engines that share state across a frontier
+— bitmap, triple, relational — must keep).  ``vertex_label`` and
+``degree_at_least`` answer like the materialised vertex and the degree.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+from typing import Any, Callable, Iterator
+
+import per_id_walks as reference
 import pytest
 
 from repro.bench.workload import load_dataset_into
 from repro.engines import ALL_ENGINES, create_engine
+from repro.engines.native_linked import NativeLinkedEngine
 from repro.exceptions import ElementNotFoundError
 from repro.model.elements import Direction
+from repro.model.graph import GraphDatabase
 
 DIRECTIONS = (Direction.OUT, Direction.IN, Direction.BOTH)
+
+#: ``expand(engine, frontier, label)``: ``(vertex, result)`` pairs.
+Expand = Callable[[Any, list, "str | None"], Iterator[tuple[Any, Any]]]
+
+
+def expansions(endpoints: bool, direction: Direction) -> dict[str, Expand]:
+    """Every way to expand a frontier in ``direction``, by name: the
+    reference walk, the per-id methods one vertex at a time, and the
+    frontier method; ``endpoints`` picks neighbours over edge ids."""
+    name = "neighbors" if endpoints else "edges_for"
+
+    def one_vertex_at_a_time(call: Callable[[Any, Any, Any], Iterator[Any]]) -> Expand:
+        return lambda engine, frontier, label: (
+            (vertex, result) for vertex in frontier for result in call(engine, vertex, label)
+        )
+
+    ways = {
+        "reference": one_vertex_at_a_time(
+            lambda engine, vertex, label: getattr(reference, name)(engine, vertex, direction, label)
+        ),
+        name: one_vertex_at_a_time(
+            lambda engine, vertex, label: getattr(engine, name)(vertex, direction, label)
+        ),
+        f"{name}_many": lambda engine, frontier, label: getattr(engine, f"{name}_many")(
+            frontier, direction, label
+        ),
+    }
+    if not endpoints and direction is not Direction.BOTH:
+        one_way = "out_edges" if direction is Direction.OUT else "in_edges"
+        ways[one_way] = one_vertex_at_a_time(
+            lambda engine, vertex, label: getattr(engine, one_way)(vertex, label)
+        )
+    return ways
+
+
+def disagreements(
+    identifier: str, dataset: Any, endpoints: bool, direction: Direction, label: str | None,
+    consume: Callable[[Iterator[Any]], Any] = list,
+) -> list[str]:
+    """The ways whose answer or charges differ from the reference walk's.
+
+    Each way runs on its own freshly loaded engine; ``consume`` takes the
+    stream (``list`` drains it, a ``next``-and-close abandons it).
+    """
+    observed = {}
+    for way, expand in expansions(endpoints, direction).items():
+        loaded = load_dataset_into(create_engine(identifier), dataset)
+        frontier = list(loaded.vertex_map.values())
+        loaded.engine.reset_metrics()
+        answer = consume(expand(loaded.engine, frontier, label))
+        observed[way] = (answer, loaded.engine.combined_metrics().snapshot())
+    expected = observed.pop("reference")
+    return [way for way, seen in observed.items() if seen != expected]
+
+
+def first_then_close(stream: Iterator[Any]) -> Any:
+    first = next(stream, None)
+    stream.close()
+    return first
 
 
 @pytest.fixture
@@ -25,29 +96,18 @@ def any_loaded(any_engine, small_dataset):
 
 
 class TestConformance:
+    @pytest.mark.parametrize("endpoints", [True, False], ids=["neighbors", "edges"])
     @pytest.mark.parametrize("direction", DIRECTIONS)
-    @pytest.mark.parametrize("label", [None, "knows", "missing-label"])
-    def test_neighbors_many_matches_per_id(self, any_loaded, direction, label):
+    @pytest.mark.parametrize("label", [None, "knows", "visits", "missing-label"])
+    def test_every_way_answers_like_the_reference(self, any_loaded, endpoints, direction, label):
         engine = any_loaded.engine
         frontier = list(any_loaded.vertex_map.values())
-        expected = [
-            (vertex_id, neighbor)
-            for vertex_id in frontier
-            for neighbor in engine.neighbors(vertex_id, direction, label)
-        ]
-        assert list(engine.neighbors_many(frontier, direction, label)) == expected
-
-    @pytest.mark.parametrize("direction", DIRECTIONS)
-    @pytest.mark.parametrize("label", [None, "visits"])
-    def test_edges_for_many_matches_per_id(self, any_loaded, direction, label):
-        engine = any_loaded.engine
-        frontier = list(any_loaded.vertex_map.values())
-        expected = [
-            (vertex_id, edge_id)
-            for vertex_id in frontier
-            for edge_id in engine.edges_for(vertex_id, direction, label)
-        ]
-        assert list(engine.edges_for_many(frontier, direction, label)) == expected
+        answers = {
+            way: list(expand(engine, frontier, label))
+            for way, expand in expansions(endpoints, direction).items()
+        }
+        expected = answers.pop("reference")
+        assert answers == {way: expected for way in answers}
 
     def test_vertex_label_matches_materialised_vertex(self, any_loaded):
         engine = any_loaded.engine
@@ -64,85 +124,50 @@ class TestConformance:
 
 
 class TestChargeParity:
-    """Bulk expansion must charge exactly what the per-id path charges."""
+    """Every way of expanding charges exactly what the reference walk charges."""
 
+    @pytest.mark.parametrize("endpoints", [True, False], ids=["neighbors", "edges"])
     @pytest.mark.parametrize("direction", DIRECTIONS)
     @pytest.mark.parametrize("label", [None, "knows", "missing-label"])
     @pytest.mark.parametrize("identifier", ALL_ENGINES)
-    def test_neighbors_many_charges_match(self, identifier, small_dataset, direction, label):
-        per_id = load_dataset_into(create_engine(identifier), small_dataset)
-        bulk = load_dataset_into(create_engine(identifier), small_dataset)
-        frontier_a = list(per_id.vertex_map.values())
-        frontier_b = list(bulk.vertex_map.values())
+    def test_charges_match_the_reference(
+        self, identifier, small_dataset, direction, label, endpoints
+    ):
+        assert disagreements(identifier, small_dataset, endpoints, direction, label) == []
 
-        per_id.engine.reset_metrics()
-        for vertex_id in frontier_a:
-            for _neighbor in per_id.engine.neighbors(vertex_id, direction, label):
-                pass
-        expected = per_id.engine.combined_metrics().snapshot()
-
-        bulk.engine.reset_metrics()
-        for _pair in bulk.engine.neighbors_many(frontier_b, direction, label):
-            pass
-        assert bulk.engine.combined_metrics().snapshot() == expected
-
-    @pytest.mark.parametrize("direction", DIRECTIONS)
-    @pytest.mark.parametrize("label", [None, "visits", "missing-label"])
-    @pytest.mark.parametrize("identifier", ALL_ENGINES)
-    def test_edges_for_many_charges_match(self, identifier, small_dataset, direction, label):
-        per_id = load_dataset_into(create_engine(identifier), small_dataset)
-        bulk = load_dataset_into(create_engine(identifier), small_dataset)
-        frontier_a = list(per_id.vertex_map.values())
-        frontier_b = list(bulk.vertex_map.values())
-
-        per_id.engine.reset_metrics()
-        for vertex_id in frontier_a:
-            for _edge_id in per_id.engine.edges_for(vertex_id, direction, label):
-                pass
-        expected = per_id.engine.combined_metrics().snapshot()
-
-        bulk.engine.reset_metrics()
-        for _pair in bulk.engine.edges_for_many(frontier_b, direction, label):
-            pass
-        assert bulk.engine.combined_metrics().snapshot() == expected
-
-    @pytest.mark.parametrize(
-        "bulk_method, per_id_method",
-        [("neighbors_many", "neighbors"), ("edges_for_many", "edges_for")],
-    )
+    @pytest.mark.parametrize("endpoints", [True, False], ids=["neighbors", "edges"])
     @pytest.mark.parametrize("direction", DIRECTIONS)
     @pytest.mark.parametrize("label", [None, "knows"])
     @pytest.mark.parametrize("identifier", ALL_ENGINES)
-    def test_bulk_charges_match_on_early_abandonment(
-        self, identifier, small_dataset, label, direction, bulk_method, per_id_method
+    def test_charges_match_on_early_abandonment(
+        self, identifier, small_dataset, label, direction, endpoints
     ):
-        """A consumer that stops early (``limit``) must see per-id charges too.
+        """A consumer that stops early (``limit``) pays what the reference
+        paid for the first pair, no more: charges accrue lazily with each
+        emitted pair, never upfront per frontier vertex."""
+        assert disagreements(
+            identifier, small_dataset, endpoints, direction, label, first_then_close
+        ) == []
 
-        Charges have to accrue lazily with each emitted pair, not upfront
-        per frontier vertex — an override that pre-charges a whole
-        adjacency would overcharge abandoned streams.
-        """
-        per_id = load_dataset_into(create_engine(identifier), small_dataset)
-        bulk = load_dataset_into(create_engine(identifier), small_dataset)
-        frontier_a = list(per_id.vertex_map.values())
-        frontier_b = list(bulk.vertex_map.values())
+    @pytest.mark.parametrize("consume", [list, first_then_close], ids=["drained", "abandoned"])
+    def test_an_extra_record_read_in_the_walk_fails_parity(
+        self, monkeypatch, small_dataset, consume
+    ):
+        """Teeth: one extra booked read per pair in native-linked's walk is
+        seen by the per-id methods and the frontier methods alike."""
+        walk = NativeLinkedEngine._bulk_incident
 
-        per_id.engine.reset_metrics()
-        expand = getattr(per_id.engine, per_id_method)
-        stream_a = (
-            (vertex_id, result)
-            for vertex_id in frontier_a
-            for result in expand(vertex_id, direction, label)
-        )
-        first = next(stream_a, None)
-        stream_a.close()
-        expected = per_id.engine.combined_metrics().snapshot()
+        def overbooked(self, vertex_ids, direction, label, endpoints):
+            for pair in walk(self, vertex_ids, direction, label, endpoints):
+                self.metrics.records_read += 1
+                yield pair
 
-        bulk.engine.reset_metrics()
-        stream_b = getattr(bulk.engine, bulk_method)(frontier_b, direction, label)
-        assert next(stream_b, None) == first
-        stream_b.close()
-        assert bulk.engine.combined_metrics().snapshot() == expected
+        monkeypatch.setattr(NativeLinkedEngine, "_bulk_incident", overbooked)
+        for endpoints, name in ((True, "neighbors"), (False, "edges_for")):
+            failing = disagreements(
+                "nativelinked-1.9", small_dataset, endpoints, Direction.OUT, None, consume
+            )
+            assert {name, f"{name}_many"} <= set(failing)
 
     def test_degree_at_least_io_not_above_full_degree(self, any_loaded):
         """Early exit may only reduce work, never add charges."""
@@ -156,6 +181,41 @@ class TestChargeParity:
         for vertex_id in frontier:
             engine.degree_at_least(vertex_id, 1, Direction.BOTH)
         assert engine.io_cost() <= full
+
+
+def _subclasses(cls: type) -> Iterator[type]:
+    for subclass in cls.__subclasses__():
+        yield subclass
+        yield from _subclasses(subclass)
+
+
+class TestOneWalk:
+    """Each engine and the MVCC overlay write one adjacency walk,
+    ``_bulk_incident``; the per-id methods are written once, on
+    :class:`GraphDatabase`, as one-vertex frontiers of it."""
+
+    PER_ID = ("out_edges", "in_edges", "edges_for", "neighbors")
+
+    def test_no_subclass_writes_a_per_id_walk(self):
+        import repro
+
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not module.name.endswith("__main__"):
+                importlib.import_module(module.name)
+        classes = {cls for cls in _subclasses(GraphDatabase) if cls.__module__.startswith("repro.")}
+        assert {"VersionedGraph", "SnapshotView", "HistoricalView", "NativeLinkedV3Engine"} <= {
+            cls.__name__ for cls in classes
+        }
+        written = sorted(
+            f"{cls.__qualname__}.{name}" for cls in classes for name in self.PER_ID if name in vars(cls)
+        )
+        assert written == []
+
+    def test_the_per_id_methods_are_generators_over_the_walk(self):
+        for name in self.PER_ID:
+            assert inspect.isgeneratorfunction(vars(GraphDatabase)[name]), name
+        assert "_bulk_incident" in GraphDatabase.__abstractmethods__
+        assert not hasattr(GraphDatabase, "_incident_passes")
 
 
 class TestGroupedOrderingUnderLazyDedup:
@@ -197,7 +257,7 @@ class TestGroupedOrderingUnderLazyDedup:
             lambda engine, frontier, d: (
                 (vertex_id, neighbor)
                 for vertex_id in frontier
-                for neighbor in engine.neighbors(vertex_id, d)
+                for neighbor in reference.neighbors(engine, vertex_id, d)
             ),
             direction,
         )

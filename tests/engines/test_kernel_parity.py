@@ -27,6 +27,19 @@ requires_numpy = pytest.mark.skipif(
 #: Engines with dedicated vectorized frontier kernels.
 VECTOR_ENGINES = ("bitmapgraph-5.1", "columnargraph-0.5", "columnargraph-1.0")
 DIRECTIONS = (Direction.OUT, Direction.IN, Direction.BOTH)
+#: Each per-id adjacency method, as ``call(engine, vertex, label)``.
+PER_ID_CALLS = {
+    "out_edges": lambda engine, vertex, label: engine.out_edges(vertex, label),
+    "in_edges": lambda engine, vertex, label: engine.in_edges(vertex, label),
+    **{
+        f"{name}({direction.name})": (
+            lambda engine, vertex, label, name=name, direction=direction:
+            getattr(engine, name)(vertex, direction, label)
+        )
+        for name in ("edges_for", "neighbors")
+        for direction in DIRECTIONS
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +94,27 @@ class TestFrontierKernelParity:
             identifier,
             big_dataset,
             lambda engine, frontier: list(engine.edges_for_many(frontier, direction, None)),
+        )
+        assert vectorized == scalar
+        assert vectorized_charges == scalar_charges
+
+    @pytest.mark.parametrize("call", sorted(PER_ID_CALLS))
+    @pytest.mark.parametrize("label", [None, "link"])
+    @pytest.mark.parametrize("identifier", VECTOR_ENGINES)
+    def test_per_id_methods_results_and_charges(self, identifier, big_dataset, label, call):
+        """The per-id methods are one-vertex frontiers of the same walk, so
+        they reach the kernels too: drained and abandoned streams alike."""
+        expand = PER_ID_CALLS[call]
+
+        def one_vertex_at_a_time(engine, frontier):
+            drained = [list(expand(engine, vertex, label)) for vertex in frontier]
+            stream = expand(engine, frontier[0], label)
+            first = next(stream, None)
+            stream.close()
+            return drained, first
+
+        (scalar, scalar_charges), (vectorized, vectorized_charges) = _ab(
+            identifier, big_dataset, one_vertex_at_a_time
         )
         assert vectorized == scalar
         assert vectorized_charges == scalar_charges

@@ -6,9 +6,9 @@ catalog's holder map lists for the vertex.  Both are only ever
 optimisations: at every point of every history the long-lived engine must
 answer — in results *and* in charges — exactly like an engine that has just
 been built from the same operations and has prepared nothing yet, and like
-the union over every edge table (:func:`_union`, kept here as the
-reference), and all must agree with a dict model that knows no tables at
-all.  The fresh engine shares the holder-map code, so the map itself is held
+the union over every edge table (:func:`per_id_walks.relational_union`,
+the reference), and all must agree with a dict model that knows no tables
+at all.  The fresh engine shares the holder-map code, so the map itself is held
 against a recomputation from every index after every step.  New edge labels
 (new edge tables), new property keys (``ALTER TABLE``), index builds and an
 index growing a level arrive mid-run, which is what moves the catalog under
@@ -33,6 +33,8 @@ from hypothesis.stateful import (
     rule,
     run_state_machine_as_test,
 )
+
+from per_id_walks import edge_tables, relational_union as _union
 
 from repro.engines import create_engine
 from repro.model.elements import Direction
@@ -69,33 +71,6 @@ def _metered(engine: Any, query: Callable[[Any], Any]) -> tuple[Any, dict[str, i
     return result, {name: after[name] - before[name] for name in after}
 
 
-def _edge_tables(engine: Any, label: str | None) -> tuple[str, ...]:
-    database = engine.database
-    if label is None:
-        return database.table_names("E_")
-    return tuple(name for name in ("E_" + label,) if database.has_table(name))
-
-
-def _union(
-    engine: Any, frontier: list[str], direction: Direction, label: str | None, endpoints: bool
-):
-    """The reference expansion: every edge table's endpoint index searched,
-    per vertex and pass, rows booked as they are handed on."""
-    database, metrics = engine.database, engine.metrics
-    names = _edge_tables(engine, label)
-    for vertex in frontier:
-        key = index_key(str(vertex))
-        for column, opposite in _COLUMNS[direction]:
-            for name in names:
-                table = database.table(name)
-                for row_id in table.secondary_index(column).search(key):
-                    metrics.records_read += 1
-                    if endpoints:
-                        yield vertex, table.recharge_get(row_id)[opposite]
-                    else:
-                        yield vertex, f"{name}:{row_id}"
-
-
 def _union_degree(engine: Any, vertex: str, k: int, direction: Direction) -> bool:
     """The reference ``degree_at_least``: index-only counts over every edge
     table, stopping at the search that reaches ``k``."""
@@ -103,7 +78,7 @@ def _union_degree(engine: Any, vertex: str, k: int, direction: Direction) -> boo
         return True
     key, count = index_key(str(vertex)), 0
     for column, _opposite in _COLUMNS[direction]:
-        for name in _edge_tables(engine, None):
+        for name in edge_tables(engine, None):
             count += len(engine.database.table(name).secondary_index(column).search(key))
             if count >= k:
                 return True
