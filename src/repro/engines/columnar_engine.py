@@ -308,14 +308,6 @@ class ColumnarEngine(BaseEngine):
             for payload in columns.values():
                 yield payload["id"]
 
-    def distinct_edge_labels(self) -> set[str]:
-        labels: set[str] = set()
-        for _vertex_id, columns in self._rows.scan_rows():
-            for name, payload in columns.items():
-                if name.startswith(_OUT_PREFIX):
-                    labels.add(payload["label"])
-        return labels
-
     def _index_scan(self, key: str) -> Iterator[tuple[Any, Any]]:
         column = _PROPERTY_PREFIX + key
         for vertex_id, columns in self._rows.scan_rows():

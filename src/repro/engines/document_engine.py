@@ -176,13 +176,6 @@ class DocumentEngine(BaseEngine):
     # Traversal: edge-endpoint hash index + one parse per edge document
     # ------------------------------------------------------------------
 
-    def vertex_label(self, vertex_id: Any) -> str | None:
-        # The label lives inside the self-contained document, so the read
-        # still materialises the block (one round trip + one record read,
-        # like ``vertex``); only the Vertex/property construction is skipped.
-        self._round_trip()
-        return self._document(VERTEX, vertex_id).get("_label")
-
     def _bulk_incident(
         self,
         vertex_ids: Iterable[Any],
@@ -222,53 +215,6 @@ class DocumentEngine(BaseEngine):
                     else:
                         yield vertex_id, edge_id
 
-    def subgraph_for(
-        self, vertex_ids: Iterable[Any]
-    ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-        """Partition extraction with one parse per document.
-
-        The default path materialises every outgoing edge document twice
-        (once in ``out_edges``, once in ``edge``); here each edge block is
-        parsed once through :meth:`DocumentCollection.get_many` and the
-        second fetch is recharged without re-parsing.  Round trips and
-        logical reads stay identical to the default — per vertex: two round
-        trips plus one vertex-document read; per outgoing edge: one round
-        trip plus two edge-document reads.
-        """
-        vertices = self._vertices
-        edges = self._edges
-        vertex_rows: list[dict[str, Any]] = []
-        edge_rows: list[dict[str, Any]] = []
-        for vertex_id in vertex_ids:
-            self._round_trip()
-            self._require(VERTEX, vertex_id)
-            document = vertices.get(vertex_id)
-            vertex_rows.append(
-                {
-                    "id": vertex_id,
-                    "label": document.get("_label"),
-                    "properties": _user_properties(document),
-                }
-            )
-            self._round_trip()
-            for edge_id, edge_doc in edges.get_many(
-                self._store.edge_from_index.lookup(vertex_id)
-            ):
-                # The default path fetches the block again inside ``edge``
-                # (with its own round trip); charge both without re-parsing.
-                self._round_trip()
-                edges.recharge_read(edge_id)
-                edge_rows.append(
-                    {
-                        "id": edge_id,
-                        "source": edge_doc["_from"],
-                        "target": edge_doc["_to"],
-                        "label": edge_doc["_label"],
-                        "properties": _user_properties(edge_doc),
-                    }
-                )
-        return vertex_rows, edge_rows
-
     def degree_at_least(
         self, vertex_id: Any, k: int, direction: Direction = Direction.BOTH
     ) -> bool:
@@ -295,12 +241,6 @@ class DocumentEngine(BaseEngine):
     # ------------------------------------------------------------------
     # Counting & search: documents must be materialised
     # ------------------------------------------------------------------
-
-    def vertex_count(self) -> int:
-        # Counting vertices only iterates keys, which the original system
-        # also managed to finish before its timeout.
-        self._round_trip()
-        return sum(1 for _key in self._vertices.keys())
 
     def edge_count(self) -> int:
         # Edge iteration materialises every edge document (the expensive path

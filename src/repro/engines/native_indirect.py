@@ -143,9 +143,6 @@ class NativeIndirectEngine(BaseEngine):
     def _property(self, kind: ElementKind, element_id: Any, key: str) -> Any:
         return self._property_store.get_property(self._owner(kind, element_id), key)
 
-    def _properties(self, kind: ElementKind, element_id: Any) -> dict[str, Any]:
-        return self._property_store.properties(self._owner(kind, element_id))
-
     # ------------------------------------------------------------------
     # Edge CRUD
     # ------------------------------------------------------------------

@@ -459,12 +459,6 @@ class RelationalEngine(BaseEngine):
             if len(self._db.table(name)) > 0
         }
 
-    def vertex_count(self) -> int:
-        return sum(self._db.count(name) for name in self._db.table_names(_VERTEX_PREFIX))
-
-    def edge_count(self) -> int:
-        return sum(self._db.count(name) for name in self._db.table_names(_EDGE_PREFIX))
-
     # ------------------------------------------------------------------
     # Attribute indexes
     # ------------------------------------------------------------------

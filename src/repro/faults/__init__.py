@@ -11,11 +11,13 @@ makes failure a first-class, *deterministic* benchmark dimension:
   faults anywhere, which is what lets CI gate ``BENCH_chaos.json`` exactly.
 * :mod:`~repro.faults.recovery` — per-shard WAL + periodic charged
   checkpoints (:class:`ShardJournal`), so a crashed shard replays to its
-  pre-crash state and rejoins at the next barrier; the retained snapshot
-  serves degraded reads when a shard is down past its retry budget.
+  pre-crash state and rejoins at the next barrier.  Queries are read-only,
+  so a snapshot is a version stamp over the shard's load payload; while
+  one exists, the payload serves degraded reads when a shard is down past
+  its retry budget.
 * :mod:`~repro.faults.chaos` — :class:`FaultPlane`, composed around the
-  one BSP loop (``DistributedExecutor(..., faults=plane)``;
-  :class:`ChaosExecutor` is that constructor): per-superstep timeout +
+  one BSP loop (:func:`build_chaos` returns
+  ``DistributedExecutor(..., faults=plane)``): per-superstep timeout +
   deterministic retry, straggler abandonment, staleness labelling.  A query
   completes exactly, completes with a labelled staleness bound, or fails
   fast with a typed error — never hangs.
@@ -30,7 +32,6 @@ every fault-recovery cost is accounted separately as overhead.
 """
 
 from repro.faults.chaos import (
-    ChaosExecutor,
     ChaosResult,
     EXACT,
     FAILED,
@@ -66,7 +67,6 @@ __all__ = [
     "CHAOS_MIXES",
     "COORDINATOR_CRASH",
     "CRASH",
-    "ChaosExecutor",
     "ChaosResult",
     "EXACT",
     "FAILED",

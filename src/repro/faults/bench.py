@@ -1,8 +1,8 @@
 """The availability-under-faults benchmark behind ``graphbench chaos``.
 
 For every engine × query mix × shard count K × retry policy × fault rate,
-the benchmark shards the dataset, wraps the shards in a
-:class:`~repro.faults.chaos.ChaosExecutor` driven by a seeded
+the benchmark shards the dataset, puts the shards under a
+:class:`~repro.faults.chaos.FaultPlane` driven by a seeded
 :class:`~repro.faults.plan.FaultPlan`, and replays the same seeded query
 set.  Each cell reports availability (completed / attempted), the
 exact/stale/failed outcome split, staleness percentiles over the degraded

@@ -397,29 +397,6 @@ class FaultPlane:
         return list(applied.values())
 
 
-class ChaosExecutor(DistributedExecutor):
-    """A :class:`DistributedExecutor` constructed with a :class:`FaultPlane`.
-
-    ``fault_plan`` and ``plane_options`` (``retry``, ``retry_policy``,
-    ``max_restarts``, ``superstep_timeout``, ``checkpoint_interval``) go to
-    the plane; every query runs the inherited superstep loop, and all fault
-    state lives on ``faults``.
-    """
-
-    def __init__(
-        self,
-        shards: list[ShardRuntime],
-        owner: dict[Any, int],
-        engine_factory: Callable[[], GraphDatabase],
-        fault_plan: FaultPlan | None = None,
-        network: NetworkCostModel | None = None,
-        plan: PartitionPlan | None = None,
-        **plane_options: Any,
-    ) -> None:
-        faults = FaultPlane(shards, engine_factory, fault_plan, **plane_options)
-        super().__init__(shards, owner, network, plan, faults=faults)
-
-
 def build_chaos(
     source_engine: GraphDatabase,
     vertex_map: dict[Any, Any],
@@ -428,7 +405,7 @@ def build_chaos(
     fault_plan: FaultPlan | None = None,
     network: NetworkCostModel | None = None,
     **plane_options: Any,
-) -> tuple[ChaosExecutor, BuildReport]:
+) -> tuple[DistributedExecutor, BuildReport]:
     """Shard an engine per ``plan`` and put the shards under a fault plane.
 
     Same contract as :func:`~repro.partition.executor.build_distributed`
@@ -440,13 +417,6 @@ def build_chaos(
     base, report = build_distributed(
         source_engine, vertex_map, plan, engine_factory, network=network
     )
-    executor = ChaosExecutor(
-        base.shards,
-        base.owner,
-        engine_factory,
-        fault_plan,
-        network=base.network,
-        plan=base.plan,
-        **plane_options,
-    )
+    faults = FaultPlane(base.shards, engine_factory, fault_plan, **plane_options)
+    executor = DistributedExecutor(base.shards, base.owner, base.network, base.plan, faults=faults)
     return executor, report

@@ -3,34 +3,35 @@
 Every shard in a chaos run owns a :class:`ShardJournal`: a synchronous
 :class:`~repro.storage.wal.WriteAheadLog` that records the shard's progress,
 plus a periodically refreshed :class:`ShardSnapshot` (the charged
-checkpoint).  The coordinator keeps the shard's original load payload as the
-authoritative copy, so recovery is always *possible*; the journal decides
-how much it *costs*:
+checkpoint).  Graph queries in this suite are read-only, so the shard's
+graph is always its load payload, which the coordinator keeps: a snapshot
+is a version stamp over that payload, and recovery is always *possible*.
+The journal decides how much it *costs*:
 
 * **crash-restart** — replay the checksum-verified WAL prefix, discard the
-  torn suffix (never resurrect half-written records), repair the lost
-  records from the authoritative copy, and rebuild a fresh engine from the
-  retained rows.  Every step is charged: snapshot pages read, log records
-  replayed, repairs re-appended, the engine reloaded.
+  torn suffix (never resurrect half-written records), re-append the
+  records past the verified prefix (a tear corrupts a record's checksum,
+  not its content), and rebuild a fresh engine from the payload.  Every
+  step is charged: snapshot pages read, log records replayed, repairs
+  re-appended, the engine reloaded.
 * **degraded reads** — when a shard is down past its retry budget, the
-  coordinator answers frontier expansions from the snapshot's adjacency
+  coordinator answers frontier expansions from the payload's adjacency
   lists instead, at a page-read + record-read charge, with staleness
   measured as virtual time since the snapshot's version.
 * **snapshot loss** — the one fault with no cheap answer: degraded reads
   become impossible and the executor fails fast with
   :class:`~repro.exceptions.ShardUnavailableError`.  (Recovery proper still
-  works — it falls back to the authoritative payload.)
+  works — it reads the payload, as it always does.)
 
-Graph queries in this suite are read-only, so a snapshot's *content* always
-matches the live graph; "stale" is a labelled time bound, not wrong data.
-The machinery still matters: it prices exactly what a real system would pay,
-and the WAL path is exercised for real — progress records are appended
-every attempt, torn by crashes, and verified on replay.
+"Stale" is a labelled time bound, not wrong data.  The machinery still
+matters: it prices exactly what a real system would pay, and the WAL path
+is exercised for real — progress records are appended every attempt, torn
+by crashes, and verified on replay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.model.graph import GraphDatabase
@@ -48,18 +49,10 @@ def _pages(rows: int) -> int:
 
 @dataclass
 class ShardSnapshot:
-    """A checkpointed copy of one shard's graph, readable while it is down."""
+    """A charged checkpoint: the version stamp over the shard's payload."""
 
     #: Virtual time (makespan charge units) at which the checkpoint ran.
     version: int
-    vertices: list[dict[str, Any]]
-    edges: list[dict[str, Any]]
-    #: External id → neighbour external ids in BOTH directions, edge order.
-    adjacency: dict[Any, list[Any]] = field(default_factory=dict)
-
-    @property
-    def rows(self) -> int:
-        return len(self.vertices) + len(self.edges)
 
 
 @dataclass
@@ -72,7 +65,7 @@ class RecoveryReport:
     charge: int
     #: WAL records whose physical write was torn by the crash (discarded).
     torn_records: int
-    #: Records re-appended from the authoritative copy (torn or unflushed).
+    #: Records past the verified WAL prefix, re-appended after the truncation.
     repaired_records: int
 
 
@@ -81,15 +74,20 @@ class ShardJournal:
 
     def __init__(self, index: int, payload: dict[str, list[dict[str, Any]]]) -> None:
         self.index = index
-        #: The coordinator's authoritative copy of the shard's load payload.
+        #: The coordinator's copy of the shard's load payload.
         self.payload = payload
+        #: Payload rows: what a checkpoint writes and a recovery reads.
+        self.rows = len(payload["vertices"]) + len(payload["edges"])
+        #: External id -> neighbour external ids in BOTH directions, edge
+        #: order: what degraded reads serve while a snapshot exists.
+        self.adjacency: dict[Any, list[Any]] = {}
+        for row in payload["edges"]:
+            self.adjacency.setdefault(row["source"], []).append(row["target"])
+            self.adjacency.setdefault(row["target"], []).append(row["source"])
         self.metrics = StorageMetrics(owner=f"shard{index}-journal")
         self.wal = WriteAheadLog(
             name=f"shard{index}-wal", mode=DurabilityMode.SYNC, metrics=self.metrics
         )
-        #: Mirrors the WAL's records since the last truncation — the
-        #: coordinator-side authoritative list recovery repairs from.
-        self._ops: list[tuple[str, dict[str, Any]]] = []
         self.snapshot: ShardSnapshot | None = None
         self.checkpoints = 0
         self.recoveries = 0
@@ -104,7 +102,6 @@ class ShardJournal:
         """Append one progress record (SYNC: charged now); return the charge."""
         before = self.metrics.logical_io
         self.wal.append(operation, payload)
-        self._ops.append((operation, dict(payload)))
         return self.metrics.logical_io - before
 
     def checkpoint(self, version: int) -> int:
@@ -114,22 +111,9 @@ class ShardJournal:
         checkpoint makes the shard degraded-servable again.
         """
         before = self.metrics.logical_io
-        vertices = self.payload["vertices"]
-        edges = self.payload["edges"]
-        adjacency: dict[Any, list[Any]] = {}
-        for row in edges:
-            adjacency.setdefault(row["source"], []).append(row["target"])
-            adjacency.setdefault(row["target"], []).append(row["source"])
-        snapshot = ShardSnapshot(
-            version=version,
-            vertices=vertices,
-            edges=edges,
-            adjacency=adjacency,
-        )
-        self.metrics.charge_page_write(_pages(snapshot.rows), snapshot.rows * 64)
+        self.metrics.charge_page_write(_pages(self.rows), self.rows * 64)
         self.wal.truncate()
-        self._ops = []
-        self.snapshot = snapshot
+        self.snapshot = ShardSnapshot(version)
         self.checkpoints += 1
         return self.metrics.logical_io - before
 
@@ -153,37 +137,27 @@ class ShardJournal:
         """Crash-restart: replay, repair, rebuild.  Everything is charged.
 
         Replays the checksum-verified WAL prefix, discards the torn suffix,
-        re-appends the lost records from the coordinator's authoritative
-        list, and rebuilds a fresh engine from the retained rows (snapshot
-        if present, else the authoritative payload).  The rebuilt engine's
-        metrics are reset after the rebuild so subsequent successful work
-        charges exactly like a never-crashed shard — the exactness
-        invariant's foundation.
+        re-appends the records past the verified prefix, and rebuilds a
+        fresh engine from the payload.  The rebuilt engine's metrics are
+        reset after the rebuild so subsequent successful work charges
+        exactly like a never-crashed shard — the exactness invariant's
+        foundation.
         """
         before = self.metrics.logical_io
         replayed = self.wal.replay()
-        lost = self._ops[len(replayed) :]
-
-        if self.snapshot is None:
-            vertices = self.payload["vertices"]
-            edges = self.payload["edges"]
-        else:
-            vertices = self.snapshot.vertices
-            edges = self.snapshot.edges
-        row_count = len(vertices) + len(edges)
+        lost = self.wal.unverified()
         # Read the base image + the surviving log.
-        self.metrics.charge_page_read(_pages(row_count), row_count * 64)
+        self.metrics.charge_page_read(_pages(self.rows), self.rows * 64)
         self.metrics.charge_page_read(len(replayed), len(replayed) * 64)
 
         torn_before = self.wal.torn_discarded
         self.wal.truncate()  # discards the torn suffix, drops the replayed prefix
         torn = self.wal.torn_discarded - torn_before
-        for operation, payload in lost:  # repair from the authoritative copy
-            self.wal.append(operation, payload)
-        self._ops = list(lost)  # the WAL again mirrors exactly these ops
+        for record in lost:
+            self.wal.append(record.operation, record.payload)
 
         engine = engine_factory()
-        id_map = engine.load(vertices, edges)
+        id_map = engine.load(self.payload["vertices"], self.payload["edges"])
         rebuild_charge = engine.io_cost()
         engine.reset_metrics()
 
@@ -200,7 +174,7 @@ class ShardJournal:
     # -- degraded service --------------------------------------------------
 
     def degraded_neighbors(self, frontier: list[Any]) -> tuple[list[Any], int]:
-        """Serve a frontier expansion from the snapshot's adjacency lists.
+        """Serve a frontier expansion from the payload's adjacency lists.
 
         Returns neighbour external ids (duplicates included, caller dedups
         against its distance map — same contract as the live expansion) and
@@ -212,7 +186,7 @@ class ShardJournal:
         self.metrics.charge_page_read(len(frontier))
         neighbors: list[Any] = []
         for external in frontier:
-            adjacent = self.snapshot.adjacency.get(external, ())
+            adjacent = self.adjacency.get(external, ())
             self.metrics.charge_record_read(len(adjacent))
             neighbors.extend(adjacent)
         return neighbors, self.metrics.logical_io - before

@@ -31,8 +31,10 @@ class _Row:
     columns: dict[str, Any] = field(default_factory=dict)
     tombstones: set[str] = field(default_factory=set)
     deleted: bool = False
-    #: Bumped on every cell write/tombstone; invalidates cached slices.
-    version: int = 0
+    #: Parsed adjacency slices by prefix, ``(edge ids, opposite endpoints)``:
+    #: a pure interpreter memo, dropped on the row's next cell write,
+    #: tombstone or delete.
+    slices: dict[str, tuple[tuple, Any]] | None = None
 
     def live_columns(self) -> dict[str, Any]:
         return {
@@ -107,10 +109,6 @@ class ColumnFamilyStore:
         self.consistency_checks = consistency_checks
         self._rows: list[_Row] = []
         self.row_index = RowKeyIndex(f"{name}-rowkeys", metrics=self.metrics)
-        #: parse-once cache for adjacency slices, keyed (row key, prefix) ->
-        #: (row version, edge-id tuple, opposite-endpoint array).  A pure
-        #: interpreter memo: hits re-book the full slice read charge.
-        self._slice_cache: dict[tuple[Any, str], tuple[int, tuple, Any]] = {}
 
     def __len__(self) -> int:
         """Number of live (non-deleted) rows."""
@@ -146,7 +144,7 @@ class ColumnFamilyStore:
         """Mark the row as deleted with a tombstone (data stays on disk)."""
         row = self._row(key)
         row.deleted = True
-        row.version += 1
+        row.slices = None
         self.row_index.remove(key)
         self.metrics.charge_record_write(1)
 
@@ -162,7 +160,7 @@ class ColumnFamilyStore:
             self.metrics.charge_record_read(1)
         row.columns[column] = value
         row.tombstones.discard(column)
-        row.version += 1
+        row.slices = None
         self.metrics.charge_record_write(1)
 
     def get(self, key: Any, column: str) -> Any:
@@ -177,7 +175,7 @@ class ColumnFamilyStore:
         """Tombstone one cell."""
         row = self._row(key)
         row.tombstones.add(column)
-        row.version += 1
+        row.slices = None
         self.metrics.charge_record_write(1)
 
     def row_columns(self, key: Any, prefix: str | None = None) -> dict[str, Any]:
@@ -207,32 +205,33 @@ class ColumnFamilyStore:
         The vectorized frontier kernel's entry point: the columns under
         ``prefix`` must be edge payload cells (``{"id", "other", ...}``).
         Charges exactly what :meth:`row_columns` charges for the same slice
-        — one record read per selected cell (minimum one) — on hits *and*
-        misses; only the parse of the payloads into flat arrays is memoised
-        per row version.  Endpoints come back as a numpy ``int64`` array
-        when numpy is available, a tuple otherwise.
+        — one record read per selected cell (minimum one) — whether the
+        slice was parsed before or not; only the parse of the payloads into
+        flat arrays is kept, on the row, until the row next changes.
+        Endpoints come back as a numpy ``int64`` array when numpy is
+        available, a tuple otherwise.
         """
         row = self._row(key)
-        cached = self._slice_cache.get((key, prefix))
-        if cached is not None and cached[0] == row.version:
-            self.metrics.charge_record_read(max(1, len(cached[1])))
-            return cached[1], cached[2]
-        payloads = [
-            value
-            for name, value in row.columns.items()
-            if name not in row.tombstones and name.startswith(prefix)
-        ]
-        self.metrics.charge_record_read(max(1, len(payloads)))
-        ids = tuple(payload["id"] for payload in payloads)
-        others: Any = tuple(payload["other"] for payload in payloads)
-        np = kernels.numpy()
-        if np is not None:
-            try:
-                others = np.array(others, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
-                pass  # non-integer endpoint ids stay a tuple
-        self._slice_cache[(key, prefix)] = (row.version, ids, others)
-        return ids, others
+        if row.slices is None:
+            row.slices = {}
+        parsed = row.slices.get(prefix)
+        if parsed is None:
+            payloads = [
+                value
+                for name, value in row.columns.items()
+                if name not in row.tombstones and name.startswith(prefix)
+            ]
+            ids = tuple(payload["id"] for payload in payloads)
+            others: Any = tuple(payload["other"] for payload in payloads)
+            np = kernels.numpy()
+            if np is not None:
+                try:
+                    others = np.array(others, dtype=np.int64)
+                except (TypeError, ValueError, OverflowError):
+                    pass  # non-integer endpoint ids stay a tuple
+            parsed = row.slices[prefix] = (ids, others)
+        self.metrics.charge_record_read(max(1, len(parsed[0])))
+        return parsed
 
     # -- scans ------------------------------------------------------------------------
 

@@ -436,9 +436,3 @@ class RelationalDatabase:
     @property
     def size_in_bytes(self) -> int:
         return sum(table.size_in_bytes for table in self._tables.values())
-
-    # -- relational operators ----------------------------------------------------------------
-
-    def count(self, table_name: str, predicate: Predicate | None = None) -> int:
-        """SELECT COUNT(*) over one table."""
-        return sum(1 for _row in self.table(table_name).seq_scan(predicate))

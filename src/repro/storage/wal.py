@@ -332,6 +332,15 @@ class WriteAheadLog:
         """
         return list(self._records[: self._verified_durable()])
 
+    def unverified(self) -> list[LogRecord]:
+        """The durable records past the verified prefix, in order: what
+        :meth:`replay` drops and :meth:`truncate` discards.
+
+        A tear corrupts a record's stored checksum, not its content, so the
+        writer can re-append these records after the truncation.
+        """
+        return self._records[self._verified_durable() : self._durable_upto]
+
     def truncate(self) -> int:
         """Checkpoint: drop verified durable records, keep undurable ones.
 

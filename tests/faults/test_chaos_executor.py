@@ -1,4 +1,4 @@
-"""ChaosExecutor: fault-free parity, retry, degradation, fail-fast, dedup."""
+"""The fault plane around the BSP loop: fault-free parity, retry, degradation, fail-fast, dedup."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from repro.bench.workload import load_dataset_into
 from repro.engines import create_engine
 from repro.exceptions import BenchmarkError, ShardUnavailableError
-from repro.faults.chaos import EXACT, STALE, ChaosExecutor, build_chaos
+from repro.faults.chaos import EXACT, STALE, FaultPlane, build_chaos
 from repro.faults.plan import (
     CRASH,
     MSG_DUP,
@@ -330,7 +330,7 @@ class TestValidation:
         for shard in plain.shards:
             shard.payload = None
         with pytest.raises(BenchmarkError, match="no retained payload"):
-            ChaosExecutor(plain.shards, plain.owner, lambda: create_engine(ENGINE))
+            FaultPlane(plain.shards, lambda: create_engine(ENGINE))
 
     def test_unknown_source_rejected(self, small_dataset):
         with pytest.raises(BenchmarkError, match="not a known vertex"):

@@ -38,15 +38,14 @@ class TestCheckpoint:
         assert journal.checkpoints == 1
 
     def test_adjacency_covers_both_directions_in_edge_order(self, journal):
-        assert journal.snapshot.adjacency["n1"] == ["n0", "n2"]
-        assert journal.snapshot.adjacency["n0"] == ["n1"]
+        assert journal.adjacency["n1"] == ["n0", "n2"]
+        assert journal.adjacency["n0"] == ["n1"]
 
     def test_checkpoint_truncates_the_wal(self, journal):
         journal.record("superstep", {"attempt": 1})
         assert len(journal.wal) == 1
         journal.checkpoint(version=100)
         assert len(journal.wal) == 0
-        assert journal._ops == []
         assert journal.snapshot.version == 100
 
     def test_checkpoint_restores_a_dropped_snapshot(self, journal):
@@ -66,7 +65,9 @@ class TestRecord:
     def test_sync_append_is_charged_immediately(self, journal):
         charge = journal.record("superstep", {"query": 0, "attempt": 1})
         assert charge > 0
-        assert journal._ops == [("superstep", {"query": 0, "attempt": 1})]
+        assert [(r.operation, r.payload) for r in journal.wal.replay()] == [
+            ("superstep", {"query": 0, "attempt": 1})
+        ]
 
 
 class TestRecovery:
@@ -86,13 +87,12 @@ class TestRecovery:
         journal.record("superstep", {"attempt": 2})
         journal.crash(torn=True)
         report = journal.recover(_factory)
-        # The torn record never replays; it is re-appended from the
-        # coordinator's authoritative list instead.
+        # The torn record never replays; its content, which the tear left
+        # whole, is re-appended as a fresh, intact record instead.
         assert report.torn_records == 1
         assert report.repaired_records == 1
-        assert journal._ops == [("superstep", {"attempt": 2})]
         replayable = journal.wal.replay()
-        assert [record.operation for record in replayable] == ["superstep"]
+        assert [(r.operation, r.payload) for r in replayable] == [("superstep", {"attempt": 2})]
         assert all(record.intact for record in replayable)
         report.engine.close()
 

@@ -100,6 +100,20 @@ class TestTornTailReplay:
         for index in range(3):
             wal.append("put", {"index": index})
         assert len(wal.replay()) == 3
+        assert wal.unverified() == []
+
+    def test_unverified_is_the_durable_rest_with_its_content_whole(self):
+        # Everything replay drops, torn or not, in order; a pending ASYNC
+        # record is not durable, so it is not among them.
+        wal = _wal(DurabilityMode.ASYNC)
+        records = [wal.append("put", {"index": index}) for index in range(4)]
+        wal.flush()
+        wal.append("put", {"index": 4})
+        records[1].checksum ^= 0xFFFFFFFF
+        rest = wal.unverified()
+        assert rest == records[1:]
+        assert [record.payload["index"] for record in rest] == [1, 2, 3]
+        assert len(wal.replay()) + len(rest) == 4
 
 
 class TestTruncateDoesNotResurrect:
