@@ -154,12 +154,10 @@ def check_readscale_invariants(payload: dict) -> list[str]:
 #: Highest tolerable abort rate for any txn cell — the wave is tuned for
 #: contention you can see, not a thrashing system; a cell past this ceiling
 #: means the commit-window/conflict model changed character.
-DEFAULT_TXN_ABORT_CEILING = 0.25
+TXN_ABORT_CEILING = 0.25
 
 
-def check_txn_invariants(
-    payload: dict, abort_ceiling: float = DEFAULT_TXN_ABORT_CEILING
-) -> list[str]:
+def check_txn_invariants(payload: dict) -> list[str]:
     """Return one failure per broken distributed-transaction invariant.
 
     K=1 parity must hold (the distributed session layer is free until
@@ -205,10 +203,10 @@ def check_txn_invariants(
                     f"{engine_name}/{strategy}/K={run['shards']}"
                     f"/{run['isolation']}"
                 )
-                if run["abort_rate"] > abort_ceiling:
+                if run["abort_rate"] > TXN_ABORT_CEILING:
                     failures.append(
                         f"{name}: abort rate {run['abort_rate']:.3f} above "
-                        f"the {abort_ceiling:.2f} ceiling"
+                        f"the {TXN_ABORT_CEILING:.2f} ceiling"
                     )
                 if run["isolation"] == "si" and run["ssi_aborts"] != 0:
                     failures.append(
@@ -235,12 +233,10 @@ def check_txn_invariants(
 #: The charged build pass may cost at most this many logical charges per
 #: graph element (vertex or edge): one engine-side scan plus the index's own
 #: labelling updates, with headroom — not a second traversal of everything.
-DEFAULT_REACH_BUILD_CEILING = 8.0
+REACH_BUILD_CEILING = 8.0
 
 
-def check_reachability_invariants(
-    payload: dict, build_ceiling: float = DEFAULT_REACH_BUILD_CEILING
-) -> list[str]:
+def check_reachability_invariants(payload: dict) -> list[str]:
     """Return one failure per broken reachability-index invariant.
 
     Tree-covered shapes must answer the query set for no more charge than
@@ -260,11 +256,11 @@ def check_reachability_invariants(
                 f"{cell['bfs']['total_charge']}"
             )
         elements = cell["dataset"]["vertices"] + cell["dataset"]["edges"]
-        ceiling = build_ceiling * elements
+        ceiling = REACH_BUILD_CEILING * elements
         if cell["index"]["build_charge"] > ceiling:
             failures.append(
                 f"{name}: build charge {cell['index']['build_charge']} above "
-                f"the ceiling {ceiling:.0f} ({build_ceiling:g} per element "
+                f"the ceiling {ceiling:.0f} ({REACH_BUILD_CEILING:g} per element "
                 f"x {elements} elements)"
             )
     return failures
@@ -273,12 +269,10 @@ def check_reachability_invariants(
 #: The structural diff may cost at most this many logical charges per visited
 #: element: one walk-sink record read plus both-side materialisation, with
 #: headroom — not a full re-scan of the graph per changed element.
-DEFAULT_VERSIONS_DIFF_CEILING = 8.0
+VERSIONS_DIFF_CEILING = 8.0
 
 
-def check_versions_invariants(
-    payload: dict, diff_ceiling: float = DEFAULT_VERSIONS_DIFF_CEILING
-) -> list[str]:
+def check_versions_invariants(payload: dict) -> list[str]:
     """Return one failure per broken graph-versioning invariant.
 
     Every cell's as-of replay must match its recorded live results with
@@ -304,10 +298,10 @@ def check_versions_invariants(
             )
         if asof["replayed"] < 1:
             failures.append(f"{name}: no retained commit was replayed")
-        if cell["diff"]["charge_per_element"] > diff_ceiling:
+        if cell["diff"]["charge_per_element"] > VERSIONS_DIFF_CEILING:
             failures.append(
                 f"{name}: diff charge {cell['diff']['charge_per_element']:.2f} "
-                f"per element above the {diff_ceiling:g} ceiling"
+                f"per element above the {VERSIONS_DIFF_CEILING:g} ceiling"
             )
         groups.setdefault(
             (cell["engine"], cell["depth"], cell["mix"]), {}

@@ -201,6 +201,10 @@ def __getattr__(name: str) -> Any:
 # ----------------------------------------------------------------------
 
 
+#: The dataset seed of every matrix benchmark but ``traversal`` (which uses 7).
+DATASET_SEED = 11
+
+
 def seeded_dataset(name: str, scale: float, seed: int) -> tuple[Dataset, dict[str, Any]]:
     """Generate a dataset and the ``"dataset"`` header its payloads carry."""
     dataset = get_dataset(name, scale=scale, seed=seed)

@@ -61,20 +61,19 @@ def timing_table(
     results: ResultSet,
     query_ids: Sequence[str],
     dataset: str,
-    mode: str = "single",
     title: str = "",
 ) -> str:
-    """One row per query, one column per engine: mean elapsed time."""
+    """One row per query, one column per engine: mean single-mode elapsed time."""
     engines = results.engines()
     rows = []
     for query_id in query_ids:
         row: list[str] = [query_id]
         for engine in engines:
-            status = results.status_of(engine, dataset, query_id, mode)
+            status = results.status_of(engine, dataset, query_id)
             if status in _STATUS_MARKERS:
                 row.append(_STATUS_MARKERS[status])
             else:
-                row.append(format_seconds(results.elapsed(engine, dataset, query_id, mode)))
+                row.append(format_seconds(results.elapsed(engine, dataset, query_id)))
         rows.append(row)
     return format_table(["Query"] + engines, rows, title=title)
 
@@ -83,10 +82,9 @@ def dataset_sweep_table(
     results: ResultSet,
     query_id: str,
     datasets: Sequence[str],
-    mode: str = "single",
     title: str = "",
 ) -> str:
-    """One row per dataset, one column per engine, for a single query.
+    """One row per dataset, one column per engine, for a single query (single mode).
 
     This matches the layout of the paper's per-query figures, where the
     x-axis sweeps the Freebase samples of increasing size.
@@ -96,11 +94,11 @@ def dataset_sweep_table(
     for dataset in datasets:
         row: list[str] = [dataset]
         for engine in engines:
-            status = results.status_of(engine, dataset, query_id, mode)
+            status = results.status_of(engine, dataset, query_id)
             if status in _STATUS_MARKERS:
                 row.append(_STATUS_MARKERS[status])
             else:
-                row.append(format_seconds(results.elapsed(engine, dataset, query_id, mode)))
+                row.append(format_seconds(results.elapsed(engine, dataset, query_id)))
         rows.append(row)
     return format_table(["Dataset"] + engines, rows, title=title)
 
@@ -124,7 +122,7 @@ def space_table(measurements: Sequence[SpaceMeasurement], title: str = "Space oc
     return format_table(["Dataset"] + engines + ["Raw JSON"], rows, title=title)
 
 
-def timeout_table(results: ResultSet, title: str = "Failed executions (Figure 1c)") -> str:
+def timeout_table(results: ResultSet) -> str:
     """Figure 1(c): failures per engine, split by single vs batch mode."""
     rows = []
     for engine in results.engines():
@@ -136,7 +134,9 @@ def timeout_table(results: ResultSet, title: str = "Failed executions (Figure 1c
                 results.timeout_count(engine),
             ]
         )
-    return format_table(["Engine", "Interactive", "Batch", "Total"], rows, title=title)
+    return format_table(
+        ["Engine", "Interactive", "Batch", "Total"], rows, title="Failed executions (Figure 1c)"
+    )
 
 
 def overall_table(results: ResultSet, mode: str = "single", title: str = "") -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 
 class ExecutionStatus(enum.Enum):
@@ -67,20 +67,14 @@ class ResultSet:
     def filter(
         self,
         engine: str | None = None,
-        dataset: str | None = None,
         query_id: str | None = None,
-        mode: str | None = None,
-        predicate: Callable[[ExecutionResult], bool] | None = None,
     ) -> "ResultSet":
         """Return the subset matching every given criterion."""
         selected = [
             result
             for result in self.results
             if (engine is None or result.engine == engine)
-            and (dataset is None or result.dataset == dataset)
             and (query_id is None or result.query_id == query_id)
-            and (mode is None or result.mode == mode)
-            and (predicate is None or predicate(result))
         ]
         return ResultSet(selected)
 
@@ -101,28 +95,29 @@ class ResultSet:
 
     # -- aggregations ----------------------------------------------------------------
 
-    def elapsed(self, engine: str, dataset: str, query_id: str, mode: str = "single") -> float | None:
-        """Mean elapsed seconds of successful executions, or None if all failed."""
+    def elapsed(self, engine: str, dataset: str, query_id: str) -> float | None:
+        """Mean elapsed seconds of successful single-mode executions, or None if all failed."""
         matching = [
             result
             for result in self.results
             if result.engine == engine
             and result.dataset == dataset
             and result.query_id == query_id
-            and result.mode == mode
+            and result.mode == "single"
             and result.ok
         ]
         if not matching:
             return None
         return sum(result.elapsed for result in matching) / len(matching)
 
-    def status_of(self, engine: str, dataset: str, query_id: str, mode: str = "single") -> ExecutionStatus | None:
+    def status_of(self, engine: str, dataset: str, query_id: str) -> ExecutionStatus | None:
+        """Status of the single-mode execution of one cell."""
         for result in self.results:
             if (
                 result.engine == engine
                 and result.dataset == dataset
                 and result.query_id == query_id
-                and result.mode == mode
+                and result.mode == "single"
             ):
                 return result.status
         return None
@@ -148,11 +143,11 @@ class ResultSet:
             and (mode is None or result.mode == mode)
         )
 
-    def ranking(self, dataset: str, query_id: str, mode: str = "single") -> list[tuple[str, float]]:
-        """Engines ordered from fastest to slowest for one cell."""
+    def ranking(self, dataset: str, query_id: str) -> list[tuple[str, float]]:
+        """Engines ordered from fastest to slowest for one cell (single mode)."""
         pairs = []
         for engine in self.engines():
-            value = self.elapsed(engine, dataset, query_id, mode)
+            value = self.elapsed(engine, dataset, query_id)
             if value is not None:
                 pairs.append((engine, value))
         return sorted(pairs, key=lambda pair: pair[1])

@@ -39,9 +39,7 @@ class BenchmarkSuite:
     dataset_names: Sequence[str] = ("frb-s", "frb-o", "frb-m", "frb-l")
     scale: float = 1.0
     bench_config: BenchConfig = field(default_factory=BenchConfig)
-    engine_config: EngineConfig | None = None
     query_ids: Sequence[str] | None = None
-    include_batch: bool = True
 
     def __post_init__(self) -> None:
         self.runner = QueryRunner(self.bench_config)
@@ -68,7 +66,7 @@ class BenchmarkSuite:
 
     def load(self, engine_id: str, dataset_name: str) -> LoadedGraph:
         """Load one dataset into a fresh engine instance."""
-        engine = create_engine(engine_id, config=self.engine_config)
+        engine = create_engine(engine_id)
         return load_dataset_into(engine, self.dataset(dataset_name))
 
     # -- execution ----------------------------------------------------------------------
@@ -92,12 +90,12 @@ class BenchmarkSuite:
                 results.extend(self._run_queries(loaded, plan, self.selected_queries()))
         return results
 
-    def run_complex(self, dataset_name: str = "ldbc") -> ResultSet:
+    def run_complex(self) -> ResultSet:
         """Run the 13 complex queries (Figure 2) on the social-network dataset."""
         results = ResultSet()
-        plan = self.plan(dataset_name)
+        plan = self.plan("ldbc")
         for engine_id in self.engine_ids:
-            loaded = self.load(engine_id, dataset_name)
+            loaded = self.load(engine_id, "ldbc")
             for query_id, query in COMPLEX_QUERIES.items():
                 params = plan.params_for(query_id, count=1)[0]
                 results.add(self.runner.run_single(loaded, query, params))
@@ -112,9 +110,7 @@ class BenchmarkSuite:
         queries as :attr:`ExecutionStatus.UNSUPPORTED`.
         """
         results = ResultSet()
-        config = (self.engine_config or EngineConfig()).with_overrides(
-            auto_index_properties=(indexed_property,)
-        )
+        config = EngineConfig(auto_index_properties=(indexed_property,))
         for dataset_name in self.dataset_names:
             plan = self.plan(dataset_name)
             for engine_id in self.engine_ids:
@@ -166,10 +162,9 @@ class BenchmarkSuite:
             query = MICRO_QUERIES[query_id]
             bindings = plan.params_for(query_id)
             results.append(self.runner.run_single(loaded, query, bindings[0]))
-            if self.include_batch:
-                batch_bindings = bindings[1:] if query.mutates else [bindings[0]] * (
-                    self.bench_config.batch_size - 1
-                )
-                if batch_bindings:
-                    results.append(self.runner.run_batch(loaded, query, batch_bindings))
+            batch_bindings = bindings[1:] if query.mutates else [bindings[0]] * (
+                self.bench_config.batch_size - 1
+            )
+            if batch_bindings:
+                results.append(self.runner.run_batch(loaded, query, batch_bindings))
         return results

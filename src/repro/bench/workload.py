@@ -156,6 +156,10 @@ def load_dataset_into(engine: GraphDatabase, dataset: Dataset) -> LoadedGraph:
     )
 
 
+#: The ``k`` of the degree filters Q28-Q30 ("at least k edges").
+DEGREE_K = 2
+
+
 @dataclass
 class ParameterPlan:
     """Seeded, engine-independent parameter choices for every query.
@@ -167,10 +171,9 @@ class ParameterPlan:
 
     dataset: Dataset
     seed: int = 20181204
-    k: int = 2
     depth: int = 2
     repetitions: int = 10
-    _cache: dict[str, list[dict[str, Any]]] = field(default_factory=dict, repr=False)
+    _cache: dict[str, list[dict[str, Any]]] = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self) -> None:
         if not self.dataset.vertices:
@@ -263,9 +266,9 @@ class ParameterPlan:
             "Q25": lambda: {"vertex": self._random_vertex(rng)},
             "Q26": lambda: {"vertex": self._random_vertex(rng)},
             "Q27": lambda: {"vertex": self._random_vertex(rng)},
-            "Q28": lambda: {"k": self.k},
-            "Q29": lambda: {"k": self.k},
-            "Q30": lambda: {"k": self.k},
+            "Q28": lambda: {"k": DEGREE_K},
+            "Q29": lambda: {"k": DEGREE_K},
+            "Q30": lambda: {"k": DEGREE_K},
             "Q31": dict,
             "Q32": lambda: {"vertex": self._hub_vertex(rng), "depth": self.depth},
             "Q33": lambda: {

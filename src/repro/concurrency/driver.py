@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.bench import registry
@@ -75,11 +75,11 @@ class RetryPolicy:
 
 
 #: EWMA weight denominator: each observation contributes 1/SMOOTHING.
-DEFAULT_SMOOTHING = 4
+SMOOTHING = 4
 
 #: Adaptive straggler threshold: a peer slower than ``ewma × factor`` is
 #: presumed stalled.
-DEFAULT_STRAGGLER_FACTOR = 4
+STRAGGLER_FACTOR = 4
 
 #: Retry-policy names accepted by the CLI and the chaos executor.
 RETRY_POLICIES = ("fixed", "adaptive")
@@ -93,12 +93,12 @@ class AdaptiveRetryPolicy:
     the target actually is — on a lightly loaded shard that over-waits, on a
     heavy one it under-waits and burns its budget.  This policy keeps an
     integer EWMA of the observed per-attempt charge (each observation
-    weighted ``1/smoothing``) and derives both waits from it:
+    weighted ``1/SMOOTHING``) and derives both waits from it:
 
     * backoff before retry ``n`` = ``max(1, ewma // 2) × 2^(n-1)`` + seeded
       jitter of up to a quarter unit — proportional to how long work
       actually takes where the retry will run;
-    * straggler timeout = ``ewma × straggler_factor`` — a peer that has
+    * straggler timeout = ``ewma × STRAGGLER_FACTOR`` — a peer that has
       charged several multiples of typical is presumed stalled, instead of
       waiting out a worst-case constant.
 
@@ -107,10 +107,8 @@ class AdaptiveRetryPolicy:
     """
 
     base: RetryPolicy = RetryPolicy()
-    smoothing: int = DEFAULT_SMOOTHING
-    straggler_factor: int = DEFAULT_STRAGGLER_FACTOR
-    ewma: int = 0
-    observations: int = 0
+    ewma: int = field(default=0, init=False)
+    observations: int = field(default=0, init=False)
 
     def observe(self, charge: int) -> None:
         """Feed one observed per-attempt charge into the moving average."""
@@ -119,7 +117,7 @@ class AdaptiveRetryPolicy:
         if self.observations == 0:
             self.ewma = charge
         else:
-            self.ewma = (self.ewma * (self.smoothing - 1) + charge) // self.smoothing
+            self.ewma = (self.ewma * (SMOOTHING - 1) + charge) // SMOOTHING
         self.observations += 1
 
     def backoff_for(self, attempt: int, rng: random.Random) -> int:
@@ -134,7 +132,7 @@ class AdaptiveRetryPolicy:
         """Straggler-abandon threshold, in charge units."""
         if self.observations == 0 or self.ewma <= 0:
             return default
-        return max(1, self.ewma * self.straggler_factor)
+        return max(1, self.ewma * STRAGGLER_FACTOR)
 
     @property
     def max_retries(self) -> int:
@@ -521,10 +519,8 @@ def run_concurrent_benchmark(
     seed: int = 20181204,
     txns: int = 24,
     group_commit: int = 4,
-    durabilities: Sequence[str] = DURABILITY_MODES,
     loop: str = "closed",
     arrival_interval: int = 0,
-    dataset_seed: int = 11,
     retries: int = DEFAULT_RETRIES,
     backoff: int = DEFAULT_BACKOFF,
     retry_policy: str = "fixed",
@@ -537,7 +533,7 @@ def run_concurrent_benchmark(
     """
     registry.check_args(SPEC.args, locals())
     mix = MIXES[mix_name]
-    dataset, header = registry.seeded_dataset(dataset_name, scale, dataset_seed)
+    dataset, header = registry.seeded_dataset(dataset_name, scale, registry.DATASET_SEED)
     # Passed to every cell and echoed in the payload under the same names.
     submission = {
         "loop": loop,
@@ -552,7 +548,7 @@ def run_concurrent_benchmark(
             durability: run_engine_mode(
                 engine_id, durability, dataset, mix, clients, txns, seed, group_commit, **submission
             )
-            for durability in durabilities
+            for durability in DURABILITY_MODES
         }
     return {
         "benchmark": "concurrency-tail-latency",

@@ -70,7 +70,6 @@ def sweep_engine(
     start_interval: int,
     min_interval: int,
     max_steps: int,
-    knee_gain: float = KNEE_GAIN,
     retries: int = DEFAULT_RETRIES,
     backoff: int = DEFAULT_BACKOFF,
 ) -> dict[str, Any]:
@@ -115,7 +114,7 @@ def sweep_engine(
         steps.append(step)
         throughput = step["throughput_ops_per_kcharge"]
         if previous_throughput is not None and throughput <= previous_throughput * (
-            1.0 + knee_gain
+            1.0 + KNEE_GAIN
         ):
             # Doubling the offered load no longer buys throughput: the
             # server is saturated, and this step documents the collapse
@@ -238,10 +237,8 @@ def run_saturation_sweep(
     start_interval: int = 1024,
     min_interval: int = 2,
     max_steps: int = 10,
-    knee_gain: float = KNEE_GAIN,
     retries: int = DEFAULT_RETRIES,
     backoff: int = DEFAULT_BACKOFF,
-    dataset_seed: int = 11,
 ) -> dict[str, Any]:
     """Sweep every engine and return the ``BENCH_saturation.json`` payload.
 
@@ -250,13 +247,12 @@ def run_saturation_sweep(
     saturation determinism test holds this).
     """
     registry.check_args(SPEC.args, locals())
-    dataset, header = registry.seeded_dataset(dataset_name, scale, dataset_seed)
+    dataset, header = registry.seeded_dataset(dataset_name, scale, registry.DATASET_SEED)
     # Passed to every engine's sweep and echoed in the payload under the same names.
     sweep = {
         "start_interval": start_interval,
         "min_interval": min_interval,
         "max_steps": max_steps,
-        "knee_gain": knee_gain,
         "retries": retries,
         "backoff": backoff,
     }
@@ -276,6 +272,7 @@ def run_saturation_sweep(
         "durability": durability,
         "group_commit": group_commit,
         **sweep,
+        "knee_gain": KNEE_GAIN,
         "engines": engines,
     }
 

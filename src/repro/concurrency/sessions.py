@@ -409,19 +409,6 @@ class SessionManager:
         """A read-only graph view that tracks ``pin``'s moving snapshot."""
         return SnapshotView(self.engine, self.store, _PinnedSession(pin))
 
-    def historical(self, snapshot_ts: int | None = None) -> "SnapshotView":
-        """A read-only session fixed at a historical snapshot.
-
-        Pins ``snapshot_ts`` (default: the current clock) with a fresh
-        refcount-1 pin and returns the :class:`SnapshotView` over it; the
-        caller ends the historical session by releasing the pin
-        (``view.pin.release()``).  This is the primitive the versioning
-        tier builds :class:`~repro.versions.Commit` views on — unlike a
-        replica's pin it never moves, so the view answers for one instant
-        forever (or until the last reference lets GC reclaim it).
-        """
-        return self.snapshot_view(self.pin(snapshot_ts))
-
     def _finish(self, session: Session, state: str) -> None:
         """Close a session and let the store reclaim newly-dead versions.
 

@@ -25,17 +25,17 @@ DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
 class EngineConfig:
     """Tunable parameters of a simulated graph database engine.
 
+    Only what a run varies is a field.  Every engine loads through its bulk
+    loader, as every system in the paper does (BlazeGraph's bulk loading,
+    Titan's declared schema, the ArangoDB / OrientDB loader scripts):
+    :meth:`~repro.model.graph.GraphDatabase.load` defers per-item index
+    maintenance and rebuilds at the end, with no switch to turn it off.
+
     Attributes
     ----------
     memory_budget:
         Maximum bytes of materialised intermediate state the engine may hold
         before raising :class:`~repro.exceptions.MemoryBudgetExceededError`.
-    bulk_load:
-        When true, engines skip per-item index maintenance during
-        :meth:`~repro.model.graph.GraphDatabase.load` and rebuild indexes at
-        the end (the paper's "bulk loading" switch for BlazeGraph, schema
-        pre-declaration for Titan, and native loader scripts for ArangoDB /
-        OrientDB).
     auto_index_properties:
         Property keys for which the engine should maintain an attribute
         index from the start (Section 6.4, "Effect of Indexing").
@@ -45,7 +45,6 @@ class EngineConfig:
     """
 
     memory_budget: int = DEFAULT_MEMORY_BUDGET
-    bulk_load: bool = True
     auto_index_properties: tuple[str, ...] = ()
     durability: str = "sync"
 

@@ -78,19 +78,14 @@ class DatasetSpec:
     name: str
     generator: Callable[..., Dataset]
     description: str
-    synthetic: bool = True
 
 
 _REGISTRY: dict[str, DatasetSpec] = {}
 
 
-def register_dataset(
-    name: str, generator: Callable[..., Dataset], description: str, synthetic: bool = True
-) -> None:
+def register_dataset(name: str, generator: Callable[..., Dataset], description: str) -> None:
     """Register ``generator`` under ``name`` (used by the built-in datasets)."""
-    _REGISTRY[name] = DatasetSpec(
-        name=name, generator=generator, description=description, synthetic=synthetic
-    )
+    _REGISTRY[name] = DatasetSpec(name=name, generator=generator, description=description)
 
 
 def available_datasets() -> tuple[str, ...]:

@@ -16,10 +16,8 @@ def scaled(count: int, scale: float, minimum: int = 1) -> int:
     return max(minimum, int(round(count * scale)))
 
 
-def power_law_degrees(
-    rng: random.Random, count: int, exponent: float, max_degree: int, minimum: int = 1
-) -> list[int]:
-    """Draw ``count`` degrees from a discrete power-law distribution.
+def power_law_degrees(rng: random.Random, count: int, exponent: float, max_degree: int) -> list[int]:
+    """Draw ``count`` degrees (at least 1) from a discrete power-law distribution.
 
     Uses inverse-transform sampling of a Pareto-like distribution truncated
     at ``max_degree`` — the heavy tail produces the hub vertices whose large
@@ -27,8 +25,8 @@ def power_law_degrees(
     """
     degrees = []
     for _ in range(count):
-        value = minimum * (1.0 - rng.random()) ** (-1.0 / (exponent - 1.0))
-        degrees.append(min(max_degree, max(minimum, int(value))))
+        value = (1.0 - rng.random()) ** (-1.0 / (exponent - 1.0))
+        degrees.append(min(max_degree, max(1, int(value))))
     return degrees
 
 
@@ -36,14 +34,15 @@ def preferential_attachment_edges(
     rng: random.Random,
     vertex_ids: Sequence[Any],
     edge_count: int,
-    allow_self_loops: bool = False,
 ) -> list[tuple[Any, Any]]:
-    """Generate ``edge_count`` edges with preferential attachment.
+    """Generate up to ``edge_count`` edges, without self-loops, with
+    preferential attachment.
 
     Endpoints are drawn from a repeated-endpoint pool so that vertices that
     already have edges are more likely to gain new ones, yielding the
     power-law degree distribution and large hubs of real co-authorship,
-    knowledge-base, and social graphs.
+    knowledge-base, and social graphs.  A draw that keeps landing on its
+    own source is skipped.
     """
     if not vertex_ids:
         return []
@@ -52,13 +51,12 @@ def preferential_attachment_edges(
     for _ in range(edge_count):
         source = rng.choice(pool)
         target = rng.choice(pool)
-        if not allow_self_loops:
-            attempts = 0
-            while target == source and attempts < 8:
-                target = rng.choice(pool)
-                attempts += 1
-            if target == source:
-                continue
+        attempts = 0
+        while target == source and attempts < 8:
+            target = rng.choice(pool)
+            attempts += 1
+        if target == source:
+            continue
         edges.append((source, target))
         pool.append(source)
         pool.append(target)
@@ -129,14 +127,14 @@ def connect_within_component(
     return edges
 
 
-def zipfian_labels(rng: random.Random, count: int, prefix: str, exponent: float = 1.2) -> tuple[list[str], list[float]]:
-    """Return ``count`` label names plus Zipf-like selection weights.
+def zipfian_labels(rng: random.Random, count: int, prefix: str) -> tuple[list[str], list[float]]:
+    """Return ``count`` label names plus Zipf-like selection weights (exponent 1.2).
 
     Real edge-label distributions are heavily skewed: a few labels cover most
     edges while thousands of labels appear only a handful of times (the
     Freebase samples in Table 3).
     """
     labels = [f"{prefix}{index}" for index in range(count)]
-    weights = [1.0 / ((rank + 1) ** exponent) for rank in range(count)]
+    weights = [1.0 / ((rank + 1) ** 1.2) for rank in range(count)]
     del rng  # kept in the signature for symmetry with the other helpers
     return labels, weights

@@ -41,15 +41,14 @@ def _creation_date(rng: random.Random) -> int:
     return year * 10000 + month * 100 + day
 
 
-def ldbc_social(scale: float = 1.0, seed: int = 99, persons: int | None = None) -> Dataset:
+def ldbc_social(scale: float = 1.0, seed: int = 99) -> Dataset:
     """Generate an LDBC-like social network.
 
-    ``persons`` overrides the number of person nodes directly (the paper's
-    generator was parameterised by the number of users); otherwise the
-    default of 120 persons is multiplied by ``scale``.
+    The paper's generator was parameterised by the number of users; here
+    the default of 120 persons is multiplied by ``scale``.
     """
     rng = random.Random(seed)
-    person_count = persons if persons is not None else scaled(120, scale)
+    person_count = scaled(120, scale)
     city_count = min(len(_CITIES), max(3, person_count // 20))
     university_count = max(3, person_count // 15)
     company_count = max(3, person_count // 12)
@@ -185,4 +184,4 @@ def ldbc_social(scale: float = 1.0, seed: int = 99, persons: int | None = None) 
     )
 
 
-register_dataset("ldbc", ldbc_social, "LDBC-SNB-like synthetic social network", synthetic=True)
+register_dataset("ldbc", ldbc_social, "LDBC-SNB-like synthetic social network")

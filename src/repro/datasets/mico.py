@@ -79,4 +79,4 @@ def mico(scale: float = 1.0, seed: int = 7) -> Dataset:
     )
 
 
-register_dataset("mico", mico, "MiCo-like co-authorship network", synthetic=True)
+register_dataset("mico", mico, "MiCo-like co-authorship network")

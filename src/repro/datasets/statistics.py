@@ -57,7 +57,7 @@ class GraphStatistics:
         }
 
 
-def compute_statistics(dataset: Dataset, diameter_samples: int = 8, seed: int = 5) -> GraphStatistics:
+def compute_statistics(dataset: Dataset, diameter_samples: int = 8) -> GraphStatistics:
     """Compute the Table 3 statistics of ``dataset``."""
     adjacency = _build_adjacency(dataset)
     vertex_count = len(dataset.vertices)
@@ -73,7 +73,7 @@ def compute_statistics(dataset: Dataset, diameter_samples: int = 8, seed: int = 
     max_degree = max(degrees.values(), default=0)
     communities = _vertex_communities(dataset, adjacency)
     modularity_value = modularity(dataset, adjacency, communities)
-    diameter_value = estimate_diameter(adjacency, components, samples=diameter_samples, seed=seed)
+    diameter_value = estimate_diameter(adjacency, components, samples=diameter_samples)
     return GraphStatistics(
         name=dataset.name,
         vertex_count=vertex_count,
@@ -146,15 +146,15 @@ def estimate_diameter(
     adjacency: Mapping[Any, set[Any]],
     components: Iterable[set[Any]] | None = None,
     samples: int = 8,
-    seed: int = 5,
 ) -> int:
-    """Estimate the diameter of the largest component with double BFS sweeps."""
+    """Estimate the diameter of the largest component with double BFS sweeps
+    (start vertices drawn with seed 5)."""
     if components is None:
         components = connected_components(adjacency)
     largest = max(components, key=len, default=set())
     if len(largest) <= 1:
         return 0
-    rng = random.Random(seed)
+    rng = random.Random(5)
     # Sets iterate in per-process salted order; sort so the sampled start
     # vertices (and the estimate) are stable across processes.
     members = sorted(largest, key=repr)

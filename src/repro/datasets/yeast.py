@@ -92,4 +92,4 @@ def yeast(scale: float = 1.0, seed: int = 11) -> Dataset:
     )
 
 
-register_dataset("yeast", yeast, "Yeast-like protein-protein interaction network", synthetic=True)
+register_dataset("yeast", yeast, "Yeast-like protein-protein interaction network")

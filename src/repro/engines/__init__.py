@@ -14,7 +14,6 @@ from repro.engines.registry import (
     available_engines,
     create_engine,
     engine_info,
-    register_engine,
     resolve_engine_id,
 )
 from repro.engines.native_linked import NativeLinkedEngine, NativeLinkedV3Engine
@@ -33,7 +32,6 @@ __all__ = [
     "available_engines",
     "create_engine",
     "engine_info",
-    "register_engine",
     "resolve_engine_id",
     "NativeLinkedEngine",
     "NativeLinkedV3Engine",

@@ -2,10 +2,9 @@
 
 :class:`BaseEngine` adds to the abstract :class:`~repro.model.graph.GraphDatabase`
 interface everything the benchmark harness needs from an engine regardless of
-its architecture: a configuration object, metrics collection, schema
-tracking, a write-ahead log with configurable durability, the attribute-index
-rule, and the descriptive metadata that regenerates the paper's
-Table 1.
+its architecture: a configuration object, metrics collection, a write-ahead
+log with configurable durability, the attribute-index rule, and the
+descriptive metadata that regenerates the paper's Table 1.
 
 The adjacency walk for engine implementers
 ------------------------------------------
@@ -61,7 +60,7 @@ kind-level property ones.  A create first asks the engine's charge-free
 engine's table-name limit), before anything is booked.  Each write then
 books the round trip, checks, calls the engine's substrate hook and
 writes the one WAL record naming the element; every check raises before
-the schema, the WAL or the substrate moves (the steps are listed in
+the WAL or the substrate moves (the steps are listed in
 ``docs/ARCHITECTURE.md``).  Engines supply the hooks:
 ``_insert_vertex`` / ``_insert_edge`` (returning the new id),
 ``_delete_vertex`` / ``_delete_edge``, ``_put_property`` /
@@ -81,7 +80,6 @@ from typing import Any, Callable, Iterator
 from repro.config import EngineConfig
 from repro.model.elements import EDGE, VERTEX, Direction, ElementKind
 from repro.model.graph import OPS, GraphDatabase, check_property_keys
-from repro.model.schema import GraphSchema
 from repro.storage.hash_index import HashIndex
 from repro.storage.metrics import MetricsRegistry, StorageMetrics
 from repro.storage.wal import DurabilityMode, WriteAheadLog
@@ -147,7 +145,6 @@ class BaseEngine(GraphDatabase):
         self.metrics: StorageMetrics = self.metrics_registry.get(self.name)
         self.metrics.memory_budget = self.config.memory_budget
         self.metrics.owner = self.name
-        self.schema = GraphSchema()
         durability = (
             DurabilityMode.ASYNC if self.config.durability == "async" else DurabilityMode.SYNC
         )
@@ -165,7 +162,6 @@ class BaseEngine(GraphDatabase):
         check_property_keys(properties)
         self._check_label(label)
         self._round_trip()
-        self.schema.observe_vertex(label, set(properties))
         vertex_id = self._insert_vertex(properties, label)
         self._index_insert(vertex_id, properties)
         self._log("add_vertex", id=vertex_id)
@@ -180,7 +176,6 @@ class BaseEngine(GraphDatabase):
         self._round_trip()
         self._require(VERTEX, source_id)
         self._require(VERTEX, target_id)
-        self.schema.observe_edge(label, set(properties))
         edge_id = self._insert_edge(source_id, target_id, label, properties)
         self._log("add_edge", id=edge_id)
         return edge_id

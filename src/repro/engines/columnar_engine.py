@@ -7,8 +7,8 @@ Architecture reproduced from the paper (Sections 3.2, 6.2, and 6.4):
 * every edge traversal resolves the vertex row through a row-key index
   before it can slice the adjacency list, so point traversals carry a
   per-hop index cost;
-* writes go through consistency checks and (unless the schema was declared
-  up front) schema inference, which makes insertions slow — around an order
+* writes go through consistency checks and schema inference (no run
+  declares a schema up front), which makes insertions slow — around an order
   of magnitude slower than the fastest engines in the paper;
 * deletions only write tombstones, which is why the original system improved
   by almost an order of magnitude on delete operations;

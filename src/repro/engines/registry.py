@@ -77,13 +77,6 @@ def resolve_engine_id(name: str) -> str:
     )
 
 
-def register_engine(identifier: str, engine_class: type[BaseEngine]) -> None:
-    """Register a new engine class under ``identifier`` (extensibility hook)."""
-    global ALL_ENGINES
-    _REGISTRY[identifier] = engine_class
-    ALL_ENGINES = tuple(_REGISTRY)
-
-
 def create_engine(
     identifier: str,
     config: EngineConfig | None = None,

@@ -81,12 +81,10 @@ class TripleEngine(BaseEngine):
 
     def begin_bulk_load(self) -> None:
         super().begin_bulk_load()
-        if self.config.bulk_load:
-            self._triples.begin_bulk_load()
+        self._triples.begin_bulk_load()
 
     def end_bulk_load(self) -> None:
-        if self.config.bulk_load:
-            self._triples.end_bulk_load()
+        self._triples.end_bulk_load()
         super().end_bulk_load()
 
     # ------------------------------------------------------------------

@@ -113,7 +113,8 @@ class SerializationFailureError(TransactionError):
 
 
 class SessionStateError(TransactionError):
-    """A session was used after it was committed or aborted."""
+    """A session was used after it was committed or aborted, or while its
+    coordinator awaits recovery."""
 
 
 class ParticipantUnavailableError(TransactionError):

@@ -201,7 +201,6 @@ def run_chaos_benchmark(
     dataset_name: str = "yeast",
     scale: float = 0.25,
     seed: int = 20181204,
-    dataset_seed: int = 11,
     max_restarts: int = DEFAULT_MAX_RESTARTS,
     superstep_timeout: int = DEFAULT_SUPERSTEP_TIMEOUT,
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
@@ -220,7 +219,7 @@ def run_chaos_benchmark(
         "superstep_timeout": superstep_timeout,
         "checkpoint_interval": checkpoint_interval,
     }
-    dataset, header = registry.seeded_dataset(dataset_name, scale, dataset_seed)
+    dataset, header = registry.seeded_dataset(dataset_name, scale, registry.DATASET_SEED)
     plans = plan_matrix(dataset, [partitioner], shard_counts)
     query_sets = {
         name: plan_queries(dataset, seed, **CHAOS_MIXES[name]) for name in mixes

@@ -22,12 +22,11 @@ def loads_graphson(text: str, name: str = "graphson") -> Dataset:
     return _from_payload(payload, name)
 
 
-def read_graphson(path: str | Path, name: str | None = None) -> Dataset:
-    """Read a GraphSON document from ``path``."""
+def read_graphson(path: str | Path) -> Dataset:
+    """Read a GraphSON document from ``path``, naming the dataset after its stem."""
     path = Path(path)
-    dataset_name = name if name is not None else path.stem
     with open(path, "r", encoding="utf-8") as handle:
-        return loads_graphson(handle.read(), name=dataset_name)
+        return loads_graphson(handle.read(), name=path.stem)
 
 
 def _from_payload(payload: dict[str, Any], name: str) -> Dataset:

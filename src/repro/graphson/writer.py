@@ -9,8 +9,8 @@ from typing import Any
 from repro.datasets.base import Dataset
 
 
-def dumps_graphson(dataset: Dataset, indent: int | None = None) -> str:
-    """Serialise ``dataset`` as a GraphSON 1.0-style JSON string."""
+def dumps_graphson(dataset: Dataset) -> str:
+    """Serialise ``dataset`` as a compact GraphSON 1.0-style JSON string."""
     vertices: list[dict[str, Any]] = []
     for vertex in dataset.vertices:
         record: dict[str, Any] = {"_id": vertex["id"], "_type": "vertex"}
@@ -30,13 +30,13 @@ def dumps_graphson(dataset: Dataset, indent: int | None = None) -> str:
         record.update(edge.get("properties") or {})
         edges.append(record)
     payload = {"graph": {"mode": "NORMAL", "vertices": vertices, "edges": edges}}
-    return json.dumps(payload, indent=indent, default=str)
+    return json.dumps(payload, default=str)
 
 
-def write_graphson(dataset: Dataset, path: str | Path, indent: int | None = None) -> Path:
+def write_graphson(dataset: Dataset, path: str | Path) -> Path:
     """Write ``dataset`` to ``path`` and return the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_graphson(dataset, indent=indent))
+        handle.write(dumps_graphson(dataset))
     return path

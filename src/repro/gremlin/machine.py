@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterator
 
 from repro.gremlin import steps as S
@@ -243,12 +243,13 @@ class TraversalContext:
     """Execution context handed to every step."""
 
     graph: GraphDatabase
-    #: Whether walkers extend their ``path`` tuple (decided per pipeline).
-    path_tracking: bool = True
+    #: Whether walkers extend their ``path`` tuple (decided per pipeline by
+    #: :meth:`TraversalMachine.run`).
+    path_tracking: bool = field(default=True, init=False)
     #: Whether steps may batch frontiers through the engine bulk primitives.
-    batching: bool = True
+    batching: bool = field(default=True, init=False)
     #: Cached ``graph.metrics`` (None for engines without metrics).
-    metrics: Any = None
+    metrics: Any = field(init=False)
 
     def __post_init__(self) -> None:
         self.metrics = getattr(self.graph, "metrics", None)
@@ -278,9 +279,7 @@ class TraversalMachine:
         terminal, which reads walker paths without a ``path()`` step).
         """
         baseline = _BASELINE_MODE
-        pipeline = optimize(
-            self.graph, steps, count_pushdown=not baseline, index_routing=not baseline
-        )
+        pipeline = optimize(self.graph, steps, baseline=baseline)
         tracking = baseline or require_paths or requires_path(pipeline)
         batching = not baseline and batching_is_safe(pipeline)
         self.context.path_tracking = tracking

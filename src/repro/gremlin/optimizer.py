@@ -64,25 +64,24 @@ def _index_routable(graph: GraphDatabase, label: str | None) -> bool:
 def optimize(
     graph: GraphDatabase,
     steps: list[S.Step],
-    count_pushdown: bool = True,
-    index_routing: bool = True,
+    baseline: bool = False,
 ) -> list[S.Step]:
     """Return the (possibly rewritten) step pipeline for ``graph``.
 
-    ``count_pushdown=False`` disables only the count rewrite and
-    ``index_routing=False`` only the structural-index rewrite (both used by
-    the baseline executor for before/after benchmarking).
+    ``baseline`` disables the count rewrite and the structural-index
+    rewrite (the baseline executor's before/after benchmarking); step
+    conflation and attribute-index lookups stay.
     """
     conflating = engine_optimizes(graph)
     rewritten: list[S.Step] = []
     position = 0
     while position < len(steps):
         step = steps[position]
-        if index_routing and isinstance(step, S.ReachableStep) and _index_routable(graph, step.label):
+        if not baseline and isinstance(step, S.ReachableStep) and _index_routable(graph, step.label):
             rewritten.append(S.IndexedReachableStep(target=step.target, label=step.label))
             position += 1
             continue
-        if index_routing and isinstance(step, S.DescendantsStep) and _index_routable(graph, step.label):
+        if not baseline and isinstance(step, S.DescendantsStep) and _index_routable(graph, step.label):
             rewritten.append(S.IndexedDescendantsStep(label=step.label))
             position += 1
             continue
@@ -109,7 +108,7 @@ def optimize(
             continue
         rewritten.append(step)
         position += 1
-    if count_pushdown and engine_conflates_counts(graph):
+    if not baseline and engine_conflates_counts(graph):
         rewritten = _push_down_counts(rewritten)
     return rewritten
 

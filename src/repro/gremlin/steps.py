@@ -23,7 +23,7 @@ different interleaving than the per-walker executor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
 from repro.exceptions import QueryError
@@ -610,7 +610,7 @@ class PathStep(Step):
 
     def apply(self, traversers, ctx):
         for traverser in traversers:
-            yield traverser.spawn(tuple(traverser.path), kind="value", extend_path=False)
+            yield replace(traverser, obj=tuple(traverser.path), kind="value")
 
 
 @dataclass

@@ -53,10 +53,10 @@ class Traverser:
     loops: int = 0
     bulk: int = 1
 
-    def spawn(self, obj: Any, kind: str, extend_path: bool = True) -> "Traverser":
+    def spawn(self, obj: Any, kind: str) -> "Traverser":
         """Create a child traverser positioned at ``obj``."""
         path = self.path
-        if path is not None and extend_path:
+        if path is not None:
             path = path + (obj,)
         child = object.__new__(Traverser)
         _set = object.__setattr__

@@ -45,6 +45,6 @@ class StructuralIndexManager:
         index = self._indexes.get(label)
         return index is not None and not index.is_stale()
 
-    def drop(self, label: str | None = None) -> None:
+    def drop(self, label: str | None) -> None:
         """Forget the cached index over ``label`` (no-op if absent)."""
         self._indexes.pop(label, None)

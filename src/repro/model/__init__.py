@@ -2,6 +2,5 @@
 
 from repro.model.elements import Edge, Vertex, Direction
 from repro.model.graph import GraphDatabase
-from repro.model.schema import GraphSchema
 
-__all__ = ["Vertex", "Edge", "Direction", "GraphDatabase", "GraphSchema"]
+__all__ = ["Vertex", "Edge", "Direction", "GraphDatabase"]

@@ -83,9 +83,9 @@ class Vertex:
     label: str | None = None
     properties: Mapping[str, Any] = field(default_factory=dict)
 
-    def value(self, key: str, default: Any = None) -> Any:
-        """Return the value of property ``key`` or ``default``."""
-        return self.properties.get(key, default)
+    def value(self, key: str) -> Any:
+        """Return the value of property ``key``, or None if it is unset."""
+        return self.properties.get(key)
 
     def has(self, key: str, value: Any = _ANY_VALUE) -> bool:
         """True if the vertex has property ``key`` (optionally equal to ``value``)."""
@@ -109,9 +109,9 @@ class Edge:
     target: Any
     properties: Mapping[str, Any] = field(default_factory=dict)
 
-    def value(self, key: str, default: Any = None) -> Any:
-        """Return the value of property ``key`` or ``default``."""
-        return self.properties.get(key, default)
+    def value(self, key: str) -> Any:
+        """Return the value of property ``key``, or None if it is unset."""
+        return self.properties.get(key)
 
     def other(self, vertex_id: Any) -> Any:
         """Return the endpoint on the other side of ``vertex_id``."""

@@ -170,7 +170,6 @@ def run_scaleout_benchmark(
     bfs_sources: int = 3,
     latency_per_message: int = DEFAULT_LATENCY_PER_MESSAGE,
     cost_per_item: int = DEFAULT_COST_PER_ITEM,
-    dataset_seed: int = 11,
 ) -> dict[str, Any]:
     """Run the engines × partitioners × K matrix (``BENCH_partition.json``)."""
     registry.check_args(SPEC.args, locals())
@@ -180,7 +179,7 @@ def run_scaleout_benchmark(
             "baseline that speedup and efficiency are measured against"
         )
     network = NetworkCostModel(latency_per_message, cost_per_item)
-    dataset, header = registry.seeded_dataset(dataset_name, scale, dataset_seed)
+    dataset, header = registry.seeded_dataset(dataset_name, scale, registry.DATASET_SEED)
     queries = plan_queries(dataset, seed, depth=depth, bfs_sources=bfs_sources)
     plans = plan_matrix(dataset, partitioner_names, shard_counts)
     engines: dict[str, dict[str, Any]] = {}

@@ -96,11 +96,13 @@ def direct_bfs(
     return _direct_search(engine, source, depth, None)
 
 
-def direct_shortest_path(
-    engine: GraphDatabase, source: Any, target: Any, max_depth: int = 32
-) -> int:
+#: Hop limit of a shortest-path search (the distributed one and its reference).
+SHORTEST_PATH_DEPTH = 32
+
+
+def direct_shortest_path(engine: GraphDatabase, source: Any, target: Any) -> int:
     """Reference unweighted shortest-path distance (-1 when unreachable)."""
-    return _direct_search(engine, source, max_depth, target).get(target, -1)
+    return _direct_search(engine, source, SHORTEST_PATH_DEPTH, target).get(target, -1)
 
 
 @dataclass
@@ -115,7 +117,7 @@ class ShardRuntime:
     reverse: dict[Any, Any] = field(init=False)
     #: External id → ``((remote external id, remote shard), ...)`` for every
     #: cut edge incident to the local vertex, in cut-table build order.
-    remote: dict[Any, list[tuple[Any, int]]] = field(default_factory=dict)
+    remote: dict[Any, list[tuple[Any, int]]] = field(default_factory=dict, init=False)
     #: The external-id load payload this shard's engine was built from
     #: (``{"vertices": [...], "edges": [...]}``).  The coordinator keeps it
     #: as the authoritative copy a crashed shard recovers from (the chaos
@@ -211,9 +213,7 @@ class DistributedExecutor:
         """The ``depth``-hop neighbourhood of ``source`` (Q22-Q27 flavour)."""
         return self._run(source, depth, target=None)
 
-    def shortest_path(
-        self, source: Any, target: Any, max_depth: int = 32
-    ) -> DistributedResult:
+    def shortest_path(self, source: Any, target: Any) -> DistributedResult:
         """BFS with barrier early-exit once ``target`` is discovered.
 
         ``result.distances.get(target, -1)`` is the path length; the run
@@ -223,7 +223,7 @@ class DistributedExecutor:
         """
         if target not in self.owner:
             raise BenchmarkError(f"shortest-path target {target!r} is not a known vertex")
-        return self._run(source, max_depth, target=target)
+        return self._run(source, SHORTEST_PATH_DEPTH, target=target)
 
     # ------------------------------------------------------------------
     # The superstep engine

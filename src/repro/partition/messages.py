@@ -102,7 +102,7 @@ class MessageBatch:
     #: Per-query emission sequence number.  Receivers deliver in sequence
     #: order (the reorder buffer) and drop re-deliveries of a sequence they
     #: have already applied (duplicate idempotency).  0 outside chaos runs.
-    sequence: int = 0
+    sequence: int = field(default=0, init=False)
 
     def __len__(self) -> int:
         return len(self.items)

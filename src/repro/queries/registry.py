@@ -124,9 +124,14 @@ def _bfs(labelled: bool) -> Body:
     return body
 
 
-def _shortest_path(labelled: bool, max_depth: int = 32) -> Body:
-    """Q34/Q35: the loop-based shortest paths from ``vertex`` to ``vertex2``,
-    over edges labelled ``label`` if ``labelled``."""
+#: Hop limit of the Q34/Q35 shortest-path loop.
+SHORTEST_PATH_HOPS = 32
+
+
+def _shortest_path(labelled: bool) -> Body:
+    """Q34/Q35: the loop-based shortest paths (at most :data:`SHORTEST_PATH_HOPS`
+    hops) from ``vertex`` to ``vertex2``, over edges labelled ``label`` if
+    ``labelled``."""
 
     def body(graph: GraphDatabase, params: Mapping[str, Any]) -> Any:
         source, target = params["vertex"], params["vertex2"]
@@ -141,8 +146,8 @@ def _shortest_path(labelled: bool, max_depth: int = 32) -> Body:
             .store(visited)
             .loop(
                 "i",
-                lambda loops, obj, g: obj != target and loops < max_depth,
-                max_loops=max_depth,
+                lambda loops, obj, g: obj != target and loops < SHORTEST_PATH_HOPS,
+                max_loops=SHORTEST_PATH_HOPS,
             )
             .retain([target])
             .paths()

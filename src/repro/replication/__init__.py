@@ -25,11 +25,7 @@ from repro.replication.cache import (
     ChargedCache,
     cache_keys_for,
 )
-from repro.replication.log import (
-    ReplicationCostModel,
-    ReplicationLog,
-    ReplicationRecord,
-)
+from repro.replication.log import ReplicationLog, ReplicationRecord
 from repro.replication.replica import (
     DEFAULT_APPLY_INTERVAL,
     DEFAULT_STALENESS_BOUND,
@@ -62,7 +58,6 @@ __all__ = [
     "ReadScaleDeployment",
     "ReplicatedCluster",
     "ReplicatedShard",
-    "ReplicationCostModel",
     "ReplicationLog",
     "ReplicationRecord",
     "WriteReceipt",

@@ -45,7 +45,7 @@ from repro.exceptions import BenchmarkError
 from repro.partition.bench import PARTITIONER
 from repro.partition.messages import NetworkCostModel
 from repro.partition.partitioners import PartitionPlan, partition_dataset
-from repro.replication.log import ReplicationCostModel
+from repro.replication import log as replication_log
 from repro.replication.replica import DEFAULT_APPLY_INTERVAL, ReadOutcome
 from repro.replication.report import format_readscale_report
 from repro.replication.routing import ReadScaleDeployment, build_readscale
@@ -233,7 +233,6 @@ def run_readscale_cell(
     cache_capacity: int,
     apply_interval: int,
     network: NetworkCostModel,
-    cost_model: ReplicationCostModel,
     storm_rounds: int,
 ) -> dict[str, Any]:
     """One (engine, R, bound, cache) cell: steady phase, then the storm."""
@@ -248,7 +247,6 @@ def run_readscale_cell(
         cache_capacity=cache_capacity,
         staleness_bound=staleness_bound,
         network=network,
-        cost_model=cost_model,
     )
     oracle = _CoherenceOracle()
     stamp = _drive_tape(deployment, workload["tape"], oracle, staleness_bound, 0)
@@ -320,13 +318,11 @@ def run_readscale_benchmark(
     steady_ops: int = 160,
     storm_rounds: int = 2,
     hot_set_size: int = 8,
-    dataset_seed: int = 11,
 ) -> dict[str, Any]:
     """Run the engines × replicas × bounds × caches matrix."""
     registry.check_args(SPEC.args, locals())
     network = NetworkCostModel()
-    cost_model = ReplicationCostModel()
-    dataset, header = registry.seeded_dataset(dataset_name, scale, dataset_seed)
+    dataset, header = registry.seeded_dataset(dataset_name, scale, registry.DATASET_SEED)
     plan = partition_dataset(dataset, shards, partitioner)
     workload = plan_workload(
         dataset, plan, seed, steady_ops=steady_ops, hot_set_size=hot_set_size
@@ -345,7 +341,6 @@ def run_readscale_benchmark(
                 capacity,
                 apply_interval,
                 network,
-                cost_model,
                 storm_rounds=storm_rounds,
             )
             for replicas in replica_counts
@@ -367,7 +362,7 @@ def run_readscale_benchmark(
         "staleness_bounds": list(staleness_bounds),
         "cache_capacities": list(cache_capacities),
         "network": network.params(),
-        "replication": cost_model.params(),
+        "replication": replication_log.params(),
         "hot_set": workload["hot_set"],
         "engines": engines,
     }

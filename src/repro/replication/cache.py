@@ -103,8 +103,8 @@ class ChargedCache:
     name: str
     capacity: int
     invalidation_charge_per_entry: int = DEFAULT_INVALIDATION_CHARGE
-    stats: CacheStats = field(default_factory=CacheStats)
-    _entries: "OrderedDict[Any, CacheEntry]" = field(default_factory=OrderedDict)
+    stats: CacheStats = field(default_factory=CacheStats, init=False)
+    _entries: "OrderedDict[Any, CacheEntry]" = field(default_factory=OrderedDict, init=False)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -4,8 +4,8 @@ Every mutating commit on a primary appends one
 :class:`ReplicationRecord` carrying the commit timestamp, the virtual
 time it happened at (:class:`~repro.concurrency.scheduler.StalenessClock`
 reading), the cache keys it dirtied, and its operation count.  Replicas
-consume the log in batches: shipping and applying are charged by the
-:class:`ReplicationCostModel`, and the *age of the oldest unapplied
+consume the log in batches: shipping and applying are charged at the
+prices below (:func:`batch_apply_cost`), and the *age of the oldest unapplied
 record* is the replica's staleness — the quantity the routing tier
 compares against the staleness bound.
 
@@ -16,61 +16,43 @@ to the primary-only path (the differential harness's contract).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
-@dataclass(frozen=True)
-class ReplicationCostModel:
-    """Charge parameters for feeding replicas, mirroring NetworkCostModel.
+# Charge prices for feeding replicas, mirroring NetworkCostModel.  All
+# integers, all reported in the benchmark payload via :func:`params` —
+# changing any of them shows up in the byte-exact CI gate as a deliberate
+# diff, never as noise.
 
-    All integers, all explicit, all reported in the benchmark payload via
-    :meth:`params` — changing any of them shows up in the byte-exact CI
-    gate as a deliberate diff, never as noise.
-    """
+#: Primary-side charge to append one commit's record to the log.
+APPEND_PER_RECORD = 1
+#: Per-batch latency a replica pays to fetch pending records.
+SHIP_LATENCY_PER_BATCH = 8
+#: Per-record wire charge within a shipped batch.
+SHIP_PER_RECORD = 2
+#: Per-operation charge to apply a record into the replica's snapshot
+#: (moving the pin and dropping dirty cache entries is the real work; the
+#: MVCC overlay itself needs no data copy).
+APPLY_PER_OP = 1
 
-    #: Primary-side charge to append one commit's record to the log.
-    append_per_record: int = 1
-    #: Per-batch latency a replica pays to fetch pending records.
-    ship_latency_per_batch: int = 8
-    #: Per-record wire charge within a shipped batch.
-    ship_per_record: int = 2
-    #: Per-operation charge to apply a record into the replica's snapshot
-    #: (moving the pin and dropping dirty cache entries is the real work;
-    #: the MVCC overlay itself needs no data copy).
-    apply_per_op: int = 1
 
-    def __post_init__(self) -> None:
-        for name in (
-            "append_per_record",
-            "ship_latency_per_batch",
-            "ship_per_record",
-            "apply_per_op",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+def batch_apply_cost(records: list["ReplicationRecord"]) -> int:
+    """Ship + apply charge for one fetched batch of pending records."""
+    if not records:
+        return 0
+    ops = sum(record.ops for record in records)
+    return SHIP_LATENCY_PER_BATCH + SHIP_PER_RECORD * len(records) + APPLY_PER_OP * ops
 
-    def append_cost(self, record: "ReplicationRecord") -> int:
-        return self.append_per_record
 
-    def batch_apply_cost(self, records: list["ReplicationRecord"]) -> int:
-        """Ship + apply charge for one fetched batch of pending records."""
-        if not records:
-            return 0
-        ops = sum(record.ops for record in records)
-        return (
-            self.ship_latency_per_batch
-            + self.ship_per_record * len(records)
-            + self.apply_per_op * ops
-        )
-
-    def params(self) -> dict[str, int]:
-        return {
-            "append_per_record": self.append_per_record,
-            "ship_latency_per_batch": self.ship_latency_per_batch,
-            "ship_per_record": self.ship_per_record,
-            "apply_per_op": self.apply_per_op,
-        }
+def params() -> dict[str, int]:
+    """The prices, as the ``"replication"`` block of a payload."""
+    return {
+        "append_per_record": APPEND_PER_RECORD,
+        "ship_latency_per_batch": SHIP_LATENCY_PER_BATCH,
+        "ship_per_record": SHIP_PER_RECORD,
+        "apply_per_op": APPLY_PER_OP,
+    }
 
 
 @dataclass(frozen=True)
@@ -90,8 +72,7 @@ class ReplicationRecord:
 class ReplicationLog:
     """Append-only feed from one primary to its replicas."""
 
-    def __init__(self, cost_model: ReplicationCostModel | None = None) -> None:
-        self.cost_model = cost_model or ReplicationCostModel()
+    def __init__(self) -> None:
         self.records: list[ReplicationRecord] = []
         #: Total primary-side append charge (overhead ledger).
         self.append_charge = 0
@@ -107,9 +88,8 @@ class ReplicationLog:
                 f"{record.commit_ts} after {self.records[-1].commit_ts}"
             )
         self.records.append(record)
-        charge = self.cost_model.append_cost(record)
-        self.append_charge += charge
-        return charge
+        self.append_charge += APPEND_PER_RECORD
+        return APPEND_PER_RECORD
 
     def pending_after(self, applied_index: int) -> list[ReplicationRecord]:
         """Records a replica that has applied ``applied_index`` still owes."""

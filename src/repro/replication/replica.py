@@ -36,7 +36,7 @@ from repro.concurrency.sessions import CommitResult, SessionManager
 from repro.exceptions import BenchmarkError
 from repro.model.elements import Direction
 from repro.replication.cache import ChargedCache, cache_keys_for
-from repro.replication.log import ReplicationCostModel, ReplicationLog, ReplicationRecord
+from repro.replication.log import ReplicationLog, ReplicationRecord, batch_apply_cost
 
 #: Default virtual-time staleness bound (charge units a replica may lag).
 DEFAULT_STALENESS_BOUND = 4096
@@ -150,7 +150,7 @@ class ReadReplica:
         pending = self.log.pending_after(self.applied_index)
         if not pending:
             return 0
-        charge = self.log.cost_model.batch_apply_cost(pending)
+        charge = batch_apply_cost(pending)
         for record in pending:
             for key in record.keys:
                 for cache_key in cache_keys_for(key):
@@ -186,8 +186,6 @@ class ReplicatedCluster:
         apply_interval: int = DEFAULT_APPLY_INTERVAL,
         cache_capacity: int = 0,
         staleness_bound: int = DEFAULT_STALENESS_BOUND,
-        cost_model: ReplicationCostModel | None = None,
-        invalidation_charge: int | None = None,
         force_capture: bool = False,
     ) -> None:
         if replicas < 0:
@@ -197,11 +195,8 @@ class ReplicatedCluster:
         self.engine = manager.engine
         self.clock = clock
         self.staleness_bound = staleness_bound
-        self.log = ReplicationLog(cost_model)
-        cache_kwargs: dict[str, Any] = {}
-        if invalidation_charge is not None:
-            cache_kwargs["invalidation_charge_per_entry"] = invalidation_charge
-        self.primary_cache = ChargedCache(f"{name}-primary-hot", cache_capacity, **cache_kwargs)
+        self.log = ReplicationLog()
+        self.primary_cache = ChargedCache(f"{name}-primary-hot", cache_capacity)
         self.replicas = [
             ReadReplica(
                 index=index,
@@ -212,7 +207,7 @@ class ReplicatedCluster:
                 # last replica lags the most — a deterministic spread of
                 # staleness instead of R clones of one replica.
                 apply_interval=apply_interval * (index + 1),
-                cache=ChargedCache(f"{name}-replica{index}-hot", cache_capacity, **cache_kwargs),
+                cache=ChargedCache(f"{name}-replica{index}-hot", cache_capacity),
             )
             for index in range(replicas)
         ]

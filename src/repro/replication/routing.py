@@ -39,7 +39,6 @@ from repro.partition.executor import BuildReport, ShardRuntime, build_distribute
 from repro.partition.messages import NetworkCostModel
 from repro.partition.partitioners import PartitionPlan
 from repro.replication.cache import ChargedCache
-from repro.replication.log import ReplicationCostModel
 from repro.replication.replica import (
     DEFAULT_APPLY_INTERVAL,
     DEFAULT_STALENESS_BOUND,
@@ -47,6 +46,10 @@ from repro.replication.replica import (
     ReplicatedCluster,
     WriteReceipt,
 )
+
+
+#: Second hops a friends-of-friends read follows.
+FOAF_FANOUT = 4
 
 
 class ReplicatedShard:
@@ -117,9 +120,8 @@ class ReadScaleDeployment:
         source: Any,
         target: Any,
         label: str,
-        properties: dict[str, Any] | None = None,
     ) -> tuple[WriteReceipt, tuple[int, Any]]:
-        """Create an edge between two vertices of one shard.
+        """Create a property-less edge between two vertices of one shard.
 
         Returns the receipt plus a ``(shard index, engine edge id)`` handle
         usable with :meth:`remove_edge`.  Cross-shard pairs are rejected:
@@ -134,7 +136,7 @@ class ReadScaleDeployment:
         src = self._internal(shard, source)
         dst = self._internal(shard, target)
         receipt = shard.cluster.execute_write(
-            lambda graph: graph.add_edge(src, dst, label, properties=dict(properties or {}))
+            lambda graph: graph.add_edge(src, dst, label)
         )
         self._fan_out(shard, receipt)
         edge_id = receipt.id_map.get(receipt.result, receipt.result)
@@ -177,8 +179,9 @@ class ReadScaleDeployment:
             self._internal(shard, external), self._bound(bound)
         )
 
-    def adjacency(self, external: Any, bound: int | None = None) -> ReadOutcome:
-        """Full neighbour list of a vertex, in external ids.
+    def adjacency(self, external: Any) -> ReadOutcome:
+        """Full neighbour list of a vertex, in external ids, within the
+        deployment's staleness bound.
 
         Local (intra-shard) neighbours come from the owning shard's
         replica/cache tier; cut-edge neighbours are appended from the
@@ -188,7 +191,7 @@ class ReadScaleDeployment:
         """
         shard = self._shard_of(external)
         outcome = shard.cluster.read_adjacency(
-            self._internal(shard, external), self._bound(bound)
+            self._internal(shard, external), self.staleness_bound
         )
         reverse = shard.runtime.reverse
         merged: dict[Any, None] = {}
@@ -199,10 +202,8 @@ class ReadScaleDeployment:
         outcome.value = tuple(merged)
         return outcome
 
-    def foaf(
-        self, external: Any, bound: int | None = None, fanout: int = 4
-    ) -> dict[str, Any]:
-        """Friends-of-friends: one first hop, up to ``fanout`` second hops.
+    def foaf(self, external: Any) -> dict[str, Any]:
+        """Friends-of-friends: one first hop, up to :data:`FOAF_FANOUT` second hops.
 
         Second hops on the home shard are served locally; remote second
         hops go through the home shard's ghost-adjacency cache, paying the
@@ -210,19 +211,19 @@ class ReadScaleDeployment:
         and nothing on a hit.
         """
         home = self._shard_of(external)
-        first = self.adjacency(external, bound)
+        first = self.adjacency(external)
         second: dict[Any, None] = {}
         ghost_hits = 0
         remote_fetches = 0
-        for neighbor in first.value[:fanout]:
+        for neighbor in first.value[:FOAF_FANOUT]:
             owner = self.owner.get(neighbor)
             if owner is None:
                 continue
             if owner == home.index:
-                hop = self.adjacency(neighbor, bound)
+                hop = self.adjacency(neighbor)
                 neighbors = hop.value
             else:
-                neighbors, hit = self._ghost_adjacency(home, neighbor, bound)
+                neighbors, hit = self._ghost_adjacency(home, neighbor)
                 ghost_hits += int(hit)
                 remote_fetches += int(not hit)
             for second_hop in neighbors:
@@ -237,7 +238,7 @@ class ReadScaleDeployment:
         }
 
     def _ghost_adjacency(
-        self, home: ReplicatedShard, external: Any, bound: int | None
+        self, home: ReplicatedShard, external: Any
     ) -> tuple[tuple[Any, ...], bool]:
         """A remote vertex's adjacency via the home shard's ghost cache."""
         key = ("ghost-adj", external)
@@ -246,7 +247,7 @@ class ReadScaleDeployment:
             entry = ghost.lookup(key)
             if entry is not None:
                 return entry.payload, True
-        outcome = self.adjacency(external, bound)
+        outcome = self.adjacency(external)
         transfer = self.network.batch_cost(max(1, len(outcome.value)))
         self.network_charge += transfer
         self.remote_fetches += 1
@@ -318,11 +319,8 @@ def build_readscale(
     replicas: int = 0,
     apply_interval: int = DEFAULT_APPLY_INTERVAL,
     cache_capacity: int = 0,
-    ghost_capacity: int | None = None,
     staleness_bound: int = DEFAULT_STALENESS_BOUND,
     network: NetworkCostModel | None = None,
-    cost_model: ReplicationCostModel | None = None,
-    invalidation_charge: int | None = None,
 ) -> tuple[ReadScaleDeployment, BuildReport]:
     """Carve a loaded engine into a replicated read-scale deployment.
 
@@ -336,10 +334,6 @@ def build_readscale(
     )
     clock = StalenessClock()
     shards: list[ReplicatedShard] = []
-    ghost_cache_capacity = cache_capacity if ghost_capacity is None else ghost_capacity
-    cache_kwargs: dict[str, Any] = {}
-    if invalidation_charge is not None:
-        cache_kwargs["invalidation_charge_per_entry"] = invalidation_charge
     for runtime in executor.shards:
         cluster = ReplicatedCluster(
             name=f"shard{runtime.index}",
@@ -351,15 +345,11 @@ def build_readscale(
             apply_interval=apply_interval,
             cache_capacity=cache_capacity,
             staleness_bound=staleness_bound,
-            cost_model=cost_model,
-            invalidation_charge=invalidation_charge,
             # Ghost fan-out needs each commit's invalidation keys even when
             # the shard itself runs no hot cache and no replicas.
-            force_capture=ghost_cache_capacity > 0,
+            force_capture=cache_capacity > 0,
         )
-        ghost = ChargedCache(
-            f"shard{runtime.index}-ghost", ghost_cache_capacity, **cache_kwargs
-        )
+        ghost = ChargedCache(f"shard{runtime.index}-ghost", cache_capacity)
         shards.append(ReplicatedShard(runtime, cluster, ghost))
     deployment = ReadScaleDeployment(
         shards,

@@ -88,9 +88,6 @@ class BPlusTree:
         Maximum number of keys per node; nodes split when they exceed it.
     metrics:
         Counter charged for probes, updates, and leaf scans.
-    unique:
-        When true, inserting an existing key replaces its values instead of
-        appending, and duplicate inserts raise no error.
     """
 
     def __init__(
@@ -98,13 +95,11 @@ class BPlusTree:
         name: str = "btree",
         order: int = _DEFAULT_ORDER,
         metrics: StorageMetrics | None = None,
-        unique: bool = False,
     ) -> None:
         if order < 3:
             raise StorageError("B+Tree order must be at least 3")
         self.name = name
         self.order = order
-        self.unique = unique
         self.metrics = metrics if metrics is not None else StorageMetrics(owner=name)
         self._root: _Node = _LeafNode()
         self._size = 0  # number of (key, value) pairs
@@ -161,12 +156,8 @@ class BPlusTree:
         keys = node.keys
         index = bisect_left(keys, key)
         if index < len(keys) and keys[index] == key:
-            if self.unique:
-                self._size += 1 - len(node.values[index])
-                node.values[index] = [value]
-            else:
-                node.values[index].append(value)
-                self._size += 1
+            node.values[index].append(value)
+            self._size += 1
             return False
         keys.insert(index, key)
         node.values.insert(index, [value])
@@ -271,37 +262,19 @@ class BPlusTree:
 
     # -- range scans -----------------------------------------------------------
 
-    def range(
-        self,
-        low: Any = None,
-        high: Any = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Iterator[tuple[Any, Any]]:
+    def range(self, low: Any = None, high: Any = None) -> Iterator[tuple[Any, Any]]:
         """Yield (key, value) pairs with low <= key <= high in key order."""
         if low is None:
             leaf: _LeafNode | None = self._leftmost_leaf()
             index = 0
         else:
             leaf, index = self._find_leaf(low)
-            if not include_low:
-                while (
-                    leaf is not None
-                    and index < len(leaf.keys)
-                    and leaf.keys[index] == low
-                ):
-                    index += 1
-                    if index >= len(leaf.keys):
-                        leaf = leaf.next_leaf
-                        index = 0
-                        break
         metrics = self.metrics
         while leaf is not None:
             while index < len(leaf.keys):
                 key = leaf.keys[index]
-                if high is not None:
-                    if key > high or (key == high and not include_high):
-                        return
+                if high is not None and key > high:
+                    return
                 metrics.index_probes += 1
                 for value in leaf.values[index]:
                     yield key, value

@@ -102,8 +102,8 @@ class StorageMetrics:
         self.records_written += count
         self.bytes_written += nbytes
 
-    def charge_round_trip(self, count: int = 1) -> None:
-        self.network_round_trips += count
+    def charge_round_trip(self) -> None:
+        self.network_round_trips += 1
 
     # -- memory budget -----------------------------------------------------
 
@@ -138,7 +138,7 @@ class MetricsRegistry:
     single engine-level summary.
     """
 
-    metrics: dict[str, StorageMetrics] = field(default_factory=dict)
+    metrics: dict[str, StorageMetrics] = field(default_factory=dict, init=False)
 
     def get(self, name: str) -> StorageMetrics:
         if name not in self.metrics:

@@ -118,9 +118,9 @@ class ValueLog:
     it actually follows, which is the whole point of the separation).
     """
 
-    def __init__(self, name: str = "vlog", metrics: StorageMetrics | None = None) -> None:
+    def __init__(self, name: str = "vlog") -> None:
         self.name = name
-        self.metrics = metrics if metrics is not None else StorageMetrics(owner=name)
+        self.metrics = StorageMetrics(owner=name)
         self._values: list[Any] = []
         self._checksums: list[int] = []
         self.appended_bytes = 0
@@ -340,6 +340,22 @@ class WriteAheadLog:
         writer can re-append these records after the truncation.
         """
         return self._records[self._verified_durable() : self._durable_upto]
+
+    def cut_torn_tail(self) -> int:
+        """Crash restart: cut the durable log at its first torn record.
+
+        :meth:`replay` never trusts what follows a torn record, so a record
+        appended after the restart would be invisible behind it; cutting the
+        torn suffix lets later appends replay.  Books nothing (the cut is a
+        metadata update of the log's end) and returns how many records went
+        (also counted in :attr:`torn_discarded`).
+        """
+        verified = self._verified_durable()
+        torn = self._durable_upto - verified
+        del self._records[verified : self._durable_upto]
+        self._durable_upto = verified
+        self.torn_discarded += torn
+        return torn
 
     def truncate(self) -> int:
         """Checkpoint: drop verified durable records, keep undurable ones.

@@ -78,15 +78,13 @@ def plan_transactions(
     return plans
 
 
-def plan_skew_pairs(
-    dataset: Dataset, seed: int, pairs: int = 8
-) -> list[tuple[Any, Any]]:
-    """Seeded distinct vertex pairs for the write-skew phase."""
+def plan_skew_pairs(dataset: Dataset, seed: int) -> list[tuple[Any, Any]]:
+    """Eight seeded distinct vertex pairs for the write-skew phase."""
     rng = random.Random(seed * 1_000_003 + zlib.crc32(b"txn-skew"))
     vertex_ids = [vertex["id"] for vertex in dataset.vertices]
     chosen: list[tuple[Any, Any]] = []
     used: set[Any] = set()
-    while len(chosen) < pairs and len(used) + 2 <= len(vertex_ids):
+    while len(chosen) < 8 and len(used) + 2 <= len(vertex_ids):
         a = rng.choice(vertex_ids)
         b = rng.choice(vertex_ids)
         if a == b or a in used or b in used:
@@ -413,12 +411,11 @@ def run_txn_benchmark(
     # request+response round trip, so high-cut partitions stretch the
     # window across several more arrivals — the abort-rate-vs-cut mechanism.
     base_duration: int = 60,
-    dataset_seed: int = 11,
 ) -> dict[str, Any]:
     """Run the engines × partitioners × K × isolation matrix (fig13)."""
     registry.check_args(SPEC.args, locals())
     network = NetworkCostModel()
-    dataset, header = registry.seeded_dataset(dataset_name, scale, dataset_seed)
+    dataset, header = registry.seeded_dataset(dataset_name, scale, registry.DATASET_SEED)
     txn_plans = plan_transactions(dataset, seed, transactions, footprint)
     skew_pairs = plan_skew_pairs(dataset, seed)
     plans = plan_matrix(dataset, partitioner_names, shard_counts)

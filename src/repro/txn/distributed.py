@@ -398,7 +398,6 @@ class DistributedSessionManager:
         owner: dict[Any, int],
         network: NetworkCostModel | None = None,
         isolation: str = "si",
-        fault_plan: TxnFaultPlan | None = None,
     ) -> None:
         if not shards:
             raise BenchmarkError("a distributed session manager needs at least one shard")
@@ -406,7 +405,9 @@ class DistributedSessionManager:
         self.owner = owner
         self.network = network or NetworkCostModel()
         self.isolation = isolation
-        self.fault_plan = fault_plan or TxnFaultPlan()
+        #: Commit-protocol faults to inject; benchmarks and tests install a
+        #: plan by assigning this attribute.
+        self.fault_plan = TxnFaultPlan()
         self.stats = TxnStats()
         #: SYNC log of coordinator decisions; its verified durable prefix
         #: *is* the outcome of every distributed transaction (presumed
@@ -431,6 +432,7 @@ class DistributedSessionManager:
     # -- session lifecycle -------------------------------------------------
 
     def begin(self) -> DistributedSession:
+        self._require_coordinator()
         txn = DistributedSession(self, self._next_txn_id)
         self._next_txn_id += 1
         self.stats.begun += 1
@@ -451,6 +453,7 @@ class DistributedSessionManager:
     def commit(self, txn: DistributedSession) -> TxnResult:
         if not txn.is_open:
             raise SessionStateError(f"transaction {txn.id} is already {txn.state}")
+        self._require_coordinator()
         writers = txn.writer_shards
         if len(writers) <= 1:
             return self._commit_one_phase(txn, writers)
@@ -647,6 +650,19 @@ class DistributedSessionManager:
 
     # -- commit internals --------------------------------------------------
 
+    def _require_coordinator(self) -> None:
+        """Refuse new work while a crashed coordinator awaits :meth:`recover`.
+
+        A decision appended behind a torn record would be cut by the
+        restart, and its transaction presumed aborted on shards that had
+        already applied it.
+        """
+        if self._in_doubt:
+            raise SessionStateError(
+                f"the coordinator crashed with transaction {min(self._in_doubt)} in doubt; "
+                "run recover() first"
+            )
+
     def _install_cut_edges(self, shard: TxnShard, ops: list[tuple[Any, ...]]) -> None:
         """Install ``shard``'s halves of a transaction's cut-edge inserts."""
         for op in ops:
@@ -720,6 +736,9 @@ class DistributedSessionManager:
         for record in self.decision_log.replay():
             if record.operation == "decision":
                 decisions[record.payload["txn"]] = record.payload["outcome"]
+        # The restarted coordinator cuts its log at a torn decision record,
+        # so the decisions it appends from here on replay.
+        self.decision_log.cut_torn_tail()
 
         resolutions: dict[int, str] = {}
 

@@ -127,8 +127,8 @@ class RefStore:
     must not pollute the as-of charge-parity contract.
     """
 
-    def __init__(self, metrics: StorageMetrics | None = None) -> None:
-        self.metrics = metrics or StorageMetrics(owner="version-refs")
+    def __init__(self) -> None:
+        self.metrics = StorageMetrics(owner="version-refs")
         self._refs: dict[str, int] = {}
 
     def __len__(self) -> int:

@@ -9,6 +9,8 @@ import pytest
 from repro.concurrency.driver import (
     AdaptiveRetryPolicy,
     RETRY_POLICIES,
+    SMOOTHING,
+    STRAGGLER_FACTOR,
     RetryPolicy,
     make_retry_policy,
     run_concurrent_benchmark,
@@ -25,14 +27,14 @@ class TestEwma:
         assert policy.observations == 1
 
     def test_later_observations_blend_in_at_one_over_smoothing(self):
-        policy = AdaptiveRetryPolicy(smoothing=4)
+        policy = AdaptiveRetryPolicy()
         policy.observe(100)
         policy.observe(200)
-        assert policy.ewma == (100 * 3 + 200) // 4
+        assert policy.ewma == (100 * (SMOOTHING - 1) + 200) // SMOOTHING == (100 * 3 + 200) // 4
         assert policy.observations == 2
 
     def test_arithmetic_is_integer_only(self):
-        policy = AdaptiveRetryPolicy(smoothing=4)
+        policy = AdaptiveRetryPolicy()
         for charge in (7, 13, 101, 3):
             policy.observe(charge)
         assert isinstance(policy.ewma, int)
@@ -61,9 +63,9 @@ class TestDerivedWaits:
         assert policy.backoff_for(3, random.Random(7)) >= unit * 4
 
     def test_timeout_is_a_multiple_of_the_ewma(self):
-        policy = AdaptiveRetryPolicy(straggler_factor=4)
+        policy = AdaptiveRetryPolicy()
         policy.observe(300)
-        assert policy.timeout(2048) == policy.ewma * 4
+        assert policy.timeout(2048) == policy.ewma * STRAGGLER_FACTOR == 300 * 4
 
     def test_backoff_is_deterministic_for_a_seeded_rng(self):
         policy = AdaptiveRetryPolicy()
@@ -99,7 +101,7 @@ class TestDriverWiring:
 
     @pytest.mark.parametrize("policy", RETRY_POLICIES)
     def test_both_policies_run_deterministically(self, policy):
-        kwargs = dict(clients=4, txns=6, durabilities=("sync",), retry_policy=policy)
+        kwargs = dict(clients=4, txns=6, retry_policy=policy)
         first = run_concurrent_benchmark(["nativelinked-1.9"], **kwargs)
         second = run_concurrent_benchmark(["nativelinked-1.9"], **kwargs)
         assert comparable_payload(first) == comparable_payload(second)

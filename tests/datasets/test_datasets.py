@@ -163,7 +163,7 @@ class TestStatisticsAgainstNetworkx:
 
 class TestGraphson:
     def test_round_trip_preserves_structure(self, small_dataset):
-        text = dumps_graphson(small_dataset, indent=2)
+        text = dumps_graphson(small_dataset)
         loaded = loads_graphson(text, name="tiny")
         assert loaded.vertex_count == small_dataset.vertex_count
         assert loaded.edge_count == small_dataset.edge_count

@@ -7,7 +7,6 @@ of the paper's requirement that all systems answer exactly the same queries.
 
 from __future__ import annotations
 
-import copy
 import inspect
 import re
 from pathlib import Path
@@ -173,17 +172,16 @@ class TestIdSpaces:
 
     @staticmethod
     def _assert_rejected(engine, methods, foreign_id, live):
-        """Each method raises before the WAL, the structure version, the
-        schema (new labels and keys included) or the counts move."""
+        """Each method raises before the WAL, the structure version or the
+        counts move."""
         counts = (engine.vertex_count(), engine.edge_count())
         for method in methods:
             wal_length, cost = len(engine.wal), engine.io_cost()
-            shape, schema = engine.structure_version(), copy.deepcopy(engine.schema)
+            shape = engine.structure_version()
             with pytest.raises(ElementNotFoundError):
                 method(engine, foreign_id, live)
             assert len(engine.wal) == wal_length
             assert engine.structure_version() == shape
-            assert engine.schema == schema
             # Elsewhere a failed lookup may book its probe (the v3.0 wrapper
             # charges one per API call); here resolving an id is a catalog read.
             if engine.name == "relationalgraph":

@@ -18,7 +18,6 @@ from repro.engines import (
     available_engines,
     create_engine,
     engine_info,
-    register_engine,
 )
 from repro.exceptions import (
     BenchmarkError,
@@ -54,15 +53,6 @@ class TestRegistry:
     def test_override_configuration(self):
         engine = create_engine("nativelinked-1.9", memory_budget=123)
         assert engine.config.memory_budget == 123
-
-    def test_register_custom_engine(self):
-        class CustomEngine(NativeLinkedEngine):
-            name = "custom"
-            version = "9"
-
-        register_engine("custom-9", CustomEngine)
-        assert "custom-9" in available_engines()
-        assert isinstance(create_engine("custom-9"), CustomEngine)
 
 
 class TestNativeLinkedVersions:
@@ -101,15 +91,6 @@ class TestNativeLinkedVersions:
 
 
 class TestNativeIndirect:
-    def test_edge_label_cap(self):
-        engine = NativeIndirectEngine()
-        engine.schema.max_edge_labels = 2
-        a, b = engine.add_vertex(), engine.add_vertex()
-        engine.add_edge(a, b, "l1")
-        engine.add_edge(a, b, "l2")
-        with pytest.raises(SchemaError):
-            engine.add_edge(a, b, "l3")
-
     def test_space_grows_with_label_count(self):
         few = NativeIndirectEngine()
         many = NativeIndirectEngine()
@@ -194,13 +175,18 @@ class TestTripleEngine:
         engine.add_edge(a, b, "knows", {"since": 2010})
         assert len(engine._triples) - statements_before >= 5
 
-    def test_bulk_load_defers_index_maintenance(self, small_dataset):
-        eager = TripleEngine(EngineConfig(bulk_load=False))
-        lazy = TripleEngine(EngineConfig(bulk_load=True))
-        for engine in (eager, lazy):
-            engine.load(small_dataset.vertices, small_dataset.edges)
-            assert engine.vertex_count() == small_dataset.vertex_count
-        assert lazy.vertex_count() == eager.vertex_count()
+    def test_bulk_load_matches_item_by_item_writes(self, small_dataset):
+        loaded = TripleEngine()
+        loaded.load(small_dataset.vertices, small_dataset.edges)
+        assert loaded.vertex_count() == small_dataset.vertex_count
+        written = TripleEngine()
+        ids = {v["id"]: written.add_vertex(v.get("properties", {}), v.get("label"))
+               for v in small_dataset.vertices}
+        for edge in small_dataset.edges:
+            written.add_edge(ids[edge["source"]], ids[edge["target"]], edge["label"],
+                             edge.get("properties", {}))
+        assert len(loaded._triples) == len(written._triples)
+        assert loaded.edge_count() == written.edge_count()
 
     def test_space_includes_journal_preallocation(self):
         engine = TripleEngine()
@@ -266,8 +252,8 @@ class TestRelationalEngine:
 
         def counters():
             return (
-                set(engine.schema.vertex_labels), set(engine.schema.edge_labels),
-                engine.io_cost(), engine.combined_metrics().snapshot(), len(engine.wal),
+                engine.database.table_names(), engine.io_cost(),
+                engine.combined_metrics().snapshot(), len(engine.wal),
             )
 
         def digest():  # reads charge, so taken outside the counted window
@@ -312,7 +298,7 @@ class TestRelationalEngine:
 class TestAttributeIndexes:
     @pytest.mark.parametrize(
         "engine_id",
-        [e for e in available_engines() if e not in ("triplegraph-2.1", "custom-9")],
+        [e for e in available_engines() if e not in ("triplegraph-2.1",)],
     )
     def test_index_accelerated_lookup_is_correct(self, engine_id):
         engine = create_engine(engine_id)
@@ -323,7 +309,7 @@ class TestAttributeIndexes:
 
     @pytest.mark.parametrize(
         "engine_id",
-        [e for e in available_engines() if e not in ("triplegraph-2.1", "custom-9")],
+        [e for e in available_engines() if e not in ("triplegraph-2.1",)],
     )
     def test_index_built_before_data_stays_consistent(self, engine_id):
         engine = create_engine(engine_id, config=EngineConfig(auto_index_properties=("name",)))
@@ -334,7 +320,7 @@ class TestAttributeIndexes:
 
     @pytest.mark.parametrize(
         "engine_id",
-        [e for e in available_engines() if e not in ("triplegraph-2.1", "custom-9")],
+        [e for e in available_engines() if e not in ("triplegraph-2.1",)],
     )
     def test_removed_vertex_leaves_no_index_entry(self, engine_id):
         # Native engines reuse the freed id: a stale entry would name the

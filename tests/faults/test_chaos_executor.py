@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.workload import load_dataset_into
+from repro.concurrency.driver import STRAGGLER_FACTOR
 from repro.engines import create_engine
 from repro.exceptions import BenchmarkError, ShardUnavailableError
 from repro.faults.chaos import EXACT, STALE, FaultPlane, build_chaos
@@ -295,7 +296,7 @@ class TestAdaptivePolicy:
         assert learned
         for estimator in learned:
             assert estimator.timeout(2048) == max(
-                1, estimator.ewma * estimator.straggler_factor
+                1, estimator.ewma * STRAGGLER_FACTOR
             )
 
     def test_a_stall_waits_out_the_learned_timeout(self, small_dataset):

@@ -60,11 +60,11 @@ class TestRoutingPolicy:
         plan = _plan(engine, engine.traversal().V(ids[0]).reachable(ids[5], STRUCTURE_LABEL))
         assert any(isinstance(step, S.ReachableStep) for step in plan)
 
-    def test_index_routing_flag_disables_rewrite(self, loaded_tree):
+    def test_baseline_disables_rewrite(self, loaded_tree):
         engine, ids = loaded_tree
         engine.structural_index(STRUCTURE_LABEL)
         traversal = engine.traversal().V(ids[0]).reachable(ids[5], STRUCTURE_LABEL)
-        plan = _plan(engine, traversal, index_routing=False)
+        plan = _plan(engine, traversal, baseline=True)
         assert any(isinstance(step, S.ReachableStep) for step in plan)
 
     def test_optimize_never_builds_an_index(self, loaded_tree):

@@ -43,9 +43,9 @@ class TestCountPushdown:
         assert "conflated" in S.NativeCountStep(source="V").describe()
         assert "knows" in S.NativeCountStep(source="E-label", label="knows").describe()
 
-    def test_pushdown_can_be_disabled(self, loaded):
+    def test_baseline_disables_pushdown(self, loaded):
         steps = loaded.engine.traversal().V().steps + [S.CountStep()]
-        rewritten = optimize(loaded.engine, steps, count_pushdown=False)
+        rewritten = optimize(loaded.engine, steps, baseline=True)
         assert isinstance(rewritten[0], S.VStep)
 
     def test_counts_match_baseline_everywhere(self, loaded):

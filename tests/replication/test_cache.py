@@ -14,7 +14,6 @@ from repro.replication.cache import (
     ChargedCache,
     cache_keys_for,
 )
-from repro.replication.log import ReplicationCostModel
 
 
 class TestLRU:
@@ -129,7 +128,6 @@ def test_storm_ledgers_are_byte_reproducible(engine_id, small_dataset):
             cache_capacity=4,
             apply_interval=30,
             network=NetworkCostModel(),
-            cost_model=ReplicationCostModel(),
             storm_rounds=2,
         )
         engine.close()

@@ -28,13 +28,6 @@ class TestBPlusTree:
         assert len(tree) == 2
         assert tree.key_count == 1
 
-    def test_unique_tree_replaces_values(self):
-        tree = BPlusTree(order=4, unique=True)
-        tree.insert("k", 1)
-        tree.insert("k", 2)
-        assert tree.search("k") == [2]
-        assert len(tree) == 1
-
     def test_splits_keep_all_keys_reachable(self):
         tree = BPlusTree(order=4)
         for value in range(200):

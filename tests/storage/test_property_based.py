@@ -235,12 +235,8 @@ class _RecursiveInsertTree(BPlusTree):
         if not isinstance(node, _InternalNode):
             index = bisect_left(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
-                if self.unique:
-                    self._size += 1 - len(node.values[index])
-                    node.values[index] = [value]
-                else:
-                    node.values[index].append(value)
-                    self._size += 1
+                node.values[index].append(value)
+                self._size += 1
                 return None
             node.keys.insert(index, key)
             node.values.insert(index, [value])
@@ -282,11 +278,11 @@ _write_mix = st.lists(
 
 
 class TestBPlusTreeIterativeInsert:
-    @given(st.sampled_from([3, 4, 7]), st.booleans(), _write_mix)
+    @given(st.sampled_from([3, 4, 7]), _write_mix)
     @settings(max_examples=120, deadline=None)
-    def test_books_and_builds_what_the_recursive_reference_does(self, order, unique, mix):
-        tree = BPlusTree(order=order, unique=unique)
-        reference = _RecursiveInsertTree(order=order, unique=unique)
+    def test_books_and_builds_what_the_recursive_reference_does(self, order, mix):
+        tree = BPlusTree(order=order)
+        reference = _RecursiveInsertTree(order=order)
         model: dict[int, list[int]] = {}
         for key, value in mix:
             if key is None:
@@ -298,10 +294,7 @@ class TestBPlusTreeIterativeInsert:
             updates, probes = tree.metrics.index_updates, tree.metrics.index_probes
             tree.insert(key, value)
             reference.insert(key, value)
-            if unique:
-                model[key] = [value]
-            else:
-                model.setdefault(key, []).append(value)
+            model.setdefault(key, []).append(value)
             # A new root is a rebalance but writes no existing node.
             splits = (tree.rebalance_count - rebalances) - (tree.height - height)
             assert tree.metrics.index_updates - updates == 1 + splits

@@ -44,8 +44,9 @@ class TxnHarness:
             self.executor.owner,
             network=self.network,
             isolation=isolation,
-            fault_plan=fault_plan,
         )
+        if fault_plan is not None:
+            self.manager.fault_plan = fault_plan
 
     def vertices_by_shard(self) -> dict[int, list]:
         """External ids grouped by owning shard, repr-sorted for stability."""

@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ParticipantUnavailableError, TransactionInDoubtError
+from repro.exceptions import (
+    ParticipantUnavailableError,
+    SessionStateError,
+    TransactionInDoubtError,
+)
 from repro.faults.txn_faults import (
     COORDINATOR_CRASH,
     PARTICIPANT_CRASH_AFTER_VOTE,
@@ -80,6 +84,58 @@ class TestCoordinatorCrash:
         assert harness.read_committed(a, "balance") is None
         assert harness.read_committed(b, "balance") is None
         assert harness.manager.recover() == {}
+
+    def test_decisions_after_a_torn_record_replay_once_recovered(self, make_harness):
+        """Recovery cuts the log at the torn record: a later commit whose
+        participant crashed after voting is still found committed."""
+        plan = TxnFaultPlan.explicit(TxnFaultEvent(TORN_DECISION, txn=0))
+        harness = make_harness(fault_plan=plan)
+        torn, _a, _b = _start_skewed_write(harness)
+        with pytest.raises(TransactionInDoubtError):
+            torn.commit()
+        assert harness.manager.recover() == {torn.id: "aborted"}
+
+        harness.manager.fault_plan = TxnFaultPlan.explicit(
+            TxnFaultEvent(PARTICIPANT_CRASH_AFTER_VOTE, txn=1)
+        )
+        txn, a, b = _start_skewed_write(harness)
+        assert txn.commit().in_doubt_shards
+        assert harness.manager.recover() == {txn.id: "committed"}
+        assert harness.read_committed(a, "balance") == 111
+        assert harness.read_committed(b, "balance") == 222
+        outcomes = [
+            (record.payload["txn"], record.payload["outcome"])
+            for record in harness.manager.decision_log.replay()
+        ]
+        assert outcomes == [(torn.id, "aborted"), (txn.id, "committed")]
+
+    @pytest.mark.parametrize("kind", [COORDINATOR_CRASH, TORN_DECISION])
+    def test_a_crashed_coordinator_takes_no_commit_before_recovery(self, make_harness, kind):
+        """A decision appended behind a torn record would be cut by the
+        restart; so until recover() nothing begins or commits."""
+        harness = make_harness(fault_plan=TxnFaultPlan.explicit(TxnFaultEvent(kind, txn=0)))
+        crashed, a, b = _start_skewed_write(harness)
+        waiting = harness.manager.begin()
+        waiting.set_vertex_property(a, "marker", 1)
+        waiting.set_vertex_property(b, "marker", 2)
+        with pytest.raises(TransactionInDoubtError):
+            crashed.commit()
+
+        with pytest.raises(SessionStateError, match="recover"):
+            harness.manager.begin()
+        with pytest.raises(SessionStateError, match="recover"):
+            waiting.commit()
+        assert waiting.state == "open"
+        assert harness.read_committed(a, "marker") is None
+
+        assert harness.manager.recover() == {crashed.id: "aborted"}
+        assert waiting.commit().mode == "2pc"
+        assert (harness.read_committed(a, "marker"), harness.read_committed(b, "marker")) == (1, 2)
+        outcomes = [
+            (record.payload["txn"], record.payload["outcome"])
+            for record in harness.manager.decision_log.replay()
+        ]
+        assert outcomes == [(crashed.id, "aborted"), (waiting.id, "committed")]
 
 
 class TestParticipantCrashBeforeVote:
